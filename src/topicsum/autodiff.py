@@ -6,12 +6,19 @@ pass on one explicit tape that is swept once in reverse.  Inference runs
 tape-free.  float32 is the working dtype; `using_dtype` exists so that
 numerical test suites can run the identical op implementations in float64,
 where central finite differences are meaningful.
+
+Gradient contract: `backward` adds into `.grad` only on leaves, the tensors
+that no record on the tape produced (parameters and inputs created with
+`requires_grad=True`).  Intermediate results keep `.grad` at None; their
+adjoints live in the sweep and are dropped when it ends.  Gather ops
+(`embedding_lookup`, `rows`/`row`, `pick`) hand back row-sparse adjoints
+that are added straight into their target's one dense buffer.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,37 +147,80 @@ class Tape:
         self._records.clear()
 
     def backward(self, root: Tensor) -> None:
-        """Populate grads of everything the scalar `root` depends on.
+        """Add d(root)/d(leaf) into `.grad` of every leaf the scalar `root`
+        depends on.
 
-        Repeated calls without zeroing accumulate, so two sweeps double the
-        gradient of every reachable tensor.
+        Repeated calls without zeroing accumulate, so two sweeps double every
+        leaf gradient.
         """
         if root.data.size != 1:
             raise ValueError(f"backward needs a scalar root, got shape {root.data.shape}")
         if not root.requires_grad:
             raise ValueError("backward root was not recorded on a tape")
-        seed = np.ones_like(root.data)
-        _accumulate(root, seed)
-        # per-sweep contributions; .grad holds the running cumulative total
-        delta: dict[int, np.ndarray] = {id(root): seed}
+        produced = {id(out) for out, _, _ in self._records}
+        # adjoints of intermediates; ids in `owned` name buffers this sweep
+        # allocated, which it may add into in place (the others can be views
+        # of arrays that another adjoint or an op's data still uses)
+        delta: dict[int, np.ndarray] = {}
+        owned: set[int] = set()
+
+        def deposit(tensor: Tensor, grad) -> None:
+            key = id(tensor)
+            if key not in produced:
+                if tensor.grad is None:
+                    tensor.grad = _fresh_buffer(tensor, grad)
+                else:
+                    _add_into(tensor.grad, grad)
+                return
+            prev = delta.get(key)
+            if prev is None and not isinstance(grad, _RowGrad):
+                delta[key] = grad
+            elif key in owned:
+                _add_into(prev, grad)
+            else:
+                delta[key] = _fresh_buffer(tensor, grad, prev)
+                owned.add(key)
+
+        deposit(root, np.ones_like(root.data))
         for out, inputs, vjp in reversed(self._records):
             g_out = delta.pop(id(out), None)
             if g_out is None:
                 continue
+            owned.discard(id(out))
             for tensor, grad in zip(inputs, vjp(g_out)):
-                if grad is None or not tensor.requires_grad:
-                    continue
-                _accumulate(tensor, grad)
-                key = id(tensor)
-                prev = delta.get(key)
-                delta[key] = grad if prev is None else prev + grad
+                if grad is not None and tensor.requires_grad:
+                    deposit(tensor, grad)
 
 
-def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
-    if tensor.grad is None:
-        tensor.grad = np.array(grad, copy=True)
+class _RowGrad(NamedTuple):
+    """An adjoint that is zero outside `index` of its target.
+
+    `index` is a row slice, a (row, column) pair, or an int array of
+    distinct row ids; `values` is what adds there.
+    """
+
+    index: object
+    values: np.ndarray
+
+
+def _add_into(buffer: np.ndarray, grad) -> None:
+    """buffer += grad, in place, for dense and row-sparse adjoints."""
+    if isinstance(grad, _RowGrad):
+        buffer[grad.index] += grad.values
     else:
-        tensor.grad += grad
+        buffer += grad
+
+
+def _fresh_buffer(tensor: Tensor, grad, prev: np.ndarray | None = None) -> np.ndarray:
+    """A new dense buffer holding prev + grad (prev defaults to zero)."""
+    if not isinstance(grad, _RowGrad):
+        return np.array(grad, copy=True) if prev is None else prev + grad
+    if prev is None:
+        buffer = np.zeros(tensor.data.shape, dtype=np.result_type(grad.values))
+    else:
+        buffer = prev.copy()
+    _add_into(buffer, grad)
+    return buffer
 
 
 _ACTIVE_TAPE: Tape | None = None
@@ -370,14 +420,8 @@ def rows(x: Tensor, start: int, stop: int) -> Tensor:
     n = x.data.shape[0]
     if not (0 <= start < stop <= n):
         raise IndexError(f"row slice [{start}:{stop}] outside [0, {n}]")
-    x_shape = x.data.shape
-
-    def vjp(g):
-        full = np.zeros(x_shape, dtype=g.dtype)
-        full[start:stop] = g
-        return (full,)
-
-    return _push(x.data[start:stop].copy(), (x,), vjp)
+    return _push(x.data[start:stop].copy(), (x,),
+                 lambda g: (_RowGrad(slice(start, stop), g),))
 
 
 def row(x: Tensor, index: int) -> Tensor:
@@ -389,18 +433,13 @@ def pick(x: Tensor, i: int, j: int) -> Tensor:
     n, m = x.data.shape
     if not (0 <= i < n and 0 <= j < m):
         raise IndexError(f"pick ({i}, {j}) outside shape {x.data.shape}")
-    x_shape = x.data.shape
-
-    def vjp(g):
-        full = np.zeros(x_shape, dtype=g.dtype)
-        full[i, j] = g[0, 0]
-        return (full,)
-
-    return _push(np.array([[x.data[i, j]]], dtype=x.data.dtype), (x,), vjp)
+    return _push(np.array([[x.data[i, j]]], dtype=x.data.dtype), (x,),
+                 lambda g: (_RowGrad((i, j), g[0, 0]),))
 
 
 def embedding_lookup(table: Tensor, token_ids) -> Tensor:
-    """Gather rows of `table`; backward scatter-adds into the table."""
+    """Gather rows of `table`; backward scatter-adds into the table's
+    gradient buffer, touching only the looked-up rows."""
     ids = np.asarray(list(token_ids), dtype=np.int64)
     n_rows = table.data.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
@@ -410,12 +449,13 @@ def embedding_lookup(table: Tensor, token_ids) -> Tensor:
         data = np.zeros((0, table.data.shape[1]), dtype=table.data.dtype)
     else:
         data = table.data[ids]
-    table_shape = table.data.shape
-
     def vjp(g):
-        full = np.zeros(table_shape, dtype=g.dtype)
-        np.add.at(full, ids, g)
-        return (full,)
+        # repeated ids add up among themselves first, then once into the
+        # buffer, as a dense [V, E] scatter added in would round
+        unique_ids, inverse = np.unique(ids, return_inverse=True)
+        summed = np.zeros((unique_ids.size, g.shape[1]), dtype=g.dtype)
+        np.add.at(summed, inverse, g)
+        return (_RowGrad(unique_ids, summed),)
 
     return _push(data, (table,), vjp)
 
@@ -441,7 +481,12 @@ def scatter_sum(x: Tensor, indices, size: int) -> Tensor:
 # optimizer
 
 class Adam:
-    """Adam with in-place updates; the caller zeroes gradients between steps."""
+    """Adam with in-place updates; the caller zeroes gradients between steps.
+
+    Each step evaluates the textbook expressions in their usual order, but
+    through two scratch buffers of the largest parameter's size instead of
+    fresh parameter-sized temporaries.
+    """
 
     def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -453,6 +498,10 @@ class Adam:
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        arrays = [p.data for p in self.params.values()]
+        largest = max((x.size for x in arrays), default=0)
+        dtype = np.result_type(*arrays) if arrays else default_dtype()
+        self._scratch = (np.empty(largest, dtype=dtype), np.empty(largest, dtype=dtype))
 
     def step(self) -> None:
         self.step_count += 1
@@ -462,13 +511,21 @@ class Adam:
                 raise ValueError(f"parameter '{name}' has no gradient; run backward first")
             g = p.grad
             m, v = self._m[name], self._v[name]
+            a, b = (buffer[:p.data.size].reshape(p.data.shape) for buffer in self._scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
+            v += a
+            np.divide(m, 1.0 - self.beta1 ** t, out=a)   # m_hat
+            np.divide(v, 1.0 - self.beta2 ** t, out=b)   # v_hat
+            a *= self.lr
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p.data -= a
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -8,7 +8,6 @@ little-endian values in row-major order.  Round-trips are bit-exact.
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -38,33 +37,36 @@ def save_tensors(path, tensors: Mapping[str, object]) -> None:
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
-    raw = Path(path).read_bytes()
-    if not raw.startswith(MAGIC):
+    """Named arrays of an archive: writable views into one buffer that holds
+    the whole file, so the values are read once and not copied."""
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw[:len(MAGIC)].tobytes() != MAGIC:
         raise ValueError(f"{path}: not a tensor archive (bad magic)")
     offset = len(MAGIC)
     total = len(raw)
 
-    def take(count: int) -> bytes:
+    def take(count: int) -> int:
+        """Skip `count` bytes; returns the offset where they start."""
         nonlocal offset
         if offset + count > total:
             raise ValueError(f"{path}: truncated archive at byte {offset}")
-        chunk = raw[offset:offset + count]
         offset += count
-        return chunk
+        return offset - count
 
     tensors: dict[str, np.ndarray] = {}
     while offset < total:
-        (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        (name_len,) = struct.unpack_from("<I", raw, take(4))
+        start = take(name_len)
+        name = raw[start:start + name_len].tobytes().decode("utf-8")
         if name in tensors:
             raise ValueError(f"{path}: duplicate tensor '{name}'")
-        (rank,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
+        (rank,) = struct.unpack_from("<I", raw, take(4))
+        shape = struct.unpack_from(f"<{rank}I", raw, take(4 * rank)) if rank else ()
         count = 1
         for dim in shape:
             count *= dim
-        values = np.frombuffer(take(4 * count), dtype="<f4").reshape(shape)
-        tensors[name] = np.array(values)  # writable copy
+        tensors[name] = np.frombuffer(raw, dtype="<f4", count=count,
+                                      offset=take(4 * count)).reshape(shape)
     return tensors
 
 

@@ -135,7 +135,7 @@ def train_detector(model: DetectorModel, train: Sequence[TopicParagraphExample],
     rng = np.random.default_rng(seed)
     optimizer = ad.Adam(model.parameters(), lr=lr)
     history: list[dict] = []
-    best_accuracy = -1.0
+    best_score = -float("inf")
     best_state: dict[str, np.ndarray] = {}
     for epoch in range(1, epochs + 1):
         started = time.perf_counter()
@@ -157,8 +157,8 @@ def train_detector(model: DetectorModel, train: Sequence[TopicParagraphExample],
             "wall_seconds": time.perf_counter() - started,
         })
         score = valid_accuracy if valid else -float(np.mean(losses))
-        if score > best_accuracy:
-            best_accuracy = score
+        if score > best_score:
+            best_score = score
             best_state = {name: p.data.copy() for name, p in model.parameters().items()}
     if best_state:
         for name, p in model.parameters().items():

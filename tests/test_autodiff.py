@@ -172,6 +172,41 @@ class TestGradients:
             expected[0] = 1.0
             np.testing.assert_allclose(table.grad, expected)
 
+    def test_row_sparse_gradients_match_dense_reference(self):
+        # gathers hand back row-sparse adjoints; summed into their targets
+        # they must equal the dense scatter built here
+        rng = np.random.default_rng(21)
+        ids = [3, 0, 3, 4, 3, 1]
+        with ad.using_dtype(np.float64):
+            table = ad.Tensor(rng.uniform(-1, 1, (5, 4)), requires_grad=True)
+            x = ad.Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True)
+            m_lookup = rng.uniform(-1, 1, (6, 4))
+            m_rows = rng.uniform(-1, 1, (3, 4))
+            m_row = rng.uniform(-1, 1, (1, 4))
+            m_dense = rng.uniform(-1, 1, (6, 4))
+            with ad.tape() as t:
+                vectors = ad.embedding_lookup(table, ids)
+                h = ad.tanh(ad.add(vectors, x))           # intermediate gathered from
+                loss = ((vectors * ad.Tensor(m_lookup)).sum()
+                        + (ad.rows(h, 2, 5) * ad.Tensor(m_rows)).sum()
+                        + (ad.row(h, 3) * ad.Tensor(m_row)).sum()
+                        + ad.pick(h, 4, 1) + ad.pick(h, 4, 1) + ad.pick(h, 0, 3)
+                        + (h * ad.Tensor(m_dense)).sum())
+                t.backward(loss)
+
+            dh = m_dense.copy()
+            dh[2:5] += m_rows
+            dh[3] += m_row[0]
+            dh[4, 1] += 2.0
+            dh[0, 3] += 1.0
+            dpre = dh * (1.0 - np.tanh(table.data[ids] + x.data) ** 2)
+            dvectors = m_lookup + dpre
+            dtable = np.zeros((5, 4))
+            for k, token in enumerate(ids):
+                dtable[token] += dvectors[k]
+            np.testing.assert_allclose(x.grad, dpre, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(table.grad, dtable, rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("case", [
         "add", "add_row_bias", "add_scalar_tensor", "mul", "mul_gate",
         "matmul", "affine", "tanh", "sigmoid", "softmax1", "softmax0",
@@ -319,13 +354,46 @@ class TestTapeSemantics:
                 with ad.tape():
                     pass
 
-    def test_reachable_tensors_get_grads(self):
+    def test_only_leaves_get_grads(self):
+        # leaves accumulate into .grad; intermediates (and the root) keep
+        # their adjoints inside the sweep only
         x = ad.Tensor([[0.3]], requires_grad=True)
         with ad.tape() as t:
             middle = ad.tanh(x)
             loss = ad.sigmoid(middle).sum()
             t.backward(loss)
-        assert middle.grad is not None and x.grad is not None
+        assert x.grad is not None
+        assert middle.grad is None and loss.grad is None
+
+    def test_adjoint_shared_by_two_inputs_stays_intact(self):
+        # add hands one array to both of its inputs; a later contribution to
+        # one of them must not change the other's adjoint
+        with ad.using_dtype(np.float64):
+            x = ad.Tensor([[0.2, -0.4]], requires_grad=True)
+            y = ad.Tensor([[0.7, 0.1]], requires_grad=True)
+            with ad.tape() as t:
+                u, v = ad.tanh(x), ad.tanh(y)
+                w = u * 3.0
+                t.backward((ad.add(u, v) + w).sum())
+        np.testing.assert_allclose(y.grad, 1.0 - np.tanh(y.data) ** 2, rtol=1e-12)
+        np.testing.assert_allclose(x.grad, 4.0 * (1.0 - np.tanh(x.data) ** 2), rtol=1e-12)
+
+    def test_two_sweeps_double_every_leaf_gradient(self):
+        rng = np.random.default_rng(4)
+        with ad.using_dtype(np.float64):
+            x = ad.Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+            table = ad.Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
+            w = ad.Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
+            with ad.tape() as t:
+                h = ad.tanh(ad.matmul(ad.add(x, ad.embedding_lookup(table, [5, 1, 5, 0])), w))
+                loss = (ad.rows(h, 1, 3).sum() + ad.row(h, 1).sum()
+                        + ad.pick(h, 3, 2) + ad.matmul(h, w).sum())
+                t.backward(loss)
+                first = {name: p.grad.copy() for name, p in [("x", x), ("table", table), ("w", w)]}
+                t.backward(loss)
+        for name, p in [("x", x), ("table", table), ("w", w)]:
+            np.testing.assert_allclose(p.grad, 2.0 * first[name], rtol=1e-12, atol=0,
+                                       err_msg=name)
 
 
 class TestDeterminism:
@@ -401,6 +469,31 @@ class TestAdam:
         p.grad = np.ones((1, 1), dtype=np.float32)
         opt.step()
         assert p.data[0, 0] < 1.0
+
+
+    def test_step_is_bitwise_the_textbook_formula(self):
+        rng = np.random.default_rng(8)
+        shapes = {"w": (3, 4), "b": (1, 4), "v": (7,), "cube": (2, 3, 2), "s": (1, 1)}
+        params = {name: ad.Tensor(rng.normal(size=shape), requires_grad=True)
+                  for name, shape in shapes.items()}
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        opt = ad.Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        data = {name: p.data.copy() for name, p in params.items()}
+        m = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+        for t in range(1, 4):
+            grads = {name: rng.normal(size=shape).astype(np.float32)
+                     for name, shape in shapes.items()}
+            for name, p in params.items():
+                p.grad = grads[name].copy()
+            opt.step()
+            for name, g in grads.items():
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+                m_hat = m[name] / (1.0 - b1 ** t)
+                v_hat = v[name] / (1.0 - b2 ** t)
+                data[name] = data[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                assert np.array_equal(params[name].data, data[name]), (name, t)
 
 
 class TestRandomizedProperties:

@@ -158,6 +158,20 @@ class TestTraining:
         final = evaluate_detector(model, valid).accuracy
         assert final == pytest.approx(best)
 
+    def test_empty_validation_keeps_lowest_loss_epoch(self):
+        # at lr 1.0 the loss rises again after epoch 2 and stays above 1 in
+        # every epoch, so the score -loss never beats a best score of -1
+        examples = make_separable_examples(n_per_class=10, seed=5)
+        model = make_model(seed=0)
+        history = train_detector(model, examples, [], epochs=3, lr=1.0, seed=0)
+        losses = [row["train_loss"] for row in history]
+        best_epoch = 1 + int(np.argmin(losses))
+        assert best_epoch < 3 and min(losses) > 1.0
+        reference = make_model(seed=0)
+        train_detector(reference, examples, [], epochs=best_epoch, lr=1.0, seed=0)
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.data, reference.parameters()[name].data), name
+
 
 class TestEvaluation:
     def test_perfect_predictions(self):
