@@ -15,8 +15,8 @@ from .corpus import (DatasetSplits, RawArticle, SummarizationExample, Topic,
                      label_frequency_stats, load_articles,
                      load_summarization_dataset, load_topic_schema,
                      write_summarization_dataset)
-from .detector import (DetectorModel, MeanEmbeddingEncoder, ParagraphEncoder,
-                       detect_topics, evaluate_detector, train_detector)
+from .detector import (DetectorModel, MeanEmbeddingEncoder, detect_topics,
+                       evaluate_detector, train_detector)
 from .generator import (DecodeConfig, GeneratorModel, TopicGroups,
                         compute_losses, decode_sentence, encode_topics,
                         generate_abstract, group_paragraphs, init_embeddings,

@@ -1,11 +1,20 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
 The models in this package run at desk scale: states are [1, H] row
-vectors, scalars are [1, 1], and every training step records its forward
-pass on one explicit tape that is swept once in reverse.  Inference runs
-tape-free.  float32 is the working dtype; `using_dtype` exists so that
-numerical test suites can run the identical op implementations in float64,
-where central finite differences are meaningful.
+vectors or [T, H] blocks of them, scalars are [1, 1], and every training
+step records its forward pass on one explicit tape that is swept once in
+reverse.  Inference runs tape-free.
+
+Most ops are one numpy expression and one tape record.  The exception is
+`gru_sequence`: a whole GRU run over T known inputs is one record.  Its
+forward multiplies all inputs by each gate's input weights in one matrix
+product and loops only over the recurrent `h @ U` products; its hand-written
+backward loops back through time over [1, H] rows and then forms every
+weight gradient as one matrix product over the whole sequence.
+
+float32 is the working dtype; `using_dtype` exists so that numerical test
+suites can run the identical op implementations in float64, where central
+finite differences are meaningful.
 
 Gradient contract: `backward` adds into `.grad` only on leaves, the tensors
 that no record on the tape produced (parameters and inputs created with
@@ -47,6 +56,7 @@ __all__ = [
     "pick",
     "embedding_lookup",
     "scatter_sum",
+    "gru_sequence",
     "Adam",
 ]
 
@@ -428,13 +438,20 @@ def row(x: Tensor, index: int) -> Tensor:
     return rows(x, index, index + 1)
 
 
-def pick(x: Tensor, i: int, j: int) -> Tensor:
-    """Single entry x[i, j] as a [1, 1] tensor."""
+def pick(x: Tensor, i, j) -> Tensor:
+    """Entries x[i, j] as a [k, 1] column: one entry for ints, or one per
+    pair of two equal-length index sequences whose (i, j) pairs are distinct."""
+    i_ids = np.atleast_1d(np.asarray(i, dtype=np.int64))
+    j_ids = np.atleast_1d(np.asarray(j, dtype=np.int64))
     n, m = x.data.shape
-    if not (0 <= i < n and 0 <= j < m):
+    if i_ids.shape != j_ids.shape or i_ids.ndim != 1:
+        raise ValueError(f"pick needs equal-length index lists, got {i_ids.shape} and {j_ids.shape}")
+    if np.any((i_ids < 0) | (i_ids >= n) | (j_ids < 0) | (j_ids >= m)):
         raise IndexError(f"pick ({i}, {j}) outside shape {x.data.shape}")
-    return _push(np.array([[x.data[i, j]]], dtype=x.data.dtype), (x,),
-                 lambda g: (_RowGrad((i, j), g[0, 0]),))
+    if i_ids.size > 1 and np.unique(i_ids * m + j_ids).size != i_ids.size:
+        raise ValueError("pick needs distinct (i, j) pairs")
+    return _push(x.data[i_ids, j_ids].reshape(-1, 1), (x,),
+                 lambda g: (_RowGrad((i_ids, j_ids), g[:, 0]),))
 
 
 def embedding_lookup(table: Tensor, token_ids) -> Tensor:
@@ -461,20 +478,82 @@ def embedding_lookup(table: Tensor, token_ids) -> Tensor:
 
 
 def scatter_sum(x: Tensor, indices, size: int) -> Tensor:
-    """Route a [1, n] row into a [1, size] row, summing collisions."""
+    """Route every [T, n] row into a [T, size] row: column k of x adds into
+    column indices[k], so colliding indices sum."""
     ids = np.asarray(list(indices), dtype=np.int64)
-    if x.data.shape != (1, ids.size):
-        raise ValueError(f"scatter_sum needs x of shape (1, {ids.size}), got {x.data.shape}")
+    if x.data.ndim != 2 or x.data.shape[1] != ids.size:
+        raise ValueError(f"scatter_sum needs x with {ids.size} columns, got shape {x.data.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= size):
         bad = ids[(ids < 0) | (ids >= size)][0]
         raise IndexError(f"scatter index {int(bad)} outside [0, {size})")
-    data = np.zeros((1, size), dtype=x.data.dtype)
-    np.add.at(data[0], ids, x.data[0])
+    data = np.zeros((x.data.shape[0], size), dtype=x.data.dtype)
+    np.add.at(data, (slice(None), ids), x.data)
 
     def vjp(g):
-        return (g[:, ids].reshape(1, -1) if ids.size else np.zeros((1, 0), dtype=g.dtype),)
+        return (g[:, ids],)
 
     return _push(data, (x,), vjp)
+
+
+def gru_sequence(xs: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, b_z: Tensor,
+                 W_r: Tensor, U_r: Tensor, b_r: Tensor, W_h: Tensor, U_h: Tensor,
+                 b_h: Tensor, reverse: bool = False) -> Tensor:
+    """A GRU run over the T rows of `xs` from the [1, H] state `h0`, as one
+    tape record.  Returns the [T, H] states: row t is the state after input
+    row t, which consumed rows 0..t (or T-1..t when `reverse`).
+
+    Each step is the update of one GRU cell:
+    z = sigmoid(x W_z + b_z + h U_z), r = sigmoid(x W_r + b_r + h U_r),
+    c = tanh(x W_h + b_h + (r * h) U_h), h' = (1 - z) * c + z * h.
+    """
+    if xs.data.ndim != 2 or xs.data.shape[0] == 0 or h0.data.ndim != 2 or h0.data.shape[0] != 1:
+        raise ValueError(f"gru_sequence needs [T > 0, D] inputs and a [1, H] state, "
+                         f"got {xs.data.shape} and {h0.data.shape}")
+    T, H = xs.data.shape[0], h0.data.shape[1]
+    if W_z.data.shape != (xs.data.shape[1], H) or U_z.data.shape != (H, H):
+        raise ValueError(f"gru_sequence weights {W_z.data.shape} and {U_z.data.shape} do not "
+                         f"fit inputs {xs.data.shape} and state {h0.data.shape}")
+    order = slice(None, None, -1) if reverse else slice(None)
+    x = xs.data[order]
+    # the input terms of all steps, one matrix product per gate
+    p_z, p_r, p_h = x @ W_z.data + b_z.data, x @ W_r.data + b_r.data, x @ W_h.data + b_h.data
+    u_z, u_r, u_h = U_z.data, U_r.data, U_h.data
+    # states[t] is the state before step t, states[t + 1] the one after
+    states = np.empty((T + 1, H), dtype=p_z.dtype)
+    states[0] = h0.data[0]
+    z, r, c = np.empty_like(p_z), np.empty_like(p_z), np.empty_like(p_z)
+    for t in range(T):
+        h = states[t:t + 1]
+        z[t] = _sigmoid_values(p_z[t:t + 1] + h @ u_z)
+        r[t] = _sigmoid_values(p_r[t:t + 1] + h @ u_r)
+        c[t] = np.tanh(p_h[t:t + 1] + (r[t:t + 1] * h) @ u_h)
+        states[t + 1] = (1.0 - z[t]) * c[t] + z[t] * h[0]
+    prev = states[:-1]
+
+    def vjp(g):
+        # back through time: d_z, d_r, d_h hold the adjoints of the gates'
+        # pre-activations, from which every weight gradient is one product
+        g = g[order]
+        d_z, d_r, d_h = np.empty_like(z), np.empty_like(r), np.empty_like(c)
+        carry = np.zeros((1, H), dtype=g.dtype)
+        for t in range(T - 1, -1, -1):
+            dh = g[t:t + 1] + carry
+            h = prev[t:t + 1]
+            d_h[t] = dh * (1.0 - z[t]) * (1.0 - c[t] * c[t])
+            d_z[t] = dh * (h - c[t]) * z[t] * (1.0 - z[t])
+            d_rh = d_h[t:t + 1] @ u_h.T
+            d_r[t] = d_rh * h * r[t] * (1.0 - r[t])
+            carry = dh * z[t] + d_rh * r[t] + d_z[t:t + 1] @ u_z.T + d_r[t:t + 1] @ u_r.T
+        dx = d_z @ W_z.data.T + d_r @ W_r.data.T + d_h @ W_h.data.T
+        x_t = x.T
+        return (dx[order], carry,
+                x_t @ d_z, prev.T @ d_z, d_z.sum(axis=0, keepdims=True),
+                x_t @ d_r, prev.T @ d_r, d_r.sum(axis=0, keepdims=True),
+                x_t @ d_h, (r * prev).T @ d_h, d_h.sum(axis=0, keepdims=True))
+
+    out = states[1:][order]
+    return _push(np.ascontiguousarray(out), (xs, h0, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h),
+                 vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,14 @@
 """Paragraph topic classification.
 
-A ParagraphEncoder turns a token-id sequence into a fixed-width vector; a
-linear layer over that vector scores every topic plus NOISE.  The bundled
-encoder is a trainable mean-of-embeddings model, deliberately small; the
-contract exists so a stronger encoder can drop in without touching the
-classifier or the training loop.
+A MeanEmbeddingEncoder turns a token-id sequence into a fixed-width
+vector; a linear layer over that vector scores every topic plus NOISE.  The
+encoder is a trainable mean-of-embeddings model, deliberately small.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +18,6 @@ from . import autodiff as ad
 from .corpus import TopicParagraphExample
 
 __all__ = [
-    "ParagraphEncoder",
     "MeanEmbeddingEncoder",
     "DetectorModel",
     "detect_topics",
@@ -35,21 +31,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-class ParagraphEncoder(ABC):
-    """Contract: token ids in, [1, output_dim] vector out."""
-
-    output_dim: int
-
-    @abstractmethod
-    def encode(self, token_ids: Sequence[int]) -> ad.Tensor:
-        ...
-
-    @abstractmethod
-    def parameters(self) -> dict[str, ad.Tensor]:
-        ...
-
-
-class MeanEmbeddingEncoder(ParagraphEncoder):
+class MeanEmbeddingEncoder:
     """Mean of trainable token embeddings, then one affine + tanh layer.
 
     An empty paragraph encodes as tanh of the bias alone.
@@ -80,7 +62,7 @@ class MeanEmbeddingEncoder(ParagraphEncoder):
 class DetectorModel:
     """Encoder + linear classifier over topics (NOISE is the last index)."""
 
-    def __init__(self, encoder: ParagraphEncoder, n_classes: int, rng: np.random.Generator):
+    def __init__(self, encoder: MeanEmbeddingEncoder, n_classes: int, rng: np.random.Generator):
         if n_classes < 2:
             raise ValueError(f"need at least 2 classes (one topic + NOISE), got {n_classes}")
         self.encoder = encoder

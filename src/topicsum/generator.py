@@ -7,13 +7,21 @@ sentence by sentence (emitting a stop probability and a topic-mixed
 decoder initialization), and a pointer-generator GRU decodes each sentence
 with attention over all group token states, able to copy out-of-vocabulary
 input tokens through extended ids.
+
+What runs step by step: the topic predictor (its next input is its own
+topic context), beam search (its next input is its own choice), and in
+training only the recurrences.  Each encoder direction and each
+teacher-forced decoder sentence is one `GRUCell.sequence`, whose inputs are
+known up front; attention runs per decoder state row over keys computed
+once per example; and the output projection, vocabulary softmax, copy gate,
+copy scatter and NLL run once over each sentence's [T, H] block of states.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -154,7 +162,8 @@ def group_paragraphs(paragraphs: Sequence[Sequence[str]], assignments: Sequence[
 # model
 
 class GRUCell:
-    """Single GRU cell over [1, hidden] row states."""
+    """Single GRU cell over [1, hidden] row states; `sequence` runs it over
+    known inputs as one fused op."""
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.input_dim = input_dim
@@ -174,6 +183,12 @@ class GRUCell:
         reset = ad.sigmoid(ad.affine(x, self.W_r, self.b_r) + ad.matmul(h, self.U_r))
         candidate = ad.tanh(ad.affine(x, self.W_h, self.b_h) + ad.matmul(reset * h, self.U_h))
         return (1.0 - update) * candidate + update * h
+
+    def sequence(self, xs: ad.Tensor, h0: ad.Tensor, reverse: bool = False) -> ad.Tensor:
+        """States after each row of xs [T, input] from h0 (see ad.gru_sequence);
+        equal to chaining `step` over the rows, last row first if `reverse`."""
+        return ad.gru_sequence(xs, h0, self.W_z, self.U_z, self.b_z, self.W_r, self.U_r,
+                               self.b_r, self.W_h, self.U_h, self.b_h, reverse=reverse)
 
     def parameters(self) -> dict[str, ad.Tensor]:
         return {"W_z": self.W_z, "U_z": self.U_z, "b_z": self.b_z,
@@ -258,11 +273,14 @@ class GeneratorModel:
 @dataclass
 class TopicEncoding:
     """BiGRU view of the grouped input: one vector per topic, one state per
-    kept input token (None when every group is empty)."""
+    kept input token, and what every decoder step reads of them: the
+    attention keys and the extended id that receives each token's copy mass
+    (states and keys are None when every group is empty)."""
 
     topic_vectors: ad.Tensor                 # [n_topics, hidden]
     token_states: ad.Tensor | None           # [total_tokens, hidden]
-    positions: list[tuple[int, str]] = field(default_factory=list)  # (extended id, surface)
+    attention_keys: ad.Tensor | None         # token_states @ attn_token_W
+    extended_ids: np.ndarray                 # [total_tokens] int64
 
 
 def bigru_states(model: GeneratorModel, token_ids: Sequence[int]):
@@ -275,20 +293,10 @@ def bigru_states(model: GeneratorModel, token_ids: Sequence[int]):
     if n == 0:
         raise ValueError("bigru_states needs a non-empty sequence")
     vectors = ad.embedding_lookup(model.embed, token_ids)  # [n, embed]
-    hidden = model.hidden_dim
-    state = ad.zeros((1, hidden))
-    forward: list[ad.Tensor] = []
-    for t in range(n):
-        state = model.enc_fwd.step(ad.row(vectors, t), state)
-        forward.append(state)
-    state = ad.zeros((1, hidden))
-    backward: list[ad.Tensor] = [None] * n  # type: ignore[list-item]
-    for t in reversed(range(n)):
-        state = model.enc_bwd.step(ad.row(vectors, t), state)
-        backward[t] = state
-    fwd = forward[0] if n == 1 else ad.concat(forward, axis=0)
-    bwd = backward[0] if n == 1 else ad.concat(backward, axis=0)
-    return fwd, bwd, forward[-1], backward[0]
+    start = ad.zeros((1, model.hidden_dim))
+    fwd = model.enc_fwd.sequence(vectors, start)
+    bwd = model.enc_bwd.sequence(vectors, start, reverse=True)
+    return fwd, bwd, ad.row(fwd, n - 1), ad.row(bwd, 0)
 
 
 def encode_topics(model: GeneratorModel, grouped: TopicGroups) -> TopicEncoding:
@@ -297,7 +305,6 @@ def encode_topics(model: GeneratorModel, grouped: TopicGroups) -> TopicEncoding:
         raise ValueError(f"{len(grouped.groups)} groups for a {model.n_topics}-topic model")
     topic_rows: list[ad.Tensor] = []
     state_blocks: list[ad.Tensor] = []
-    positions: list[tuple[int, str]] = []
     for group in grouped.groups:
         if len(group) == 0:
             topic_rows.append(ad.zeros((1, model.hidden_dim)))
@@ -309,13 +316,19 @@ def encode_topics(model: GeneratorModel, grouped: TopicGroups) -> TopicEncoding:
                                  model.enc_topic_W, model.enc_topic_b)      # [1, H]
         topic_rows.append(topic_vector)
         state_blocks.append(token_states)
-        positions.extend(zip(group.extended_ids, group.tokens))
     topic_vectors = topic_rows[0] if len(topic_rows) == 1 else ad.concat(topic_rows, axis=0)
-    token_states = None
+    token_states = keys = None
     if state_blocks:
         token_states = state_blocks[0] if len(state_blocks) == 1 else ad.concat(state_blocks, axis=0)
+        keys = attention_keys(model, token_states)
     return TopicEncoding(topic_vectors=topic_vectors, token_states=token_states,
-                         positions=positions)
+                         attention_keys=keys, extended_ids=_input_extended_ids(grouped))
+
+
+def _input_extended_ids(grouped: TopicGroups) -> np.ndarray:
+    """Extended id of every kept input token, in token-state order."""
+    return np.array([ext for group in grouped.groups for ext in group.extended_ids],
+                    dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +366,24 @@ def predict_topic_step(model: GeneratorModel, prev_state: ad.Tensor,
 # ---------------------------------------------------------------------------
 # attention and the output distribution
 
-def attention_step(model: GeneratorModel, state: ad.Tensor,
-                   token_states: ad.Tensor | None):
-    """Additive attention of the decoder state over all token states.
+def attention_keys(model: GeneratorModel, token_states: ad.Tensor) -> ad.Tensor:
+    """The state-independent term of every attention score, [n, H]."""
+    return ad.matmul(token_states, model.attn_token_W)
 
-    Returns (weights [n, 1], context [1, H]).
+
+def attention_step(model: GeneratorModel, state: ad.Tensor,
+                   token_states: ad.Tensor | None, keys: ad.Tensor | None = None):
+    """Additive attention of the [1, H] decoder state over all token states.
+
+    `keys` are `attention_keys(model, token_states)`, computed here when not
+    given.  Returns (weights [n, 1], context [1, H]).
     """
     if token_states is None or token_states.data.shape[0] == 0:
         raise ValueError("attention requires at least one encoded input token")
+    if keys is None:
+        keys = attention_keys(model, token_states)
     scores = ad.matmul(
-        ad.tanh(ad.matmul(token_states, model.attn_token_W)
-                + ad.affine(state, model.attn_state_W, model.attn_b)),
+        ad.tanh(keys + ad.affine(state, model.attn_state_W, model.attn_b)),
         model.attn_v)                                            # [n, 1]
     weights = ad.softmax(scores, axis=0)
     context = ad.matmul(ad.transpose(weights), token_states)     # [1, H]
@@ -371,36 +391,35 @@ def attention_step(model: GeneratorModel, state: ad.Tensor,
 
 
 def token_distribution(model: GeneratorModel, state: ad.Tensor, context: ad.Tensor,
-                       dec_input: ad.Tensor, weights: ad.Tensor,
-                       grouped: TopicGroups) -> ad.Tensor:
-    """Mix the vocabulary softmax with the copy distribution.
+                       dec_input: ad.Tensor, weights: ad.Tensor, grouped: TopicGroups,
+                       extended_ids: np.ndarray | None = None) -> ad.Tensor:
+    """Mix the vocabulary softmax with the copy distribution, for T decoder
+    steps at once.
 
-    Output is [1, vocab + n_oov]; the copy mass lands on the extended id of
-    every attended input position, so OOV input tokens stay reachable.
+    state and context are [T, H], dec_input [T, E], and weights [n, T] (one
+    attention column per step).  Output is [T, vocab + n_oov]; the copy mass
+    lands on the extended id of every attended input position, so OOV input
+    tokens stay reachable.  `extended_ids` are the encoding's, rebuilt from
+    `grouped` when not given.
     """
-    features = ad.concat([state, context], axis=1)               # [1, 2H]
+    if extended_ids is None:
+        extended_ids = _input_extended_ids(grouped)
+    if weights.data.shape[0] != extended_ids.size:
+        raise ValueError(f"{weights.data.shape[0]} attention weights for "
+                         f"{extended_ids.size} input positions")
+    features = ad.concat([state, context], axis=1)               # [T, 2H]
     logits = ad.affine(ad.affine(features, model.out_hidden_W, model.out_hidden_b),
-                       model.out_vocab_W, model.out_vocab_b)     # [1, V]
+                       model.out_vocab_W, model.out_vocab_b)     # [T, V]
     vocab_probs = ad.softmax(logits, axis=1)
     p_gen = ad.sigmoid(ad.matmul(context, model.gate_context_W)
                        + ad.matmul(state, model.gate_state_W)
                        + ad.matmul(dec_input, model.gate_input_W)
-                       + model.gate_b)                           # [1, 1]
-    extended_ids = [ext for ext, _ in _attended_positions(weights, grouped)]
+                       + model.gate_b)                           # [T, 1]
     copy_probs = ad.scatter_sum(ad.transpose(weights), extended_ids, grouped.extended_size)
     n_oov = grouped.extended_size - grouped.vocab_size
     if n_oov:
-        vocab_probs = ad.concat([vocab_probs, ad.zeros((1, n_oov))], axis=1)
+        vocab_probs = ad.concat([vocab_probs, ad.zeros((state.data.shape[0], n_oov))], axis=1)
     return vocab_probs * p_gen + copy_probs * (1.0 - p_gen)
-
-
-def _attended_positions(weights: ad.Tensor, grouped: TopicGroups) -> list[tuple[int, str]]:
-    positions = [(ext, tok) for group in grouped.groups
-                 for ext, tok in zip(group.extended_ids, group.tokens)]
-    if weights.data.shape[0] != len(positions):
-        raise ValueError(f"{weights.data.shape[0]} attention weights for "
-                         f"{len(positions)} input positions")
-    return positions
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +453,10 @@ def decode_sentence(model: GeneratorModel, decoder_init: ad.Tensor,
         for hyp in live:
             x = _input_vector(model, hyp.prev_id)
             state = model.dec_cell.step(x, hyp.state)
-            weights, context = attention_step(model, state, encoding.token_states)
-            dist = token_distribution(model, state, context, x, weights, grouped)
+            weights, context = attention_step(model, state, encoding.token_states,
+                                              encoding.attention_keys)
+            dist = token_distribution(model, state, context, x, weights, grouped,
+                                      encoding.extended_ids)
             log_probs = np.log(np.maximum(dist.data[0], 1e-12))
             if beam < log_probs.size:
                 top = np.argpartition(-log_probs, beam)[:beam + 1]
@@ -509,16 +530,29 @@ def teacher_forced_outputs(model: GeneratorModel, encoding: TopicEncoding,
                            vocab: Vocabulary, mode: str = "soft"):
     """Run predictor and decoder with gold inputs.
 
-    Returns (per-sentence token distributions, per-sentence gold extended
-    ids with EOS appended, stop probabilities for the m+1 predictor steps).
+    Returns (per-sentence lists of [1, V'] token distributions, one per
+    step, per-sentence gold extended ids with EOS appended, stop
+    probabilities for the m+1 predictor steps).
     """
+    blocks, targets, stops = _teacher_forced_blocks(model, encoding, grouped,
+                                                    gold_sentences, vocab, mode)
+    rows = [[ad.row(block, t) for t in range(block.data.shape[0])] for block in blocks]
+    return rows, targets, stops
+
+
+def _teacher_forced_blocks(model: GeneratorModel, encoding: TopicEncoding,
+                           grouped: TopicGroups, gold_sentences: Sequence[Sequence[str]],
+                           vocab: Vocabulary, mode: str):
+    """teacher_forced_outputs with each sentence's distributions as one
+    [T, V'] block: the decoder GRU runs over the T gold inputs as one
+    sequence, attention per state row, and the output layer once."""
     m = len(gold_sentences)
     if m == 0:
         raise ValueError("gold abstract has no sentences")
     hidden = model.hidden_dim
     state = ad.zeros((1, hidden))
     context = ad.zeros((1, hidden))
-    sentence_dists: list[list[ad.Tensor]] = []
+    blocks: list[ad.Tensor] = []
     sentence_targets: list[list[int]] = []
     stop_probs: list[ad.Tensor] = []
     for sentence in gold_sentences:
@@ -528,31 +562,31 @@ def teacher_forced_outputs(model: GeneratorModel, encoding: TopicEncoding,
         state, context = step.state, step.topic_context
         stop_probs.append(step.stop_prob)
         targets = [grouped.target_id(tok, vocab) for tok in sentence] + [EOS_ID]
-        inputs = [BOS_ID] + [vocab.token_to_id(tok) for tok in sentence]
-        dec_state = step.decoder_init
-        dists: list[ad.Tensor] = []
-        for input_id, _target in zip(inputs, targets):
-            x = _input_vector(model, input_id)
-            dec_state = model.dec_cell.step(x, dec_state)
-            weights, attn_context = attention_step(model, dec_state, encoding.token_states)
-            dists.append(token_distribution(model, dec_state, attn_context, x,
-                                            weights, grouped))
-        sentence_dists.append(dists)
+        inputs = ad.embedding_lookup(model.embed, [BOS_ID] + vocab.encode(sentence))
+        dec_states = model.dec_cell.sequence(inputs, step.decoder_init)   # [T, H]
+        weights, contexts = zip(*(attention_step(model, ad.row(dec_states, t),
+                                                 encoding.token_states, encoding.attention_keys)
+                                  for t in range(len(targets))))
+        blocks.append(token_distribution(model, dec_states, ad.concat(contexts, axis=0), inputs,
+                                         ad.concat(weights, axis=1), grouped,
+                                         encoding.extended_ids))
         sentence_targets.append(targets)
     final = predict_topic_step(model, state, context, encoding.topic_vectors, mode)
     stop_probs.append(final.stop_prob)
-    return sentence_dists, sentence_targets, stop_probs
+    return blocks, sentence_targets, stop_probs
 
 
-def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor]],
+def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor] | ad.Tensor],
                    sentence_targets: Sequence[Sequence[int]],
                    stop_probs: Sequence[ad.Tensor],
                    stop_weight: float = 1.0):
     """Sentence NLL averaged within and then across sentences, plus the
     stop cross-entropy averaged over the m+1 predictor steps.
 
-    Gold-token probabilities are clamped at 1e-12 before the log, so a
-    zero-probability target contributes a large finite loss.  Returns
+    Each sentence's distributions are a list of [1, V'] rows or one [T, V']
+    block; lists are joined into a block, whose gold-token probabilities
+    are read with one gather.  They are clamped at 1e-12 before the log, so
+    a zero-probability target contributes a large finite loss.  Returns
     (sentence_loss, stop_loss, total) as [1, 1] tensors.
     """
     m = len(sentence_dists)
@@ -564,14 +598,14 @@ def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor]],
         raise ValueError(f"expected {m + 1} stop probabilities, got {len(stop_probs)}")
     sentence_losses: list[ad.Tensor] = []
     for dists, targets in zip(sentence_dists, sentence_targets):
-        if len(dists) != len(targets):
-            raise ValueError(f"{len(dists)} distributions for {len(targets)} targets")
-        if not dists:
+        count = dists.data.shape[0] if isinstance(dists, ad.Tensor) else len(dists)
+        if count != len(targets):
+            raise ValueError(f"{count} distributions for {len(targets)} targets")
+        if not targets:
             raise ValueError("empty sentence in loss computation")
-        terms = [ad.mul(ad.log(ad.pick(dist, 0, target), floor=1e-12), -1.0)
-                 for dist, target in zip(dists, targets)]
-        total = reduce(ad.add, terms)
-        sentence_losses.append(ad.mul(total, 1.0 / len(terms)))
+        block = dists if isinstance(dists, ad.Tensor) else ad.concat(list(dists), axis=0)
+        gold = ad.log(ad.pick(block, range(count), targets), floor=1e-12)   # [T, 1]
+        sentence_losses.append(ad.mul(gold.sum(), -1.0 / count))
     sentence_loss = ad.mul(reduce(ad.add, sentence_losses), 1.0 / m)
     stop_terms: list[ad.Tensor] = []
     for step_index, stop in enumerate(stop_probs, start=1):
@@ -592,9 +626,9 @@ def example_loss(model: GeneratorModel, example: SummarizationExample,
     if grouped.total_tokens == 0:
         raise ValueError(f"example '{example.title}': every paragraph is NOISE or empty")
     encoding = encode_topics(model, grouped)
-    dists, targets, stops = teacher_forced_outputs(model, encoding, grouped,
-                                                   example.abstract_tokens, vocab, mode)
-    return compute_losses(dists, targets, stops, stop_weight)
+    blocks, targets, stops = _teacher_forced_blocks(model, encoding, grouped,
+                                                    example.abstract_tokens, vocab, mode)
+    return compute_losses(blocks, targets, stops, stop_weight)
 
 
 def train_generator(model: GeneratorModel, train: Sequence[SummarizationExample],

@@ -98,6 +98,25 @@ class TestForwardValues:
         out = ad.scatter_sum(ad.Tensor([[0.25, 0.75]]), [3, 3], 5)
         np.testing.assert_allclose(out.data, [[0, 0, 0, 1.0, 0]])
 
+    def test_scatter_sum_routes_each_row_alone(self):
+        rng = np.random.default_rng(5)
+        x = ad.Tensor(rng.uniform(0, 1, (3, 4)))
+        block = ad.scatter_sum(x, [2, 0, 2, 5], 6)
+        assert block.data.shape == (3, 6)
+        for t in range(3):
+            alone = ad.scatter_sum(ad.Tensor(x.data[t:t + 1]), [2, 0, 2, 5], 6)
+            assert np.array_equal(block.data[t:t + 1], alone.data)
+
+    def test_pick_gathers_one_entry_per_pair(self):
+        x = ad.Tensor(np.arange(6, dtype=np.float32).reshape(3, 2))
+        np.testing.assert_allclose(ad.pick(x, [0, 1, 2], [1, 0, 1]).data, [[1], [2], [5]])
+        with pytest.raises(ValueError):
+            ad.pick(x, [0, 0], [1, 1])  # a repeated pair would lose gradient
+        with pytest.raises(ValueError):
+            ad.pick(x, [0, 1], [1])
+        with pytest.raises(IndexError):
+            ad.pick(x, [0, 3], [0, 0])
+
     def test_concat_both_axes(self):
         a = ad.Tensor([[1.0, 2.0]])
         b = ad.Tensor([[3.0, 4.0]])
@@ -210,8 +229,8 @@ class TestGradients:
     @pytest.mark.parametrize("case", [
         "add", "add_row_bias", "add_scalar_tensor", "mul", "mul_gate",
         "matmul", "affine", "tanh", "sigmoid", "softmax1", "softmax0",
-        "log", "transpose", "concat0", "concat1", "rows", "pick",
-        "embedding", "scatter", "sum", "mean",
+        "log", "transpose", "concat0", "concat1", "rows", "pick", "pick_rows",
+        "embedding", "scatter", "scatter_rows", "sum", "mean",
     ])
     def test_each_op_matches_finite_differences(self, case):
         rng = np.random.default_rng(hash(case) % (2 ** 32))
@@ -254,12 +273,17 @@ class TestGradients:
                                     {"x": x, "y": y}),
                 "rows": lambda: ((ad.rows(x, 1, 3) * ad.Tensor(mixer.data[1:3])).sum(), {"x": x}),
                 "pick": lambda: (ad.pick(x, 2, 1), {"x": x}),
+                "pick_rows": lambda: ((ad.pick(x, [0, 2, 1], [3, 0, 3])
+                                       * ad.Tensor(mixer.data[:, :1])).sum(), {"x": x}),
                 "embedding": lambda: ((ad.embedding_lookup(table, [4, 0, 4, 2])
                                        * lookup_mixer).sum(),
                                       {"table": table}),
                 "scatter": lambda: ((ad.scatter_sum(weights, [0, 2, 2, 5], 6)
                                      * scatter_mixer).sum(),
                                     {"weights": weights}),
+                "scatter_rows": lambda: ((ad.scatter_sum(x, [1, 0, 1, 3], 5)
+                                          * ad.Tensor(np.hstack([mixer.data, mixer.data[:, :1]]))).sum(),
+                                         {"x": x}),
                 "sum": lambda: (x.sum(), {"x": x}),
                 "mean": lambda: (x.mean(), {"x": x}),
             }

@@ -168,6 +168,67 @@ class TestGRUCell:
             check_gradients(loss, params)
 
 
+class TestGRUSequence:
+    """The fused sequence op against a chain of `GRUCell.step` (float64)."""
+
+    def run_both(self, reverse, length=5):
+        rng = np.random.default_rng(3 + length)
+        cell = GRUCell(3, 4, rng)
+        xs = ad.Tensor(rng.uniform(-1, 1, (length, 3)), requires_grad=True)
+        h0 = ad.Tensor(rng.uniform(-1, 1, (1, 4)), requires_grad=True)
+        mixer = ad.Tensor(rng.uniform(-1, 1, (length, 4)))
+        leaves = dict(cell.parameters(), xs=xs, h0=h0)
+        results = []
+        for fused in (True, False):
+            with ad.tape() as recording:
+                if fused:
+                    states = cell.sequence(xs, h0, reverse=reverse)
+                else:
+                    rows = [None] * length
+                    state = h0
+                    for t in (reversed(range(length)) if reverse else range(length)):
+                        state = cell.step(ad.row(xs, t), state)
+                        rows[t] = state
+                    states = ad.concat(rows, axis=0)
+                recording.backward((states * mixer).sum())
+            results.append((states.data.copy(),
+                            {name: leaf.grad.copy() for name, leaf in leaves.items()}))
+            for leaf in leaves.values():
+                leaf.grad = None
+        return results
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_equals_chained_steps(self, reverse):
+        with ad.using_dtype(np.float64):
+            for length in (1, 2, 7):
+                (fused, fused_grads), (chained, chained_grads) = self.run_both(reverse, length)
+                np.testing.assert_allclose(fused, chained, rtol=0, atol=1e-10)
+                assert set(fused_grads) == set(chained_grads)
+                for name, grad in chained_grads.items():
+                    np.testing.assert_allclose(fused_grads[name], grad, rtol=0, atol=1e-10,
+                                               err_msg=name)
+
+    def test_gradients_match_finite_differences(self):
+        with ad.using_dtype(np.float64):
+            rng = np.random.default_rng(8)
+            cell = GRUCell(3, 4, rng)
+            xs = ad.Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+            h0 = ad.Tensor(rng.uniform(-1, 1, (1, 4)), requires_grad=True)
+            mixer = ad.Tensor(rng.uniform(-1, 1, (4, 4)))
+            params = dict(cell.parameters(), xs=xs, h0=h0)
+            check_gradients(lambda: (cell.sequence(xs, h0, reverse=True) * mixer).sum(),
+                            params)
+
+    def test_shape_mismatch_rejected(self):
+        cell = GRUCell(3, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            cell.sequence(ad.zeros((0, 3)), ad.zeros((1, 4)))
+        with pytest.raises(ValueError):
+            cell.sequence(ad.zeros((2, 5)), ad.zeros((1, 4)))
+        with pytest.raises(ValueError):
+            cell.sequence(ad.zeros((2, 3)), ad.zeros((2, 4)))
+
+
 class TestBiGRU:
     def test_backward_stack_consumes_suffixes(self):
         vocab = make_vocab()
@@ -213,10 +274,10 @@ class TestEncodeTopics:
         encoding = encode_topics(model, grouped)
         assert encoding.topic_vectors.data.shape == (2, model.hidden_dim)
         assert encoding.token_states.data.shape == (3, model.hidden_dim)
-        assert encoding.positions == [
-            (vocab.token_to_id("alpha"), "alpha"),
-            (len(vocab), "zork"),
-            (vocab.token_to_id("beta"), "beta"),
+        assert encoding.extended_ids.tolist() == [
+            vocab.token_to_id("alpha"),
+            len(vocab),  # "zork"
+            vocab.token_to_id("beta"),
         ]
 
     def test_empty_group_gets_zero_vector(self):
@@ -599,6 +660,107 @@ class TestTeacherForcing(DecodingSetup):
             teacher_forced_outputs(model, encoding, grouped, [], vocab)
         with pytest.raises(ValueError):
             teacher_forced_outputs(model, encoding, grouped, [[]], vocab)
+
+
+class TestBlockTeacherForcing:
+    """Teacher forcing over [T, H] blocks against a per-step reference
+    written here: one `step`, one attention and one [1, V'] distribution per
+    gold token, and the NLL as a chain of per-token terms (float64)."""
+
+    GOLD = [["alpha", "zork", "beta"], ["gamma"], ["quuz", "delta", "."]]
+
+    def setup_model(self):
+        vocab = make_vocab()
+        schema = make_schema()
+        model = GeneratorModel(len(vocab), 2, embed_dim=5, hidden_dim=4, seed=9)
+        paragraphs = [["alpha", "beta", "zork"], ["gamma", "delta", "alpha"]]
+        example = SummarizationExample(
+            title="T", paragraph_tokens=paragraphs,
+            paragraph_ids=[vocab.encode(p) for p in paragraphs],
+            abstract_tokens=self.GOLD,
+            abstract_ids=[vocab.encode(s) for s in self.GOLD])
+        return vocab, schema, model, example
+
+    def reference(self, model, encoding, grouped, vocab):
+        """(per-step distributions, sentence NLL, total loss) the slow way."""
+        state = context = ad.zeros((1, model.hidden_dim))
+        dists, sentence_terms, stops = [], [], []
+        for sentence in self.GOLD:
+            step = predict_topic_step(model, state, context, encoding.topic_vectors, "soft")
+            state, context = step.state, step.topic_context
+            stops.append(step.stop_prob)
+            targets = [grouped.target_id(tok, vocab) for tok in sentence] + [EOS_ID]
+            inputs = [BOS_ID] + [vocab.token_to_id(tok) for tok in sentence]
+            dec_state = step.decoder_init
+            terms = []
+            for input_id, target in zip(inputs, targets):
+                x = ad.embedding_lookup(model.embed, [input_id])
+                dec_state = model.dec_cell.step(x, dec_state)
+                weights, attn_context = attention_step(model, dec_state, encoding.token_states)
+                dist = token_distribution(model, dec_state, attn_context, x, weights, grouped)
+                dists.append(dist)
+                terms.append(ad.mul(ad.log(ad.pick(dist, 0, target), floor=1e-12), -1.0))
+            total = terms[0]
+            for term in terms[1:]:
+                total = total + term
+            sentence_terms.append(ad.mul(total, 1.0 / len(terms)))
+        stops.append(predict_topic_step(model, state, context, encoding.topic_vectors,
+                                        "soft").stop_prob)
+        nll = ad.mul(sum(sentence_terms[1:], sentence_terms[0]), 1.0 / len(self.GOLD))
+        m = len(self.GOLD)
+        stop_terms = [ad.mul(ad.log(1.0 - stop, floor=1e-12), -1.0) for stop in stops[:m]]
+        stop_terms.append(ad.mul(ad.log(stops[m], floor=1e-12), -1.0))
+        stop_loss = ad.mul(sum(stop_terms[1:], stop_terms[0]), 1.0 / (m + 1))
+        return dists, nll, nll + stop_loss
+
+    def test_distributions_and_losses_equal_per_step_reference(self):
+        with ad.using_dtype(np.float64):
+            vocab, schema, model, example = self.setup_model()
+            params = model.parameters()
+            runs = []
+            for blocked in (True, False):
+                with ad.tape() as recording:
+                    grouped = group_paragraphs(example.paragraph_tokens, [0, 1], schema, vocab)
+                    encoding = encode_topics(model, grouped)
+                    if blocked:
+                        rows, _, _ = teacher_forced_outputs(model, encoding, grouped,
+                                                            self.GOLD, vocab)
+                        dists = [row for sentence in rows for row in sentence]
+                        nll, _, total = example_loss(model, example, [0, 1], schema, vocab)
+                    else:
+                        dists, nll, total = self.reference(model, encoding, grouped, vocab)
+                    recording.backward(total)
+                runs.append(([d.data.copy() for d in dists], nll.item(), total.item(),
+                             {name: p.grad.copy() for name, p in params.items()}))
+                for p in params.values():
+                    p.grad = None
+            (block_dists, block_nll, block_total, block_grads), \
+                (ref_dists, ref_nll, ref_total, ref_grads) = runs
+            assert len(block_dists) == len(ref_dists) == 4 + 2 + 4
+            for got, want in zip(block_dists, ref_dists):
+                assert got.shape == want.shape == (1, grouped.extended_size)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+            assert abs(block_nll - ref_nll) <= 1e-10
+            assert abs(block_total - ref_total) <= 1e-10
+            for name, grad in ref_grads.items():
+                np.testing.assert_allclose(block_grads[name], grad, rtol=0, atol=1e-10,
+                                           err_msg=name)
+
+    def test_tape_length_does_not_grow_with_input_length(self):
+        vocab, schema, model, _ = self.setup_model()
+        words = ["alpha", "beta", "gamma", "delta", "zork"]
+        lengths = []
+        for n in (10, 40):
+            paragraphs = [[words[i % 5] for i in range(n)], [words[(i + 2) % 5] for i in range(n)]]
+            example = SummarizationExample(
+                title="T", paragraph_tokens=paragraphs,
+                paragraph_ids=[vocab.encode(p) for p in paragraphs],
+                abstract_tokens=self.GOLD,
+                abstract_ids=[vocab.encode(s) for s in self.GOLD])
+            with ad.tape() as recording:
+                example_loss(model, example, [0, 1], schema, vocab)
+                lengths.append(len(recording))
+        assert lengths[0] == lengths[1]
 
 
 def one_hot_dist(size, index, value=1.0):
