@@ -3,7 +3,8 @@
 The models in this package run at desk scale: states are [1, H] row
 vectors or [T, H] blocks of them, scalars are [1, 1], and every training
 step records its forward pass on one explicit tape that is swept once in
-reverse.  Inference runs tape-free.
+reverse.  Inference runs tape-free.  `fit` is the training loop both models
+share: epochs, the tape, Adam and the best epoch.
 
 Most ops are one numpy expression and one tape record.  The exception is
 `gru_sequence`: a whole GRU run over T known inputs is one record.  Its
@@ -27,6 +28,7 @@ that are added straight into their target's one dense buffer.
 from __future__ import annotations
 
 import contextlib
+import time
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -58,6 +60,7 @@ __all__ = [
     "scatter_sum",
     "gru_sequence",
     "Adam",
+    "fit",
 ]
 
 _DTYPE_STACK = [np.float32]
@@ -609,3 +612,55 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
+
+
+def fit(params: Mapping[str, Tensor], n_examples: int,
+        losses: Callable[[int], Mapping[str, Tensor]],
+        validate: Callable[[], tuple[dict, float | None]],
+        label: Callable[[int], str], epochs: int, lr: Callable[[int], float],
+        seed: int) -> list[dict]:
+    """Per-example Adam over `epochs` seeded permutations of the training set.
+
+    `losses(index)` returns one example's named [1, 1] losses.  "loss" is
+    minimised and must be finite (else ValueError naming the epoch and
+    `label(index)`, before the step); each name gets a `train_<name>` mean
+    in the epoch's history row.  `validate()` returns the row's validation
+    fields and a score, higher is better, or None without a validation set
+    (the score is then -train_loss).  `lr(epoch)` is the epoch's learning
+    rate.  The best-scoring epoch's parameters are restored at the end.
+    """
+    rng = np.random.default_rng(seed)
+    optimizer = Adam(params, lr=lr(1))
+    history: list[dict] = []
+    best_score = -float("inf")
+    best_state: dict[str, np.ndarray] = {}
+    for epoch in range(1, epochs + 1):
+        started = time.perf_counter()
+        optimizer.lr = lr(epoch)
+        train: dict[str, list[float]] = {}
+        for index in rng.permutation(n_examples):
+            with tape() as recording:
+                named = losses(index)
+                loss = named["loss"].item()
+                if not np.isfinite(loss):
+                    raise ValueError(f"epoch {epoch}: non-finite loss {loss} on {label(index)}")
+                recording.backward(named["loss"])
+            optimizer.step()
+            optimizer.zero_grad()
+            for name, value in named.items():
+                train.setdefault(name, []).append(value.item())
+        row = {"epoch": epoch, "lr": optimizer.lr}
+        row.update({f"train_{name}": float(np.mean(v)) for name, v in train.items()})
+        fields, score = validate()
+        row.update(fields)
+        row["wall_seconds"] = time.perf_counter() - started
+        history.append(row)
+        if score is None:
+            score = -row["train_loss"]
+        if score > best_score:
+            best_score = score
+            best_state = {name: p.data.copy() for name, p in optimizer.params.items()}
+    if best_state:
+        for name, p in optimizer.params.items():
+            p.data[...] = best_state[name]
+    return history

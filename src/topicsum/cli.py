@@ -155,12 +155,17 @@ def _write_log(path, config: RunConfig, columns: list[str], rows: list[dict]) ->
             handle.write("\t".join(cells) + "\n")
 
 
-def _build_detector_model(config: RunConfig, vocab: Vocabulary, n_classes: int,
-                          seed: int) -> DetectorModel:
-    rng = np.random.default_rng(seed)
+def _build_detector_model(config: RunConfig, vocab: Vocabulary, n_classes: int) -> DetectorModel:
+    rng = np.random.default_rng(config.seed)
     encoder = MeanEmbeddingEncoder(len(vocab), config.detector_embed_size,
                                    config.detector_hidden_size, rng)
     return DetectorModel(encoder, n_classes, rng)
+
+
+def _load_detector(config: RunConfig, vocab: Vocabulary, n_classes: int, path) -> DetectorModel:
+    detector = _build_detector_model(config, vocab, n_classes)
+    checkpoint.load_into(detector.parameters(), path)
+    return detector
 
 
 def cmd_train(args) -> int:
@@ -176,23 +181,19 @@ def cmd_train(args) -> int:
         _require(config, "detector_train_path", "detector_valid_path")
         train = load_detector_dataset(config.detector_train_path)
         valid = load_detector_dataset(config.detector_valid_path)
-        model = _build_detector_model(config, vocab, schema.n_classes, config.seed)
+        model = _build_detector_model(config, vocab, schema.n_classes)
         history = train_detector(model, train, valid, epochs=config.detector_epochs,
                                  lr=config.detector_lr, seed=config.seed)
-        checkpoint.save_tensors(args.out, model.parameters())
-        _write_log(log_path, config,
-                   ["epoch", "lr", "train_loss", "valid_accuracy", "wall_seconds"], history)
-        final = history[-1]
-        print(f"detector: {len(train)} train / {len(valid)} valid examples, "
-              f"{config.detector_epochs} epochs")
-        print(f"final valid accuracy: {final['valid_accuracy']:.4f}")
+        columns = ["epoch", "lr", "train_loss", "valid_accuracy", "wall_seconds"]
+        summary = (f"detector: {len(train)} train / {len(valid)} valid examples, "
+                   f"{config.detector_epochs} epochs\n"
+                   f"final valid accuracy: {history[-1]['valid_accuracy']:.4f}")
     else:
         _require(config, "summarization_train_path", "summarization_valid_path",
                  "detector_checkpoint")
         train = load_summarization_dataset(config.summarization_train_path, vocab)
         valid = load_summarization_dataset(config.summarization_valid_path, vocab)
-        detector = _build_detector_model(config, vocab, schema.n_classes, config.seed)
-        checkpoint.load_into(detector.parameters(), config.detector_checkpoint)
+        detector = _load_detector(config, vocab, schema.n_classes, config.detector_checkpoint)
         train_topics = [detect_topics(ex.paragraph_ids, detector) for ex in train]
         valid_topics = [detect_topics(ex.paragraph_ids, detector) for ex in valid]
         embeddings = None
@@ -211,13 +212,13 @@ def cmd_train(args) -> int:
                                   mode=config.topic_mode,
                                   stop_weight=config.stop_loss_weight,
                                   ttg_cap=config.ttg_cap, seed=config.seed)
-        checkpoint.save_tensors(args.out, model.parameters())
-        _write_log(log_path, config,
-                   ["epoch", "lr", "train_loss", "valid_loss", "wall_seconds"], history)
-        final = history[-1]
-        print(f"generator: {len(train)} train / {len(valid)} valid examples, "
-              f"{config.generator_epochs} epochs ({config.topic_mode} mode)")
-        print(f"final valid loss: {final['valid_loss']:.4f}")
+        columns = ["epoch", "lr", "train_loss", "valid_loss", "wall_seconds"]
+        summary = (f"generator: {len(train)} train / {len(valid)} valid examples, "
+                   f"{config.generator_epochs} epochs ({config.topic_mode} mode)\n"
+                   f"final valid loss: {history[-1]['valid_loss']:.4f}")
+    checkpoint.save_tensors(args.out, model.parameters())
+    _write_log(log_path, config, columns, history)
+    print(summary)
     print(f"checkpoint: {args.out}")
     print(f"log: {log_path}")
     return 0
@@ -231,8 +232,7 @@ def cmd_generate(args) -> int:
     _require(config, "vocab_path", "schema_path")
     vocab = Vocabulary.load(config.vocab_path)
     schema = load_topic_schema(config.schema_path, n_t=config.n_t)
-    detector = _build_detector_model(config, vocab, schema.n_classes, config.seed)
-    checkpoint.load_into(detector.parameters(), args.detector_ckpt)
+    detector = _load_detector(config, vocab, schema.n_classes, args.detector_ckpt)
     model = GeneratorModel(len(vocab), len(schema.topics), embed_dim=config.embed_size,
                            hidden_dim=config.hidden_size, seed=config.seed)
     checkpoint.load_into(model.parameters(), args.generator_ckpt)

@@ -8,7 +8,6 @@ encoder is a trainable mean-of-embeddings model, deliberately small.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,20 +89,11 @@ def _example_nll(model: DetectorModel, example: TopicParagraphExample) -> ad.Ten
     return ad.mul(ad.log(ad.pick(probs, 0, example.topic_index), floor=1e-12), -1.0)
 
 
-def _accuracy(model: DetectorModel, examples: Sequence[TopicParagraphExample]) -> float:
-    if not examples:
-        return float("nan")
-    hits = sum(
-        1 for ex in examples
-        if int(np.argmax(model.logits(ex.token_ids).data)) == ex.topic_index
-    )
-    return hits / len(examples)
-
-
 def train_detector(model: DetectorModel, train: Sequence[TopicParagraphExample],
                    valid: Sequence[TopicParagraphExample], epochs: int = 4,
                    lr: float = 3e-5, seed: int = 42) -> list[dict]:
-    """Adam on per-example NLL; keeps the best-validation checkpoint.
+    """Adam on per-example NLL (`autodiff.fit`); keeps the best-validation
+    checkpoint, or the lowest-loss one without a validation set.
 
     Returns one history row per epoch: epoch, lr, train_loss,
     valid_accuracy, wall_seconds.
@@ -114,38 +104,17 @@ def train_detector(model: DetectorModel, train: Sequence[TopicParagraphExample],
     for topic in range(model.n_classes):
         if topic not in present:
             logger.warning("topic %d has no training examples", topic)
-    rng = np.random.default_rng(seed)
-    optimizer = ad.Adam(model.parameters(), lr=lr)
-    history: list[dict] = []
-    best_score = -float("inf")
-    best_state: dict[str, np.ndarray] = {}
-    for epoch in range(1, epochs + 1):
-        started = time.perf_counter()
-        losses = []
-        for index in rng.permutation(len(train)):
-            example = train[index]
-            with ad.tape() as recording:
-                loss = _example_nll(model, example)
-                recording.backward(loss)
-            optimizer.step()
-            optimizer.zero_grad()
-            losses.append(loss.item())
-        valid_accuracy = _accuracy(model, valid)
-        history.append({
-            "epoch": epoch,
-            "lr": lr,
-            "train_loss": float(np.mean(losses)),
-            "valid_accuracy": valid_accuracy,
-            "wall_seconds": time.perf_counter() - started,
-        })
-        score = valid_accuracy if valid else -float(np.mean(losses))
-        if score > best_score:
-            best_score = score
-            best_state = {name: p.data.copy() for name, p in model.parameters().items()}
-    if best_state:
-        for name, p in model.parameters().items():
-            p.data[...] = best_state[name]
-    return history
+
+    def validate():
+        if not valid:
+            return {"valid_accuracy": float("nan")}, None
+        accuracy = evaluate_detector(model, valid).accuracy
+        return {"valid_accuracy": accuracy}, accuracy
+
+    return ad.fit(model.parameters(), len(train),
+                  lambda index: {"loss": _example_nll(model, train[index])}, validate,
+                  label=lambda index: f"training example {index}",
+                  epochs=epochs, lr=lambda epoch: lr, seed=seed)
 
 
 @dataclass
@@ -170,9 +139,8 @@ def evaluate_detector(model: DetectorModel,
         raise ValueError("empty evaluation set")
     n = model.n_classes
     confusion = np.zeros((n, n), dtype=np.int64)  # [true, predicted]
-    for example in examples:
-        predicted = int(np.argmax(model.logits(example.token_ids).data))
-        confusion[example.topic_index, predicted] += 1
+    predicted = detect_topics([example.token_ids for example in examples], model)
+    np.add.at(confusion, ([example.topic_index for example in examples], predicted), 1)
     accuracy = float(np.trace(confusion)) / len(examples)
     per_topic = []
     for topic in range(n):

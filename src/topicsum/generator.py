@@ -20,7 +20,6 @@ copy scatter and NLL run once over each sentence's [T, H] block of states.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -639,65 +638,36 @@ def train_generator(model: GeneratorModel, train: Sequence[SummarizationExample]
                     lr_first: float = 1e-4, lr_rest: float = 1e-5,
                     mode: str = "soft", stop_weight: float = 1.0,
                     ttg_cap: int = 400, seed: int = 42) -> list[dict]:
-    """Teacher-forced Adam training with the two-phase learning rate
-    (lr_first for epoch 1, lr_rest afterwards); keeps the best-validation
-    checkpoint.  Returns one history row per epoch: epoch, lr, train_loss,
-    valid_loss, wall_seconds (losses are mean per-example totals; train_nll
-    carries the mean sentence NLL for convergence tracking)."""
+    """Teacher-forced Adam training (`autodiff.fit`) with the two-phase
+    learning rate (lr_first for epoch 1, lr_rest afterwards); keeps the
+    best-validation checkpoint, or the lowest-loss one without a validation
+    set.  Returns one history row per epoch: epoch, lr, train_loss,
+    train_nll, valid_loss, wall_seconds (losses are mean per-example totals;
+    train_nll carries the mean sentence NLL for convergence tracking)."""
     if len(train) != len(train_assignments):
         raise ValueError(f"{len(train)} examples but {len(train_assignments)} assignment lists")
     if len(valid) != len(valid_assignments):
         raise ValueError(f"{len(valid)} validation examples but {len(valid_assignments)} assignment lists")
     if not train:
         raise ValueError("empty training set")
-    rng = np.random.default_rng(seed)
-    optimizer = ad.Adam(model.parameters(), lr=lr_first)
-    history: list[dict] = []
-    best_loss = float("inf")
-    best_state: dict[str, np.ndarray] = {}
 
-    def valid_loss() -> float:
+    def losses(index: int) -> dict[str, ad.Tensor]:
+        nll, _, total = example_loss(model, train[index], train_assignments[index], schema,
+                                     vocab, mode, stop_weight, ttg_cap)
+        return {"loss": total, "nll": nll}
+
+    def validate():
         if not valid:
-            return float("nan")
-        totals = []
-        for example, assignment in zip(valid, valid_assignments):
-            _, _, total = example_loss(model, example, assignment, schema, vocab,
-                                       mode, stop_weight, ttg_cap)
-            totals.append(total.item())
-        return float(np.mean(totals))
+            return {"valid_loss": float("nan")}, None
+        loss = float(np.mean([
+            example_loss(model, example, assignment, schema, vocab, mode, stop_weight,
+                         ttg_cap)[2].item()
+            for example, assignment in zip(valid, valid_assignments)]))
+        return {"valid_loss": loss}, -loss
 
-    for epoch in range(1, epochs + 1):
-        started = time.perf_counter()
-        optimizer.lr = lr_first if epoch == 1 else lr_rest
-        train_totals = []
-        train_nlls = []
-        for index in rng.permutation(len(train)):
-            example = train[index]
-            with ad.tape() as recording:
-                nll, _, total = example_loss(model, example, train_assignments[index],
-                                             schema, vocab, mode, stop_weight, ttg_cap)
-                recording.backward(total)
-            optimizer.step()
-            optimizer.zero_grad()
-            train_totals.append(total.item())
-            train_nlls.append(nll.item())
-        epoch_valid = valid_loss()
-        history.append({
-            "epoch": epoch,
-            "lr": optimizer.lr,
-            "train_loss": float(np.mean(train_totals)),
-            "train_nll": float(np.mean(train_nlls)),
-            "valid_loss": epoch_valid,
-            "wall_seconds": time.perf_counter() - started,
-        })
-        score = epoch_valid if valid else float(np.mean(train_totals))
-        if score < best_loss:
-            best_loss = score
-            best_state = {name: p.data.copy() for name, p in model.parameters().items()}
-    if best_state:
-        for name, p in model.parameters().items():
-            p.data[...] = best_state[name]
-    return history
+    return ad.fit(model.parameters(), len(train), losses, validate,
+                  label=lambda index: f"example '{train[index].title}'", epochs=epochs,
+                  lr=lambda epoch: lr_first if epoch == 1 else lr_rest, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -728,6 +698,9 @@ def init_embeddings(vocab: Vocabulary, dim: int = 300, pretrained_path=None,
                 vector = np.array([float(x) for x in parts[1:]], dtype=np.float32)
             except ValueError as exc:
                 raise ValueError(f"{pretrained_path}:{lineno}: non-numeric value ({exc})") from exc
+            if not np.all(np.isfinite(vector)):
+                raise ValueError(f"{pretrained_path}:{lineno}: non-finite value in the vector "
+                                 f"for '{parts[0]}'")
             pretrained[parts[0]] = vector
     unresolved: set[str] = set()
     for token_id in range(len(vocab)):

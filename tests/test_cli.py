@@ -280,6 +280,21 @@ class TestExitCodes:
         assert rc == 2
         assert "vocab_path" in capsys.readouterr().err
 
+    def test_non_finite_training_loss_returns_two_and_writes_nothing(self, workspace,
+                                                                     tmp_path, capsys):
+        root, _, _ = workspace
+        config = root / "diverging.cfg"
+        config.write_text(CONFIG_TEMPLATE.replace("detector_lr = 0.01", "detector_lr = 1e38"),
+                          encoding="utf-8")
+        out = tmp_path / "d.bin"
+        with np.errstate(all="ignore"):
+            rc = main(["train", "--stage", "detector", "--config", str(config),
+                       "--out", str(out)])
+        assert rc == 2
+        assert "non-finite loss" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "d.bin.log").exists()
+
     def test_unexpected_failure_returns_one(self, tmp_path, capsys, monkeypatch):
         import topicsum.cli as cli
         monkeypatch.setattr(cli, "load_articles",

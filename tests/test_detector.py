@@ -172,6 +172,17 @@ class TestTraining:
         for name, p in model.parameters().items():
             assert np.array_equal(p.data, reference.parameters()[name].data), name
 
+    def test_nan_weight_stops_before_the_first_step(self):
+        examples = make_separable_examples(n_per_class=5, seed=2)
+        model = make_model(seed=2)
+        model.cls_b.data[0, 1] = np.nan
+        before = {name: p.data.copy() for name, p in model.parameters().items()}
+        first = np.random.default_rng(9).permutation(len(examples))[0]
+        with pytest.raises(ValueError, match=f"epoch 1: non-finite loss nan on training example {first}$"):
+            train_detector(model, examples, [], epochs=2, lr=1e-2, seed=9)
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.data, before[name], equal_nan=True), name
+
 
 class TestEvaluation:
     def test_perfect_predictions(self):

@@ -919,6 +919,37 @@ class TestTrainGenerator(TrainingSetup):
         with pytest.raises(ValueError):
             train_generator(model, examples, assignments, examples, [], schema, vocab)
 
+    def test_keeps_best_validation_epoch(self):
+        # at lr 0.1 the validation loss falls in epoch 2 and rises in epoch 3
+        vocab, schema, examples, assignments = self.tiny_task()
+
+        def run(epochs):
+            model = GeneratorModel(len(vocab), 2, embed_dim=6, hidden_dim=6, seed=2)
+            history = train_generator(model, examples, assignments, examples[:2],
+                                      assignments[:2], schema, vocab, epochs=epochs,
+                                      lr_first=0.1, lr_rest=0.1, seed=7)
+            return model, history
+
+        model, history = run(3)
+        valid_losses = [row["valid_loss"] for row in history]
+        best_epoch = 1 + int(np.argmin(valid_losses))
+        assert best_epoch < 3
+        reference, _ = run(best_epoch)
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.data, reference.parameters()[name].data), name
+
+    def test_nan_weight_stops_before_the_first_step(self):
+        vocab, schema, examples, assignments = self.tiny_task()
+        model = GeneratorModel(len(vocab), 2, embed_dim=6, hidden_dim=6, seed=2)
+        model.dec_cell.W_z.data[0, 0] = np.nan
+        before = {name: p.data.copy() for name, p in model.parameters().items()}
+        first = examples[np.random.default_rng(7).permutation(len(examples))[0]]
+        with pytest.raises(ValueError, match=f"epoch 1: non-finite loss nan on example '{first.title}'"):
+            train_generator(model, examples, assignments, [], [], schema, vocab,
+                            epochs=2, lr_first=1e-2, lr_rest=1e-3, seed=7)
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.data, before[name], equal_nan=True), name
+
 
 class TestInitEmbeddings:
     def test_default_uniform_table(self):
@@ -957,4 +988,7 @@ class TestInitEmbeddings:
             init_embeddings(vocab, dim=3, pretrained_path=path)
         path.write_text("alpha 1.0 2.0 oops\n", encoding="utf-8")
         with pytest.raises(ValueError, match="non-numeric"):
+            init_embeddings(vocab, dim=3, pretrained_path=path)
+        path.write_text("beta 1.0 2.0 3.0\nalpha nan inf 1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=":2: non-finite"):
             init_embeddings(vocab, dim=3, pretrained_path=path)
