@@ -7,7 +7,7 @@ writes each sentence with copying.  Everything runs on a small tape-based
 autodiff core over numpy arrays.
 """
 
-from .autodiff import Adam, Tape, Tensor, backward, tape, using_dtype
+from .autodiff import Adam, Tape, Tensor, tape, using_dtype
 from .checkpoint import load_into, load_tensors, save_tensors
 from .config import RunConfig, format_config, load_config
 from .corpus import (DatasetSplits, RawArticle, SummarizationExample, Topic,

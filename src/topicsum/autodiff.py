@@ -17,7 +17,7 @@ float32 is the working dtype; `using_dtype` exists so that numerical test
 suites can run the identical op implementations in float64, where central
 finite differences are meaningful.
 
-Gradient contract: `backward` adds into `.grad` only on leaves, the tensors
+Gradient contract: `Tape.backward` adds into `.grad` only on leaves, the tensors
 that no record on the tape produced (parameters and inputs created with
 `requires_grad=True`).  Intermediate results keep `.grad` at None; their
 adjoints live in the sweep and are dropped when it ends.  Gather ops
@@ -37,7 +37,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "tape",
-    "backward",
     "using_dtype",
     "default_dtype",
     "parameter",
@@ -252,13 +251,6 @@ def tape():
     finally:
         _ACTIVE_TAPE = None
         t.clear()
-
-
-def backward(root: Tensor) -> None:
-    """Sweep the currently active tape from `root`."""
-    if _ACTIVE_TAPE is None:
-        raise RuntimeError("no active tape; call backward inside `with tape(): ...`")
-    _ACTIVE_TAPE.backward(root)
 
 
 def _push(data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:

@@ -106,11 +106,12 @@ def cmd_build_corpus(args) -> int:
     write_label_stats(out_dir / "label_stats.tsv", stats)
 
     sequences = list(article_token_sequences(articles))
-    summarization_path = args.summarization
-    if summarization_path:
-        # fold the generation corpus into the shared vocabulary
-        probe_vocab = Vocabulary([])
-        for example in load_summarization_dataset(summarization_path, probe_vocab):
+    summarization = None
+    if args.summarization:
+        # fold the generation corpus into the shared vocabulary; which
+        # records are kept does not depend on the vocabulary
+        summarization = load_summarization_dataset(args.summarization, Vocabulary([]))
+        for example in summarization:
             sequences.extend(example.paragraph_tokens)
             sequences.extend(example.abstract_tokens)
     vocab = Vocabulary.build(sequences, cap=args.vocab_cap)
@@ -126,9 +127,8 @@ def cmd_build_corpus(args) -> int:
     print(f"vocabulary: {len(vocab)}")
     print(f"detector examples: train={len(splits.train)} "
           f"valid={len(splits.valid)} test={len(splits.test)}")
-    if summarization_path:
-        count = len(load_summarization_dataset(summarization_path, vocab))
-        print(f"summarization examples: {count}")
+    if summarization is not None:
+        print(f"summarization examples: {len(summarization)}")
     print(f"seed: {args.seed}")
     return 0
 
@@ -182,8 +182,11 @@ def cmd_train(args) -> int:
         train = load_detector_dataset(config.detector_train_path)
         valid = load_detector_dataset(config.detector_valid_path)
         model = _build_detector_model(config, vocab, schema.n_classes)
-        history = train_detector(model, train, valid, epochs=config.detector_epochs,
-                                 lr=config.detector_lr, seed=config.seed)
+        # a diverging run is reported by fit's non-finite-loss check, not by
+        # numpy's overflow warnings on the way there
+        with np.errstate(all="ignore"):
+            history = train_detector(model, train, valid, epochs=config.detector_epochs,
+                                     lr=config.detector_lr, seed=config.seed)
         columns = ["epoch", "lr", "train_loss", "valid_accuracy", "wall_seconds"]
         summary = (f"detector: {len(train)} train / {len(valid)} valid examples, "
                    f"{config.detector_epochs} epochs\n"
@@ -205,13 +208,14 @@ def cmd_train(args) -> int:
         model = GeneratorModel(len(vocab), len(schema.topics),
                                embed_dim=config.embed_size, hidden_dim=config.hidden_size,
                                seed=config.seed, embeddings=embeddings)
-        history = train_generator(model, train, train_topics, valid, valid_topics,
-                                  schema, vocab, epochs=config.generator_epochs,
-                                  lr_first=config.generator_lr_first,
-                                  lr_rest=config.generator_lr_rest,
-                                  mode=config.topic_mode,
-                                  stop_weight=config.stop_loss_weight,
-                                  ttg_cap=config.ttg_cap, seed=config.seed)
+        with np.errstate(all="ignore"):
+            history = train_generator(model, train, train_topics, valid, valid_topics,
+                                      schema, vocab, epochs=config.generator_epochs,
+                                      lr_first=config.generator_lr_first,
+                                      lr_rest=config.generator_lr_rest,
+                                      mode=config.topic_mode,
+                                      stop_weight=config.stop_loss_weight,
+                                      ttg_cap=config.ttg_cap, seed=config.seed)
         columns = ["epoch", "lr", "train_loss", "valid_loss", "wall_seconds"]
         summary = (f"generator: {len(train)} train / {len(valid)} valid examples, "
                    f"{config.generator_epochs} epochs ({config.topic_mode} mode)\n"

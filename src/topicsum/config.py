@@ -17,7 +17,6 @@ class RunConfig:
     vocab_path: str = ""
     detector_train_path: str = ""
     detector_valid_path: str = ""
-    detector_test_path: str = ""
     summarization_train_path: str = ""
     summarization_valid_path: str = ""
     embeddings_path: str = ""

@@ -10,11 +10,13 @@ input tokens through extended ids.
 
 What runs step by step: the topic predictor (its next input is its own
 topic context), beam search (its next input is its own choice), and in
-training only the recurrences.  Each encoder direction and each
-teacher-forced decoder sentence is one `GRUCell.sequence`, whose inputs are
-known up front; attention runs per decoder state row over keys computed
-once per example; and the output projection, vocabulary softmax, copy gate,
-copy scatter and NLL run once over each sentence's [T, H] block of states.
+training only the recurrences.  A single step is a one-row
+`GRUCell.sequence`, so the GRU update has one implementation.  Each encoder
+direction and each teacher-forced decoder sentence is one
+`GRUCell.sequence`, whose inputs are known up front; attention runs per
+decoder state row over keys computed once per example; and the output
+projection, vocabulary softmax, copy gate, copy scatter and NLL run once
+over each sentence's [T, H] block of states.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -161,12 +164,10 @@ def group_paragraphs(paragraphs: Sequence[Sequence[str]], assignments: Sequence[
 # model
 
 class GRUCell:
-    """Single GRU cell over [1, hidden] row states; `sequence` runs it over
-    known inputs as one fused op."""
+    """Single GRU cell over [1, hidden] row states; its update is written
+    once, in the fused `ad.gru_sequence`."""
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
         self.W_z = ad.parameter(rng, (input_dim, hidden_dim))
         self.U_z = ad.parameter(rng, (hidden_dim, hidden_dim))
         self.b_z = ad.zero_parameter((1, hidden_dim))
@@ -178,14 +179,12 @@ class GRUCell:
         self.b_h = ad.zero_parameter((1, hidden_dim))
 
     def step(self, x: ad.Tensor, h: ad.Tensor) -> ad.Tensor:
-        update = ad.sigmoid(ad.affine(x, self.W_z, self.b_z) + ad.matmul(h, self.U_z))
-        reset = ad.sigmoid(ad.affine(x, self.W_r, self.b_r) + ad.matmul(h, self.U_r))
-        candidate = ad.tanh(ad.affine(x, self.W_h, self.b_h) + ad.matmul(reset * h, self.U_h))
-        return (1.0 - update) * candidate + update * h
+        """The state after one [1, input] row: a one-row `sequence`."""
+        return self.sequence(x, h)
 
     def sequence(self, xs: ad.Tensor, h0: ad.Tensor, reverse: bool = False) -> ad.Tensor:
-        """States after each row of xs [T, input] from h0 (see ad.gru_sequence);
-        equal to chaining `step` over the rows, last row first if `reverse`."""
+        """States after each row of xs [T, input] from h0 (see ad.gru_sequence),
+        last row first if `reverse`."""
         return ad.gru_sequence(xs, h0, self.W_z, self.U_z, self.b_z, self.W_r, self.U_r,
                                self.b_r, self.W_h, self.U_h, self.b_h, reverse=reverse)
 
@@ -362,6 +361,16 @@ def predict_topic_step(model: GeneratorModel, prev_state: ad.Tensor,
                      decoder_init=decoder_init, stop_prob=stop_prob)
 
 
+def _topic_steps(model: GeneratorModel, encoding: TopicEncoding, mode: str):
+    """Predictor steps from a zero state, each fed the previous step's state
+    and topic context; lazy, so the caller decides when to stop."""
+    state = context = ad.zeros((1, model.hidden_dim))
+    while True:
+        step = predict_topic_step(model, state, context, encoding.topic_vectors, mode)
+        yield step
+        state, context = step.state, step.topic_context
+
+
 # ---------------------------------------------------------------------------
 # attention and the output distribution
 
@@ -506,14 +515,8 @@ def generate_abstract(model: GeneratorModel, paragraphs: Sequence[Sequence[str]]
     if grouped.total_tokens == 0:
         raise ValueError("no usable input: every paragraph was assigned to NOISE or empty")
     encoding = encode_topics(model, grouped)
-    hidden = model.hidden_dim
-    state = ad.zeros((1, hidden))
-    context = ad.zeros((1, hidden))
     sentences: list[list[str]] = []
-    for _ in range(config.max_sentences):
-        step = predict_topic_step(model, state, context, encoding.topic_vectors,
-                                  config.topic_mode)
-        state, context = step.state, step.topic_context
+    for step in islice(_topic_steps(model, encoding, config.topic_mode), config.max_sentences):
         if step.stop_prob.item() > config.stop_threshold:
             break
         sentences.append(decode_sentence(model, step.decoder_init, encoding,
@@ -548,17 +551,14 @@ def _teacher_forced_blocks(model: GeneratorModel, encoding: TopicEncoding,
     m = len(gold_sentences)
     if m == 0:
         raise ValueError("gold abstract has no sentences")
-    hidden = model.hidden_dim
-    state = ad.zeros((1, hidden))
-    context = ad.zeros((1, hidden))
+    steps = _topic_steps(model, encoding, mode)
     blocks: list[ad.Tensor] = []
     sentence_targets: list[list[int]] = []
     stop_probs: list[ad.Tensor] = []
     for sentence in gold_sentences:
         if not sentence:
             raise ValueError("gold sentences must be non-empty")
-        step = predict_topic_step(model, state, context, encoding.topic_vectors, mode)
-        state, context = step.state, step.topic_context
+        step = next(steps)
         stop_probs.append(step.stop_prob)
         targets = [grouped.target_id(tok, vocab) for tok in sentence] + [EOS_ID]
         inputs = ad.embedding_lookup(model.embed, [BOS_ID] + vocab.encode(sentence))
@@ -570,8 +570,7 @@ def _teacher_forced_blocks(model: GeneratorModel, encoding: TopicEncoding,
                                          ad.concat(weights, axis=1), grouped,
                                          encoding.extended_ids))
         sentence_targets.append(targets)
-    final = predict_topic_step(model, state, context, encoding.topic_vectors, mode)
-    stop_probs.append(final.stop_prob)
+    stop_probs.append(next(steps).stop_prob)
     return blocks, sentence_targets, stop_probs
 
 

@@ -5,6 +5,8 @@ generation, and evaluation once; the tests then assert on the artifacts
 and on the exit-code contract.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -287,11 +289,16 @@ class TestExitCodes:
         config.write_text(CONFIG_TEMPLATE.replace("detector_lr = 0.01", "detector_lr = 1e38"),
                           encoding="utf-8")
         out = tmp_path / "d.bin"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            # numpy's overflow warnings on the way to the non-finite loss
+            # would be extra stderr lines
+            warnings.simplefilter("error")
             rc = main(["train", "--stage", "detector", "--config", str(config),
                        "--out", str(out)])
+        err = capsys.readouterr().err
         assert rc == 2
-        assert "non-finite loss" in capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite loss" in err
+        assert len(err.splitlines()) == 1
         assert not out.exists()
         assert not (tmp_path / "d.bin.log").exists()
 

@@ -53,6 +53,15 @@ def np_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def op_gru_step(cell, x, h):
+    """The GRU update composed of tape ops, one record per op: an
+    implementation of the cell independent of the fused `gru_sequence`."""
+    update = ad.sigmoid(ad.affine(x, cell.W_z, cell.b_z) + ad.matmul(h, cell.U_z))
+    reset = ad.sigmoid(ad.affine(x, cell.W_r, cell.b_r) + ad.matmul(h, cell.U_r))
+    candidate = ad.tanh(ad.affine(x, cell.W_h, cell.b_h) + ad.matmul(reset * h, cell.U_h))
+    return (1.0 - update) * candidate + update * h
+
+
 def np_gru_step(cell, x, h):
     """The GRU update equations, written independently in numpy."""
     z = np_sigmoid(x @ cell.W_z.data + h @ cell.U_z.data + cell.b_z.data)
@@ -169,44 +178,54 @@ class TestGRUCell:
 
 
 class TestGRUSequence:
-    """The fused sequence op against a chain of `GRUCell.step` (float64)."""
+    """The fused sequence op, and `GRUCell.step` built on it, against the
+    op-composed reference update `op_gru_step` (float64)."""
 
-    def run_both(self, reverse, length=5):
-        rng = np.random.default_rng(3 + length)
-        cell = GRUCell(3, 4, rng)
-        xs = ad.Tensor(rng.uniform(-1, 1, (length, 3)), requires_grad=True)
-        h0 = ad.Tensor(rng.uniform(-1, 1, (1, 4)), requires_grad=True)
-        mixer = ad.Tensor(rng.uniform(-1, 1, (length, 4)))
+    def run(self, cell, xs, h0, mixer, reverse, how):
+        """States and every leaf gradient of sum(states * mixer)."""
+        length = xs.data.shape[0]
         leaves = dict(cell.parameters(), xs=xs, h0=h0)
-        results = []
-        for fused in (True, False):
-            with ad.tape() as recording:
-                if fused:
-                    states = cell.sequence(xs, h0, reverse=reverse)
-                else:
-                    rows = [None] * length
-                    state = h0
-                    for t in (reversed(range(length)) if reverse else range(length)):
-                        state = cell.step(ad.row(xs, t), state)
-                        rows[t] = state
-                    states = ad.concat(rows, axis=0)
-                recording.backward((states * mixer).sum())
-            results.append((states.data.copy(),
-                            {name: leaf.grad.copy() for name, leaf in leaves.items()}))
-            for leaf in leaves.values():
-                leaf.grad = None
-        return results
+        with ad.tape() as recording:
+            if how == "sequence":
+                states = cell.sequence(xs, h0, reverse=reverse)
+            else:
+                advance = cell.step if how == "step" else lambda x, h: op_gru_step(cell, x, h)
+                rows = [None] * length
+                state = h0
+                for t in (reversed(range(length)) if reverse else range(length)):
+                    state = advance(ad.row(xs, t), state)
+                    rows[t] = state
+                states = ad.concat(rows, axis=0)
+            recording.backward((states * mixer).sum())
+        grads = {name: leaf.grad.copy() for name, leaf in leaves.items()}
+        for leaf in leaves.values():
+            leaf.grad = None
+        return states.data.copy(), grads
+
+    def check(self, how, reverse):
+        with ad.using_dtype(np.float64):
+            for length in (1, 2, 7):
+                rng = np.random.default_rng(3 + length)
+                cell = GRUCell(3, 4, rng)
+                xs = ad.Tensor(rng.uniform(-1, 1, (length, 3)), requires_grad=True)
+                h0 = ad.Tensor(rng.uniform(-1, 1, (1, 4)), requires_grad=True)
+                mixer = ad.Tensor(rng.uniform(-1, 1, (length, 4)))
+                got, got_grads = self.run(cell, xs, h0, mixer, reverse, how)
+                want, want_grads = self.run(cell, xs, h0, mixer, reverse, "reference")
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+                assert set(got_grads) == set(want_grads) == set(cell.parameters()) | {"xs", "h0"}
+                for name, grad in want_grads.items():
+                    assert np.any(grad != 0.0), name
+                    np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-10,
+                                               err_msg=f"{name}, length {length}")
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_equals_chained_steps(self, reverse):
-        with ad.using_dtype(np.float64):
-            for length in (1, 2, 7):
-                (fused, fused_grads), (chained, chained_grads) = self.run_both(reverse, length)
-                np.testing.assert_allclose(fused, chained, rtol=0, atol=1e-10)
-                assert set(fused_grads) == set(chained_grads)
-                for name, grad in chained_grads.items():
-                    np.testing.assert_allclose(fused_grads[name], grad, rtol=0, atol=1e-10,
-                                               err_msg=name)
+        self.check("sequence", reverse)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_step_equals_chained_steps(self, reverse):
+        self.check("step", reverse)
 
     def test_gradients_match_finite_differences(self):
         with ad.using_dtype(np.float64):
