@@ -1,17 +1,18 @@
 """Dense tensors with tape-based reverse-mode differentiation.
 
 The models in this package run at desk scale: states are [1, H] row
-vectors or [T, H] blocks of them, scalars are [1, 1], and every training
+vectors or [R, H] blocks of them, scalars are [1, 1], and every training
 step records its forward pass on one explicit tape that is swept once in
 reverse.  Inference runs tape-free.  `fit` is the training loop both models
 share: epochs, the tape, Adam and the best epoch.
 
 Most ops are one numpy expression and one tape record.  The exception is
-`gru_sequence`: a whole GRU run over T known inputs is one record.  Its
-forward multiplies all inputs by each gate's input weights in one matrix
-product and loops only over the recurrent `h @ U` products; its hand-written
-backward loops back through time over [1, H] rows and then forms every
-weight gradient as one matrix product over the whole sequence.
+`gru_sequence`: a whole GRU run over T known inputs is one record, for one
+sequence or a block of B independent ones.  Its forward multiplies all
+inputs by each gate's input weights in one matrix product and loops only
+over the recurrent `h @ U` products; its hand-written backward loops back
+through time over [B, H] blocks and then forms every weight gradient as one
+matrix product over the whole run.
 
 float32 is the working dtype; `using_dtype` exists so that numerical test
 suites can run the identical op implementations in float64, where central
@@ -46,6 +47,7 @@ __all__ = [
     "mul",
     "matmul",
     "affine",
+    "reshape",
     "transpose",
     "tanh",
     "sigmoid",
@@ -343,6 +345,15 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _push(x_data @ w_data + bias.data, (x, weight, bias), vjp)
 
 
+def reshape(x: Tensor, shape) -> Tensor:
+    """x's entries, in row-major order, in a new shape; x itself, and no
+    tape record, when the shape does not change."""
+    x_shape = x.data.shape
+    if tuple(shape) == x_shape:
+        return x
+    return _push(x.data.reshape(shape), (x,), lambda g: (g.reshape(x_shape),))
+
+
 def transpose(x: Tensor) -> Tensor:
     return _push(x.data.T.copy(), (x,), lambda g: (g.T,))
 
@@ -353,13 +364,9 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    # split form avoids overflow in exp for large |x|; saturates to exact 0/1
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    ex = np.exp(x[~positive])
-    out[~positive] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| never overflows; each side's form saturates to exact 0/1
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -493,60 +500,70 @@ def scatter_sum(x: Tensor, indices, size: int) -> Tensor:
 def gru_sequence(xs: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, b_z: Tensor,
                  W_r: Tensor, U_r: Tensor, b_r: Tensor, W_h: Tensor, U_h: Tensor,
                  b_h: Tensor, reverse: bool = False) -> Tensor:
-    """A GRU run over the T rows of `xs` from the [1, H] state `h0`, as one
-    tape record.  Returns the [T, H] states: row t is the state after input
-    row t, which consumed rows 0..t (or T-1..t when `reverse`).
+    """A GRU run of T steps over B independent sequences from the [B, H]
+    states `h0`, as one tape record.  `xs` is time-major [T·B, D]: rows
+    t·B .. t·B + B - 1 are step t's inputs, one per sequence.  Returns the
+    [T·B, H] states in the same layout: the states after step t's inputs,
+    which consumed steps 0..t (or T-1..t when `reverse`).
 
     Each step is the update of one GRU cell:
     z = sigmoid(x W_z + b_z + h U_z), r = sigmoid(x W_r + b_r + h U_r),
     c = tanh(x W_h + b_h + (r * h) U_h), h' = (1 - z) * c + z * h.
     """
-    if xs.data.ndim != 2 or xs.data.shape[0] == 0 or h0.data.ndim != 2 or h0.data.shape[0] != 1:
-        raise ValueError(f"gru_sequence needs [T > 0, D] inputs and a [1, H] state, "
+    if (xs.data.ndim != 2 or h0.data.ndim != 2 or h0.data.shape[0] == 0
+            or xs.data.shape[0] == 0 or xs.data.shape[0] % h0.data.shape[0]):
+        raise ValueError(f"gru_sequence needs [T·B, D] inputs (T > 0) and a [B, H] state, "
                          f"got {xs.data.shape} and {h0.data.shape}")
-    T, H = xs.data.shape[0], h0.data.shape[1]
-    if W_z.data.shape != (xs.data.shape[1], H) or U_z.data.shape != (H, H):
+    (B, H), D = h0.data.shape, xs.data.shape[1]
+    T = xs.data.shape[0] // B
+    if W_z.data.shape != (D, H) or U_z.data.shape != (H, H):
         raise ValueError(f"gru_sequence weights {W_z.data.shape} and {U_z.data.shape} do not "
                          f"fit inputs {xs.data.shape} and state {h0.data.shape}")
     order = slice(None, None, -1) if reverse else slice(None)
-    x = xs.data[order]
+
+    def in_time_order(a: np.ndarray) -> np.ndarray:
+        # reverse whole steps, never the sequences within one
+        return a.reshape(T, B, a.shape[1])[order].reshape(T * B, a.shape[1])
+
+    x = in_time_order(xs.data)
     # the input terms of all steps, one matrix product per gate
     p_z, p_r, p_h = x @ W_z.data + b_z.data, x @ W_r.data + b_r.data, x @ W_h.data + b_h.data
     u_z, u_r, u_h = U_z.data, U_r.data, U_h.data
-    # states[t] is the state before step t, states[t + 1] the one after
-    states = np.empty((T + 1, H), dtype=p_z.dtype)
-    states[0] = h0.data[0]
+    # states[t] is the [B, H] state before step t, states[t + 1] the one after
+    states = np.empty((T + 1, B, H), dtype=p_z.dtype)
+    states[0] = h0.data
     z, r, c = np.empty_like(p_z), np.empty_like(p_z), np.empty_like(p_z)
-    for t in range(T):
-        h = states[t:t + 1]
-        z[t] = _sigmoid_values(p_z[t:t + 1] + h @ u_z)
-        r[t] = _sigmoid_values(p_r[t:t + 1] + h @ u_r)
-        c[t] = np.tanh(p_h[t:t + 1] + (r[t:t + 1] * h) @ u_h)
-        states[t + 1] = (1.0 - z[t]) * c[t] + z[t] * h[0]
-    prev = states[:-1]
+    steps = [slice(t * B, (t + 1) * B) for t in range(T)]
+    for t, at in enumerate(steps):
+        h = states[t]
+        z[at] = _sigmoid_values(p_z[at] + h @ u_z)
+        r[at] = _sigmoid_values(p_r[at] + h @ u_r)
+        c[at] = np.tanh(p_h[at] + (r[at] * h) @ u_h)
+        states[t + 1] = (1.0 - z[at]) * c[at] + z[at] * h
+    prev = states[:-1].reshape(T * B, H)
 
     def vjp(g):
         # back through time: d_z, d_r, d_h hold the adjoints of the gates'
         # pre-activations, from which every weight gradient is one product
-        g = g[order]
+        g = in_time_order(g)
         d_z, d_r, d_h = np.empty_like(z), np.empty_like(r), np.empty_like(c)
-        carry = np.zeros((1, H), dtype=g.dtype)
-        for t in range(T - 1, -1, -1):
-            dh = g[t:t + 1] + carry
-            h = prev[t:t + 1]
-            d_h[t] = dh * (1.0 - z[t]) * (1.0 - c[t] * c[t])
-            d_z[t] = dh * (h - c[t]) * z[t] * (1.0 - z[t])
-            d_rh = d_h[t:t + 1] @ u_h.T
-            d_r[t] = d_rh * h * r[t] * (1.0 - r[t])
-            carry = dh * z[t] + d_rh * r[t] + d_z[t:t + 1] @ u_z.T + d_r[t:t + 1] @ u_r.T
+        carry = np.zeros((B, H), dtype=g.dtype)
+        for at in reversed(steps):
+            dh = g[at] + carry
+            h = prev[at]
+            d_h[at] = dh * (1.0 - z[at]) * (1.0 - c[at] * c[at])
+            d_z[at] = dh * (h - c[at]) * z[at] * (1.0 - z[at])
+            d_rh = d_h[at] @ u_h.T
+            d_r[at] = d_rh * h * r[at] * (1.0 - r[at])
+            carry = dh * z[at] + d_rh * r[at] + d_z[at] @ u_z.T + d_r[at] @ u_r.T
         dx = d_z @ W_z.data.T + d_r @ W_r.data.T + d_h @ W_h.data.T
         x_t = x.T
-        return (dx[order], carry,
+        return (in_time_order(dx), carry,
                 x_t @ d_z, prev.T @ d_z, d_z.sum(axis=0, keepdims=True),
                 x_t @ d_r, prev.T @ d_r, d_r.sum(axis=0, keepdims=True),
                 x_t @ d_h, (r * prev).T @ d_h, d_h.sum(axis=0, keepdims=True))
 
-    out = states[1:][order]
+    out = in_time_order(states[1:].reshape(T * B, H))
     return _push(np.ascontiguousarray(out), (xs, h0, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h),
                  vjp)
 

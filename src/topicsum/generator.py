@@ -10,13 +10,19 @@ input tokens through extended ids.
 
 What runs step by step: the topic predictor (its next input is its own
 topic context), beam search (its next input is its own choice), and in
-training only the recurrences.  A single step is a one-row
-`GRUCell.sequence`, so the GRU update has one implementation.  Each encoder
+training only the recurrences.  A step and a sequence are both one
+`ad.gru_sequence`, so the GRU update has one implementation.  Each encoder
 direction and each teacher-forced decoder sentence is one
 `GRUCell.sequence`, whose inputs are known up front; attention runs per
 decoder state row over keys computed once per example; and the output
 projection, vocabulary softmax, copy gate, copy scatter and NLL run once
 over each sentence's [T, H] block of states.
+
+The predictor never reads decoded tokens, so generation runs it first and
+then beam-searches all sentences in lockstep: every live hypothesis of every
+unfinished sentence is one row of an [R, H] block, and each search step runs
+the embedding lookup, the decoder GRU step, attention and the output
+distribution once over that block.  Each sentence keeps its own beam.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ __all__ = [
     "predict_topic_step",
     "attention_step",
     "token_distribution",
+    "decode_sentences",
     "decode_sentence",
     "generate_abstract",
     "teacher_forced_outputs",
@@ -164,8 +171,8 @@ def group_paragraphs(paragraphs: Sequence[Sequence[str]], assignments: Sequence[
 # model
 
 class GRUCell:
-    """Single GRU cell over [1, hidden] row states; its update is written
-    once, in the fused `ad.gru_sequence`."""
+    """GRU cell over [1, hidden] row states or [B, hidden] blocks of them;
+    its update is written once, in the fused `ad.gru_sequence`."""
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.W_z = ad.parameter(rng, (input_dim, hidden_dim))
@@ -179,12 +186,21 @@ class GRUCell:
         self.b_h = ad.zero_parameter((1, hidden_dim))
 
     def step(self, x: ad.Tensor, h: ad.Tensor) -> ad.Tensor:
-        """The state after one [1, input] row: a one-row `sequence`."""
-        return self.sequence(x, h)
+        """The [B, H] states after one step of B independent sequences, from
+        states h [B, H] on inputs x [B, input]: a one-step `ad.gru_sequence`."""
+        if x.data.shape[0] != h.data.shape[0]:
+            raise ValueError(f"a step needs one input row per state row, got "
+                             f"{x.data.shape} and {h.data.shape}")
+        return self._run(x, h)
 
     def sequence(self, xs: ad.Tensor, h0: ad.Tensor, reverse: bool = False) -> ad.Tensor:
-        """States after each row of xs [T, input] from h0 (see ad.gru_sequence),
-        last row first if `reverse`."""
+        """States after each row of xs [T, input] from the [1, H] state h0
+        (see ad.gru_sequence), last row first if `reverse`."""
+        if h0.data.shape[0] != 1:
+            raise ValueError(f"a sequence starts from one [1, H] state, got {h0.data.shape}")
+        return self._run(xs, h0, reverse)
+
+    def _run(self, xs: ad.Tensor, h0: ad.Tensor, reverse: bool = False) -> ad.Tensor:
         return ad.gru_sequence(xs, h0, self.W_z, self.U_z, self.b_z, self.W_r, self.U_r,
                                self.b_r, self.W_h, self.U_h, self.b_h, reverse=reverse)
 
@@ -381,20 +397,25 @@ def attention_keys(model: GeneratorModel, token_states: ad.Tensor) -> ad.Tensor:
 
 def attention_step(model: GeneratorModel, state: ad.Tensor,
                    token_states: ad.Tensor | None, keys: ad.Tensor | None = None):
-    """Additive attention of the [1, H] decoder state over all token states.
+    """Additive attention of each of R decoder states [R, H] over all n
+    token states.
 
     `keys` are `attention_keys(model, token_states)`, computed here when not
-    given.  Returns (weights [n, 1], context [1, H]).
+    given.  Returns (weights [n, R], one column per state, contexts [R, H]).
     """
     if token_states is None or token_states.data.shape[0] == 0:
         raise ValueError("attention requires at least one encoded input token")
     if keys is None:
         keys = attention_keys(model, token_states)
-    scores = ad.matmul(
-        ad.tanh(keys + ad.affine(state, model.attn_state_W, model.attn_b)),
-        model.attn_v)                                            # [n, 1]
+    (n, hidden), states = keys.data.shape, state.data.shape[0]
+    # every key against every state: [n, R, H], scored as one [n·R, H] block;
+    # one state needs no third axis, and the reshapes below are then no-ops
+    paired = keys if states == 1 else ad.reshape(keys, (n, 1, hidden))
+    mixed = ad.tanh(paired + ad.affine(state, model.attn_state_W, model.attn_b))
+    scores = ad.reshape(ad.matmul(ad.reshape(mixed, (n * states, hidden)), model.attn_v),
+                        (n, states))
     weights = ad.softmax(scores, axis=0)
-    context = ad.matmul(ad.transpose(weights), token_states)     # [1, H]
+    context = ad.matmul(ad.transpose(weights), token_states)     # [R, H]
     return weights, context
 
 
@@ -433,75 +454,90 @@ def token_distribution(model: GeneratorModel, state: ad.Tensor, context: ad.Tens
 # ---------------------------------------------------------------------------
 # sentence decoding
 
-def _input_vector(model: GeneratorModel, token_id: int) -> ad.Tensor:
-    # extended ids (copied OOV tokens) feed back as UNK
-    vocab_id = token_id if token_id < model.vocab_size else UNK_ID
-    return ad.embedding_lookup(model.embed, [vocab_id])
-
-
 @dataclass
 class _Hypothesis:
     tokens: list[int]          # emitted extended ids, EOS excluded
     log_prob: float
-    state: ad.Tensor
-    prev_id: int
+
+
+def decode_sentences(model: GeneratorModel, decoder_inits: Sequence[ad.Tensor],
+                     encoding: TopicEncoding, grouped: TopicGroups,
+                     vocab: Vocabulary, config: DecodeConfig) -> list[list[str]]:
+    """Beam-search one sentence from each [1, H] decoder init (beam 1 is
+    greedy), all in lockstep.
+
+    Every step runs the decoder once over an [R, H] block whose rows are the
+    live hypotheses of all unfinished sentences.  Each sentence keeps its own
+    beam: hypotheses are pruned by summed log-probability, and the returned
+    sentence maximizes the length-normalized log-probability among its
+    finished hypotheses.
+    """
+    return [[vocab.id_to_token(token_id) if token_id < len(vocab)
+             else grouped.oov_tokens[token_id - len(vocab)] for token_id in token_ids]
+            for _, token_ids in _beam_search(model, decoder_inits, encoding, grouped, config)]
+
+
+def _beam_search(model: GeneratorModel, decoder_inits: Sequence[ad.Tensor],
+                 encoding: TopicEncoding, grouped: TopicGroups,
+                 config: DecodeConfig) -> list[tuple[float, list[int]]]:
+    """decode_sentences before the surfaces: each sentence's best
+    length-normalized log-probability and its extended ids."""
+    if not decoder_inits:
+        return []
+    beam = config.beam_size
+    live = [[_Hypothesis(tokens=[], log_prob=0.0)] for _ in decoder_inits]
+    finished: list[list[tuple[float, list[int]]]] = [[] for _ in decoder_inits]
+    # the live hypotheses' rows in `states`, and the token each one feeds next
+    states = np.concatenate([init.data for init in decoder_inits])
+    parents = list(range(len(decoder_inits)))
+    prev_ids = [BOS_ID] * len(decoder_inits)
+    while parents:
+        # extended ids (copied OOV tokens) feed back as UNK
+        x = ad.embedding_lookup(model.embed, [i if i < model.vocab_size else UNK_ID
+                                              for i in prev_ids])
+        block = model.dec_cell.step(x, ad.Tensor(states[parents]))
+        weights, context = attention_step(model, block, encoding.token_states,
+                                          encoding.attention_keys)
+        dist = token_distribution(model, block, context, x, weights, grouped,
+                                  encoding.extended_ids)
+        log_probs = np.log(np.maximum(dist.data, 1e-12))
+        states, parents, prev_ids, row = block.data, [], [], 0
+        for sentence, hyps in enumerate(live):
+            candidates: list[tuple[float, int, _Hypothesis, int]] = []
+            for hyp in hyps:
+                if beam < log_probs.shape[1]:
+                    top = np.argpartition(-log_probs[row], beam)[:beam + 1]
+                else:
+                    top = np.arange(log_probs.shape[1])
+                for token_id in top:
+                    candidates.append((hyp.log_prob + float(log_probs[row, token_id]),
+                                       int(token_id), hyp, row))
+                row += 1
+            # deterministic order: higher score first, lower token id on ties
+            candidates.sort(key=lambda c: (-c[0], c[1]))
+            next_live: list[_Hypothesis] = []
+            for score, token_id, hyp, parent in candidates[:beam]:
+                # finished hypotheses consume beam slots, so beam 1 is greedy
+                emitted = len(hyp.tokens) + 1
+                if token_id == EOS_ID:
+                    finished[sentence].append((score / emitted, hyp.tokens))
+                    continue
+                tokens = hyp.tokens + [token_id]
+                if len(tokens) >= config.max_sentence_tokens:
+                    finished[sentence].append((score / emitted, tokens))
+                    continue
+                next_live.append(_Hypothesis(tokens=tokens, log_prob=score))
+                parents.append(parent)
+                prev_ids.append(token_id)
+            live[sentence] = next_live
+    return [max(done, key=lambda item: item[0]) for done in finished]
 
 
 def decode_sentence(model: GeneratorModel, decoder_init: ad.Tensor,
                     encoding: TopicEncoding, grouped: TopicGroups,
                     vocab: Vocabulary, config: DecodeConfig) -> list[str]:
-    """Beam-search one sentence (beam 1 is greedy).  Hypotheses are pruned
-    by summed log-probability; the returned sentence maximizes the
-    length-normalized log-probability among finished hypotheses."""
-    beam = config.beam_size
-    live = [_Hypothesis(tokens=[], log_prob=0.0, state=decoder_init, prev_id=BOS_ID)]
-    finished: list[tuple[float, list[int]]] = []
-    while live:
-        candidates: list[tuple[float, int, _Hypothesis, ad.Tensor]] = []
-        for hyp in live:
-            x = _input_vector(model, hyp.prev_id)
-            state = model.dec_cell.step(x, hyp.state)
-            weights, context = attention_step(model, state, encoding.token_states,
-                                              encoding.attention_keys)
-            dist = token_distribution(model, state, context, x, weights, grouped,
-                                      encoding.extended_ids)
-            log_probs = np.log(np.maximum(dist.data[0], 1e-12))
-            if beam < log_probs.size:
-                top = np.argpartition(-log_probs, beam)[:beam + 1]
-            else:
-                top = np.arange(log_probs.size)
-            for token_id in top:
-                candidates.append((hyp.log_prob + float(log_probs[token_id]),
-                                   int(token_id), hyp, state))
-        # deterministic order: higher score first, lower token id on ties
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        next_live: list[_Hypothesis] = []
-        slots = 0  # finished hypotheses consume beam slots, so beam 1 is greedy
-        for score, token_id, hyp, state in candidates:
-            if slots >= beam:
-                break
-            slots += 1
-            emitted = len(hyp.tokens) + 1
-            if token_id == EOS_ID:
-                finished.append((score / emitted, hyp.tokens))
-                continue
-            tokens = hyp.tokens + [token_id]
-            if len(tokens) >= config.max_sentence_tokens:
-                finished.append((score / emitted, tokens))
-                continue
-            next_live.append(_Hypothesis(tokens=tokens, log_prob=score,
-                                         state=state, prev_id=token_id))
-        live = next_live
-        if finished and not live:
-            break
-    best = max(finished, key=lambda item: item[0])
-    surfaces = []
-    for token_id in best[1]:
-        if token_id < len(vocab):
-            surfaces.append(vocab.id_to_token(token_id))
-        else:
-            surfaces.append(grouped.oov_tokens[token_id - len(vocab)])
-    return surfaces
+    """Beam-search one sentence: `decode_sentences` with a single init."""
+    return decode_sentences(model, [decoder_init], encoding, grouped, vocab, config)[0]
 
 
 def generate_abstract(model: GeneratorModel, paragraphs: Sequence[Sequence[str]],
@@ -509,19 +545,20 @@ def generate_abstract(model: GeneratorModel, paragraphs: Sequence[Sequence[str]]
                       vocab: Vocabulary, config: DecodeConfig) -> list[list[str]]:
     """Generate an abstract (list of token-list sentences) for one article.
 
+    The topic predictor never reads decoded tokens, so it runs first, up to
+    its stop decision, and then every sentence is decoded in lockstep.
     Raises if every paragraph lands in NOISE (no input to attend over).
     """
     grouped = group_paragraphs(paragraphs, assignments, schema, vocab, config.ttg_cap)
     if grouped.total_tokens == 0:
         raise ValueError("no usable input: every paragraph was assigned to NOISE or empty")
     encoding = encode_topics(model, grouped)
-    sentences: list[list[str]] = []
+    decoder_inits: list[ad.Tensor] = []
     for step in islice(_topic_steps(model, encoding, config.topic_mode), config.max_sentences):
         if step.stop_prob.item() > config.stop_threshold:
             break
-        sentences.append(decode_sentence(model, step.decoder_init, encoding,
-                                         grouped, vocab, config))
-    return sentences
+        decoder_inits.append(step.decoder_init)
+    return decode_sentences(model, decoder_inits, encoding, grouped, vocab, config)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,30 @@ class TestForwardValues:
         assert ad.sigmoid(ad.Tensor([[-1e9]])).item() == 0.0
         assert ad.sigmoid(ad.Tensor([[1e9]])).item() == 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bitwise_equals_masked_form(self, dtype):
+        """The branch-free sigmoid against the masked form it replaced."""
+
+        def masked(x):
+            out = np.empty_like(x)
+            positive = x >= 0
+            out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+            ex = np.exp(x[~positive])
+            out[~positive] = ex / (1.0 + ex)
+            return out
+
+        info = np.finfo(dtype)
+        rng = np.random.default_rng(11)
+        edges = [0.0, -0.0, np.inf, -np.inf, 1e3, -1e3, 88.7, -88.7, 745.0, -745.0,
+                 info.tiny, -info.tiny, info.smallest_subnormal, -info.smallest_subnormal,
+                 info.max, -info.max, info.eps, -info.eps]
+        x = np.concatenate([rng.uniform(-1e3, 1e3, 4000), rng.normal(0.0, 8.0, 4000),
+                            edges]).astype(dtype).reshape(1, -1)
+        with ad.using_dtype(dtype):
+            got = ad.sigmoid(ad.Tensor(x)).data
+        assert got.dtype == dtype
+        assert got.tobytes() == masked(x).tobytes()
+
     def test_softmax_equal_logits_is_uniform(self):
         out = ad.softmax(ad.Tensor([[2.0, 2.0, 2.0, 2.0]]), axis=1)
         np.testing.assert_allclose(out.data, np.full((1, 4), 0.25), rtol=1e-6)
@@ -229,7 +253,8 @@ class TestGradients:
     @pytest.mark.parametrize("case", [
         "add", "add_row_bias", "add_scalar_tensor", "mul", "mul_gate",
         "matmul", "affine", "tanh", "sigmoid", "softmax1", "softmax0",
-        "log", "transpose", "concat0", "concat1", "rows", "pick", "pick_rows",
+        "log", "transpose", "reshape", "reshape_broadcast", "concat0", "concat1", "rows",
+        "pick", "pick_rows",
         "embedding", "scatter", "scatter_rows", "sum", "mean",
     ])
     def test_each_op_matches_finite_differences(self, case):
@@ -265,6 +290,13 @@ class TestGradients:
                 "softmax0": lambda: ((ad.softmax(x, axis=0) * mixer).sum(), {"x": x}),
                 "log": lambda: ((ad.log(ad.sigmoid(x), floor=1e-12) * mixer).sum(), {"x": x}),
                 "transpose": lambda: ((ad.transpose(x) * ad.Tensor(mixer.data.T)).sum(), {"x": x}),
+                "reshape": lambda: ((ad.reshape(x, (2, 6)) * ad.Tensor(mixer.data.reshape(2, 6)))
+                                    .sum(), {"x": x}),
+                # every row of x against every row of y, as attention pairs keys and states
+                "reshape_broadcast": lambda: (
+                    (ad.tanh(ad.reshape(x, (3, 1, 4)) + y)
+                     * ad.Tensor(np.stack([mixer.data, mixer.data[::-1], -mixer.data], axis=1)))
+                    .sum(), {"x": x, "y": y}),
                 "concat0": lambda: ((ad.concat([x, y], axis=0)
                                      * ad.Tensor(np.vstack([mixer.data, mixer.data]))).sum(),
                                     {"x": x, "y": y}),
@@ -319,6 +351,14 @@ class TestTapeSemantics:
         with ad.tape() as t:
             tracked = ad.tanh(x)
             assert tracked.requires_grad is True
+            assert len(t) == 1
+
+    def test_reshape_to_the_same_shape_records_nothing(self):
+        x = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        with ad.tape() as t:
+            assert ad.reshape(x, (2, 3)) is x
+            assert len(t) == 0
+            assert ad.reshape(x, (3, 2)).data.shape == (3, 2)
             assert len(t) == 1
 
     def test_constant_subgraphs_are_not_recorded(self):

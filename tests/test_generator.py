@@ -11,16 +11,20 @@ import pytest
 
 import topicsum.autodiff as ad
 from conftest import check_gradients
+from topicsum import generator
 from topicsum.corpus import SummarizationExample, Topic, TopicSchema
 from topicsum.generator import (
     DecodeConfig,
     GeneratorModel,
     GRUCell,
     TopicGroups,
+    _beam_search,
+    attention_keys,
     attention_step,
     bigru_states,
     compute_losses,
     decode_sentence,
+    decode_sentences,
     encode_topics,
     example_loss,
     generate_abstract,
@@ -227,6 +231,51 @@ class TestGRUSequence:
     def test_step_equals_chained_steps(self, reverse):
         self.check("step", reverse)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_block_equals_separate_sequences(self, reverse):
+        """B sequences as one time-major [T·B, D] block against B separate
+        B = 1 runs: states and every gradient (float64)."""
+
+        def run(cell, xs, h0, mixer):
+            xs, h0 = ad.Tensor(xs, requires_grad=True), ad.Tensor(h0, requires_grad=True)
+            leaves = dict(cell.parameters(), xs=xs, h0=h0)
+            with ad.tape() as recording:
+                states = ad.gru_sequence(xs, h0, cell.W_z, cell.U_z, cell.b_z, cell.W_r,
+                                         cell.U_r, cell.b_r, cell.W_h, cell.U_h, cell.b_h,
+                                         reverse=reverse)
+                recording.backward((states * ad.Tensor(mixer)).sum())
+            grads = {name: leaf.grad.copy() for name, leaf in leaves.items()}
+            for leaf in leaves.values():
+                leaf.grad = None
+            return states.data.copy(), grads
+
+        batch = 3
+        with ad.using_dtype(np.float64):
+            for length in (1, 7):
+                rng = np.random.default_rng(30 + length)
+                cell = GRUCell(3, 4, rng)
+                xs = rng.uniform(-1, 1, (length, batch, 3))
+                h0 = rng.uniform(-1, 1, (batch, 4))
+                mixer = rng.uniform(-1, 1, (length, batch, 4))
+                got, got_grads = run(cell, xs.reshape(length * batch, 3), h0,
+                                     mixer.reshape(length * batch, 4))
+                got = got.reshape(length, batch, 4)
+                want_grads = {name: 0.0 for name in cell.parameters()}
+                for b in range(batch):
+                    want, grads = run(cell, xs[:, b], h0[b:b + 1], mixer[:, b])
+                    np.testing.assert_allclose(got[:, b], want, rtol=0, atol=1e-10)
+                    np.testing.assert_allclose(
+                        got_grads["xs"].reshape(length, batch, 3)[:, b], grads["xs"],
+                        rtol=0, atol=1e-10, err_msg=f"xs, length {length}")
+                    np.testing.assert_allclose(got_grads["h0"][b:b + 1], grads["h0"],
+                                               rtol=0, atol=1e-10, err_msg=f"h0, length {length}")
+                    for name in want_grads:
+                        want_grads[name] = want_grads[name] + grads[name]
+                for name, grad in want_grads.items():
+                    assert np.any(grad != 0.0), name
+                    np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-10,
+                                               err_msg=f"{name}, length {length}")
+
     def test_gradients_match_finite_differences(self):
         with ad.using_dtype(np.float64):
             rng = np.random.default_rng(8)
@@ -246,6 +295,10 @@ class TestGRUSequence:
             cell.sequence(ad.zeros((2, 5)), ad.zeros((1, 4)))
         with pytest.raises(ValueError):
             cell.sequence(ad.zeros((2, 3)), ad.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            cell.step(ad.zeros((2, 3)), ad.zeros((1, 4)))
+        with pytest.raises(ValueError):  # 5 rows are no whole number of 2-row steps
+            ad.gru_sequence(ad.zeros((5, 3)), ad.zeros((2, 4)), *cell.parameters().values())
 
 
 class TestBiGRU:
@@ -422,6 +475,47 @@ class TestAttention:
         model = make_model(vocab, hidden_dim=4)
         with pytest.raises(ValueError):
             attention_step(model, ad.zeros((1, 4)), None)
+
+    def test_block_equals_one_row_calls(self):
+        """R decoder states in one call against R one-row calls: weights,
+        contexts and every gradient (float64)."""
+        with ad.using_dtype(np.float64):
+            rng = np.random.default_rng(6)
+            model = make_model(make_vocab(), hidden_dim=4)
+            token_states = ad.Tensor(rng.uniform(-2, 2, (5, 4)), requires_grad=True)
+            states = rng.uniform(-2, 2, (3, 4))
+            weight_mixer = ad.Tensor(rng.uniform(-1, 1, (5, 3)))
+            context_mixer = ad.Tensor(rng.uniform(-1, 1, (3, 4)))
+            leaves = {"attn_token_W": model.attn_token_W, "attn_state_W": model.attn_state_W,
+                      "attn_b": model.attn_b, "attn_v": model.attn_v,
+                      "token_states": token_states}
+            runs = []
+            for block in (True, False):
+                with ad.tape() as recording:
+                    keys = attention_keys(model, token_states)
+                    if block:
+                        rows = [ad.Tensor(states, requires_grad=True)]
+                        weights, context = attention_step(model, rows[0], token_states, keys)
+                    else:
+                        rows = [ad.Tensor(states[r:r + 1], requires_grad=True) for r in range(3)]
+                        weights, context = zip(*(attention_step(model, row, token_states, keys)
+                                                 for row in rows))
+                        weights, context = ad.concat(weights, axis=1), ad.concat(context, axis=0)
+                    recording.backward((weights * weight_mixer).sum()
+                                       + (context * context_mixer).sum())
+                grads = {name: leaf.grad.copy() for name, leaf in leaves.items()}
+                grads["states"] = np.concatenate([row.grad for row in rows])
+                runs.append((weights.data.copy(), context.data.copy(), grads))
+                for leaf in leaves.values():
+                    leaf.grad = None
+            (got_w, got_c, got_grads), (want_w, want_c, want_grads) = runs
+            assert got_w.shape == (5, 3) and got_c.shape == (3, 4)
+            np.testing.assert_allclose(got_w, want_w, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(got_c, want_c, rtol=0, atol=1e-10)
+            for name, grad in want_grads.items():
+                assert np.any(grad != 0.0), name
+                np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-10,
+                                           err_msg=name)
 
 
 def rigged_distribution_model(vocab, grouped, p_gen, vocab_probs):
@@ -608,6 +702,107 @@ class TestDecodeSentence(DecodingSetup):
         assert normalized_score(wide) >= normalized_score(narrow) - 1e-6
 
 
+def reference_beam_search(model, decoder_init, encoding, grouped, config):
+    """The per-sentence, per-hypothesis beam search that lockstep decoding
+    replaced: one [1, H] decoder step per live hypothesis.  Returns the best
+    (length-normalized log-probability, extended ids)."""
+    beam = config.beam_size
+    live = [([], 0.0, decoder_init, BOS_ID)]   # (tokens, log_prob, state, prev_id)
+    finished = []
+    while live:
+        candidates = []
+        for tokens, log_prob, state, prev_id in live:
+            x = ad.embedding_lookup(model.embed, [prev_id if prev_id < model.vocab_size else UNK_ID])
+            state = model.dec_cell.step(x, state)
+            weights, context = attention_step(model, state, encoding.token_states,
+                                              encoding.attention_keys)
+            dist = token_distribution(model, state, context, x, weights, grouped,
+                                      encoding.extended_ids)
+            log_probs = np.log(np.maximum(dist.data[0], 1e-12))
+            if beam < log_probs.size:
+                top = np.argpartition(-log_probs, beam)[:beam + 1]
+            else:
+                top = np.arange(log_probs.size)
+            for token_id in top:
+                candidates.append((log_prob + float(log_probs[token_id]), int(token_id),
+                                   tokens, state))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        live = []
+        for score, token_id, tokens, state in candidates[:beam]:
+            emitted = len(tokens) + 1
+            if token_id == EOS_ID:
+                finished.append((score / emitted, tokens))
+                continue
+            tokens = tokens + [token_id]
+            if len(tokens) >= config.max_sentence_tokens:
+                finished.append((score / emitted, tokens))
+                continue
+            live.append((tokens, score, state, token_id))
+    return max(finished, key=lambda item: item[0])
+
+
+class TestLockstepDecoding(DecodingSetup):
+    """All sentences of an abstract searched as rows of one block, against
+    `reference_beam_search` run per sentence (float64)."""
+
+    def decoder_inits(self, model, encoding, mode, count):
+        state = context = ad.zeros((1, model.hidden_dim))
+        inits = []
+        for _ in range(count):
+            step = predict_topic_step(model, state, context, encoding.topic_vectors, mode)
+            inits.append(step.decoder_init)
+            state, context = step.state, step.topic_context
+        return inits
+
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    @pytest.mark.parametrize("beam", [1, 2, 5, 12])
+    def test_equals_per_sentence_reference(self, monkeypatch, mode, beam):
+        block_rows = []
+        distribution = generator.token_distribution
+
+        def recording(model, state, *args, **kwargs):
+            block_rows.append(state.data.shape[0])
+            return distribution(model, state, *args, **kwargs)
+
+        lengths, shrank = set(), False
+        config = DecodeConfig(beam_size=beam, max_sentence_tokens=8)
+        with ad.using_dtype(np.float64):
+            for seed in range(4):
+                vocab, _, model, grouped, _ = self.build(seed=seed)
+                # peaked distributions, a likely EOS and spread-out inits, so
+                # that sentences end at different steps, some at the token cap
+                for tensor in model.parameters().values():
+                    tensor.data *= 10.0
+                model.out_vocab_b.data[0, EOS_ID] = 2.0
+                encoding = encode_topics(model, grouped)
+                rng = np.random.default_rng(seed)
+                inits = [init + ad.Tensor(rng.normal(0.0, 3.0, (1, model.hidden_dim)))
+                         for init in self.decoder_inits(model, encoding, mode, 4)]
+                want = [reference_beam_search(model, init, encoding, grouped, config)
+                        for init in inits]
+                block_rows.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(generator, "token_distribution", recording)
+                    got = _beam_search(model, inits, encoding, grouped, config)
+                assert [ids for _, ids in got] == [ids for _, ids in want], f"seed {seed}"
+                for (got_score, _), (want_score, _) in zip(got, want):
+                    assert abs(got_score - want_score) <= 1e-10, f"seed {seed}"
+                assert decode_sentences(model, inits, encoding, grouped, vocab, config) == \
+                    [decode_sentence(model, init, encoding, grouped, vocab, config)
+                     for init in inits]
+                # one decoder call per step, over at most every sentence's beam
+                assert block_rows[0] == len(inits) and max(block_rows) <= len(inits) * beam
+                shrank |= any(later < earlier for earlier, later in zip(block_rows, block_rows[1:]))
+                lengths |= {len(ids) for _, ids in want}
+        # the widest beam takes every token of the extended vocabulary
+        assert (beam >= grouped.extended_size) == (beam == 12)
+        assert shrank and len(lengths) > 2 and config.max_sentence_tokens in lengths
+
+    def test_no_sentences_runs_no_decoder(self):
+        vocab, _, model, grouped, encoding = self.build()
+        assert decode_sentences(model, [], encoding, grouped, vocab, DecodeConfig()) == []
+
+
 class TestGenerateAbstract(DecodingSetup):
     def test_outputs_token_sentences(self):
         vocab, schema, model, _, _ = self.build()
@@ -619,10 +814,16 @@ class TestGenerateAbstract(DecodingSetup):
         for sentence in sentences:
             assert all(isinstance(tok, str) for tok in sentence)
 
-    def test_immediate_stop_gives_empty_abstract(self):
+    def test_immediate_stop_gives_empty_abstract(self, monkeypatch):
         vocab, schema, model, _, _ = self.build()
         model.stop_W.data[...] = 0.0
         model.stop_b.data[...] = 1e9  # stop probability 1 at the first step
+
+        def decoder_ran(*args, **kwargs):
+            raise AssertionError("the decoder ran for an abstract with no sentences")
+
+        monkeypatch.setattr(model.dec_cell, "step", decoder_ran)
+        monkeypatch.setattr(generator, "token_distribution", decoder_ran)
         config = DecodeConfig(beam_size=1, max_sentences=4, max_sentence_tokens=5)
         sentences = generate_abstract(model, [["alpha"]], [0], schema, vocab, config)
         assert sentences == []
