@@ -575,9 +575,15 @@ class Adam:
     """Adam with in-place updates; the caller zeroes gradients between steps.
 
     Each step evaluates the textbook expressions in their usual order, but
-    through two scratch buffers of the largest parameter's size instead of
-    fresh parameter-sized temporaries.
+    over one flat chunk of `CHUNK` elements of a parameter at a time,
+    through two scratch buffers of one chunk.  A chunk's gradient, moments,
+    values and scratch stay in a core's L2 cache across the dozen passes the
+    expressions make, where a paper-size weight would stream from memory on
+    every pass.  Every operation is elementwise, so the result is bitwise
+    the unchunked one.
     """
+
+    CHUNK = 1 << 16   # elements; of 16K to 128K, the fastest on a 2 MiB L2 core
 
     def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -587,36 +593,48 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self._v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        # C order, so that a flat view walks them in step with the parameter
+        self._m = {name: np.zeros(p.data.shape, p.data.dtype) for name, p in self.params.items()}
+        self._v = {name: np.zeros(p.data.shape, p.data.dtype) for name, p in self.params.items()}
         arrays = [p.data for p in self.params.values()]
-        largest = max((x.size for x in arrays), default=0)
+        size = min(self.CHUNK, max((x.size for x in arrays), default=0))
         dtype = np.result_type(*arrays) if arrays else default_dtype()
-        self._scratch = (np.empty(largest, dtype=dtype), np.empty(largest, dtype=dtype))
+        self._scratch = (np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
 
     def step(self) -> None:
-        self.step_count += 1
-        t = self.step_count
+        """One update of every parameter; raises ValueError, changing
+        nothing, when any parameter has no gradient."""
         for name, p in self.params.items():
             if p.grad is None:
                 raise ValueError(f"parameter '{name}' has no gradient; run backward first")
-            g = p.grad
-            m, v = self._m[name], self._v[name]
-            a, b = (buffer[:p.data.size].reshape(p.data.shape) for buffer in self._scratch)
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=a)
-            m += a
-            v *= self.beta2
-            np.multiply(g, g, out=a)
-            a *= 1.0 - self.beta2
-            v += a
-            np.divide(m, 1.0 - self.beta1 ** t, out=a)   # m_hat
-            np.divide(v, 1.0 - self.beta2 ** t, out=b)   # v_hat
-            a *= self.lr
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            p.data -= a
+        self.step_count += 1
+        t = self.step_count
+        for name, p in self.params.items():
+            # flat views; reshape copies a parameter that is not C-ordered,
+            # and the copy is written back below
+            values = p.data.reshape(-1)
+            flat = (p.grad.reshape(-1), self._m[name].reshape(-1), self._v[name].reshape(-1),
+                    values)
+            for start in range(0, values.size, self.CHUNK):
+                chunk = slice(start, start + self.CHUNK)
+                g, m, v, d = (x[chunk] for x in flat)
+                a, b = (buffer[:g.size] for buffer in self._scratch)
+                m *= self.beta1
+                np.multiply(g, 1.0 - self.beta1, out=a)
+                m += a
+                v *= self.beta2
+                np.multiply(g, g, out=a)
+                a *= 1.0 - self.beta2
+                v += a
+                np.divide(m, 1.0 - self.beta1 ** t, out=a)   # m_hat
+                np.divide(v, 1.0 - self.beta2 ** t, out=b)   # v_hat
+                a *= self.lr
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                d -= a
+            if not p.data.flags.c_contiguous:
+                p.data[...] = values.reshape(p.data.shape)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

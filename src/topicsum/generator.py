@@ -16,7 +16,8 @@ direction and each teacher-forced decoder sentence is one
 `GRUCell.sequence`, whose inputs are known up front; attention runs per
 decoder state row over keys computed once per example; and the output
 projection, vocabulary softmax, copy gate, copy scatter and NLL run once
-over each sentence's [T, H] block of states.
+over the example's [ΣT, H] block: every sentence's states, one row per
+gold token.
 
 The predictor never reads decoded tokens, so generation runs it first and
 then beam-searches all sentences in lockstep: every live hypothesis of every
@@ -573,23 +574,28 @@ def teacher_forced_outputs(model: GeneratorModel, encoding: TopicEncoding,
     step, per-sentence gold extended ids with EOS appended, stop
     probabilities for the m+1 predictor steps).
     """
-    blocks, targets, stops = _teacher_forced_blocks(model, encoding, grouped,
-                                                    gold_sentences, vocab, mode)
-    rows = [[ad.row(block, t) for t in range(block.data.shape[0])] for block in blocks]
+    block, targets, stops = _teacher_forced_block(model, encoding, grouped,
+                                                  gold_sentences, vocab, mode)
+    ends = np.cumsum([len(sentence) for sentence in targets])
+    rows = [[ad.row(block, t) for t in range(end - len(sentence), end)]
+            for sentence, end in zip(targets, ends)]
     return rows, targets, stops
 
 
-def _teacher_forced_blocks(model: GeneratorModel, encoding: TopicEncoding,
-                           grouped: TopicGroups, gold_sentences: Sequence[Sequence[str]],
-                           vocab: Vocabulary, mode: str):
-    """teacher_forced_outputs with each sentence's distributions as one
-    [T, V'] block: the decoder GRU runs over the T gold inputs as one
-    sequence, attention per state row, and the output layer once."""
-    m = len(gold_sentences)
-    if m == 0:
+def _teacher_forced_block(model: GeneratorModel, encoding: TopicEncoding,
+                          grouped: TopicGroups, gold_sentences: Sequence[Sequence[str]],
+                          vocab: Vocabulary, mode: str):
+    """teacher_forced_outputs with every distribution in one [ΣT, V']
+    block, sentence after sentence: the decoder GRU runs over each
+    sentence's T gold inputs as one sequence and attention runs per state
+    row, then the output layer runs once over the example's rows."""
+    if not gold_sentences:
         raise ValueError("gold abstract has no sentences")
     steps = _topic_steps(model, encoding, mode)
-    blocks: list[ad.Tensor] = []
+    states: list[ad.Tensor] = []
+    inputs: list[ad.Tensor] = []
+    weights: list[ad.Tensor] = []
+    contexts: list[ad.Tensor] = []
     sentence_targets: list[list[int]] = []
     stop_probs: list[ad.Tensor] = []
     for sentence in gold_sentences:
@@ -597,50 +603,61 @@ def _teacher_forced_blocks(model: GeneratorModel, encoding: TopicEncoding,
             raise ValueError("gold sentences must be non-empty")
         step = next(steps)
         stop_probs.append(step.stop_prob)
-        targets = [grouped.target_id(tok, vocab) for tok in sentence] + [EOS_ID]
-        inputs = ad.embedding_lookup(model.embed, [BOS_ID] + vocab.encode(sentence))
-        dec_states = model.dec_cell.sequence(inputs, step.decoder_init)   # [T, H]
-        weights, contexts = zip(*(attention_step(model, ad.row(dec_states, t),
-                                                 encoding.token_states, encoding.attention_keys)
-                                  for t in range(len(targets))))
-        blocks.append(token_distribution(model, dec_states, ad.concat(contexts, axis=0), inputs,
-                                         ad.concat(weights, axis=1), grouped,
-                                         encoding.extended_ids))
-        sentence_targets.append(targets)
+        sentence_targets.append([grouped.target_id(tok, vocab) for tok in sentence] + [EOS_ID])
+        x = ad.embedding_lookup(model.embed, [BOS_ID] + vocab.encode(sentence))
+        dec_states = model.dec_cell.sequence(x, step.decoder_init)       # [T, H]
+        for t in range(dec_states.data.shape[0]):
+            weight, context = attention_step(model, ad.row(dec_states, t),
+                                             encoding.token_states, encoding.attention_keys)
+            weights.append(weight)
+            contexts.append(context)
+        states.append(dec_states)
+        inputs.append(x)
     stop_probs.append(next(steps).stop_prob)
-    return blocks, sentence_targets, stop_probs
+    block = token_distribution(model, ad.concat(states, axis=0), ad.concat(contexts, axis=0),
+                               ad.concat(inputs, axis=0), ad.concat(weights, axis=1), grouped,
+                               encoding.extended_ids)
+    return block, sentence_targets, stop_probs
 
 
-def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor] | ad.Tensor],
+def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor]] | ad.Tensor,
                    sentence_targets: Sequence[Sequence[int]],
                    stop_probs: Sequence[ad.Tensor],
                    stop_weight: float = 1.0):
     """Sentence NLL averaged within and then across sentences, plus the
     stop cross-entropy averaged over the m+1 predictor steps.
 
-    Each sentence's distributions are a list of [1, V'] rows or one [T, V']
-    block; lists are joined into a block, whose gold-token probabilities
-    are read with one gather.  They are clamped at 1e-12 before the log, so
-    a zero-probability target contributes a large finite loss.  Returns
-    (sentence_loss, stop_loss, total) as [1, 1] tensors.
+    The distributions are per-sentence lists of [1, V'] rows, or one
+    [ΣT, V'] block holding every sentence's rows in order.  Lists are joined
+    into such a block, whose gold-token probabilities are read with one
+    gather and summed per sentence.  They are clamped at 1e-12 before the
+    log, so a zero-probability target contributes a large finite loss.
+    Returns (sentence_loss, stop_loss, total) as [1, 1] tensors.
     """
-    m = len(sentence_dists)
+    m = len(sentence_targets)
     if m == 0:
         raise ValueError("need at least one sentence")
-    if len(sentence_targets) != m:
-        raise ValueError(f"{m} distribution lists but {len(sentence_targets)} target lists")
+    if not isinstance(sentence_dists, ad.Tensor) and len(sentence_dists) != m:
+        raise ValueError(f"{len(sentence_dists)} distribution lists but {m} target lists")
     if len(stop_probs) != m + 1:
         raise ValueError(f"expected {m + 1} stop probabilities, got {len(stop_probs)}")
-    sentence_losses: list[ad.Tensor] = []
-    for dists, targets in zip(sentence_dists, sentence_targets):
-        count = dists.data.shape[0] if isinstance(dists, ad.Tensor) else len(dists)
-        if count != len(targets):
-            raise ValueError(f"{count} distributions for {len(targets)} targets")
-        if not targets:
-            raise ValueError("empty sentence in loss computation")
-        block = dists if isinstance(dists, ad.Tensor) else ad.concat(list(dists), axis=0)
-        gold = ad.log(ad.pick(block, range(count), targets), floor=1e-12)   # [T, 1]
-        sentence_losses.append(ad.mul(gold.sum(), -1.0 / count))
+    if not all(sentence_targets):
+        raise ValueError("empty sentence in loss computation")
+    lengths = [len(targets) for targets in sentence_targets]
+    if isinstance(sentence_dists, ad.Tensor):
+        block = sentence_dists
+        if block.data.shape[0] != sum(lengths):
+            raise ValueError(f"{block.data.shape[0]} distributions for {sum(lengths)} targets")
+    else:
+        for dists, count in zip(sentence_dists, lengths):
+            if len(dists) != count:
+                raise ValueError(f"{len(dists)} distributions for {count} targets")
+        block = ad.concat([dist for dists in sentence_dists for dist in dists], axis=0)
+    flat_targets = [target for targets in sentence_targets for target in targets]
+    gold = ad.log(ad.pick(block, range(len(flat_targets)), flat_targets), floor=1e-12)  # [ΣT, 1]
+    ends = np.cumsum(lengths)
+    sentence_losses = [ad.mul(ad.rows(gold, end - count, end).sum(), -1.0 / count)
+                       for count, end in zip(lengths, ends)]
     sentence_loss = ad.mul(reduce(ad.add, sentence_losses), 1.0 / m)
     stop_terms: list[ad.Tensor] = []
     for step_index, stop in enumerate(stop_probs, start=1):
@@ -661,9 +678,9 @@ def example_loss(model: GeneratorModel, example: SummarizationExample,
     if grouped.total_tokens == 0:
         raise ValueError(f"example '{example.title}': every paragraph is NOISE or empty")
     encoding = encode_topics(model, grouped)
-    blocks, targets, stops = _teacher_forced_blocks(model, encoding, grouped,
-                                                    example.abstract_tokens, vocab, mode)
-    return compute_losses(blocks, targets, stops, stop_weight)
+    block, targets, stops = _teacher_forced_block(model, encoding, grouped,
+                                                  example.abstract_tokens, vocab, mode)
+    return compute_losses(block, targets, stops, stop_weight)
 
 
 def train_generator(model: GeneratorModel, train: Sequence[SummarizationExample],

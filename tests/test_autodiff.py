@@ -500,6 +500,23 @@ class TestAdam:
         with pytest.raises(ValueError, match="weird_name"):
             opt.step()
 
+    def test_failed_step_changes_nothing(self):
+        a = ad.Tensor([[1.0, 2.0]], requires_grad=True)
+        b = ad.Tensor([[3.0]], requires_grad=True)
+        opt = ad.Adam({"a": a, "b": b}, lr=0.1)
+        a.grad, b.grad = np.ones((1, 2), np.float32), np.ones((1, 1), np.float32)
+        opt.step()
+        before = [(x.data.copy(), opt._m[name].copy(), opt._v[name].copy())
+                  for name, x in (("a", a), ("b", b))]
+        a.grad, b.grad = np.full((1, 2), 5.0, np.float32), None
+        with pytest.raises(ValueError, match="'b'"):
+            opt.step()
+        assert opt.step_count == 1
+        for (data, m, v), (name, x) in zip(before, (("a", a), ("b", b))):
+            assert np.array_equal(x.data, data), name
+            assert np.array_equal(opt._m[name], m), name
+            assert np.array_equal(opt._v[name], v), name
+
     def test_zero_grad_resets_buffers(self):
         p = ad.Tensor([[1.0]], requires_grad=True)
         opt = ad.Adam({"p": p})
@@ -537,9 +554,13 @@ class TestAdam:
 
     def test_step_is_bitwise_the_textbook_formula(self):
         rng = np.random.default_rng(8)
-        shapes = {"w": (3, 4), "b": (1, 4), "v": (7,), "cube": (2, 3, 2), "s": (1, 1)}
+        # "long" and "slab" span chunk boundaries; the last chunk is partial
+        shapes = {"w": (3, 4), "b": (1, 4), "v": (7,), "cube": (2, 3, 2), "s": (1, 1),
+                  "long": (2 * ad.Adam.CHUNK + 17,), "slab": (3, 5, ad.Adam.CHUNK // 15 + 1),
+                  "fortran": (5, 3)}
         params = {name: ad.Tensor(rng.normal(size=shape), requires_grad=True)
                   for name, shape in shapes.items()}
+        params["fortran"].data = np.asfortranarray(params["fortran"].data)   # no flat view
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         opt = ad.Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
         data = {name: p.data.copy() for name, p in params.items()}

@@ -883,9 +883,13 @@ class TestTeacherForcing(DecodingSetup):
 
 
 class TestBlockTeacherForcing:
-    """Teacher forcing over [T, H] blocks against a per-step reference
-    written here: one `step`, one attention and one [1, V'] distribution per
-    gold token, and the NLL as a chain of per-token terms (float64)."""
+    """Teacher forcing with the output layer over the example's [ΣT, H]
+    block, against two references written here (float64): a per-step one
+    (one `step`, one attention and one [1, V'] distribution per gold token,
+    and the NLL as a chain of per-token terms) and a per-sentence one (the
+    output layer and the NLL once per sentence's [T, H] block).  GOLD has
+    a copied OOV target ("zork"), a target found nowhere ("quuz", UNK) and
+    a one-token sentence."""
 
     GOLD = [["alpha", "zork", "beta"], ["gamma"], ["quuz", "delta", "."]]
 
@@ -900,6 +904,16 @@ class TestBlockTeacherForcing:
             abstract_tokens=self.GOLD,
             abstract_ids=[vocab.encode(s) for s in self.GOLD])
         return vocab, schema, model, example
+
+    @staticmethod
+    def losses(sentence_terms, stops):
+        """(sentence NLL, total) from per-sentence NLLs and m+1 stop probs."""
+        m = len(sentence_terms)
+        nll = ad.mul(sum(sentence_terms[1:], sentence_terms[0]), 1.0 / m)
+        stop_terms = [ad.mul(ad.log(1.0 - stop, floor=1e-12), -1.0) for stop in stops[:m]]
+        stop_terms.append(ad.mul(ad.log(stops[m], floor=1e-12), -1.0))
+        stop_loss = ad.mul(sum(stop_terms[1:], stop_terms[0]), 1.0 / (m + 1))
+        return nll, nll + stop_loss
 
     def reference(self, model, encoding, grouped, vocab):
         """(per-step distributions, sentence NLL, total loss) the slow way."""
@@ -926,14 +940,41 @@ class TestBlockTeacherForcing:
             sentence_terms.append(ad.mul(total, 1.0 / len(terms)))
         stops.append(predict_topic_step(model, state, context, encoding.topic_vectors,
                                         "soft").stop_prob)
-        nll = ad.mul(sum(sentence_terms[1:], sentence_terms[0]), 1.0 / len(self.GOLD))
-        m = len(self.GOLD)
-        stop_terms = [ad.mul(ad.log(1.0 - stop, floor=1e-12), -1.0) for stop in stops[:m]]
-        stop_terms.append(ad.mul(ad.log(stops[m], floor=1e-12), -1.0))
-        stop_loss = ad.mul(sum(stop_terms[1:], stop_terms[0]), 1.0 / (m + 1))
-        return dists, nll, nll + stop_loss
+        return (dists, *self.losses(sentence_terms, stops))
+
+    def per_sentence_reference(self, model, encoding, grouped, vocab):
+        """(per-step distributions, sentence NLL, total loss) with the
+        output layer and the NLL run once per sentence's [T, H] block."""
+        state = context = ad.zeros((1, model.hidden_dim))
+        dists, sentence_terms, stops = [], [], []
+        for sentence in self.GOLD:
+            step = predict_topic_step(model, state, context, encoding.topic_vectors, "soft")
+            state, context = step.state, step.topic_context
+            stops.append(step.stop_prob)
+            targets = [grouped.target_id(tok, vocab) for tok in sentence] + [EOS_ID]
+            inputs = ad.embedding_lookup(model.embed, [BOS_ID] + vocab.encode(sentence))
+            dec_states = model.dec_cell.sequence(inputs, step.decoder_init)
+            weights, contexts = zip(*(attention_step(model, ad.row(dec_states, t),
+                                                     encoding.token_states, encoding.attention_keys)
+                                      for t in range(len(targets))))
+            block = token_distribution(model, dec_states, ad.concat(contexts, axis=0), inputs,
+                                       ad.concat(weights, axis=1), grouped, encoding.extended_ids)
+            dists.extend(ad.row(block, t) for t in range(len(targets)))
+            gold = ad.log(ad.pick(block, range(len(targets)), targets), floor=1e-12)
+            sentence_terms.append(ad.mul(gold.sum(), -1.0 / len(targets)))
+        stops.append(predict_topic_step(model, state, context, encoding.topic_vectors,
+                                        "soft").stop_prob)
+        return (dists, *self.losses(sentence_terms, stops))
 
     def test_distributions_and_losses_equal_per_step_reference(self):
+        self.assert_equals_reference(self.reference)
+
+    def test_distributions_and_losses_equal_per_sentence_reference(self):
+        self.assert_equals_reference(self.per_sentence_reference)
+
+    def assert_equals_reference(self, reference):
+        """Distributions, sentence NLL, total loss and every leaf gradient
+        of example_loss and teacher_forced_outputs, to 1e-10 in float64."""
         with ad.using_dtype(np.float64):
             vocab, schema, model, example = self.setup_model()
             params = model.parameters()
@@ -948,7 +989,7 @@ class TestBlockTeacherForcing:
                         dists = [row for sentence in rows for row in sentence]
                         nll, _, total = example_loss(model, example, [0, 1], schema, vocab)
                     else:
-                        dists, nll, total = self.reference(model, encoding, grouped, vocab)
+                        dists, nll, total = reference(model, encoding, grouped, vocab)
                     recording.backward(total)
                 runs.append(([d.data.copy() for d in dists], nll.item(), total.item(),
                              {name: p.grad.copy() for name, p in params.items()}))

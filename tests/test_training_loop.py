@@ -5,6 +5,10 @@ The two reference loops below are those loops, kept as they were: a
 seeded permutation per epoch, one tape per example, Adam, a history row and
 the best-epoch snapshot and restore.  Parameters and history (without
 `wall_seconds`) must be equal, with and without a validation set.
+
+`ReferenceAdam` is Adam without chunks: the same expressions over whole
+parameters.  `fit` steps with the chunked `Adam` must leave parameters and
+both moments bitwise equal to it.
 """
 
 import time
@@ -18,6 +22,44 @@ from topicsum.detector import DetectorModel, MeanEmbeddingEncoder, _example_nll,
 from topicsum.generator import GeneratorModel, example_loss, train_generator
 from topicsum.synthetic import toy_detector_articles, toy_schema, toy_summarization_corpus
 from topicsum.text import Vocabulary
+
+
+class ReferenceAdam:
+    """Adam through two scratch buffers of the largest parameter's size."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = dict(params), lr, 0.9, 0.999, 1e-8
+        self.step_count = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        largest = max(p.data.size for p in self.params.values())
+        dtype = np.result_type(*[p.data for p in self.params.values()])
+        self.scratch = (np.empty(largest, dtype=dtype), np.empty(largest, dtype=dtype))
+
+    def step(self):
+        self.step_count += 1
+        t = self.step_count
+        for name, p in self.params.items():
+            g, m, v = p.grad, self.m[name], self.v[name]
+            a, b = (buffer[:p.data.size].reshape(p.data.shape) for buffer in self.scratch)
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
+            v *= self.beta2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
+            v += a
+            np.divide(m, 1.0 - self.beta1 ** t, out=a)
+            np.divide(v, 1.0 - self.beta2 ** t, out=b)
+            a *= self.lr
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p.data -= a
+
+    def zero_grad(self):
+        for p in self.params.values():
+            p.grad = None
 
 
 def reference_train_detector(model, train, valid, epochs, lr, seed):
@@ -156,3 +198,45 @@ def test_generator_matches_reference_loop(with_valid):
     expected = reference_train_generator(reference, *args, epochs=3, lr_first=2e-2,
                                          lr_rest=0.2, seed=5)
     assert_same_run(model, history, reference, expected)
+
+
+@pytest.mark.parametrize("chunk", [ad.Adam.CHUNK, 37])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fit_steps_equal_unchunked_adam(monkeypatch, dtype, chunk):
+    """Three `fit` steps on a toy generator; a chunk of 37 elements puts
+    chunk boundaries inside every weight."""
+    corpus = toy_summarization_corpus(n_examples=3, seed=0)
+    optimizers = []
+
+    class RecordingAdam(ad.Adam):
+        CHUNK = chunk
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(ad, "Adam", RecordingAdam)
+    with ad.using_dtype(dtype):
+        model, reference = (GeneratorModel(len(corpus.vocab), len(corpus.schema.topics),
+                                           embed_dim=8, hidden_dim=12, seed=1)
+                            for _ in range(2))
+
+        def loss_of(net, index):
+            return example_loss(net, corpus.examples[index], corpus.assignments[index],
+                                corpus.schema, corpus.vocab)[2]
+
+        ad.fit(model.parameters(), 3, lambda index: {"loss": loss_of(model, index)},
+               lambda: ({}, None), label=str, epochs=1, lr=lambda epoch: 2e-2, seed=4)
+        optimizer = ReferenceAdam(reference.parameters(), lr=2e-2)
+        for index in np.random.default_rng(4).permutation(3):
+            with ad.tape() as recording:
+                recording.backward(loss_of(reference, index))
+            optimizer.step()
+            optimizer.zero_grad()
+    (chunked,) = optimizers
+    assert chunked.step_count == optimizer.step_count == 3
+    for name, p in model.parameters().items():
+        assert p.data.dtype == dtype
+        assert np.array_equal(p.data, reference.parameters()[name].data), name
+        assert np.array_equal(chunked._m[name], optimizer.m[name]), name
+        assert np.array_equal(chunked._v[name], optimizer.v[name]), name
