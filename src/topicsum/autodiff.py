@@ -7,12 +7,13 @@ reverse.  Inference runs tape-free.  `fit` is the training loop both models
 share: epochs, the tape, Adam and the best epoch.
 
 Most ops are one numpy expression and one tape record.  The exception is
-`gru_sequence`: a whole GRU run over T known inputs is one record, for one
-sequence or a block of B independent ones.  Its forward multiplies all
-inputs by each gate's input weights in one matrix product and loops only
-over the recurrent `h @ U` products; its hand-written backward loops back
-through time over [B, H] blocks and then forms every weight gradient as one
-matrix product over the whole run.
+`gru_sequence`: a whole GRU run over known inputs is one record, for one
+sequence or B independent ones of any lengths, packed longest first so that
+each step runs the prefix of sequences still going.  Its forward multiplies
+all inputs by each gate's input weights in one matrix product and loops
+only over the recurrent `h @ U` products; its hand-written backward loops
+back through time over those prefix blocks and then forms every weight
+gradient as one matrix product over the whole run.
 
 float32 is the working dtype; `using_dtype` exists so that numerical test
 suites can run the identical op implementations in float64, where central
@@ -22,8 +23,10 @@ Gradient contract: `Tape.backward` adds into `.grad` only on leaves, the tensors
 that no record on the tape produced (parameters and inputs created with
 `requires_grad=True`).  Intermediate results keep `.grad` at None; their
 adjoints live in the sweep and are dropped when it ends.  Gather ops
-(`embedding_lookup`, `rows`/`row`, `pick`) hand back row-sparse adjoints
-that are added straight into their target's one dense buffer.
+(`embedding_lookup`, `rows`/`row`, `take`, `pick`) hand back row-sparse
+adjoints that are added straight into their target's one dense buffer.
+Matrix-product vjps mark the arrays they have just made as fresh, and the
+sweep keeps such an array as the target's buffer instead of copying it.
 """
 
 from __future__ import annotations
@@ -56,10 +59,12 @@ __all__ = [
     "concat",
     "rows",
     "row",
+    "take",
     "pick",
     "embedding_lookup",
     "scatter_sum",
     "gru_sequence",
+    "packing",
     "Adam",
     "fit",
 ]
@@ -179,16 +184,23 @@ class Tape:
         owned: set[int] = set()
 
         def deposit(tensor: Tensor, grad) -> None:
+            # a fresh array is held by nothing else, so it becomes the
+            # target's buffer as it is
+            fresh = isinstance(grad, _Fresh)
+            if fresh:
+                grad = grad.values
             key = id(tensor)
             if key not in produced:
                 if tensor.grad is None:
-                    tensor.grad = _fresh_buffer(tensor, grad)
+                    tensor.grad = grad if fresh else _fresh_buffer(tensor, grad)
                 else:
                     _add_into(tensor.grad, grad)
                 return
             prev = delta.get(key)
             if prev is None and not isinstance(grad, _RowGrad):
                 delta[key] = grad
+                if fresh:
+                    owned.add(key)
             elif key in owned:
                 _add_into(prev, grad)
             else:
@@ -215,6 +227,18 @@ class _RowGrad(NamedTuple):
 
     index: object
     values: np.ndarray
+
+
+class _Fresh(NamedTuple):
+    """A dense adjoint its vjp has just allocated and keeps no reference
+    to, so the sweep may own it instead of copying it.  A vjp marks each
+    such array for one input only."""
+
+    values: np.ndarray
+
+
+def _fresh(*arrays: np.ndarray) -> tuple[_Fresh, ...]:
+    return tuple(_Fresh(a) for a in arrays)
 
 
 def _add_into(buffer: np.ndarray, grad) -> None:
@@ -326,7 +350,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def vjp(g):
-        return g @ b_data.T, a_data.T @ g
+        return _fresh(g @ b_data.T, a_data.T @ g)
 
     return _push(a_data @ b_data, (a, b), vjp)
 
@@ -340,7 +364,7 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     x_data, w_data = x.data, weight.data
 
     def vjp(g):
-        return g @ w_data.T, x_data.T @ g, g.sum(axis=0, keepdims=True)
+        return _fresh(g @ w_data.T, x_data.T @ g, g.sum(axis=0, keepdims=True))
 
     return _push(x_data @ w_data + bias.data, (x, weight, bias), vjp)
 
@@ -440,6 +464,19 @@ def row(x: Tensor, index: int) -> Tensor:
     return rows(x, index, index + 1)
 
 
+def take(x: Tensor, index) -> Tensor:
+    """Rows x[index] for a sequence of distinct row ids, in its order."""
+    ids = np.asarray(index, dtype=np.int64)
+    n = x.data.shape[0]
+    if ids.ndim != 1 or ids.size == 0:
+        raise ValueError(f"take needs a non-empty list of row ids, got shape {ids.shape}")
+    if ids.min() < 0 or ids.max() >= n:
+        raise IndexError(f"take rows outside [0, {n})")
+    if np.unique(ids).size != ids.size:
+        raise ValueError("take needs distinct row ids")
+    return _push(x.data[ids], (x,), lambda g: (_RowGrad(ids, g),))
+
+
 def pick(x: Tensor, i, j) -> Tensor:
     """Entries x[i, j] as a [k, 1] column: one entry for ints, or one per
     pair of two equal-length index sequences whose (i, j) pairs are distinct."""
@@ -499,74 +536,108 @@ def scatter_sum(x: Tensor, indices, size: int) -> Tensor:
 
 def gru_sequence(xs: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, b_z: Tensor,
                  W_r: Tensor, U_r: Tensor, b_r: Tensor, W_h: Tensor, U_h: Tensor,
-                 b_h: Tensor, reverse: bool = False) -> Tensor:
-    """A GRU run of T steps over B independent sequences from the [B, H]
-    states `h0`, as one tape record.  `xs` is time-major [T·B, D]: rows
-    t·B .. t·B + B - 1 are step t's inputs, one per sequence.  Returns the
-    [T·B, H] states in the same layout: the states after step t's inputs,
-    which consumed steps 0..t (or T-1..t when `reverse`).
+                 b_h: Tensor, reverse: bool = False,
+                 lengths: Sequence[int] | None = None) -> Tensor:
+    """A GRU run over B independent sequences from the [B, H] states `h0`,
+    as one tape record.
+
+    `lengths` are the sequences' lengths, longest first; by default all B
+    are equally long.  `xs` packs their inputs time-major: step t's rows,
+    one per sequence longer than t and so a prefix of the B, follow step
+    t-1's.  With equal lengths T, rows t·B .. t·B + B - 1 are step t.
+    Returns the states in the same layout: the state of sequence b after
+    its inputs 0..t, or, when `reverse`, after its inputs len_b - 1..t.  A
+    reverse run walks the steps backward, so the prefix grows: sequence b
+    joins at its own last input, from its own row of `h0`.
 
     Each step is the update of one GRU cell:
     z = sigmoid(x W_z + b_z + h U_z), r = sigmoid(x W_r + b_r + h U_r),
     c = tanh(x W_h + b_h + (r * h) U_h), h' = (1 - z) * c + z * h.
     """
     if (xs.data.ndim != 2 or h0.data.ndim != 2 or h0.data.shape[0] == 0
-            or xs.data.shape[0] == 0 or xs.data.shape[0] % h0.data.shape[0]):
-        raise ValueError(f"gru_sequence needs [T·B, D] inputs (T > 0) and a [B, H] state, "
-                         f"got {xs.data.shape} and {h0.data.shape}")
-    (B, H), D = h0.data.shape, xs.data.shape[1]
-    T = xs.data.shape[0] // B
+            or xs.data.shape[0] == 0):
+        raise ValueError(f"gru_sequence needs packed [N, D] inputs (N > 0) and a [B, H] "
+                         f"state, got {xs.data.shape} and {h0.data.shape}")
+    (B, H), (N, D) = h0.data.shape, xs.data.shape
+    if lengths is None:
+        if N % B:
+            raise ValueError(f"{N} input rows are no whole number of {B}-row steps")
+        lengths = [N // B] * B
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if (lengths.shape != (B,) or lengths[-1] < 1 or np.any(lengths[1:] > lengths[:-1])
+            or lengths.sum() != N):
+        raise ValueError(f"gru_sequence needs {B} lengths, longest first, of at least 1 "
+                         f"and summing to {N}, got {lengths.tolist()}")
     if W_z.data.shape != (D, H) or U_z.data.shape != (H, H):
         raise ValueError(f"gru_sequence weights {W_z.data.shape} and {U_z.data.shape} do not "
                          f"fit inputs {xs.data.shape} and state {h0.data.shape}")
-    order = slice(None, None, -1) if reverse else slice(None)
+    # active[t]: sequences longer than t, the prefix that runs step t
+    active = (lengths[:, None] > np.arange(lengths[0])).sum(axis=0)
+    starts = np.cumsum(active) - active
+    steps = [(slice(s, s + k), k) for s, k in zip(starts.tolist(), active.tolist())]
+    if reverse:
+        steps.reverse()
 
-    def in_time_order(a: np.ndarray) -> np.ndarray:
-        # reverse whole steps, never the sequences within one
-        return a.reshape(T, B, a.shape[1])[order].reshape(T * B, a.shape[1])
-
-    x = in_time_order(xs.data)
+    x = xs.data
     # the input terms of all steps, one matrix product per gate
     p_z, p_r, p_h = x @ W_z.data + b_z.data, x @ W_r.data + b_r.data, x @ W_h.data + b_h.data
     u_z, u_r, u_h = U_z.data, U_r.data, U_h.data
-    # states[t] is the [B, H] state before step t, states[t + 1] the one after
-    states = np.empty((T + 1, B, H), dtype=p_z.dtype)
-    states[0] = h0.data
+    # run holds every sequence's latest state; prev the state each row's step read
+    run = np.array(h0.data, dtype=p_z.dtype)
+    prev, out = np.empty_like(p_z), np.empty_like(p_z)
     z, r, c = np.empty_like(p_z), np.empty_like(p_z), np.empty_like(p_z)
-    steps = [slice(t * B, (t + 1) * B) for t in range(T)]
-    for t, at in enumerate(steps):
-        h = states[t]
+    for at, k in steps:
+        prev[at] = run[:k]
+        h = prev[at]
         z[at] = _sigmoid_values(p_z[at] + h @ u_z)
         r[at] = _sigmoid_values(p_r[at] + h @ u_r)
         c[at] = np.tanh(p_h[at] + (r[at] * h) @ u_h)
-        states[t + 1] = (1.0 - z[at]) * c[at] + z[at] * h
-    prev = states[:-1].reshape(T * B, H)
+        out[at] = (1.0 - z[at]) * c[at] + z[at] * h
+        run[:k] = out[at]
 
     def vjp(g):
         # back through time: d_z, d_r, d_h hold the adjoints of the gates'
-        # pre-activations, from which every weight gradient is one product
-        g = in_time_order(g)
+        # pre-activations, from which every weight gradient is one product;
+        # carry holds the adjoint of every sequence's running state
         d_z, d_r, d_h = np.empty_like(z), np.empty_like(r), np.empty_like(c)
         carry = np.zeros((B, H), dtype=g.dtype)
-        for at in reversed(steps):
-            dh = g[at] + carry
+        # contiguous transposes: a product against a transposed view is
+        # slower once a step has more than one row
+        u_zt, u_rt, u_ht = (np.ascontiguousarray(u.T) for u in (u_z, u_r, u_h))
+        for at, k in reversed(steps):
+            dh = g[at] + carry[:k]
             h = prev[at]
             d_h[at] = dh * (1.0 - z[at]) * (1.0 - c[at] * c[at])
             d_z[at] = dh * (h - c[at]) * z[at] * (1.0 - z[at])
-            d_rh = d_h[at] @ u_h.T
+            d_rh = d_h[at] @ u_ht
             d_r[at] = d_rh * h * r[at] * (1.0 - r[at])
-            carry = dh * z[at] + d_rh * r[at] + d_z[at] @ u_z.T + d_r[at] @ u_r.T
+            carry[:k] = dh * z[at] + d_rh * r[at] + d_z[at] @ u_zt + d_r[at] @ u_rt
         dx = d_z @ W_z.data.T + d_r @ W_r.data.T + d_h @ W_h.data.T
         x_t = x.T
-        return (in_time_order(dx), carry,
-                x_t @ d_z, prev.T @ d_z, d_z.sum(axis=0, keepdims=True),
-                x_t @ d_r, prev.T @ d_r, d_r.sum(axis=0, keepdims=True),
-                x_t @ d_h, (r * prev).T @ d_h, d_h.sum(axis=0, keepdims=True))
+        return _fresh(dx, carry,
+                      x_t @ d_z, prev.T @ d_z, d_z.sum(axis=0, keepdims=True),
+                      x_t @ d_r, prev.T @ d_r, d_r.sum(axis=0, keepdims=True),
+                      x_t @ d_h, (r * prev).T @ d_h, d_h.sum(axis=0, keepdims=True))
 
-    out = in_time_order(states[1:].reshape(T * B, H))
-    return _push(np.ascontiguousarray(out), (xs, h0, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h),
-                 vjp)
+    return _push(out, (xs, h0, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h), vjp)
 
+
+def packing(lengths: Sequence[int]):
+    """Where B sequences of `lengths`, stored one after another, sit in the
+    packed layout of `gru_sequence`.
+
+    Returns (order, the sequences longest first, ties in stored order;
+    packed, the stored row of every packed row; unpacked, the packed row of
+    every stored row), so that rows[packed] packs and packed_rows[unpacked]
+    restores the stored order.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    starts = np.cumsum(lengths) - lengths
+    steps = np.arange(lengths[order[0]])[:, None]
+    # packed row (t, j) is input t of the j-th longest sequence
+    packed = (starts[order] + steps)[steps < lengths[order]]
+    return order, packed, np.argsort(packed)
 
 # ---------------------------------------------------------------------------
 # optimizer

@@ -11,13 +11,16 @@ input tokens through extended ids.
 What runs step by step: the topic predictor (its next input is its own
 topic context), beam search (its next input is its own choice), and in
 training only the recurrences.  A step and a sequence are both one
-`ad.gru_sequence`, so the GRU update has one implementation.  Each encoder
-direction and each teacher-forced decoder sentence is one
-`GRUCell.sequence`, whose inputs are known up front; attention runs per
-decoder state row over keys computed once per example; and the output
-projection, vocabulary softmax, copy gate, copy scatter and NLL run once
-over the example's [ΣT, H] block: every sentence's states, one row per
-gold token.
+`ad.gru_sequence`, so the GRU update has one implementation.  Independent
+sequences of known inputs run as one packed `GRUCell.sequence`, sorted
+longest first so that each step runs the prefix still going: all topic
+groups in each encoder direction, and in teacher forcing all gold
+sentences, from the decoder inits that the predictor computes first.
+Attention runs per decoder state row over keys computed once per example,
+and the output projection, vocabulary softmax, copy gate, copy scatter and
+NLL run once over the example's [ΣT, H] block: every sentence's states,
+one row per gold token.  Token states and decoder rows stay in group and
+sentence order; only the recurrences see the packed order.
 
 The predictor never reads decoded tokens, so generation runs it first and
 then beam-searches all sentences in lockstep: every live hypothesis of every
@@ -194,16 +197,28 @@ class GRUCell:
                              f"{x.data.shape} and {h.data.shape}")
         return self._run(x, h)
 
-    def sequence(self, xs: ad.Tensor, h0: ad.Tensor, reverse: bool = False) -> ad.Tensor:
-        """States after each row of xs [T, input] from the [1, H] state h0
-        (see ad.gru_sequence), last row first if `reverse`."""
-        if h0.data.shape[0] != 1:
-            raise ValueError(f"a sequence starts from one [1, H] state, got {h0.data.shape}")
-        return self._run(xs, h0, reverse)
+    def sequence(self, xs: ad.Tensor, h0: ad.Tensor, reverse: bool = False,
+                 lengths: Sequence[int] | None = None) -> ad.Tensor:
+        """States after each row of xs [T, input] from the [1, H] state h0,
+        last row first if `reverse`.
 
-    def _run(self, xs: ad.Tensor, h0: ad.Tensor, reverse: bool = False) -> ad.Tensor:
+        With `lengths`, xs holds B sequences packed as `ad.gru_sequence`
+        lays them out, longest first: step t's rows, one per sequence longer
+        than t, after step t-1's.  h0 is then [B, H], one start per
+        sequence, and a reverse run starts each sequence at its own last
+        input, from its own h0 row.  The states come back in the same layout.
+        """
+        expected = 1 if lengths is None else len(lengths)
+        if h0.data.shape[0] != expected:
+            raise ValueError(f"{expected} sequence(s) start from a [{expected}, H] state, "
+                             f"got {h0.data.shape}")
+        return self._run(xs, h0, reverse, lengths)
+
+    def _run(self, xs: ad.Tensor, h0: ad.Tensor, reverse: bool = False,
+             lengths: Sequence[int] | None = None) -> ad.Tensor:
         return ad.gru_sequence(xs, h0, self.W_z, self.U_z, self.b_z, self.W_r, self.U_r,
-                               self.b_r, self.W_h, self.U_h, self.b_h, reverse=reverse)
+                               self.b_r, self.W_h, self.U_h, self.b_h, reverse=reverse,
+                               lengths=lengths)
 
     def parameters(self) -> dict[str, ad.Tensor]:
         return {"W_z": self.W_z, "U_z": self.U_z, "b_z": self.b_z,
@@ -298,46 +313,59 @@ class TopicEncoding:
     extended_ids: np.ndarray                 # [total_tokens] int64
 
 
-def bigru_states(model: GeneratorModel, token_ids: Sequence[int]):
-    """Forward/backward GRU state stacks for one token sequence.
+def bigru_states(model: GeneratorModel, token_ids: Sequence[int],
+                 lengths: Sequence[int] | None = None):
+    """Forward and backward GRU states of token sequences.
 
-    Returns (forward [n, H], backward [n, H], final forward [1, H],
-    final backward [1, H]); backward row t has consumed tokens n-1..t.
+    `token_ids` holds the sequences one after another and `lengths` their
+    lengths (by default one sequence).  Each direction is one packed run
+    over all of them (see `GRUCell.sequence`): the sequences sorted longest
+    first, step t running those longer than t; the backward run walks the
+    steps from the last, so each sequence starts at its own last token.
+    Returns (forward [n, H], backward [n, H], final forward [B, H], final
+    backward [B, H]) in input order; backward row t of a sequence has
+    consumed its tokens from the last down to t.
     """
-    n = len(token_ids)
-    if n == 0:
-        raise ValueError("bigru_states needs a non-empty sequence")
-    vectors = ad.embedding_lookup(model.embed, token_ids)  # [n, embed]
-    start = ad.zeros((1, model.hidden_dim))
-    fwd = model.enc_fwd.sequence(vectors, start)
-    bwd = model.enc_bwd.sequence(vectors, start, reverse=True)
-    return fwd, bwd, ad.row(fwd, n - 1), ad.row(bwd, 0)
+    lengths = [len(token_ids)] if lengths is None else list(lengths)
+    if not lengths or min(lengths) < 1 or sum(lengths) != len(token_ids):
+        raise ValueError(f"bigru_states needs non-empty sequences covering the "
+                         f"{len(token_ids)} tokens, got lengths {lengths}")
+    order, packed, unpacked = ad.packing(lengths)
+    vectors = ad.embedding_lookup(model.embed, np.asarray(token_ids, dtype=np.int64)[packed])
+    start = ad.zeros((len(lengths), model.hidden_dim))
+    by_length = [lengths[b] for b in order]
+    fwd, bwd = (ad.take(cell.sequence(vectors, start, reverse, by_length), unpacked)
+                for cell, reverse in ((model.enc_fwd, False), (model.enc_bwd, True)))
+    ends = np.cumsum(lengths)
+    return fwd, bwd, ad.take(fwd, ends - 1), ad.take(bwd, ends - lengths)
 
 
 def encode_topics(model: GeneratorModel, grouped: TopicGroups) -> TopicEncoding:
-    """Encode every non-empty group; empty groups get a zero topic vector."""
+    """Encode all non-empty groups in one BiGRU run per direction; empty
+    groups get a zero topic vector."""
     if len(grouped.groups) != model.n_topics:
         raise ValueError(f"{len(grouped.groups)} groups for a {model.n_topics}-topic model")
-    topic_rows: list[ad.Tensor] = []
-    state_blocks: list[ad.Tensor] = []
-    for group in grouped.groups:
-        if len(group) == 0:
-            topic_rows.append(ad.zeros((1, model.hidden_dim)))
-            continue
-        fwd, bwd, final_fwd, final_bwd = bigru_states(model, group.token_ids)
-        token_states = ad.affine(ad.concat([fwd, bwd], axis=1),
-                                 model.enc_token_W, model.enc_token_b)      # [n, H]
-        topic_vector = ad.affine(ad.concat([final_fwd, final_bwd], axis=1),
-                                 model.enc_topic_W, model.enc_topic_b)      # [1, H]
-        topic_rows.append(topic_vector)
-        state_blocks.append(token_states)
-    topic_vectors = topic_rows[0] if len(topic_rows) == 1 else ad.concat(topic_rows, axis=0)
-    token_states = keys = None
-    if state_blocks:
-        token_states = state_blocks[0] if len(state_blocks) == 1 else ad.concat(state_blocks, axis=0)
-        keys = attention_keys(model, token_states)
+    kept = [group for group in grouped.groups if len(group)]
+    if not kept:
+        return TopicEncoding(topic_vectors=ad.zeros((model.n_topics, model.hidden_dim)),
+                             token_states=None, attention_keys=None,
+                             extended_ids=_input_extended_ids(grouped))
+    fwd, bwd, final_fwd, final_bwd = bigru_states(
+        model, [i for group in kept for i in group.token_ids], [len(group) for group in kept])
+    token_states = ad.affine(ad.concat([fwd, bwd], axis=1),
+                             model.enc_token_W, model.enc_token_b)          # [n, H]
+    topic_vectors = ad.affine(ad.concat([final_fwd, final_bwd], axis=1),
+                              model.enc_topic_W, model.enc_topic_b)         # [G', H]
+    n_empty = model.n_topics - len(kept)
+    if n_empty:
+        # the kept groups' rows, then one zero row per empty group, put
+        # back in group order
+        stacked = ad.concat([topic_vectors, ad.zeros((n_empty, model.hidden_dim))], axis=0)
+        topic_vectors = ad.take(stacked, np.argsort(
+            np.argsort([len(group) == 0 for group in grouped.groups], kind="stable")))
     return TopicEncoding(topic_vectors=topic_vectors, token_states=token_states,
-                         attention_keys=keys, extended_ids=_input_extended_ids(grouped))
+                         attention_keys=attention_keys(model, token_states),
+                         extended_ids=_input_extended_ids(grouped))
 
 
 def _input_extended_ids(grouped: TopicGroups) -> np.ndarray:
@@ -586,38 +614,32 @@ def _teacher_forced_block(model: GeneratorModel, encoding: TopicEncoding,
                           grouped: TopicGroups, gold_sentences: Sequence[Sequence[str]],
                           vocab: Vocabulary, mode: str):
     """teacher_forced_outputs with every distribution in one [ΣT, V']
-    block, sentence after sentence: the decoder GRU runs over each
-    sentence's T gold inputs as one sequence and attention runs per state
-    row, then the output layer runs once over the example's rows."""
+    block, sentence after sentence.  The predictor never reads decoded
+    tokens, so its steps run first; the decoder GRU then runs every
+    sentence's T gold inputs as one packed sequence from the stacked
+    decoder inits, attention runs per state row, and the output layer once
+    over the example's rows."""
     if not gold_sentences:
         raise ValueError("gold abstract has no sentences")
-    steps = _topic_steps(model, encoding, mode)
-    states: list[ad.Tensor] = []
-    inputs: list[ad.Tensor] = []
-    weights: list[ad.Tensor] = []
-    contexts: list[ad.Tensor] = []
-    sentence_targets: list[list[int]] = []
-    stop_probs: list[ad.Tensor] = []
-    for sentence in gold_sentences:
-        if not sentence:
-            raise ValueError("gold sentences must be non-empty")
-        step = next(steps)
-        stop_probs.append(step.stop_prob)
-        sentence_targets.append([grouped.target_id(tok, vocab) for tok in sentence] + [EOS_ID])
-        x = ad.embedding_lookup(model.embed, [BOS_ID] + vocab.encode(sentence))
-        dec_states = model.dec_cell.sequence(x, step.decoder_init)       # [T, H]
-        for t in range(dec_states.data.shape[0]):
-            weight, context = attention_step(model, ad.row(dec_states, t),
-                                             encoding.token_states, encoding.attention_keys)
-            weights.append(weight)
-            contexts.append(context)
-        states.append(dec_states)
-        inputs.append(x)
-    stop_probs.append(next(steps).stop_prob)
-    block = token_distribution(model, ad.concat(states, axis=0), ad.concat(contexts, axis=0),
-                               ad.concat(inputs, axis=0), ad.concat(weights, axis=1), grouped,
-                               encoding.extended_ids)
-    return block, sentence_targets, stop_probs
+    if not all(gold_sentences):
+        raise ValueError("gold sentences must be non-empty")
+    steps = list(islice(_topic_steps(model, encoding, mode), len(gold_sentences) + 1))
+    targets = [[grouped.target_id(tok, vocab) for tok in sentence] + [EOS_ID]
+               for sentence in gold_sentences]
+    inputs = ad.embedding_lookup(model.embed, [token_id for sentence in gold_sentences
+                                               for token_id in [BOS_ID] + vocab.encode(sentence)])
+    lengths = [len(sentence) for sentence in targets]
+    order, packed, unpacked = ad.packing(lengths)
+    packed_states = model.dec_cell.sequence(
+        ad.take(inputs, packed), ad.concat([steps[b].decoder_init for b in order], axis=0),
+        lengths=[lengths[b] for b in order])
+    states = ad.take(packed_states, unpacked)                            # [ΣT, H]
+    weights, contexts = zip(*(attention_step(model, ad.row(states, t), encoding.token_states,
+                                             encoding.attention_keys)
+                              for t in range(states.data.shape[0])))
+    block = token_distribution(model, states, ad.concat(contexts, axis=0), inputs,
+                               ad.concat(weights, axis=1), grouped, encoding.extended_ids)
+    return block, targets, [step.stop_prob for step in steps]
 
 
 def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor]] | ad.Tensor,

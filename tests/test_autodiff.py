@@ -156,6 +156,16 @@ class TestForwardValues:
         with pytest.raises(IndexError):
             ad.pick(x, 3, 0)
 
+    def test_take_gathers_distinct_rows_in_order(self):
+        x = ad.Tensor(np.arange(6, dtype=np.float32).reshape(3, 2))
+        np.testing.assert_allclose(ad.take(x, [2, 0]).data, [[4, 5], [0, 1]])
+        with pytest.raises(IndexError):
+            ad.take(x, [3])
+        with pytest.raises(ValueError, match="distinct"):
+            ad.take(x, [1, 1])
+        with pytest.raises(ValueError):
+            ad.take(x, [])
+
     def test_add_broadcasts_rows_and_scalars(self):
         x = ad.Tensor(np.ones((2, 3)))
         bias = ad.Tensor([[1.0, 2.0, 3.0]])
@@ -254,7 +264,7 @@ class TestGradients:
         "add", "add_row_bias", "add_scalar_tensor", "mul", "mul_gate",
         "matmul", "affine", "tanh", "sigmoid", "softmax1", "softmax0",
         "log", "transpose", "reshape", "reshape_broadcast", "concat0", "concat1", "rows",
-        "pick", "pick_rows",
+        "take", "pick", "pick_rows",
         "embedding", "scatter", "scatter_rows", "sum", "mean",
     ])
     def test_each_op_matches_finite_differences(self, case):
@@ -304,6 +314,8 @@ class TestGradients:
                                      * ad.Tensor(np.hstack([mixer.data, mixer.data]))).sum(),
                                     {"x": x, "y": y}),
                 "rows": lambda: ((ad.rows(x, 1, 3) * ad.Tensor(mixer.data[1:3])).sum(), {"x": x}),
+                "take": lambda: ((ad.take(x, [2, 0]) * ad.Tensor(mixer.data[:2])).sum(),
+                                 {"x": x}),
                 "pick": lambda: (ad.pick(x, 2, 1), {"x": x}),
                 "pick_rows": lambda: ((ad.pick(x, [0, 2, 1], [3, 0, 3])
                                        * ad.Tensor(mixer.data[:, :1])).sum(), {"x": x}),
@@ -441,6 +453,63 @@ class TestTapeSemantics:
                 t.backward((ad.add(u, v) + w).sum())
         np.testing.assert_allclose(y.grad, 1.0 - np.tanh(y.data) ** 2, rtol=1e-12)
         np.testing.assert_allclose(x.grad, 4.0 * (1.0 - np.tanh(x.data) ** 2), rtol=1e-12)
+
+    def test_fresh_adjoint_is_adopted_by_one_leaf_only(self):
+        # the matmul vjp's fresh adjoint reaches add, whose vjp hands that
+        # one array to both leaves: each must get its own buffer, or the
+        # second sweep adds into both through either
+        with ad.using_dtype(np.float64):
+            x = ad.Tensor([[0.5, -1.0]], requires_grad=True)
+            y = ad.Tensor([[2.0, 0.25]], requires_grad=True)
+            w = ad.Tensor([[1.0, 3.0], [-2.0, 0.5]], requires_grad=True)
+            with ad.tape() as t:
+                loss = ad.matmul(ad.add(x, y), w).sum()
+                t.backward(loss)
+                assert not np.shares_memory(x.grad, y.grad)
+                t.backward(loss)
+        want = 2.0 * w.data.sum(axis=1, keepdims=True).T
+        np.testing.assert_array_equal(x.grad, want)
+        np.testing.assert_array_equal(y.grad, want)
+
+    def test_adopted_adjoints_equal_copied_ones_bitwise(self, monkeypatch):
+        """Leaf gradients when fresh vjp results become `.grad` as they are,
+        against the sweep that copies every first contribution."""
+        rng = np.random.default_rng(12)
+        cell = {name: ad.Tensor(rng.uniform(-0.5, 0.5, shape), requires_grad=True)
+                for name, shape in (("W_z", (3, 4)), ("U_z", (4, 4)), ("b_z", (1, 4)),
+                                    ("W_r", (3, 4)), ("U_r", (4, 4)), ("b_r", (1, 4)),
+                                    ("W_h", (3, 4)), ("U_h", (4, 4)), ("b_h", (1, 4)))}
+        leaves = dict(cell, x=ad.Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True),
+                      h0=ad.Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True),
+                      w=ad.Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=True),
+                      b=ad.Tensor(rng.uniform(-1, 1, (1, 5)), requires_grad=True))
+        adopted = []
+
+        def sweep():
+            with ad.tape() as t:
+                states = ad.gru_sequence(leaves["x"], leaves["h0"], *cell.values(),
+                                         lengths=[4, 2])
+                hidden = ad.tanh(ad.affine(states, leaves["w"], leaves["b"]))
+                t.backward(ad.matmul(hidden, ad.transpose(leaves["w"])).sum())
+            grads = {name: leaf.grad for name, leaf in leaves.items()}
+            for leaf in leaves.values():
+                leaf.grad = None
+            return grads
+
+        fresh = ad._fresh
+
+        def spy(*arrays):
+            adopted.extend(arrays)
+            return fresh(*arrays)
+
+        monkeypatch.setattr(ad, "_fresh", spy)
+        got = sweep()
+        monkeypatch.setattr(ad, "_fresh", lambda *arrays: arrays)
+        want = sweep()
+        assert any(got["U_z"] is array for array in adopted)
+        for name in leaves:
+            assert got[name].dtype == want[name].dtype
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
     def test_two_sweeps_double_every_leaf_gradient(self):
         rng = np.random.default_rng(4)

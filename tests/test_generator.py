@@ -6,6 +6,8 @@ re-implementations of the same equations; every trainable tensor is
 checked against central finite differences through a full example loss.
 """
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -301,6 +303,83 @@ class TestGRUSequence:
             ad.gru_sequence(ad.zeros((5, 3)), ad.zeros((2, 4)), *cell.parameters().values())
 
 
+class TestPackedGRUSequence:
+    """Sequences of different lengths as one packed run of `ad.gru_sequence`,
+    against one run per sequence: states and every gradient (float64)."""
+
+    LENGTHS = (7, 3, 3, 1)
+
+    @staticmethod
+    def run(cell, xs, h0, mixer, reverse, lengths=None):
+        """States and every leaf gradient of sum(states * mixer)."""
+        xs, h0 = ad.Tensor(xs, requires_grad=True), ad.Tensor(h0, requires_grad=True)
+        leaves = dict(cell.parameters(), xs=xs, h0=h0)
+        with ad.tape() as recording:
+            states = ad.gru_sequence(xs, h0, *cell.parameters().values(), reverse=reverse,
+                                     lengths=lengths)
+            recording.backward((states * ad.Tensor(mixer)).sum())
+        grads = {name: leaf.grad.copy() for name, leaf in leaves.items()}
+        for leaf in leaves.values():
+            leaf.grad = None
+        return states.data.copy(), grads
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_equals_one_run_per_sequence(self, reverse):
+        lengths = self.LENGTHS
+        # packed row of input t of sequence b: step t's rows follow step t-1's
+        packed_row = {}
+        for t in range(max(lengths)):
+            for b, n in enumerate(lengths):
+                if t < n:
+                    packed_row[b, t] = len(packed_row)
+        with ad.using_dtype(np.float64):
+            rng = np.random.default_rng(40)
+            cell = GRUCell(3, 4, rng)
+            xs = [rng.uniform(-1, 1, (n, 3)) for n in lengths]
+            mixers = [rng.uniform(-1, 1, (n, 4)) for n in lengths]
+            h0 = rng.uniform(-1, 1, (len(lengths), 4))
+            rows = [[packed_row[b, t] for t in range(n)] for b, n in enumerate(lengths)]
+            packed_xs, packed_mixer = np.empty((sum(lengths), 3)), np.empty((sum(lengths), 4))
+            for b in range(len(lengths)):
+                packed_xs[rows[b]], packed_mixer[rows[b]] = xs[b], mixers[b]
+            got, got_grads = self.run(cell, packed_xs, h0, packed_mixer, reverse, lengths)
+            want_grads = {name: 0.0 for name in cell.parameters()}
+            for b in range(len(lengths)):
+                want, grads = self.run(cell, xs[b], h0[b:b + 1], mixers[b], reverse)
+                np.testing.assert_allclose(got[rows[b]], want, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(got_grads["xs"][rows[b]], grads["xs"], rtol=0,
+                                           atol=1e-10, err_msg=f"xs, sequence {b}")
+                np.testing.assert_allclose(got_grads["h0"][b:b + 1], grads["h0"], rtol=0,
+                                           atol=1e-10, err_msg=f"h0, sequence {b}")
+                for name in want_grads:
+                    want_grads[name] = want_grads[name] + grads[name]
+            for name, grad in want_grads.items():
+                assert np.any(grad != 0.0), name
+                np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-10,
+                                           err_msg=name)
+
+    def test_packing_by_hand(self):
+        # stored rows: sequence 0 is 0-1, sequence 1 is 2-4, sequence 2 is 5
+        order, packed, unpacked = ad.packing([2, 3, 1])
+        assert order.tolist() == [1, 0, 2]
+        assert packed.tolist() == [2, 0, 5, 3, 1, 4]     # step 0, then 1, then 2
+        assert unpacked.tolist() == [1, 4, 0, 3, 5, 2]
+
+    @pytest.mark.parametrize("lengths", [(3, 1, 2), (3, 0, 3), (2, 2), (4, 1, 1, 1),
+                                         (3, 2, 1, 0)])
+    def test_bad_lengths_rejected(self, lengths):
+        cell = GRUCell(3, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="lengths"):
+            ad.gru_sequence(ad.zeros((6, 3)), ad.zeros((3, 4)), *cell.parameters().values(),
+                            lengths=lengths)
+
+    def test_cell_sequence_needs_one_start_per_sequence(self):
+        cell = GRUCell(3, 4, np.random.default_rng(0))
+        assert cell.sequence(ad.zeros((3, 3)), ad.zeros((2, 4)), lengths=[2, 1]).data.shape == (3, 4)
+        with pytest.raises(ValueError):
+            cell.sequence(ad.zeros((3, 3)), ad.zeros((1, 4)), lengths=[2, 1])
+
+
 class TestBiGRU:
     def test_backward_stack_consumes_suffixes(self):
         vocab = make_vocab()
@@ -390,6 +469,75 @@ class TestEncodeTopics:
         grouped = group_paragraphs([["alpha"]], [0], make_schema(2), vocab)
         with pytest.raises(ValueError):
             encode_topics(model, grouped)
+
+
+def per_group_encoding(model, grouped):
+    """(topic vectors, token states) the way encoding ran one group at a
+    time: one BiGRU run per direction and group, both affines per group, a
+    zero topic row for each empty group."""
+    hidden = model.hidden_dim
+    topic_rows, state_blocks = [], []
+    for group in grouped.groups:
+        if len(group) == 0:
+            topic_rows.append(ad.zeros((1, hidden)))
+            continue
+        vectors = ad.embedding_lookup(model.embed, group.token_ids)
+        start = ad.zeros((1, hidden))
+        fwd = model.enc_fwd.sequence(vectors, start)
+        bwd = model.enc_bwd.sequence(vectors, start, reverse=True)
+        state_blocks.append(ad.affine(ad.concat([fwd, bwd], axis=1),
+                                      model.enc_token_W, model.enc_token_b))
+        finals = ad.concat([ad.row(fwd, len(group) - 1), ad.row(bwd, 0)], axis=1)
+        topic_rows.append(ad.affine(finals, model.enc_topic_W, model.enc_topic_b))
+    return ad.concat(topic_rows, axis=0), ad.concat(state_blocks, axis=0)
+
+
+class TestPackedEncoder:
+    """`encode_topics` over groups of unequal lengths, an empty one between
+    them, against `per_group_encoding` (float64)."""
+
+    def test_equals_per_group_reference(self):
+        vocab = make_vocab()
+        words = ["alpha", "beta", "gamma", "delta", "zork", "."]
+        # group lengths 2, 0, 7, 3: the packed runs shrink and grow
+        paragraphs = [words[:2], words[1:6], ["quux", "alpha"], words[3:6]]
+        assignments = [0, 2, 2, 3]
+        with ad.using_dtype(np.float64):
+            model = make_model(vocab, n_topics=4, seed=6)
+            grouped = group_paragraphs(paragraphs, assignments, make_schema(4), vocab)
+            assert [len(group) for group in grouped.groups] == [2, 0, 7, 3]
+            rng = np.random.default_rng(6)
+            mixers = [ad.Tensor(rng.uniform(-1, 1, shape)) for shape in
+                      ((4, model.hidden_dim), (12, model.hidden_dim), (12, model.hidden_dim))]
+            params = model.parameters()
+            runs = []
+            for packed in (True, False):
+                with ad.tape() as recording:
+                    if packed:
+                        encoding = encode_topics(model, grouped)
+                        topics, states, keys = (encoding.topic_vectors, encoding.token_states,
+                                                encoding.attention_keys)
+                    else:
+                        topics, states = per_group_encoding(model, grouped)
+                        keys = attention_keys(model, states)
+                    outputs = (topics, states, keys)
+                    recording.backward(reduce(ad.add, [(out * mixer).sum() for out, mixer
+                                                       in zip(outputs, mixers)]))
+                runs.append(([out.data.copy() for out in outputs],
+                             {name: p.grad.copy() for name, p in params.items()
+                              if p.grad is not None}))
+                for p in params.values():
+                    p.grad = None
+            (got, got_grads), (want, want_grads) = runs
+            np.testing.assert_array_equal(got[0][1], 0.0)
+            for name, got_out, want_out in zip(("topics", "states", "keys"), got, want):
+                np.testing.assert_allclose(got_out, want_out, rtol=0, atol=1e-10, err_msg=name)
+            assert set(got_grads) == set(want_grads)
+            for name in ("enc_fwd.U_z", "enc_bwd.U_h", "embed", "enc_topic_W"):
+                assert np.any(want_grads[name] != 0.0), name
+            for name, grad in want_grads.items():
+                np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-10,
+                                           err_msg=name)
 
 
 class TestTopicPredictor:
@@ -1022,6 +1170,110 @@ class TestBlockTeacherForcing:
                 example_loss(model, example, [0, 1], schema, vocab)
                 lengths.append(len(recording))
         assert lengths[0] == lengths[1]
+
+
+class TestPackedTeacherForcing:
+    """All gold sentences as one packed decoder run, against the
+    per-sentence reference of `TestBlockTeacherForcing` (float64), and the
+    tape records that grow with the input."""
+
+    # 1, 4 and 9 tokens, so 2, 5 and 10 decoder steps, stored out of length order
+    GOLD = [["alpha", "zork", "beta", "."], ["gamma"],
+            ["quuz", "delta", "alpha", "beta", "zork", "gamma", "alpha", "delta", "."]]
+
+    def test_equals_per_sentence_reference(self):
+        reference = TestBlockTeacherForcing()
+        reference.GOLD = self.GOLD
+        with ad.using_dtype(np.float64):
+            vocab, schema, model, example = reference.setup_model()
+            params = model.parameters()
+            runs = []
+            for packed in (True, False):
+                with ad.tape() as recording:
+                    grouped = group_paragraphs(example.paragraph_tokens, [0, 1], schema, vocab)
+                    encoding = encode_topics(model, grouped)
+                    if packed:
+                        rows, targets, _ = teacher_forced_outputs(model, encoding, grouped,
+                                                                  self.GOLD, vocab)
+                        assert [len(t) for t in targets] == [5, 2, 10]
+                        dists = [row for sentence in rows for row in sentence]
+                        nll, _, total = example_loss(model, example, [0, 1], schema, vocab)
+                    else:
+                        dists, nll, total = reference.per_sentence_reference(
+                            model, encoding, grouped, vocab)
+                    recording.backward(total)
+                runs.append(([d.data.copy() for d in dists], nll.item(), total.item(),
+                             {name: p.grad.copy() for name, p in params.items()}))
+                for p in params.values():
+                    p.grad = None
+            (got_dists, got_nll, got_total, got_grads), \
+                (want_dists, want_nll, want_total, want_grads) = runs
+            assert len(got_dists) == len(want_dists) == 17
+            for got, want in zip(got_dists, want_dists):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+            assert abs(got_nll - want_nll) <= 1e-10
+            assert abs(got_total - want_total) <= 1e-10
+            for name, grad in want_grads.items():
+                np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-10,
+                                           err_msg=name)
+
+    def test_tape_does_not_grow_with_groups_or_sentences(self, monkeypatch):
+        """At a fixed number of input tokens and gold rows, more groups add
+        no tape record, and each more sentence adds only its predictor step
+        and its loss terms; the recurrences are one `gru_sequence` record per
+        encoder direction, one for all gold sentences and one per predictor
+        step."""
+        gru_rows = []
+        gru_sequence = ad.gru_sequence
+
+        def counted(xs, *args, **kwargs):
+            gru_rows.append(xs.data.shape[0])
+            return gru_sequence(xs, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "gru_sequence", counted)
+        vocab, schema = make_vocab(), make_schema(4)
+        model = make_model(vocab, n_topics=4)
+        words = ["alpha", "beta", "gamma", "delta", "zork", "."]
+        tokens = [words[i % 6] for i in range(12)]
+        gold = [words[i % 5] for i in range(14)]
+
+        def tape_length(paragraphs, assignments, sentences):
+            example = SummarizationExample(
+                title="T", paragraph_tokens=paragraphs,
+                paragraph_ids=[vocab.encode(p) for p in paragraphs],
+                abstract_tokens=sentences, abstract_ids=[vocab.encode(s) for s in sentences])
+            gru_rows.clear()
+            with ad.tape() as recording:
+                example_loss(model, example, assignments, schema, vocab)
+                return len(recording)
+
+        three = [gold[:4], gold[4:8], gold[8:12]]           # 15 decoder rows
+        groups = [tape_length([tokens], [0], three),
+                  tape_length([tokens[:5], tokens[5:]], [0, 2], three),
+                  tape_length([tokens[:3], tokens[3:7], tokens[7:]], [0, 1, 3], three)]
+        assert groups[0] == groups[1] == groups[2]
+        assert sorted(gru_rows) == [1, 1, 1, 1, 12, 12, 15]
+
+        paragraphs, assignments = [tokens[:5], tokens[5:]], [0, 2]
+        splits = [[gold], [gold[:6], gold[6:13]], three]    # 15 decoder rows each
+        sentences = [tape_length(paragraphs, assignments, split) for split in splits]
+        assert sorted(gru_rows) == [1, 1, 1, 1, 12, 12, 15]
+        with ad.tape() as recording:
+            zero = ad.zeros((1, model.hidden_dim))
+            predict_topic_step(model, zero, zero, ad.Tensor(np.ones((4, model.hidden_dim))))
+            predictor = len(recording)
+
+        def loss_records(count):
+            rows = ad.Tensor(np.full((15, 12), 0.1), requires_grad=True)
+            stops = [ad.Tensor([[0.5]], requires_grad=True) for _ in range(count + 1)]
+            targets = np.array_split(np.arange(15) % 12, count)
+            with ad.tape() as recording:
+                compute_losses(rows, [t.tolist() for t in targets], stops)
+                return len(recording)
+
+        for count, length in zip((2, 3), sentences[1:]):
+            assert length - sentences[0] == \
+                (count - 1) * predictor + loss_records(count) - loss_records(1)
 
 
 def one_hot_dist(size, index, value=1.0):
