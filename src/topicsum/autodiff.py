@@ -6,14 +6,18 @@ step records its forward pass on one explicit tape that is swept once in
 reverse.  Inference runs tape-free.  `fit` is the training loop both models
 share: epochs, the tape, Adam and the best epoch.
 
-Most ops are one numpy expression and one tape record.  The exception is
-`gru_sequence`: a whole GRU run over known inputs is one record, for one
-sequence or B independent ones of any lengths, packed longest first so that
-each step runs the prefix of sequences still going.  Its forward multiplies
-all inputs by each gate's input weights in one matrix product and loops
-only over the recurrent `h @ U` products; its hand-written backward loops
-back through time over those prefix blocks and then forms every weight
-gradient as one matrix product over the whole run.
+Most ops are one numpy expression and one tape record.  The exceptions
+loop inside one record, with hand-written backwards.  `gru_sequence` is a
+whole GRU run over known inputs, for one sequence or B independent ones of
+any lengths, packed longest first so that each step runs the prefix of
+sequences still going.  Its forward multiplies all inputs by each gate's
+input weights in one matrix product and loops only over the recurrent
+`h @ U` products; its backward loops back through time over those prefix
+blocks and then forms every weight gradient as one matrix product over the
+whole run.  `additive_scores` scores R attention queries against n keys
+a cache-sized block of queries at a time through one reused buffer, and
+its backward recomputes each block's tanh there rather than keep an
+[n, R, H] block.
 
 float32 is the working dtype; `using_dtype` exists so that numerical test
 suites can run the identical op implementations in float64, where central
@@ -50,7 +54,6 @@ __all__ = [
     "mul",
     "matmul",
     "affine",
-    "reshape",
     "transpose",
     "tanh",
     "sigmoid",
@@ -63,6 +66,7 @@ __all__ = [
     "pick",
     "embedding_lookup",
     "scatter_sum",
+    "additive_scores",
     "gru_sequence",
     "packing",
     "Adam",
@@ -295,9 +299,23 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape, dtype=default_dtype()))
 
 
+_INIT_CHUNK = 1 << 16   # elements drawn at a time by `parameter`
+
+
 def parameter(rng: np.random.Generator, shape, scale: float = 0.1) -> Tensor:
-    """Trainable tensor, uniform in [-scale, scale]."""
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
+    """Trainable tensor, uniform in [-scale, scale].
+
+    The values are `rng.uniform(-scale, scale, size=shape)` cast to the
+    working dtype, drawn in chunks of `_INIT_CHUNK` so that no float64 copy
+    of a large weight is made; the generator's stream, and so every later
+    draw, is the same as one whole draw's.
+    """
+    data = np.empty(shape, dtype=default_dtype())
+    flat = data.reshape(-1)
+    for start in range(0, flat.size, _INIT_CHUNK):
+        stop = min(start + _INIT_CHUNK, flat.size)
+        flat[start:stop] = rng.uniform(-scale, scale, size=stop - start)
+    return Tensor(data, requires_grad=True)
 
 
 def zero_parameter(shape) -> Tensor:
@@ -367,15 +385,6 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         return _fresh(g @ w_data.T, x_data.T @ g, g.sum(axis=0, keepdims=True))
 
     return _push(x_data @ w_data + bias.data, (x, weight, bias), vjp)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    """x's entries, in row-major order, in a new shape; x itself, and no
-    tape record, when the shape does not change."""
-    x_shape = x.data.shape
-    if tuple(shape) == x_shape:
-        return x
-    return _push(x.data.reshape(shape), (x,), lambda g: (g.reshape(x_shape),))
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -532,6 +541,66 @@ def scatter_sum(x: Tensor, indices, size: int) -> Tensor:
         return (g[:, ids],)
 
     return _push(data, (x,), vjp)
+
+
+_SCORE_BLOCK = 1 << 18  # elements of the [c, n, H] tanh buffer of `additive_scores`
+
+
+def additive_scores(keys: Tensor, queries: Tensor, v: Tensor) -> Tensor:
+    """Additive attention scores of R queries [R, H] over n keys [n, H],
+    scores[i, r] = tanh(keys[i] + queries[r]) @ v with v [H, 1], as one
+    [n, R] record.
+
+    The queries are scored c at a time through one reused [c, n, H] buffer
+    of at most `_SCORE_BLOCK` elements (1 MB in float32, inside a 2 MB L2),
+    or one query at a time when a single [n, H] block is larger, so no
+    [n, R, H] block is made.  The hand-written backward recomputes each
+    block's tanh in that buffer instead of storing it.
+    """
+    k, q, v_col = keys.data, queries.data, v.data
+    if (k.ndim != 2 or q.ndim != 2 or q.shape[1] != k.shape[1]
+            or v_col.shape != (k.shape[1], 1)):
+        raise ValueError(f"additive_scores needs keys [n, H], queries [R, H] and v [H, 1], "
+                         f"got {k.shape}, {q.shape} and {v_col.shape}")
+    (n, hidden), count = k.shape, q.shape[0]
+    dtype = np.result_type(k, q, v_col)
+    v_vec = v_col[:, 0]
+    block = max(1, min(count, _SCORE_BLOCK // max(1, n * hidden)))
+    blocks = [slice(start, min(start + block, count)) for start in range(0, count, block)]
+    mixed = np.empty((block, n, hidden), dtype=dtype)
+
+    def tanh_block(at: slice) -> np.ndarray:
+        """tanh(keys + queries[at]) in the buffer, [c, n, H]."""
+        buffer = mixed[:at.stop - at.start]
+        np.add(k, q[at, None, :], out=buffer)
+        return np.tanh(buffer, out=buffer)
+
+    # query-major rows, transposed to [n, R] at the end
+    scores = np.empty((count, n), dtype=dtype)
+    for at in blocks:
+        t = tanh_block(at)
+        np.matmul(t.reshape(-1, hidden), v_vec, out=scores[at].reshape(-1))
+
+    def vjp(g):
+        g_rows = np.ascontiguousarray(g.T)                      # [R, n]
+        d_q = np.empty((count, hidden), dtype=dtype)
+        d_v = np.zeros(hidden, dtype=dtype)
+        # sum over queries of g[:, r] * tanh'; times v, the keys' adjoint
+        slope = np.zeros((n, hidden), dtype=dtype)
+        for at in blocks:
+            t, g_at = tanh_block(at), g_rows[at]
+            d_v += g_at.reshape(-1) @ t.reshape(-1, hidden)
+            np.multiply(t, t, out=t)
+            np.subtract(1.0, t, out=t)
+            d_q[at] = np.matmul(g_at[:, None, :], t)[:, 0]
+            np.multiply(t, g_at[:, :, None], out=t)
+            for weighted in t:
+                slope += weighted
+        slope *= v_vec
+        d_q *= v_vec
+        return _fresh(slope, d_q, d_v[:, None])
+
+    return _push(np.ascontiguousarray(scores.T), (keys, queries, v), vjp)
 
 
 def gru_sequence(xs: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, b_z: Tensor,

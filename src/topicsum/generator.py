@@ -16,11 +16,11 @@ sequences of known inputs run as one packed `GRUCell.sequence`, sorted
 longest first so that each step runs the prefix still going: all topic
 groups in each encoder direction, and in teacher forcing all gold
 sentences, from the decoder inits that the predictor computes first.
-Attention runs per decoder state row over keys computed once per example,
-and the output projection, vocabulary softmax, copy gate, copy scatter and
-NLL run once over the example's [ΣT, H] block: every sentence's states,
-one row per gold token.  Token states and decoder rows stay in group and
-sentence order; only the recurrences see the packed order.
+Attention, over keys computed once per example, and the output projection,
+vocabulary softmax, copy gate, copy scatter and NLL then run once over the
+example's [ΣT, H] block: every sentence's states, one row per gold token.
+Token states and decoder rows stay in group and sentence order; only the
+recurrences see the packed order.
 
 The predictor never reads decoded tokens, so generation runs it first and
 then beam-searches all sentences in lockstep: every live hypothesis of every
@@ -430,20 +430,17 @@ def attention_step(model: GeneratorModel, state: ad.Tensor,
     token states.
 
     `keys` are `attention_keys(model, token_states)`, computed here when not
-    given.  Returns (weights [n, R], one column per state, contexts [R, H]).
+    given.  The states' query terms are one affine over the block; the
+    scores are one `ad.additive_scores` record, normalized over the n
+    positions.  Returns (weights [n, R], one column per state, contexts
+    [R, H]).
     """
     if token_states is None or token_states.data.shape[0] == 0:
         raise ValueError("attention requires at least one encoded input token")
     if keys is None:
         keys = attention_keys(model, token_states)
-    (n, hidden), states = keys.data.shape, state.data.shape[0]
-    # every key against every state: [n, R, H], scored as one [n·R, H] block;
-    # one state needs no third axis, and the reshapes below are then no-ops
-    paired = keys if states == 1 else ad.reshape(keys, (n, 1, hidden))
-    mixed = ad.tanh(paired + ad.affine(state, model.attn_state_W, model.attn_b))
-    scores = ad.reshape(ad.matmul(ad.reshape(mixed, (n * states, hidden)), model.attn_v),
-                        (n, states))
-    weights = ad.softmax(scores, axis=0)
+    queries = ad.affine(state, model.attn_state_W, model.attn_b)
+    weights = ad.softmax(ad.additive_scores(keys, queries, model.attn_v), axis=0)
     context = ad.matmul(ad.transpose(weights), token_states)     # [R, H]
     return weights, context
 
@@ -617,8 +614,8 @@ def _teacher_forced_block(model: GeneratorModel, encoding: TopicEncoding,
     block, sentence after sentence.  The predictor never reads decoded
     tokens, so its steps run first; the decoder GRU then runs every
     sentence's T gold inputs as one packed sequence from the stacked
-    decoder inits, attention runs per state row, and the output layer once
-    over the example's rows."""
+    decoder inits, and attention and the output layer run once over the
+    example's rows."""
     if not gold_sentences:
         raise ValueError("gold abstract has no sentences")
     if not all(gold_sentences):
@@ -634,11 +631,10 @@ def _teacher_forced_block(model: GeneratorModel, encoding: TopicEncoding,
         ad.take(inputs, packed), ad.concat([steps[b].decoder_init for b in order], axis=0),
         lengths=[lengths[b] for b in order])
     states = ad.take(packed_states, unpacked)                            # [ΣT, H]
-    weights, contexts = zip(*(attention_step(model, ad.row(states, t), encoding.token_states,
-                                             encoding.attention_keys)
-                              for t in range(states.data.shape[0])))
-    block = token_distribution(model, states, ad.concat(contexts, axis=0), inputs,
-                               ad.concat(weights, axis=1), grouped, encoding.extended_ids)
+    weights, contexts = attention_step(model, states, encoding.token_states,
+                                       encoding.attention_keys)
+    block = token_distribution(model, states, contexts, inputs, weights, grouped,
+                               encoding.extended_ids)
     return block, targets, [step.stop_prob for step in steps]
 
 

@@ -52,6 +52,17 @@ class TestRoundTrip:
         save_tensors(path, {"поток.weights": np.ones((1, 1), dtype=np.float32)})
         assert "поток.weights" in load_tensors(path)
 
+    def test_failed_save_keeps_the_old_archive(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_tensors(path, {"x": np.arange(6, dtype=np.float32).reshape(2, 3)})
+        before = path.read_bytes()
+        # the first tensor is written before the second fails to convert
+        with pytest.raises(ValueError):
+            save_tensors(path, {"y": np.ones((50, 50), dtype=np.float32),
+                                "bad": "not a number"})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
 
 class TestValidation:
     def test_bad_magic_rejected(self, tmp_path):

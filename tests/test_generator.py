@@ -624,6 +624,44 @@ class TestAttention:
         with pytest.raises(ValueError):
             attention_step(model, ad.zeros((1, 4)), None)
 
+    @pytest.mark.parametrize("per_block", [1, 2, None])
+    @pytest.mark.parametrize("count", [1, 3, 48])
+    def test_equals_composed_reference(self, monkeypatch, count, per_block):
+        """attention_step over R states against the per-row composed form:
+        weights, contexts and every gradient, to 1e-10 in float64, with the
+        scores' buffer holding one, two or (None) all query rows."""
+        if per_block is not None:
+            monkeypatch.setattr(ad, "_SCORE_BLOCK", per_block * 7 * 6)
+        with ad.using_dtype(np.float64):
+            rng = np.random.default_rng(count)
+            model = make_model(make_vocab(), hidden_dim=6)
+            token_states = ad.Tensor(rng.uniform(-2, 2, (7, 6)), requires_grad=True)
+            keys = ad.Tensor(rng.uniform(-2, 2, (7, 6)), requires_grad=True)
+            states = ad.Tensor(rng.uniform(-2, 2, (count, 6)), requires_grad=True)
+            weight_mixer = ad.Tensor(rng.uniform(-1, 1, (7, count)))
+            context_mixer = ad.Tensor(rng.uniform(-1, 1, (count, 6)))
+            leaves = {"keys": keys, "token_states": token_states, "states": states,
+                      "attn_state_W": model.attn_state_W, "attn_b": model.attn_b,
+                      "attn_v": model.attn_v}
+            runs = []
+            for attend in (attention_step, composed_attention):
+                with ad.tape() as recording:
+                    weights, context = attend(model, states, token_states, keys)
+                    recording.backward((weights * weight_mixer).sum()
+                                       + (context * context_mixer).sum())
+                runs.append((weights.data.copy(), context.data.copy(),
+                             {name: leaf.grad.copy() for name, leaf in leaves.items()}))
+                for leaf in leaves.values():
+                    leaf.grad = None
+            (got_w, got_c, got_grads), (want_w, want_c, want_grads) = runs
+            assert got_w.shape == (7, count) and got_c.shape == (count, 6)
+            np.testing.assert_allclose(got_w, want_w, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(got_c, want_c, rtol=0, atol=1e-10)
+            for name, grad in want_grads.items():
+                assert np.any(grad != 0.0), name
+                np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-10,
+                                           err_msg=name)
+
     def test_block_equals_one_row_calls(self):
         """R decoder states in one call against R one-row calls: weights,
         contexts and every gradient (float64)."""
@@ -664,6 +702,19 @@ class TestAttention:
                 assert np.any(grad != 0.0), name
                 np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-10,
                                            err_msg=name)
+
+
+def composed_attention(model, states, token_states, keys):
+    """Additive attention composed of tape ops, one state row at a time:
+    softmax over positions of tanh(keys + affine(state)) @ attn_v, and the
+    weighted sum of token states; independent of `ad.additive_scores`."""
+    weights, contexts = [], []
+    for r in range(states.data.shape[0]):
+        query = ad.affine(ad.row(states, r), model.attn_state_W, model.attn_b)
+        column = ad.softmax(ad.matmul(ad.tanh(keys + query), model.attn_v), axis=0)
+        weights.append(column)
+        contexts.append(ad.matmul(ad.transpose(column), token_states))
+    return ad.concat(weights, axis=1), ad.concat(contexts, axis=0)
 
 
 def rigged_distribution_model(vocab, grouped, p_gen, vocab_probs):
@@ -1168,6 +1219,27 @@ class TestBlockTeacherForcing:
                 abstract_ids=[vocab.encode(s) for s in self.GOLD])
             with ad.tape() as recording:
                 example_loss(model, example, [0, 1], schema, vocab)
+                lengths.append(len(recording))
+        assert lengths[0] == lengths[1]
+
+    def test_one_attention_record_whatever_the_gold_length(self):
+        """Teacher forcing scores every gold row in one `additive_scores`
+        record, so the tape does not grow with the gold token count."""
+        vocab, schema, model, _ = self.setup_model()
+        paragraphs = [["alpha", "beta", "zork"], ["gamma", "delta", "alpha"]]
+        lengths = []
+        for tokens in (2, 9):
+            gold = (["alpha", "beta", "gamma"] * 3)[:tokens]
+            sentences = [gold, gold[::-1], gold]
+            example = SummarizationExample(
+                title="T", paragraph_tokens=paragraphs,
+                paragraph_ids=[vocab.encode(p) for p in paragraphs],
+                abstract_tokens=sentences, abstract_ids=[vocab.encode(s) for s in sentences])
+            with ad.tape() as recording:
+                example_loss(model, example, [0, 1], schema, vocab)
+                scores = [vjp for _, _, vjp in recording._records
+                          if vjp.__qualname__.startswith("additive_scores.")]
+                assert len(scores) == 1
                 lengths.append(len(recording))
         assert lengths[0] == lengths[1]
 
