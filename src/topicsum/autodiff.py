@@ -9,15 +9,15 @@ share: epochs, the tape, Adam and the best epoch.
 Most ops are one numpy expression and one tape record.  The exceptions
 loop inside one record, with hand-written backwards.  `gru_sequence` is a
 whole GRU run over known inputs, for one sequence or B independent ones of
-any lengths, packed longest first so that each step runs the prefix of
-sequences still going.  Its forward multiplies all inputs by each gate's
-input weights in one matrix product and loops only over the recurrent
-`h @ U` products; its backward loops back through time over those prefix
-blocks and then forms every weight gradient as one matrix product over the
-whole run.  `additive_scores` scores R attention queries against n keys
-a cache-sized block of queries at a time through one reused buffer, and
-its backward recomputes each block's tanh there rather than keep an
-[n, R, H] block.
+any lengths stored one after another.  Inside, it packs them longest first
+so that each step runs the prefix of sequences still going.  Its forward
+multiplies all inputs by each gate's input weights in one matrix product
+and loops only over the recurrent `h @ U` products; its backward loops
+back through time over those prefix blocks and then forms every weight
+gradient as one matrix product over the whole run.  `additive_scores`
+scores R attention queries against n keys a cache-sized block of queries
+at a time through one reused buffer, and its backward recomputes each
+block's tanh there rather than keep an [n, R, H] block.
 
 float32 is the working dtype; `using_dtype` exists so that numerical test
 suites can run the identical op implementations in float64, where central
@@ -68,7 +68,6 @@ __all__ = [
     "scatter_sum",
     "additive_scores",
     "gru_sequence",
-    "packing",
     "Adam",
     "fit",
 ]
@@ -420,22 +419,15 @@ def softmax(x: Tensor, axis: int = 1) -> Tensor:
 
 
 def log(x: Tensor, floor: float = 0.0) -> Tensor:
-    """Natural log; with floor > 0, values are clamped from below first."""
-    if floor > 0.0:
-        safe = np.maximum(x.data, floor)
-        data = np.log(safe)
-        mask = x.data > floor
+    """Natural log of the values clamped from below at `floor`; the clamped
+    entries get no gradient."""
+    safe = np.maximum(x.data, floor)
+    mask = x.data > floor
 
-        def vjp(g):
-            return (np.where(mask, g / safe, 0.0),)
+    def vjp(g):
+        return (np.where(mask, g / safe, 0.0),)
 
-        return _push(data, (x,), vjp)
-    x_data = x.data
-
-    def vjp_plain(g):
-        return (g / x_data,)
-
-    return _push(np.log(x_data), (x,), vjp_plain)
+    return _push(np.log(safe), (x,), vjp)
 
 
 def _sum_all(x: Tensor) -> Tensor:
@@ -510,10 +502,7 @@ def embedding_lookup(table: Tensor, token_ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
         bad = ids[(ids < 0) | (ids >= n_rows)][0]
         raise IndexError(f"token id {int(bad)} outside embedding range [0, {n_rows})")
-    if ids.size == 0:
-        data = np.zeros((0, table.data.shape[1]), dtype=table.data.dtype)
-    else:
-        data = table.data[ids]
+
     def vjp(g):
         # repeated ids add up among themselves first, then once into the
         # buffer, as a dense [V, E] scatter added in would round
@@ -522,7 +511,7 @@ def embedding_lookup(table: Tensor, token_ids) -> Tensor:
         np.add.at(summed, inverse, g)
         return (_RowGrad(unique_ids, summed),)
 
-    return _push(data, (table,), vjp)
+    return _push(table.data[ids], (table,), vjp)
 
 
 def scatter_sum(x: Tensor, indices, size: int) -> Tensor:
@@ -610,14 +599,12 @@ def gru_sequence(xs: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, b_z: Tensor,
     """A GRU run over B independent sequences from the [B, H] states `h0`,
     as one tape record.
 
-    `lengths` are the sequences' lengths, longest first; by default all B
-    are equally long.  `xs` packs their inputs time-major: step t's rows,
-    one per sequence longer than t and so a prefix of the B, follow step
-    t-1's.  With equal lengths T, rows t·B .. t·B + B - 1 are step t.
-    Returns the states in the same layout: the state of sequence b after
-    its inputs 0..t, or, when `reverse`, after its inputs len_b - 1..t.  A
-    reverse run walks the steps backward, so the prefix grows: sequence b
-    joins at its own last input, from its own row of `h0`.
+    `xs` holds the sequences' inputs one after another and `lengths` their
+    lengths, in any order; by default all B are equally long.  Row b of h0
+    starts sequence b.  Returns the states in the same layout: the state of
+    sequence b after its inputs 0..t, or, when `reverse`, after its inputs
+    len_b - 1..t, so that a reverse run starts each sequence at its own
+    last input.
 
     Each step is the update of one GRU cell:
     z = sigmoid(x W_z + b_z + h U_z), r = sigmoid(x W_r + b_r + h U_r),
@@ -625,34 +612,36 @@ def gru_sequence(xs: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, b_z: Tensor,
     """
     if (xs.data.ndim != 2 or h0.data.ndim != 2 or h0.data.shape[0] == 0
             or xs.data.shape[0] == 0):
-        raise ValueError(f"gru_sequence needs packed [N, D] inputs (N > 0) and a [B, H] "
+        raise ValueError(f"gru_sequence needs [N, D] inputs (N > 0) and a [B, H] "
                          f"state, got {xs.data.shape} and {h0.data.shape}")
     (B, H), (N, D) = h0.data.shape, xs.data.shape
     if lengths is None:
         if N % B:
-            raise ValueError(f"{N} input rows are no whole number of {B}-row steps")
+            raise ValueError(f"{N} input rows are no whole number of {B}-row sequences")
         lengths = [N // B] * B
     lengths = np.asarray(lengths, dtype=np.int64)
-    if (lengths.shape != (B,) or lengths[-1] < 1 or np.any(lengths[1:] > lengths[:-1])
-            or lengths.sum() != N):
-        raise ValueError(f"gru_sequence needs {B} lengths, longest first, of at least 1 "
-                         f"and summing to {N}, got {lengths.tolist()}")
+    if lengths.shape != (B,) or lengths.min() < 1 or lengths.sum() != N:
+        raise ValueError(f"gru_sequence needs {B} lengths of at least 1 summing to {N}, "
+                         f"got {lengths.tolist()}")
     if W_z.data.shape != (D, H) or U_z.data.shape != (H, H):
         raise ValueError(f"gru_sequence weights {W_z.data.shape} and {U_z.data.shape} do not "
                          f"fit inputs {xs.data.shape} and state {h0.data.shape}")
-    # active[t]: sequences longer than t, the prefix that runs step t
-    active = (lengths[:, None] > np.arange(lengths[0])).sum(axis=0)
+    # inside, the run is packed: sequences longest first, step t's rows
+    # after step t-1's, so that step t runs the prefix still going.  One
+    # sequence, or one step of B, is packed already.
+    order, packed, unpacked = (slice(None),) * 3 if N == B or B == 1 else _packing(lengths)
+    active = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
     starts = np.cumsum(active) - active
     steps = [(slice(s, s + k), k) for s, k in zip(starts.tolist(), active.tolist())]
     if reverse:
         steps.reverse()
 
-    x = xs.data
+    x = xs.data[packed]
     # the input terms of all steps, one matrix product per gate
     p_z, p_r, p_h = x @ W_z.data + b_z.data, x @ W_r.data + b_r.data, x @ W_h.data + b_h.data
     u_z, u_r, u_h = U_z.data, U_r.data, U_h.data
     # run holds every sequence's latest state; prev the state each row's step read
-    run = np.array(h0.data, dtype=p_z.dtype)
+    run = np.array(h0.data[order], dtype=p_z.dtype)
     prev, out = np.empty_like(p_z), np.empty_like(p_z)
     z, r, c = np.empty_like(p_z), np.empty_like(p_z), np.empty_like(p_z)
     for at, k in steps:
@@ -668,6 +657,7 @@ def gru_sequence(xs: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, b_z: Tensor,
         # back through time: d_z, d_r, d_h hold the adjoints of the gates'
         # pre-activations, from which every weight gradient is one product;
         # carry holds the adjoint of every sequence's running state
+        g = g[packed]
         d_z, d_r, d_h = np.empty_like(z), np.empty_like(r), np.empty_like(c)
         carry = np.zeros((B, H), dtype=g.dtype)
         # contiguous transposes: a product against a transposed view is
@@ -682,25 +672,26 @@ def gru_sequence(xs: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, b_z: Tensor,
             d_r[at] = d_rh * h * r[at] * (1.0 - r[at])
             carry[:k] = dh * z[at] + d_rh * r[at] + d_z[at] @ u_zt + d_r[at] @ u_rt
         dx = d_z @ W_z.data.T + d_r @ W_r.data.T + d_h @ W_h.data.T
+        d_h0 = np.empty_like(carry)
+        d_h0[order] = carry
         x_t = x.T
-        return _fresh(dx, carry,
+        return _fresh(dx[unpacked], d_h0,
                       x_t @ d_z, prev.T @ d_z, d_z.sum(axis=0, keepdims=True),
                       x_t @ d_r, prev.T @ d_r, d_r.sum(axis=0, keepdims=True),
                       x_t @ d_h, (r * prev).T @ d_h, d_h.sum(axis=0, keepdims=True))
 
-    return _push(out, (xs, h0, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h), vjp)
+    return _push(out[unpacked], (xs, h0, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h), vjp)
 
 
-def packing(lengths: Sequence[int]):
+def _packing(lengths: np.ndarray):
     """Where B sequences of `lengths`, stored one after another, sit in the
-    packed layout of `gru_sequence`.
+    packed layout that `gru_sequence` runs.
 
     Returns (order, the sequences longest first, ties in stored order;
     packed, the stored row of every packed row; unpacked, the packed row of
     every stored row), so that rows[packed] packs and packed_rows[unpacked]
     restores the stored order.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
     starts = np.cumsum(lengths) - lengths
     steps = np.arange(lengths[order[0]])[:, None]

@@ -179,8 +179,8 @@ def cmd_train(args) -> int:
 
     if args.stage == "detector":
         _require(config, "detector_train_path", "detector_valid_path")
-        train = load_detector_dataset(config.detector_train_path)
-        valid = load_detector_dataset(config.detector_valid_path)
+        train, valid = (load_detector_dataset(path, schema.n_classes, len(vocab))
+                        for path in (config.detector_train_path, config.detector_valid_path))
         model = _build_detector_model(config, vocab, schema.n_classes)
         # a diverging run is reported by fit's non-finite-loss check, not by
         # numpy's overflow warnings on the way there

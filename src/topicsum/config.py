@@ -23,7 +23,6 @@ class RunConfig:
     detector_checkpoint: str = ""
     # corpus
     n_t: int = 20
-    vocab_cap: int = 50000
     ttg_cap: int = 400
     # detector
     detector_embed_size: int = 128

@@ -324,7 +324,9 @@ def write_detector_dataset(path, examples: Sequence[TopicParagraphExample]) -> N
             handle.write(f"{example.topic_index}\t{ids}\n")
 
 
-def load_detector_dataset(path) -> list[TopicParagraphExample]:
+def load_detector_dataset(path, n_classes: int, vocab_size: int) -> list[TopicParagraphExample]:
+    """Read 'topic<TAB>ids' lines; a topic outside [0, n_classes) or a token
+    id outside [0, vocab_size) is an error naming its line."""
     examples: list[TopicParagraphExample] = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -339,6 +341,11 @@ def load_detector_dataset(path) -> list[TopicParagraphExample]:
                 ids = tuple(int(tok) for tok in parts[1].split())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-integer field ({exc})") from exc
+            if not 0 <= topic < n_classes:
+                raise ValueError(f"{path}:{lineno}: topic {topic} outside [0, {n_classes})")
+            bad = [i for i in ids if not 0 <= i < vocab_size]
+            if bad:
+                raise ValueError(f"{path}:{lineno}: token id {bad[0]} outside [0, {vocab_size})")
             examples.append(TopicParagraphExample(topic_index=topic, token_ids=ids))
     return examples
 

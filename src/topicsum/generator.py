@@ -12,15 +12,13 @@ What runs step by step: the topic predictor (its next input is its own
 topic context), beam search (its next input is its own choice), and in
 training only the recurrences.  A step and a sequence are both one
 `ad.gru_sequence`, so the GRU update has one implementation.  Independent
-sequences of known inputs run as one packed `GRUCell.sequence`, sorted
-longest first so that each step runs the prefix still going: all topic
-groups in each encoder direction, and in teacher forcing all gold
-sentences, from the decoder inits that the predictor computes first.
-Attention, over keys computed once per example, and the output projection,
-vocabulary softmax, copy gate, copy scatter and NLL then run once over the
-example's [ΣT, H] block: every sentence's states, one row per gold token.
-Token states and decoder rows stay in group and sentence order; only the
-recurrences see the packed order.
+sequences of known inputs, stored one after another, run as one
+`GRUCell.sequence`: all topic groups in each encoder direction, and in
+teacher forcing all gold sentences, from the decoder inits that the
+predictor computes first.  Attention, over keys computed once per example,
+and the output projection, vocabulary softmax, copy gate, copy scatter and
+NLL then run once over the example's [ΣT, H] block: every sentence's
+states, one row per gold token, in sentence order.
 
 The predictor never reads decoded tokens, so generation runs it first and
 then beam-searches all sentences in lockstep: every live hypothesis of every
@@ -202,11 +200,10 @@ class GRUCell:
         """States after each row of xs [T, input] from the [1, H] state h0,
         last row first if `reverse`.
 
-        With `lengths`, xs holds B sequences packed as `ad.gru_sequence`
-        lays them out, longest first: step t's rows, one per sequence longer
-        than t, after step t-1's.  h0 is then [B, H], one start per
-        sequence, and a reverse run starts each sequence at its own last
-        input, from its own h0 row.  The states come back in the same layout.
+        With `lengths`, xs holds B sequences one after another, of those
+        lengths in any order, and h0 [B, H] one start per sequence; a reverse
+        run starts each sequence at its own last input.  The states come back
+        in the same layout.
         """
         expected = 1 if lengths is None else len(lengths)
         if h0.data.shape[0] != expected:
@@ -318,23 +315,16 @@ def bigru_states(model: GeneratorModel, token_ids: Sequence[int],
     """Forward and backward GRU states of token sequences.
 
     `token_ids` holds the sequences one after another and `lengths` their
-    lengths (by default one sequence).  Each direction is one packed run
-    over all of them (see `GRUCell.sequence`): the sequences sorted longest
-    first, step t running those longer than t; the backward run walks the
-    steps from the last, so each sequence starts at its own last token.
-    Returns (forward [n, H], backward [n, H], final forward [B, H], final
-    backward [B, H]) in input order; backward row t of a sequence has
-    consumed its tokens from the last down to t.
+    lengths (by default one sequence).  Each direction is one run over all
+    of them (see `GRUCell.sequence`); the backward run starts each sequence
+    at its own last token.  Returns (forward [n, H], backward [n, H], final
+    forward [B, H], final backward [B, H]) in input order; backward row t of
+    a sequence has consumed its tokens from the last down to t.
     """
     lengths = [len(token_ids)] if lengths is None else list(lengths)
-    if not lengths or min(lengths) < 1 or sum(lengths) != len(token_ids):
-        raise ValueError(f"bigru_states needs non-empty sequences covering the "
-                         f"{len(token_ids)} tokens, got lengths {lengths}")
-    order, packed, unpacked = ad.packing(lengths)
-    vectors = ad.embedding_lookup(model.embed, np.asarray(token_ids, dtype=np.int64)[packed])
+    vectors = ad.embedding_lookup(model.embed, token_ids)
     start = ad.zeros((len(lengths), model.hidden_dim))
-    by_length = [lengths[b] for b in order]
-    fwd, bwd = (ad.take(cell.sequence(vectors, start, reverse, by_length), unpacked)
+    fwd, bwd = (cell.sequence(vectors, start, reverse, lengths)
                 for cell, reverse in ((model.enc_fwd, False), (model.enc_bwd, True)))
     ends = np.cumsum(lengths)
     return fwd, bwd, ad.take(fwd, ends - 1), ad.take(bwd, ends - lengths)
@@ -613,9 +603,9 @@ def _teacher_forced_block(model: GeneratorModel, encoding: TopicEncoding,
     """teacher_forced_outputs with every distribution in one [ΣT, V']
     block, sentence after sentence.  The predictor never reads decoded
     tokens, so its steps run first; the decoder GRU then runs every
-    sentence's T gold inputs as one packed sequence from the stacked
-    decoder inits, and attention and the output layer run once over the
-    example's rows."""
+    sentence's T gold inputs in one `GRUCell.sequence`, each sentence from
+    its own decoder init, and attention and the output layer run once over
+    the example's rows."""
     if not gold_sentences:
         raise ValueError("gold abstract has no sentences")
     if not all(gold_sentences):
@@ -626,11 +616,9 @@ def _teacher_forced_block(model: GeneratorModel, encoding: TopicEncoding,
     inputs = ad.embedding_lookup(model.embed, [token_id for sentence in gold_sentences
                                                for token_id in [BOS_ID] + vocab.encode(sentence)])
     lengths = [len(sentence) for sentence in targets]
-    order, packed, unpacked = ad.packing(lengths)
-    packed_states = model.dec_cell.sequence(
-        ad.take(inputs, packed), ad.concat([steps[b].decoder_init for b in order], axis=0),
-        lengths=[lengths[b] for b in order])
-    states = ad.take(packed_states, unpacked)                            # [ΣT, H]
+    states = model.dec_cell.sequence(
+        inputs, ad.concat([step.decoder_init for step in steps[:-1]], axis=0),
+        lengths=lengths)                                                 # [ΣT, H]
     weights, contexts = attention_step(model, states, encoding.token_states,
                                        encoding.attention_keys)
     block = token_distribution(model, states, contexts, inputs, weights, grouped,

@@ -302,6 +302,22 @@ class TestExitCodes:
         assert not out.exists()
         assert not (tmp_path / "d.bin.log").exists()
 
+    @pytest.mark.parametrize("bad_line", ["99\t4 5 6", "-1\t4 5", "0\t4 5 999999"],
+                             ids=["topic_too_large", "negative_topic", "token_id_too_large"])
+    def test_out_of_range_detector_row_returns_two(self, workspace, tmp_path, capsys,
+                                                   bad_line):
+        root, _, _ = workspace
+        data = tmp_path / "detector_train.tsv"
+        data.write_text(bad_line + "\n" + (root / "corpus" / "detector_train.tsv").read_text(
+            encoding="utf-8"), encoding="utf-8")
+        config = root / "bad_detector_data.cfg"
+        config.write_text(CONFIG_TEMPLATE.replace("corpus/detector_train.tsv", str(data)),
+                          encoding="utf-8")
+        rc = main(["train", "--stage", "detector", "--config", str(config),
+                   "--out", str(tmp_path / "d.bin")])
+        assert rc == 2
+        assert f"{data}:1: " in capsys.readouterr().err
+
     def test_unexpected_failure_returns_one(self, tmp_path, capsys, monkeypatch):
         import topicsum.cli as cli
         monkeypatch.setattr(cli, "load_articles",

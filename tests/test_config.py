@@ -11,7 +11,6 @@ class TestDefaults:
     def test_paper_scale_defaults(self):
         config = RunConfig()
         assert config.seed == 42
-        assert config.vocab_cap == 50000
         assert config.ttg_cap == 400
         assert config.embed_size == 300
         assert config.hidden_size == 512
@@ -44,7 +43,7 @@ class TestLoadConfig:
         assert config.generator_lr_first == pytest.approx(2e-3)
         assert config.topic_mode == "hard"
         assert config.beam_size == 1
-        assert config.vocab_cap == 50000  # untouched default
+        assert config.ttg_cap == 400  # untouched default
 
     def test_relative_paths_resolve_against_config_dir(self, tmp_path):
         nested = tmp_path / "runs" / "a"

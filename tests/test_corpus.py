@@ -273,13 +273,25 @@ class TestDetectorDataset:
         splits = build_detector_dataset(articles, schema, vocab)
         path = tmp_path / "train.tsv"
         write_detector_dataset(path, splits.train)
-        assert load_detector_dataset(path) == splits.train
+        assert load_detector_dataset(path, schema.n_classes, len(vocab)) == splits.train
 
     def test_load_rejects_bad_rows(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("0\t1 2 x\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":1"):
-            load_detector_dataset(path)
+            load_detector_dataset(path, n_classes=3, vocab_size=10)
+
+    @pytest.mark.parametrize("line, message", [
+        ("3\t1 2", "topic 3 outside"),
+        ("-1\t1 2", "topic -1 outside"),
+        ("0\t1 10 2", "token id 10 outside"),
+        ("0\t1 -2", "token id -2 outside"),
+    ])
+    def test_load_rejects_out_of_range_values(self, tmp_path, line, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"2\t0 9\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad.tsv:2: {message}"):
+            load_detector_dataset(path, n_classes=3, vocab_size=10)
 
 
 class TestSummarizationDataset:

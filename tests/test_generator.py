@@ -235,8 +235,9 @@ class TestGRUSequence:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_block_equals_separate_sequences(self, reverse):
-        """B sequences as one time-major [T·B, D] block against B separate
-        B = 1 runs: states and every gradient (float64)."""
+        """B equally long sequences stored one after another as one [B·T, D]
+        block against B separate B = 1 runs: states and every gradient
+        (float64)."""
 
         def run(cell, xs, h0, mixer):
             xs, h0 = ad.Tensor(xs, requires_grad=True), ad.Tensor(h0, requires_grad=True)
@@ -256,18 +257,18 @@ class TestGRUSequence:
             for length in (1, 7):
                 rng = np.random.default_rng(30 + length)
                 cell = GRUCell(3, 4, rng)
-                xs = rng.uniform(-1, 1, (length, batch, 3))
+                xs = rng.uniform(-1, 1, (batch, length, 3))
                 h0 = rng.uniform(-1, 1, (batch, 4))
-                mixer = rng.uniform(-1, 1, (length, batch, 4))
-                got, got_grads = run(cell, xs.reshape(length * batch, 3), h0,
-                                     mixer.reshape(length * batch, 4))
-                got = got.reshape(length, batch, 4)
+                mixer = rng.uniform(-1, 1, (batch, length, 4))
+                got, got_grads = run(cell, xs.reshape(batch * length, 3), h0,
+                                     mixer.reshape(batch * length, 4))
+                got = got.reshape(batch, length, 4)
                 want_grads = {name: 0.0 for name in cell.parameters()}
                 for b in range(batch):
-                    want, grads = run(cell, xs[:, b], h0[b:b + 1], mixer[:, b])
-                    np.testing.assert_allclose(got[:, b], want, rtol=0, atol=1e-10)
+                    want, grads = run(cell, xs[b], h0[b:b + 1], mixer[b])
+                    np.testing.assert_allclose(got[b], want, rtol=0, atol=1e-10)
                     np.testing.assert_allclose(
-                        got_grads["xs"].reshape(length, batch, 3)[:, b], grads["xs"],
+                        got_grads["xs"].reshape(batch, length, 3)[b], grads["xs"],
                         rtol=0, atol=1e-10, err_msg=f"xs, length {length}")
                     np.testing.assert_allclose(got_grads["h0"][b:b + 1], grads["h0"],
                                                rtol=0, atol=1e-10, err_msg=f"h0, length {length}")
@@ -304,10 +305,12 @@ class TestGRUSequence:
 
 
 class TestPackedGRUSequence:
-    """Sequences of different lengths as one packed run of `ad.gru_sequence`,
-    against one run per sequence: states and every gradient (float64)."""
+    """Sequences of different lengths, stored one after another, as one run
+    of `ad.gru_sequence` against one run per sequence: states and every
+    gradient (float64)."""
 
-    LENGTHS = (7, 3, 3, 1)
+    # longest first, then lengths out of order and with ties
+    LENGTHS = ((7, 3, 3, 1), (1, 7, 3, 3), (3, 1, 2))
 
     @staticmethod
     def run(cell, xs, h0, mixer, reverse, lengths=None):
@@ -325,47 +328,41 @@ class TestPackedGRUSequence:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_equals_one_run_per_sequence(self, reverse):
-        lengths = self.LENGTHS
-        # packed row of input t of sequence b: step t's rows follow step t-1's
-        packed_row = {}
-        for t in range(max(lengths)):
-            for b, n in enumerate(lengths):
-                if t < n:
-                    packed_row[b, t] = len(packed_row)
-        with ad.using_dtype(np.float64):
-            rng = np.random.default_rng(40)
-            cell = GRUCell(3, 4, rng)
-            xs = [rng.uniform(-1, 1, (n, 3)) for n in lengths]
-            mixers = [rng.uniform(-1, 1, (n, 4)) for n in lengths]
-            h0 = rng.uniform(-1, 1, (len(lengths), 4))
-            rows = [[packed_row[b, t] for t in range(n)] for b, n in enumerate(lengths)]
-            packed_xs, packed_mixer = np.empty((sum(lengths), 3)), np.empty((sum(lengths), 4))
-            for b in range(len(lengths)):
-                packed_xs[rows[b]], packed_mixer[rows[b]] = xs[b], mixers[b]
-            got, got_grads = self.run(cell, packed_xs, h0, packed_mixer, reverse, lengths)
-            want_grads = {name: 0.0 for name in cell.parameters()}
-            for b in range(len(lengths)):
-                want, grads = self.run(cell, xs[b], h0[b:b + 1], mixers[b], reverse)
-                np.testing.assert_allclose(got[rows[b]], want, rtol=0, atol=1e-10)
-                np.testing.assert_allclose(got_grads["xs"][rows[b]], grads["xs"], rtol=0,
-                                           atol=1e-10, err_msg=f"xs, sequence {b}")
-                np.testing.assert_allclose(got_grads["h0"][b:b + 1], grads["h0"], rtol=0,
-                                           atol=1e-10, err_msg=f"h0, sequence {b}")
-                for name in want_grads:
-                    want_grads[name] = want_grads[name] + grads[name]
-            for name, grad in want_grads.items():
-                assert np.any(grad != 0.0), name
-                np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-10,
-                                           err_msg=name)
+        for lengths in self.LENGTHS:
+            ends = np.cumsum(lengths)
+            rows = [slice(end - n, end) for n, end in zip(lengths, ends)]
+            with ad.using_dtype(np.float64):
+                rng = np.random.default_rng(40)
+                cell = GRUCell(3, 4, rng)
+                xs = rng.uniform(-1, 1, (sum(lengths), 3))
+                mixer = rng.uniform(-1, 1, (sum(lengths), 4))
+                h0 = rng.uniform(-1, 1, (len(lengths), 4))
+                got, got_grads = self.run(cell, xs, h0, mixer, reverse, lengths)
+                want_grads = {name: 0.0 for name in cell.parameters()}
+                for b, at in enumerate(rows):
+                    want, grads = self.run(cell, xs[at], h0[b:b + 1], mixer[at], reverse)
+                    message = f"sequence {b} of {lengths}"
+                    np.testing.assert_allclose(got[at], want, rtol=0, atol=1e-10,
+                                               err_msg=message)
+                    np.testing.assert_allclose(got_grads["xs"][at], grads["xs"], rtol=0,
+                                               atol=1e-10, err_msg=f"xs, {message}")
+                    np.testing.assert_allclose(got_grads["h0"][b:b + 1], grads["h0"], rtol=0,
+                                               atol=1e-10, err_msg=f"h0, {message}")
+                    for name in want_grads:
+                        want_grads[name] = want_grads[name] + grads[name]
+                for name, grad in want_grads.items():
+                    assert np.any(grad != 0.0), name
+                    np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-10,
+                                               err_msg=f"{name}, {lengths}")
 
     def test_packing_by_hand(self):
         # stored rows: sequence 0 is 0-1, sequence 1 is 2-4, sequence 2 is 5
-        order, packed, unpacked = ad.packing([2, 3, 1])
+        order, packed, unpacked = ad._packing(np.array([2, 3, 1]))
         assert order.tolist() == [1, 0, 2]
         assert packed.tolist() == [2, 0, 5, 3, 1, 4]     # step 0, then 1, then 2
         assert unpacked.tolist() == [1, 4, 0, 3, 5, 2]
 
-    @pytest.mark.parametrize("lengths", [(3, 1, 2), (3, 0, 3), (2, 2), (4, 1, 1, 1),
+    @pytest.mark.parametrize("lengths", [(2, 1, 2), (3, 0, 3), (2, 2), (4, 1, 1, 1),
                                          (3, 2, 1, 0)])
     def test_bad_lengths_rejected(self, lengths):
         cell = GRUCell(3, 4, np.random.default_rng(0))
