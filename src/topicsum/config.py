@@ -57,7 +57,8 @@ _PATH_KEYS = frozenset(
 def load_config(path) -> RunConfig:
     """Parse "key = value" lines; '#' starts a comment, blank lines skipped.
 
-    Unknown keys and malformed values raise with the offending line number.
+    Unknown keys, malformed values and epoch counts below 1 raise with the
+    offending line number.
     Relative path values are resolved against the config file's directory.
     """
     path = Path(path)
@@ -84,6 +85,8 @@ def load_config(path) -> RunConfig:
                 parsed = value
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for '{key}' ({exc})") from exc
+        if key.endswith("_epochs") and parsed < 1:
+            raise ValueError(f"{path}:{lineno}: '{key}' must be at least 1, got {parsed}")
         if key in _PATH_KEYS and parsed:
             candidate = Path(str(parsed))
             if not candidate.is_absolute():

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import reduce
 from itertools import islice
 from typing import Sequence
 
@@ -190,10 +189,7 @@ class GRUCell:
     def step(self, x: ad.Tensor, h: ad.Tensor) -> ad.Tensor:
         """The [B, H] states after one step of B independent sequences, from
         states h [B, H] on inputs x [B, input]: a one-step `ad.gru_sequence`."""
-        if x.data.shape[0] != h.data.shape[0]:
-            raise ValueError(f"a step needs one input row per state row, got "
-                             f"{x.data.shape} and {h.data.shape}")
-        return self._run(x, h)
+        return self.sequence(x, h, lengths=[1] * h.data.shape[0])
 
     def sequence(self, xs: ad.Tensor, h0: ad.Tensor, reverse: bool = False,
                  lengths: Sequence[int] | None = None) -> ad.Tensor:
@@ -209,10 +205,6 @@ class GRUCell:
         if h0.data.shape[0] != expected:
             raise ValueError(f"{expected} sequence(s) start from a [{expected}, H] state, "
                              f"got {h0.data.shape}")
-        return self._run(xs, h0, reverse, lengths)
-
-    def _run(self, xs: ad.Tensor, h0: ad.Tensor, reverse: bool = False,
-             lengths: Sequence[int] | None = None) -> ad.Tensor:
         return ad.gru_sequence(xs, h0, self.W_z, self.U_z, self.b_z, self.W_r, self.U_r,
                                self.b_r, self.W_h, self.U_h, self.b_h, reverse=reverse,
                                lengths=lengths)
@@ -517,15 +509,12 @@ def _beam_search(model: GeneratorModel, decoder_inits: Sequence[ad.Tensor],
         dist = token_distribution(model, block, context, x, weights, grouped,
                                   encoding.extended_ids)
         log_probs = np.log(np.maximum(dist.data, 1e-12))
+        best = _best_ids(log_probs, beam + 1)
         states, parents, prev_ids, row = block.data, [], [], 0
         for sentence, hyps in enumerate(live):
             candidates: list[tuple[float, int, _Hypothesis, int]] = []
             for hyp in hyps:
-                if beam < log_probs.shape[1]:
-                    top = np.argpartition(-log_probs[row], beam)[:beam + 1]
-                else:
-                    top = np.arange(log_probs.shape[1])
-                for token_id in top:
+                for token_id in best[row]:
                     candidates.append((hyp.log_prob + float(log_probs[row, token_id]),
                                        int(token_id), hyp, row))
                 row += 1
@@ -547,6 +536,22 @@ def _beam_search(model: GeneratorModel, decoder_inits: Sequence[ad.Tensor],
                 prev_ids.append(token_id)
             live[sentence] = next_live
     return [max(done, key=lambda item: item[0]) for done in finished]
+
+
+def _best_ids(scores: np.ndarray, count: int) -> np.ndarray:
+    """The ids of each row's `count` highest scores, [R, count]; among the
+    scores equal to the lowest one kept, the lowest ids."""
+    rest = scores.shape[1] - count
+    if rest <= 0:
+        return np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
+    top = np.argpartition(scores, rest, axis=1)[:, rest:]
+    cut = np.take_along_axis(scores, top[:, :1], axis=1)
+    # argpartition keeps an arbitrary subset of the ties at the cut
+    for row in np.flatnonzero((scores >= cut).sum(axis=1) > count):
+        above = np.flatnonzero(scores[row] > cut[row])
+        tied = np.flatnonzero(scores[row] == cut[row])
+        top[row] = np.concatenate([above, tied[:count - above.size]])
+    return top
 
 
 def decode_sentence(model: GeneratorModel, decoder_init: ad.Tensor,
@@ -636,8 +641,11 @@ def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor]] | ad.Tensor,
     The distributions are per-sentence lists of [1, V'] rows, or one
     [ΣT, V'] block holding every sentence's rows in order.  Lists are joined
     into such a block, whose gold-token probabilities are read with one
-    gather and summed per sentence.  They are clamped at 1e-12 before the
-    log, so a zero-probability target contributes a large finite loss.
+    gather.  They are clamped at 1e-12 before the log, so a zero-probability
+    target contributes a large finite loss.  Each loss is one weighted sum:
+    the sentence NLL weighs token t of sentence s by -1/(m len_s), and the
+    stop loss weighs the log of 1 - p for steps 1..m and of p for the last
+    step by -1/(m+1); neither adds tape records per sentence.
     Returns (sentence_loss, stop_loss, total) as [1, 1] tensors.
     """
     m = len(sentence_targets)
@@ -661,17 +669,17 @@ def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor]] | ad.Tensor,
         block = ad.concat([dist for dists in sentence_dists for dist in dists], axis=0)
     flat_targets = [target for targets in sentence_targets for target in targets]
     gold = ad.log(ad.pick(block, range(len(flat_targets)), flat_targets), floor=1e-12)  # [ΣT, 1]
-    ends = np.cumsum(lengths)
-    sentence_losses = [ad.mul(ad.rows(gold, end - count, end).sum(), -1.0 / count)
-                       for count, end in zip(lengths, ends)]
-    sentence_loss = ad.mul(reduce(ad.add, sentence_losses), 1.0 / m)
-    stop_terms: list[ad.Tensor] = []
-    for step_index, stop in enumerate(stop_probs, start=1):
-        if step_index > m:  # the final step supervises "stop now"
-            stop_terms.append(ad.mul(ad.log(stop, floor=1e-12), -1.0))
-        else:
-            stop_terms.append(ad.mul(ad.log(1.0 - stop, floor=1e-12), -1.0))
-    stop_loss = ad.mul(reduce(ad.add, stop_terms), 1.0 / (m + 1))
+    # 1/m and -1/len_s are rounded to the working dtype before their
+    # product, as averaging within and then across sentences rounds them
+    dtype = ad.default_dtype()
+    weights = np.repeat([dtype(1 / m) * dtype(-1 / count) for count in lengths], lengths)
+    sentence_loss = ad.matmul(ad.Tensor(weights[None, :]), gold)
+    # steps 1..m supervise "go on" through 1 - p, the last "stop now" through p
+    sign = ad.Tensor(np.append(np.full(m, -1.0), 1.0)[:, None])
+    offset = ad.Tensor(np.append(np.ones(m), 0.0)[:, None])
+    chosen = ad.concat(stop_probs, axis=0) * sign + offset               # [m+1, 1]
+    stop_loss = ad.matmul(ad.Tensor(np.full((1, m + 1), -dtype(1 / (m + 1)))),
+                          ad.log(chosen, floor=1e-12))
     total_loss = sentence_loss + ad.mul(stop_loss, stop_weight)
     return sentence_loss, stop_loss, total_loss
 

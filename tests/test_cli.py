@@ -318,6 +318,20 @@ class TestExitCodes:
         assert rc == 2
         assert f"{data}:1: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage, key", [("detector", "detector_epochs = 2"),
+                                            ("generator", "generator_epochs = 1")],
+                             ids=["detector", "generator"])
+    def test_zero_epochs_returns_two(self, workspace, tmp_path, capsys, stage, key):
+        root, _, _ = workspace
+        config = root / f"zero_{stage}_epochs.cfg"
+        config.write_text(CONFIG_TEMPLATE.replace(key, key.split("=")[0] + "= 0"),
+                          encoding="utf-8")
+        out = tmp_path / f"{stage}.bin"
+        rc = main(["train", "--stage", stage, "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert f"{config}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unexpected_failure_returns_one(self, tmp_path, capsys, monkeypatch):
         import topicsum.cli as cli
         monkeypatch.setattr(cli, "load_articles",

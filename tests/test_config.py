@@ -70,6 +70,14 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="seed"):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["detector_epochs", "generator_epochs"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_epoch_count_below_one_names_line(self, tmp_path, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed = 1\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f":2: '{key}' must be at least 1"):
+            load_config(path)
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("just words\n", encoding="utf-8")

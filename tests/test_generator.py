@@ -898,6 +898,26 @@ class TestDecodeSentence(DecodingSetup):
         assert normalized_score(wide) >= normalized_score(narrow) - 1e-6
 
 
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_exact_ties_go_to_the_lowest_token_id(self, beam):
+        """Every word has the same probability (no copy mass, zero logits,
+        the reserved ids ruled out), so each step's best token is the lowest
+        word id, w0, however many ids tie at the beam's cut."""
+        vocab = Vocabulary([f"w{i}" for i in range(996)])
+        model = make_model(vocab)
+        for tensor in (model.out_hidden_W, model.out_vocab_W, model.out_vocab_b):
+            tensor.data[...] = 0.0
+        model.out_vocab_b.data[0, :4] = -1e9
+        model.gate_b.data[...] = 1e9
+        grouped = group_paragraphs([["w5", "w9", "w7"]], [0], make_schema(), vocab)
+        encoding = encode_topics(model, grouped)
+        config = DecodeConfig(beam_size=beam, max_sentence_tokens=3)
+        init = ad.Tensor(np.full((1, 4), 0.3))
+        assert decode_sentence(model, init, encoding, grouped, vocab, config) == ["w0"] * 3
+        _, ids = reference_beam_search(model, init, encoding, grouped, config)
+        assert ids == [vocab.token_to_id("w0")] * 3
+
+
 def reference_beam_search(model, decoder_init, encoding, grouped, config):
     """The per-sentence, per-hypothesis beam search that lockstep decoding
     replaced: one [1, H] decoder step per live hypothesis.  Returns the best
@@ -915,11 +935,7 @@ def reference_beam_search(model, decoder_init, encoding, grouped, config):
             dist = token_distribution(model, state, context, x, weights, grouped,
                                       encoding.extended_ids)
             log_probs = np.log(np.maximum(dist.data[0], 1e-12))
-            if beam < log_probs.size:
-                top = np.argpartition(-log_probs, beam)[:beam + 1]
-            else:
-                top = np.arange(log_probs.size)
-            for token_id in top:
+            for token_id in np.argsort(-log_probs, kind="stable")[:beam + 1]:
                 candidates.append((log_prob + float(log_probs[token_id]), int(token_id),
                                    tokens, state))
         candidates.sort(key=lambda c: (-c[0], c[1]))
@@ -1288,10 +1304,10 @@ class TestPackedTeacherForcing:
 
     def test_tape_does_not_grow_with_groups_or_sentences(self, monkeypatch):
         """At a fixed number of input tokens and gold rows, more groups add
-        no tape record, and each more sentence adds only its predictor step
-        and its loss terms; the recurrences are one `gru_sequence` record per
-        encoder direction, one for all gold sentences and one per predictor
-        step."""
+        no tape record, and each more sentence adds only its predictor step;
+        the recurrences are one `gru_sequence` record per encoder direction,
+        one for all gold sentences and one per predictor step, and the
+        losses are a fixed number of records."""
         gru_rows = []
         gru_sequence = ad.gru_sequence
 
@@ -1340,9 +1356,9 @@ class TestPackedTeacherForcing:
                 compute_losses(rows, [t.tolist() for t in targets], stops)
                 return len(recording)
 
+        assert loss_records(1) == loss_records(2) == loss_records(3)
         for count, length in zip((2, 3), sentences[1:]):
-            assert length - sentences[0] == \
-                (count - 1) * predictor + loss_records(count) - loss_records(1)
+            assert length - sentences[0] == (count - 1) * predictor
 
 
 def one_hot_dist(size, index, value=1.0):
@@ -1413,6 +1429,58 @@ class TestComputeLosses:
             compute_losses(dists, [[1]], stops)  # needs m + 1 stop probs
         with pytest.raises(ValueError):
             compute_losses(dists, [[1, 2]], stops + stops)
+
+
+def chained_losses(block, sentence_targets, stop_probs, stop_weight):
+    """compute_losses as a chain of per-sentence and per-step terms: each
+    sentence's NLL summed and averaged, each step's stop term logged and
+    negated, and both folded with `ad.add`."""
+    m = len(sentence_targets)
+    flat = [target for targets in sentence_targets for target in targets]
+    gold = ad.log(ad.pick(block, range(len(flat)), flat), floor=1e-12)
+    ends = np.cumsum([len(targets) for targets in sentence_targets])
+    sentence_terms = [ad.mul(ad.rows(gold, end - len(targets), end).sum(), -1.0 / len(targets))
+                      for targets, end in zip(sentence_targets, ends)]
+    sentence_loss = ad.mul(reduce(ad.add, sentence_terms), 1.0 / m)
+    stop_terms = [ad.mul(ad.log(1.0 - stop, floor=1e-12), -1.0) for stop in stop_probs[:m]]
+    stop_terms.append(ad.mul(ad.log(stop_probs[m], floor=1e-12), -1.0))
+    stop_loss = ad.mul(reduce(ad.add, stop_terms), 1.0 / (m + 1))
+    return sentence_loss, stop_loss, sentence_loss + ad.mul(stop_loss, stop_weight)
+
+
+class TestWeightedSumLosses:
+    """compute_losses' two weighted sums against `chained_losses`: the
+    gradients into the block and the stop probabilities are bitwise equal,
+    and the losses equal to within rounding (they sum in another order)."""
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-14)])
+    @pytest.mark.parametrize("lengths, stops", [
+        ((5,), (0.3, 1.0)),
+        ((3, 1), (0.0, 0.2, 0.9)),
+        ((3, 6, 7), (1.0, 0.45, 0.0, 0.0)),
+        ((4, 1, 3, 2), (0.1, 0.0, 0.7, 1.0, 0.6)),
+    ])
+    def test_equals_chained_terms(self, dtype, rtol, lengths, stops):
+        rng = np.random.default_rng(sum(lengths))
+        with ad.using_dtype(dtype):
+            probs = rng.dirichlet(np.ones(9), size=sum(lengths))
+            probs[0, :] = 0.0       # a zero-probability target, clamped
+            flat = rng.integers(0, 9, size=sum(lengths))
+            targets = [part.tolist() for part in np.split(flat, np.cumsum(lengths)[:-1])]
+            runs = []
+            for losses in (compute_losses, chained_losses):
+                block = ad.Tensor(probs, requires_grad=True)
+                stop_probs = [ad.Tensor([[p]], requires_grad=True) for p in stops]
+                with ad.tape() as recording:
+                    values = losses(block, targets, stop_probs, 0.7)
+                    recording.backward(values[2])
+                runs.append(([v.item() for v in values], block.grad,
+                             [stop.grad for stop in stop_probs]))
+        (got, got_block, got_stops), (want, want_block, want_stops) = runs
+        np.testing.assert_allclose(got, want, rtol=rtol)
+        assert got_block.dtype == dtype
+        assert got_block.tobytes() == want_block.tobytes()
+        assert [g.tobytes() for g in got_stops] == [g.tobytes() for g in want_stops]
 
 
 class TestExampleLossGradients:
