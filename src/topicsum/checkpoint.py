@@ -7,12 +7,12 @@ little-endian values in row-major order.  Round-trips are bit-exact.
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 from typing import Mapping
 
 import numpy as np
+
+from .fileio import atomic_write
 
 __all__ = ["MAGIC", "save_tensors", "load_tensors", "load_into"]
 
@@ -26,29 +26,20 @@ def _as_array(value) -> np.ndarray:
 def save_tensors(path, tensors: Mapping[str, object]) -> None:
     """Write named arrays (or Tensors) in dict order.
 
-    The archive goes to a temporary file in `path`'s directory, which then
-    replaces `path` in one rename: `path` holds its old contents or the
-    whole new archive, never part of one.  On any error the temporary file
-    is removed and `path` is left as it was.
+    Written through `atomic_write`: `path` holds its old contents or the
+    whole new archive, never part of one.
     """
-    directory, base = os.path.split(os.fspath(path))
-    fd, temporary = tempfile.mkstemp(dir=directory or ".", prefix=f".{base}.", suffix=".tmp")
-    try:
-        with open(fd, "wb") as handle:
-            handle.write(MAGIC)
-            for name, value in tensors.items():
-                arr = np.ascontiguousarray(_as_array(value), dtype="<f4")
-                encoded = name.encode("utf-8")
-                handle.write(struct.pack("<I", len(encoded)))
-                handle.write(encoded)
-                handle.write(struct.pack("<I", arr.ndim))
-                if arr.ndim:
-                    handle.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                handle.write(arr.tobytes(order="C"))
-        os.replace(temporary, path)
-    except BaseException:
-        os.unlink(temporary)
-        raise
+    with atomic_write(path, "wb") as handle:
+        handle.write(MAGIC)
+        for name, value in tensors.items():
+            arr = np.ascontiguousarray(_as_array(value), dtype="<f4")
+            encoded = name.encode("utf-8")
+            handle.write(struct.pack("<I", len(encoded)))
+            handle.write(encoded)
+            handle.write(struct.pack("<I", arr.ndim))
+            if arr.ndim:
+                handle.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            handle.write(arr.tobytes(order="C"))
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:

@@ -23,6 +23,7 @@ from .corpus import (article_token_sequences, build_detector_dataset,
                      write_label_stats)
 from .detector import (DetectorModel, MeanEmbeddingEncoder, detect_topics,
                        train_detector)
+from .fileio import atomic_write
 from .generator import (DecodeConfig, GeneratorModel, generate_abstract,
                         init_embeddings, train_generator)
 from .rouge import dedup_sentences, evaluate_corpus, write_eval_report
@@ -143,7 +144,7 @@ def _require(config: RunConfig, *keys: str) -> None:
 
 
 def _write_log(path, config: RunConfig, columns: list[str], rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         for line in format_config(config).splitlines():
             handle.write(f"# {line}\n")
         handle.write("\t".join(columns) + "\n")
@@ -250,7 +251,7 @@ def cmd_generate(args) -> int:
     )
     examples = load_summarization_dataset(args.input, vocab, require_abstract=False)
     written = 0
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with atomic_write(args.out) as handle:
         for example in examples:
             assignments = detect_topics(example.paragraph_ids, detector)
             try:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,12 +54,21 @@ _PATH_KEYS = frozenset(
     if f.name.endswith("_path") or f.name.endswith("_checkpoint")
 )
 
+# counts and sizes a run cannot use at 0; n_t = 0 is legal, it keeps the
+# unmarked labels
+_AT_LEAST_ONE = frozenset({
+    "detector_epochs", "generator_epochs", "embed_size", "hidden_size",
+    "detector_embed_size", "detector_hidden_size", "ttg_cap", "beam_size",
+    "max_sentences", "max_sentence_tokens",
+})
+
 
 def load_config(path) -> RunConfig:
     """Parse "key = value" lines; '#' starts a comment, blank lines skipped.
 
-    Unknown keys, malformed values and epoch counts below 1 raise with the
-    offending line number.
+    Unknown keys, malformed values, non-finite floats, and epoch counts,
+    model sizes and decoding caps below 1 raise with the offending line
+    number.
     Relative path values are resolved against the config file's directory.
     """
     path = Path(path)
@@ -85,7 +95,9 @@ def load_config(path) -> RunConfig:
                 parsed = value
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for '{key}' ({exc})") from exc
-        if key.endswith("_epochs") and parsed < 1:
+        if kind == "float" and not math.isfinite(parsed):
+            raise ValueError(f"{path}:{lineno}: '{key}' must be finite, got {parsed}")
+        if key in _AT_LEAST_ONE and parsed < 1:
             raise ValueError(f"{path}:{lineno}: '{key}' must be at least 1, got {parsed}")
         if key in _PATH_KEYS and parsed:
             candidate = Path(str(parsed))

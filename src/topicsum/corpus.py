@@ -19,6 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .fileio import atomic_write
 from .text import Vocabulary, split_sentences, tokenize
 
 __all__ = [
@@ -88,7 +89,7 @@ def load_articles(path) -> list[RawArticle]:
 
 
 def write_articles(path, articles: Iterable[RawArticle]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         for article in articles:
             record = {"title": article.title,
                       "sections": [[label, text] for label, text in article.sections]}
@@ -233,7 +234,7 @@ def label_frequency_stats(articles: Sequence[RawArticle]) -> list[tuple[int, str
 
 
 def write_label_stats(path, rows: Sequence[tuple[int, str, int]]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         for rank, label, count in rows:
             handle.write(f"{rank}\t{label}\t{count}\n")
 
@@ -318,7 +319,7 @@ def build_detector_dataset(articles: Sequence[RawArticle], schema: TopicSchema,
 
 
 def write_detector_dataset(path, examples: Sequence[TopicParagraphExample]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         for example in examples:
             ids = " ".join(str(i) for i in example.token_ids)
             handle.write(f"{example.topic_index}\t{ids}\n")
@@ -422,7 +423,7 @@ def load_summarization_dataset(path, vocab: Vocabulary,
 
 
 def write_summarization_dataset(path, examples: Sequence[SummarizationExample]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         for example in examples:
             if "\t" in example.title:
                 raise ValueError(f"title contains a tab: {example.title!r}")

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import TopicParagraphExample
+from .fileio import atomic_write
 
 __all__ = [
     "MeanEmbeddingEncoder",
@@ -157,7 +158,7 @@ def write_detector_report(path, metrics: DetectorMetrics, topic_names: Sequence[
     """Tab-separated per-topic rows plus an aggregate line."""
     if len(topic_names) != len(metrics.per_topic):
         raise ValueError(f"{len(topic_names)} topic names for {len(metrics.per_topic)} topics")
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         handle.write("topic\tprecision\trecall\tsupport\n")
         for name, row in zip(topic_names, metrics.per_topic):
             handle.write(f"{name}\t{row.precision:.6f}\t{row.recall:.6f}\t{row.support}\n")

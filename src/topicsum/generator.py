@@ -53,6 +53,7 @@ __all__ = [
     "predict_topic_step",
     "attention_step",
     "token_distribution",
+    "beam_candidates",
     "decode_sentences",
     "decode_sentence",
     "generate_abstract",
@@ -438,6 +439,10 @@ def token_distribution(model: GeneratorModel, state: ad.Tensor, context: ad.Tens
     lands on the extended id of every attended input position, so OOV input
     tokens stay reachable.  `extended_ids` are the encoding's, rebuilt from
     `grouped` when not given.
+
+    Training reads gold entries of the whole block; beam search keeps only
+    each row's best few, so it scores them with `beam_candidates`, which
+    returns this block's values for those entries without building it.
     """
     if extended_ids is None:
         extended_ids = _input_extended_ids(grouped)
@@ -457,6 +462,100 @@ def token_distribution(model: GeneratorModel, state: ad.Tensor, context: ad.Tens
     if n_oov:
         vocab_probs = ad.concat([vocab_probs, ad.zeros((state.data.shape[0], n_oov))], axis=1)
     return vocab_probs * p_gen + copy_probs * (1.0 - p_gen)
+
+
+# A word whose exp falls short of another's by a relative gap below this
+# many eps may still get the same log-probability.  Above the 1e-12 clamp
+# |log p| < 32, where a log-probability's ulp is at most 16 eps, so the
+# margin spans 32 of its ulps: room for the rounding of the division, the
+# product and numpy's log, which is within a few ulps.
+_TIE_MARGIN_EPS = 512
+
+
+def beam_candidates(model: GeneratorModel, state: np.ndarray, context: np.ndarray,
+                    dec_input: np.ndarray, weights: np.ndarray, input_ids: np.ndarray,
+                    inverse: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `count` best extended ids of every row of a beam step, with their
+    log-probabilities, without building the [R, V'] mixture.
+
+    The arguments are `token_distribution`'s as arrays (state and context
+    [R, H], dec_input [R, E], weights [n, R]), with the input's distinct
+    extended ids, sorted, and each input position's index in them:
+    `np.unique(extended_ids, return_inverse=True)`.  Returns (ids, scores),
+    both [R, min(count, V')], each row by score descending and lower id
+    first on ties: bitwise what `token_distribution`, a log clamped at 1e-12
+    and a stable descending sort keep.
+
+    Every input id is a candidate.  Any other word's probability is
+    p_gen · softmax, which never falls as its logit grows, so a row's other
+    candidates are the `count` lowest other ids, which win the ties at the
+    1e-12 clamp, and the row's `count` best logits of the rest.  A row
+    where the best word left out comes within rounding of the last one
+    picked, above the clamp, scores every word.  Runs on arrays and records
+    nothing on a tape.
+    """
+    features = np.concatenate([state, context], axis=1)
+    hidden = features @ model.out_hidden_W.data + model.out_hidden_b.data
+    ex = hidden @ model.out_vocab_W.data + model.out_vocab_b.data    # logits, then exp
+    ex -= ex.max(axis=1, keepdims=True)
+    np.exp(ex, out=ex)
+    total = ex.sum(axis=1, keepdims=True)
+    # `ad.sigmoid`'s values, with no tape record
+    p_gen = ad._sigmoid_values(context @ model.gate_context_W.data
+                               + state @ model.gate_state_W.data
+                               + dec_input @ model.gate_input_W.data
+                               + model.gate_b.data)                 # [R, 1]
+    rows = np.arange(ex.shape[0])
+    # copy mass per distinct input id, added in position order as
+    # `ad.scatter_sum` adds it
+    copy = np.zeros((input_ids.size, rows.size), dtype=ex.dtype)
+    np.add.at(copy, inverse, weights)
+    copied = copy.T * (1.0 - p_gen)                                 # [R, U]
+    n_vocab = np.searchsorted(input_ids, model.vocab_size)          # input ids in the vocabulary
+    # the other words: the `count` lowest ids, which are the ones kept among
+    # words tied at the clamp, then the rest's `count` best by repeated
+    # argmax; a word taken is masked below every exp
+    free = np.ones(min(model.vocab_size, count + n_vocab), dtype=bool)
+    free[input_ids[:np.searchsorted(input_ids, free.size)]] = False
+    known = np.concatenate([input_ids[:n_vocab], np.flatnonzero(free)[:count]])
+    n_words = known.size + min(count, model.vocab_size - known.size)
+    # candidate columns: the known vocabulary ids, the picks, the OOV input ids
+    ids = np.empty((rows.size, n_words + input_ids.size - n_vocab), dtype=np.int64)
+    ids[:, :known.size] = known
+    ids[:, n_words:] = input_ids[n_vocab:]
+    taken = np.empty((rows.size, n_words), dtype=ex.dtype)          # the words' exps
+    taken[:, :known.size] = ex[:, known]
+    ex[:, known] = -1.0
+    flat, offsets = ex.reshape(-1), rows * ex.shape[1]
+    for j in range(known.size, n_words):
+        ids[:, j] = best = ex.argmax(axis=1)
+        at = best + offsets
+        taken[:, j] = flat[at]
+        flat[at] = -1.0
+    values = np.empty(ids.shape, dtype=ex.dtype)
+    values[:, :n_words] = taken / total * p_gen
+    values[:, :n_vocab] += copied[:, :n_vocab]
+    values[:, n_words:] = copied[:, n_vocab:]
+    scores = np.log(np.maximum(values, 1e-12))
+    order = np.lexsort((ids, -scores), axis=1)[:, :count]
+    best_ids, best_scores = ids[rows[:, None], order], scores[rows[:, None], order]
+    if n_words == model.vocab_size:
+        return best_ids, best_scores
+    # a word left out can tie a pick only if the best word left out comes
+    # within the margin of the last pick; at the clamp, the lowest ids
+    # taken above win the ties
+    runner_up = ex.max(axis=1)
+    near = runner_up >= taken[:, -1] * (1 - _TIE_MARGIN_EPS * np.finfo(ex.dtype).eps)
+    for row in np.flatnonzero(near):
+        if runner_up[row] / total[row, 0] * p_gen[row, 0] <= 1e-12:
+            continue
+        full = np.zeros(max(model.vocab_size, int(input_ids[-1]) + 1), dtype=ex.dtype)
+        full[:model.vocab_size] = np.log(np.maximum(ex[row] / total[row] * p_gen[row], 1e-12))
+        full[ids[row]] = scores[row]                 # the candidates, masked in `ex`
+        top = np.flatnonzero(full >= np.partition(full, full.size - count)[full.size - count])
+        best_ids[row] = top[np.lexsort((top, -full[top]))[:count]]
+        best_scores[row] = full[best_ids[row]]
+    return best_ids, best_scores
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +588,15 @@ def _beam_search(model: GeneratorModel, decoder_inits: Sequence[ad.Tensor],
                  encoding: TopicEncoding, grouped: TopicGroups,
                  config: DecodeConfig) -> list[tuple[float, list[int]]]:
     """decode_sentences before the surfaces: each sentence's best
-    length-normalized log-probability and its extended ids."""
+    length-normalized log-probability and its extended ids.
+
+    Each step scores only what a hypothesis can keep: `beam_candidates`
+    gives every row its `beam_size + 1` best tokens and their
+    log-probabilities, with no [R, V'] distribution built."""
     if not decoder_inits:
         return []
     beam = config.beam_size
+    input_ids, inverse = np.unique(encoding.extended_ids, return_inverse=True)
     live = [[_Hypothesis(tokens=[], log_prob=0.0)] for _ in decoder_inits]
     finished: list[list[tuple[float, list[int]]]] = [[] for _ in decoder_inits]
     # the live hypotheses' rows in `states`, and the token each one feeds next
@@ -506,17 +610,15 @@ def _beam_search(model: GeneratorModel, decoder_inits: Sequence[ad.Tensor],
         block = model.dec_cell.step(x, ad.Tensor(states[parents]))
         weights, context = attention_step(model, block, encoding.token_states,
                                           encoding.attention_keys)
-        dist = token_distribution(model, block, context, x, weights, grouped,
-                                  encoding.extended_ids)
-        log_probs = np.log(np.maximum(dist.data, 1e-12))
-        best = _best_ids(log_probs, beam + 1)
+        best, log_probs = (part.tolist() for part in beam_candidates(
+            model, block.data, context.data, x.data, weights.data, input_ids, inverse,
+            beam + 1))
         states, parents, prev_ids, row = block.data, [], [], 0
         for sentence, hyps in enumerate(live):
             candidates: list[tuple[float, int, _Hypothesis, int]] = []
             for hyp in hyps:
-                for token_id in best[row]:
-                    candidates.append((hyp.log_prob + float(log_probs[row, token_id]),
-                                       int(token_id), hyp, row))
+                for token_id, log_prob in zip(best[row], log_probs[row]):
+                    candidates.append((hyp.log_prob + log_prob, token_id, hyp, row))
                 row += 1
             # deterministic order: higher score first, lower token id on ties
             candidates.sort(key=lambda c: (-c[0], c[1]))
@@ -536,22 +638,6 @@ def _beam_search(model: GeneratorModel, decoder_inits: Sequence[ad.Tensor],
                 prev_ids.append(token_id)
             live[sentence] = next_live
     return [max(done, key=lambda item: item[0]) for done in finished]
-
-
-def _best_ids(scores: np.ndarray, count: int) -> np.ndarray:
-    """The ids of each row's `count` highest scores, [R, count]; among the
-    scores equal to the lowest one kept, the lowest ids."""
-    rest = scores.shape[1] - count
-    if rest <= 0:
-        return np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
-    top = np.argpartition(scores, rest, axis=1)[:, rest:]
-    cut = np.take_along_axis(scores, top[:, :1], axis=1)
-    # argpartition keeps an arbitrary subset of the ties at the cut
-    for row in np.flatnonzero((scores >= cut).sum(axis=1) > count):
-        above = np.flatnonzero(scores[row] > cut[row])
-        tied = np.flatnonzero(scores[row] == cut[row])
-        top[row] = np.concatenate([above, tied[:count - above.size]])
-    return top
 
 
 def decode_sentence(model: GeneratorModel, decoder_init: ad.Tensor,

@@ -8,6 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .fileio import atomic_write
+
 __all__ = [
     "RougeScore",
     "rouge_n",
@@ -147,7 +149,7 @@ def evaluate_corpus(generated: Sequence[Sequence[Sequence[str]]],
 
 def write_eval_report(path, report: EvalReport) -> None:
     """Tab-separated F1 table: header, one row per example, MEAN row last."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         handle.write("example\trouge1_f1\trouge2_f1\trougeL_f1\n")
         for index, row in enumerate(report.rows):
             handle.write(f"{index}\t{row.rouge_1.f1:.6f}\t{row.rouge_2.f1:.6f}"

@@ -14,6 +14,7 @@ import numpy as np
 
 from .corpus import (RawArticle, SummarizationExample, TopicSchema, Topic,
                      write_articles, write_summarization_dataset)
+from .fileio import atomic_write
 from .text import Vocabulary
 
 __all__ = [
@@ -131,7 +132,8 @@ def write_toy_workspace(directory, n_articles: int = 60, n_examples: int = 20,
         "summ_valid": directory / "summ_valid.tsv",
     }
     write_articles(paths["articles"], toy_detector_articles(n_articles, seed))
-    paths["schema"].write_text(_TOY_SCHEMA_TEXT, encoding="utf-8")
+    with atomic_write(paths["schema"]) as handle:
+        handle.write(_TOY_SCHEMA_TEXT)
     corpus = toy_summarization_corpus(n_examples, seed)
     split = max(1, n_examples - max(1, n_examples // 5))
     write_summarization_dataset(paths["summ_train"], corpus.examples[:split])

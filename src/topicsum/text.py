@@ -7,6 +7,8 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .fileio import atomic_write
+
 __all__ = [
     "tokenize",
     "split_sentences",
@@ -115,7 +117,8 @@ class Vocabulary:
         return [self.id_to_token(i) for i in ids]
 
     def save(self, path) -> None:
-        Path(path).write_text("\n".join(self._tokens) + "\n", encoding="utf-8")
+        with atomic_write(path) as handle:
+            handle.write("\n".join(self._tokens) + "\n")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

@@ -239,6 +239,29 @@ class TestGenerate:
                    "--out", str(tmp_path / "hard.txt"), "--mode", "hard"])
         assert rc == 0
 
+    def test_failure_midway_keeps_the_old_output(self, workspace, tmp_path, capsys,
+                                                 monkeypatch):
+        root, paths, config = workspace
+        out = tmp_path / "abstracts.txt"
+        out.write_text("old abstracts\n", encoding="utf-8")
+        import topicsum.cli as cli
+        calls = []
+
+        def failing_second_time(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("generation failed")
+            return [["tundra", "."]]
+
+        monkeypatch.setattr(cli, "generate_abstract", failing_second_time)
+        rc = main(["generate", "--config", str(config),
+                   "--detector-ckpt", str(root / "detector.bin"),
+                   "--generator-ckpt", str(root / "generator.bin"),
+                   "--input", str(paths["summ_valid"]), "--out", str(out)])
+        assert rc == 1 and "generation failed" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "old abstracts\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["abstracts.txt"]
+
 
 class TestEvaluate:
     def test_report_written_with_mean_row(self, workspace):
@@ -330,6 +353,37 @@ class TestExitCodes:
         rc = main(["train", "--stage", stage, "--config", str(config), "--out", str(out)])
         assert rc == 2
         assert f"{config}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage, line, key", [
+        ("generator", "embed_size = 12", "embed_size"),
+        ("generator", "hidden_size = 12", "hidden_size"),
+        ("detector", "detector_hidden_size = 16", "detector_hidden_size"),
+    ], ids=["embed_size", "hidden_size", "detector_hidden_size"])
+    def test_zero_model_size_returns_two(self, workspace, tmp_path, capsys, stage, line, key):
+        root, _, _ = workspace
+        config = root / f"zero_{key}.cfg"
+        config.write_text(CONFIG_TEMPLATE.replace(line, f"{key} = 0"), encoding="utf-8")
+        out = tmp_path / f"{stage}.bin"
+        rc = main(["train", "--stage", stage, "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert f"{config}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, key", [
+        ("generator_lr_first = 0.01", "generator_lr_first"),
+        ("generator_lr_rest = 0.001", "generator_lr_rest"),
+    ])
+    def test_non_finite_config_float_returns_two_naming_the_key(self, workspace, tmp_path,
+                                                                capsys, line, key):
+        root, _, _ = workspace
+        config = root / f"nan_{key}.cfg"
+        config.write_text(CONFIG_TEMPLATE.replace(line, f"{key} = nan"), encoding="utf-8")
+        out = tmp_path / "generator.bin"
+        rc = main(["train", "--stage", "generator", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{config}:" in err and f"'{key}' must be finite" in err
         assert not out.exists()
 
     def test_unexpected_failure_returns_one(self, tmp_path, capsys, monkeypatch):

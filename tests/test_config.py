@@ -78,6 +78,31 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=f":2: '{key}' must be at least 1"):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["embed_size", "hidden_size", "detector_embed_size",
+                                     "detector_hidden_size", "ttg_cap", "beam_size",
+                                     "max_sentences", "max_sentence_tokens"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_size_or_cap_below_one_names_line(self, tmp_path, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed = 1\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f":2: '{key}' must be at least 1, got {value}"):
+            load_config(path)
+
+    def test_zero_label_tier_is_legal(self, tmp_path):
+        # n_t = 0 keeps the unmarked labels
+        path = tmp_path / "run.cfg"
+        path.write_text("n_t = 0\n", encoding="utf-8")
+        assert load_config(path).n_t == 0
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
+                                     if f.type == "float"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_names_line_and_key(self, tmp_path, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed = 1\n\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f":3: '{key}' must be finite"):
+            load_config(path)
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("just words\n", encoding="utf-8")

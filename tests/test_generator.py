@@ -23,6 +23,7 @@ from topicsum.generator import (
     _beam_search,
     attention_keys,
     attention_step,
+    beam_candidates,
     bigru_states,
     compute_losses,
     decode_sentence,
@@ -37,7 +38,7 @@ from topicsum.generator import (
     token_distribution,
     train_generator,
 )
-from topicsum.text import BOS_ID, EOS_ID, UNK_ID, Vocabulary
+from topicsum.text import BOS_ID, EOS_ID, RESERVED_TOKENS, UNK_ID, Vocabulary
 
 
 def make_schema(n_topics=2):
@@ -801,6 +802,127 @@ class TestTokenDistribution:
             self.run_distribution(model, grouped, [1.0])
 
 
+def full_block_candidates(model, grouped, state, context, dec_input, weights, count):
+    """What `beam_candidates` must return, from the whole [R, V'] block:
+    `token_distribution`, its log clamped at 1e-12, and a stable descending
+    sort.  Returns (ids, scores, the block's log-probabilities)."""
+    dist = token_distribution(model, ad.Tensor(state), ad.Tensor(context),
+                              ad.Tensor(dec_input), ad.Tensor(weights), grouped)
+    log_probs = np.log(np.maximum(dist.data, 1e-12))
+    ids = np.argsort(-log_probs, axis=1, kind="stable")[:, :count]
+    return ids, np.take_along_axis(log_probs, ids, axis=1), log_probs
+
+
+class TestBeamCandidates:
+    """`beam_candidates` keeps bitwise the (id, score) pairs of the full
+    block, without building it."""
+
+    def compare(self, model, grouped, rng, count, rows=5, weights=None):
+        dtype = model.out_vocab_W.data.dtype
+        state, context = (rng.normal(0.0, 1.0, (rows, model.hidden_dim)).astype(dtype)
+                          for _ in range(2))
+        dec_input = rng.normal(0.0, 1.0, (rows, model.embed_dim)).astype(dtype)
+        if weights is None:
+            weights = rng.dirichlet(np.ones(grouped.total_tokens), size=rows).T.astype(dtype)
+        want_ids, want_scores, log_probs = full_block_candidates(
+            model, grouped, state, context, dec_input, weights, count)
+        input_ids, inverse = np.unique(generator._input_extended_ids(grouped),
+                                       return_inverse=True)
+        with ad.tape() as recording:
+            got_ids, got_scores = beam_candidates(model, state, context, dec_input, weights,
+                                                  input_ids, inverse, count)
+        assert len(recording) == 0
+        np.testing.assert_array_equal(got_ids, want_ids)
+        assert got_scores.dtype == want_scores.dtype == dtype
+        np.testing.assert_array_equal(got_scores, want_scores)
+        return want_scores, log_probs
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("count", [2, 6])
+    def test_random_models_with_oov_and_repeated_inputs(self, dtype, count):
+        vocab = Vocabulary([f"w{i}" for i in range(60)])
+        with ad.using_dtype(dtype):
+            for seed in range(12):
+                rng = np.random.default_rng(seed)
+                model = make_model(vocab, seed=seed)
+                for tensor in model.parameters().values():
+                    tensor.data *= rng.uniform(1.0, 20.0)
+                tokens = [f"w{i}" for i in rng.integers(0, 60, 25)] + ["zork", "w3", "quux",
+                                                                      "zork", "w3"]
+                rng.shuffle(tokens)
+                grouped = group_paragraphs([tokens[:15], tokens[15:]], [0, 1], make_schema(),
+                                           vocab)
+                self.compare(model, grouped, rng, count)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_vocabulary_word_in_the_input(self, dtype):
+        vocab = make_vocab()
+        tokens = list(RESERVED_TOKENS) + ["alpha", "beta", "gamma", "delta", ".", "zork", "alpha"]
+        with ad.using_dtype(dtype):
+            model = make_model(vocab)
+            grouped = group_paragraphs([tokens], [0], make_schema(), vocab)
+            self.compare(model, grouped, np.random.default_rng(0), count=6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("count", [8, 9, 13])
+    def test_extended_vocabulary_no_wider_than_the_count(self, dtype, count):
+        vocab = Vocabulary(["alpha", "beta", "gamma"])
+        with ad.using_dtype(dtype):
+            model = make_model(vocab)
+            grouped = group_paragraphs([["alpha", "zork", "quux", "alpha"]], [0], make_schema(),
+                                       vocab)
+            assert grouped.extended_size == 9
+            scores, _ = self.compare(model, grouped, np.random.default_rng(1), count)
+            assert scores.shape[1] == min(count, 9)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cut_clamped_at_the_floor(self, dtype):
+        """Every word outside the input has a probability below 1e-12, the
+        higher its id the higher, so the cut falls among thousands of words
+        tied at the clamp: the lowest ids are kept."""
+        vocab = Vocabulary([f"w{i}" for i in range(3000)])
+        with ad.using_dtype(dtype):
+            grouped = group_paragraphs([["w7", "w2999", "w7"]], [0], make_schema(), vocab)
+            inputs = [vocab.token_to_id("w7"), vocab.token_to_id("w2999")]
+            model = rigged_distribution_model(vocab, grouped, p_gen=0.5,
+                                              vocab_probs=dict.fromkeys(inputs, 0.5))
+            others = np.setdiff1d(np.arange(len(vocab)), inputs)
+            model.out_vocab_b.data[0, others] = -60.0 + 0.01 * others
+            scores, log_probs = self.compare(model, grouped, np.random.default_rng(2), count=6)
+        floor = np.log(np.maximum(np.zeros(1, dtype), 1e-12))[0]
+        assert (scores[:, -1] == floor).all()
+        assert ((log_probs == floor).sum(axis=1) > 6).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rounding_tie_at_the_cut(self, dtype):
+        """Two words outside the input whose exps differ but whose
+        log-probabilities round to the same value, at the last kept place:
+        the lower id is kept, although its logit is the lower one."""
+        vocab = Vocabulary([f"w{i}" for i in range(36)])
+        # above the lowest ids, which are candidates in any case
+        top, low, high, count = 10, 20, 30, 6
+        step = 10 * np.finfo(dtype).eps
+        with ad.using_dtype(dtype):
+            grouped = group_paragraphs([["w30"]], [0], make_schema(), vocab)
+            # p_gen 1e-8 puts the pair's log-probabilities near -23, where
+            # their rounding is coarse
+            model = rigged_distribution_model(vocab, grouped, p_gen=1e-8, vocab_probs={})
+            tied = 0
+            for shift in range(40):
+                logits = np.full(len(vocab), -1e9, dtype=dtype)
+                logits[top:top + count - 1] = 0.0
+                logits[high] = dtype(-3.0 + 1e-3 * shift)
+                logits[low] = logits[high] - dtype(step)
+                model.out_vocab_b.data[0] = logits
+                # no copy mass: the input word stays below the cut
+                scores, log_probs = self.compare(model, grouped, np.random.default_rng(3),
+                                                 count, rows=1, weights=np.zeros((1, 1), dtype))
+                if log_probs[0, low] == log_probs[0, high]:
+                    tied += 1
+                    assert scores[0, -1] == log_probs[0, low]
+        assert tied >= 3
+
+
 class DecodingSetup:
     def build(self, seed=0, paragraphs=None, assignments=None):
         vocab = make_vocab()
@@ -970,11 +1092,11 @@ class TestLockstepDecoding(DecodingSetup):
     @pytest.mark.parametrize("beam", [1, 2, 5, 12])
     def test_equals_per_sentence_reference(self, monkeypatch, mode, beam):
         block_rows = []
-        distribution = generator.token_distribution
+        candidates = generator.beam_candidates
 
         def recording(model, state, *args, **kwargs):
-            block_rows.append(state.data.shape[0])
-            return distribution(model, state, *args, **kwargs)
+            block_rows.append(state.shape[0])
+            return candidates(model, state, *args, **kwargs)
 
         lengths, shrank = set(), False
         config = DecodeConfig(beam_size=beam, max_sentence_tokens=8)
@@ -994,7 +1116,7 @@ class TestLockstepDecoding(DecodingSetup):
                         for init in inits]
                 block_rows.clear()
                 with monkeypatch.context() as patch:
-                    patch.setattr(generator, "token_distribution", recording)
+                    patch.setattr(generator, "beam_candidates", recording)
                     got = _beam_search(model, inits, encoding, grouped, config)
                 assert [ids for _, ids in got] == [ids for _, ids in want], f"seed {seed}"
                 for (got_score, _), (want_score, _) in zip(got, want):
