@@ -23,14 +23,18 @@ float32 is the working dtype; `using_dtype` exists so that numerical test
 suites can run the identical op implementations in float64, where central
 finite differences are meaningful.
 
-Gradient contract: `Tape.backward` adds into `.grad` only on leaves, the tensors
-that no record on the tape produced (parameters and inputs created with
-`requires_grad=True`).  Intermediate results keep `.grad` at None; their
-adjoints live in the sweep and are dropped when it ends.  Gather ops
-(`embedding_lookup`, `rows`/`row`, `take`, `pick`) hand back row-sparse
-adjoints that are added straight into their target's one dense buffer.
-Matrix-product vjps mark the arrays they have just made as fresh, and the
-sweep keeps such an array as the target's buffer instead of copying it.
+Gradient contract: every adjoint lives in its tensor's `.grad`.  On leaves,
+the tensors that no record on the tape produced (parameters and inputs
+created with `requires_grad=True`), `Tape.backward` accumulates there.  An
+intermediate result's adjoint builds up in `.grad` while the sweep visits
+the records that read it; the record that made it takes it and sets `.grad`
+back to None, so intermediates show None after a sweep.  For each input, a
+vjp returns one of three things.  Gather ops (`embedding_lookup`,
+`rows`/`row`, `take`, `pick`) return a row-sparse adjoint, which is added
+into its target's one dense buffer.  Otherwise a vjp returns a view of its
+output's adjoint `g`, which the sweep copies, or an array it has just made
+for that input alone, which the sweep keeps as the input's buffer and adds
+later contributions into in place.
 """
 
 from __future__ import annotations
@@ -179,46 +183,26 @@ class Tape:
             raise ValueError(f"backward needs a scalar root, got shape {root.data.shape}")
         if not root.requires_grad:
             raise ValueError("backward root was not recorded on a tape")
-        produced = {id(out) for out, _, _ in self._records}
-        # adjoints of intermediates; ids in `owned` name buffers this sweep
-        # allocated, which it may add into in place (the others can be views
-        # of arrays that another adjoint or an op's data still uses)
-        delta: dict[int, np.ndarray] = {}
-        owned: set[int] = set()
-
-        def deposit(tensor: Tensor, grad) -> None:
-            # a fresh array is held by nothing else, so it becomes the
-            # target's buffer as it is
-            fresh = isinstance(grad, _Fresh)
-            if fresh:
-                grad = grad.values
-            key = id(tensor)
-            if key not in produced:
-                if tensor.grad is None:
-                    tensor.grad = grad if fresh else _fresh_buffer(tensor, grad)
-                else:
-                    _add_into(tensor.grad, grad)
-                return
-            prev = delta.get(key)
-            if prev is None and not isinstance(grad, _RowGrad):
-                delta[key] = grad
-                if fresh:
-                    owned.add(key)
-            elif key in owned:
-                _add_into(prev, grad)
-            else:
-                delta[key] = _fresh_buffer(tensor, grad, prev)
-                owned.add(key)
-
-        deposit(root, np.ones_like(root.data))
+        root.grad = np.ones_like(root.data) if root.grad is None else root.grad + 1
         for out, inputs, vjp in reversed(self._records):
-            g_out = delta.pop(id(out), None)
-            if g_out is None:
+            # every record's inputs come before it, so out's adjoint is complete
+            g, out.grad = out.grad, None
+            if g is None:
                 continue
-            owned.discard(id(out))
-            for tensor, grad in zip(inputs, vjp(g_out)):
-                if grad is not None and tensor.requires_grad:
-                    deposit(tensor, grad)
+            for tensor, grad in zip(inputs, vjp(g)):
+                if grad is None or not tensor.requires_grad:
+                    continue
+                if tensor.grad is not None:
+                    _add_into(tensor.grad, grad)
+                elif isinstance(grad, _RowGrad):
+                    tensor.grad = np.zeros(tensor.data.shape, dtype=grad.values.dtype)
+                    _add_into(tensor.grad, grad)
+                elif np.may_share_memory(grad, g):
+                    # a view of g can reach several inputs; each gets a copy
+                    tensor.grad = np.array(grad, copy=True)
+                else:
+                    # made by the vjp for this input alone, so it becomes the buffer
+                    tensor.grad = grad
 
 
 class _RowGrad(NamedTuple):
@@ -232,36 +216,12 @@ class _RowGrad(NamedTuple):
     values: np.ndarray
 
 
-class _Fresh(NamedTuple):
-    """A dense adjoint its vjp has just allocated and keeps no reference
-    to, so the sweep may own it instead of copying it.  A vjp marks each
-    such array for one input only."""
-
-    values: np.ndarray
-
-
-def _fresh(*arrays: np.ndarray) -> tuple[_Fresh, ...]:
-    return tuple(_Fresh(a) for a in arrays)
-
-
 def _add_into(buffer: np.ndarray, grad) -> None:
     """buffer += grad, in place, for dense and row-sparse adjoints."""
     if isinstance(grad, _RowGrad):
         buffer[grad.index] += grad.values
     else:
         buffer += grad
-
-
-def _fresh_buffer(tensor: Tensor, grad, prev: np.ndarray | None = None) -> np.ndarray:
-    """A new dense buffer holding prev + grad (prev defaults to zero)."""
-    if not isinstance(grad, _RowGrad):
-        return np.array(grad, copy=True) if prev is None else prev + grad
-    if prev is None:
-        buffer = np.zeros(tensor.data.shape, dtype=np.result_type(grad.values))
-    else:
-        buffer = prev.copy()
-    _add_into(buffer, grad)
-    return buffer
 
 
 _ACTIVE_TAPE: Tape | None = None
@@ -367,7 +327,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def vjp(g):
-        return _fresh(g @ b_data.T, a_data.T @ g)
+        return g @ b_data.T, a_data.T @ g
 
     return _push(a_data @ b_data, (a, b), vjp)
 
@@ -381,7 +341,7 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     x_data, w_data = x.data, weight.data
 
     def vjp(g):
-        return _fresh(g @ w_data.T, x_data.T @ g, g.sum(axis=0, keepdims=True))
+        return g @ w_data.T, x_data.T @ g, g.sum(axis=0, keepdims=True)
 
     return _push(x_data @ w_data + bias.data, (x, weight, bias), vjp)
 
@@ -587,7 +547,7 @@ def additive_scores(keys: Tensor, queries: Tensor, v: Tensor) -> Tensor:
                 slope += weighted
         slope *= v_vec
         d_q *= v_vec
-        return _fresh(slope, d_q, d_v[:, None])
+        return slope, d_q, d_v[:, None]
 
     return _push(np.ascontiguousarray(scores.T), (keys, queries, v), vjp)
 
@@ -675,10 +635,10 @@ def gru_sequence(xs: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, b_z: Tensor,
         d_h0 = np.empty_like(carry)
         d_h0[order] = carry
         x_t = x.T
-        return _fresh(dx[unpacked], d_h0,
-                      x_t @ d_z, prev.T @ d_z, d_z.sum(axis=0, keepdims=True),
-                      x_t @ d_r, prev.T @ d_r, d_r.sum(axis=0, keepdims=True),
-                      x_t @ d_h, (r * prev).T @ d_h, d_h.sum(axis=0, keepdims=True))
+        return (dx[unpacked], d_h0,
+                x_t @ d_z, prev.T @ d_z, d_z.sum(axis=0, keepdims=True),
+                x_t @ d_r, prev.T @ d_r, d_r.sum(axis=0, keepdims=True),
+                x_t @ d_h, (r * prev).T @ d_h, d_h.sum(axis=0, keepdims=True))
 
     return _push(out[unpacked], (xs, h0, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h), vjp)
 

@@ -66,8 +66,9 @@ _AT_LEAST_ONE = frozenset({
 def load_config(path) -> RunConfig:
     """Parse "key = value" lines; '#' starts a comment, blank lines skipped.
 
-    Unknown keys, malformed values, non-finite floats, and epoch counts,
-    model sizes and decoding caps below 1 raise with the offending line
+    Unknown keys, malformed values, non-finite floats, epoch counts, model
+    sizes and decoding caps below 1, a topic_mode other than soft or hard,
+    and a stop_threshold outside (0, 1) raise with the offending line
     number.
     Relative path values are resolved against the config file's directory.
     """
@@ -99,6 +100,11 @@ def load_config(path) -> RunConfig:
             raise ValueError(f"{path}:{lineno}: '{key}' must be finite, got {parsed}")
         if key in _AT_LEAST_ONE and parsed < 1:
             raise ValueError(f"{path}:{lineno}: '{key}' must be at least 1, got {parsed}")
+        if key == "topic_mode" and parsed not in ("soft", "hard"):
+            raise ValueError(f"{path}:{lineno}: 'topic_mode' must be 'soft' or 'hard', "
+                             f"got '{parsed}'")
+        if key == "stop_threshold" and not 0.0 < parsed < 1.0:
+            raise ValueError(f"{path}:{lineno}: 'stop_threshold' must lie in (0, 1), got {parsed}")
         if key in _PATH_KEYS and parsed:
             candidate = Path(str(parsed))
             if not candidate.is_absolute():

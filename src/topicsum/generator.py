@@ -803,6 +803,9 @@ def train_generator(model: GeneratorModel, train: Sequence[SummarizationExample]
         raise ValueError(f"{len(valid)} validation examples but {len(valid_assignments)} assignment lists")
     if not train:
         raise ValueError("empty training set")
+    if mode == "hard":
+        raise ValueError("topic_mode 'hard' cannot train the generator: the argmax topic choice "
+                         "gives topic_W and topic_b no gradient; train with 'soft'")
 
     def losses(index: int) -> dict[str, ad.Tensor]:
         nll, _, total = example_loss(model, train[index], train_assignments[index], schema,

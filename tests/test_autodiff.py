@@ -435,6 +435,13 @@ class TestTapeSemantics:
             t.backward(y)
         np.testing.assert_allclose(x.grad, 2.0 * first)
 
+    def test_leaf_root_accumulates_like_any_leaf(self):
+        x = ad.Tensor([[3.0]], requires_grad=True)
+        with ad.tape() as t:
+            t.backward(x)
+            t.backward(x)
+        np.testing.assert_array_equal(x.grad, [[2.0]])
+
     def test_independent_subgraphs_add_independently(self):
         x = ad.Tensor([[1.0]], requires_grad=True)
         y = ad.Tensor([[2.0]], requires_grad=True)
@@ -457,8 +464,8 @@ class TestTapeSemantics:
                     pass
 
     def test_only_leaves_get_grads(self):
-        # leaves accumulate into .grad; intermediates (and the root) keep
-        # their adjoints inside the sweep only
+        # leaves accumulate into .grad; the sweep sets the .grad of
+        # intermediates (and the root) back to None once their records ran
         x = ad.Tensor([[0.3]], requires_grad=True)
         with ad.tape() as t:
             middle = ad.tanh(x)
@@ -498,7 +505,7 @@ class TestTapeSemantics:
         np.testing.assert_array_equal(y.grad, want)
 
     def test_adopted_adjoints_equal_copied_ones_bitwise(self, monkeypatch):
-        """Leaf gradients when fresh vjp results become `.grad` as they are,
+        """Leaf gradients when vjp results become `.grad` as they are,
         against the sweep that copies every first contribution."""
         rng = np.random.default_rng(12)
         cell = {name: ad.Tensor(rng.uniform(-0.5, 0.5, shape), requires_grad=True)
@@ -509,7 +516,7 @@ class TestTapeSemantics:
                       h0=ad.Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True),
                       w=ad.Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=True),
                       b=ad.Tensor(rng.uniform(-1, 1, (1, 5)), requires_grad=True))
-        adopted = []
+        returned = []
 
         def sweep():
             with ad.tape() as t:
@@ -522,17 +529,23 @@ class TestTapeSemantics:
                 leaf.grad = None
             return grads
 
-        fresh = ad._fresh
+        push = ad._push
 
-        def spy(*arrays):
-            adopted.extend(arrays)
-            return fresh(*arrays)
+        def spy(data, inputs, vjp):
+            def recorded(g):
+                grads = vjp(g)
+                returned.extend(grads)
+                return grads
+            return push(data, inputs, recorded)
 
-        monkeypatch.setattr(ad, "_fresh", spy)
+        monkeypatch.setattr(ad, "_push", spy)
         got = sweep()
-        monkeypatch.setattr(ad, "_fresh", lambda *arrays: arrays)
+        adopted = list(returned)
+        # every dense adjoint then counts as a view of g and is copied
+        monkeypatch.setattr(ad.np, "may_share_memory", lambda a, b: True)
         want = sweep()
         assert any(got["U_z"] is array for array in adopted)
+        assert not any(want["U_z"] is array for array in returned)
         for name in leaves:
             assert got[name].dtype == want[name].dtype
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
@@ -553,6 +566,78 @@ class TestTapeSemantics:
         for name, p in [("x", x), ("table", table), ("w", w)]:
             np.testing.assert_allclose(p.grad, 2.0 * first[name], rtol=1e-12, atol=0,
                                        err_msg=name)
+
+
+def _gru(leaf, lengths):
+    hidden = 5
+    weights = [leaf(*shape) for _ in range(3)
+               for shape in ((3, hidden), (hidden, hidden), (1, hidden))]
+    return ad.gru_sequence(leaf(sum(lengths), 3), leaf(len(lengths), hidden), *weights,
+                           lengths=lengths)
+
+
+# every op that records, each built from fresh leaves
+RECORDING_OPS = {
+    "add": lambda leaf: ad.add(leaf(3, 4), leaf(3, 4)),
+    "add_broadcast": lambda leaf: ad.add(leaf(3, 4), leaf(1, 4)),
+    "add_scalar": lambda leaf: ad.add(leaf(3, 4), 0.5),
+    "mul": lambda leaf: ad.mul(leaf(3, 4), leaf(3, 1)),
+    "mul_scalar": lambda leaf: ad.mul(leaf(3, 4), -2.0),
+    "matmul": lambda leaf: ad.matmul(leaf(3, 4), leaf(4, 2)),
+    "matmul_one_row": lambda leaf: ad.matmul(leaf(1, 4), leaf(4, 1)),
+    "affine": lambda leaf: ad.affine(leaf(3, 4), leaf(4, 2), leaf(1, 2)),
+    "affine_one_row": lambda leaf: ad.affine(leaf(1, 4), leaf(4, 2), leaf(1, 2)),
+    "transpose": lambda leaf: ad.transpose(leaf(3, 4)),
+    "tanh": lambda leaf: ad.tanh(leaf(3, 4)),
+    "sigmoid": lambda leaf: ad.sigmoid(leaf(3, 4)),
+    "softmax": lambda leaf: ad.softmax(leaf(3, 4), axis=0),
+    "log": lambda leaf: ad.log(leaf(3, 4), floor=1e-12),
+    "concat0": lambda leaf: ad.concat([leaf(3, 4), leaf(1, 4)], axis=0),
+    "concat1": lambda leaf: ad.concat([leaf(3, 4), leaf(3, 2)], axis=1),
+    "rows": lambda leaf: ad.rows(leaf(5, 4), 1, 3),
+    "row": lambda leaf: ad.row(leaf(5, 4), 2),
+    "take": lambda leaf: ad.take(leaf(5, 4), [3, 0]),
+    "pick": lambda leaf: ad.pick(leaf(5, 4), [0, 2], [1, 1]),
+    "embedding_lookup": lambda leaf: ad.embedding_lookup(leaf(6, 3), [4, 0, 4]),
+    "scatter_sum": lambda leaf: ad.scatter_sum(leaf(2, 4), [1, 0, 1, 3], 5),
+    "additive_scores": lambda leaf: ad.additive_scores(leaf(5, 4), leaf(2, 4), leaf(4, 1)),
+    "gru_sequence": lambda leaf: _gru(leaf, [2, 2]),
+    "gru_sequence_packed": lambda leaf: _gru(leaf, [1, 3]),
+    "sum": lambda leaf: leaf(3, 4).sum(),
+    "mean": lambda leaf: leaf(3, 4).mean(),
+}
+
+
+class TestVjpAdjoints:
+    """The sweep keeps a dense adjoint as its input's `.grad` unless it may
+    share memory with g, and later adds into it in place; so a vjp returns,
+    for each input, a row-sparse adjoint, a view of g, or an array of its own."""
+
+    @pytest.mark.parametrize("case", list(RECORDING_OPS))
+    def test_dense_adjoints_are_views_of_g_or_arrays_of_their_own(self, case):
+        rng = np.random.default_rng(17)
+
+        def leaf(*shape):
+            return ad.Tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=True)
+
+        with ad.tape() as t:
+            RECORDING_OPS[case](leaf)
+            records = list(t._records)
+        assert records
+        for out, inputs, vjp in records:
+            g = rng.uniform(-1.0, 1.0, out.data.shape).astype(out.data.dtype)
+            grads = vjp(g)
+            assert len(grads) == len(inputs)
+            dense = [(tensor, grad) for tensor, grad in zip(inputs, grads)
+                     if not isinstance(grad, ad._RowGrad)]
+            for k, (tensor, grad) in enumerate(dense):
+                assert grad.shape == tensor.data.shape
+                if np.shares_memory(grad, g):
+                    continue
+                others = ([t.data for t in inputs] + [out.data]
+                          + [other for j, (_, other) in enumerate(dense) if j != k])
+                assert not any(np.shares_memory(grad, other) for other in others), \
+                    f"adjoint {k} of {case} shares memory"
 
 
 class TestDeterminism:

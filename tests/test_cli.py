@@ -386,6 +386,16 @@ class TestExitCodes:
         assert f"{config}:" in err and f"'{key}' must be finite" in err
         assert not out.exists()
 
+    def test_hard_topic_mode_training_returns_two(self, workspace, tmp_path, capsys):
+        root, _, _ = workspace
+        config = root / "hard_mode.cfg"
+        config.write_text(CONFIG_TEMPLATE + "topic_mode = hard\n", encoding="utf-8")
+        out = tmp_path / "generator.bin"
+        rc = main(["train", "--stage", "generator", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert "topic_mode 'hard' cannot train the generator" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unexpected_failure_returns_one(self, tmp_path, capsys, monkeypatch):
         import topicsum.cli as cli
         monkeypatch.setattr(cli, "load_articles",

@@ -88,6 +88,20 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match=f":2: '{key}' must be at least 1, got {value}"):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("topic_mode", "bogus", "must be 'soft' or 'hard', got 'bogus'"),
+        ("topic_mode", "Soft", "must be 'soft' or 'hard', got 'Soft'"),
+        ("stop_threshold", "1.5", r"must lie in \(0, 1\), got 1.5"),
+        ("stop_threshold", "1", r"must lie in \(0, 1\), got 1.0"),
+        ("stop_threshold", "0", r"must lie in \(0, 1\), got 0.0"),
+        ("stop_threshold", "-0.2", r"must lie in \(0, 1\), got -0.2"),
+    ])
+    def test_decoding_value_out_of_range_names_line(self, tmp_path, key, value, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed = 1\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f":2: '{key}' {message}"):
+            load_config(path)
+
     def test_zero_label_tier_is_legal(self, tmp_path):
         # n_t = 0 keeps the unmarked labels
         path = tmp_path / "run.cfg"

@@ -1691,6 +1691,16 @@ class TestTrainGenerator(TrainingSetup):
         with pytest.raises(ValueError):
             train_generator(model, examples, assignments, examples, [], schema, vocab)
 
+    def test_hard_topic_mode_refused_before_any_forward_pass(self, monkeypatch):
+        # the argmax topic choice leaves topic_W and topic_b without a gradient
+        vocab, schema, examples, assignments = self.tiny_task()
+        model = GeneratorModel(len(vocab), 2, embed_dim=6, hidden_dim=6, seed=2)
+        monkeypatch.setattr(generator, "example_loss",
+                            lambda *args, **kwargs: pytest.fail("a forward pass ran"))
+        with pytest.raises(ValueError, match="topic_mode 'hard' cannot train"):
+            train_generator(model, examples, assignments, [], [], schema, vocab,
+                            epochs=1, mode="hard")
+
     def test_keeps_best_validation_epoch(self):
         # at lr 0.1 the validation loss falls in epoch 2 and rises in epoch 3
         vocab, schema, examples, assignments = self.tiny_task()
