@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import contextlib
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -259,6 +260,13 @@ def zeros(shape) -> Tensor:
 
 
 _INIT_CHUNK = 1 << 16   # elements drawn at a time by `parameter`
+_SPLIT_MIN = 4 * _INIT_CHUNK   # smallest tensor whose draw `parameter` splits
+
+
+def _fill_uniform(rng: np.random.Generator, flat: np.ndarray, scale: float) -> None:
+    for start in range(0, flat.size, _INIT_CHUNK):
+        stop = min(start + _INIT_CHUNK, flat.size)
+        flat[start:stop] = rng.uniform(-scale, scale, size=stop - start)
 
 
 def parameter(rng: np.random.Generator, shape, scale: float = 0.1) -> Tensor:
@@ -267,13 +275,33 @@ def parameter(rng: np.random.Generator, shape, scale: float = 0.1) -> Tensor:
     The values are `rng.uniform(-scale, scale, size=shape)` cast to the
     working dtype, drawn in chunks of `_INIT_CHUNK` so that no float64 copy
     of a large weight is made; the generator's stream, and so every later
-    draw, is the same as one whole draw's.
+    draw, is the same as one whole draw's.  From `_SPLIT_MIN` elements on,
+    a PCG64 stream is drawn on two threads: this one draws the first half
+    of the chunks while a worker draws the second from a copy of the bit
+    generator advanced past the first, and `rng` then takes the worker's
+    end state.  Values and the generator's whole state, buffered 32-bit
+    value included, equal the serial draw's.
     """
     data = np.empty(shape, dtype=default_dtype())
     flat = data.reshape(-1)
-    for start in range(0, flat.size, _INIT_CHUNK):
-        stop = min(start + _INIT_CHUNK, flat.size)
-        flat[start:stop] = rng.uniform(-scale, scale, size=stop - start)
+    bits = rng.bit_generator
+    # PCG64's `advance(n)` skips n 64-bit outputs, one per float64 uniform
+    if flat.size < _SPLIT_MIN or type(bits) is not np.random.PCG64:
+        _fill_uniform(rng, flat, scale)
+        return Tensor(data, requires_grad=True)
+    split = (flat.size // _INIT_CHUNK + 1) // 2 * _INIT_CHUNK
+    state = bits.state
+    tail = np.random.PCG64()
+    tail.state = state
+    tail.advance(split)
+    # `advance` drops the buffered 32-bit value, which a uniform draw keeps
+    tail.state = {**tail.state, "has_uint32": state["has_uint32"],
+                  "uinteger": state["uinteger"]}
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        second = pool.submit(_fill_uniform, np.random.Generator(tail), flat[split:], scale)
+        _fill_uniform(rng, flat[:split], scale)
+        second.result()
+    bits.state = tail.state
     return Tensor(data, requires_grad=True)
 
 

@@ -3,12 +3,17 @@
 Layout: the magic bytes, then per tensor a little-endian u32 name length,
 the UTF-8 name, a u32 rank, one u32 per dimension, and the float32
 little-endian values in row-major order.  Round-trips are bit-exact.
+
+Both loaders first walk every header, seeking past the values, and check
+the whole archive against the file's size before they read any value, so
+a bad archive raises ValueError naming the path and changes nothing.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from typing import Mapping
+from typing import BinaryIO, Mapping, NamedTuple
 
 import numpy as np
 
@@ -24,7 +29,8 @@ def _as_array(value) -> np.ndarray:
 
 
 def save_tensors(path, tensors: Mapping[str, object]) -> None:
-    """Write named arrays (or Tensors) in dict order.
+    """Write named arrays (or Tensors) in dict order; names must be
+    printable.
 
     Written through `atomic_write`: `path` holds its old contents or the
     whole new archive, never part of one.
@@ -32,47 +38,86 @@ def save_tensors(path, tensors: Mapping[str, object]) -> None:
     with atomic_write(path, "wb") as handle:
         handle.write(MAGIC)
         for name, value in tensors.items():
-            arr = np.ascontiguousarray(_as_array(value), dtype="<f4")
+            if not name.isprintable():
+                raise ValueError(f"tensor name {name!r} is not printable")
+            arr = np.asarray(_as_array(value), dtype="<f4", order="C")   # keeps 0-d
             encoded = name.encode("utf-8")
             handle.write(struct.pack("<I", len(encoded)))
             handle.write(encoded)
             handle.write(struct.pack("<I", arr.ndim))
             if arr.ndim:
                 handle.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            handle.write(arr.tobytes(order="C"))
+            handle.write(memoryview(arr.reshape(-1)).cast("B"))
 
 
-def load_tensors(path) -> dict[str, np.ndarray]:
-    """Named arrays of an archive: writable views into one buffer that holds
-    the whole file, so the values are read once and not copied."""
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw[:len(MAGIC)].tobytes() != MAGIC:
+class _Entry(NamedTuple):
+    name: str
+    shape: tuple[int, ...]
+    offset: int   # byte offset of the values
+
+
+def _walk(handle: BinaryIO, path) -> list[_Entry]:
+    """Every tensor's header, in file order, read without the values.
+
+    Checks the magic, each length against the bytes left in the file, the
+    names (UTF-8, printable, distinct); leaves `handle` at end of file.
+    """
+    size = os.fstat(handle.fileno()).st_size
+    if handle.read(len(MAGIC)) != MAGIC:
         raise ValueError(f"{path}: not a tensor archive (bad magic)")
     offset = len(MAGIC)
-    total = len(raw)
 
-    def take(count: int) -> int:
-        """Skip `count` bytes; returns the offset where they start."""
+    def take(count: int) -> bytes:
         nonlocal offset
-        if offset + count > total:
+        if count > size - offset:
             raise ValueError(f"{path}: truncated archive at byte {offset}")
         offset += count
-        return offset - count
+        return handle.read(count)
 
-    tensors: dict[str, np.ndarray] = {}
-    while offset < total:
-        (name_len,) = struct.unpack_from("<I", raw, take(4))
-        start = take(name_len)
-        name = raw[start:start + name_len].tobytes().decode("utf-8")
-        if name in tensors:
+    entries: list[_Entry] = []
+    seen: set[str] = set()
+    while offset < size:
+        (name_len,) = struct.unpack("<I", take(4))
+        start = offset
+        raw = take(name_len)
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            name = None
+        if name is None or not name.isprintable():
+            raise ValueError(f"{path}: tensor name at byte {start} is not printable UTF-8")
+        if name in seen:
             raise ValueError(f"{path}: duplicate tensor '{name}'")
-        (rank,) = struct.unpack_from("<I", raw, take(4))
-        shape = struct.unpack_from(f"<{rank}I", raw, take(4 * rank)) if rank else ()
+        seen.add(name)
+        (rank,) = struct.unpack("<I", take(4))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
         count = 1
         for dim in shape:
             count *= dim
-        tensors[name] = np.frombuffer(raw, dtype="<f4", count=count,
-                                      offset=take(4 * count)).reshape(shape)
+        data_offset = offset
+        if 4 * count > size - offset:
+            raise ValueError(f"{path}: truncated archive at byte {offset}")
+        offset = handle.seek(4 * count, os.SEEK_CUR)
+        entries.append(_Entry(name, shape, data_offset))
+    return entries
+
+
+def _read_values(handle: BinaryIO, path, entry: _Entry, out: np.ndarray) -> None:
+    """Read one tensor's values into the C-contiguous `<f4` array `out`."""
+    handle.seek(entry.offset)
+    if handle.readinto(memoryview(out.reshape(-1)).cast("B")) != out.nbytes:
+        raise ValueError(f"{path}: truncated archive at byte {entry.offset}")
+
+
+def load_tensors(path) -> dict[str, np.ndarray]:
+    """Named arrays of an archive, each a writable array of its own; the
+    whole archive is checked before any value is read."""
+    with open(path, "rb") as handle:
+        entries = _walk(handle, path)
+        tensors: dict[str, np.ndarray] = {}
+        for entry in entries:
+            tensors[entry.name] = np.empty(entry.shape, dtype="<f4")
+            _read_values(handle, path, entry, tensors[entry.name])
     return tensors
 
 
@@ -80,21 +125,32 @@ def load_into(params: Mapping[str, object], path) -> None:
     """Fill existing parameter tensors from an archive, by name.
 
     Names present in the archive but not in `params` (and vice versa) are an
-    error, as is any shape mismatch; errors name the offending tensors.
+    error, as is any shape mismatch; errors name the offending tensors.  The
+    whole archive is checked before any parameter is written, so after an
+    error every parameter holds what it held before.  Values go from the
+    file straight into each parameter's buffer, through a temporary only
+    when that buffer is not C-contiguous `<f4`.
     """
-    loaded = load_tensors(path)
-    unknown = sorted(set(loaded) - set(params))
-    if unknown:
-        raise ValueError(f"{path}: unknown tensor names in archive: {', '.join(unknown)}")
-    missing = sorted(set(params) - set(loaded))
-    if missing:
-        raise ValueError(f"{path}: archive is missing tensors: {', '.join(missing)}")
-    for name, arr in loaded.items():
-        target = params[name]
-        data = getattr(target, "data", None)
-        if data is None or not isinstance(data, np.ndarray):
-            raise ValueError(f"parameter '{name}' has no array data to fill")
-        if tuple(arr.shape) != tuple(data.shape):
-            raise ValueError(f"{path}: tensor '{name}' has shape {tuple(arr.shape)}, "
-                             f"model expects {tuple(data.shape)}")
-        data[...] = arr
+    with open(path, "rb") as handle:
+        entries = _walk(handle, path)
+        unknown = sorted(e.name for e in entries if e.name not in params)
+        if unknown:
+            raise ValueError(f"{path}: unknown tensor names in archive: {', '.join(unknown)}")
+        missing = sorted(set(params) - {e.name for e in entries})
+        if missing:
+            raise ValueError(f"{path}: archive is missing tensors: {', '.join(missing)}")
+        for entry in entries:
+            data = getattr(params[entry.name], "data", None)
+            if not isinstance(data, np.ndarray):
+                raise ValueError(f"parameter '{entry.name}' has no array data to fill")
+            if entry.shape != data.shape:
+                raise ValueError(f"{path}: tensor '{entry.name}' has shape {entry.shape}, "
+                                 f"model expects {data.shape}")
+        for entry in entries:
+            data = params[entry.name].data
+            if data.dtype == np.dtype("<f4") and data.flags.c_contiguous:
+                _read_values(handle, path, entry, data)
+            else:
+                values = np.empty(entry.shape, dtype="<f4")
+                _read_values(handle, path, entry, values)
+                data[...] = values

@@ -4,6 +4,8 @@ Derived gradient values are checked against central finite differences
 (step 1e-3) computed here, independently of the backward implementations.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -38,18 +40,47 @@ class TestTensorBasics:
 class TestParameterInit:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(2 * ad._INIT_CHUNK + 17,),
-                                       (3, 5, ad._INIT_CHUNK // 15 + 1), (0, 4)])
+                                       (3, 5, ad._INIT_CHUNK // 15 + 1), (0, 4),
+                                       (ad._SPLIT_MIN // 3 + 1, 3), (5, ad._SPLIT_MIN // 5 + 1)])
     def test_equals_one_whole_draw(self, dtype, shape):
-        """Chunked draws give the values, and leave the generator where, one
-        whole float64 draw cast to the dtype would."""
-        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
-        with ad.using_dtype(dtype):
-            param = ad.parameter(got_rng, shape, scale=0.3)
-        want = want_rng.uniform(-0.3, 0.3, size=shape).astype(dtype)
-        assert param.requires_grad and param.data.dtype == dtype
-        assert param.data.shape == want.shape
-        assert np.array_equal(param.data, want)
-        assert got_rng.uniform() == want_rng.uniform()
+        """Chunked (and, from `_SPLIT_MIN` elements, two-thread) draws give
+        the values, and leave the generator's whole state where, one whole
+        float64 draw cast to the dtype would; a 32-bit value buffered by an
+        earlier draw survives."""
+        for bits in (np.random.PCG64, np.random.MT19937):
+            for buffered in (False, True):
+                got_rng, want_rng = np.random.Generator(bits(3)), np.random.Generator(bits(3))
+                if buffered:
+                    for rng in (got_rng, want_rng):
+                        rng.integers(0, 2**32, dtype=np.uint32)
+                with ad.using_dtype(dtype):
+                    param = ad.parameter(got_rng, shape, scale=0.3)
+                want = want_rng.uniform(-0.3, 0.3, size=shape).astype(dtype)
+                assert param.requires_grad and param.data.dtype == dtype
+                assert param.data.shape == want.shape
+                assert np.array_equal(param.data, want)
+                np.testing.assert_equal(got_rng.bit_generator.state,
+                                        want_rng.bit_generator.state)
+                assert (got_rng.integers(0, 2**32, dtype=np.uint32)
+                        == want_rng.integers(0, 2**32, dtype=np.uint32))
+                assert got_rng.uniform() == want_rng.uniform()
+
+    def test_worker_failure_is_raised_and_no_thread_outlives_the_call(self, monkeypatch):
+        threads = threading.active_count()
+        ad.parameter(np.random.default_rng(0), (ad._SPLIT_MIN,))
+        assert threading.active_count() == threads
+        rng = np.random.default_rng(0)
+        fill = ad._fill_uniform
+
+        def failing_in_worker(draw_rng, flat, scale):
+            if draw_rng is not rng:
+                raise MemoryError("worker failed")
+            fill(draw_rng, flat, scale)
+
+        monkeypatch.setattr(ad, "_fill_uniform", failing_in_worker)
+        with pytest.raises(MemoryError, match="worker failed"):
+            ad.parameter(rng, (ad._SPLIT_MIN,))
+        assert threading.active_count() == threads
 
 
 class TestForwardValues:

@@ -1,5 +1,7 @@
 """Binary tensor archive round trips and validation errors."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,30 @@ class TestRoundTrip:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
+    def test_bytes_follow_the_documented_layout(self, tmp_path):
+        matrix = np.arange(6, dtype=np.float32).reshape(2, 3) - 2.5
+        column = np.asfortranarray(np.arange(4, dtype=np.float64).reshape(2, 2))
+        path = tmp_path / "model.bin"
+        save_tensors(path, {"m": matrix, "empty": np.zeros((0, 3), np.float32),
+                            "scalar": np.float32(1.5), "fortran": column})
+        expected = (MAGIC
+                    + struct.pack("<I", 1) + b"m" + struct.pack("<3I", 2, 2, 3)
+                    + struct.pack("<6f", *matrix.ravel())
+                    + struct.pack("<I", 5) + b"empty" + struct.pack("<3I", 2, 0, 3)
+                    + struct.pack("<I", 6) + b"scalar" + struct.pack("<I", 0)
+                    + struct.pack("<f", 1.5)
+                    + struct.pack("<I", 7) + b"fortran" + struct.pack("<3I", 2, 2, 2)
+                    + struct.pack("<4f", 0.0, 1.0, 2.0, 3.0))
+        assert path.read_bytes() == expected
+        loaded = load_tensors(path)
+        assert loaded["empty"].shape == (0, 3) and loaded["scalar"].shape == ()
+        assert np.array_equal(loaded["fortran"], column)
+
+    @pytest.mark.parametrize("name", ["tab\there", "nul\x00"])
+    def test_unprintable_name_refused(self, tmp_path, name):
+        with pytest.raises(ValueError, match="not printable"):
+            save_tensors(tmp_path / "model.bin", {name: np.zeros(1)})
+
 
 class TestValidation:
     def test_bad_magic_rejected(self, tmp_path):
@@ -87,6 +113,76 @@ class TestValidation:
         with pytest.raises(ValueError, match="duplicate"):
             load_tensors(path)
 
+    def test_non_utf8_name_names_path_and_offset(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_tensors(path, {"x": np.ones((1, 1), dtype=np.float32)})
+        blob = bytearray(path.read_bytes())
+        blob[len(MAGIC) + 4] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=f"{path}: tensor name at byte {len(MAGIC) + 4} "):
+            load_tensors(path)
+
+
+class TestCorruptArchiveSweep:
+    """Every truncation, and every header byte set to 0x00, 0xFF or flipped
+    in its top bit, of a three-tensor archive."""
+
+    rng = np.random.default_rng(5)
+    TENSORS = {"enc.W": rng.normal(size=(2, 3)).astype(np.float32),
+               "bias": rng.normal(size=(4,)).astype(np.float32),
+               "scale": np.float32(rng.normal())}
+
+    @pytest.fixture(scope="class")
+    def blob(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("sweep") / "model.bin"
+        save_tensors(path, self.TENSORS)
+        return path.read_bytes()
+
+    def layout(self):
+        """Byte ranges of each tensor's header and the offsets where a
+        tensor ends, from the documented layout."""
+        headers, ends, offset = [range(len(MAGIC))], [len(MAGIC)], len(MAGIC)
+        for name, value in self.TENSORS.items():
+            arr = np.asarray(value)
+            header = 4 + len(name.encode()) + 4 + 4 * arr.ndim
+            headers.append(range(offset, offset + header))
+            offset += header + 4 * arr.size
+            ends.append(offset)
+        return [i for r in headers for i in r], ends
+
+    def cases(self, blob):
+        header_bytes, _ = self.layout()
+        yield from ((f"cut at {n}", blob[:n]) for n in range(len(blob)))
+        for i in header_bytes:
+            for value in sorted({0x00, 0xFF, blob[i] ^ 0x80} - {blob[i]}):
+                corrupt = bytearray(blob)
+                corrupt[i] = value
+                yield f"byte {i} = {value:#04x}", bytes(corrupt)
+
+    def test_both_loaders_refuse_and_change_nothing(self, blob, tmp_path):
+        _, ends = self.layout()
+        path = tmp_path / "corrupt.bin"
+        n_cases = 0
+        for label, corrupt in self.cases(blob):
+            n_cases += 1
+            path.write_bytes(corrupt)
+            params = {name: ad.Tensor(np.full(np.shape(v), 9.0, np.float32),
+                                      requires_grad=True)
+                      for name, v in self.TENSORS.items()}
+            with pytest.raises(ValueError, match=str(path)):
+                load_into(params, path)
+            assert all(np.all(p.data == 9.0) for p in params.values()), label
+            if label.startswith("cut") and len(corrupt) in ends:
+                # a cut between tensors leaves a shorter archive that the
+                # format cannot tell from a whole one; only `load_into`,
+                # which knows the names to expect, refuses it
+                kept = ends.index(len(corrupt))
+                assert list(load_tensors(path)) == list(self.TENSORS)[:kept], label
+                continue
+            with pytest.raises(ValueError, match=str(path)):
+                load_tensors(path)
+        assert n_cases > len(blob) + 2 * len(self.layout()[0])
+
 
 class TestLoadInto:
     def make_params(self):
@@ -96,15 +192,21 @@ class TestLoadInto:
         }
 
     def test_fills_in_place(self, tmp_path):
+        """float32 buffers are read into directly, float64 ones through a
+        temporary; both keep their arrays."""
         source = self.make_params()
         source["w"].data[...] = 7.0
         source["b"].data[...] = -2.0
         path = tmp_path / "model.bin"
         save_tensors(path, source)
-        target = self.make_params()
-        load_into(target, path)
-        np.testing.assert_allclose(target["w"].data, 7.0)
-        np.testing.assert_allclose(target["b"].data, -2.0)
+        for dtype in (np.float32, np.float64):
+            with ad.using_dtype(dtype):
+                target = self.make_params()
+            buffers = {name: p.data for name, p in target.items()}
+            load_into(target, path)
+            assert all(target[name].data is buffers[name] for name in target)
+            np.testing.assert_allclose(target["w"].data, 7.0)
+            np.testing.assert_allclose(target["b"].data, -2.0)
 
     def test_unknown_name_in_archive(self, tmp_path):
         path = tmp_path / "model.bin"
@@ -124,3 +226,16 @@ class TestLoadInto:
         save_tensors(path, {"w": np.zeros((3, 2)), "b": np.zeros((1, 3))})
         with pytest.raises(ValueError, match="'w'"):
             load_into(self.make_params(), path)
+
+    @pytest.mark.parametrize("archive", [
+        {"w": np.ones((2, 3)), "b": np.ones((3, 1))},            # second shape wrong
+        {"w": np.ones((2, 3)), "b": np.ones((1, 3)), "x": np.ones(1)},  # unknown name
+        {"w": np.ones((2, 3))},                                   # missing name
+    ], ids=["shape", "unknown", "missing"])
+    def test_error_leaves_every_parameter_unchanged(self, tmp_path, archive):
+        path = tmp_path / "model.bin"
+        save_tensors(path, archive)
+        params = self.make_params()
+        with pytest.raises(ValueError):
+            load_into(params, path)
+        assert all(np.all(p.data == 0.0) for p in params.values())

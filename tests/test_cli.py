@@ -230,6 +230,19 @@ class TestGenerate:
         n_records = len(paths["summ_valid"].read_text("utf-8").splitlines())
         assert len(lines) == n_records  # alignment preserved
 
+    def test_truncated_generator_checkpoint_returns_two(self, workspace, tmp_path, capsys):
+        root, paths, config = workspace
+        truncated = tmp_path / "generator.bin"
+        truncated.write_bytes((root / "generator.bin").read_bytes()[:-5])
+        rc = main(["generate", "--config", str(config),
+                   "--detector-ckpt", str(root / "detector.bin"),
+                   "--generator-ckpt", str(truncated),
+                   "--input", str(paths["summ_valid"]),
+                   "--out", str(tmp_path / "out.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {truncated}: truncated archive")
+        assert not (tmp_path / "out.txt").exists()
+
     def test_mode_flag_accepted(self, workspace, tmp_path):
         root, paths, config = workspace
         rc = main(["generate", "--config", str(config),
