@@ -54,6 +54,8 @@ __all__ = [
     "default_dtype",
     "parameter",
     "zero_parameter",
+    "parameters_of",
+    "LOG_FLOOR",
     "zeros",
     "add",
     "mul",
@@ -78,6 +80,7 @@ __all__ = [
 ]
 
 _DTYPE_STACK = [np.float32]
+LOG_FLOOR = 1e-12   # the models clamp a probability here before its log
 
 
 def default_dtype():
@@ -308,6 +311,18 @@ def parameter(rng: np.random.Generator, shape, scale: float = 0.1) -> Tensor:
 def zero_parameter(shape) -> Tensor:
     """Trainable tensor initialized to zero (biases)."""
     return Tensor(np.zeros(shape, dtype=default_dtype()), requires_grad=True)
+
+
+def parameters_of(owner) -> dict[str, Tensor]:
+    """`owner`'s trainable tensors by attribute name, in assignment order; an
+    attribute with its own `parameters()` adds each as "<attribute>.<name>"."""
+    params: dict[str, Tensor] = {}
+    for attribute, value in vars(owner).items():
+        if isinstance(value, Tensor) and value.requires_grad:
+            params[attribute] = value
+        elif hasattr(value, "parameters"):
+            params.update((f"{attribute}.{name}", p) for name, p in value.parameters().items())
+    return params
 
 
 # ---------------------------------------------------------------------------

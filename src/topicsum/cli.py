@@ -23,7 +23,7 @@ from .corpus import (article_token_sequences, build_detector_dataset,
                      write_label_stats)
 from .detector import (DetectorModel, MeanEmbeddingEncoder, detect_topics,
                        train_detector)
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 from .generator import (DecodeConfig, GeneratorModel, generate_abstract,
                         init_embeddings, train_generator)
 from .rouge import dedup_sentences, evaluate_corpus, write_eval_report
@@ -273,17 +273,19 @@ def cmd_generate(args) -> int:
 
 def _read_abstract_lines(path) -> list[list[list[str]]]:
     abstracts: list[list[list[str]]] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            text = line.rstrip("\n")
-            sentences = [tokenize(s) for s in split_sentences(text)]
-            abstracts.append([s for s in sentences if s])
+    for line in read_lines(path):
+        text = line.rstrip("\n")
+        sentences = [tokenize(s) for s in split_sentences(text)]
+        abstracts.append([s for s in sentences if s])
     return abstracts
 
 
 def cmd_evaluate(args) -> int:
     generated = _read_abstract_lines(args.generated)
     gold = _read_abstract_lines(args.gold)
+    if len(generated) != len(gold):
+        raise ValueError(f"{args.generated} holds {len(generated)} abstracts but {args.gold} "
+                         f"holds {len(gold)}; the files must align line by line")
     report = evaluate_corpus(generated, gold)
     write_eval_report(args.out, report)
     print(f"examples: {report.n_examples}")

@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .fileio import read_lines
+
 __all__ = ["RunConfig", "load_config", "format_config"]
 
 
@@ -76,7 +78,7 @@ def load_config(path) -> RunConfig:
     base = path.parent
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate("".join(read_lines(path)).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

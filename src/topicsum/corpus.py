@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 from .text import Vocabulary, split_sentences, tokenize
 
 __all__ = [
@@ -64,27 +64,26 @@ class RawArticle:
 
 def load_articles(path) -> list[RawArticle]:
     articles: list[RawArticle] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(obj, dict) or "title" not in obj or "sections" not in obj:
-                raise ValueError(f"{path}:{lineno}: expected an object with 'title' and 'sections'")
-            title = obj["title"]
-            if not isinstance(title, str) or not title:
-                raise ValueError(f"{path}:{lineno}: 'title' must be a non-empty string")
-            sections = []
-            for entry in obj["sections"]:
-                if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                        or not isinstance(entry[0], str) or not entry[0]
-                        or not isinstance(entry[1], str)):
-                    raise ValueError(f"{path}:{lineno}: each section must be a [label, text] pair")
-                sections.append((entry[0], entry[1]))
-            articles.append(RawArticle(title=title, sections=tuple(sections)))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(obj, dict) or "title" not in obj or "sections" not in obj:
+            raise ValueError(f"{path}:{lineno}: expected an object with 'title' and 'sections'")
+        title = obj["title"]
+        if not isinstance(title, str) or not title:
+            raise ValueError(f"{path}:{lineno}: 'title' must be a non-empty string")
+        sections = []
+        for entry in obj["sections"]:
+            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                    or not isinstance(entry[0], str) or not entry[0]
+                    or not isinstance(entry[1], str)):
+                raise ValueError(f"{path}:{lineno}: each section must be a [label, text] pair")
+            sections.append((entry[0], entry[1]))
+        articles.append(RawArticle(title=title, sections=tuple(sections)))
     return articles
 
 
@@ -165,7 +164,7 @@ def load_topic_schema(path, n_t: int = 20) -> TopicSchema:
     topics: list[Topic] = []
     noise_patterns: list[re.Pattern] = []
     seen_labels: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate("".join(read_lines(path)).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -329,25 +328,24 @@ def load_detector_dataset(path, n_classes: int, vocab_size: int) -> list[TopicPa
     """Read 'topic<TAB>ids' lines; a topic outside [0, n_classes) or a token
     id outside [0, vocab_size) is an error naming its line."""
     examples: list[TopicParagraphExample] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'topic<TAB>ids'")
-            try:
-                topic = int(parts[0])
-                ids = tuple(int(tok) for tok in parts[1].split())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer field ({exc})") from exc
-            if not 0 <= topic < n_classes:
-                raise ValueError(f"{path}:{lineno}: topic {topic} outside [0, {n_classes})")
-            bad = [i for i in ids if not 0 <= i < vocab_size]
-            if bad:
-                raise ValueError(f"{path}:{lineno}: token id {bad[0]} outside [0, {vocab_size})")
-            examples.append(TopicParagraphExample(topic_index=topic, token_ids=ids))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'topic<TAB>ids'")
+        try:
+            topic = int(parts[0])
+            ids = tuple(int(tok) for tok in parts[1].split())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-integer field ({exc})") from exc
+        if not 0 <= topic < n_classes:
+            raise ValueError(f"{path}:{lineno}: topic {topic} outside [0, {n_classes})")
+        bad = [i for i in ids if not 0 <= i < vocab_size]
+        if bad:
+            raise ValueError(f"{path}:{lineno}: token id {bad[0]} outside [0, {vocab_size})")
+        examples.append(TopicParagraphExample(topic_index=topic, token_ids=ids))
     return examples
 
 
@@ -389,36 +387,35 @@ def load_summarization_dataset(path, vocab: Vocabulary,
     a warning (generation-only inputs pass `require_abstract=False`).
     """
     examples: list[SummarizationExample] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            title, paragraph_field, abstract_field = parts
-            paragraph_tokens = [tokenize(block) for block in paragraph_field.split(PARAGRAPH_SEPARATOR)]
-            paragraph_tokens = [toks for toks in paragraph_tokens if toks]
-            if not paragraph_tokens:
-                logger.warning("%s:%d: no input paragraphs, record skipped", path, lineno)
-                continue
-            if SENTENCE_SEPARATOR in abstract_field:
-                sentence_texts = abstract_field.split(SENTENCE_SEPARATOR)
-            else:
-                sentence_texts = split_sentences(abstract_field)
-            abstract_tokens = [tokenize(s) for s in sentence_texts]
-            abstract_tokens = [toks for toks in abstract_tokens if toks]
-            if not abstract_tokens and require_abstract:
-                logger.warning("%s:%d: empty abstract, record skipped", path, lineno)
-                continue
-            examples.append(SummarizationExample(
-                title=title,
-                paragraph_tokens=paragraph_tokens,
-                paragraph_ids=[vocab.encode(toks) for toks in paragraph_tokens],
-                abstract_tokens=abstract_tokens,
-                abstract_ids=[vocab.encode(toks) for toks in abstract_tokens],
-            ))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        title, paragraph_field, abstract_field = parts
+        paragraph_tokens = [tokenize(block) for block in paragraph_field.split(PARAGRAPH_SEPARATOR)]
+        paragraph_tokens = [toks for toks in paragraph_tokens if toks]
+        if not paragraph_tokens:
+            logger.warning("%s:%d: no input paragraphs, record skipped", path, lineno)
+            continue
+        if SENTENCE_SEPARATOR in abstract_field:
+            sentence_texts = abstract_field.split(SENTENCE_SEPARATOR)
+        else:
+            sentence_texts = split_sentences(abstract_field)
+        abstract_tokens = [tokenize(s) for s in sentence_texts]
+        abstract_tokens = [toks for toks in abstract_tokens if toks]
+        if not abstract_tokens and require_abstract:
+            logger.warning("%s:%d: empty abstract, record skipped", path, lineno)
+            continue
+        examples.append(SummarizationExample(
+            title=title,
+            paragraph_tokens=paragraph_tokens,
+            paragraph_ids=[vocab.encode(toks) for toks in paragraph_tokens],
+            abstract_tokens=abstract_tokens,
+            abstract_ids=[vocab.encode(toks) for toks in abstract_tokens],
+        ))
     return examples
 
 

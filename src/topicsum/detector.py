@@ -55,8 +55,7 @@ class MeanEmbeddingEncoder:
             mean = ad.matmul(weights, vectors)  # [1, embed_dim]
         return ad.tanh(ad.affine(mean, self.proj_W, self.proj_b))
 
-    def parameters(self) -> dict[str, ad.Tensor]:
-        return {"embed": self.embed, "proj_W": self.proj_W, "proj_b": self.proj_b}
+    parameters = ad.parameters_of
 
 
 class DetectorModel:
@@ -73,11 +72,7 @@ class DetectorModel:
     def logits(self, token_ids: Sequence[int]) -> ad.Tensor:
         return ad.affine(self.encoder.encode(token_ids), self.cls_W, self.cls_b)
 
-    def parameters(self) -> dict[str, ad.Tensor]:
-        params = {f"encoder.{name}": p for name, p in self.encoder.parameters().items()}
-        params["cls_W"] = self.cls_W
-        params["cls_b"] = self.cls_b
-        return params
+    parameters = ad.parameters_of
 
 
 def detect_topics(paragraphs: Sequence[Sequence[int]], model: DetectorModel) -> list[int]:
@@ -87,7 +82,7 @@ def detect_topics(paragraphs: Sequence[Sequence[int]], model: DetectorModel) -> 
 
 def _example_nll(model: DetectorModel, example: TopicParagraphExample) -> ad.Tensor:
     probs = ad.softmax(model.logits(example.token_ids), axis=1)
-    return ad.mul(ad.log(ad.pick(probs, 0, example.topic_index), floor=1e-12), -1.0)
+    return ad.mul(ad.log(ad.pick(probs, 0, example.topic_index), floor=ad.LOG_FLOOR), -1.0)
 
 
 def train_detector(model: DetectorModel, train: Sequence[TopicParagraphExample],

@@ -1,12 +1,30 @@
-"""Output files that are replaced whole or not at all."""
+"""Text read with bad bytes located; output files replaced whole or not at all."""
 
 from __future__ import annotations
 
 import contextlib
 import os
 import secrets
+from pathlib import Path
 
-__all__ = ["atomic_write"]
+__all__ = ["read_lines", "atomic_write"]
+
+
+def read_lines(path):
+    """The lines of `path` as `open(path, encoding="utf-8")` yields them; a
+    byte sequence that is not UTF-8 raises ValueError naming `path` and its
+    line in universal newlines, which `bytes.splitlines` counts.  The file
+    decodes ahead of the line read, so that line is found by decoding again."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield from handle
+        except UnicodeDecodeError:
+            try:
+                Path(path).read_bytes().decode("utf-8")
+            except UnicodeDecodeError as bad:
+                line = len(bad.object[:bad.start + 1].splitlines())
+                raise ValueError(f"{path}:{line}: not UTF-8 at offset {bad.start} ({bad.reason})")
+            raise
 
 
 @contextlib.contextmanager

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Sequence
 
@@ -38,6 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import SummarizationExample, TopicSchema
+from .fileio import read_lines
 from .text import BOS_ID, EOS_ID, UNK_ID, Vocabulary
 
 __all__ = [
@@ -121,6 +123,11 @@ class TopicGroups:
     @property
     def total_tokens(self) -> int:
         return sum(len(g) for g in self.groups)
+
+    @cached_property
+    def extended_ids(self) -> np.ndarray:
+        """Every kept input token's extended id, in token-state order."""
+        return np.array([ext for group in self.groups for ext in group.extended_ids], np.int64)
 
     def target_id(self, token: str, vocab: Vocabulary) -> int:
         """Gold-side encoding: vocab id, else this example's extended id,
@@ -210,10 +217,7 @@ class GRUCell:
                                self.b_r, self.W_h, self.U_h, self.b_h, reverse=reverse,
                                lengths=lengths)
 
-    def parameters(self) -> dict[str, ad.Tensor]:
-        return {"W_z": self.W_z, "U_z": self.U_z, "b_z": self.b_z,
-                "W_r": self.W_r, "U_r": self.U_r, "b_r": self.b_r,
-                "W_h": self.W_h, "U_h": self.U_h, "b_h": self.b_h}
+    parameters = ad.parameters_of
 
 
 class GeneratorModel:
@@ -266,25 +270,7 @@ class GeneratorModel:
         self.gate_input_W = ad.parameter(rng, (embed_dim, 1))
         self.gate_b = ad.zero_parameter((1, 1))
 
-    def parameters(self) -> dict[str, ad.Tensor]:
-        params: dict[str, ad.Tensor] = {"embed": self.embed}
-        for prefix, cell in (("enc_fwd", self.enc_fwd), ("enc_bwd", self.enc_bwd),
-                             ("pred_cell", self.pred_cell), ("dec_cell", self.dec_cell)):
-            for name, tensor in cell.parameters().items():
-                params[f"{prefix}.{name}"] = tensor
-        params.update({
-            "enc_token_W": self.enc_token_W, "enc_token_b": self.enc_token_b,
-            "enc_topic_W": self.enc_topic_W, "enc_topic_b": self.enc_topic_b,
-            "topic_W": self.topic_W, "topic_b": self.topic_b,
-            "stop_W": self.stop_W, "stop_b": self.stop_b,
-            "attn_token_W": self.attn_token_W, "attn_state_W": self.attn_state_W,
-            "attn_b": self.attn_b, "attn_v": self.attn_v,
-            "out_hidden_W": self.out_hidden_W, "out_hidden_b": self.out_hidden_b,
-            "out_vocab_W": self.out_vocab_W, "out_vocab_b": self.out_vocab_b,
-            "gate_context_W": self.gate_context_W, "gate_state_W": self.gate_state_W,
-            "gate_input_W": self.gate_input_W, "gate_b": self.gate_b,
-        })
-        return params
+    parameters = ad.parameters_of
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +279,12 @@ class GeneratorModel:
 @dataclass
 class TopicEncoding:
     """BiGRU view of the grouped input: one vector per topic, one state per
-    kept input token, and what every decoder step reads of them: the
-    attention keys and the extended id that receives each token's copy mass
-    (states and keys are None when every group is empty)."""
+    kept input token, and the attention keys every decoder step reads of
+    them (states and keys are None when every group is empty)."""
 
     topic_vectors: ad.Tensor                 # [n_topics, hidden]
     token_states: ad.Tensor | None           # [total_tokens, hidden]
     attention_keys: ad.Tensor | None         # token_states @ attn_token_W
-    extended_ids: np.ndarray                 # [total_tokens] int64
 
 
 def bigru_states(model: GeneratorModel, token_ids: Sequence[int],
@@ -331,8 +315,7 @@ def encode_topics(model: GeneratorModel, grouped: TopicGroups) -> TopicEncoding:
     kept = [group for group in grouped.groups if len(group)]
     if not kept:
         return TopicEncoding(topic_vectors=ad.zeros((model.n_topics, model.hidden_dim)),
-                             token_states=None, attention_keys=None,
-                             extended_ids=_input_extended_ids(grouped))
+                             token_states=None, attention_keys=None)
     fwd, bwd, final_fwd, final_bwd = bigru_states(
         model, [i for group in kept for i in group.token_ids], [len(group) for group in kept])
     token_states = ad.affine(ad.concat([fwd, bwd], axis=1),
@@ -347,14 +330,7 @@ def encode_topics(model: GeneratorModel, grouped: TopicGroups) -> TopicEncoding:
         topic_vectors = ad.take(stacked, np.argsort(
             np.argsort([len(group) == 0 for group in grouped.groups], kind="stable")))
     return TopicEncoding(topic_vectors=topic_vectors, token_states=token_states,
-                         attention_keys=attention_keys(model, token_states),
-                         extended_ids=_input_extended_ids(grouped))
-
-
-def _input_extended_ids(grouped: TopicGroups) -> np.ndarray:
-    """Extended id of every kept input token, in token-state order."""
-    return np.array([ext for group in grouped.groups for ext in group.extended_ids],
-                    dtype=np.int64)
+                         attention_keys=attention_keys(model, token_states))
 
 
 # ---------------------------------------------------------------------------
@@ -429,26 +405,23 @@ def attention_step(model: GeneratorModel, state: ad.Tensor,
 
 
 def token_distribution(model: GeneratorModel, state: ad.Tensor, context: ad.Tensor,
-                       dec_input: ad.Tensor, weights: ad.Tensor, grouped: TopicGroups,
-                       extended_ids: np.ndarray | None = None) -> ad.Tensor:
+                       dec_input: ad.Tensor, weights: ad.Tensor,
+                       grouped: TopicGroups) -> ad.Tensor:
     """Mix the vocabulary softmax with the copy distribution, for T decoder
     steps at once.
 
     state and context are [T, H], dec_input [T, E], and weights [n, T] (one
     attention column per step).  Output is [T, vocab + n_oov]; the copy mass
     lands on the extended id of every attended input position, so OOV input
-    tokens stay reachable.  `extended_ids` are the encoding's, rebuilt from
-    `grouped` when not given.
+    tokens stay reachable.
 
     Training reads gold entries of the whole block; beam search keeps only
     each row's best few, so it scores them with `beam_candidates`, which
     returns this block's values for those entries without building it.
     """
-    if extended_ids is None:
-        extended_ids = _input_extended_ids(grouped)
-    if weights.data.shape[0] != extended_ids.size:
+    if weights.data.shape[0] != grouped.extended_ids.size:
         raise ValueError(f"{weights.data.shape[0]} attention weights for "
-                         f"{extended_ids.size} input positions")
+                         f"{grouped.extended_ids.size} input positions")
     features = ad.concat([state, context], axis=1)               # [T, 2H]
     logits = ad.affine(ad.affine(features, model.out_hidden_W, model.out_hidden_b),
                        model.out_vocab_W, model.out_vocab_b)     # [T, V]
@@ -457,7 +430,7 @@ def token_distribution(model: GeneratorModel, state: ad.Tensor, context: ad.Tens
                        + ad.matmul(state, model.gate_state_W)
                        + ad.matmul(dec_input, model.gate_input_W)
                        + model.gate_b)                           # [T, 1]
-    copy_probs = ad.scatter_sum(ad.transpose(weights), extended_ids, grouped.extended_size)
+    copy_probs = ad.scatter_sum(ad.transpose(weights), grouped.extended_ids, grouped.extended_size)
     n_oov = grouped.extended_size - grouped.vocab_size
     if n_oov:
         vocab_probs = ad.concat([vocab_probs, ad.zeros((state.data.shape[0], n_oov))], axis=1)
@@ -466,9 +439,9 @@ def token_distribution(model: GeneratorModel, state: ad.Tensor, context: ad.Tens
 
 # A word whose exp falls short of another's by a relative gap below this
 # many eps may still get the same log-probability.  Above the 1e-12 clamp
-# |log p| < 32, where a log-probability's ulp is at most 16 eps, so the
-# margin spans 32 of its ulps: room for the rounding of the division, the
-# product and numpy's log, which is within a few ulps.
+# (`ad.LOG_FLOOR`) |log p| < 32, where a log-probability's ulp is at most
+# 16 eps, so the margin spans 32 of its ulps: room for the rounding of the
+# division, the product and numpy's log, which is within a few ulps.
 _TIE_MARGIN_EPS = 512
 
 
@@ -483,13 +456,13 @@ def beam_candidates(model: GeneratorModel, state: np.ndarray, context: np.ndarra
     extended ids, sorted, and each input position's index in them:
     `np.unique(extended_ids, return_inverse=True)`.  Returns (ids, scores),
     both [R, min(count, V')], each row by score descending and lower id
-    first on ties: bitwise what `token_distribution`, a log clamped at 1e-12
-    and a stable descending sort keep.
+    first on ties: bitwise what `token_distribution`, a log clamped at
+    `ad.LOG_FLOOR` and a stable descending sort keep.
 
     Every input id is a candidate.  Any other word's probability is
     p_gen · softmax, which never falls as its logit grows, so a row's other
     candidates are the `count` lowest other ids, which win the ties at the
-    1e-12 clamp, and the row's `count` best logits of the rest.  A row
+    clamp, and the row's `count` best logits of the rest.  A row
     where the best word left out comes within rounding of the last one
     picked, above the clamp, scores every word.  Runs on arrays and records
     nothing on a tape.
@@ -536,7 +509,7 @@ def beam_candidates(model: GeneratorModel, state: np.ndarray, context: np.ndarra
     values[:, :n_words] = taken / total * p_gen
     values[:, :n_vocab] += copied[:, :n_vocab]
     values[:, n_words:] = copied[:, n_vocab:]
-    scores = np.log(np.maximum(values, 1e-12))
+    scores = np.log(np.maximum(values, ad.LOG_FLOOR))
     order = np.lexsort((ids, -scores), axis=1)[:, :count]
     best_ids, best_scores = ids[rows[:, None], order], scores[rows[:, None], order]
     if n_words == model.vocab_size:
@@ -547,10 +520,10 @@ def beam_candidates(model: GeneratorModel, state: np.ndarray, context: np.ndarra
     runner_up = ex.max(axis=1)
     near = runner_up >= taken[:, -1] * (1 - _TIE_MARGIN_EPS * np.finfo(ex.dtype).eps)
     for row in np.flatnonzero(near):
-        if runner_up[row] / total[row, 0] * p_gen[row, 0] <= 1e-12:
+        if runner_up[row] / total[row, 0] * p_gen[row, 0] <= ad.LOG_FLOOR:
             continue
         full = np.zeros(max(model.vocab_size, int(input_ids[-1]) + 1), dtype=ex.dtype)
-        full[:model.vocab_size] = np.log(np.maximum(ex[row] / total[row] * p_gen[row], 1e-12))
+        full[:model.vocab_size] = np.log(np.maximum(ex[row] / total[row] * p_gen[row], ad.LOG_FLOOR))
         full[ids[row]] = scores[row]                 # the candidates, masked in `ex`
         top = np.flatnonzero(full >= np.partition(full, full.size - count)[full.size - count])
         best_ids[row] = top[np.lexsort((top, -full[top]))[:count]]
@@ -596,7 +569,7 @@ def _beam_search(model: GeneratorModel, decoder_inits: Sequence[ad.Tensor],
     if not decoder_inits:
         return []
     beam = config.beam_size
-    input_ids, inverse = np.unique(encoding.extended_ids, return_inverse=True)
+    input_ids, inverse = np.unique(grouped.extended_ids, return_inverse=True)
     live = [[_Hypothesis(tokens=[], log_prob=0.0)] for _ in decoder_inits]
     finished: list[list[tuple[float, list[int]]]] = [[] for _ in decoder_inits]
     # the live hypotheses' rows in `states`, and the token each one feeds next
@@ -712,8 +685,7 @@ def _teacher_forced_block(model: GeneratorModel, encoding: TopicEncoding,
         lengths=lengths)                                                 # [ΣT, H]
     weights, contexts = attention_step(model, states, encoding.token_states,
                                        encoding.attention_keys)
-    block = token_distribution(model, states, contexts, inputs, weights, grouped,
-                               encoding.extended_ids)
+    block = token_distribution(model, states, contexts, inputs, weights, grouped)
     return block, targets, [step.stop_prob for step in steps]
 
 
@@ -727,11 +699,11 @@ def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor]] | ad.Tensor,
     The distributions are per-sentence lists of [1, V'] rows, or one
     [ΣT, V'] block holding every sentence's rows in order.  Lists are joined
     into such a block, whose gold-token probabilities are read with one
-    gather.  They are clamped at 1e-12 before the log, so a zero-probability
-    target contributes a large finite loss.  Each loss is one weighted sum:
-    the sentence NLL weighs token t of sentence s by -1/(m len_s), and the
-    stop loss weighs the log of 1 - p for steps 1..m and of p for the last
-    step by -1/(m+1); neither adds tape records per sentence.
+    gather.  They are clamped at `ad.LOG_FLOOR` before the log, so a
+    zero-probability target costs a large finite loss.  Each loss is one
+    weighted sum: the sentence NLL weighs token t of sentence s by
+    -1/(m len_s), and the stop loss weighs the log of 1 - p for steps 1..m
+    and of p for the last step by -1/(m+1); neither adds per-sentence records.
     Returns (sentence_loss, stop_loss, total) as [1, 1] tensors.
     """
     m = len(sentence_targets)
@@ -754,7 +726,7 @@ def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor]] | ad.Tensor,
                 raise ValueError(f"{len(dists)} distributions for {count} targets")
         block = ad.concat([dist for dists in sentence_dists for dist in dists], axis=0)
     flat_targets = [target for targets in sentence_targets for target in targets]
-    gold = ad.log(ad.pick(block, range(len(flat_targets)), flat_targets), floor=1e-12)  # [ΣT, 1]
+    gold = ad.log(ad.pick(block, range(len(flat_targets)), flat_targets), floor=ad.LOG_FLOOR)
     # 1/m and -1/len_s are rounded to the working dtype before their
     # product, as averaging within and then across sentences rounds them
     dtype = ad.default_dtype()
@@ -765,7 +737,7 @@ def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor]] | ad.Tensor,
     offset = ad.Tensor(np.append(np.ones(m), 0.0)[:, None])
     chosen = ad.concat(stop_probs, axis=0) * sign + offset               # [m+1, 1]
     stop_loss = ad.matmul(ad.Tensor(np.full((1, m + 1), -dtype(1 / (m + 1)))),
-                          ad.log(chosen, floor=1e-12))
+                          ad.log(chosen, floor=ad.LOG_FLOOR))
     total_loss = sentence_loss + ad.mul(stop_loss, stop_weight)
     return sentence_loss, stop_loss, total_loss
 
@@ -844,20 +816,19 @@ def init_embeddings(vocab: Vocabulary, dim: int = 300, pretrained_path=None,
     if pretrained_path is None:
         return table
     pretrained: dict[str, np.ndarray] = {}
-    with open(pretrained_path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise ValueError(f"{pretrained_path}:{lineno}: expected a word and {dim} "
-                                 f"values, got {len(parts)} fields")
-            try:
-                vector = np.array([float(x) for x in parts[1:]], dtype=np.float32)
-            except ValueError as exc:
-                raise ValueError(f"{pretrained_path}:{lineno}: non-numeric value ({exc})") from exc
-            if not np.all(np.isfinite(vector)):
-                raise ValueError(f"{pretrained_path}:{lineno}: non-finite value in the vector "
-                                 f"for '{parts[0]}'")
-            pretrained[parts[0]] = vector
+    for lineno, line in enumerate(read_lines(pretrained_path), start=1):
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) != dim + 1:
+            raise ValueError(f"{pretrained_path}:{lineno}: expected a word and {dim} "
+                             f"values, got {len(parts)} fields")
+        try:
+            vector = np.array([float(x) for x in parts[1:]], dtype=np.float32)
+        except ValueError as exc:
+            raise ValueError(f"{pretrained_path}:{lineno}: non-numeric value ({exc})") from exc
+        if not np.all(np.isfinite(vector)):
+            raise ValueError(f"{pretrained_path}:{lineno}: non-finite value in the vector "
+                             f"for '{parts[0]}'")
+        pretrained[parts[0]] = vector
     unresolved: set[str] = set()
     for token_id in range(len(vocab)):
         token = vocab.id_to_token(token_id)

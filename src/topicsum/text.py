@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from pathlib import Path
 from typing import Iterable, Sequence
 
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 
 __all__ = [
     "tokenize",
@@ -122,7 +121,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = "".join(read_lines(path)).splitlines()
         if tuple(lines[:4]) != RESERVED_TOKENS:
             raise ValueError(f"{path}: not a vocabulary file (reserved tokens missing)")
         return cls(lines[4:])

@@ -82,6 +82,26 @@ class TestParameterInit:
             ad.parameter(rng, (ad._SPLIT_MIN,))
         assert threading.active_count() == threads
 
+    def test_parameters_of_reads_trainable_attributes_in_assignment_order(self):
+        class Inner:
+            def __init__(self):
+                self.w = ad.zero_parameter((2, 2))
+
+            def parameters(self):
+                return ad.parameters_of(self)
+
+        class Outer:
+            def __init__(self):
+                self.b = ad.zero_parameter((1, 2))
+                self.size = 2
+                self.constant = ad.zeros((1, 2))          # no gradient: not trained
+                self.inner = Inner()
+                self.a = ad.zero_parameter((3,))
+
+        outer = Outer()
+        assert list(ad.parameters_of(outer).items()) == [
+            ("b", outer.b), ("inner.w", outer.inner.w), ("a", outer.a)]
+
 
 class TestForwardValues:
     def test_matmul_identity(self):

@@ -1,12 +1,16 @@
 """Binary tensor archive round trips and validation errors."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import topicsum.autodiff as ad
 from topicsum.checkpoint import MAGIC, load_into, load_tensors, save_tensors
+from topicsum.detector import DetectorModel, MeanEmbeddingEncoder
+from topicsum.generator import GeneratorModel
+from topicsum.synthetic import toy_summarization_corpus
 
 
 class TestRoundTrip:
@@ -182,6 +186,61 @@ class TestCorruptArchiveSweep:
             with pytest.raises(ValueError, match=str(path)):
                 load_tensors(path)
         assert n_cases > len(blob) + 2 * len(self.layout()[0])
+
+
+def _gru_layout(prefix, input_dim, hidden):
+    return [(f"{prefix}.{kind}_{gate}", shape) for gate in "zrh"
+            for kind, shape in (("W", (input_dim, hidden)), ("U", (hidden, hidden)),
+                                ("b", (1, hidden)))]
+
+
+class TestModelLayout:
+    """Checkpoints name every tensor, so these names and shapes are the file
+    format; files list them in constructor order and load by name."""
+
+    def test_generator_names_and_shapes(self):
+        model = GeneratorModel(vocab_size=11, n_topics=3, embed_dim=5, hidden_dim=4)
+        assert [(name, p.data.shape) for name, p in model.parameters().items()] == [
+            ("embed", (11, 5)),
+            *_gru_layout("enc_fwd", 5, 4),
+            *_gru_layout("enc_bwd", 5, 4),
+            ("enc_token_W", (8, 4)), ("enc_token_b", (1, 4)),
+            ("enc_topic_W", (8, 4)), ("enc_topic_b", (1, 4)),
+            *_gru_layout("pred_cell", 4, 4),
+            ("topic_W", (4, 3)), ("topic_b", (1, 3)), ("stop_W", (4, 1)), ("stop_b", (1, 1)),
+            ("attn_token_W", (4, 4)), ("attn_state_W", (4, 4)), ("attn_b", (1, 4)),
+            ("attn_v", (4, 1)),
+            *_gru_layout("dec_cell", 5, 4),
+            ("out_hidden_W", (8, 4)), ("out_hidden_b", (1, 4)),
+            ("out_vocab_W", (4, 11)), ("out_vocab_b", (1, 11)),
+            ("gate_context_W", (4, 1)), ("gate_state_W", (4, 1)), ("gate_input_W", (5, 1)),
+            ("gate_b", (1, 1)),
+        ]
+
+    def test_detector_names_and_shapes(self):
+        rng = np.random.default_rng(0)
+        model = DetectorModel(MeanEmbeddingEncoder(11, 5, 6, rng), 4, rng)
+        assert [(name, p.data.shape) for name, p in model.parameters().items()] == [
+            ("encoder.embed", (11, 5)), ("encoder.proj_W", (5, 6)), ("encoder.proj_b", (1, 6)),
+            ("cls_W", (6, 4)), ("cls_b", (1, 4)),
+        ]
+
+    def test_committed_golden_checkpoint_loads(self):
+        """Written before parameters were listed in constructor order; the
+        load checks every name and shape."""
+        path = Path(__file__).resolve().parent / "data" / "golden_generator.ckpt"
+        corpus = toy_summarization_corpus(20, seed=0)
+        model = GeneratorModel(len(corpus.vocab), len(corpus.schema.topics),
+                               embed_dim=16, hidden_dim=32)
+        load_into(model.parameters(), path)
+        assert list(load_tensors(path)) != list(model.parameters())
+
+    def test_gru_parameters_come_in_gru_sequence_order(self):
+        cell = GeneratorModel(vocab_size=11, n_topics=2, embed_dim=5, hidden_dim=4).enc_fwd
+        rng = np.random.default_rng(1)
+        xs, h0 = ad.Tensor(rng.normal(size=(6, 5))), ad.Tensor(rng.normal(size=(1, 4)))
+        assert np.array_equal(ad.gru_sequence(xs, h0, *cell.parameters().values()).data,
+                              cell.sequence(xs, h0).data)
 
 
 class TestLoadInto:

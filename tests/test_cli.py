@@ -302,6 +302,32 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unequal_line_counts_name_both_files(self, tmp_path, capsys):
+        generated, gold = tmp_path / "generated.txt", tmp_path / "gold.txt"
+        generated.write_text("a b .\n", encoding="utf-8")
+        gold.write_text("a b .\nc d .\n", encoding="utf-8")
+        rc = main(["evaluate", "--generated", str(generated), "--gold", str(gold),
+                   "--out", str(tmp_path / "r.tsv")])
+        assert rc == 2
+        assert (f"error: {generated} holds 1 abstracts but {gold} holds 2; "
+                "the files must align line by line") in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "build-corpus"])
+    def test_input_that_is_not_utf8_returns_two_naming_path_and_line(self, workspace, tmp_path,
+                                                                     capsys, command):
+        _, paths, _ = workspace
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"good line\nbad \xff line\n")
+        if command == "evaluate":
+            argv = ["evaluate", "--generated", str(bad), "--gold", str(bad),
+                    "--out", str(tmp_path / "r.tsv")]
+        else:
+            argv = ["build-corpus", "--articles", str(bad), "--schema", str(paths["schema"]),
+                    "--out", str(tmp_path / "corpus")]
+        assert main(argv) == 2
+        assert f"error: {bad}:2: not UTF-8 at offset 14" in capsys.readouterr().err
+
     def test_bad_config_returns_two(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("unknown_knob = 3\n", encoding="utf-8")

@@ -1,10 +1,14 @@
-"""Every file the package writes is replaced whole or not at all."""
+"""Every file the package writes is replaced whole or not at all, and
+every text file it reads names the line of a byte that is not UTF-8."""
+
+import re
 
 import numpy as np
 import pytest
 
 from topicsum import checkpoint, cli, corpus, detector, fileio, rouge
-from topicsum.config import RunConfig
+from topicsum.config import RunConfig, load_config
+from topicsum.generator import init_embeddings
 from topicsum.text import Vocabulary
 
 OLD = "old contents\n"
@@ -105,3 +109,45 @@ def test_permissions_are_those_of_a_new_file(tmp_path):
     with fileio.atomic_write(tmp_path / "atomic.txt") as handle:
         handle.write("x")
     assert (tmp_path / "atomic.txt").stat().st_mode == plain.stat().st_mode
+
+
+READERS = {
+    "load_config": load_config,
+    "Vocabulary.load": Vocabulary.load,
+    "load_topic_schema": corpus.load_topic_schema,
+    "load_articles": corpus.load_articles,
+    "load_detector_dataset": lambda path: corpus.load_detector_dataset(path, 2, 10),
+    "load_summarization_dataset": lambda path: corpus.load_summarization_dataset(
+        path, Vocabulary(["a"])),
+    "evaluate abstracts": cli._read_abstract_lines,
+    "init_embeddings": lambda path: init_embeddings(Vocabulary(["a"]), dim=2,
+                                                    pretrained_path=path),
+}
+
+
+@pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+def test_reader_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, read):
+    path = tmp_path / "input.txt"
+    # "\r\n" and a lone "\r" each end one line
+    path.write_bytes(b"first\r\nsecond\rthird \xff\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: not UTF-8 at offset 20 "
+                                         r"\(invalid start byte\)$"):
+        read(path)
+
+
+def test_bad_byte_past_the_first_decoded_chunk(tmp_path):
+    """The handle decodes thousands of lines ahead of the one the reader
+    is on; the error still names the bad byte's own line."""
+    path = tmp_path / "train.tsv"
+    path.write_bytes(b"0\t4 5\n" * 3000 + b"1\t\xe2\x82\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3001: not UTF-8 at offset 18002 "
+                                         r"\(invalid continuation byte\)$"):
+        corpus.load_detector_dataset(path, 2, 10)
+
+
+def test_read_lines_splits_as_open_does(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes("a\r\nb\rc\x85d\u2028e\nf".encode("utf-8"))
+    with open(path, encoding="utf-8") as plain:
+        assert list(fileio.read_lines(path)) == list(plain) == [
+            "a\n", "b\n", "c\x85d\u2028e\n", "f"]

@@ -423,7 +423,7 @@ class TestEncodeTopics:
         encoding = encode_topics(model, grouped)
         assert encoding.topic_vectors.data.shape == (2, model.hidden_dim)
         assert encoding.token_states.data.shape == (3, model.hidden_dim)
-        assert encoding.extended_ids.tolist() == [
+        assert grouped.extended_ids.tolist() == [
             vocab.token_to_id("alpha"),
             len(vocab),  # "zork"
             vocab.token_to_id("beta"),
@@ -826,8 +826,7 @@ class TestBeamCandidates:
             weights = rng.dirichlet(np.ones(grouped.total_tokens), size=rows).T.astype(dtype)
         want_ids, want_scores, log_probs = full_block_candidates(
             model, grouped, state, context, dec_input, weights, count)
-        input_ids, inverse = np.unique(generator._input_extended_ids(grouped),
-                                       return_inverse=True)
+        input_ids, inverse = np.unique(grouped.extended_ids, return_inverse=True)
         with ad.tape() as recording:
             got_ids, got_scores = beam_candidates(model, state, context, dec_input, weights,
                                                   input_ids, inverse, count)
@@ -1054,8 +1053,7 @@ def reference_beam_search(model, decoder_init, encoding, grouped, config):
             state = model.dec_cell.step(x, state)
             weights, context = attention_step(model, state, encoding.token_states,
                                               encoding.attention_keys)
-            dist = token_distribution(model, state, context, x, weights, grouped,
-                                      encoding.extended_ids)
+            dist = token_distribution(model, state, context, x, weights, grouped)
             log_probs = np.log(np.maximum(dist.data[0], 1e-12))
             for token_id in np.argsort(-log_probs, kind="stable")[:beam + 1]:
                 candidates.append((log_prob + float(log_probs[token_id]), int(token_id),
@@ -1292,7 +1290,7 @@ class TestBlockTeacherForcing:
                                                      encoding.token_states, encoding.attention_keys)
                                       for t in range(len(targets))))
             block = token_distribution(model, dec_states, ad.concat(contexts, axis=0), inputs,
-                                       ad.concat(weights, axis=1), grouped, encoding.extended_ids)
+                                       ad.concat(weights, axis=1), grouped)
             dists.extend(ad.row(block, t) for t in range(len(targets)))
             gold = ad.log(ad.pick(block, range(len(targets)), targets), floor=1e-12)
             sentence_terms.append(ad.mul(gold.sum(), -1.0 / len(targets)))
