@@ -29,12 +29,14 @@ created with `requires_grad=True`), `Tape.backward` accumulates there.  An
 intermediate result's adjoint builds up in `.grad` while the sweep visits
 the records that read it; the record that made it takes it and sets `.grad`
 back to None, so intermediates show None after a sweep.  For each input, a
-vjp returns one of three things.  Gather ops (`embedding_lookup`,
+vjp returns one of two things.  Gather ops (`embedding_lookup`,
 `rows`/`row`, `take`, `pick`) return a row-sparse adjoint, which is added
-into its target's one dense buffer.  Otherwise a vjp returns a view of its
-output's adjoint `g`, which the sweep copies, or an array it has just made
-for that input alone, which the sweep keeps as the input's buffer and adds
-later contributions into in place.
+into its target's one dense buffer.  Every other vjp returns, for each
+input, a dense array that input alone may own: one made for it, or `g`
+or a view of it that no other input receives (`concat`'s splits are
+disjoint, and `add` copies `g` for its second input when both would get
+it).  The sweep keeps that array as the input's buffer and adds later
+contributions into it in place.
 """
 
 from __future__ import annotations
@@ -201,11 +203,8 @@ class Tape:
                 elif isinstance(grad, _RowGrad):
                     tensor.grad = np.zeros(tensor.data.shape, dtype=grad.values.dtype)
                     _add_into(tensor.grad, grad)
-                elif np.may_share_memory(grad, g):
-                    # a view of g can reach several inputs; each gets a copy
-                    tensor.grad = np.array(grad, copy=True)
                 else:
-                    # made by the vjp for this input alone, so it becomes the buffer
+                    # the input's alone (see the gradient contract), so it becomes the buffer
                     tensor.grad = grad
 
 
@@ -346,7 +345,9 @@ def add(a: Tensor, b) -> Tensor:
     a_shape, b_shape = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
+        g_a, g_b = _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
+        # each input's adjoint becomes its own buffer, so g goes to one only
+        return g_a, g_b.copy() if g_b is g_a else g_b
 
     return _push(data, (a, b), vjp)
 

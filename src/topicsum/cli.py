@@ -9,6 +9,7 @@ fully resolved configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,8 +25,8 @@ from .corpus import (article_token_sequences, build_detector_dataset,
 from .detector import (DetectorModel, MeanEmbeddingEncoder, detect_topics,
                        train_detector)
 from .fileio import atomic_write, read_lines
-from .generator import (DecodeConfig, GeneratorModel, generate_abstract,
-                        init_embeddings, train_generator)
+from .generator import (GeneratorModel, generate_abstract, init_embeddings,
+                        train_generator)
 from .rouge import dedup_sentences, evaluate_corpus, write_eval_report
 from .text import Vocabulary, split_sentences, tokenize
 
@@ -217,7 +218,7 @@ def cmd_train(args) -> int:
                                       mode=config.topic_mode,
                                       stop_weight=config.stop_loss_weight,
                                       ttg_cap=config.ttg_cap, seed=config.seed)
-        columns = ["epoch", "lr", "train_loss", "valid_loss", "wall_seconds"]
+        columns = ["epoch", "lr", "train_loss", "train_nll", "valid_loss", "wall_seconds"]
         summary = (f"generator: {len(train)} train / {len(valid)} valid examples, "
                    f"{config.generator_epochs} epochs ({config.topic_mode} mode)\n"
                    f"final valid loss: {history[-1]['valid_loss']:.4f}")
@@ -234,6 +235,8 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     config = load_config(args.config)
+    config = dataclasses.replace(config, topic_mode=args.mode or config.topic_mode,
+                                 beam_size=config.beam_size if args.beam is None else args.beam)
     _require(config, "vocab_path", "schema_path")
     vocab = Vocabulary.load(config.vocab_path)
     schema = load_topic_schema(config.schema_path, n_t=config.n_t)
@@ -241,14 +244,6 @@ def cmd_generate(args) -> int:
     model = GeneratorModel(len(vocab), len(schema.topics), embed_dim=config.embed_size,
                            hidden_dim=config.hidden_size, seed=config.seed)
     checkpoint.load_into(model.parameters(), args.generator_ckpt)
-    decode = DecodeConfig(
-        topic_mode=args.mode or config.topic_mode,
-        stop_threshold=config.stop_threshold,
-        max_sentences=config.max_sentences,
-        max_sentence_tokens=config.max_sentence_tokens,
-        beam_size=args.beam if args.beam is not None else config.beam_size,
-        ttg_cap=config.ttg_cap,
-    )
     examples = load_summarization_dataset(args.input, vocab, require_abstract=False)
     written = 0
     with atomic_write(args.out) as handle:
@@ -256,7 +251,7 @@ def cmd_generate(args) -> int:
             assignments = detect_topics(example.paragraph_ids, detector)
             try:
                 sentences = generate_abstract(model, example.paragraph_tokens,
-                                              assignments, schema, vocab, decode)
+                                              assignments, schema, vocab, config)
             except ValueError as exc:
                 print(f"skipping '{example.title}': {exc}", file=sys.stderr)
                 handle.write("\n")  # empty abstract marker keeps records aligned

@@ -9,11 +9,56 @@ from pathlib import Path
 
 from .fileio import read_lines
 
-__all__ = ["RunConfig", "load_config", "format_config"]
+__all__ = ["DecodeConfig", "RunConfig", "load_config", "format_config"]
+
+# the least legal value of each bounded number; n_t = 0 is legal, it keeps
+# the unmarked labels, and stop_loss_weight = 0 trains without the stop loss
+_MINIMUM = {
+    **dict.fromkeys(("detector_epochs", "generator_epochs", "embed_size", "hidden_size",
+                     "detector_embed_size", "detector_hidden_size", "ttg_cap", "beam_size",
+                     "max_sentences", "max_sentence_tokens"), 1),
+    "n_t": 0,
+    "stop_loss_weight": 0,
+}
+_POSITIVE = frozenset({"detector_lr", "generator_lr_first", "generator_lr_rest"})
+
+
+def _problem(key: str, value) -> str | None:
+    """What makes `value` illegal for setting `key`, or None if it is legal."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"must be finite, got {value}"
+    if key in _MINIMUM and value < _MINIMUM[key]:
+        return f"must be at least {_MINIMUM[key]}, got {value}"
+    if key in _POSITIVE and value <= 0:
+        return f"must be positive, got {value}"
+    if key == "topic_mode" and value not in ("soft", "hard"):
+        return f"must be 'soft' or 'hard', got '{value}'"
+    if key == "stop_threshold" and not 0.0 < value < 1.0:
+        return f"must lie in (0, 1), got {value}"
+    return None
 
 
 @dataclass
-class RunConfig:
+class DecodeConfig:
+    """Knobs shared by generation and training-time decoding.  Building
+    one, or a RunConfig, with an illegal value raises ValueError."""
+
+    topic_mode: str = "soft"
+    stop_threshold: float = 0.5
+    max_sentences: int = 10
+    max_sentence_tokens: int = 60
+    beam_size: int = 5
+    ttg_cap: int = 400
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            problem = _problem(field.name, getattr(self, field.name))
+            if problem:
+                raise ValueError(f"'{field.name}' {problem}")
+
+
+@dataclass
+class RunConfig(DecodeConfig):
     seed: int = 42
     # file locations (relative paths resolve against the config file)
     schema_path: str = ""
@@ -26,7 +71,6 @@ class RunConfig:
     detector_checkpoint: str = ""
     # corpus
     n_t: int = 20
-    ttg_cap: int = 400
     # detector
     detector_embed_size: int = 128
     detector_hidden_size: int = 128
@@ -39,16 +83,6 @@ class RunConfig:
     generator_lr_first: float = 1e-4
     generator_lr_rest: float = 1e-5
     stop_loss_weight: float = 1.0
-    # decoding
-    topic_mode: str = "soft"
-    beam_size: int = 5
-    stop_threshold: float = 0.5
-    max_sentences: int = 10
-    max_sentence_tokens: int = 60
-
-    def __post_init__(self):
-        if self.topic_mode not in ("soft", "hard"):
-            raise ValueError(f"topic_mode must be 'soft' or 'hard', got '{self.topic_mode}'")
 
 
 _PATH_KEYS = frozenset(
@@ -56,29 +90,21 @@ _PATH_KEYS = frozenset(
     if f.name.endswith("_path") or f.name.endswith("_checkpoint")
 )
 
-# counts and sizes a run cannot use at 0; n_t = 0 is legal, it keeps the
-# unmarked labels
-_AT_LEAST_ONE = frozenset({
-    "detector_epochs", "generator_epochs", "embed_size", "hidden_size",
-    "detector_embed_size", "detector_hidden_size", "ttg_cap", "beam_size",
-    "max_sentences", "max_sentence_tokens",
-})
-
 
 def load_config(path) -> RunConfig:
     """Parse "key = value" lines; '#' starts a comment, blank lines skipped.
 
-    Unknown keys, malformed values, non-finite floats, epoch counts, model
-    sizes and decoding caps below 1, a topic_mode other than soft or hard,
-    and a stop_threshold outside (0, 1) raise with the offending line
-    number.
+    Unknown keys, malformed values and values `_problem` refuses (non-finite
+    floats, counts, sizes and caps below 1, n_t or stop_loss_weight below 0,
+    learning rates of 0 or less, a topic_mode other than soft or hard, a
+    stop_threshold outside (0, 1)) raise with the offending line number.
     Relative path values are resolved against the config file's directory.
     """
     path = Path(path)
     base = path.parent
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values: dict[str, object] = {}
-    for lineno, raw in enumerate("".join(read_lines(path)).splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -98,15 +124,9 @@ def load_config(path) -> RunConfig:
                 parsed = value
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for '{key}' ({exc})") from exc
-        if kind == "float" and not math.isfinite(parsed):
-            raise ValueError(f"{path}:{lineno}: '{key}' must be finite, got {parsed}")
-        if key in _AT_LEAST_ONE and parsed < 1:
-            raise ValueError(f"{path}:{lineno}: '{key}' must be at least 1, got {parsed}")
-        if key == "topic_mode" and parsed not in ("soft", "hard"):
-            raise ValueError(f"{path}:{lineno}: 'topic_mode' must be 'soft' or 'hard', "
-                             f"got '{parsed}'")
-        if key == "stop_threshold" and not 0.0 < parsed < 1.0:
-            raise ValueError(f"{path}:{lineno}: 'stop_threshold' must lie in (0, 1), got {parsed}")
+        problem = _problem(key, parsed)
+        if problem:
+            raise ValueError(f"{path}:{lineno}: '{key}' {problem}")
         if key in _PATH_KEYS and parsed:
             candidate = Path(str(parsed))
             if not candidate.is_absolute():

@@ -164,7 +164,7 @@ def load_topic_schema(path, n_t: int = 20) -> TopicSchema:
     topics: list[Topic] = []
     noise_patterns: list[re.Pattern] = []
     seen_labels: dict[str, str] = {}
-    for lineno, raw in enumerate("".join(read_lines(path)).splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -38,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .config import DecodeConfig
 from .corpus import SummarizationExample, TopicSchema
 from .fileio import read_lines
 from .text import BOS_ID, EOS_ID, UNK_ID, Vocabulary
@@ -67,30 +68,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class DecodeConfig:
-    """Knobs shared by generation and training-time decoding."""
-
-    topic_mode: str = "soft"
-    stop_threshold: float = 0.5
-    max_sentences: int = 10
-    max_sentence_tokens: int = 60
-    beam_size: int = 5
-    ttg_cap: int = 400
-
-    def __post_init__(self):
-        if self.topic_mode not in ("soft", "hard"):
-            raise ValueError(f"topic_mode must be 'soft' or 'hard', got '{self.topic_mode}'")
-        if not 0.0 < self.stop_threshold < 1.0:
-            raise ValueError(f"stop_threshold must lie in (0, 1), got {self.stop_threshold}")
-        if self.max_sentences < 1 or self.max_sentence_tokens < 1:
-            raise ValueError("sentence and token caps must be at least 1")
-        if self.beam_size < 1:
-            raise ValueError(f"beam_size must be at least 1, got {self.beam_size}")
-        if self.ttg_cap < 1:
-            raise ValueError(f"ttg_cap must be at least 1, got {self.ttg_cap}")
 
 
 # ---------------------------------------------------------------------------

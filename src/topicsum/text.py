@@ -121,7 +121,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        lines = "".join(read_lines(path)).splitlines()
+        lines = [line.rstrip("\n") for line in read_lines(path)]
         if tuple(lines[:4]) != RESERVED_TOKENS:
             raise ValueError(f"{path}: not a vocabulary file (reserved tokens missing)")
         return cls(lines[4:])

@@ -167,8 +167,10 @@ class TestTrainArtifacts:
         lines = [line for line in
                  (root / "generator.bin.log").read_text("utf-8").splitlines()
                  if not line.startswith("#")]
-        assert lines[0] == "epoch\tlr\ttrain_loss\tvalid_loss\twall_seconds"
+        assert lines[0] == "epoch\tlr\ttrain_loss\ttrain_nll\tvalid_loss\twall_seconds"
         assert len(lines) == 1 + 1
+        train_loss, train_nll = (float(cell) for cell in lines[1].split("\t")[2:4])
+        assert 0.0 < train_nll < train_loss  # the total adds the stop loss
 
     def test_seed_flag_overrides_config(self, workspace, tmp_path):
         root, _, config = workspace
@@ -206,6 +208,18 @@ class TestGenerate:
             assert rc == 0
             outputs.append((tmp_path / name).read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_zero_beam_flag_returns_two_naming_the_key(self, workspace, tmp_path, capsys):
+        root, paths, config = workspace
+        out = tmp_path / "g.txt"
+        rc = main(["generate", "--config", str(config),
+                   "--detector-ckpt", str(root / "detector.bin"),
+                   "--generator-ckpt", str(root / "generator.bin"),
+                   "--input", str(paths["summ_valid"]),
+                   "--out", str(out), "--beam", "0"])
+        assert rc == 2
+        assert "'beam_size' must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_noise_detector_writes_empty_lines(self, workspace, tmp_path, capsys):
         root, paths, config = workspace

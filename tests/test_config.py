@@ -1,10 +1,71 @@
 """Config file parsing, defaults, and path resolution."""
 
 import dataclasses
+import re
 
 import pytest
 
-from topicsum.config import RunConfig, format_config, load_config
+from topicsum import generator
+from topicsum.config import DecodeConfig, RunConfig, format_config, load_config
+
+KINDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+DECODING_KEYS = [f.name for f in dataclasses.fields(DecodeConfig)]
+
+# every rule a setting has, as (key, value in the file, message)
+ILLEGAL = [
+    *((key, "nan", "must be finite, got nan") for key in KINDS if KINDS[key] == "float"),
+    *((key, "0", "must be at least 1, got 0")
+      for key in ("detector_epochs", "generator_epochs", "embed_size", "hidden_size",
+                  "detector_embed_size", "detector_hidden_size", "ttg_cap", "beam_size",
+                  "max_sentences", "max_sentence_tokens")),
+    ("n_t", "-3", "must be at least 0, got -3"),
+    ("stop_loss_weight", "-2", "must be at least 0, got -2.0"),
+    *((key, value, f"must be positive, got {float(value)}")
+      for key in ("detector_lr", "generator_lr_first", "generator_lr_rest")
+      for value in ("0", "-1")),
+    ("topic_mode", "fuzzy", "must be 'soft' or 'hard', got 'fuzzy'"),
+    ("stop_threshold", "0", r"must lie in \(0, 1\), got 0.0"),
+    ("stop_threshold", "1", r"must lie in \(0, 1\), got 1.0"),
+]
+
+# the least legal value of every bounded setting
+EDGES = [("n_t", "0"), ("stop_loss_weight", "0"), ("detector_lr", "1e-30"),
+         ("beam_size", "1"), ("ttg_cap", "1"), ("stop_threshold", "1e-9")]
+
+
+def parse(key, text):
+    return {"int": int, "float": float}.get(KINDS[key], str)(text)
+
+
+class TestRules:
+    @pytest.mark.parametrize("key, text, message", ILLEGAL,
+                             ids=[f"{key}={text}" for key, text, _ in ILLEGAL])
+    def test_refused_from_a_file_and_when_built(self, tmp_path, key, text, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"seed = 1\n{key} = {text}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: '{key}' {message}$"):
+            load_config(path)
+        with pytest.raises(ValueError, match=f"^'{key}' {message}$"):
+            RunConfig(**{key: parse(key, text)})
+        if key in DECODING_KEYS:
+            with pytest.raises(ValueError, match=f"^'{key}' {message}$"):
+                DecodeConfig(**{key: parse(key, text)})
+
+    @pytest.mark.parametrize("key, text", EDGES, ids=[key for key, _ in EDGES])
+    def test_least_legal_value_accepted(self, tmp_path, key, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {text}\n", encoding="utf-8")
+        assert getattr(load_config(path), key) == parse(key, text)
+        assert getattr(RunConfig(**{key: parse(key, text)}), key) == parse(key, text)
+
+    def test_replace_is_checked(self):
+        with pytest.raises(ValueError, match="^'beam_size' must be at least 1, got 0$"):
+            dataclasses.replace(RunConfig(), beam_size=0)
+
+    def test_one_decode_config(self):
+        assert generator.DecodeConfig is DecodeConfig
+        assert issubclass(RunConfig, DecodeConfig)
+        assert [f.name for f in dataclasses.fields(RunConfig)][:6] == DECODING_KEYS
 
 
 class TestDefaults:
@@ -115,6 +176,12 @@ class TestLoadConfig:
         path = tmp_path / "run.cfg"
         path.write_text(f"seed = 1\n\n{key} = {value}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f":3: '{key}' must be finite"):
+            load_config(path)
+
+    def test_lines_end_only_at_universal_newlines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\x0cbogus = 2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=":1: bad value for 'seed'"):
             load_config(path)
 
     def test_missing_equals_rejected(self, tmp_path):

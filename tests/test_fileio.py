@@ -151,3 +151,15 @@ def test_read_lines_splits_as_open_does(tmp_path):
     with open(path, encoding="utf-8") as plain:
         assert list(fileio.read_lines(path)) == list(plain) == [
             "a\n", "b\n", "c\x85d\u2028e\n", "f"]
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_vocabulary_token_with_a_line_separator_round_trips(tmp_path, separator):
+    """Only universal newlines end a vocabulary line, as in every reader."""
+    path = tmp_path / "vocab.txt"
+    saved = Vocabulary(["alpha", f"be{separator}ta", "gamma"])
+    saved.save(path)
+    loaded = Vocabulary.load(path)
+    assert len(loaded) == len(saved)
+    assert loaded.id_to_token(5) == f"be{separator}ta"
+    assert loaded.token_to_id("gamma") == 6
