@@ -17,7 +17,10 @@ back through time over those prefix blocks and then forms every weight
 gradient as one matrix product over the whole run.  `additive_scores`
 scores R attention queries against n keys a cache-sized block of queries
 at a time through one reused buffer, and its backward recomputes each
-block's tanh there rather than keep an [n, R, H] block.
+block's tanh there rather than keep an [n, R, H] block.  `gold_log_probs`
+is the pointer-generator NLL's last layer: from the logits, copy gate and
+attention weights of T rows it gives each row's gold log-probability
+without the [T, V'] mixture, in one full-width pass each way.
 
 float32 is the working dtype; `using_dtype` exists so that numerical test
 suites can run the identical op implementations in float64, where central
@@ -42,6 +45,7 @@ contributions into it in place.
 from __future__ import annotations
 
 import contextlib
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -76,6 +80,7 @@ __all__ = [
     "embedding_lookup",
     "scatter_sum",
     "additive_scores",
+    "gold_log_probs",
     "gru_sequence",
     "Adam",
     "fit",
@@ -596,6 +601,65 @@ def additive_scores(keys: Tensor, queries: Tensor, v: Tensor) -> Tensor:
     return _push(np.ascontiguousarray(scores.T), (keys, queries, v), vjp)
 
 
+def gold_log_probs(logits: Tensor, p_gen: Tensor, weights: Tensor, extended_ids,
+                   targets) -> Tensor:
+    """log(max(p_r, LOG_FLOOR)) of each row's gold token under the
+    pointer-generator mixture, as one [T, 1] record.
+
+    Row r mixes the softmax of logits [T, V] with its attention column of
+    weights [n, T], whose position k stands for extended_ids[k]:
+    p_r = p_gen_r s_r + (1 - p_gen_r) c_r, where s_r is the softmax's share
+    of g = targets[r] (0 from V on, the input's OOV words) and c_r sums the
+    weights of the positions holding g.  Value and adjoints are bitwise those
+    of the full [T, V'] chain: `softmax`, `scatter_sum` of the transposed
+    weights, the mix, `pick` and `log` with the floor.  Only the exps are
+    kept for the backward, which writes the logits' adjoint in one
+    full-width pass; a clamped gold gets no gradient.
+    """
+    x, gate, w = logits.data, p_gen.data, weights.data
+    ids = np.asarray(extended_ids, dtype=np.int64)
+    gold = np.asarray(targets, dtype=np.int64)
+    count = gold.size
+    if (x.ndim != 2 or x.shape[0] != count or gold.shape != (count,)
+            or gate.shape != (count, 1) or ids.ndim != 1 or w.shape != (ids.size, count)):
+        raise ValueError(f"gold_log_probs needs logits [T, V], p_gen [T, 1], weights [n, T], "
+                         f"n extended ids and T targets, got {x.shape}, {gate.shape}, "
+                         f"{w.shape}, {ids.shape} and {gold.shape}")
+    match = ids[:, None] == gold                                  # [n, T]
+    known = gold < x.shape[1]
+    if np.any(gold < 0) or not match[:, ~known].any(axis=0).all():
+        raise IndexError("a target is negative, or past the vocabulary and not an input id")
+    rows, in_gold = np.flatnonzero(known), gold[known]
+    ex = x - x.max(axis=1, keepdims=True)
+    np.exp(ex, out=ex)
+    total = ex.sum(axis=1, keepdims=True)
+    share = np.zeros(gate.shape, dtype=ex.dtype)
+    share[rows, 0] = ex[rows, in_gold] / total[rows, 0]
+    # the weights of each row's gold positions, added in position order
+    at, of = np.nonzero(match)
+    copied = np.zeros(gate.shape, dtype=w.dtype)
+    np.add.at(copied[:, 0], of, w[at, of])
+    rest = 1.0 - gate
+    p = share * gate + copied * rest
+    safe = np.maximum(p, LOG_FLOOR)
+    live = p > LOG_FLOOR
+
+    def vjp(g):
+        # the softmax's backward, s * (d_s - inner), where d_s is a at the
+        # gold and +0 elsewhere
+        dp = np.where(live, g / safe, 0.0)
+        a = dp * gate
+        # the chain sums a row of one product and zeros, which turns a -0
+        # product into +0, as `+ 0.0` does; `0.0 - inner` is +0 for +0 too
+        inner = a * share + 0.0
+        d_logits = np.divide(ex, total)
+        d_logits *= 0.0 - inner
+        d_logits[rows, in_gold] = share[rows, 0] * (a - inner)[rows, 0]
+        return d_logits, dp * share - dp * copied, np.where(match, (dp * rest).T, 0.0)
+
+    return _push(np.log(safe), (logits, p_gen, weights), vjp)
+
+
 def gru_sequence(xs: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, b_z: Tensor,
                  W_r: Tensor, U_r: Tensor, b_r: Tensor, W_h: Tensor, U_h: Tensor,
                  b_h: Tensor, reverse: bool = False,
@@ -784,12 +848,15 @@ def fit(params: Mapping[str, Tensor], n_examples: int,
     """Per-example Adam over `epochs` seeded permutations of the training set.
 
     `losses(index)` returns one example's named [1, 1] losses.  "loss" is
-    minimised and must be finite (else ValueError naming the epoch and
-    `label(index)`, before the step); each name gets a `train_<name>` mean
-    in the epoch's history row.  `validate()` returns the row's validation
-    fields and a score, higher is better, or None without a validation set
-    (the score is then -train_loss).  `lr(epoch)` is the epoch's learning
-    rate.  The best-scoring epoch's parameters are restored at the end.
+    minimised; it and the global gradient norm must be finite, else a
+    ValueError names the epoch and `label(index)` before Adam changes
+    anything (in float32 a norm past about 1.8e19 overflows and counts as
+    non-finite).  Each name gets a `train_<name>` mean in the epoch's history
+    row, and the norm a `grad_norm` mean.  `validate()` returns the row's
+    validation fields and a score, higher is better, or None without a
+    validation set (the score is then -train_loss).  `lr(epoch)` is the
+    epoch's learning rate.  The best-scoring epoch's parameters are restored
+    at the end.
     """
     rng = np.random.default_rng(seed)
     optimizer = Adam(params, lr=lr(1))
@@ -800,6 +867,7 @@ def fit(params: Mapping[str, Tensor], n_examples: int,
         started = time.perf_counter()
         optimizer.lr = lr(epoch)
         train: dict[str, list[float]] = {}
+        norms: list[float] = []
         for index in rng.permutation(n_examples):
             with tape() as recording:
                 named = losses(index)
@@ -807,12 +875,19 @@ def fit(params: Mapping[str, Tensor], n_examples: int,
                 if not np.isfinite(loss):
                     raise ValueError(f"epoch {epoch}: non-finite loss {loss} on {label(index)}")
                 recording.backward(named["loss"])
+            norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                                 for p in optimizer.params.values() if p.grad is not None))
+            if not math.isfinite(norm):
+                raise ValueError(f"epoch {epoch}: non-finite gradient norm {norm} "
+                                 f"on {label(index)}")
             optimizer.step()
             optimizer.zero_grad()
             for name, value in named.items():
                 train.setdefault(name, []).append(value.item())
+            norms.append(norm)
         row = {"epoch": epoch, "lr": optimizer.lr}
         row.update({f"train_{name}": float(np.mean(v)) for name, v in train.items()})
+        row["grad_norm"] = float(np.mean(norms))
         fields, score = validate()
         row.update(fields)
         row["wall_seconds"] = time.perf_counter() - started

@@ -218,7 +218,8 @@ def cmd_train(args) -> int:
                                       mode=config.topic_mode,
                                       stop_weight=config.stop_loss_weight,
                                       ttg_cap=config.ttg_cap, seed=config.seed)
-        columns = ["epoch", "lr", "train_loss", "train_nll", "valid_loss", "wall_seconds"]
+        columns = ["epoch", "lr", "train_loss", "train_nll", "train_stop", "grad_norm",
+                   "valid_loss", "wall_seconds"]
         summary = (f"generator: {len(train)} train / {len(valid)} valid examples, "
                    f"{config.generator_epochs} epochs ({config.topic_mode} mode)\n"
                    f"final valid loss: {history[-1]['valid_loss']:.4f}")

@@ -91,7 +91,7 @@ def train_detector(model: DetectorModel, train: Sequence[TopicParagraphExample],
     """Adam on per-example NLL (`autodiff.fit`); keeps the best-validation
     checkpoint, or the lowest-loss one without a validation set.
 
-    Returns one history row per epoch: epoch, lr, train_loss,
+    Returns one history row per epoch: epoch, lr, train_loss, grad_norm,
     valid_accuracy, wall_seconds.
     """
     if not train:

@@ -16,9 +16,12 @@ sequences of known inputs, stored one after another, run as one
 `GRUCell.sequence`: all topic groups in each encoder direction, and in
 teacher forcing all gold sentences, from the decoder inits that the
 predictor computes first.  Attention, over keys computed once per example,
-and the output projection, vocabulary softmax, copy gate, copy scatter and
-NLL then run once over the example's [ΣT, H] block: every sentence's
-states, one row per gold token, in sentence order.
+the output projection, the copy gate and the NLL then run once over the
+example's [ΣT, H] block: every sentence's states, one row per gold token,
+in sentence order.  The NLL reads only each row's gold probability, in one
+`ad.gold_log_probs` record, so training builds no [ΣT, V'] mixture;
+`token_distribution` builds it, as the reference that
+`teacher_forced_outputs` and `compute_losses` use.
 
 The predictor never reads decoded tokens, so generation runs it first and
 then beam-searches all sentences in lockstep: every live hypothesis of every
@@ -381,6 +384,20 @@ def attention_step(model: GeneratorModel, state: ad.Tensor,
     return weights, context
 
 
+def _output_layer(model: GeneratorModel, state: ad.Tensor, context: ad.Tensor,
+                  dec_input: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+    """The vocabulary logits [T, V] and copy gate p_gen [T, 1] of T decoder
+    steps, from state and context [T, H] and dec_input [T, E]."""
+    features = ad.concat([state, context], axis=1)               # [T, 2H]
+    logits = ad.affine(ad.affine(features, model.out_hidden_W, model.out_hidden_b),
+                       model.out_vocab_W, model.out_vocab_b)     # [T, V]
+    p_gen = ad.sigmoid(ad.matmul(context, model.gate_context_W)
+                       + ad.matmul(state, model.gate_state_W)
+                       + ad.matmul(dec_input, model.gate_input_W)
+                       + model.gate_b)                           # [T, 1]
+    return logits, p_gen
+
+
 def token_distribution(model: GeneratorModel, state: ad.Tensor, context: ad.Tensor,
                        dec_input: ad.Tensor, weights: ad.Tensor,
                        grouped: TopicGroups) -> ad.Tensor:
@@ -392,21 +409,16 @@ def token_distribution(model: GeneratorModel, state: ad.Tensor, context: ad.Tens
     lands on the extended id of every attended input position, so OOV input
     tokens stay reachable.
 
-    Training reads gold entries of the whole block; beam search keeps only
-    each row's best few, so it scores them with `beam_candidates`, which
-    returns this block's values for those entries without building it.
+    This is the full-distribution reference.  Neither training nor beam
+    search builds the [T, V'] block: `example_loss` reads each row's gold
+    entry with `ad.gold_log_probs` and beam search each row's best few with
+    `beam_candidates`, both bitwise this block's values.
     """
     if weights.data.shape[0] != grouped.extended_ids.size:
         raise ValueError(f"{weights.data.shape[0]} attention weights for "
                          f"{grouped.extended_ids.size} input positions")
-    features = ad.concat([state, context], axis=1)               # [T, 2H]
-    logits = ad.affine(ad.affine(features, model.out_hidden_W, model.out_hidden_b),
-                       model.out_vocab_W, model.out_vocab_b)     # [T, V]
+    logits, p_gen = _output_layer(model, state, context, dec_input)
     vocab_probs = ad.softmax(logits, axis=1)
-    p_gen = ad.sigmoid(ad.matmul(context, model.gate_context_W)
-                       + ad.matmul(state, model.gate_state_W)
-                       + ad.matmul(dec_input, model.gate_input_W)
-                       + model.gate_b)                           # [T, 1]
     copy_probs = ad.scatter_sum(ad.transpose(weights), grouped.extended_ids, grouped.extended_size)
     n_oov = grouped.extended_size - grouped.vocab_size
     if n_oov:
@@ -630,23 +642,26 @@ def teacher_forced_outputs(model: GeneratorModel, encoding: TopicEncoding,
     step, per-sentence gold extended ids with EOS appended, stop
     probabilities for the m+1 predictor steps).
     """
-    block, targets, stops = _teacher_forced_block(model, encoding, grouped,
-                                                  gold_sentences, vocab, mode)
+    decoded, targets, stops = _teacher_forced_steps(model, encoding, grouped,
+                                                    gold_sentences, vocab, mode)
+    block = token_distribution(model, *decoded, grouped)
     ends = np.cumsum([len(sentence) for sentence in targets])
     rows = [[ad.row(block, t) for t in range(end - len(sentence), end)]
             for sentence, end in zip(targets, ends)]
     return rows, targets, stops
 
 
-def _teacher_forced_block(model: GeneratorModel, encoding: TopicEncoding,
+def _teacher_forced_steps(model: GeneratorModel, encoding: TopicEncoding,
                           grouped: TopicGroups, gold_sentences: Sequence[Sequence[str]],
                           vocab: Vocabulary, mode: str):
-    """teacher_forced_outputs with every distribution in one [ΣT, V']
-    block, sentence after sentence.  The predictor never reads decoded
-    tokens, so its steps run first; the decoder GRU then runs every
-    sentence's T gold inputs in one `GRUCell.sequence`, each sentence from
-    its own decoder init, and attention and the output layer run once over
-    the example's rows."""
+    """Teacher forcing up to the output layer, every decoder step one row
+    of an [ΣT, ·] block, sentence after sentence.  The predictor never
+    reads decoded tokens, so its steps run first; the decoder GRU then runs
+    every sentence's T gold inputs in one `GRUCell.sequence`, each sentence
+    from its own decoder init, and attention runs once over the example's
+    rows.  Returns ((states, contexts, inputs, weights), the arguments
+    `token_distribution` takes after the model, per-sentence targets, stop
+    probabilities)."""
     if not gold_sentences:
         raise ValueError("gold abstract has no sentences")
     if not all(gold_sentences):
@@ -662,8 +677,7 @@ def _teacher_forced_block(model: GeneratorModel, encoding: TopicEncoding,
         lengths=lengths)                                                 # [ΣT, H]
     weights, contexts = attention_step(model, states, encoding.token_states,
                                        encoding.attention_keys)
-    block = token_distribution(model, states, contexts, inputs, weights, grouped)
-    return block, targets, [step.stop_prob for step in steps]
+    return (states, contexts, inputs, weights), targets, [step.stop_prob for step in steps]
 
 
 def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor]] | ad.Tensor,
@@ -677,11 +691,9 @@ def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor]] | ad.Tensor,
     [ΣT, V'] block holding every sentence's rows in order.  Lists are joined
     into such a block, whose gold-token probabilities are read with one
     gather.  They are clamped at `ad.LOG_FLOOR` before the log, so a
-    zero-probability target costs a large finite loss.  Each loss is one
-    weighted sum: the sentence NLL weighs token t of sentence s by
-    -1/(m len_s), and the stop loss weighs the log of 1 - p for steps 1..m
-    and of p for the last step by -1/(m+1); neither adds per-sentence records.
-    Returns (sentence_loss, stop_loss, total) as [1, 1] tensors.
+    zero-probability target costs a large finite loss.  The losses are
+    `_weighted_losses` of the gold log-probabilities.  Returns
+    (sentence_loss, stop_loss, total) as [1, 1] tensors.
     """
     m = len(sentence_targets)
     if m == 0:
@@ -704,6 +716,18 @@ def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor]] | ad.Tensor,
         block = ad.concat([dist for dists in sentence_dists for dist in dists], axis=0)
     flat_targets = [target for targets in sentence_targets for target in targets]
     gold = ad.log(ad.pick(block, range(len(flat_targets)), flat_targets), floor=ad.LOG_FLOOR)
+    return _weighted_losses(gold, lengths, stop_probs, stop_weight)
+
+
+def _weighted_losses(gold: ad.Tensor, lengths: Sequence[int], stop_probs: Sequence[ad.Tensor],
+                     stop_weight: float):
+    """(sentence_loss, stop_loss, total) from the [ΣT, 1] gold
+    log-probabilities of m sentences of `lengths` and m+1 stop
+    probabilities.  Each loss is one weighted sum: the sentence NLL weighs
+    token t of sentence s by -1/(m len_s), and the stop loss weighs the log
+    of 1 - p for steps 1..m and of p for the last step by -1/(m+1); neither
+    adds per-sentence records."""
+    m = len(lengths)
     # 1/m and -1/len_s are rounded to the working dtype before their
     # product, as averaging within and then across sentences rounds them
     dtype = ad.default_dtype()
@@ -722,14 +746,20 @@ def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor]] | ad.Tensor,
 def example_loss(model: GeneratorModel, example: SummarizationExample,
                  assignments: Sequence[int], schema: TopicSchema, vocab: Vocabulary,
                  mode: str = "soft", stop_weight: float = 1.0, ttg_cap: int = 400):
-    """Teacher-forced losses for one example; see compute_losses."""
+    """Teacher-forced losses for one example, as `teacher_forced_outputs`
+    and `compute_losses` give them, bitwise: the output layer stops at the
+    logits and p_gen, and `ad.gold_log_probs` reads each row's gold
+    log-probability without the [ΣT, V'] mixture."""
     grouped = group_paragraphs(example.paragraph_tokens, assignments, schema, vocab, ttg_cap)
     if grouped.total_tokens == 0:
         raise ValueError(f"example '{example.title}': every paragraph is NOISE or empty")
     encoding = encode_topics(model, grouped)
-    block, targets, stops = _teacher_forced_block(model, encoding, grouped,
-                                                  example.abstract_tokens, vocab, mode)
-    return compute_losses(block, targets, stops, stop_weight)
+    (states, contexts, inputs, weights), targets, stops = _teacher_forced_steps(
+        model, encoding, grouped, example.abstract_tokens, vocab, mode)
+    logits, p_gen = _output_layer(model, states, contexts, inputs)
+    gold = ad.gold_log_probs(logits, p_gen, weights, grouped.extended_ids,
+                             [target for sentence in targets for target in sentence])
+    return _weighted_losses(gold, [len(sentence) for sentence in targets], stops, stop_weight)
 
 
 def train_generator(model: GeneratorModel, train: Sequence[SummarizationExample],
@@ -744,8 +774,9 @@ def train_generator(model: GeneratorModel, train: Sequence[SummarizationExample]
     learning rate (lr_first for epoch 1, lr_rest afterwards); keeps the
     best-validation checkpoint, or the lowest-loss one without a validation
     set.  Returns one history row per epoch: epoch, lr, train_loss,
-    train_nll, valid_loss, wall_seconds (losses are mean per-example totals;
-    train_nll carries the mean sentence NLL for convergence tracking)."""
+    train_nll, train_stop, grad_norm, valid_loss, wall_seconds (per-example
+    means: train_loss of the totals, train_nll of the sentence NLL,
+    train_stop of the stop loss, grad_norm of the global gradient norm)."""
     if len(train) != len(train_assignments):
         raise ValueError(f"{len(train)} examples but {len(train_assignments)} assignment lists")
     if len(valid) != len(valid_assignments):
@@ -757,9 +788,9 @@ def train_generator(model: GeneratorModel, train: Sequence[SummarizationExample]
                          "gives topic_W and topic_b no gradient; train with 'soft'")
 
     def losses(index: int) -> dict[str, ad.Tensor]:
-        nll, _, total = example_loss(model, train[index], train_assignments[index], schema,
-                                     vocab, mode, stop_weight, ttg_cap)
-        return {"loss": total, "nll": nll}
+        nll, stop, total = example_loss(model, train[index], train_assignments[index], schema,
+                                        vocab, mode, stop_weight, ttg_cap)
+        return {"loss": total, "nll": nll, "stop": stop}
 
     def validate():
         if not valid:

@@ -116,6 +116,12 @@ class Vocabulary:
         return [self.id_to_token(i) for i in ids]
 
     def save(self, path) -> None:
+        """One token per line.  A token holding "\\n" or "\\r" would split
+        into two lines on load and shift every later id, so it is refused
+        before anything is written."""
+        for token_id, token in enumerate(self._tokens):
+            if "\n" in token or "\r" in token:
+                raise ValueError(f"vocabulary token {token_id} holds a line break: {token!r}")
         with atomic_write(path) as handle:
             handle.write("\n".join(self._tokens) + "\n")
 

@@ -351,7 +351,8 @@ class TestGradients:
         "matmul", "affine", "tanh", "sigmoid", "softmax1", "softmax0",
         "log", "transpose", "concat0", "concat1", "rows",
         "take", "pick", "pick_rows",
-        "embedding", "scatter", "scatter_rows", "additive_scores", "sum", "mean",
+        "embedding", "scatter", "scatter_rows", "additive_scores", "gold_log_probs",
+        "sum", "mean",
     ])
     def test_each_op_matches_finite_differences(self, case):
         rng = np.random.default_rng(hash(case) % (2 ** 32))
@@ -369,6 +370,8 @@ class TestGradients:
             mixer = ad.Tensor(rng.uniform(-1.0, 1.0, size=(3, 4)))  # constant
             lookup_mixer = ad.Tensor(rng.uniform(-1.0, 1.0, size=(4, 3)))
             scatter_mixer = ad.Tensor(rng.uniform(-1.0, 1.0, size=(1, 6)))
+            gates = ad.Tensor(rng.uniform(0.2, 0.8, size=(3, 1)), requires_grad=True)
+            attention = ad.Tensor(rng.uniform(0.1, 0.9, size=(5, 3)), requires_grad=True)
 
             builders = {
                 "add": lambda: ((ad.add(x, y) * mixer).sum(), {"x": x, "y": y}),
@@ -413,6 +416,11 @@ class TestGradients:
                 "additive_scores": lambda: ((ad.additive_scores(x, queries, v)
                                              * ad.Tensor(mixer.data[:, :2])).sum(),
                                             {"x": x, "queries": queries, "v": v}),
+                # V = 4: golds repeated in the input, OOV, and in the vocabulary only
+                "gold_log_probs": lambda: ((ad.gold_log_probs(x, gates, attention,
+                                                              [1, 5, 1, 0, 4], [1, 5, 2])
+                                            * ad.Tensor(mixer.data[:, :1])).sum(),
+                                           {"x": x, "gates": gates, "attention": attention}),
                 "sum": lambda: (x.sum(), {"x": x}),
                 "mean": lambda: (x.mean(), {"x": x}),
             }
@@ -438,6 +446,87 @@ class TestGradients:
                 return ad.mul(ad.log(ad.pick(probs, 0, 1), floor=1e-12), -1.0)
 
             check_gradients(loss, {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2})
+
+
+def gold_chain(logits, p_gen, weights, ids, targets):
+    """`ad.gold_log_probs` as the full-distribution chain that
+    `token_distribution` and `compute_losses` record: softmax, zero OOV
+    columns, scatter_sum, the mix, pick and the clamped log."""
+    count, vocab = logits.data.shape
+    size = max(vocab, max(ids) + 1)
+    probs = ad.softmax(logits, axis=1)
+    if size > vocab:
+        probs = ad.concat([probs, ad.zeros((count, size - vocab))], axis=1)
+    copy = ad.scatter_sum(ad.transpose(weights), ids, size)
+    mix = probs * p_gen + copy * (1.0 - p_gen)
+    return ad.log(ad.pick(mix, range(count), targets), floor=ad.LOG_FLOOR)
+
+
+class TestGoldLogProbs:
+    """The one-record gold log-probabilities against `gold_chain`: in
+    float32 the values and every adjoint are bitwise equal, signed zeros
+    included; in float64 they agree to 1e-12."""
+
+    VOCAB = 7
+    IDS = [3, 8, 3, 0, 7, 3, 9, 8]      # 7, 8 and 9 are OOV; 3 and 8 repeat
+    # row: gold (where it is), p_gen
+    #   0: 3 (input, three times), free     4: 7 (OOV, once), free
+    #   1: 5 (vocabulary only), 1           5: 6 (vocabulary only, logit -1e4), clamped
+    #   2: 8 (OOV, twice), 0                6: 3 (input), 0
+    #   3: 0 (input, once), 1               7: 8 (OOV), free
+    TARGETS = [3, 5, 8, 0, 7, 6, 3, 8]
+    GATES = {1: 1.0, 2: 0.0, 3: 1.0, 6: 0.0}
+
+    def run(self, op, dtype, seed):
+        rng = np.random.default_rng(seed)
+        count = len(self.TARGETS)
+        logits = rng.normal(0.0, 1.0, (count, self.VOCAB))
+        logits[5, 6] = -1e4
+        gates = rng.uniform(0.05, 0.95, (count, 1))
+        for row, value in self.GATES.items():
+            gates[row, 0] = value
+        weights = rng.dirichlet(np.ones(len(self.IDS)), size=count).T      # [n, T]
+        coefficients = -rng.uniform(0.1, 1.0, (1, count))
+        with ad.using_dtype(dtype):
+            leaves = [ad.Tensor(a, requires_grad=True) for a in (logits, gates, weights)]
+            with ad.tape() as t:
+                gold = op(*leaves, self.IDS, self.TARGETS)
+                t.backward(ad.matmul(ad.Tensor(coefficients), gold))
+        return [gold.data] + [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_the_chain_in_float32(self, seed):
+        got = self.run(ad.gold_log_probs, np.float32, seed)
+        want = self.run(gold_chain, np.float32, seed)
+        assert got[0][5, 0] == np.float32(np.log(np.float32(ad.LOG_FLOOR)))
+        for name, a, b in zip(["value", "logits", "p_gen", "weights"], got, want):
+            assert a.dtype == b.dtype == np.float32, name
+            assert a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_equals_the_chain_in_float64(self):
+        got = self.run(ad.gold_log_probs, np.float64, 3)
+        want = self.run(gold_chain, np.float64, 3)
+        for name, a, b in zip(["value", "logits", "p_gen", "weights"], got, want):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_clamped_gold_gets_no_gradient(self):
+        _, d_logits, d_gates, d_weights = self.run(ad.gold_log_probs, np.float64, 4)
+        assert not d_logits[5].any() and d_gates[5, 0] == 0.0 and not d_weights[:, 5].any()
+
+    def test_bad_shapes_and_targets_rejected(self):
+        logits, gates = ad.Tensor(np.zeros((2, 4))), ad.Tensor(np.full((2, 1), 0.5))
+        weights = ad.Tensor(np.full((3, 2), 1 / 3))
+        with pytest.raises(ValueError, match="weights"):
+            ad.gold_log_probs(logits, gates, ad.Tensor(np.ones((2, 2))), [0, 1, 5], [0, 1])
+        with pytest.raises(ValueError, match="targets"):
+            ad.gold_log_probs(logits, gates, weights, [0, 1, 5], [0, 1, 2])
+        for targets in ([0, 6], [-1, 0]):      # 6 is past the vocabulary and not an input id
+            with pytest.raises(IndexError, match="target"):
+                ad.gold_log_probs(logits, gates, weights, [0, 1, 5], targets)
+        np.testing.assert_allclose(
+            ad.gold_log_probs(logits, gates, weights, [0, 1, 5], [5, 2]).data,
+            np.log([[0.5 / 3], [0.5 / 4]]), rtol=1e-6)
 
 
 class TestTapeSemantics:
@@ -670,6 +759,8 @@ RECORDING_OPS = {
     "embedding_lookup": lambda leaf: ad.embedding_lookup(leaf(6, 3), [4, 0, 4]),
     "scatter_sum": lambda leaf: ad.scatter_sum(leaf(2, 4), [1, 0, 1, 3], 5),
     "additive_scores": lambda leaf: ad.additive_scores(leaf(5, 4), leaf(2, 4), leaf(4, 1)),
+    "gold_log_probs": lambda leaf: ad.gold_log_probs(leaf(3, 4), leaf(3, 1), leaf(5, 3),
+                                                     [1, 5, 1, 0, 4], [1, 5, 2]),
     "gru_sequence": lambda leaf: _gru(leaf, [2, 2]),
     "gru_sequence_packed": lambda leaf: _gru(leaf, [1, 3]),
     "sum": lambda leaf: leaf(3, 4).sum(),
@@ -827,6 +918,38 @@ class TestAdam:
                 v_hat = v[name] / (1.0 - b2 ** t)
                 data[name] = data[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
                 assert np.array_equal(params[name].data, data[name]), (name, t)
+
+
+class TestFit:
+    def test_history_row_carries_the_gradient_norm(self):
+        p = ad.Tensor([[3.0, 4.0]], requires_grad=True)
+
+        def losses(index):
+            return {"loss": (p * p).sum()}
+
+        history = ad.fit({"p": p}, 1, losses, lambda: ({}, None), label=str, epochs=1,
+                         lr=lambda epoch: 1e-3, seed=0)
+        assert history[0]["grad_norm"] == 10.0           # |2p| = |(6, 8)|
+        assert list(history[0]) == ["epoch", "lr", "train_loss", "grad_norm", "wall_seconds"]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_gradient_stops_before_the_step(self, monkeypatch, bad):
+        """The loss is finite; a record's vjp returns a non-finite adjoint."""
+        p = ad.Tensor([[1.0, 2.0]], requires_grad=True)
+        q = ad.Tensor([[0.5]], requires_grad=True)
+
+        def losses(index):
+            poisoned = ad._push(np.zeros((1, 1), np.float32), (p,),
+                                lambda g: (np.array([[0.0, bad]], np.float32),))
+            return {"loss": poisoned + (q * q).sum()}
+
+        monkeypatch.setattr(ad.Adam, "step", lambda self: pytest.fail("Adam stepped"))
+        with pytest.raises(ValueError, match=f"epoch 1: non-finite gradient norm {bad} "
+                                             "on example 0"):
+            ad.fit({"p": p, "q": q}, 1, losses, lambda: ({}, None),
+                   label=lambda index: f"example {index}", epochs=2,
+                   lr=lambda epoch: 0.1, seed=0)
+        assert p.data.tolist() == [[1.0, 2.0]] and q.data.tolist() == [[0.5]]
 
 
 class TestRandomizedProperties:

@@ -167,10 +167,16 @@ class TestTrainArtifacts:
         lines = [line for line in
                  (root / "generator.bin.log").read_text("utf-8").splitlines()
                  if not line.startswith("#")]
-        assert lines[0] == "epoch\tlr\ttrain_loss\ttrain_nll\tvalid_loss\twall_seconds"
+        assert lines[0] == ("epoch\tlr\ttrain_loss\ttrain_nll\ttrain_stop\tgrad_norm"
+                            "\tvalid_loss\twall_seconds")
         assert len(lines) == 1 + 1
-        train_loss, train_nll = (float(cell) for cell in lines[1].split("\t")[2:4])
+        train_loss, train_nll, train_stop, grad_norm = (float(cell) for cell in
+                                                        lines[1].split("\t")[2:6])
         assert 0.0 < train_nll < train_loss  # the total adds the stop loss
+        # stop_loss_weight is 1, so the total is the NLL plus the stop loss
+        assert train_stop > 0.0
+        assert train_loss == pytest.approx(train_nll + train_stop, rel=1e-4)
+        assert 0.0 < grad_norm < float("inf")
 
     def test_seed_flag_overrides_config(self, workspace, tmp_path):
         root, _, config = workspace

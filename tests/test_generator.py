@@ -6,6 +6,7 @@ re-implementations of the same equations; every trainable tensor is
 checked against central finite differences through a full example loss.
 """
 
+import hashlib
 from functools import reduce
 
 import numpy as np
@@ -38,6 +39,7 @@ from topicsum.generator import (
     token_distribution,
     train_generator,
 )
+from topicsum.synthetic import toy_summarization_corpus
 from topicsum.text import BOS_ID, EOS_ID, RESERVED_TOKENS, UNK_ID, Vocabulary
 
 
@@ -1481,6 +1483,100 @@ class TestPackedTeacherForcing:
             assert length - sentences[0] == (count - 1) * predictor
 
 
+def reference_example_loss(model, example, assignments, schema, vocab, stop_weight=1.0):
+    """example_loss through the full distribution: `teacher_forced_outputs`'
+    [1, V'] rows, then `compute_losses`."""
+    grouped = group_paragraphs(example.paragraph_tokens, assignments, schema, vocab)
+    encoding = encode_topics(model, grouped)
+    rows, targets, stops = teacher_forced_outputs(model, encoding, grouped,
+                                                  example.abstract_tokens, vocab)
+    return compute_losses(rows, targets, stops, stop_weight)
+
+
+class TestGoldOnlyTraining:
+    """`example_loss` reads each gold probability with `ad.gold_log_probs`
+    and builds no [ΣT, V'] mixture; its losses and gradients equal the
+    full-distribution reference's."""
+
+    # "zork" is OOV and twice in the input, "alpha" three times; "gamma" and
+    # "." are in the vocabulary only, and "quuz" nowhere (a UNK gold)
+    PARAGRAPHS = [["alpha", "beta", "zork", "alpha"], ["zork", "delta", "alpha"]]
+    GOLD = [["alpha", "zork", "beta", "alpha"], ["gamma", "quuz"], ["delta", "zork", "."]]
+
+    def example(self, vocab):
+        return SummarizationExample(
+            title="T", paragraph_tokens=self.PARAGRAPHS,
+            paragraph_ids=[vocab.encode(p) for p in self.PARAGRAPHS],
+            abstract_tokens=self.GOLD, abstract_ids=[vocab.encode(s) for s in self.GOLD])
+
+    # gate_b: p_gen free, saturated at 1 (OOV golds clamp) and at 0 (golds
+    # absent from the input clamp); with p_gen free, "gamma"'s logit bias of
+    # -1e4 clamps it
+    @pytest.mark.parametrize("gate_b, clamped_bias", [(0.0, -1e4), (1e4, 0.0), (-1e4, 0.0)])
+    def test_equals_full_distribution_reference_in_float64(self, gate_b, clamped_bias):
+        with ad.using_dtype(np.float64):
+            vocab, schema = make_vocab(), make_schema()
+            model = GeneratorModel(len(vocab), 2, embed_dim=5, hidden_dim=4, seed=3)
+            model.gate_b.data[...] = gate_b
+            model.out_vocab_b.data[0, vocab.token_to_id("gamma")] = clamped_bias
+            example, params = self.example(vocab), model.parameters()
+            runs = []
+            for loss_fn in (example_loss, reference_example_loss):
+                with ad.tape() as recording:
+                    losses = loss_fn(model, example, [0, 1], schema, vocab, stop_weight=0.7)
+                    recording.backward(losses[2])
+                runs.append(([loss.item() for loss in losses],
+                             {name: p.grad.copy() for name, p in params.items()}))
+                for p in params.values():
+                    p.grad = None
+            grouped = group_paragraphs(self.PARAGRAPHS, [0, 1], schema, vocab)
+            rows, targets, _ = teacher_forced_outputs(model, encode_topics(model, grouped),
+                                                      grouped, self.GOLD, vocab)
+            gold = [row.data[0, t] for sentence, ids in zip(rows, targets)
+                    for row, t in zip(sentence, ids)]
+        assert min(gold) <= ad.LOG_FLOOR < max(gold)
+        (got, got_grads), (want, want_grads) = runs
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        for name, grad in want_grads.items():
+            np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_float32_training_is_bitwise_the_reference(self):
+        """SHA-256 over the losses, every gradient and all parameters after
+        three Adam steps on the toy corpus."""
+        corpus = toy_summarization_corpus(20, 0)
+
+        def digest(loss_fn):
+            model = GeneratorModel(len(corpus.vocab), len(corpus.schema.topics), embed_dim=48,
+                                   hidden_dim=64, seed=42)
+            params = model.parameters()
+            optimizer, sha = ad.Adam(params, lr=1e-3), hashlib.sha256()
+            for example, assignments in zip(corpus.examples[:3], corpus.assignments):
+                with ad.tape() as recording:
+                    losses = loss_fn(model, example, assignments, corpus.schema, corpus.vocab)
+                    recording.backward(losses[2])
+                for value in [*losses, *(p.grad for p in params.values())]:
+                    sha.update(np.asarray(getattr(value, "data", value)).tobytes())
+                optimizer.step()
+                optimizer.zero_grad()
+            for p in params.values():
+                sha.update(p.data.tobytes())
+            return sha.hexdigest()
+
+        assert digest(example_loss) == digest(reference_example_loss)
+
+    def test_no_full_width_record(self):
+        """The logits are the only [ΣT, V] record, and none is [ΣT, V']."""
+        vocab, schema = make_vocab(), make_schema()
+        model = make_model(vocab)
+        with ad.tape() as recording:
+            example_loss(model, self.example(vocab), [0, 1], schema, vocab)
+            shapes = [out.data.shape for out, _, _ in recording._records]
+        rows = sum(len(sentence) + 1 for sentence in self.GOLD)
+        extended = group_paragraphs(self.PARAGRAPHS, [0, 1], schema, vocab).extended_size
+        assert shapes.count((rows, len(vocab))) == 1
+        assert (rows, extended) not in shapes and extended > len(vocab)
+
+
 def one_hot_dist(size, index, value=1.0):
     data = np.zeros((1, size), dtype=np.float32)
     data[0, index] = value
@@ -1663,8 +1759,8 @@ class TestTrainGenerator(TrainingSetup):
             assert row["lr"] == pytest.approx(2e-2)
         assert history[-1]["train_loss"] < history[0]["train_loss"]
         for row in history:
-            assert set(row) == {"epoch", "lr", "train_loss", "train_nll",
-                                "valid_loss", "wall_seconds"}
+            assert set(row) == {"epoch", "lr", "train_loss", "train_nll", "train_stop",
+                                "grad_norm", "valid_loss", "wall_seconds"}
 
     def test_same_seed_bitwise_reproducible(self):
         vocab, schema, examples, assignments = self.tiny_task()

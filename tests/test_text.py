@@ -1,5 +1,7 @@
 """Tokenization, sentence splitting, and vocabulary behavior."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,26 @@ class TestVocabulary:
         Vocabulary(["solo"]).save(path)
         assert path.read_text(encoding="utf-8") == "\n".join(
             RESERVED_TOKENS + ("solo",)) + "\n"
+
+    @pytest.mark.parametrize("token", ["a\rb", "a\nb", "a\r\nb", "\n"])
+    def test_save_refuses_a_token_with_a_line_break(self, tmp_path, token):
+        path = tmp_path / "vocab.txt"
+        path.write_text("kept\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"token 5 holds a line break: {re.escape(repr(token))}"):
+            Vocabulary(["first", token, "last"]).save(path)
+        assert path.read_text(encoding="utf-8") == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.txt"]
+
+    def test_save_load_round_trips_unusual_tokens(self, tmp_path):
+        """Tabs, spaces, other control characters and non-ASCII tokens keep
+        their ids; only "\\n" and "\\r" end a line."""
+        tokens = ["tab\there", " lead", "trail ", "\x00", "\x0b\x0c", "\x1c\x1d\x1e",
+                  "\x85", "\u2028\u2029", "naïve", "日本", "last"]
+        path = tmp_path / "vocab.txt"
+        Vocabulary(tokens).save(path)
+        loaded = Vocabulary.load(path)
+        assert [loaded.id_to_token(i) for i in range(len(loaded))] == \
+            list(RESERVED_TOKENS) + tokens
 
     def test_load_rejects_corrupt_reserved_header(self, tmp_path):
         path = tmp_path / "vocab.txt"

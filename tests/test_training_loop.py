@@ -4,7 +4,9 @@ the loop it used to write out itself.
 The two reference loops below are those loops, kept as they were: a
 seeded permutation per epoch, one tape per example, Adam, a history row and
 the best-epoch snapshot and restore.  Parameters and history (without
-`wall_seconds`) must be equal, with and without a validation set.
+`wall_seconds`) must be equal, with and without a validation set; the
+gradient norm, which the references take in float64, to within float32
+rounding.
 
 `ReferenceAdam` is Adam without chunks: the same expressions over whole
 parameters.  `fit` steps with the chunked `Adam` must leave parameters and
@@ -62,6 +64,11 @@ class ReferenceAdam:
             p.grad = None
 
 
+def gradient_norm(params):
+    return float(np.sqrt(sum(np.square(p.grad, dtype=np.float64).sum()
+                             for p in params.values())))
+
+
 def reference_train_detector(model, train, valid, epochs, lr, seed):
     def accuracy(examples):
         if not examples:
@@ -77,16 +84,18 @@ def reference_train_detector(model, train, valid, epochs, lr, seed):
     best_state = {}
     for epoch in range(1, epochs + 1):
         started = time.perf_counter()
-        losses = []
+        losses, norms = [], []
         for index in rng.permutation(len(train)):
             with ad.tape() as recording:
                 loss = _example_nll(model, train[index])
                 recording.backward(loss)
+            norms.append(gradient_norm(optimizer.params))
             optimizer.step()
             optimizer.zero_grad()
             losses.append(loss.item())
         valid_accuracy = accuracy(valid)
         history.append({"epoch": epoch, "lr": lr, "train_loss": float(np.mean(losses)),
+                        "grad_norm": float(np.mean(norms)),
                         "valid_accuracy": valid_accuracy,
                         "wall_seconds": time.perf_counter() - started})
         score = valid_accuracy if valid else -float(np.mean(losses))
@@ -120,20 +129,24 @@ def reference_train_generator(model, train, train_assignments, valid, valid_assi
     for epoch in range(1, epochs + 1):
         started = time.perf_counter()
         optimizer.lr = lr_first if epoch == 1 else lr_rest
-        train_totals, train_nlls = [], []
+        train_totals, train_nlls, train_stops, norms = [], [], [], []
         for index in rng.permutation(len(train)):
             with ad.tape() as recording:
-                nll, _, total = example_loss(model, train[index], train_assignments[index],
-                                             schema, vocab, mode, stop_weight, ttg_cap)
+                nll, stop, total = example_loss(model, train[index], train_assignments[index],
+                                                schema, vocab, mode, stop_weight, ttg_cap)
                 recording.backward(total)
+            norms.append(gradient_norm(optimizer.params))
             optimizer.step()
             optimizer.zero_grad()
             train_totals.append(total.item())
             train_nlls.append(nll.item())
+            train_stops.append(stop.item())
         epoch_valid = valid_loss()
         history.append({"epoch": epoch, "lr": optimizer.lr,
                         "train_loss": float(np.mean(train_totals)),
                         "train_nll": float(np.mean(train_nlls)),
+                        "train_stop": float(np.mean(train_stops)),
+                        "grad_norm": float(np.mean(norms)),
                         "valid_loss": epoch_valid,
                         "wall_seconds": time.perf_counter() - started})
         score = epoch_valid if valid else float(np.mean(train_totals))
@@ -147,10 +160,12 @@ def reference_train_generator(model, train, train_assignments, valid, valid_assi
 
 
 def assert_same_run(model, history, reference, reference_history):
-    strip = [{k: v for k, v in row.items() if k != "wall_seconds"} for row in history]
-    expected = [{k: v for k, v in row.items() if k != "wall_seconds"}
-                for row in reference_history]
-    assert list(map(list, strip)) == list(map(list, expected))   # same keys, same order
+    assert list(map(list, history)) == list(map(list, reference_history))  # same keys, order
+    np.testing.assert_allclose([row["grad_norm"] for row in history],
+                               [row["grad_norm"] for row in reference_history], rtol=1e-5)
+    inexact = ("wall_seconds", "grad_norm")
+    strip = [{k: v for k, v in row.items() if k not in inexact} for row in history]
+    expected = [{k: v for k, v in row.items() if k not in inexact} for row in reference_history]
     np.testing.assert_equal(strip, expected)                      # nan == nan
     for name, p in model.parameters().items():
         assert np.array_equal(p.data, reference.parameters()[name].data), name
