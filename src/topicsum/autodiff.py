@@ -840,6 +840,19 @@ class Adam:
             p.grad = None
 
 
+def _global_norm(arrays: Iterable[np.ndarray]) -> float:
+    """The 2-norm of all entries, squared and summed in float64 8K at a
+    time: no finite float32 input overflows it, and each float64 copy is at
+    most 64 KB, a heap block below malloc's mmap threshold."""
+    total = 0.0
+    for array in arrays:
+        flat = array.reshape(-1)
+        for start in range(0, flat.size, 1 << 13):
+            part = flat[start:start + (1 << 13)].astype(np.float64)
+            total += float(np.dot(part, part))
+    return math.sqrt(total)
+
+
 def fit(params: Mapping[str, Tensor], n_examples: int,
         losses: Callable[[int], Mapping[str, Tensor]],
         validate: Callable[[], tuple[dict, float | None]],
@@ -847,17 +860,19 @@ def fit(params: Mapping[str, Tensor], n_examples: int,
         seed: int) -> list[dict]:
     """Per-example Adam over `epochs` seeded permutations of the training set.
 
+    An empty training set raises ValueError before Adam is built.
     `losses(index)` returns one example's named [1, 1] losses.  "loss" is
     minimised; it and the global gradient norm must be finite, else a
     ValueError names the epoch and `label(index)` before Adam changes
-    anything (in float32 a norm past about 1.8e19 overflows and counts as
-    non-finite).  Each name gets a `train_<name>` mean in the epoch's history
-    row, and the norm a `grad_norm` mean.  `validate()` returns the row's
-    validation fields and a score, higher is better, or None without a
-    validation set (the score is then -train_loss).  `lr(epoch)` is the
-    epoch's learning rate.  The best-scoring epoch's parameters are restored
-    at the end.
+    anything.  `validate()` returns the validation fields and a score,
+    higher is better, or None without a validation set (the score is then
+    -train_loss).  `lr(epoch)` is the epoch's learning rate.  An epoch's
+    history row holds, in a training log's column order: epoch, lr, a
+    `train_<name>` mean per loss name, the mean grad_norm, the validation
+    fields and wall_seconds.  The best epoch's parameters are restored.
     """
+    if n_examples == 0:
+        raise ValueError("empty training set")
     rng = np.random.default_rng(seed)
     optimizer = Adam(params, lr=lr(1))
     history: list[dict] = []
@@ -875,8 +890,7 @@ def fit(params: Mapping[str, Tensor], n_examples: int,
                 if not np.isfinite(loss):
                     raise ValueError(f"epoch {epoch}: non-finite loss {loss} on {label(index)}")
                 recording.backward(named["loss"])
-            norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
-                                 for p in optimizer.params.values() if p.grad is not None))
+            norm = _global_norm(p.grad for p in optimizer.params.values() if p.grad is not None)
             if not math.isfinite(norm):
                 raise ValueError(f"epoch {epoch}: non-finite gradient norm {norm} "
                                  f"on {label(index)}")

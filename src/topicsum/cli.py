@@ -144,16 +144,16 @@ def _require(config: RunConfig, *keys: str) -> None:
         raise ValueError(f"config is missing required keys: {', '.join(missing)}")
 
 
-def _write_log(path, config: RunConfig, columns: list[str], rows: list[dict]) -> None:
+def _write_log(path, config: RunConfig, rows: list[dict]) -> None:
+    """The config as `# ` lines, then the rows as TSV under the first row's keys."""
     with atomic_write(path) as handle:
         for line in format_config(config).splitlines():
             handle.write(f"# {line}\n")
+        columns = list(rows[0])
         handle.write("\t".join(columns) + "\n")
         for row in rows:
-            cells = []
-            for column in columns:
-                value = row[column]
-                cells.append(f"{value:.6g}" if isinstance(value, float) else str(value))
+            cells = [f"{row[key]:.6g}" if isinstance(row[key], float) else str(row[key])
+                     for key in columns]
             handle.write("\t".join(cells) + "\n")
 
 
@@ -189,7 +189,6 @@ def cmd_train(args) -> int:
         with np.errstate(all="ignore"):
             history = train_detector(model, train, valid, epochs=config.detector_epochs,
                                      lr=config.detector_lr, seed=config.seed)
-        columns = ["epoch", "lr", "train_loss", "valid_accuracy", "wall_seconds"]
         summary = (f"detector: {len(train)} train / {len(valid)} valid examples, "
                    f"{config.detector_epochs} epochs\n"
                    f"final valid accuracy: {history[-1]['valid_accuracy']:.4f}")
@@ -218,13 +217,11 @@ def cmd_train(args) -> int:
                                       mode=config.topic_mode,
                                       stop_weight=config.stop_loss_weight,
                                       ttg_cap=config.ttg_cap, seed=config.seed)
-        columns = ["epoch", "lr", "train_loss", "train_nll", "train_stop", "grad_norm",
-                   "valid_loss", "wall_seconds"]
         summary = (f"generator: {len(train)} train / {len(valid)} valid examples, "
                    f"{config.generator_epochs} epochs ({config.topic_mode} mode)\n"
                    f"final valid loss: {history[-1]['valid_loss']:.4f}")
     checkpoint.save_tensors(args.out, model.parameters())
-    _write_log(log_path, config, columns, history)
+    _write_log(log_path, config, history)
     print(summary)
     print(f"checkpoint: {args.out}")
     print(f"log: {log_path}")

@@ -88,14 +88,10 @@ def _example_nll(model: DetectorModel, example: TopicParagraphExample) -> ad.Ten
 def train_detector(model: DetectorModel, train: Sequence[TopicParagraphExample],
                    valid: Sequence[TopicParagraphExample], epochs: int = 4,
                    lr: float = 3e-5, seed: int = 42) -> list[dict]:
-    """Adam on per-example NLL (`autodiff.fit`); keeps the best-validation
-    checkpoint, or the lowest-loss one without a validation set.
-
-    Returns one history row per epoch: epoch, lr, train_loss, grad_norm,
-    valid_accuracy, wall_seconds.
-    """
-    if not train:
-        raise ValueError("empty training set")
+    """Adam on per-example NLL (`autodiff.fit`, which refuses an empty
+    training set); keeps the best-validation checkpoint, or the lowest-loss
+    one without a validation set.  Returns `fit`'s history rows: epoch, lr,
+    train_loss, grad_norm, valid_accuracy, wall_seconds."""
     present = {ex.topic_index for ex in train}
     for topic in range(model.n_classes):
         if topic not in present:

@@ -100,10 +100,6 @@ class TopicGroups:
     def extended_size(self) -> int:
         return self.vocab_size + len(self.oov_tokens)
 
-    @property
-    def total_tokens(self) -> int:
-        return sum(len(g) for g in self.groups)
-
     @cached_property
     def extended_ids(self) -> np.ndarray:
         """Every kept input token's extended id, in token-state order."""
@@ -259,12 +255,12 @@ class GeneratorModel:
 @dataclass
 class TopicEncoding:
     """BiGRU view of the grouped input: one vector per topic, one state per
-    kept input token, and the attention keys every decoder step reads of
-    them (states and keys are None when every group is empty)."""
+    kept input token (at least one), and the attention keys every decoder
+    step reads of them."""
 
-    topic_vectors: ad.Tensor                 # [n_topics, hidden]
-    token_states: ad.Tensor | None           # [total_tokens, hidden]
-    attention_keys: ad.Tensor | None         # token_states @ attn_token_W
+    topic_vectors: ad.Tensor          # [n_topics, hidden]
+    token_states: ad.Tensor           # [n kept input tokens, hidden]
+    attention_keys: ad.Tensor         # token_states @ attn_token_W
 
 
 def bigru_states(model: GeneratorModel, token_ids: Sequence[int],
@@ -289,13 +285,13 @@ def bigru_states(model: GeneratorModel, token_ids: Sequence[int],
 
 def encode_topics(model: GeneratorModel, grouped: TopicGroups) -> TopicEncoding:
     """Encode all non-empty groups in one BiGRU run per direction; empty
-    groups get a zero topic vector."""
+    groups get a zero topic vector.  Raises ValueError when every group is
+    empty: there is nothing to attend over."""
     if len(grouped.groups) != model.n_topics:
         raise ValueError(f"{len(grouped.groups)} groups for a {model.n_topics}-topic model")
     kept = [group for group in grouped.groups if len(group)]
     if not kept:
-        return TopicEncoding(topic_vectors=ad.zeros((model.n_topics, model.hidden_dim)),
-                             token_states=None, attention_keys=None)
+        raise ValueError("no usable input: every paragraph was assigned to NOISE or empty")
     fwd, bwd, final_fwd, final_bwd = bigru_states(
         model, [i for group in kept for i in group.token_ids], [len(group) for group in kept])
     token_states = ad.affine(ad.concat([fwd, bwd], axis=1),
@@ -364,7 +360,7 @@ def attention_keys(model: GeneratorModel, token_states: ad.Tensor) -> ad.Tensor:
 
 
 def attention_step(model: GeneratorModel, state: ad.Tensor,
-                   token_states: ad.Tensor | None, keys: ad.Tensor | None = None):
+                   token_states: ad.Tensor, keys: ad.Tensor | None = None):
     """Additive attention of each of R decoder states [R, H] over all n
     token states.
 
@@ -374,7 +370,7 @@ def attention_step(model: GeneratorModel, state: ad.Tensor,
     positions.  Returns (weights [n, R], one column per state, contexts
     [R, H]).
     """
-    if token_states is None or token_states.data.shape[0] == 0:
+    if token_states.data.shape[0] == 0:
         raise ValueError("attention requires at least one encoded input token")
     if keys is None:
         keys = attention_keys(model, token_states)
@@ -619,8 +615,6 @@ def generate_abstract(model: GeneratorModel, paragraphs: Sequence[Sequence[str]]
     Raises if every paragraph lands in NOISE (no input to attend over).
     """
     grouped = group_paragraphs(paragraphs, assignments, schema, vocab, config.ttg_cap)
-    if grouped.total_tokens == 0:
-        raise ValueError("no usable input: every paragraph was assigned to NOISE or empty")
     encoding = encode_topics(model, grouped)
     decoder_inits: list[ad.Tensor] = []
     for step in islice(_topic_steps(model, encoding, config.topic_mode), config.max_sentences):
@@ -680,40 +674,32 @@ def _teacher_forced_steps(model: GeneratorModel, encoding: TopicEncoding,
     return (states, contexts, inputs, weights), targets, [step.stop_prob for step in steps]
 
 
-def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor]] | ad.Tensor,
+def compute_losses(sentence_dists: Sequence[Sequence[ad.Tensor]],
                    sentence_targets: Sequence[Sequence[int]],
                    stop_probs: Sequence[ad.Tensor],
                    stop_weight: float = 1.0):
     """Sentence NLL averaged within and then across sentences, plus the
-    stop cross-entropy averaged over the m+1 predictor steps.
+    stop cross-entropy averaged over the m+1 predictor steps, from the
+    per-sentence lists of [1, V'] rows that `teacher_forced_outputs` returns.
 
-    The distributions are per-sentence lists of [1, V'] rows, or one
-    [ΣT, V'] block holding every sentence's rows in order.  Lists are joined
-    into such a block, whose gold-token probabilities are read with one
-    gather.  They are clamped at `ad.LOG_FLOOR` before the log, so a
-    zero-probability target costs a large finite loss.  The losses are
-    `_weighted_losses` of the gold log-probabilities.  Returns
-    (sentence_loss, stop_loss, total) as [1, 1] tensors.
+    The rows are joined into one [ΣT, V'] block, whose gold-token
+    probabilities are read with one gather and clamped at `ad.LOG_FLOOR`
+    before the log, so a zero-probability target costs a large finite loss.
+    The losses are `_weighted_losses` of the gold log-probabilities.
+    Returns (sentence_loss, stop_loss, total) as [1, 1] tensors.
     """
     m = len(sentence_targets)
     if m == 0:
         raise ValueError("need at least one sentence")
-    if not isinstance(sentence_dists, ad.Tensor) and len(sentence_dists) != m:
-        raise ValueError(f"{len(sentence_dists)} distribution lists but {m} target lists")
     if len(stop_probs) != m + 1:
         raise ValueError(f"expected {m + 1} stop probabilities, got {len(stop_probs)}")
     if not all(sentence_targets):
         raise ValueError("empty sentence in loss computation")
     lengths = [len(targets) for targets in sentence_targets]
-    if isinstance(sentence_dists, ad.Tensor):
-        block = sentence_dists
-        if block.data.shape[0] != sum(lengths):
-            raise ValueError(f"{block.data.shape[0]} distributions for {sum(lengths)} targets")
-    else:
-        for dists, count in zip(sentence_dists, lengths):
-            if len(dists) != count:
-                raise ValueError(f"{len(dists)} distributions for {count} targets")
-        block = ad.concat([dist for dists in sentence_dists for dist in dists], axis=0)
+    counts = [len(dists) for dists in sentence_dists]
+    if counts != lengths:
+        raise ValueError(f"{counts} distributions per sentence for {lengths} targets")
+    block = ad.concat([dist for dists in sentence_dists for dist in dists], axis=0)
     flat_targets = [target for targets in sentence_targets for target in targets]
     gold = ad.log(ad.pick(block, range(len(flat_targets)), flat_targets), floor=ad.LOG_FLOOR)
     return _weighted_losses(gold, lengths, stop_probs, stop_weight)
@@ -751,9 +737,10 @@ def example_loss(model: GeneratorModel, example: SummarizationExample,
     logits and p_gen, and `ad.gold_log_probs` reads each row's gold
     log-probability without the [ΣT, V'] mixture."""
     grouped = group_paragraphs(example.paragraph_tokens, assignments, schema, vocab, ttg_cap)
-    if grouped.total_tokens == 0:
-        raise ValueError(f"example '{example.title}': every paragraph is NOISE or empty")
-    encoding = encode_topics(model, grouped)
+    try:
+        encoding = encode_topics(model, grouped)
+    except ValueError as exc:
+        raise ValueError(f"example '{example.title}': {exc}") from None
     (states, contexts, inputs, weights), targets, stops = _teacher_forced_steps(
         model, encoding, grouped, example.abstract_tokens, vocab, mode)
     logits, p_gen = _output_layer(model, states, contexts, inputs)
@@ -770,19 +757,17 @@ def train_generator(model: GeneratorModel, train: Sequence[SummarizationExample]
                     lr_first: float = 1e-4, lr_rest: float = 1e-5,
                     mode: str = "soft", stop_weight: float = 1.0,
                     ttg_cap: int = 400, seed: int = 42) -> list[dict]:
-    """Teacher-forced Adam training (`autodiff.fit`) with the two-phase
-    learning rate (lr_first for epoch 1, lr_rest afterwards); keeps the
-    best-validation checkpoint, or the lowest-loss one without a validation
-    set.  Returns one history row per epoch: epoch, lr, train_loss,
-    train_nll, train_stop, grad_norm, valid_loss, wall_seconds (per-example
-    means: train_loss of the totals, train_nll of the sentence NLL,
-    train_stop of the stop loss, grad_norm of the global gradient norm)."""
+    """Teacher-forced Adam training (`autodiff.fit`, which refuses an empty
+    training set) with the two-phase learning rate (lr_first for epoch 1,
+    lr_rest afterwards); keeps the best-validation checkpoint, or the
+    lowest-loss one without a validation set.  Returns `fit`'s history rows:
+    epoch, lr, train_loss, train_nll, train_stop (per-example means of the
+    total, the sentence NLL and the stop loss), grad_norm, valid_loss and
+    wall_seconds."""
     if len(train) != len(train_assignments):
         raise ValueError(f"{len(train)} examples but {len(train_assignments)} assignment lists")
     if len(valid) != len(valid_assignments):
         raise ValueError(f"{len(valid)} validation examples but {len(valid_assignments)} assignment lists")
-    if not train:
-        raise ValueError("empty training set")
     if mode == "hard":
         raise ValueError("topic_mode 'hard' cannot train the generator: the argmax topic choice "
                          "gives topic_W and topic_b no gradient; train with 'soft'")

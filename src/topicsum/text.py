@@ -127,7 +127,13 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """A file `save` wrote; a repeated token raises naming its line."""
         lines = [line.rstrip("\n") for line in read_lines(path)]
         if tuple(lines[:4]) != RESERVED_TOKENS:
             raise ValueError(f"{path}: not a vocabulary file (reserved tokens missing)")
+        seen: set[str] = set()
+        for lineno, token in enumerate(lines, start=1):
+            if token in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate token '{token}'")
+            seen.add(token)
         return cls(lines[4:])

@@ -951,6 +951,46 @@ class TestFit:
                    lr=lambda epoch: 0.1, seed=0)
         assert p.data.tolist() == [[1.0, 2.0]] and q.data.tolist() == [[0.5]]
 
+    def test_empty_training_set_raises_and_changes_nothing(self, monkeypatch):
+        p = ad.Tensor([[1.0, 2.0]], requires_grad=True)
+        monkeypatch.setattr(ad, "Adam", lambda *args, **kwargs: pytest.fail("Adam built"))
+        with pytest.raises(ValueError, match="^empty training set$"):
+            ad.fit({"p": p}, 0, lambda index: pytest.fail("loss taken"),
+                   lambda: pytest.fail("validated"), label=str, epochs=1,
+                   lr=lambda epoch: 0.1, seed=0)
+        assert p.data.tolist() == [[1.0, 2.0]] and p.grad is None
+
+    @staticmethod
+    def fit_on_gradient(gradient):
+        """One `fit` step of a parameter whose gradient is `gradient`."""
+        p = ad.Tensor(np.zeros(gradient.shape, np.float32), requires_grad=True)
+
+        def losses(index):
+            return {"loss": ad._push(np.zeros((1, 1), np.float32), (p,), lambda g: (gradient,))}
+
+        return p, lambda: ad.fit({"p": p}, 1, losses, lambda: ({}, None), label=str,
+                                 epochs=1, lr=lambda epoch: 1e-3, seed=0)
+
+    def test_gradient_norm_sums_in_float64(self):
+        # float32 squares of 1e19 sum past float32's range; the norm is 1e20
+        _, run = self.fit_on_gradient(np.full((1, 100), 1e19, np.float32))
+        assert run()[0]["grad_norm"] == pytest.approx(1e20, rel=1e-6)
+        # over many pieces and a partial last one, as accurate as a float64 sum
+        gradient = np.random.default_rng(0).standard_normal(
+            (2, ad.Adam.CHUNK + 11)).astype(np.float32)
+        _, run = self.fit_on_gradient(gradient)
+        assert run()[0]["grad_norm"] == pytest.approx(
+            np.linalg.norm(gradient.astype(np.float64)), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entry_in_a_later_chunk_stops_before_the_step(self, bad):
+        gradient = np.ones(2 * ad.Adam.CHUNK + 7, np.float32)
+        gradient[2 * ad.Adam.CHUNK + 3] = bad
+        p, run = self.fit_on_gradient(gradient)
+        with pytest.raises(ValueError, match=f"non-finite gradient norm {bad} on 0"):
+            run()
+        assert not p.data.any()
+
 
 class TestRandomizedProperties:
     def test_softmax_rows_sum_to_one(self):

@@ -156,7 +156,7 @@ class TestTrainArtifacts:
         lines = [line for line in
                  (root / "detector.bin.log").read_text("utf-8").splitlines()
                  if not line.startswith("#")]
-        assert lines[0] == "epoch\tlr\ttrain_loss\tvalid_accuracy\twall_seconds"
+        assert lines[0] == "epoch\tlr\ttrain_loss\tgrad_norm\tvalid_accuracy\twall_seconds"
         assert len(lines) == 1 + 2  # header + detector_epochs rows
         first = lines[1].split("\t")
         assert first[0] == "1"
@@ -444,6 +444,42 @@ class TestExitCodes:
         assert rc == 2
         assert f"{config}:" in err and f"'{key}' must be finite" in err
         assert not out.exists()
+
+    def test_duplicate_vocabulary_token_returns_two_naming_path_and_line(self, workspace,
+                                                                         tmp_path, capsys):
+        root, _, _ = workspace
+        vocab = tmp_path / "vocab.txt"
+        lines = (root / "corpus" / "vocab.txt").read_text("utf-8").splitlines()
+        vocab.write_text("\n".join(lines[:7] + [lines[4]] + lines[7:]) + "\n", encoding="utf-8")
+        config = root / "duplicate_vocab.cfg"
+        config.write_text(CONFIG_TEMPLATE.replace("corpus/vocab.txt", str(vocab)),
+                          encoding="utf-8")
+        rc = main(["train", "--stage", "detector", "--config", str(config),
+                   "--out", str(tmp_path / "d.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {vocab}:8: duplicate token '{lines[4]}'\n"
+
+    def test_all_noise_detector_stops_generator_training(self, workspace, tmp_path, capsys):
+        root, _, _ = workspace
+        # the rigged detector of TestGenerate: every paragraph goes to NOISE
+        vocab = Vocabulary.load(root / "corpus" / "vocab.txt")
+        rng = np.random.default_rng(0)
+        rigged = DetectorModel(MeanEmbeddingEncoder(len(vocab), 16, 16, rng), 4, rng)
+        rigged.cls_W.data[...] = 0.0
+        rigged.cls_b.data[...] = [[0.0, 0.0, 0.0, 100.0]]
+        checkpoint.save_tensors(tmp_path / "noise_detector.bin", rigged.parameters())
+        config = root / "noise_detector.cfg"
+        config.write_text(CONFIG_TEMPLATE.replace(
+            "detector_checkpoint = detector.bin",
+            f"detector_checkpoint = {tmp_path / 'noise_detector.bin'}"), encoding="utf-8")
+        out = tmp_path / "generator.bin"
+        rc = main(["train", "--stage", "generator", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: example 'entity") and "no usable input" in err
+        assert not out.exists()
+        assert not (tmp_path / "generator.bin.log").exists()
 
     def test_hard_topic_mode_training_returns_two(self, workspace, tmp_path, capsys):
         root, _, _ = workspace

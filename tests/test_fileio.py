@@ -38,8 +38,7 @@ def _score(f1):
 
 WRITERS = {
     "save_tensors": lambda path: checkpoint.save_tensors(path, {"w": np.arange(6.0)}),
-    "write_log": lambda path: cli._write_log(path, RunConfig(), ["epoch", "loss"],
-                                             [{"epoch": 1, "loss": 0.5}]),
+    "write_log": lambda path: cli._write_log(path, RunConfig(), [{"epoch": 1, "loss": 0.5}]),
     "write_articles": lambda path: corpus.write_articles(
         path, [corpus.RawArticle(title="t", sections=(("history", "Once."),))]),
     "write_label_stats": lambda path: corpus.write_label_stats(path, [(1, "history", 3)]),

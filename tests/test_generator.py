@@ -108,7 +108,7 @@ class TestGroupParagraphs:
         grouped = group_paragraphs(paragraphs, [0, 1, 0], schema, vocab)
         assert grouped.groups[0].tokens == ["alpha", "beta", "delta", "alpha"]
         assert grouped.groups[1].tokens == ["gamma"]
-        assert grouped.total_tokens == 5
+        assert grouped.extended_ids.size == 5
         assert grouped.oov_tokens == []
 
     def test_noise_paragraphs_dropped(self):
@@ -441,14 +441,15 @@ class TestEncodeTopics:
         assert np.any(encoding.topic_vectors.data[1] != 0.0)
         assert encoding.token_states.data.shape == (1, model.hidden_dim)
 
-    def test_all_empty_groups_have_no_token_states(self):
+    def test_all_empty_groups_raise_no_usable_input(self):
         vocab = make_vocab()
         schema = make_schema()
         model = make_model(vocab)
-        grouped = group_paragraphs([], [], schema, vocab)
-        encoding = encode_topics(model, grouped)
-        assert encoding.token_states is None
-        np.testing.assert_allclose(encoding.topic_vectors.data, 0.0)
+        for paragraphs, assignments in (([], []), ([["alpha", "beta"]], [schema.noise_index])):
+            grouped = group_paragraphs(paragraphs, assignments, schema, vocab)
+            with pytest.raises(ValueError, match="^no usable input: every paragraph was "
+                                                 "assigned to NOISE or empty$"):
+                encode_topics(model, grouped)
 
     def test_swapping_group_contents_swaps_topic_rows(self):
         vocab = make_vocab()
@@ -621,8 +622,8 @@ class TestAttention:
     def test_missing_token_states_rejected(self):
         vocab = make_vocab()
         model = make_model(vocab, hidden_dim=4)
-        with pytest.raises(ValueError):
-            attention_step(model, ad.zeros((1, 4)), None)
+        with pytest.raises(ValueError, match="at least one encoded input token"):
+            attention_step(model, ad.zeros((1, 4)), ad.zeros((0, 4)))
 
     @pytest.mark.parametrize("per_block", [1, 2, None])
     @pytest.mark.parametrize("count", [1, 3, 48])
@@ -825,7 +826,7 @@ class TestBeamCandidates:
                           for _ in range(2))
         dec_input = rng.normal(0.0, 1.0, (rows, model.embed_dim)).astype(dtype)
         if weights is None:
-            weights = rng.dirichlet(np.ones(grouped.total_tokens), size=rows).T.astype(dtype)
+            weights = rng.dirichlet(np.ones(grouped.extended_ids.size), size=rows).T.astype(dtype)
         want_ids, want_scores, log_probs = full_block_candidates(
             model, grouped, state, context, dec_input, weights, count)
         input_ids, inverse = np.unique(grouped.extended_ids, return_inverse=True)
@@ -1471,11 +1472,13 @@ class TestPackedTeacherForcing:
             predictor = len(recording)
 
         def loss_records(count):
-            rows = ad.Tensor(np.full((15, 12), 0.1), requires_grad=True)
+            rows = [ad.Tensor(np.full((1, 12), 0.1), requires_grad=True) for _ in range(15)]
             stops = [ad.Tensor([[0.5]], requires_grad=True) for _ in range(count + 1)]
             targets = np.array_split(np.arange(15) % 12, count)
+            ends = np.cumsum([len(t) for t in targets])
+            dists = [rows[end - len(t):end] for t, end in zip(targets, ends)]
             with ad.tape() as recording:
-                compute_losses(rows, [t.tolist() for t in targets], stops)
+                compute_losses(dists, [t.tolist() for t in targets], stops)
                 return len(recording)
 
         assert loss_records(1) == loss_records(2) == loss_records(3)
@@ -1647,11 +1650,12 @@ class TestComputeLosses:
             compute_losses(dists, [[1, 2]], stops + stops)
 
 
-def chained_losses(block, sentence_targets, stop_probs, stop_weight):
+def chained_losses(sentence_dists, sentence_targets, stop_probs, stop_weight):
     """compute_losses as a chain of per-sentence and per-step terms: each
     sentence's NLL summed and averaged, each step's stop term logged and
     negated, and both folded with `ad.add`."""
     m = len(sentence_targets)
+    block = ad.concat([dist for dists in sentence_dists for dist in dists], axis=0)
     flat = [target for targets in sentence_targets for target in targets]
     gold = ad.log(ad.pick(block, range(len(flat)), flat), floor=1e-12)
     ends = np.cumsum([len(targets) for targets in sentence_targets])
@@ -1666,8 +1670,9 @@ def chained_losses(block, sentence_targets, stop_probs, stop_weight):
 
 class TestWeightedSumLosses:
     """compute_losses' two weighted sums against `chained_losses`: the
-    gradients into the block and the stop probabilities are bitwise equal,
-    and the losses equal to within rounding (they sum in another order)."""
+    gradients into the distribution rows and the stop probabilities are
+    bitwise equal, and the losses equal to within rounding (they sum in
+    another order)."""
 
     @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-14)])
     @pytest.mark.parametrize("lengths, stops", [
@@ -1685,12 +1690,15 @@ class TestWeightedSumLosses:
             targets = [part.tolist() for part in np.split(flat, np.cumsum(lengths)[:-1])]
             runs = []
             for losses in (compute_losses, chained_losses):
-                block = ad.Tensor(probs, requires_grad=True)
+                rows = [ad.Tensor(probs[t:t + 1], requires_grad=True) for t in range(len(probs))]
+                dists = [rows[end - count:end]
+                         for count, end in zip(lengths, np.cumsum(lengths))]
                 stop_probs = [ad.Tensor([[p]], requires_grad=True) for p in stops]
                 with ad.tape() as recording:
-                    values = losses(block, targets, stop_probs, 0.7)
+                    values = losses(dists, targets, stop_probs, 0.7)
                     recording.backward(values[2])
-                runs.append(([v.item() for v in values], block.grad,
+                runs.append(([v.item() for v in values],
+                             np.concatenate([row.grad for row in rows]),
                              [stop.grad for stop in stop_probs]))
         (got, got_block, got_stops), (want, want_block, want_stops) = runs
         np.testing.assert_allclose(got, want, rtol=rtol)

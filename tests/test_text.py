@@ -186,6 +186,16 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize("words, line, token", [(["alpha", "beta", "alpha"], 7, "alpha"),
+                                                    (["<unk>", "beta"], 5, "<unk>")],
+                             ids=["word", "reserved"])
+    def test_load_names_the_line_of_a_duplicate_token(self, tmp_path, words, line, token):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(RESERVED_TOKENS + tuple(words)) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: "
+                                             f"duplicate token '{re.escape(token)}'$"):
+            Vocabulary.load(path)
+
     def test_build_deterministic_across_corpus_order(self):
         rng = np.random.default_rng(9)
         draws = [f"t{int(i)}" for i in rng.integers(0, 50, size=400)]
