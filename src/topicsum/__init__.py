@@ -7,6 +7,14 @@ writes each sentence with copying.  Everything runs on a small tape-based
 autodiff core over numpy arrays.
 """
 
+import os
+
+# OpenBLAS's idle workers spin for 2^28 cycles (about 0.1 s) after each
+# product by default, taking the second core from the threads the training
+# step starts; 2^20 is about 0.4 ms.  Read once, when numpy loads OpenBLAS, so
+# it has effect only if numpy is not yet imported; a value already set wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from .autodiff import Adam, Tape, Tensor, tape, using_dtype
 from .checkpoint import load_into, load_tensors, save_tensors
 from .config import RunConfig, format_config, load_config

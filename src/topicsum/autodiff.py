@@ -14,7 +14,9 @@ so that each step runs the prefix of sequences still going.  Its forward
 multiplies all inputs by each gate's input weights in one matrix product
 and loops only over the recurrent `h @ U` products; its backward loops
 back through time over those prefix blocks and then forms every weight
-gradient as one matrix product over the whole run.  `additive_scores`
+gradient as one matrix product over the whole run.  `bigru_sequence` is
+both directions of a bidirectional GRU over the same inputs, with the same
+steps, as one record.  `additive_scores`
 scores R attention queries against n keys a cache-sized block of queries
 at a time through one reused buffer, and its backward recomputes each
 block's tanh there rather than keep an [n, R, H] block.  `gold_log_probs`
@@ -25,6 +27,15 @@ without the [T, V'] mixture, in one full-width pass each way.
 float32 is the working dtype; `using_dtype` exists so that numerical test
 suites can run the identical op implementations in float64, where central
 finite differences are meaningful.
+
+Work with two independent halves runs them on two threads once it is large
+enough to pay for the thread (`_on_two_threads`): a large weight draw in
+`parameter`, `bigru_sequence`'s two directions, forward and back through
+time, with BLAS at one thread each, and `Adam.step` and `fit`'s gradient
+norm, each over two halves of the parameters' chunks.  Each half does the
+arithmetic it would do alone, and the products whose bits depend on BLAS's
+thread count run on the calling thread at BLAS's own count, so every value
+is bitwise the serial one.  Toy-size models stay serial.
 
 Gradient contract: every adjoint lives in its tensor's `.grad`.  On leaves,
 the tensors that no record on the tape produced (parameters and inputs
@@ -45,9 +56,12 @@ contributions into it in place.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -82,6 +96,7 @@ __all__ = [
     "additive_scores",
     "gold_log_probs",
     "gru_sequence",
+    "bigru_sequence",
     "Adam",
     "fit",
 ]
@@ -260,6 +275,57 @@ def _push(data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor
 
 
 # ---------------------------------------------------------------------------
+# the second core
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or
+    None when none is found.  Not `openblas_set_num_threads_local`: in a
+    pthreads build it sets the whole process's count too."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _on_two_threads(first: Callable, second: Callable, one_blas_thread: bool = False):
+    """(first(), second()), with second() on a worker thread while first()
+    runs on this one.  Both have finished when this returns or raises, and a
+    worker's exception is raised here.
+
+    With `one_blas_thread`, OpenBLAS runs one thread for the call's length,
+    so that the two sides' matrix products do not compete for the cores:
+    the count is set once on this thread before the worker starts and put
+    back after the join.  Without a way to set it, both run here in turn.
+    """
+    restore = None
+    if one_blas_thread:
+        blas = _blas_threads()
+        if blas is None:
+            return first(), second()
+        get, set_ = blas
+        restore = get()
+        set_(1)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            later = pool.submit(second)
+            return first(), later.result()
+    finally:
+        if restore is not None:
+            set_(restore)
+
+
+# ---------------------------------------------------------------------------
 # construction helpers
 
 def zeros(shape) -> Tensor:
@@ -304,10 +370,8 @@ def parameter(rng: np.random.Generator, shape, scale: float = 0.1) -> Tensor:
     # `advance` drops the buffered 32-bit value, which a uniform draw keeps
     tail.state = {**tail.state, "has_uint32": state["has_uint32"],
                   "uinteger": state["uinteger"]}
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        second = pool.submit(_fill_uniform, np.random.Generator(tail), flat[split:], scale)
-        _fill_uniform(rng, flat[:split], scale)
-        second.result()
+    _on_two_threads(lambda: _fill_uniform(rng, flat[:split], scale),
+                    lambda: _fill_uniform(np.random.Generator(tail), flat[split:], scale))
     bits.state = tail.state
     return Tensor(data, requires_grad=True)
 
@@ -488,19 +552,23 @@ def take(x: Tensor, index) -> Tensor:
 
 
 def pick(x: Tensor, i, j) -> Tensor:
-    """Entries x[i, j] as a [k, 1] column: one entry for ints, or one per
-    pair of two equal-length index sequences whose (i, j) pairs are distinct."""
-    i_ids = np.atleast_1d(np.asarray(i, dtype=np.int64))
-    j_ids = np.atleast_1d(np.asarray(j, dtype=np.int64))
+    """Entries x[i, j] for index arrays i and j of one shape whose (i, j)
+    pairs are distinct: a block of that shape when it is 2-D, else a
+    [k, 1] column (one entry for ints)."""
+    i_ids = np.asarray(i, dtype=np.int64)
+    j_ids = np.asarray(j, dtype=np.int64)
+    if i_ids.ndim < 2:
+        i_ids, j_ids = i_ids.reshape(-1, 1), j_ids.reshape(-1, 1)
     n, m = x.data.shape
-    if i_ids.shape != j_ids.shape or i_ids.ndim != 1:
-        raise ValueError(f"pick needs equal-length index lists, got {i_ids.shape} and {j_ids.shape}")
+    if i_ids.shape != j_ids.shape or i_ids.ndim != 2:
+        raise ValueError(f"pick needs index arrays of one shape, "
+                         f"got {np.shape(i)} and {np.shape(j)}")
     if np.any((i_ids < 0) | (i_ids >= n) | (j_ids < 0) | (j_ids >= m)):
         raise IndexError(f"pick ({i}, {j}) outside shape {x.data.shape}")
-    if i_ids.size > 1 and np.unique(i_ids * m + j_ids).size != i_ids.size:
+    keys = np.sort(i_ids * m + j_ids, axis=None)
+    if np.any(keys[1:] == keys[:-1]):
         raise ValueError("pick needs distinct (i, j) pairs")
-    return _push(x.data[i_ids, j_ids].reshape(-1, 1), (x,),
-                 lambda g: (_RowGrad((i_ids, j_ids), g[:, 0]),))
+    return _push(x.data[i_ids, j_ids], (x,), lambda g: (_RowGrad((i_ids, j_ids), g),))
 
 
 def embedding_lookup(table: Tensor, token_ids) -> Tensor:
@@ -678,60 +746,120 @@ def gru_sequence(xs: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, b_z: Tensor,
     z = sigmoid(x W_z + b_z + h U_z), r = sigmoid(x W_r + b_r + h U_r),
     c = tanh(x W_h + b_h + (r * h) U_h), h' = (1 - z) * c + z * h.
     """
-    if (xs.data.ndim != 2 or h0.data.ndim != 2 or h0.data.shape[0] == 0
-            or xs.data.shape[0] == 0):
-        raise ValueError(f"gru_sequence needs [N, D] inputs (N > 0) and a [B, H] "
-                         f"state, got {xs.data.shape} and {h0.data.shape}")
-    (B, H), (N, D) = h0.data.shape, xs.data.shape
-    if lengths is None:
-        if N % B:
-            raise ValueError(f"{N} input rows are no whole number of {B}-row sequences")
-        lengths = [N // B] * B
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != (B,) or lengths.min() < 1 or lengths.sum() != N:
-        raise ValueError(f"gru_sequence needs {B} lengths of at least 1 summing to {N}, "
-                         f"got {lengths.tolist()}")
-    if W_z.data.shape != (D, H) or U_z.data.shape != (H, H):
-        raise ValueError(f"gru_sequence weights {W_z.data.shape} and {U_z.data.shape} do not "
-                         f"fit inputs {xs.data.shape} and state {h0.data.shape}")
-    # inside, the run is packed: sequences longest first, step t's rows
-    # after step t-1's, so that step t runs the prefix still going.  One
-    # sequence, or one step of B, is packed already.
-    order, packed, unpacked = (slice(None),) * 3 if N == B or B == 1 else _packing(lengths)
-    active = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
-    starts = np.cumsum(active) - active
-    steps = [(slice(s, s + k), k) for s, k in zip(starts.tolist(), active.tolist())]
-    if reverse:
-        steps.reverse()
-
-    x = xs.data[packed]
-    # the input terms of all steps, one matrix product per gate
-    p_z, p_r, p_h = x @ W_z.data + b_z.data, x @ W_r.data + b_r.data, x @ W_h.data + b_h.data
-    u_z, u_r, u_h = U_z.data, U_r.data, U_h.data
-    # run holds every sequence's latest state; prev the state each row's step read
-    run = np.array(h0.data[order], dtype=p_z.dtype)
-    prev, out = np.empty_like(p_z), np.empty_like(p_z)
-    z, r, c = np.empty_like(p_z), np.empty_like(p_z), np.empty_like(p_z)
-    for at, k in steps:
-        prev[at] = run[:k]
-        h = prev[at]
-        z[at] = _sigmoid_values(p_z[at] + h @ u_z)
-        r[at] = _sigmoid_values(p_r[at] + h @ u_r)
-        c[at] = np.tanh(p_h[at] + (r[at] * h) @ u_h)
-        out[at] = (1.0 - z[at]) * c[at] + z[at] * h
-        run[:k] = out[at]
+    weights = (W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h)
+    run = _GRURun(xs.data, h0.data, [w.data for w in weights], reverse, lengths)
 
     def vjp(g):
-        # back through time: d_z, d_r, d_h hold the adjoints of the gates'
-        # pre-activations, from which every weight gradient is one product;
-        # carry holds the adjoint of every sequence's running state
-        g = g[packed]
+        return run.adjoints(*run.through_time(g))
+
+    return _push(run.forward(), (xs, h0, *weights), vjp)
+
+
+_PAIR_SPLIT_MIN = 1 << 24   # least rows x H^2 whose two directions run on two threads
+
+
+def bigru_sequence(xs: Tensor, h0: Tensor, forward_weights: Sequence[Tensor],
+                   backward_weights: Sequence[Tensor],
+                   lengths: Sequence[int] | None = None) -> Tensor:
+    """Both directions of a bidirectional GRU as one [N, 2H] record: columns
+    :H are `gru_sequence(xs, h0, *forward_weights, lengths=lengths)` and
+    columns H: the reverse run with `backward_weights`, bitwise.
+
+    From `_PAIR_SPLIT_MIN` rows x H^2 on, the two directions' steps, forward
+    and back through time, run on two threads with BLAS at one thread each;
+    the weight-gradient products then run on this thread at BLAS's own count,
+    where their bits depend on it.
+    """
+    runs = [_GRURun(xs.data, h0.data, [w.data for w in weights], reverse, lengths)
+            for weights, reverse in ((forward_weights, False), (backward_weights, True))]
+    hidden = h0.data.shape[1]
+    split = xs.data.shape[0] * hidden * hidden >= _PAIR_SPLIT_MIN
+
+    def both(first, second):
+        if split:
+            return _on_two_threads(first, second, one_blas_thread=True)
+        return first(), second()
+
+    states = np.concatenate(both(runs[0].forward, runs[1].forward), axis=1)
+
+    def vjp(g):
+        fwd_terms, bwd_terms = both(lambda: runs[0].through_time(g[:, :hidden]),
+                                    lambda: runs[1].through_time(g[:, hidden:]))
+        dx, d_h0, *fwd_grads = runs[0].adjoints(*fwd_terms)
+        dx_bwd, d_h0_bwd, *bwd_grads = runs[1].adjoints(*bwd_terms)
+        return (dx + dx_bwd, d_h0 + d_h0_bwd, *fwd_grads, *bwd_grads)
+
+    return _push(states, (xs, h0, *forward_weights, *backward_weights), vjp)
+
+
+class _GRURun:
+    """One direction of `gru_sequence` over packed sequences: the forward
+    steps, the steps back through time, and then the adjoints, whose weight
+    products run over the whole sequence at once."""
+
+    def __init__(self, xs: np.ndarray, h0: np.ndarray, weights: Sequence[np.ndarray],
+                 reverse: bool, lengths: Sequence[int] | None):
+        if xs.ndim != 2 or h0.ndim != 2 or h0.shape[0] == 0 or xs.shape[0] == 0:
+            raise ValueError(f"gru_sequence needs [N, D] inputs (N > 0) and a [B, H] "
+                             f"state, got {xs.shape} and {h0.shape}")
+        (B, H), (N, D) = h0.shape, xs.shape
+        if lengths is None:
+            if N % B:
+                raise ValueError(f"{N} input rows are no whole number of {B}-row sequences")
+            lengths = [N // B] * B
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.shape != (B,) or lengths.min() < 1 or lengths.sum() != N:
+            raise ValueError(f"gru_sequence needs {B} lengths of at least 1 summing to {N}, "
+                             f"got {lengths.tolist()}")
+        if weights[0].shape != (D, H) or weights[1].shape != (H, H):
+            raise ValueError(f"gru_sequence weights {weights[0].shape} and {weights[1].shape} "
+                             f"do not fit inputs {xs.shape} and state {h0.shape}")
+        # inside, the run is packed: sequences longest first, step t's rows
+        # after step t-1's, so that step t runs the prefix still going.  One
+        # sequence, or one step of B, is packed already.
+        self.order, self.packed, self.unpacked = (
+            (slice(None),) * 3 if N == B or B == 1 else _packing(lengths))
+        active = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
+        starts = np.cumsum(active) - active
+        self.steps = [(slice(s, s + k), k) for s, k in zip(starts.tolist(), active.tolist())]
+        if reverse:
+            self.steps.reverse()
+        self.x, self.h0, self.weights = xs[self.packed], h0, weights
+
+    def forward(self) -> np.ndarray:
+        """The states, in the inputs' layout."""
+        W_z, u_z, b_z, W_r, u_r, b_r, W_h, u_h, b_h = self.weights
+        x = self.x
+        # the input terms of all steps, one matrix product per gate
+        p_z, p_r, p_h = x @ W_z + b_z, x @ W_r + b_r, x @ W_h + b_h
+        # run holds every sequence's latest state; prev the state each row's step read
+        run = np.array(self.h0[self.order], dtype=p_z.dtype)
+        prev, out = np.empty_like(p_z), np.empty_like(p_z)
+        z, r, c = np.empty_like(p_z), np.empty_like(p_z), np.empty_like(p_z)
+        self.prev, self.z, self.r, self.c = prev, z, r, c
+        for at, k in self.steps:
+            prev[at] = run[:k]
+            h = prev[at]
+            z[at] = _sigmoid_values(p_z[at] + h @ u_z)
+            r[at] = _sigmoid_values(p_r[at] + h @ u_r)
+            c[at] = np.tanh(p_h[at] + (r[at] * h) @ u_h)
+            out[at] = (1.0 - z[at]) * c[at] + z[at] * h
+            run[:k] = out[at]
+        return out[self.unpacked]
+
+    def through_time(self, g: np.ndarray):
+        """From the states' adjoint g, the adjoints of the gates'
+        pre-activations, d_z, d_r and d_h, and carry, the adjoint of every
+        sequence's starting state."""
+        _, u_z, _, _, u_r, _, _, u_h, _ = self.weights
+        prev, z, r, c = self.prev, self.z, self.r, self.c
+        g = g[self.packed]
         d_z, d_r, d_h = np.empty_like(z), np.empty_like(r), np.empty_like(c)
-        carry = np.zeros((B, H), dtype=g.dtype)
+        carry = np.zeros(self.h0.shape, dtype=g.dtype)
         # contiguous transposes: a product against a transposed view is
         # slower once a step has more than one row
         u_zt, u_rt, u_ht = (np.ascontiguousarray(u.T) for u in (u_z, u_r, u_h))
-        for at, k in reversed(steps):
+        for at, k in reversed(self.steps):
             dh = g[at] + carry[:k]
             h = prev[at]
             d_h[at] = dh * (1.0 - z[at]) * (1.0 - c[at] * c[at])
@@ -739,16 +867,21 @@ def gru_sequence(xs: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, b_z: Tensor,
             d_rh = d_h[at] @ u_ht
             d_r[at] = d_rh * h * r[at] * (1.0 - r[at])
             carry[:k] = dh * z[at] + d_rh * r[at] + d_z[at] @ u_zt + d_r[at] @ u_rt
-        dx = d_z @ W_z.data.T + d_r @ W_r.data.T + d_h @ W_h.data.T
+        return d_z, d_r, d_h, carry
+
+    def adjoints(self, d_z, d_r, d_h, carry) -> tuple[np.ndarray, ...]:
+        """The adjoints of xs, h0 and the nine weights, in `gru_sequence`'s
+        argument order."""
+        W_z, _, _, W_r, _, _, W_h, _, _ = self.weights
+        x, prev = self.x, self.prev
+        dx = d_z @ W_z.T + d_r @ W_r.T + d_h @ W_h.T
         d_h0 = np.empty_like(carry)
-        d_h0[order] = carry
+        d_h0[self.order] = carry
         x_t = x.T
-        return (dx[unpacked], d_h0,
+        return (dx[self.unpacked], d_h0,
                 x_t @ d_z, prev.T @ d_z, d_z.sum(axis=0, keepdims=True),
                 x_t @ d_r, prev.T @ d_r, d_r.sum(axis=0, keepdims=True),
-                x_t @ d_h, (r * prev).T @ d_h, d_h.sum(axis=0, keepdims=True))
-
-    return _push(out[unpacked], (xs, h0, W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h), vjp)
+                x_t @ d_h, (self.r * prev).T @ d_h, d_h.sum(axis=0, keepdims=True))
 
 
 def _packing(lengths: np.ndarray):
@@ -770,6 +903,20 @@ def _packing(lengths: np.ndarray):
 # ---------------------------------------------------------------------------
 # optimizer
 
+_PASS_SPLIT_MIN = 1 << 20   # least elements whose Adam step or gradient norm runs on two threads
+
+
+def _by_halves(work: Callable[[list, int], object], chunks: list, sizes: Sequence[int]) -> tuple:
+    """(work(chunks, 0),) below `_PASS_SPLIT_MIN` elements, else the chunks
+    cut in order into two halves of about equal size and (work(first half,
+    0), work(second half, 1)) on two threads."""
+    if sum(sizes) < _PASS_SPLIT_MIN:
+        return (work(chunks, 0),)
+    ends = np.cumsum(sizes)
+    cut = int(np.searchsorted(ends, ends[-1] / 2)) + 1
+    return _on_two_threads(lambda: work(chunks[:cut], 0), lambda: work(chunks[cut:], 1))
+
+
 class Adam:
     """Adam with in-place updates; the caller zeroes gradients between steps.
 
@@ -778,8 +925,10 @@ class Adam:
     through two scratch buffers of one chunk.  A chunk's gradient, moments,
     values and scratch stay in a core's L2 cache across the dozen passes the
     expressions make, where a paper-size weight would stream from memory on
-    every pass.  Every operation is elementwise, so the result is bitwise
-    the unchunked one.
+    every pass.  From `_PASS_SPLIT_MIN` elements on, the chunks are cut into
+    two halves of about equal size, one per thread, each with its own
+    scratch.  Every operation is elementwise, so the result is bitwise the
+    unchunked one.
     """
 
     CHUNK = 1 << 16   # elements; of 16K to 128K, the fastest on a 2 MiB L2 core
@@ -798,7 +947,8 @@ class Adam:
         arrays = [p.data for p in self.params.values()]
         size = min(self.CHUNK, max((x.size for x in arrays), default=0))
         dtype = np.result_type(*arrays) if arrays else default_dtype()
-        self._scratch = (np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
+        self._scratch = [(np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
+                         for _ in range(2)]
 
     def step(self) -> None:
         """One update of every parameter; raises ValueError, changing
@@ -807,49 +957,76 @@ class Adam:
             if p.grad is None:
                 raise ValueError(f"parameter '{name}' has no gradient; run backward first")
         self.step_count += 1
-        t = self.step_count
-        for name, p in self.params.items():
-            # flat views; reshape copies a parameter that is not C-ordered,
-            # and the copy is written back below
-            values = p.data.reshape(-1)
-            flat = (p.grad.reshape(-1), self._m[name].reshape(-1), self._v[name].reshape(-1),
-                    values)
-            for start in range(0, values.size, self.CHUNK):
-                chunk = slice(start, start + self.CHUNK)
-                g, m, v, d = (x[chunk] for x in flat)
-                a, b = (buffer[:g.size] for buffer in self._scratch)
-                m *= self.beta1
-                np.multiply(g, 1.0 - self.beta1, out=a)
-                m += a
-                v *= self.beta2
-                np.multiply(g, g, out=a)
-                a *= 1.0 - self.beta2
-                v += a
-                np.divide(m, 1.0 - self.beta1 ** t, out=a)   # m_hat
-                np.divide(v, 1.0 - self.beta2 ** t, out=b)   # v_hat
-                a *= self.lr
-                np.sqrt(b, out=b)
-                b += self.eps
-                a /= b
-                d -= a
+        # flat views; reshape copies a parameter that is not C-ordered, and
+        # the copy is written back below
+        flats = [(p.grad.reshape(-1), self._m[name].reshape(-1), self._v[name].reshape(-1),
+                  p.data.reshape(-1)) for name, p in self.params.items()]
+        chunks = [tuple(x[start:start + self.CHUNK] for x in flat)
+                  for flat in flats for start in range(0, flat[3].size, self.CHUNK)]
+        _by_halves(lambda part, side: self._update(part, self._scratch[side]), chunks,
+                   [chunk[3].size for chunk in chunks])
+        for p, (_, _, _, values) in zip(self.params.values(), flats):
             if not p.data.flags.c_contiguous:
                 p.data[...] = values.reshape(p.data.shape)
+
+    def _update(self, chunks, scratch) -> None:
+        t = self.step_count
+        for g, m, v, d in chunks:
+            a, b = (buffer[:g.size] for buffer in scratch)
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m += a
+            v *= self.beta2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
+            v += a
+            np.divide(m, 1.0 - self.beta1 ** t, out=a)   # m_hat
+            np.divide(v, 1.0 - self.beta2 ** t, out=b)   # v_hat
+            a *= self.lr
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            d -= a
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
 
+_NORM_PIECE = 1 << 13   # elements whose squares `_global_norm` sums in one dot product
+
+
 def _global_norm(arrays: Iterable[np.ndarray]) -> float:
-    """The 2-norm of all entries, squared and summed in float64 8K at a
-    time: no finite float32 input overflows it, and each float64 copy is at
-    most 64 KB, a heap block below malloc's mmap threshold."""
+    """The 2-norm of all entries: the squares of each array's 8K-element
+    pieces summed in float64 by one dot product each, no finite float32
+    input overflowing it, and those sums added in order.
+
+    The pieces are widened to float64 one `Adam.CHUNK` at a time through
+    one buffer of at most 512 KB per thread.  From `_PASS_SPLIT_MIN`
+    elements on, two threads take half of the chunks each, and their sums
+    are added here in the serial order.
+    """
+    chunks = [flat[start:start + Adam.CHUNK] for flat in (array.reshape(-1) for array in arrays)
+              for start in range(0, flat.size, Adam.CHUNK)]
+
+    def squares(part: list[np.ndarray], side: int) -> list[float]:
+        wide, found = np.empty(max((chunk.size for chunk in part), default=0), np.float64), []
+        for chunk in part:
+            piece = wide[:chunk.size]
+            piece[...] = chunk
+            whole = chunk.size // _NORM_PIECE * _NORM_PIECE
+            if whole:
+                # a stack of [1, 8K] @ [8K, 1] products, each one dot product
+                rows = piece[:whole].reshape(-1, 1, _NORM_PIECE)
+                found.extend(np.matmul(rows, rows.transpose(0, 2, 1)).ravel().tolist())
+            if whole < chunk.size:
+                found.append(float(np.dot(piece[whole:], piece[whole:])))
+        return found
+
     total = 0.0
-    for array in arrays:
-        flat = array.reshape(-1)
-        for start in range(0, flat.size, 1 << 13):
-            part = flat[start:start + (1 << 13)].astype(np.float64)
-            total += float(np.dot(part, part))
+    for part in _by_halves(squares, chunks, [chunk.size for chunk in chunks]):
+        for square in part:
+            total += square
     return math.sqrt(total)
 
 

@@ -12,16 +12,16 @@ What runs step by step: the topic predictor (its next input is its own
 topic context), beam search (its next input is its own choice), and in
 training only the recurrences.  A step and a sequence are both one
 `ad.gru_sequence`, so the GRU update has one implementation.  Independent
-sequences of known inputs, stored one after another, run as one
-`GRUCell.sequence`: all topic groups in each encoder direction, and in
-teacher forcing all gold sentences, from the decoder inits that the
-predictor computes first.  Attention, over keys computed once per example,
-the output projection, the copy gate and the NLL then run once over the
-example's [ΣT, H] block: every sentence's states, one row per gold token,
-in sentence order.  The NLL reads only each row's gold probability, in one
-`ad.gold_log_probs` record, so training builds no [ΣT, V'] mixture;
-`token_distribution` builds it, as the reference that
-`teacher_forced_outputs` and `compute_losses` use.
+sequences of known inputs, stored one after another, run as one record:
+all topic groups in both encoder directions as one `ad.bigru_sequence`,
+and in teacher forcing all gold sentences as one `GRUCell.sequence`, from
+the decoder inits that the predictor computes first.  Attention, over
+keys computed once per example, the output projection, the copy gate and
+the NLL then run once over the example's [ΣT, H] block: every sentence's
+states, one row per gold token, in sentence order.  The NLL reads only
+each row's gold probability, in one `ad.gold_log_probs` record, so
+training builds no [ΣT, V'] mixture; `token_distribution` builds it, as the
+reference that `teacher_forced_outputs` and `compute_losses` use.
 
 The predictor never reads decoded tokens, so generation runs it first and
 then beam-searches all sentences in lockstep: every live hypothesis of every
@@ -268,36 +268,38 @@ def bigru_states(model: GeneratorModel, token_ids: Sequence[int],
     """Forward and backward GRU states of token sequences.
 
     `token_ids` holds the sequences one after another and `lengths` their
-    lengths (by default one sequence).  Each direction is one run over all
-    of them (see `GRUCell.sequence`); the backward run starts each sequence
-    at its own last token.  Returns (forward [n, H], backward [n, H], final
-    forward [B, H], final backward [B, H]) in input order; backward row t of
-    a sequence has consumed its tokens from the last down to t.
+    lengths (by default one sequence).  Both directions are one
+    `ad.bigru_sequence` over all of them; the backward run starts each
+    sequence at its own last token.  Returns (states [n, 2H], forward then
+    backward columns, in input order; finals [B, 2H], each sequence's last
+    forward and first backward state).  Backward row t of a sequence has
+    consumed its tokens from the last down to t.
     """
     lengths = [len(token_ids)] if lengths is None else list(lengths)
     vectors = ad.embedding_lookup(model.embed, token_ids)
     start = ad.zeros((len(lengths), model.hidden_dim))
-    fwd, bwd = (cell.sequence(vectors, start, reverse, lengths)
-                for cell, reverse in ((model.enc_fwd, False), (model.enc_bwd, True)))
+    states = ad.bigru_sequence(vectors, start, list(model.enc_fwd.parameters().values()),
+                               list(model.enc_bwd.parameters().values()), lengths)
     ends = np.cumsum(lengths)
-    return fwd, bwd, ad.take(fwd, ends - 1), ad.take(bwd, ends - lengths)
+    # row of each final's columns: the last token forward, the first backward
+    final_rows = np.repeat(np.stack([ends - 1, ends - lengths], axis=1), model.hidden_dim, axis=1)
+    columns = np.broadcast_to(np.arange(2 * model.hidden_dim), final_rows.shape)
+    return states, ad.pick(states, final_rows, columns)
 
 
 def encode_topics(model: GeneratorModel, grouped: TopicGroups) -> TopicEncoding:
-    """Encode all non-empty groups in one BiGRU run per direction; empty
-    groups get a zero topic vector.  Raises ValueError when every group is
-    empty: there is nothing to attend over."""
+    """Encode all non-empty groups in one BiGRU run; empty groups get a zero
+    topic vector.  Raises ValueError when every group is empty: there is
+    nothing to attend over."""
     if len(grouped.groups) != model.n_topics:
         raise ValueError(f"{len(grouped.groups)} groups for a {model.n_topics}-topic model")
     kept = [group for group in grouped.groups if len(group)]
     if not kept:
         raise ValueError("no usable input: every paragraph was assigned to NOISE or empty")
-    fwd, bwd, final_fwd, final_bwd = bigru_states(
+    states, finals = bigru_states(
         model, [i for group in kept for i in group.token_ids], [len(group) for group in kept])
-    token_states = ad.affine(ad.concat([fwd, bwd], axis=1),
-                             model.enc_token_W, model.enc_token_b)          # [n, H]
-    topic_vectors = ad.affine(ad.concat([final_fwd, final_bwd], axis=1),
-                              model.enc_topic_W, model.enc_topic_b)         # [G', H]
+    token_states = ad.affine(states, model.enc_token_W, model.enc_token_b)           # [n, H]
+    topic_vectors = ad.affine(finals, model.enc_topic_W, model.enc_topic_b)          # [G', H]
     n_empty = model.n_topics - len(kept)
     if n_empty:
         # the kept groups' rows, then one zero row per empty group, put

@@ -82,6 +82,54 @@ class TestParameterInit:
             ad.parameter(rng, (ad._SPLIT_MIN,))
         assert threading.active_count() == threads
 
+        def failing():
+            raise MemoryError("worker failed")
+
+        for one_blas_thread in (False, True):
+            here = []
+            with pytest.raises(MemoryError, match="worker failed"):
+                ad._on_two_threads(lambda: here.append(1), failing, one_blas_thread)
+            assert here == [1] and threading.active_count() == threads
+
+    def test_blas_thread_count_is_one_inside_and_restored_after_a_worker_raises(self):
+        blas = ad._blas_threads()
+        if blas is None:
+            pytest.skip("no thread-count setter found in numpy's OpenBLAS")
+        get, set_ = blas
+        original = get()
+        seen = []
+
+        def failing():
+            seen.append(get())
+            raise MemoryError("worker failed")
+
+        set_(2)
+        try:
+            with pytest.raises(MemoryError, match="worker failed"):
+                ad._on_two_threads(lambda: seen.append(get()), failing, one_blas_thread=True)
+            assert seen == [1, 1]
+            assert get() == 2
+            assert ad._on_two_threads(get, get, one_blas_thread=True) == (1, 1)
+            assert get() == 2
+        finally:
+            set_(original)
+
+    def test_without_a_blas_setter_both_sides_run_here_in_turn(self, monkeypatch):
+        monkeypatch.setattr(ad, "_blas_threads", lambda: None)
+        order = []
+
+        def side(name):
+            def run():
+                order.append(name)
+                return threading.get_ident()
+            return run
+
+        assert ad._on_two_threads(side("first"), side("second"), one_blas_thread=True) == (
+            threading.get_ident(), threading.get_ident())
+        assert order == ["first", "second"]
+        # without the BLAS switch the worker runs regardless
+        assert ad._on_two_threads(side("first"), side("second"))[1] != threading.get_ident()
+
     def test_parameters_of_reads_trainable_attributes_in_assignment_order(self):
         class Inner:
             def __init__(self):
@@ -202,6 +250,8 @@ class TestForwardValues:
     def test_pick_gathers_one_entry_per_pair(self):
         x = ad.Tensor(np.arange(6, dtype=np.float32).reshape(3, 2))
         np.testing.assert_allclose(ad.pick(x, [0, 1, 2], [1, 0, 1]).data, [[1], [2], [5]])
+        np.testing.assert_allclose(ad.pick(x, [[0, 2], [1, 1]], [[1, 0], [0, 1]]).data,
+                                   [[1, 4], [2, 3]])
         with pytest.raises(ValueError):
             ad.pick(x, [0, 0], [1, 1])  # a repeated pair would lose gradient
         with pytest.raises(ValueError):
@@ -350,7 +400,7 @@ class TestGradients:
         "add", "add_row_bias", "add_scalar_tensor", "mul", "mul_gate",
         "matmul", "affine", "tanh", "sigmoid", "softmax1", "softmax0",
         "log", "transpose", "concat0", "concat1", "rows",
-        "take", "pick", "pick_rows",
+        "take", "pick", "pick_rows", "pick_block",
         "embedding", "scatter", "scatter_rows", "additive_scores", "gold_log_probs",
         "sum", "mean",
     ])
@@ -403,6 +453,8 @@ class TestGradients:
                 "pick": lambda: (ad.pick(x, 2, 1), {"x": x}),
                 "pick_rows": lambda: ((ad.pick(x, [0, 2, 1], [3, 0, 3])
                                        * ad.Tensor(mixer.data[:, :1])).sum(), {"x": x}),
+                "pick_block": lambda: ((ad.pick(x, [[0, 2], [2, 0]], [[3, 3], [1, 1]])
+                                        * ad.Tensor(mixer.data[:2, :2])).sum(), {"x": x}),
                 "embedding": lambda: ((ad.embedding_lookup(table, [4, 0, 4, 2])
                                        * lookup_mixer).sum(),
                                       {"table": table}),
@@ -763,6 +815,10 @@ RECORDING_OPS = {
                                                      [1, 5, 1, 0, 4], [1, 5, 2]),
     "gru_sequence": lambda leaf: _gru(leaf, [2, 2]),
     "gru_sequence_packed": lambda leaf: _gru(leaf, [1, 3]),
+    "bigru_sequence": lambda leaf: ad.bigru_sequence(
+        leaf(4, 3), leaf(2, 5),
+        *([leaf(*shape) for _ in range(3) for shape in ((3, 5), (5, 5), (1, 5))] for _ in "fb"),
+        [1, 3]),
     "sum": lambda leaf: leaf(3, 4).sum(),
     "mean": lambda leaf: leaf(3, 4).mean(),
 }
@@ -919,6 +975,45 @@ class TestAdam:
                 data[name] = data[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
                 assert np.array_equal(params[name].data, data[name]), (name, t)
 
+    def test_two_thread_step_equals_the_serial_one_bitwise(self, monkeypatch):
+        """Odd sizes, and a non-C-contiguous parameter whose chunks fall on
+        both sides of the cut between the threads' halves."""
+        rng = np.random.default_rng(9)
+        shapes = {"odd": (3, 7), "long": (3 * ad.Adam.CHUNK + 5,), "s": (1, 1),
+                  "fortran": (ad.Adam.CHUNK // 100 + 3, 301)}
+
+        def run(split_min):
+            monkeypatch.setattr(ad, "_PASS_SPLIT_MIN", split_min)
+            params = {name: ad.Tensor(np.random.default_rng(1).normal(size=shape),
+                                      requires_grad=True) for name, shape in shapes.items()}
+            params["fortran"].data = np.asfortranarray(params["fortran"].data)
+            opt = ad.Adam(params, lr=0.01)
+            for grads in steps:
+                for name, p in params.items():
+                    p.grad = grads[name].copy()
+                opt.step()
+            return opt
+
+        steps = [{name: rng.normal(size=shape).astype(np.float32)
+                  for name, shape in shapes.items()} for _ in range(3)]
+        calls, on_two_threads = [], ad._on_two_threads
+
+        def spy(first, second, one_blas_thread=False):
+            calls.append(one_blas_thread)
+            return on_two_threads(first, second, one_blas_thread)
+
+        monkeypatch.setattr(ad, "_on_two_threads", spy)
+        serial = run(ad._PASS_SPLIT_MIN)
+        assert calls == []
+        split = run(1)
+        assert calls == [False] * 3
+        assert ad._by_halves(lambda part, side: (part, side), list(range(8)), [3] * 8) == (
+            ([0, 1, 2, 3], 0), ([4, 5, 6, 7], 1))
+        for name in shapes:
+            assert split.params[name].data.tobytes() == serial.params[name].data.tobytes(), name
+            assert split._m[name].tobytes() == serial._m[name].tobytes(), name
+            assert split._v[name].tobytes() == serial._v[name].tobytes(), name
+
 
 class TestFit:
     def test_history_row_carries_the_gradient_norm(self):
@@ -981,6 +1076,27 @@ class TestFit:
         _, run = self.fit_on_gradient(gradient)
         assert run()[0]["grad_norm"] == pytest.approx(
             np.linalg.norm(gradient.astype(np.float64)), rel=1e-12)
+
+    @pytest.mark.parametrize("split_min", [1 << 62, 1])
+    def test_gradient_norm_is_the_piecewise_float64_sum_bitwise(self, monkeypatch, split_min):
+        """On one thread or two: one float64 dot product per 8K-element
+        piece of each array, added in order."""
+        monkeypatch.setattr(ad, "_PASS_SPLIT_MIN", split_min)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            # sizes on and off the piece and chunk edges, scales far apart
+            arrays = [rng.standard_normal(size).astype(np.float32) * np.float32(10 ** scale)
+                      for size, scale in zip([5, 2 * ad.Adam.CHUNK + 8195, 1, ad.Adam.CHUNK + 1]
+                                             + rng.integers(1, 3 * ad.Adam.CHUNK, 16).tolist(),
+                                             rng.uniform(-3, 3, 20))]
+            arrays.append(rng.standard_normal((301, 203)).astype(np.float32).T)   # not C-ordered
+            total = 0.0
+            for array in arrays:
+                flat = array.reshape(-1)
+                for start in range(0, flat.size, 1 << 13):
+                    piece = flat[start:start + (1 << 13)].astype(np.float64)
+                    total += float(np.dot(piece, piece))
+            assert ad._global_norm(arrays) == np.sqrt(total), seed
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_entry_in_a_later_chunk_stops_before_the_step(self, bad):

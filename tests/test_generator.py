@@ -380,19 +380,100 @@ class TestPackedGRUSequence:
             cell.sequence(ad.zeros((3, 3)), ad.zeros((1, 4)), lengths=[2, 1])
 
 
+class TestBiGRUSequence:
+    """`ad.bigru_sequence` with its directions on two threads, against one
+    `gru_sequence` run per direction: states and every gradient bitwise in
+    float32, over unequal lengths with length-1 sequences, and gradients
+    against central differences in float64."""
+
+    LENGTHS = (4, 1, 3, 1)
+
+    @staticmethod
+    def leaves(rng):
+        cells = GRUCell(3, 5, rng), GRUCell(3, 5, rng)
+        xs = ad.Tensor(rng.uniform(-1, 1, (sum(TestBiGRUSequence.LENGTHS), 3)),
+                       requires_grad=True)
+        h0 = ad.Tensor(rng.uniform(-1, 1, (len(TestBiGRUSequence.LENGTHS), 5)),
+                       requires_grad=True)
+        mixer = ad.Tensor(rng.uniform(-1, 1, (xs.data.shape[0], 10)))
+        params = {f"{side}.{name}": p for side, cell in zip(("fwd", "bwd"), cells)
+                  for name, p in cell.parameters().items()}
+        return cells, dict(params, xs=xs, h0=h0), mixer
+
+    @staticmethod
+    def pair(cells, leaves):
+        return ad.bigru_sequence(leaves["xs"], leaves["h0"],
+                                 list(cells[0].parameters().values()),
+                                 list(cells[1].parameters().values()), TestBiGRUSequence.LENGTHS)
+
+    @pytest.fixture
+    def threaded(self, monkeypatch):
+        """Every pair runs on two threads; returns the list of the calls'
+        `one_blas_thread` flags."""
+        monkeypatch.setattr(ad, "_PAIR_SPLIT_MIN", 0)
+        flags, on_two_threads = [], ad._on_two_threads
+
+        def spy(first, second, one_blas_thread=False):
+            flags.append(one_blas_thread)
+            return on_two_threads(first, second, one_blas_thread)
+
+        monkeypatch.setattr(ad, "_on_two_threads", spy)
+        return flags
+
+    def test_equals_two_gru_sequence_runs_bitwise(self, threaded):
+        cells, leaves, mixer = self.leaves(np.random.default_rng(43))
+
+        def sweep(build):
+            with ad.tape() as recording:
+                states = build()
+                recording.backward((states * mixer).sum())
+            grads = {name: leaf.grad for name, leaf in leaves.items()}
+            for leaf in leaves.values():
+                leaf.grad = None
+            return states.data, grads
+
+        def two_runs():
+            fwd, bwd = (ad.gru_sequence(leaves["xs"], leaves["h0"], *cell.parameters().values(),
+                                        reverse=reverse, lengths=self.LENGTHS)
+                        for cell, reverse in zip(cells, (False, True)))
+            return ad.concat([fwd, bwd], axis=1)
+
+        got, got_grads = sweep(lambda: self.pair(cells, leaves))
+        assert threaded == [True, True]             # forward, then back through time
+        want, want_grads = sweep(two_runs)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        for name, grad in want_grads.items():
+            assert got_grads[name].dtype == grad.dtype, name
+            assert got_grads[name].tobytes() == grad.tobytes(), name
+
+    def test_gradients_match_finite_differences(self, threaded):
+        with ad.using_dtype(np.float64):
+            cells, leaves, mixer = self.leaves(np.random.default_rng(44))
+            check_gradients(lambda: (self.pair(cells, leaves) * mixer).sum(), leaves)
+        assert threaded and all(threaded)
+
+
+def split_directions(states, finals):
+    """`bigru_states`' two [., 2H] results as (forward, backward, final
+    forward, final backward) arrays."""
+    hidden = states.data.shape[1] // 2
+    return (states.data[:, :hidden], states.data[:, hidden:],
+            finals.data[:, :hidden], finals.data[:, hidden:])
+
+
 class TestBiGRU:
     def test_backward_stack_consumes_suffixes(self):
         vocab = make_vocab()
         model = make_model(vocab)
         ids = [4, 5, 6, 4]
-        fwd, bwd, final_fwd, final_bwd = bigru_states(model, ids)
+        fwd, bwd, final_fwd, final_bwd = split_directions(*bigru_states(model, ids))
         vectors = model.embed.data[ids]
         # forward oracle: prefix scan
         h = np.zeros((1, model.hidden_dim), dtype=np.float32)
         for t in range(len(ids)):
             h = np_gru_step(model.enc_fwd, vectors[t:t + 1], h)
-            np.testing.assert_allclose(fwd.data[t:t + 1], h, atol=1e-5)
-        np.testing.assert_allclose(final_fwd.data, h, atol=1e-5)
+            np.testing.assert_allclose(fwd[t:t + 1], h, atol=1e-5)
+        np.testing.assert_allclose(final_fwd, h, atol=1e-5)
         # backward oracle: suffix scan, so row t has consumed tokens n-1..t
         h = np.zeros((1, model.hidden_dim), dtype=np.float32)
         expected_rows = [None] * len(ids)
@@ -400,16 +481,16 @@ class TestBiGRU:
             h = np_gru_step(model.enc_bwd, vectors[t:t + 1], h)
             expected_rows[t] = h.copy()
         for t in range(len(ids)):
-            np.testing.assert_allclose(bwd.data[t:t + 1], expected_rows[t], atol=1e-5)
-        np.testing.assert_allclose(final_bwd.data, expected_rows[0], atol=1e-5)
+            np.testing.assert_allclose(bwd[t:t + 1], expected_rows[t], atol=1e-5)
+        np.testing.assert_allclose(final_bwd, expected_rows[0], atol=1e-5)
 
     def test_single_token_sequence(self):
         vocab = make_vocab()
         model = make_model(vocab)
-        fwd, bwd, final_fwd, final_bwd = bigru_states(model, [5])
-        assert fwd.data.shape == (1, model.hidden_dim)
-        np.testing.assert_allclose(fwd.data, final_fwd.data)
-        np.testing.assert_allclose(bwd.data, final_bwd.data)
+        fwd, bwd, final_fwd, final_bwd = split_directions(*bigru_states(model, [5]))
+        assert fwd.shape == (1, model.hidden_dim)
+        np.testing.assert_allclose(fwd, final_fwd)
+        np.testing.assert_allclose(bwd, final_bwd)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
@@ -1428,17 +1509,19 @@ class TestPackedTeacherForcing:
     def test_tape_does_not_grow_with_groups_or_sentences(self, monkeypatch):
         """At a fixed number of input tokens and gold rows, more groups add
         no tape record, and each more sentence adds only its predictor step;
-        the recurrences are one `gru_sequence` record per encoder direction,
-        one for all gold sentences and one per predictor step, and the
-        losses are a fixed number of records."""
-        gru_rows = []
-        gru_sequence = ad.gru_sequence
+        the recurrences are one `bigru_sequence` record for both encoder
+        directions, one `gru_sequence` for all gold sentences and one per
+        predictor step, and the losses are a fixed number of records."""
+        gru_rows, bigru_rows = [], []
 
-        def counted(xs, *args, **kwargs):
-            gru_rows.append(xs.data.shape[0])
-            return gru_sequence(xs, *args, **kwargs)
+        def counting(op, rows):
+            def counted(xs, *args, **kwargs):
+                rows.append(xs.data.shape[0])
+                return op(xs, *args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(ad, "gru_sequence", counted)
+        monkeypatch.setattr(ad, "gru_sequence", counting(ad.gru_sequence, gru_rows))
+        monkeypatch.setattr(ad, "bigru_sequence", counting(ad.bigru_sequence, bigru_rows))
         vocab, schema = make_vocab(), make_schema(4)
         model = make_model(vocab, n_topics=4)
         words = ["alpha", "beta", "gamma", "delta", "zork", "."]
@@ -1451,6 +1534,7 @@ class TestPackedTeacherForcing:
                 paragraph_ids=[vocab.encode(p) for p in paragraphs],
                 abstract_tokens=sentences, abstract_ids=[vocab.encode(s) for s in sentences])
             gru_rows.clear()
+            bigru_rows.clear()
             with ad.tape() as recording:
                 example_loss(model, example, assignments, schema, vocab)
                 return len(recording)
@@ -1460,12 +1544,12 @@ class TestPackedTeacherForcing:
                   tape_length([tokens[:5], tokens[5:]], [0, 2], three),
                   tape_length([tokens[:3], tokens[3:7], tokens[7:]], [0, 1, 3], three)]
         assert groups[0] == groups[1] == groups[2]
-        assert sorted(gru_rows) == [1, 1, 1, 1, 12, 12, 15]
+        assert sorted(gru_rows) == [1, 1, 1, 1, 15] and bigru_rows == [12]
 
         paragraphs, assignments = [tokens[:5], tokens[5:]], [0, 2]
         splits = [[gold], [gold[:6], gold[6:13]], three]    # 15 decoder rows each
         sentences = [tape_length(paragraphs, assignments, split) for split in splits]
-        assert sorted(gru_rows) == [1, 1, 1, 1, 12, 12, 15]
+        assert sorted(gru_rows) == [1, 1, 1, 1, 15] and bigru_rows == [12]
         with ad.tape() as recording:
             zero = ad.zeros((1, model.hidden_dim))
             predict_topic_step(model, zero, zero, ad.Tensor(np.ones((4, model.hidden_dim))))
