@@ -170,10 +170,21 @@ def _load_detector(config: RunConfig, vocab: Vocabulary, n_classes: int, path) -
     return detector
 
 
+def _build_generator_model(config: RunConfig, vocab: Vocabulary, n_topics: int) -> GeneratorModel:
+    return GeneratorModel(len(vocab), n_topics, embed_dim=config.embed_size,
+                          hidden_dim=config.hidden_size, seed=config.seed)
+
+
 def cmd_train(args) -> int:
+    """Train one stage, then write its checkpoint and log.
+
+    `--seed` replaces the config seed under the config's rule.  With
+    `embeddings_path`, pretrained vectors overwrite rows of the generator's
+    seed-drawn embedding table before training (`init_embeddings`); a bad
+    vectors file stops the run with nothing written."""
     config = load_config(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)
     log_path = args.log or f"{args.out}.log"
     _require(config, "vocab_path", "schema_path")
     vocab = Vocabulary.load(config.vocab_path)
@@ -200,15 +211,10 @@ def cmd_train(args) -> int:
         detector = _load_detector(config, vocab, schema.n_classes, config.detector_checkpoint)
         train_topics = [detect_topics(ex.paragraph_ids, detector) for ex in train]
         valid_topics = [detect_topics(ex.paragraph_ids, detector) for ex in valid]
-        embeddings = None
+        model = _build_generator_model(config, vocab, len(schema.topics))
         if config.embeddings_path:
-            corpus_tokens = [tokens for ex in train for tokens in ex.paragraph_tokens]
-            embeddings = init_embeddings(vocab, dim=config.embed_size,
-                                         pretrained_path=config.embeddings_path,
-                                         corpus=corpus_tokens, seed=config.seed)
-        model = GeneratorModel(len(vocab), len(schema.topics),
-                               embed_dim=config.embed_size, hidden_dim=config.hidden_size,
-                               seed=config.seed, embeddings=embeddings)
+            init_embeddings(model.embed.data, vocab, config.embeddings_path,
+                            [tokens for ex in train for tokens in ex.paragraph_tokens])
         with np.errstate(all="ignore"):
             history = train_generator(model, train, train_topics, valid, valid_topics,
                                       schema, vocab, epochs=config.generator_epochs,
@@ -239,8 +245,7 @@ def cmd_generate(args) -> int:
     vocab = Vocabulary.load(config.vocab_path)
     schema = load_topic_schema(config.schema_path, n_t=config.n_t)
     detector = _load_detector(config, vocab, schema.n_classes, args.detector_ckpt)
-    model = GeneratorModel(len(vocab), len(schema.topics), embed_dim=config.embed_size,
-                           hidden_dim=config.hidden_size, seed=config.seed)
+    model = _build_generator_model(config, vocab, len(schema.topics))
     checkpoint.load_into(model.parameters(), args.generator_ckpt)
     examples = load_summarization_dataset(args.input, vocab, require_abstract=False)
     written = 0

@@ -12,13 +12,15 @@ from .fileio import read_lines
 __all__ = ["DecodeConfig", "RunConfig", "load_config", "format_config"]
 
 # the least legal value of each bounded number; n_t = 0 is legal, it keeps
-# the unmarked labels, and stop_loss_weight = 0 trains without the stop loss
+# the unmarked labels, stop_loss_weight = 0 trains without the stop loss,
+# and numpy's generators take no negative seed
 _MINIMUM = {
     **dict.fromkeys(("detector_epochs", "generator_epochs", "embed_size", "hidden_size",
                      "detector_embed_size", "detector_hidden_size", "ttg_cap", "beam_size",
                      "max_sentences", "max_sentence_tokens"), 1),
     "n_t": 0,
     "stop_loss_weight": 0,
+    "seed": 0,
 }
 _POSITIVE = frozenset({"detector_lr", "generator_lr_first", "generator_lr_rest"})
 
@@ -95,9 +97,9 @@ def load_config(path) -> RunConfig:
     """Parse "key = value" lines; '#' starts a comment, blank lines skipped.
 
     Unknown keys, malformed values and values `_problem` refuses (non-finite
-    floats, counts, sizes and caps below 1, n_t or stop_loss_weight below 0,
-    learning rates of 0 or less, a topic_mode other than soft or hard, a
-    stop_threshold outside (0, 1)) raise with the offending line number.
+    floats, counts, sizes and caps below 1, n_t, stop_loss_weight or seed
+    below 0, learning rates of 0 or less, a topic_mode other than soft or
+    hard, a stop_threshold outside (0, 1)) raise with the offending line.
     Relative path values are resolved against the config file's directory.
     """
     path = Path(path)

@@ -76,6 +76,8 @@ def load_articles(path) -> list[RawArticle]:
         title = obj["title"]
         if not isinstance(title, str) or not title:
             raise ValueError(f"{path}:{lineno}: 'title' must be a non-empty string")
+        if not isinstance(obj["sections"], list):
+            raise ValueError(f"{path}:{lineno}: 'sections' must be a list of [label, text] pairs")
         sections = []
         for entry in obj["sections"]:
             if (not isinstance(entry, (list, tuple)) or len(entry) != 2

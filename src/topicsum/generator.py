@@ -197,11 +197,12 @@ class GRUCell:
 
 
 class GeneratorModel:
-    """All trainable tensors of the abstract generator."""
+    """All trainable tensors of the abstract generator, every weight drawn
+    from `seed` (uniform in [-0.1, 0.1], the embedding table first; biases
+    zero).  `init_embeddings` then writes pretrained vectors over its rows."""
 
     def __init__(self, vocab_size: int, n_topics: int, embed_dim: int = 300,
-                 hidden_dim: int = 512, seed: int = 0,
-                 embeddings: np.ndarray | None = None):
+                 hidden_dim: int = 512, seed: int = 0):
         if n_topics < 1:
             raise ValueError(f"need at least one topic, got {n_topics}")
         rng = np.random.default_rng(seed)
@@ -209,13 +210,7 @@ class GeneratorModel:
         self.n_topics = n_topics
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
-        if embeddings is None:
-            self.embed = ad.parameter(rng, (vocab_size, embed_dim))
-        else:
-            if embeddings.shape != (vocab_size, embed_dim):
-                raise ValueError(f"embedding table shape {embeddings.shape}, "
-                                 f"expected {(vocab_size, embed_dim)}")
-            self.embed = ad.Tensor(embeddings, requires_grad=True)
+        self.embed = ad.parameter(rng, (vocab_size, embed_dim))
         # topic-group encoder
         self.enc_fwd = GRUCell(embed_dim, hidden_dim, rng)
         self.enc_bwd = GRUCell(embed_dim, hidden_dim, rng)
@@ -794,58 +789,48 @@ def train_generator(model: GeneratorModel, train: Sequence[SummarizationExample]
 
 
 # ---------------------------------------------------------------------------
-# embedding initialization
+# pretrained embeddings
 
-def init_embeddings(vocab: Vocabulary, dim: int = 300, pretrained_path=None,
-                    corpus: Sequence[Sequence[str]] | None = None,
-                    seed: int = 0) -> np.ndarray:
-    """Embedding table for the vocabulary.
+def init_embeddings(table: np.ndarray, vocab: Vocabulary, path,
+                    corpus: Sequence[Sequence[str]] | None = None) -> None:
+    """Write pretrained vectors over rows of the [len(vocab), dim] `table`,
+    in place (a model's `embed.data`).
 
-    Without a pretrained file: uniform(-0.1, 0.1).  With one ("word v1 ..
-    vdim" per line): in-file words take their vectors; any other word takes
-    the mean vector of up to 10 in-file tokens around its first corpus
-    occurrence (5 each side); words without context keep the uniform row.
+    The file holds "word v1 .. vdim" per line, dim = `table.shape[1]`.
+    In-file words take their vectors; any other word takes the mean vector
+    of up to 10 in-file tokens around its first `corpus` occurrence (5 each
+    side); every other row keeps its value.  The whole file is checked
+    before any row is written, so after an error the table is as it was.
     """
-    rng = np.random.default_rng(seed)
-    table = rng.uniform(-0.1, 0.1, size=(len(vocab), dim)).astype(np.float32)
-    if pretrained_path is None:
-        return table
+    dim = table.shape[1]
     pretrained: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(read_lines(pretrained_path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         parts = line.rstrip("\n").split(" ")
         if len(parts) != dim + 1:
-            raise ValueError(f"{pretrained_path}:{lineno}: expected a word and {dim} "
+            raise ValueError(f"{path}:{lineno}: expected a word and {dim} "
                              f"values, got {len(parts)} fields")
         try:
             vector = np.array([float(x) for x in parts[1:]], dtype=np.float32)
         except ValueError as exc:
-            raise ValueError(f"{pretrained_path}:{lineno}: non-numeric value ({exc})") from exc
+            raise ValueError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
         if not np.all(np.isfinite(vector)):
-            raise ValueError(f"{pretrained_path}:{lineno}: non-finite value in the vector "
-                             f"for '{parts[0]}'")
+            raise ValueError(f"{path}:{lineno}: non-finite value in the vector for '{parts[0]}'")
         pretrained[parts[0]] = vector
     unresolved: set[str] = set()
     for token_id in range(len(vocab)):
         token = vocab.id_to_token(token_id)
-        vector = pretrained.get(token)
-        if vector is not None:
-            table[token_id] = vector
+        if token in pretrained:
+            table[token_id] = pretrained[token]
         else:
             unresolved.add(token)
-    if corpus is None or not unresolved:
-        return table
-    first_context: dict[str, np.ndarray] = {}
-    for sequence in corpus:
+    for sequence in corpus or ():
         if not unresolved:
             break
         for position, token in enumerate(sequence):
-            if token in unresolved and token not in first_context:
+            if token in unresolved:
                 window = list(sequence[max(0, position - 5):position])
                 window += list(sequence[position + 1:position + 6])
                 vectors = [pretrained[w] for w in window if w in pretrained]
                 if vectors:
-                    first_context[token] = np.mean(vectors, axis=0)
+                    table[vocab.token_to_id(token)] = np.mean(vectors, axis=0)
                 unresolved.discard(token)
-    for token, vector in first_context.items():
-        table[vocab.token_to_id(token)] = vector
-    return table

@@ -10,9 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
-from topicsum import checkpoint
+from topicsum import checkpoint, cli
 from topicsum.cli import build_parser, main
 from topicsum.detector import DetectorModel, MeanEmbeddingEncoder
+from topicsum.generator import GeneratorModel, train_generator
 from topicsum.synthetic import write_toy_workspace
 from topicsum.text import Vocabulary
 
@@ -185,6 +186,39 @@ class TestTrainArtifacts:
         assert rc == 0
         header = (tmp_path / "d.bin.log").read_text("utf-8")
         assert "# seed = 7" in header
+
+    def test_pretrained_vectors_overwrite_rows_of_the_drawn_model(self, workspace, tmp_path,
+                                                                   monkeypatch):
+        root, _, _ = workspace
+        words = (root / "corpus" / "vocab.txt").read_text("utf-8").splitlines()[4:7]
+        vectors = {word: np.arange(12, dtype=np.float32) / (row + 2)
+                   for row, word in enumerate(words)}
+        path = tmp_path / "vectors.txt"
+        path.write_text("".join(f"{word} " + " ".join(str(v) for v in vector) + "\n"
+                                for word, vector in vectors.items()), encoding="utf-8")
+        config = root / "pretrained.cfg"
+        config.write_text(CONFIG_TEMPLATE + f"embeddings_path = {path}\n", encoding="utf-8")
+        trained = []
+
+        def record_initial_weights(model, *args, **kwargs):
+            trained.append((model, {name: p.data.copy()
+                                    for name, p in model.parameters().items()}))
+            return train_generator(model, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train_generator", record_initial_weights)
+        out = tmp_path / "generator.bin"
+        rc = main(["train", "--stage", "generator", "--config", str(config), "--out", str(out)])
+        assert rc == 0 and out.exists()
+        (model, initial), = trained
+        vocab = Vocabulary.load(root / "corpus" / "vocab.txt")
+        for word, vector in vectors.items():
+            assert np.array_equal(initial["embed"][vocab.token_to_id(word)], vector), word
+        # every other weight is the one the same seed draws without vectors
+        plain = GeneratorModel(model.vocab_size, model.n_topics, embed_dim=12, hidden_dim=12,
+                               seed=42).parameters()
+        for name, data in initial.items():
+            if name != "embed":
+                assert np.array_equal(data, plain[name].data), name
 
     def test_same_seed_reproduces_checkpoint(self, workspace, tmp_path):
         root, _, config = workspace
@@ -384,8 +418,9 @@ class TestExitCodes:
         assert not out.exists()
         assert not (tmp_path / "d.bin.log").exists()
 
-    @pytest.mark.parametrize("bad_line", ["99\t4 5 6", "-1\t4 5", "0\t4 5 999999"],
-                             ids=["topic_too_large", "negative_topic", "token_id_too_large"])
+    @pytest.mark.parametrize("bad_line", ["99\t4 5 6", "-1\t4 5", "0\t4 5 999999", "0 4 5"],
+                             ids=["topic_too_large", "negative_topic", "token_id_too_large",
+                                  "no_tab"])
     def test_out_of_range_detector_row_returns_two(self, workspace, tmp_path, capsys,
                                                    bad_line):
         root, _, _ = workspace
@@ -399,6 +434,54 @@ class TestExitCodes:
                    "--out", str(tmp_path / "d.bin")])
         assert rc == 2
         assert f"{data}:1: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_returns_two_naming_the_key(self, workspace, tmp_path, capsys,
+                                                      where):
+        root, _, config = workspace
+        argv = ["train", "--stage", "detector", "--out", str(tmp_path / "d.bin")]
+        if where == "config":
+            config = root / "negative_seed.cfg"
+            config.write_text(CONFIG_TEMPLATE.replace("seed = 42", "seed = -3"),
+                              encoding="utf-8")
+            expected = f"error: {config}:1: 'seed' must be at least 0, got -3\n"
+        else:
+            argv += ["--seed", "-2"]
+            expected = "error: 'seed' must be at least 0, got -2\n"
+        assert main(argv + ["--config", str(config)]) == 2
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "d.bin").exists()
+        assert not (tmp_path / "d.bin.log").exists()
+
+    def test_pretrained_vectors_of_the_wrong_width_return_two(self, workspace, tmp_path,
+                                                               capsys):
+        root, _, _ = workspace
+        word = (root / "corpus" / "vocab.txt").read_text("utf-8").splitlines()[4]
+        path = tmp_path / "vectors.txt"
+        path.write_text(word + " 0.5" * 11 + "\n", encoding="utf-8")
+        config = root / "narrow_vectors.cfg"
+        config.write_text(CONFIG_TEMPLATE + f"embeddings_path = {path}\n", encoding="utf-8")
+        out = tmp_path / "generator.bin"
+        rc = main(["train", "--stage", "generator", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: {path}:1: expected a word and 12 values, "
+                                           "got 12 fields\n")
+        assert not out.exists()
+        assert not (tmp_path / "generator.bin.log").exists()
+
+    @pytest.mark.parametrize("record", ['{"title": "A", "sections": 5}',
+                                        '{"title": "A", "sections": null}'],
+                             ids=["number", "null"])
+    def test_sections_that_are_not_a_list_return_two(self, workspace, tmp_path, capsys,
+                                                     record):
+        _, paths, _ = workspace
+        articles = tmp_path / "articles.jsonl"
+        articles.write_text(record + "\n", encoding="utf-8")
+        rc = main(["build-corpus", "--articles", str(articles), "--schema", str(paths["schema"]),
+                   "--out", str(tmp_path / "corpus")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: {articles}:1: 'sections' must be a list "
+                                           "of [label, text] pairs\n")
 
     @pytest.mark.parametrize("stage, key", [("detector", "detector_epochs = 2"),
                                             ("generator", "generator_epochs = 1")],
@@ -492,7 +575,6 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_unexpected_failure_returns_one(self, tmp_path, capsys, monkeypatch):
-        import topicsum.cli as cli
         monkeypatch.setattr(cli, "load_articles",
                             lambda path: (_ for _ in ()).throw(RuntimeError("boom")))
         rc = main(["build-corpus", "--articles", "x", "--schema", "y",

@@ -19,6 +19,7 @@ ILLEGAL = [
                   "detector_embed_size", "detector_hidden_size", "ttg_cap", "beam_size",
                   "max_sentences", "max_sentence_tokens")),
     ("n_t", "-3", "must be at least 0, got -3"),
+    ("seed", "-3", "must be at least 0, got -3"),
     ("stop_loss_weight", "-2", "must be at least 0, got -2.0"),
     *((key, value, f"must be positive, got {float(value)}")
       for key in ("detector_lr", "generator_lr_first", "generator_lr_rest")
@@ -29,7 +30,7 @@ ILLEGAL = [
 ]
 
 # the least legal value of every bounded setting
-EDGES = [("n_t", "0"), ("stop_loss_weight", "0"), ("detector_lr", "1e-30"),
+EDGES = [("n_t", "0"), ("seed", "0"), ("stop_loss_weight", "0"), ("detector_lr", "1e-30"),
          ("beam_size", "1"), ("ttg_cap", "1"), ("stop_threshold", "1e-9")]
 
 

@@ -1,6 +1,7 @@
 """Article IO, topic schemas, dataset construction, and split hashing."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,18 @@ class TestArticlesIO:
         with pytest.raises(ValueError, match="label, text"):
             load_articles(path)
 
+    @pytest.mark.parametrize("record, message", [
+        ('{"title": "", "sections": []}', "'title' must be a non-empty string"),
+        ('{"title": "A", "sections": 5}', r"'sections' must be a list of \[label, text\] pairs"),
+        ('{"title": "A", "sections": null}',
+         r"'sections' must be a list of \[label, text\] pairs"),
+    ], ids=["empty_title", "sections_number", "sections_null"])
+    def test_malformed_record_names_its_line(self, tmp_path, record, message):
+        path = tmp_path / "articles.jsonl"
+        path.write_text('{"title": "A", "sections": []}\n' + record + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {message}$"):
+            load_articles(path)
+
 
 class TestTopicSchema:
     def test_indices_and_counts(self):
@@ -150,6 +163,9 @@ class TestSchemaFiles:
             load_topic_schema(path)
         path.write_text("noise: /(/\nAlpha: one\n", encoding="utf-8")
         with pytest.raises(ValueError, match="noise pattern"):
+            load_topic_schema(path)
+        path.write_text("Alpha: one\n: two\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.txt:2: empty topic name$"):
             load_topic_schema(path)
 
     def test_duplicate_label_across_topics_rejected(self, tmp_path):
@@ -334,6 +350,16 @@ class TestSummarizationDataset:
             assert load_summarization_dataset(path, vocab) == []
         kept = load_summarization_dataset(path, vocab, require_abstract=False)
         assert len(kept) == 1 and kept[0].abstract_tokens == []
+
+    def test_record_without_paragraphs_skipped_with_a_warning(self, tmp_path, caplog):
+        path = tmp_path / "data.tsv"
+        self.write_record(path, paragraphs=" ⟨p⟩ ")
+        vocab = Vocabulary(["the"])
+        for require_abstract in (True, False):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                assert load_summarization_dataset(path, vocab, require_abstract) == []
+            assert caplog.messages == [f"{path}:1: no input paragraphs, record skipped"]
 
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "data.tsv"

@@ -119,8 +119,8 @@ READERS = {
     "load_summarization_dataset": lambda path: corpus.load_summarization_dataset(
         path, Vocabulary(["a"])),
     "evaluate abstracts": cli._read_abstract_lines,
-    "init_embeddings": lambda path: init_embeddings(Vocabulary(["a"]), dim=2,
-                                                    pretrained_path=path),
+    "init_embeddings": lambda path: init_embeddings(np.zeros((5, 2), np.float32),
+                                                    Vocabulary(["a"]), path),
 }
 
 

@@ -153,6 +153,8 @@ class TestGroupParagraphs:
             group_paragraphs([["alpha"]], [0, 1], schema, vocab)
         with pytest.raises(ValueError, match="outside"):
             group_paragraphs([["alpha"]], [7], schema, vocab)
+        with pytest.raises(ValueError, match="^truncation cap must be at least 1, got 0$"):
+            group_paragraphs([["alpha"]], [0], schema, vocab, cap=0)
 
 
 class TestGRUCell:
@@ -551,6 +553,8 @@ class TestEncodeTopics:
         grouped = group_paragraphs([["alpha"]], [0], make_schema(2), vocab)
         with pytest.raises(ValueError):
             encode_topics(model, grouped)
+        with pytest.raises(ValueError, match="^need at least one topic, got 0$"):
+            GeneratorModel(len(vocab), 0, embed_dim=4, hidden_dim=4)
 
 
 def per_group_encoding(model, grouped):
@@ -1920,43 +1924,79 @@ class TestTrainGenerator(TrainingSetup):
 
 
 class TestInitEmbeddings:
+    """The model draws the table; pretrained vectors overwrite rows of it."""
+
+    def model(self, embed_dim=3, seed=0):
+        return GeneratorModel(len(make_vocab()), 2, embed_dim=embed_dim, hidden_dim=4,
+                              seed=seed)
+
     def test_default_uniform_table(self):
         vocab = make_vocab()
-        table = init_embeddings(vocab, dim=16, seed=3)
+        table = self.model(embed_dim=16, seed=3).embed.data
         assert table.shape == (len(vocab), 16)
         assert table.dtype == np.float32
         assert np.all(np.abs(table) <= 0.1)
-        assert np.array_equal(table, init_embeddings(vocab, dim=16, seed=3))
+        assert np.array_equal(table, self.model(embed_dim=16, seed=3).embed.data)
+        # the seed's first draw, as one whole float64 draw cast to float32
+        expected = np.random.default_rng(3).uniform(-0.1, 0.1, size=(len(vocab), 16))
+        assert np.array_equal(table, expected.astype(np.float32))
 
     def test_pretrained_rows_copied_exactly(self, tmp_path):
         vocab = make_vocab()
         path = tmp_path / "vectors.txt"
         path.write_text("alpha 1.0 2.0 3.0\nbeta -1.0 0.0 0.5\n", encoding="utf-8")
-        table = init_embeddings(vocab, dim=3, pretrained_path=path, seed=0)
-        np.testing.assert_allclose(table[vocab.token_to_id("alpha")], [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(table[vocab.token_to_id("beta")], [-1.0, 0.0, 0.5])
-        # a word with no pretrained vector and no corpus keeps its random row
-        assert np.all(np.abs(table[vocab.token_to_id("gamma")]) <= 0.1)
+        table = self.model().embed.data
+        drawn = table.copy()
+        init_embeddings(table, vocab, path)
+        np.testing.assert_array_equal(table[vocab.token_to_id("alpha")], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(table[vocab.token_to_id("beta")], [-1.0, 0.0, 0.5])
+        # a word with no pretrained vector and no corpus keeps its drawn row
+        gamma = vocab.token_to_id("gamma")
+        assert np.array_equal(table[gamma], drawn[gamma])
 
     def test_unpretrained_word_takes_context_mean(self, tmp_path):
         vocab = make_vocab()
         path = tmp_path / "vectors.txt"
         path.write_text("alpha 1.0 2.0 3.0\nbeta 3.0 4.0 5.0\n", encoding="utf-8")
         corpus = [["alpha", "gamma", "beta"]]
-        table = init_embeddings(vocab, dim=3, pretrained_path=path, corpus=corpus,
-                                seed=0)
+        table = self.model().embed.data
+        init_embeddings(table, vocab, path, corpus)
         np.testing.assert_allclose(table[vocab.token_to_id("gamma")],
                                    [2.0, 3.0, 4.0])  # mean of both neighbors
 
     def test_malformed_pretrained_file(self, tmp_path):
         vocab = make_vocab()
         path = tmp_path / "vectors.txt"
+        table = self.model().embed.data
+        drawn = table.copy()
         path.write_text("alpha 1.0 2.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":1"):
-            init_embeddings(vocab, dim=3, pretrained_path=path)
+            init_embeddings(table, vocab, path)
         path.write_text("alpha 1.0 2.0 oops\n", encoding="utf-8")
         with pytest.raises(ValueError, match="non-numeric"):
-            init_embeddings(vocab, dim=3, pretrained_path=path)
+            init_embeddings(table, vocab, path)
+        # the good first line is not written before the bad second is read
         path.write_text("beta 1.0 2.0 3.0\nalpha nan inf 1\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":2: non-finite"):
-            init_embeddings(vocab, dim=3, pretrained_path=path)
+            init_embeddings(table, vocab, path, [["alpha", "gamma", "beta"]])
+        assert np.array_equal(table, drawn)
+
+    def test_vectors_change_only_the_rows_they_name(self, tmp_path):
+        vocab = make_vocab()
+        path = tmp_path / "vectors.txt"
+        path.write_text("alpha 1.0 2.0 3.0\nbeta 3.0 4.0 5.0\n", encoding="utf-8")
+        model = self.model(seed=5)
+        init_embeddings(model.embed.data, vocab, path, [["alpha", "gamma", "beta"]])
+        # the table is the seed's uniform draw with the file's rows and the
+        # context mean written over it
+        expected = np.random.default_rng(5).uniform(-0.1, 0.1, size=(len(vocab), 3))
+        expected = expected.astype(np.float32)
+        expected[vocab.token_to_id("alpha")] = [1.0, 2.0, 3.0]
+        expected[vocab.token_to_id("beta")] = [3.0, 4.0, 5.0]
+        expected[vocab.token_to_id("gamma")] = [2.0, 3.0, 4.0]
+        assert np.array_equal(model.embed.data, expected)
+        # every other weight is what the same seed draws without vectors
+        plain = self.model(seed=5).parameters()
+        for name, p in model.parameters().items():
+            if name != "embed":
+                assert np.array_equal(p.data, plain[name].data), name
