@@ -8,15 +8,16 @@ share: epochs, the tape, Adam and the best epoch.
 
 Most ops are one numpy expression and one tape record.  The exceptions
 loop inside one record, with hand-written backwards.  `gru_sequence` is a
-whole GRU run over known inputs, for one sequence or B independent ones of
-any lengths stored one after another.  Inside, it packs them longest first
-so that each step runs the prefix of sequences still going.  Its forward
+whole GRU run over known inputs: B independent sequences of given lengths,
+stored one after another.  Inside, it packs them longest first so that
+each step runs the prefix of sequences still going.  Its forward
 multiplies all inputs by each gate's input weights in one matrix product
 and loops only over the recurrent `h @ U` products; its backward loops
 back through time over those prefix blocks and then forms every weight
 gradient as one matrix product over the whole run.  `bigru_sequence` is
-both directions of a bidirectional GRU over the same inputs, with the same
-steps, as one record.  `additive_scores`
+both directions of a bidirectional GRU over the same inputs as one record,
+the backward one reading each sequence from its last input to its first;
+it is the only reverse run.  `additive_scores`
 scores R attention queries against n keys a cache-sized block of queries
 at a time through one reused buffer, and its backward recomputes each
 block's tanh there rather than keep an [n, R, H] block.  `gold_log_probs`
@@ -43,8 +44,8 @@ created with `requires_grad=True`), `Tape.backward` accumulates there.  An
 intermediate result's adjoint builds up in `.grad` while the sweep visits
 the records that read it; the record that made it takes it and sets `.grad`
 back to None, so intermediates show None after a sweep.  For each input, a
-vjp returns one of two things.  Gather ops (`embedding_lookup`,
-`rows`/`row`, `take`, `pick`) return a row-sparse adjoint, which is added
+vjp returns one of two things.  Gather ops (`embedding_lookup`, `rows`,
+`pick`) return a row-sparse adjoint, which is added
 into its target's one dense buffer.  Every other vjp returns, for each
 input, a dense array that input alone may own: one made for it, or `g`
 or a view of it that no other input receives (`concat`'s splits are
@@ -88,8 +89,6 @@ __all__ = [
     "log",
     "concat",
     "rows",
-    "row",
-    "take",
     "pick",
     "embedding_lookup",
     "scatter_sum",
@@ -534,23 +533,6 @@ def rows(x: Tensor, start: int, stop: int) -> Tensor:
                  lambda g: (_RowGrad(slice(start, stop), g),))
 
 
-def row(x: Tensor, index: int) -> Tensor:
-    return rows(x, index, index + 1)
-
-
-def take(x: Tensor, index) -> Tensor:
-    """Rows x[index] for a sequence of distinct row ids, in its order."""
-    ids = np.asarray(index, dtype=np.int64)
-    n = x.data.shape[0]
-    if ids.ndim != 1 or ids.size == 0:
-        raise ValueError(f"take needs a non-empty list of row ids, got shape {ids.shape}")
-    if ids.min() < 0 or ids.max() >= n:
-        raise IndexError(f"take rows outside [0, {n})")
-    if np.unique(ids).size != ids.size:
-        raise ValueError("take needs distinct row ids")
-    return _push(x.data[ids], (x,), lambda g: (_RowGrad(ids, g),))
-
-
 def pick(x: Tensor, i, j) -> Tensor:
     """Entries x[i, j] for index arrays i and j of one shape whose (i, j)
     pairs are distinct: a block of that shape when it is 2-D, else a
@@ -560,8 +542,8 @@ def pick(x: Tensor, i, j) -> Tensor:
     if i_ids.ndim < 2:
         i_ids, j_ids = i_ids.reshape(-1, 1), j_ids.reshape(-1, 1)
     n, m = x.data.shape
-    if i_ids.shape != j_ids.shape or i_ids.ndim != 2:
-        raise ValueError(f"pick needs index arrays of one shape, "
+    if i_ids.shape != j_ids.shape or i_ids.ndim != 2 or i_ids.size == 0:
+        raise ValueError(f"pick needs non-empty index arrays of one shape, "
                          f"got {np.shape(i)} and {np.shape(j)}")
     if np.any((i_ids < 0) | (i_ids >= n) | (j_ids < 0) | (j_ids >= m)):
         raise IndexError(f"pick ({i}, {j}) outside shape {x.data.shape}")
@@ -728,26 +710,22 @@ def gold_log_probs(logits: Tensor, p_gen: Tensor, weights: Tensor, extended_ids,
     return _push(np.log(safe), (logits, p_gen, weights), vjp)
 
 
-def gru_sequence(xs: Tensor, h0: Tensor, W_z: Tensor, U_z: Tensor, b_z: Tensor,
-                 W_r: Tensor, U_r: Tensor, b_r: Tensor, W_h: Tensor, U_h: Tensor,
-                 b_h: Tensor, reverse: bool = False,
-                 lengths: Sequence[int] | None = None) -> Tensor:
+def gru_sequence(xs: Tensor, h0: Tensor, weights: Sequence[Tensor],
+                 lengths: Sequence[int]) -> Tensor:
     """A GRU run over B independent sequences from the [B, H] states `h0`,
     as one tape record.
 
     `xs` holds the sequences' inputs one after another and `lengths` their
-    lengths, in any order; by default all B are equally long.  Row b of h0
-    starts sequence b.  Returns the states in the same layout: the state of
-    sequence b after its inputs 0..t, or, when `reverse`, after its inputs
-    len_b - 1..t, so that a reverse run starts each sequence at its own
-    last input.
+    lengths, in any order; row b of h0 starts sequence b.  `weights` are
+    the cell's nine tensors W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h.
+    Returns the states in the inputs' layout: the state of sequence b after
+    its inputs 0..t.
 
     Each step is the update of one GRU cell:
     z = sigmoid(x W_z + b_z + h U_z), r = sigmoid(x W_r + b_r + h U_r),
     c = tanh(x W_h + b_h + (r * h) U_h), h' = (1 - z) * c + z * h.
     """
-    weights = (W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h)
-    run = _GRURun(xs.data, h0.data, [w.data for w in weights], reverse, lengths)
+    run = _GRURun(xs.data, h0.data, [w.data for w in weights], False, lengths)
 
     def vjp(g):
         return run.adjoints(*run.through_time(g))
@@ -759,11 +737,12 @@ _PAIR_SPLIT_MIN = 1 << 24   # least rows x H^2 whose two directions run on two t
 
 
 def bigru_sequence(xs: Tensor, h0: Tensor, forward_weights: Sequence[Tensor],
-                   backward_weights: Sequence[Tensor],
-                   lengths: Sequence[int] | None = None) -> Tensor:
+                   backward_weights: Sequence[Tensor], lengths: Sequence[int]) -> Tensor:
     """Both directions of a bidirectional GRU as one [N, 2H] record: columns
-    :H are `gru_sequence(xs, h0, *forward_weights, lengths=lengths)` and
-    columns H: the reverse run with `backward_weights`, bitwise.
+    :H are `gru_sequence(xs, h0, forward_weights, lengths)`, bitwise, and
+    columns H: the run with `backward_weights` that reads each sequence from
+    its last input to its first, so that its row t of a sequence of length
+    L is the state after that sequence's inputs L - 1 down to t.
 
     From `_PAIR_SPLIT_MIN` rows x H^2 on, the two directions' steps, forward
     and back through time, run on two threads with BLAS at one thread each;
@@ -793,20 +772,17 @@ def bigru_sequence(xs: Tensor, h0: Tensor, forward_weights: Sequence[Tensor],
 
 
 class _GRURun:
-    """One direction of `gru_sequence` over packed sequences: the forward
-    steps, the steps back through time, and then the adjoints, whose weight
-    products run over the whole sequence at once."""
+    """One direction of a GRU over packed sequences, `reverse` reading each
+    from its last input to its first: the forward steps, the steps back
+    through time, and then the adjoints, whose weight products run over the
+    whole sequence at once."""
 
     def __init__(self, xs: np.ndarray, h0: np.ndarray, weights: Sequence[np.ndarray],
-                 reverse: bool, lengths: Sequence[int] | None):
+                 reverse: bool, lengths: Sequence[int]):
         if xs.ndim != 2 or h0.ndim != 2 or h0.shape[0] == 0 or xs.shape[0] == 0:
             raise ValueError(f"gru_sequence needs [N, D] inputs (N > 0) and a [B, H] "
                              f"state, got {xs.shape} and {h0.shape}")
         (B, H), (N, D) = h0.shape, xs.shape
-        if lengths is None:
-            if N % B:
-                raise ValueError(f"{N} input rows are no whole number of {B}-row sequences")
-            lengths = [N // B] * B
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.shape != (B,) or lengths.min() < 1 or lengths.sum() != N:
             raise ValueError(f"gru_sequence needs {B} lengths of at least 1 summing to {N}, "

@@ -50,7 +50,6 @@ logger = logging.getLogger(__name__)
 
 TRAIN_BUCKETS = frozenset(range(8))  # 8:1:1 split over hash % 10
 VALID_BUCKET = 8
-TEST_BUCKET = 9
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ distribution once over that block.  Each sentence keeps its own beam.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -69,8 +68,6 @@ __all__ = [
     "train_generator",
     "init_embeddings",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +153,9 @@ def group_paragraphs(paragraphs: Sequence[Sequence[str]], assignments: Sequence[
 # model
 
 class GRUCell:
-    """GRU cell over [1, hidden] row states or [B, hidden] blocks of them;
-    its update is written once, in the fused `ad.gru_sequence`."""
+    """GRU cell over [B, hidden] blocks of row states; its update is written
+    once, in the fused `ad.gru_sequence`, which takes the nine weights in
+    the order `parameters()` lists them."""
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.W_z = ad.parameter(rng, (input_dim, hidden_dim))
@@ -175,23 +173,12 @@ class GRUCell:
         states h [B, H] on inputs x [B, input]: a one-step `ad.gru_sequence`."""
         return self.sequence(x, h, lengths=[1] * h.data.shape[0])
 
-    def sequence(self, xs: ad.Tensor, h0: ad.Tensor, reverse: bool = False,
-                 lengths: Sequence[int] | None = None) -> ad.Tensor:
-        """States after each row of xs [T, input] from the [1, H] state h0,
-        last row first if `reverse`.
-
-        With `lengths`, xs holds B sequences one after another, of those
-        lengths in any order, and h0 [B, H] one start per sequence; a reverse
-        run starts each sequence at its own last input.  The states come back
-        in the same layout.
-        """
-        expected = 1 if lengths is None else len(lengths)
-        if h0.data.shape[0] != expected:
-            raise ValueError(f"{expected} sequence(s) start from a [{expected}, H] state, "
-                             f"got {h0.data.shape}")
-        return ad.gru_sequence(xs, h0, self.W_z, self.U_z, self.b_z, self.W_r, self.U_r,
-                               self.b_r, self.W_h, self.U_h, self.b_h, reverse=reverse,
-                               lengths=lengths)
+    def sequence(self, xs: ad.Tensor, h0: ad.Tensor, lengths: Sequence[int]) -> ad.Tensor:
+        """States after each row of xs, which holds B sequences one after
+        another, of `lengths` in any order, each run from its own row of
+        h0 [B, H]: `ad.gru_sequence`.  The states come back in the inputs'
+        layout."""
+        return ad.gru_sequence(xs, h0, self.parameters().values(), lengths)
 
     parameters = ad.parameters_of
 
@@ -258,19 +245,17 @@ class TopicEncoding:
     attention_keys: ad.Tensor         # token_states @ attn_token_W
 
 
-def bigru_states(model: GeneratorModel, token_ids: Sequence[int],
-                 lengths: Sequence[int] | None = None):
+def bigru_states(model: GeneratorModel, token_ids: Sequence[int], lengths: Sequence[int]):
     """Forward and backward GRU states of token sequences.
 
     `token_ids` holds the sequences one after another and `lengths` their
-    lengths (by default one sequence).  Both directions are one
-    `ad.bigru_sequence` over all of them; the backward run starts each
-    sequence at its own last token.  Returns (states [n, 2H], forward then
-    backward columns, in input order; finals [B, 2H], each sequence's last
-    forward and first backward state).  Backward row t of a sequence has
-    consumed its tokens from the last down to t.
+    lengths.  Both directions are one `ad.bigru_sequence` over all of them;
+    the backward run starts each sequence at its own last token.  Returns
+    (states [n, 2H], forward then backward columns, in input order; finals
+    [B, 2H], each sequence's last forward and first backward state).
+    Backward row t of a sequence has consumed its tokens from the last down
+    to t.
     """
-    lengths = [len(token_ids)] if lengths is None else list(lengths)
     vectors = ad.embedding_lookup(model.embed, token_ids)
     start = ad.zeros((len(lengths), model.hidden_dim))
     states = ad.bigru_sequence(vectors, start, list(model.enc_fwd.parameters().values()),
@@ -298,10 +283,12 @@ def encode_topics(model: GeneratorModel, grouped: TopicGroups) -> TopicEncoding:
     n_empty = model.n_topics - len(kept)
     if n_empty:
         # the kept groups' rows, then one zero row per empty group, put
-        # back in group order
+        # back in group order by one [n_topics, H] block of whole rows
         stacked = ad.concat([topic_vectors, ad.zeros((n_empty, model.hidden_dim))], axis=0)
-        topic_vectors = ad.take(stacked, np.argsort(
-            np.argsort([len(group) == 0 for group in grouped.groups], kind="stable")))
+        order = np.argsort(np.argsort([len(group) == 0 for group in grouped.groups],
+                                      kind="stable"))
+        topic_vectors = ad.pick(stacked, *np.meshgrid(order, np.arange(model.hidden_dim),
+                                                      indexing="ij"))
     return TopicEncoding(topic_vectors=topic_vectors, token_states=token_states,
                          attention_keys=attention_keys(model, token_states))
 
@@ -329,7 +316,7 @@ def predict_topic_step(model: GeneratorModel, prev_state: ad.Tensor,
         context = ad.matmul(topic_probs, topic_vectors)          # [1, H]
     elif mode == "hard":
         best = int(np.argmax(topic_probs.data))
-        context = ad.row(topic_vectors, best)
+        context = ad.rows(topic_vectors, best, best + 1)
     else:
         raise ValueError(f"topic_mode must be 'soft' or 'hard', got '{mode}'")
     decoder_init = state + context
@@ -637,7 +624,7 @@ def teacher_forced_outputs(model: GeneratorModel, encoding: TopicEncoding,
                                                     gold_sentences, vocab, mode)
     block = token_distribution(model, *decoded, grouped)
     ends = np.cumsum([len(sentence) for sentence in targets])
-    rows = [[ad.row(block, t) for t in range(end - len(sentence), end)]
+    rows = [[ad.rows(block, t, t + 1) for t in range(end - len(sentence), end)]
             for sentence, end in zip(targets, ends)]
     return rows, targets, stops
 
@@ -800,9 +787,13 @@ def init_embeddings(table: np.ndarray, vocab: Vocabulary, path,
     In-file words take their vectors; any other word takes the mean vector
     of up to 10 in-file tokens around its first `corpus` occurrence (5 each
     side); every other row keeps its value.  The whole file is checked
-    before any row is written, so after an error the table is as it was.
+    before any row is written, so after an error the table is as it was;
+    only the vectors a row can take, of vocabulary words and `corpus`
+    tokens, are kept.
     """
     dim = table.shape[1]
+    wanted = {vocab.id_to_token(token_id) for token_id in range(len(vocab))}
+    wanted.update(token for sequence in corpus or () for token in sequence)
     pretrained: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         parts = line.rstrip("\n").split(" ")
@@ -815,7 +806,8 @@ def init_embeddings(table: np.ndarray, vocab: Vocabulary, path,
             raise ValueError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
         if not np.all(np.isfinite(vector)):
             raise ValueError(f"{path}:{lineno}: non-finite value in the vector for '{parts[0]}'")
-        pretrained[parts[0]] = vector
+        if parts[0] in wanted:
+            pretrained[parts[0]] = vector
     unresolved: set[str] = set()
     for token_id in range(len(vocab)):
         token = vocab.id_to_token(token_id)

@@ -274,15 +274,20 @@ class TestForwardValues:
         with pytest.raises(IndexError):
             ad.pick(x, 3, 0)
 
-    def test_take_gathers_distinct_rows_in_order(self):
+    def test_pick_block_gathers_whole_rows_in_order(self):
+        # a block of whole rows, as `encode_topics` reorders its topic rows
         x = ad.Tensor(np.arange(6, dtype=np.float32).reshape(3, 2))
-        np.testing.assert_allclose(ad.take(x, [2, 0]).data, [[4, 5], [0, 1]])
+
+        def whole_rows(ids):
+            return np.meshgrid(np.asarray(ids, dtype=np.int64), np.arange(2), indexing="ij")
+
+        np.testing.assert_allclose(ad.pick(x, *whole_rows([2, 0])).data, [[4, 5], [0, 1]])
         with pytest.raises(IndexError):
-            ad.take(x, [3])
+            ad.pick(x, *whole_rows([3]))
         with pytest.raises(ValueError, match="distinct"):
-            ad.take(x, [1, 1])
-        with pytest.raises(ValueError):
-            ad.take(x, [])
+            ad.pick(x, *whole_rows([1, 1]))
+        with pytest.raises(ValueError, match="non-empty"):
+            ad.pick(x, *whole_rows([]))
 
     def test_additive_scores_equal_one_row_at_a_time(self):
         rng = np.random.default_rng(8)
@@ -378,7 +383,7 @@ class TestGradients:
                 h = ad.tanh(ad.add(vectors, x))           # intermediate gathered from
                 loss = ((vectors * ad.Tensor(m_lookup)).sum()
                         + (ad.rows(h, 2, 5) * ad.Tensor(m_rows)).sum()
-                        + (ad.row(h, 3) * ad.Tensor(m_row)).sum()
+                        + (ad.rows(h, 3, 4) * ad.Tensor(m_row)).sum()
                         + ad.pick(h, 4, 1) + ad.pick(h, 4, 1) + ad.pick(h, 0, 3)
                         + (h * ad.Tensor(m_dense)).sum())
                 t.backward(loss)
@@ -400,7 +405,7 @@ class TestGradients:
         "add", "add_row_bias", "add_scalar_tensor", "mul", "mul_gate",
         "matmul", "affine", "tanh", "sigmoid", "softmax1", "softmax0",
         "log", "transpose", "concat0", "concat1", "rows",
-        "take", "pick", "pick_rows", "pick_block",
+        "pick", "pick_rows", "pick_block", "pick_row_block",
         "embedding", "scatter", "scatter_rows", "additive_scores", "gold_log_probs",
         "sum", "mean",
     ])
@@ -448,13 +453,14 @@ class TestGradients:
                                      * ad.Tensor(np.hstack([mixer.data, mixer.data]))).sum(),
                                     {"x": x, "y": y}),
                 "rows": lambda: ((ad.rows(x, 1, 3) * ad.Tensor(mixer.data[1:3])).sum(), {"x": x}),
-                "take": lambda: ((ad.take(x, [2, 0]) * ad.Tensor(mixer.data[:2])).sum(),
-                                 {"x": x}),
                 "pick": lambda: (ad.pick(x, 2, 1), {"x": x}),
                 "pick_rows": lambda: ((ad.pick(x, [0, 2, 1], [3, 0, 3])
                                        * ad.Tensor(mixer.data[:, :1])).sum(), {"x": x}),
                 "pick_block": lambda: ((ad.pick(x, [[0, 2], [2, 0]], [[3, 3], [1, 1]])
                                         * ad.Tensor(mixer.data[:2, :2])).sum(), {"x": x}),
+                "pick_row_block": lambda: ((ad.pick(x, *np.meshgrid([2, 0], np.arange(4),
+                                                                    indexing="ij"))
+                                            * ad.Tensor(mixer.data[:2])).sum(), {"x": x}),
                 "embedding": lambda: ((ad.embedding_lookup(table, [4, 0, 4, 2])
                                        * lookup_mixer).sum(),
                                       {"table": table}),
@@ -712,8 +718,7 @@ class TestTapeSemantics:
 
         def sweep():
             with ad.tape() as t:
-                states = ad.gru_sequence(leaves["x"], leaves["h0"], *cell.values(),
-                                         lengths=[4, 2])
+                states = ad.gru_sequence(leaves["x"], leaves["h0"], cell.values(), [4, 2])
                 hidden = ad.tanh(ad.affine(states, leaves["w"], leaves["b"]))
                 t.backward(ad.matmul(hidden, ad.transpose(leaves["w"])).sum())
             grads = {name: leaf.grad for name, leaf in leaves.items()}
@@ -768,7 +773,7 @@ class TestTapeSemantics:
             w = ad.Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
             with ad.tape() as t:
                 h = ad.tanh(ad.matmul(ad.add(x, ad.embedding_lookup(table, [5, 1, 5, 0])), w))
-                loss = (ad.rows(h, 1, 3).sum() + ad.row(h, 1).sum()
+                loss = (ad.rows(h, 1, 3).sum() + ad.rows(h, 1, 2).sum()
                         + ad.pick(h, 3, 2) + ad.matmul(h, w).sum())
                 t.backward(loss)
                 first = {name: p.grad.copy() for name, p in [("x", x), ("table", table), ("w", w)]}
@@ -782,8 +787,7 @@ def _gru(leaf, lengths):
     hidden = 5
     weights = [leaf(*shape) for _ in range(3)
                for shape in ((3, hidden), (hidden, hidden), (1, hidden))]
-    return ad.gru_sequence(leaf(sum(lengths), 3), leaf(len(lengths), hidden), *weights,
-                           lengths=lengths)
+    return ad.gru_sequence(leaf(sum(lengths), 3), leaf(len(lengths), hidden), weights, lengths)
 
 
 # every op that records, each built from fresh leaves
@@ -805,9 +809,10 @@ RECORDING_OPS = {
     "concat0": lambda leaf: ad.concat([leaf(3, 4), leaf(1, 4)], axis=0),
     "concat1": lambda leaf: ad.concat([leaf(3, 4), leaf(3, 2)], axis=1),
     "rows": lambda leaf: ad.rows(leaf(5, 4), 1, 3),
-    "row": lambda leaf: ad.row(leaf(5, 4), 2),
-    "take": lambda leaf: ad.take(leaf(5, 4), [3, 0]),
+    "row": lambda leaf: ad.rows(leaf(5, 4), 2, 3),
     "pick": lambda leaf: ad.pick(leaf(5, 4), [0, 2], [1, 1]),
+    "pick_row_block": lambda leaf: ad.pick(leaf(5, 4), *np.meshgrid([3, 0], np.arange(4),
+                                                                    indexing="ij")),
     "embedding_lookup": lambda leaf: ad.embedding_lookup(leaf(6, 3), [4, 0, 4]),
     "scatter_sum": lambda leaf: ad.scatter_sum(leaf(2, 4), [1, 0, 1, 3], 5),
     "additive_scores": lambda leaf: ad.additive_scores(leaf(5, 4), leaf(2, 4), leaf(4, 1)),

@@ -239,8 +239,11 @@ class TestModelLayout:
         cell = GeneratorModel(vocab_size=11, n_topics=2, embed_dim=5, hidden_dim=4).enc_fwd
         rng = np.random.default_rng(1)
         xs, h0 = ad.Tensor(rng.normal(size=(6, 5))), ad.Tensor(rng.normal(size=(1, 4)))
-        assert np.array_equal(ad.gru_sequence(xs, h0, *cell.parameters().values()).data,
-                              cell.sequence(xs, h0).data)
+        # `GRUCell.sequence` passes `parameters()` in their order
+        named = [cell.W_z, cell.U_z, cell.b_z, cell.W_r, cell.U_r, cell.b_r,
+                 cell.W_h, cell.U_h, cell.b_h]
+        assert np.array_equal(ad.gru_sequence(xs, h0, named, [6]).data,
+                              cell.sequence(xs, h0, [6]).data)
 
 
 class TestLoadInto:

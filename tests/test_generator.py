@@ -79,6 +79,26 @@ def np_gru_step(cell, x, h):
     return (1.0 - z) * c + z * h
 
 
+def gather_block(x, rows, columns):
+    """The [len(rows), len(columns)] block x[rows][:, columns], one `ad.pick`."""
+    return ad.pick(x, *np.meshgrid(np.asarray(rows, dtype=np.int64),
+                                   np.asarray(columns, dtype=np.int64), indexing="ij"))
+
+
+def directed_states(cell, xs, h0, lengths, reverse):
+    """`cell`'s states over the sequences stored in xs: a forward
+    `ad.gru_sequence`, or with `reverse` the backward columns of an
+    `ad.bigru_sequence` with `cell` in both directions, cut out with
+    `gather_block`, so that the forward half adds exact zeros to every
+    gradient."""
+    weights = list(cell.parameters().values())
+    if not reverse:
+        return ad.gru_sequence(xs, h0, weights, lengths)
+    hidden = h0.data.shape[1]
+    return gather_block(ad.bigru_sequence(xs, h0, weights, weights, lengths),
+                        range(xs.data.shape[0]), range(hidden, 2 * hidden))
+
+
 class TestDecodeConfig:
     def test_defaults(self):
         config = DecodeConfig()
@@ -189,7 +209,8 @@ class TestGRUCell:
 
 
 class TestGRUSequence:
-    """The fused sequence op, and `GRUCell.step` built on it, against the
+    """The fused sequence op in both directions (the backward one through
+    `bigru_sequence`), and `GRUCell.step` built on it, against the
     op-composed reference update `op_gru_step` (float64)."""
 
     def run(self, cell, xs, h0, mixer, reverse, how):
@@ -198,13 +219,13 @@ class TestGRUSequence:
         leaves = dict(cell.parameters(), xs=xs, h0=h0)
         with ad.tape() as recording:
             if how == "sequence":
-                states = cell.sequence(xs, h0, reverse=reverse)
+                states = directed_states(cell, xs, h0, [length], reverse)
             else:
                 advance = cell.step if how == "step" else lambda x, h: op_gru_step(cell, x, h)
                 rows = [None] * length
                 state = h0
                 for t in (reversed(range(length)) if reverse else range(length)):
-                    state = advance(ad.row(xs, t), state)
+                    state = advance(ad.rows(xs, t, t + 1), state)
                     rows[t] = state
                 states = ad.concat(rows, axis=0)
             recording.backward((states * mixer).sum())
@@ -247,10 +268,9 @@ class TestGRUSequence:
         def run(cell, xs, h0, mixer):
             xs, h0 = ad.Tensor(xs, requires_grad=True), ad.Tensor(h0, requires_grad=True)
             leaves = dict(cell.parameters(), xs=xs, h0=h0)
+            batch, length = h0.data.shape[0], xs.data.shape[0] // h0.data.shape[0]
             with ad.tape() as recording:
-                states = ad.gru_sequence(xs, h0, cell.W_z, cell.U_z, cell.b_z, cell.W_r,
-                                         cell.U_r, cell.b_r, cell.W_h, cell.U_h, cell.b_h,
-                                         reverse=reverse)
+                states = directed_states(cell, xs, h0, [length] * batch, reverse)
                 recording.backward((states * ad.Tensor(mixer)).sum())
             grads = {name: leaf.grad.copy() for name, leaf in leaves.items()}
             for leaf in leaves.values():
@@ -289,24 +309,21 @@ class TestGRUSequence:
             rng = np.random.default_rng(8)
             cell = GRUCell(3, 4, rng)
             xs = ad.Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
-            h0 = ad.Tensor(rng.uniform(-1, 1, (1, 4)), requires_grad=True)
+            h0 = ad.Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
             mixer = ad.Tensor(rng.uniform(-1, 1, (4, 4)))
             params = dict(cell.parameters(), xs=xs, h0=h0)
-            check_gradients(lambda: (cell.sequence(xs, h0, reverse=True) * mixer).sum(),
-                            params)
+            check_gradients(lambda: (cell.sequence(xs, h0, [3, 1]) * mixer).sum(), params)
 
     def test_shape_mismatch_rejected(self):
         cell = GRUCell(3, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            cell.sequence(ad.zeros((0, 3)), ad.zeros((1, 4)))
+            cell.sequence(ad.zeros((0, 3)), ad.zeros((1, 4)), [0])
         with pytest.raises(ValueError):
-            cell.sequence(ad.zeros((2, 5)), ad.zeros((1, 4)))
+            cell.sequence(ad.zeros((2, 5)), ad.zeros((1, 4)), [2])
         with pytest.raises(ValueError):
-            cell.sequence(ad.zeros((2, 3)), ad.zeros((2, 4)))
+            cell.sequence(ad.zeros((2, 3)), ad.zeros((2, 4)), [2])
         with pytest.raises(ValueError):
             cell.step(ad.zeros((2, 3)), ad.zeros((1, 4)))
-        with pytest.raises(ValueError):  # 5 rows are no whole number of 2-row steps
-            ad.gru_sequence(ad.zeros((5, 3)), ad.zeros((2, 4)), *cell.parameters().values())
 
 
 class TestPackedGRUSequence:
@@ -318,13 +335,12 @@ class TestPackedGRUSequence:
     LENGTHS = ((7, 3, 3, 1), (1, 7, 3, 3), (3, 1, 2))
 
     @staticmethod
-    def run(cell, xs, h0, mixer, reverse, lengths=None):
+    def run(cell, xs, h0, mixer, reverse, lengths):
         """States and every leaf gradient of sum(states * mixer)."""
         xs, h0 = ad.Tensor(xs, requires_grad=True), ad.Tensor(h0, requires_grad=True)
         leaves = dict(cell.parameters(), xs=xs, h0=h0)
         with ad.tape() as recording:
-            states = ad.gru_sequence(xs, h0, *cell.parameters().values(), reverse=reverse,
-                                     lengths=lengths)
+            states = directed_states(cell, xs, h0, lengths, reverse)
             recording.backward((states * ad.Tensor(mixer)).sum())
         grads = {name: leaf.grad.copy() for name, leaf in leaves.items()}
         for leaf in leaves.values():
@@ -345,7 +361,8 @@ class TestPackedGRUSequence:
                 got, got_grads = self.run(cell, xs, h0, mixer, reverse, lengths)
                 want_grads = {name: 0.0 for name in cell.parameters()}
                 for b, at in enumerate(rows):
-                    want, grads = self.run(cell, xs[at], h0[b:b + 1], mixer[at], reverse)
+                    want, grads = self.run(cell, xs[at], h0[b:b + 1], mixer[at], reverse,
+                                           [lengths[b]])
                     message = f"sequence {b} of {lengths}"
                     np.testing.assert_allclose(got[at], want, rtol=0, atol=1e-10,
                                                err_msg=message)
@@ -372,21 +389,22 @@ class TestPackedGRUSequence:
     def test_bad_lengths_rejected(self, lengths):
         cell = GRUCell(3, 4, np.random.default_rng(0))
         with pytest.raises(ValueError, match="lengths"):
-            ad.gru_sequence(ad.zeros((6, 3)), ad.zeros((3, 4)), *cell.parameters().values(),
-                            lengths=lengths)
+            ad.gru_sequence(ad.zeros((6, 3)), ad.zeros((3, 4)), cell.parameters().values(),
+                            lengths)
 
     def test_cell_sequence_needs_one_start_per_sequence(self):
         cell = GRUCell(3, 4, np.random.default_rng(0))
-        assert cell.sequence(ad.zeros((3, 3)), ad.zeros((2, 4)), lengths=[2, 1]).data.shape == (3, 4)
-        with pytest.raises(ValueError):
-            cell.sequence(ad.zeros((3, 3)), ad.zeros((1, 4)), lengths=[2, 1])
+        assert cell.sequence(ad.zeros((3, 3)), ad.zeros((2, 4)), [2, 1]).data.shape == (3, 4)
+        with pytest.raises(ValueError, match="lengths"):
+            cell.sequence(ad.zeros((3, 3)), ad.zeros((1, 4)), [2, 1])
 
 
 class TestBiGRUSequence:
-    """`ad.bigru_sequence` with its directions on two threads, against one
-    `gru_sequence` run per direction: states and every gradient bitwise in
-    float32, over unequal lengths with length-1 sequences, and gradients
-    against central differences in float64."""
+    """`ad.bigru_sequence` over unequal lengths with length-1 sequences: on
+    two threads against the serial run, and its forward half against
+    `gru_sequence`, states and gradients bitwise in float32; its backward
+    half against a forward run over each sequence reversed, and gradients
+    against central differences, in float64."""
 
     LENGTHS = (4, 1, 3, 1)
 
@@ -422,31 +440,62 @@ class TestBiGRUSequence:
         monkeypatch.setattr(ad, "_on_two_threads", spy)
         return flags
 
-    def test_equals_two_gru_sequence_runs_bitwise(self, threaded):
+    @staticmethod
+    def sweep(build, leaves, mixer):
+        """States and every leaf gradient of sum(build() * mixer)."""
+        with ad.tape() as recording:
+            states = build()
+            recording.backward((states * mixer).sum())
+        grads = {name: leaf.grad for name, leaf in leaves.items()}
+        for leaf in leaves.values():
+            leaf.grad = None
+        return states.data, grads
+
+    def test_threaded_equals_serial_and_forward_half_bitwise(self, threaded, monkeypatch):
         cells, leaves, mixer = self.leaves(np.random.default_rng(43))
-
-        def sweep(build):
-            with ad.tape() as recording:
-                states = build()
-                recording.backward((states * mixer).sum())
-            grads = {name: leaf.grad for name, leaf in leaves.items()}
-            for leaf in leaves.values():
-                leaf.grad = None
-            return states.data, grads
-
-        def two_runs():
-            fwd, bwd = (ad.gru_sequence(leaves["xs"], leaves["h0"], *cell.parameters().values(),
-                                        reverse=reverse, lengths=self.LENGTHS)
-                        for cell, reverse in zip(cells, (False, True)))
-            return ad.concat([fwd, bwd], axis=1)
-
-        got, got_grads = sweep(lambda: self.pair(cells, leaves))
+        got, got_grads = self.sweep(lambda: self.pair(cells, leaves), leaves, mixer)
         assert threaded == [True, True]             # forward, then back through time
-        want, want_grads = sweep(two_runs)
+        monkeypatch.setattr(ad, "_PAIR_SPLIT_MIN", 1 << 62)
+        want, want_grads = self.sweep(lambda: self.pair(cells, leaves), leaves, mixer)
+        assert threaded == [True, True]             # the serial run adds no two-thread call
         assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        assert set(got_grads) == set(want_grads)
         for name, grad in want_grads.items():
             assert got_grads[name].dtype == grad.dtype, name
             assert got_grads[name].tobytes() == grad.tobytes(), name
+        # the forward half depends on the forward columns' adjoint alone
+        forward, forward_grads = self.sweep(
+            lambda: ad.gru_sequence(leaves["xs"], leaves["h0"], cells[0].parameters().values(),
+                                    self.LENGTHS), leaves, ad.Tensor(mixer.data[:, :5]))
+        assert forward.tobytes() == np.ascontiguousarray(got[:, :5]).tobytes()
+        for name in (f"fwd.{name}" for name in cells[0].parameters()):
+            assert got_grads[name].tobytes() == forward_grads[name].tobytes(), name
+
+    def test_backward_half_equals_forward_run_over_reversed_sequences(self):
+        with ad.using_dtype(np.float64):
+            cells, leaves, mixer = self.leaves(np.random.default_rng(45))
+            mixer.data[:, :5] = 0.0                 # the backward columns alone
+            ends = np.cumsum(self.LENGTHS)
+            # each stored row's row in its sequence reversed; its own inverse
+            flip = np.concatenate([np.arange(end - 1, end - n - 1, -1)
+                                   for n, end in zip(self.LENGTHS, ends)])
+
+            def reversed_run():
+                xs, h0 = leaves["xs"], leaves["h0"]
+                states = ad.gru_sequence(gather_block(xs, flip, range(3)), h0,
+                                         cells[1].parameters().values(), self.LENGTHS)
+                return ad.concat([ad.zeros((xs.data.shape[0], 5)),
+                                  gather_block(states, flip, range(5))], axis=1)
+
+            got, got_grads = self.sweep(lambda: self.pair(cells, leaves), leaves, mixer)
+            want, want_grads = self.sweep(reversed_run, leaves, mixer)
+        np.testing.assert_allclose(got[:, 5:], want[:, 5:], rtol=0, atol=1e-10)
+        for name, grad in want_grads.items():
+            if name.startswith("fwd."):
+                assert grad is None and not np.any(got_grads[name]), name
+                continue
+            assert np.any(grad != 0.0), name
+            np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-10, err_msg=name)
 
     def test_gradients_match_finite_differences(self, threaded):
         with ad.using_dtype(np.float64):
@@ -468,7 +517,7 @@ class TestBiGRU:
         vocab = make_vocab()
         model = make_model(vocab)
         ids = [4, 5, 6, 4]
-        fwd, bwd, final_fwd, final_bwd = split_directions(*bigru_states(model, ids))
+        fwd, bwd, final_fwd, final_bwd = split_directions(*bigru_states(model, ids, [len(ids)]))
         vectors = model.embed.data[ids]
         # forward oracle: prefix scan
         h = np.zeros((1, model.hidden_dim), dtype=np.float32)
@@ -489,14 +538,14 @@ class TestBiGRU:
     def test_single_token_sequence(self):
         vocab = make_vocab()
         model = make_model(vocab)
-        fwd, bwd, final_fwd, final_bwd = split_directions(*bigru_states(model, [5]))
+        fwd, bwd, final_fwd, final_bwd = split_directions(*bigru_states(model, [5], [1]))
         assert fwd.shape == (1, model.hidden_dim)
         np.testing.assert_allclose(fwd, final_fwd)
         np.testing.assert_allclose(bwd, final_bwd)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            bigru_states(make_model(make_vocab()), [])
+            bigru_states(make_model(make_vocab()), [], [0])
 
 
 class TestEncodeTopics:
@@ -559,21 +608,24 @@ class TestEncodeTopics:
 
 def per_group_encoding(model, grouped):
     """(topic vectors, token states) the way encoding ran one group at a
-    time: one BiGRU run per direction and group, both affines per group, a
-    zero topic row for each empty group."""
+    time: one forward GRU run per direction and group, the backward one over
+    the group's tokens reversed and its states reversed back, both affines
+    per group, and a zero topic row for each empty group."""
     hidden = model.hidden_dim
     topic_rows, state_blocks = [], []
     for group in grouped.groups:
-        if len(group) == 0:
+        n = len(group)
+        if n == 0:
             topic_rows.append(ad.zeros((1, hidden)))
             continue
-        vectors = ad.embedding_lookup(model.embed, group.token_ids)
         start = ad.zeros((1, hidden))
-        fwd = model.enc_fwd.sequence(vectors, start)
-        bwd = model.enc_bwd.sequence(vectors, start, reverse=True)
+        fwd = model.enc_fwd.sequence(ad.embedding_lookup(model.embed, group.token_ids), start, [n])
+        reversed_vectors = ad.embedding_lookup(model.embed, group.token_ids[::-1])
+        bwd = gather_block(model.enc_bwd.sequence(reversed_vectors, start, [n]),
+                           range(n - 1, -1, -1), range(hidden))
         state_blocks.append(ad.affine(ad.concat([fwd, bwd], axis=1),
                                       model.enc_token_W, model.enc_token_b))
-        finals = ad.concat([ad.row(fwd, len(group) - 1), ad.row(bwd, 0)], axis=1)
+        finals = ad.concat([ad.rows(fwd, n - 1, n), ad.rows(bwd, 0, 1)], axis=1)
         topic_rows.append(ad.affine(finals, model.enc_topic_W, model.enc_topic_b))
     return ad.concat(topic_rows, axis=0), ad.concat(state_blocks, axis=0)
 
@@ -796,7 +848,7 @@ def composed_attention(model, states, token_states, keys):
     weighted sum of token states; independent of `ad.additive_scores`."""
     weights, contexts = [], []
     for r in range(states.data.shape[0]):
-        query = ad.affine(ad.row(states, r), model.attn_state_W, model.attn_b)
+        query = ad.affine(ad.rows(states, r, r + 1), model.attn_state_W, model.attn_b)
         column = ad.softmax(ad.matmul(ad.tanh(keys + query), model.attn_v), axis=0)
         weights.append(column)
         contexts.append(ad.matmul(ad.transpose(column), token_states))
@@ -1373,13 +1425,13 @@ class TestBlockTeacherForcing:
             stops.append(step.stop_prob)
             targets = [grouped.target_id(tok, vocab) for tok in sentence] + [EOS_ID]
             inputs = ad.embedding_lookup(model.embed, [BOS_ID] + vocab.encode(sentence))
-            dec_states = model.dec_cell.sequence(inputs, step.decoder_init)
-            weights, contexts = zip(*(attention_step(model, ad.row(dec_states, t),
+            dec_states = model.dec_cell.sequence(inputs, step.decoder_init, [len(targets)])
+            weights, contexts = zip(*(attention_step(model, ad.rows(dec_states, t, t + 1),
                                                      encoding.token_states, encoding.attention_keys)
                                       for t in range(len(targets))))
             block = token_distribution(model, dec_states, ad.concat(contexts, axis=0), inputs,
                                        ad.concat(weights, axis=1), grouped)
-            dists.extend(ad.row(block, t) for t in range(len(targets)))
+            dists.extend(ad.rows(block, t, t + 1) for t in range(len(targets)))
             gold = ad.log(ad.pick(block, range(len(targets)), targets), floor=1e-12)
             sentence_terms.append(ad.mul(gold.sum(), -1.0 / len(targets)))
         stops.append(predict_topic_step(model, state, context, encoding.topic_vectors,
@@ -1979,6 +2031,31 @@ class TestInitEmbeddings:
         path.write_text("beta 1.0 2.0 3.0\nalpha nan inf 1\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":2: non-finite"):
             init_embeddings(table, vocab, path, [["alpha", "gamma", "beta"]])
+        assert np.array_equal(table, drawn)
+
+    def test_unused_lines_give_the_same_table(self, tmp_path):
+        vocab = make_vocab()
+        # "zork" is no vocabulary word, but gamma's context mean reads it
+        corpus = [["alpha", "gamma", "zork", "beta"]]
+        used = ["alpha 1.0 2.0 3.0", "zork 0.25 -0.5 1.5", "beta 3.0 4.0 5.0"]
+        unused = [f"unused{k} {k}.5 -{k}.25 {k}" for k in range(12)]
+        path = tmp_path / "vectors.txt"
+        path.write_text("\n".join(used) + "\n", encoding="utf-8")
+        want = self.model().embed.data
+        init_embeddings(want, vocab, path, corpus)
+        np.testing.assert_allclose(want[vocab.token_to_id("gamma")], [4.25 / 3, 5.5 / 3, 9.5 / 3],
+                                   rtol=1e-6)
+        path.write_text("\n".join(unused[:4] + used[:1] + unused[4:8] + used[1:] + unused[8:])
+                        + "\n", encoding="utf-8")
+        got = self.model().embed.data
+        init_embeddings(got, vocab, path, corpus)
+        assert got.tobytes() == want.tobytes()
+        # a bad line is refused even where no row would take its vector
+        table = self.model().embed.data
+        drawn = table.copy()
+        path.write_text("\n".join(used + ["unused 1.0 oops 2.0"]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=":4: non-numeric"):
+            init_embeddings(table, vocab, path, corpus)
         assert np.array_equal(table, drawn)
 
     def test_vectors_change_only_the_rows_they_name(self, tmp_path):
