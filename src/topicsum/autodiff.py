@@ -32,11 +32,15 @@ finite differences are meaningful.
 Work with two independent halves runs them on two threads once it is large
 enough to pay for the thread (`_on_two_threads`): a large weight draw in
 `parameter`, `bigru_sequence`'s two directions, forward and back through
-time, with BLAS at one thread each, and `Adam.step` and `fit`'s gradient
-norm, each over two halves of the parameters' chunks.  Each half does the
-arithmetic it would do alone, and the products whose bits depend on BLAS's
-thread count run on the calling thread at BLAS's own count, so every value
-is bitwise the serial one.  Toy-size models stay serial.
+time, and the forward of `additive_scores` over two halves of its query
+blocks, with BLAS at one thread each, `Adam.step` and `fit`'s gradient
+norm, each over two halves of the parameters' chunks, and the generator's
+beam-step candidate selection over two halves of its rows.  Each half does
+the arithmetic it would do alone, and the products whose bits depend on
+BLAS's thread count run on the calling thread at BLAS's own count, so every
+value is bitwise the serial one.  A beam search holds one worker thread for
+all its steps (`_worker_scope`); any other call starts one of its own.
+Toy-size models stay serial.
 
 Gradient contract: every adjoint lives in its tensor's `.grad`.  On leaves,
 the tensors that no record on the tape produced (parameters and inputs
@@ -60,8 +64,9 @@ import contextlib
 import ctypes
 import functools
 import math
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -97,6 +102,7 @@ __all__ = [
     "gru_sequence",
     "bigru_sequence",
     "Adam",
+    "EmptyTrainingSet",
     "fit",
 ]
 
@@ -297,10 +303,35 @@ def _blas_threads():
     return None
 
 
+_WORKER = threading.local()   # .pool: the worker of this thread's `_worker_scope`, if any
+
+
+@contextlib.contextmanager
+def _worker_scope():
+    """Keep one worker thread for every `_on_two_threads` call this thread
+    makes inside the block, instead of a new one per call; it is joined on
+    leaving, so no thread outlives the block.  An inner scope uses the outer
+    one's worker."""
+    if getattr(_WORKER, "pool", None) is not None:
+        yield
+        return
+    pool = _WORKER.pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        yield
+    finally:
+        _WORKER.pool = None
+        pool.shutdown(wait=True)
+
+
 def _on_two_threads(first: Callable, second: Callable, one_blas_thread: bool = False):
     """(first(), second()), with second() on a worker thread while first()
-    runs on this one.  Both have finished when this returns or raises, and a
-    worker's exception is raised here.
+    runs on this one.  Both have finished when this returns or raises, and
+    an exception of either side is raised here, first()'s before the
+    worker's.
+
+    The worker is this thread's `_worker_scope` one when it is idle, else a
+    new thread for this call: a call from another thread, the worker
+    included, or from inside first() never waits on a busy worker.
 
     With `one_blas_thread`, OpenBLAS runs one thread for the call's length,
     so that the two sides' matrix products do not compete for the cores:
@@ -315,11 +346,24 @@ def _on_two_threads(first: Callable, second: Callable, one_blas_thread: bool = F
         get, set_ = blas
         restore = get()
         set_(1)
+    pool = getattr(_WORKER, "pool", None)
+    fresh = pool is None
+    if fresh:
+        pool = ThreadPoolExecutor(max_workers=1)
+    else:
+        _WORKER.pool = None   # busy: a call from inside first() takes a new thread
     try:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            later = pool.submit(second)
-            return first(), later.result()
+        later = pool.submit(second)
+        try:
+            result = first()
+        finally:
+            wait([later])
+        return result, later.result()
     finally:
+        if fresh:
+            pool.shutdown(wait=True)
+        else:
+            _WORKER.pool = pool
         if restore is not None:
             set_(restore)
 
@@ -592,6 +636,7 @@ def scatter_sum(x: Tensor, indices, size: int) -> Tensor:
 
 
 _SCORE_BLOCK = 1 << 18  # elements of the [c, n, H] tanh buffer of `additive_scores`
+_SCORE_SPLIT_MIN = 1 << 22   # least R x n x H whose forward scores on two threads
 
 
 def additive_scores(keys: Tensor, queries: Tensor, v: Tensor) -> Tensor:
@@ -602,8 +647,11 @@ def additive_scores(keys: Tensor, queries: Tensor, v: Tensor) -> Tensor:
     The queries are scored c at a time through one reused [c, n, H] buffer
     of at most `_SCORE_BLOCK` elements (1 MB in float32, inside a 2 MB L2),
     or one query at a time when a single [n, H] block is larger, so no
-    [n, R, H] block is made.  The hand-written backward recomputes each
-    block's tanh in that buffer instead of storing it.
+    [n, R, H] block is made.  From `_SCORE_SPLIT_MIN` R x n x H on, the
+    forward scores the first half of those blocks here and the second on a
+    worker through a second buffer, with BLAS at one thread each.  The
+    hand-written backward recomputes each block's tanh in the first buffer
+    instead of storing it.
     """
     k, q, v_col = keys.data, queries.data, v.data
     if (k.ndim != 2 or q.ndim != 2 or q.shape[1] != k.shape[1]
@@ -617,17 +665,27 @@ def additive_scores(keys: Tensor, queries: Tensor, v: Tensor) -> Tensor:
     blocks = [slice(start, min(start + block, count)) for start in range(0, count, block)]
     mixed = np.empty((block, n, hidden), dtype=dtype)
 
-    def tanh_block(at: slice) -> np.ndarray:
-        """tanh(keys + queries[at]) in the buffer, [c, n, H]."""
-        buffer = mixed[:at.stop - at.start]
-        np.add(k, q[at, None, :], out=buffer)
-        return np.tanh(buffer, out=buffer)
+    def tanh_blocks(part: list[slice], buffer: np.ndarray):
+        """(at, tanh(keys + queries[at]) [c, n, H]) for each block of
+        `part`, made in `buffer`."""
+        for at in part:
+            t = buffer[:at.stop - at.start]
+            np.add(k, q[at, None, :], out=t)
+            yield at, np.tanh(t, out=t)
 
     # query-major rows, transposed to [n, R] at the end
     scores = np.empty((count, n), dtype=dtype)
-    for at in blocks:
-        t = tanh_block(at)
-        np.matmul(t.reshape(-1, hidden), v_vec, out=scores[at].reshape(-1))
+
+    def score(part: list[slice], buffer: np.ndarray) -> None:
+        for at, t in tanh_blocks(part, buffer):
+            np.matmul(t.reshape(-1, hidden), v_vec, out=scores[at].reshape(-1))
+
+    if len(blocks) > 1 and count * n * hidden >= _SCORE_SPLIT_MIN:
+        half = (len(blocks) + 1) // 2
+        _on_two_threads(lambda: score(blocks[:half], mixed),
+                        lambda: score(blocks[half:], np.empty_like(mixed)), one_blas_thread=True)
+    else:
+        score(blocks, mixed)
 
     def vjp(g):
         g_rows = np.ascontiguousarray(g.T)                      # [R, n]
@@ -635,8 +693,8 @@ def additive_scores(keys: Tensor, queries: Tensor, v: Tensor) -> Tensor:
         d_v = np.zeros(hidden, dtype=dtype)
         # sum over queries of g[:, r] * tanh'; times v, the keys' adjoint
         slope = np.zeros((n, hidden), dtype=dtype)
-        for at in blocks:
-            t, g_at = tanh_block(at), g_rows[at]
+        for at, t in tanh_blocks(blocks, mixed):
+            g_at = g_rows[at]
             d_v += g_at.reshape(-1) @ t.reshape(-1, hidden)
             np.multiply(t, t, out=t)
             np.subtract(1.0, t, out=t)
@@ -1006,6 +1064,10 @@ def _global_norm(arrays: Iterable[np.ndarray]) -> float:
     return math.sqrt(total)
 
 
+class EmptyTrainingSet(ValueError):
+    """`fit` was given no training example."""
+
+
 def fit(params: Mapping[str, Tensor], n_examples: int,
         losses: Callable[[int], Mapping[str, Tensor]],
         validate: Callable[[], tuple[dict, float | None]],
@@ -1013,7 +1075,8 @@ def fit(params: Mapping[str, Tensor], n_examples: int,
         seed: int) -> list[dict]:
     """Per-example Adam over `epochs` seeded permutations of the training set.
 
-    An empty training set raises ValueError before Adam is built.
+    An empty training set raises EmptyTrainingSet, a ValueError, before
+    Adam is built.
     `losses(index)` returns one example's named [1, 1] losses.  "loss" is
     minimised; it and the global gradient norm must be finite, else a
     ValueError names the epoch and `label(index)` before Adam changes
@@ -1025,7 +1088,7 @@ def fit(params: Mapping[str, Tensor], n_examples: int,
     fields and wall_seconds.  The best epoch's parameters are restored.
     """
     if n_examples == 0:
-        raise ValueError("empty training set")
+        raise EmptyTrainingSet("empty training set")
     rng = np.random.default_rng(seed)
     optimizer = Adam(params, lr=lr(1))
     history: list[dict] = []

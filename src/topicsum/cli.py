@@ -9,6 +9,7 @@ fully resolved configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
+from .autodiff import EmptyTrainingSet
 from .config import RunConfig, format_config, load_config
 from .corpus import (article_token_sequences, build_detector_dataset,
                      label_frequency_stats, load_articles,
@@ -138,10 +140,23 @@ def cmd_build_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _require(config: RunConfig, *keys: str) -> None:
+def _require(path, config: RunConfig, *keys: str) -> None:
+    """Refuse, naming the config file at `path`, a config that leaves any of `keys` unset."""
     missing = [key for key in keys if not getattr(config, key)]
     if missing:
-        raise ValueError(f"config is missing required keys: {', '.join(missing)}")
+        raise ValueError(f"{path}: config is missing required keys: {', '.join(missing)}")
+
+
+@contextlib.contextmanager
+def _training_on(path):
+    """Train on the dataset at `path`: an empty one is refused by `fit`, and
+    the refusal names the path.  A diverging run is reported by `fit`'s
+    non-finite checks, not by numpy's overflow warnings on the way there."""
+    with np.errstate(all="ignore"):
+        try:
+            yield
+        except EmptyTrainingSet as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_log(path, config: RunConfig, rows: list[dict]) -> None:
@@ -186,25 +201,23 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     log_path = args.log or f"{args.out}.log"
-    _require(config, "vocab_path", "schema_path")
+    _require(args.config, config, "vocab_path", "schema_path")
     vocab = Vocabulary.load(config.vocab_path)
     schema = load_topic_schema(config.schema_path, n_t=config.n_t)
 
     if args.stage == "detector":
-        _require(config, "detector_train_path", "detector_valid_path")
+        _require(args.config, config, "detector_train_path", "detector_valid_path")
         train, valid = (load_detector_dataset(path, schema.n_classes, len(vocab))
                         for path in (config.detector_train_path, config.detector_valid_path))
         model = _build_detector_model(config, vocab, schema.n_classes)
-        # a diverging run is reported by fit's non-finite-loss check, not by
-        # numpy's overflow warnings on the way there
-        with np.errstate(all="ignore"):
+        with _training_on(config.detector_train_path):
             history = train_detector(model, train, valid, epochs=config.detector_epochs,
                                      lr=config.detector_lr, seed=config.seed)
         summary = (f"detector: {len(train)} train / {len(valid)} valid examples, "
                    f"{config.detector_epochs} epochs\n"
                    f"final valid accuracy: {history[-1]['valid_accuracy']:.4f}")
     else:
-        _require(config, "summarization_train_path", "summarization_valid_path",
+        _require(args.config, config, "summarization_train_path", "summarization_valid_path",
                  "detector_checkpoint")
         train = load_summarization_dataset(config.summarization_train_path, vocab)
         valid = load_summarization_dataset(config.summarization_valid_path, vocab)
@@ -215,7 +228,7 @@ def cmd_train(args) -> int:
         if config.embeddings_path:
             init_embeddings(model.embed.data, vocab, config.embeddings_path,
                             [tokens for ex in train for tokens in ex.paragraph_tokens])
-        with np.errstate(all="ignore"):
+        with _training_on(config.summarization_train_path):
             history = train_generator(model, train, train_topics, valid, valid_topics,
                                       schema, vocab, epochs=config.generator_epochs,
                                       lr_first=config.generator_lr_first,
@@ -241,7 +254,7 @@ def cmd_generate(args) -> int:
     config = load_config(args.config)
     config = dataclasses.replace(config, topic_mode=args.mode or config.topic_mode,
                                  beam_size=config.beam_size if args.beam is None else args.beam)
-    _require(config, "vocab_path", "schema_path")
+    _require(args.config, config, "vocab_path", "schema_path")
     vocab = Vocabulary.load(config.vocab_path)
     schema = load_topic_schema(config.schema_path, n_t=config.n_t)
     detector = _load_detector(config, vocab, schema.n_classes, args.detector_ckpt)

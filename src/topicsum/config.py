@@ -22,6 +22,11 @@ _MINIMUM = {
     "stop_loss_weight": 0,
     "seed": 0,
 }
+# the greatest legal value of each bounded count.  A beam step holds one
+# [beam_size x max_sentences, V] float32 block: at most 1,024 x 50,000
+# (205 MB) at the paper's V, inside a 256 MiB budget.  max_sentence_tokens
+# caps the steps of one search.
+_MAXIMUM = {"beam_size": 32, "max_sentences": 32, "max_sentence_tokens": 200}
 _POSITIVE = frozenset({"detector_lr", "generator_lr_first", "generator_lr_rest"})
 
 
@@ -31,6 +36,8 @@ def _problem(key: str, value) -> str | None:
         return f"must be finite, got {value}"
     if key in _MINIMUM and value < _MINIMUM[key]:
         return f"must be at least {_MINIMUM[key]}, got {value}"
+    if key in _MAXIMUM and value > _MAXIMUM[key]:
+        return f"must be at most {_MAXIMUM[key]}, got {value}"
     if key in _POSITIVE and value <= 0:
         return f"must be positive, got {value}"
     if key == "topic_mode" and value not in ("soft", "hard"):
@@ -97,8 +104,9 @@ def load_config(path) -> RunConfig:
     """Parse "key = value" lines; '#' starts a comment, blank lines skipped.
 
     Unknown keys, malformed values and values `_problem` refuses (non-finite
-    floats, counts, sizes and caps below 1, n_t, stop_loss_weight or seed
-    below 0, learning rates of 0 or less, a topic_mode other than soft or
+    floats, counts, sizes and caps below 1, a beam_size or max_sentences
+    above 32 or a max_sentence_tokens above 200, n_t, stop_loss_weight or
+    seed below 0, learning rates of 0 or less, a topic_mode other than soft or
     hard, a stop_threshold outside (0, 1)) raise with the offending line.
     Relative path values are resolved against the config file's directory.
     """

@@ -412,6 +412,7 @@ def token_distribution(model: GeneratorModel, state: ad.Tensor, context: ad.Tens
 # 16 eps, so the margin spans 32 of its ulps: room for the rounding of the
 # division, the product and numpy's log, which is within a few ulps.
 _TIE_MARGIN_EPS = 512
+_BEAM_SPLIT_MIN = 1 << 19   # least R x V whose candidates `beam_candidates` selects on two threads
 
 
 def beam_candidates(model: GeneratorModel, state: np.ndarray, context: np.ndarray,
@@ -435,24 +436,21 @@ def beam_candidates(model: GeneratorModel, state: np.ndarray, context: np.ndarra
     where the best word left out comes within rounding of the last one
     picked, above the clamp, scores every word.  Runs on arrays and records
     nothing on a tape.
+
+    The matrix products run here, at BLAS's own thread count, into one
+    fresh [R, V] block that then holds the logits, their exps and the
+    masks.  From `_BEAM_SPLIT_MIN` R x V on, the rest runs per row on two
+    threads, the first half of the rows here and the second on a worker,
+    bitwise the serial values.
     """
     features = np.concatenate([state, context], axis=1)
     hidden = features @ model.out_hidden_W.data + model.out_hidden_b.data
-    ex = hidden @ model.out_vocab_W.data + model.out_vocab_b.data    # logits, then exp
-    ex -= ex.max(axis=1, keepdims=True)
-    np.exp(ex, out=ex)
-    total = ex.sum(axis=1, keepdims=True)
+    block = hidden @ model.out_vocab_W.data     # the logits less their bias, then exps
     # `ad.sigmoid`'s values, with no tape record
-    p_gen = ad._sigmoid_values(context @ model.gate_context_W.data
+    gates = ad._sigmoid_values(context @ model.gate_context_W.data
                                + state @ model.gate_state_W.data
                                + dec_input @ model.gate_input_W.data
                                + model.gate_b.data)                 # [R, 1]
-    rows = np.arange(ex.shape[0])
-    # copy mass per distinct input id, added in position order as
-    # `ad.scatter_sum` adds it
-    copy = np.zeros((input_ids.size, rows.size), dtype=ex.dtype)
-    np.add.at(copy, inverse, weights)
-    copied = copy.T * (1.0 - p_gen)                                 # [R, U]
     n_vocab = np.searchsorted(input_ids, model.vocab_size)          # input ids in the vocabulary
     # the other words: the `count` lowest ids, which are the ones kept among
     # words tied at the clamp, then the rest's `count` best by repeated
@@ -461,43 +459,65 @@ def beam_candidates(model: GeneratorModel, state: np.ndarray, context: np.ndarra
     free[input_ids[:np.searchsorted(input_ids, free.size)]] = False
     known = np.concatenate([input_ids[:n_vocab], np.flatnonzero(free)[:count]])
     n_words = known.size + min(count, model.vocab_size - known.size)
-    # candidate columns: the known vocabulary ids, the picks, the OOV input ids
-    ids = np.empty((rows.size, n_words + input_ids.size - n_vocab), dtype=np.int64)
-    ids[:, :known.size] = known
-    ids[:, n_words:] = input_ids[n_vocab:]
-    taken = np.empty((rows.size, n_words), dtype=ex.dtype)          # the words' exps
-    taken[:, :known.size] = ex[:, known]
-    ex[:, known] = -1.0
-    flat, offsets = ex.reshape(-1), rows * ex.shape[1]
-    for j in range(known.size, n_words):
-        ids[:, j] = best = ex.argmax(axis=1)
-        at = best + offsets
-        taken[:, j] = flat[at]
-        flat[at] = -1.0
-    values = np.empty(ids.shape, dtype=ex.dtype)
-    values[:, :n_words] = taken / total * p_gen
-    values[:, :n_vocab] += copied[:, :n_vocab]
-    values[:, n_words:] = copied[:, n_vocab:]
-    scores = np.log(np.maximum(values, ad.LOG_FLOOR))
-    order = np.lexsort((ids, -scores), axis=1)[:, :count]
-    best_ids, best_scores = ids[rows[:, None], order], scores[rows[:, None], order]
-    if n_words == model.vocab_size:
+
+    def select(part: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The (ids, scores) of the rows `part`."""
+        ex, p_gen = block[part], gates[part]
+        ex += model.out_vocab_b.data
+        ex -= ex.max(axis=1, keepdims=True)
+        np.exp(ex, out=ex)
+        total = ex.sum(axis=1, keepdims=True)
+        rows = np.arange(ex.shape[0])
+        # copy mass per distinct input id, added in position order as
+        # `ad.scatter_sum` adds it
+        copy = np.zeros((input_ids.size, rows.size), dtype=ex.dtype)
+        np.add.at(copy, inverse, weights[:, part])
+        copied = copy.T * (1.0 - p_gen)                             # [r, U]
+        # candidate columns: the known vocabulary ids, the picks, the OOV input ids
+        ids = np.empty((rows.size, n_words + input_ids.size - n_vocab), dtype=np.int64)
+        ids[:, :known.size] = known
+        ids[:, n_words:] = input_ids[n_vocab:]
+        taken = np.empty((rows.size, n_words), dtype=ex.dtype)      # the words' exps
+        taken[:, :known.size] = ex[:, known]
+        ex[:, known] = -1.0
+        flat, offsets = ex.reshape(-1), rows * ex.shape[1]
+        for j in range(known.size, n_words):
+            ids[:, j] = best = ex.argmax(axis=1)
+            at = best + offsets
+            taken[:, j] = flat[at]
+            flat[at] = -1.0
+        values = np.empty(ids.shape, dtype=ex.dtype)
+        values[:, :n_words] = taken / total * p_gen
+        values[:, :n_vocab] += copied[:, :n_vocab]
+        values[:, n_words:] = copied[:, n_vocab:]
+        scores = np.log(np.maximum(values, ad.LOG_FLOOR))
+        order = np.lexsort((ids, -scores), axis=1)[:, :count]
+        best_ids, best_scores = ids[rows[:, None], order], scores[rows[:, None], order]
+        if n_words == model.vocab_size:
+            return best_ids, best_scores
+        # a word left out can tie a pick only if the best word left out
+        # comes within the margin of the last pick; at the clamp, the
+        # lowest ids taken above win the ties
+        runner_up = ex.max(axis=1)
+        near = runner_up >= taken[:, -1] * (1 - _TIE_MARGIN_EPS * np.finfo(ex.dtype).eps)
+        for row in np.flatnonzero(near):
+            if runner_up[row] / total[row, 0] * p_gen[row, 0] <= ad.LOG_FLOOR:
+                continue
+            full = np.zeros(max(model.vocab_size, int(input_ids[-1]) + 1), dtype=ex.dtype)
+            full[:model.vocab_size] = np.log(np.maximum(ex[row] / total[row] * p_gen[row],
+                                                        ad.LOG_FLOOR))
+            full[ids[row]] = scores[row]             # the candidates, masked in `ex`
+            top = np.flatnonzero(full >= np.partition(full, full.size - count)[full.size - count])
+            best_ids[row] = top[np.lexsort((top, -full[top]))[:count]]
+            best_scores[row] = full[best_ids[row]]
         return best_ids, best_scores
-    # a word left out can tie a pick only if the best word left out comes
-    # within the margin of the last pick; at the clamp, the lowest ids
-    # taken above win the ties
-    runner_up = ex.max(axis=1)
-    near = runner_up >= taken[:, -1] * (1 - _TIE_MARGIN_EPS * np.finfo(ex.dtype).eps)
-    for row in np.flatnonzero(near):
-        if runner_up[row] / total[row, 0] * p_gen[row, 0] <= ad.LOG_FLOOR:
-            continue
-        full = np.zeros(max(model.vocab_size, int(input_ids[-1]) + 1), dtype=ex.dtype)
-        full[:model.vocab_size] = np.log(np.maximum(ex[row] / total[row] * p_gen[row], ad.LOG_FLOOR))
-        full[ids[row]] = scores[row]                 # the candidates, masked in `ex`
-        top = np.flatnonzero(full >= np.partition(full, full.size - count)[full.size - count])
-        best_ids[row] = top[np.lexsort((top, -full[top]))[:count]]
-        best_scores[row] = full[best_ids[row]]
-    return best_ids, best_scores
+
+    n_rows = block.shape[0]
+    if n_rows < 2 or block.size < _BEAM_SPLIT_MIN:
+        return select(slice(None))
+    half = (n_rows + 1) // 2
+    halves = ad._on_two_threads(lambda: select(slice(0, half)), lambda: select(slice(half, None)))
+    return tuple(np.concatenate(parts) for parts in zip(*halves))
 
 
 # ---------------------------------------------------------------------------
@@ -545,40 +565,42 @@ def _beam_search(model: GeneratorModel, decoder_inits: Sequence[ad.Tensor],
     states = np.concatenate([init.data for init in decoder_inits])
     parents = list(range(len(decoder_inits)))
     prev_ids = [BOS_ID] * len(decoder_inits)
-    while parents:
-        # extended ids (copied OOV tokens) feed back as UNK
-        x = ad.embedding_lookup(model.embed, [i if i < model.vocab_size else UNK_ID
-                                              for i in prev_ids])
-        block = model.dec_cell.step(x, ad.Tensor(states[parents]))
-        weights, context = attention_step(model, block, encoding.token_states,
-                                          encoding.attention_keys)
-        best, log_probs = (part.tolist() for part in beam_candidates(
-            model, block.data, context.data, x.data, weights.data, input_ids, inverse,
-            beam + 1))
-        states, parents, prev_ids, row = block.data, [], [], 0
-        for sentence, hyps in enumerate(live):
-            candidates: list[tuple[float, int, _Hypothesis, int]] = []
-            for hyp in hyps:
-                for token_id, log_prob in zip(best[row], log_probs[row]):
-                    candidates.append((hyp.log_prob + log_prob, token_id, hyp, row))
-                row += 1
-            # deterministic order: higher score first, lower token id on ties
-            candidates.sort(key=lambda c: (-c[0], c[1]))
-            next_live: list[_Hypothesis] = []
-            for score, token_id, hyp, parent in candidates[:beam]:
-                # finished hypotheses consume beam slots, so beam 1 is greedy
-                emitted = len(hyp.tokens) + 1
-                if token_id == EOS_ID:
-                    finished[sentence].append((score / emitted, hyp.tokens))
-                    continue
-                tokens = hyp.tokens + [token_id]
-                if len(tokens) >= config.max_sentence_tokens:
-                    finished[sentence].append((score / emitted, tokens))
-                    continue
-                next_live.append(_Hypothesis(tokens=tokens, log_prob=score))
-                parents.append(parent)
-                prev_ids.append(token_id)
-            live[sentence] = next_live
+    # one worker thread for every step's two-thread work
+    with ad._worker_scope():
+        while parents:
+            # extended ids (copied OOV tokens) feed back as UNK
+            x = ad.embedding_lookup(model.embed, [i if i < model.vocab_size else UNK_ID
+                                                  for i in prev_ids])
+            block = model.dec_cell.step(x, ad.Tensor(states[parents]))
+            weights, context = attention_step(model, block, encoding.token_states,
+                                              encoding.attention_keys)
+            best, log_probs = (part.tolist() for part in beam_candidates(
+                model, block.data, context.data, x.data, weights.data, input_ids, inverse,
+                beam + 1))
+            states, parents, prev_ids, row = block.data, [], [], 0
+            for sentence, hyps in enumerate(live):
+                candidates: list[tuple[float, int, _Hypothesis, int]] = []
+                for hyp in hyps:
+                    for token_id, log_prob in zip(best[row], log_probs[row]):
+                        candidates.append((hyp.log_prob + log_prob, token_id, hyp, row))
+                    row += 1
+                # deterministic order: higher score first, lower token id on ties
+                candidates.sort(key=lambda c: (-c[0], c[1]))
+                next_live: list[_Hypothesis] = []
+                for score, token_id, hyp, parent in candidates[:beam]:
+                    # finished hypotheses consume beam slots, so beam 1 is greedy
+                    emitted = len(hyp.tokens) + 1
+                    if token_id == EOS_ID:
+                        finished[sentence].append((score / emitted, hyp.tokens))
+                        continue
+                    tokens = hyp.tokens + [token_id]
+                    if len(tokens) >= config.max_sentence_tokens:
+                        finished[sentence].append((score / emitted, tokens))
+                        continue
+                    next_live.append(_Hypothesis(tokens=tokens, log_prob=score))
+                    parents.append(parent)
+                    prev_ids.append(token_id)
+                live[sentence] = next_live
     return [max(done, key=lambda item: item[0]) for done in finished]
 
 

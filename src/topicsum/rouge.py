@@ -53,18 +53,18 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int = 1) -> R
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    previous = np.zeros(len(b) + 1, dtype=np.int64)
-    current = np.zeros(len(b) + 1, dtype=np.int64)
-    for token_a in a:
-        for j, token_b in enumerate(b, start=1):
-            if token_a == token_b:
-                current[j] = previous[j - 1] + 1
-            else:
-                current[j] = max(previous[j], current[j - 1])
-        previous, current = current, previous
-    return int(previous[-1])
+    """Length of a longest common subsequence, by the bit-vector LCS
+    (Allison & Dix 1986; Hyyrö 2004): bit j of `row` is 0 where the DP row
+    over b steps up at j, and each token of a updates all of b at once."""
+    matches: dict[str, int] = {}
+    for j, token in enumerate(b):
+        matches[token] = matches.get(token, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    row = full
+    for token in a:
+        hits = row & matches.get(token, 0)
+        row = ((row + hits) | (row - hits)) & full
+    return len(b) - row.bit_count()
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> RougeScore:

@@ -4,7 +4,9 @@ Derived gradient values are checked against central finite differences
 (step 1e-3) computed here, independently of the backward implementations.
 """
 
+import contextlib
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -129,6 +131,87 @@ class TestParameterInit:
         assert order == ["first", "second"]
         # without the BLAS switch the worker runs regardless
         assert ad._on_two_threads(side("first"), side("second"))[1] != threading.get_ident()
+
+    def test_one_worker_per_scope_joined_on_exit_and_on_a_raise(self):
+        threads = threading.active_count()
+        with ad._worker_scope():
+            workers = {ad._on_two_threads(lambda: None, threading.get_ident)[1] for _ in range(3)}
+            assert len(workers) == 1 and threading.get_ident() not in workers
+            assert threading.active_count() == threads + 1
+        assert threading.active_count() == threads
+        with pytest.raises(MemoryError, match="inside the scope"):
+            with ad._worker_scope():
+                ad._on_two_threads(lambda: None, lambda: None)
+                raise MemoryError("inside the scope")
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("scoped", [False, True])
+    @pytest.mark.parametrize("failing_first", [False, True])
+    def test_a_raise_on_either_side_comes_out_after_both_finish(self, scoped, failing_first):
+        finished = []
+
+        def slow():
+            time.sleep(0.05)
+            finished.append(threading.get_ident())
+
+        def failing():
+            raise MemoryError("side failed")
+
+        with ad._worker_scope() if scoped else contextlib.nullcontext():
+            with pytest.raises(MemoryError, match="side failed"):
+                ad._on_two_threads(*((failing, slow) if failing_first else (slow, failing)))
+            assert len(finished) == 1
+            # the worker is free again
+            assert ad._on_two_threads(lambda: 1, lambda: 2) == (1, 2)
+
+    def test_blas_thread_count_is_restored_inside_a_scope(self):
+        blas = ad._blas_threads()
+        if blas is None:
+            pytest.skip("no thread-count setter found in numpy's OpenBLAS")
+        get, set_ = blas
+        original = get()
+
+        def failing():
+            raise MemoryError("worker failed")
+
+        set_(2)
+        try:
+            with ad._worker_scope():
+                assert ad._on_two_threads(get, get, one_blas_thread=True) == (1, 1)
+                assert get() == 2
+                with pytest.raises(MemoryError, match="worker failed"):
+                    ad._on_two_threads(get, failing, one_blas_thread=True)
+                assert get() == 2
+        finally:
+            set_(original)
+
+    def test_nested_calls_from_either_side_finish(self):
+        """A two-thread call from inside first(), from the worker, or from a
+        scope opened on either side takes a new thread and does not wait on
+        the busy worker."""
+        def nested():
+            return ad._on_two_threads(lambda: "a", lambda: "b")
+
+        def scoped_nested():
+            with ad._worker_scope():
+                return nested(), nested()
+
+        results = []
+
+        def search():
+            with ad._worker_scope():
+                results.append(ad._on_two_threads(nested, nested))
+                results.append(ad._on_two_threads(scoped_nested, scoped_nested))
+                results.append(ad._on_two_threads(lambda: 1, lambda: 2))
+
+        threads = threading.active_count()
+        runner = threading.Thread(target=search, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "a nested two-thread call did not finish"
+        pair = ("a", "b")
+        assert results == [(pair, pair), ((pair, pair), (pair, pair)), (1, 2)]
+        assert threading.active_count() == threads
 
     def test_parameters_of_reads_trainable_attributes_in_assignment_order(self):
         class Inner:
@@ -300,6 +383,42 @@ class TestForwardValues:
             for r in range(4):
                 want = np.tanh(keys[i] + queries[r]) @ v[:, 0]
                 np.testing.assert_allclose(scores.data[i, r], want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("count", [3, 8, 9, 12])
+    def test_additive_scores_halves_on_two_threads_equal_one_pass(self, monkeypatch, dtype,
+                                                                   count):
+        """With the split forced at two queries a block, scores and adjoints
+        equal the one-thread ones bitwise: 2 blocks (one per half, the last
+        partial), 4 (two each), 5 (three and two) and 6 (three each)."""
+        n, hidden = 5, 4
+        monkeypatch.setattr(ad, "_SCORE_BLOCK", 2 * n * hidden)
+        rng = np.random.default_rng(count)
+        arrays = [rng.uniform(-1, 1, shape) for shape in ((n, hidden), (count, hidden),
+                                                          (hidden, 1), (n, count))]
+        calls, on_two_threads = [], ad._on_two_threads
+
+        def spy(first, second, one_blas_thread=False):
+            calls.append(one_blas_thread)
+            return on_two_threads(first, second, one_blas_thread)
+
+        monkeypatch.setattr(ad, "_on_two_threads", spy)
+
+        def run(split_min):
+            monkeypatch.setattr(ad, "_SCORE_SPLIT_MIN", split_min)
+            with ad.using_dtype(dtype):
+                keys, queries, v, g = (ad.Tensor(x, requires_grad=True) for x in arrays)
+                with ad.tape() as recording:
+                    scores = ad.additive_scores(keys, queries, v)
+                    recording.backward((scores * g).sum())
+            return [scores.data, keys.grad, queries.grad, v.grad]
+
+        serial = run(count * n * hidden + 1)
+        assert calls == []
+        split = run(count * n * hidden)
+        assert calls == [True]
+        for got, want in zip(split, serial):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     def test_additive_scores_shape_mismatch_names_shapes(self):
         with pytest.raises(ValueError, match=r"\(5, 3\).*\(4, 2\).*\(3, 1\)"):

@@ -5,7 +5,11 @@ generation, and evaluation once; the tests then assert on the artifacts
 and on the exit-code contract.
 """
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,6 +401,62 @@ class TestExitCodes:
                    "--out", str(tmp_path / "d.bin")])
         assert rc == 2
         assert "vocab_path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["detector", "generator"])
+    def test_missing_required_config_keys_name_the_config(self, tmp_path, capsys, stage):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 1\n", encoding="utf-8")
+        rc = main(["train", "--stage", stage, "--config", str(config),
+                   "--out", str(tmp_path / "d.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: config is missing required keys: vocab_path, schema_path\n")
+
+    @pytest.mark.parametrize("stage, key", [("detector", "detector_train_path"),
+                                            ("generator", "summarization_train_path")])
+    def test_empty_training_set_names_the_dataset(self, workspace, tmp_path, capsys, stage,
+                                                  key):
+        root, _, _ = workspace
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        config = root / f"empty_{stage}.cfg"
+        config.write_text(CONFIG_TEMPLATE + f"{key} = {empty}\n", encoding="utf-8")
+        out = tmp_path / "model.bin"
+        rc = main(["train", "--stage", stage, "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {empty}: empty training set\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["beam_size", "max_sentences", "max_sentence_tokens"])
+    def test_huge_decoding_count_returns_two_naming_path_and_line(self, workspace, tmp_path,
+                                                                  key):
+        """`generate` with a count of 99999999999, in a child process under a
+        2 GiB address-space limit and a timeout, so that a count the config
+        lets through fails this test rather than the test runner."""
+        root, paths, _ = workspace
+        lines = CONFIG_TEMPLATE.splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} ="))
+        lines[lineno - 1] = f"{key} = 99999999999"
+        config = root / f"huge_{key}.cfg"
+        config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "g.txt"
+        child = ("import resource, sys; "
+                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+                 "from topicsum.cli import main; sys.exit(main(sys.argv[1:]))")
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", child, "generate", "--config", str(config),
+             "--detector-ckpt", str(root / "detector.bin"),
+             "--generator-ckpt", str(root / "generator.bin"),
+             "--input", str(paths["summ_valid"]), "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [package_root, os.environ.get("PYTHONPATH", "")])})
+        assert done.returncode == 2, done.stderr
+        bound = {"max_sentence_tokens": 200}.get(key, 32)
+        assert done.stderr == (f"error: {config}:{lineno}: '{key}' must be at most {bound}, "
+                               f"got 99999999999\n")
+        assert not out.exists()
 
     def test_non_finite_training_loss_returns_two_and_writes_nothing(self, workspace,
                                                                      tmp_path, capsys):

@@ -27,11 +27,17 @@ ILLEGAL = [
     ("topic_mode", "fuzzy", "must be 'soft' or 'hard', got 'fuzzy'"),
     ("stop_threshold", "0", r"must lie in \(0, 1\), got 0.0"),
     ("stop_threshold", "1", r"must lie in \(0, 1\), got 1.0"),
+    ("beam_size", "33", "must be at most 32, got 33"),
+    ("max_sentences", "33", "must be at most 32, got 33"),
+    ("max_sentence_tokens", "201", "must be at most 200, got 201"),
 ]
 
 # the least legal value of every bounded setting
 EDGES = [("n_t", "0"), ("seed", "0"), ("stop_loss_weight", "0"), ("detector_lr", "1e-30"),
          ("beam_size", "1"), ("ttg_cap", "1"), ("stop_threshold", "1e-9")]
+
+# the greatest legal value of every setting bounded from above
+GREATEST = [("beam_size", "32"), ("max_sentences", "32"), ("max_sentence_tokens", "200")]
 
 
 def parse(key, text):
@@ -58,6 +64,13 @@ class TestRules:
         path.write_text(f"{key} = {text}\n", encoding="utf-8")
         assert getattr(load_config(path), key) == parse(key, text)
         assert getattr(RunConfig(**{key: parse(key, text)}), key) == parse(key, text)
+
+    @pytest.mark.parametrize("key, text", GREATEST, ids=[key for key, _ in GREATEST])
+    def test_greatest_legal_value_accepted(self, tmp_path, key, text):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {text}\n", encoding="utf-8")
+        assert getattr(load_config(path), key) == parse(key, text)
+        assert getattr(DecodeConfig(**{key: parse(key, text)}), key) == parse(key, text)
 
     def test_replace_is_checked(self):
         with pytest.raises(ValueError, match="^'beam_size' must be at least 1, got 0$"):

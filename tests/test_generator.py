@@ -7,6 +7,8 @@ checked against central finite differences through a full example loss.
 """
 
 import hashlib
+import sys
+import threading
 from functools import reduce
 
 import numpy as np
@@ -1061,6 +1063,81 @@ class TestBeamCandidates:
                     assert scores[0, -1] == log_probs[0, low]
         assert tied >= 3
 
+    def split_equals_serial(self, monkeypatch, model, *arrays, count):
+        """beam_candidates with the row halves forced onto two threads,
+        asserted bitwise equal to the one-pass result and returned."""
+        calls, on_two_threads = [], ad._on_two_threads
+
+        def spy(first, second, one_blas_thread=False):
+            calls.append(one_blas_thread)
+            return on_two_threads(first, second, one_blas_thread)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "_on_two_threads", spy)
+            serial = beam_candidates(model, *arrays, count)
+            assert calls == []
+            patch.setattr(generator, "_BEAM_SPLIT_MIN", 0)
+            split = beam_candidates(model, *arrays, count)
+        assert calls == ([False] if arrays[0].shape[0] > 1 else [])
+        for got, want in zip(split, serial):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        return split
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_row_halves_on_two_threads_equal_one_pass(self, monkeypatch, dtype, rows):
+        vocab = Vocabulary([f"w{i}" for i in range(60)])
+        with ad.using_dtype(dtype):
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                model = make_model(vocab, seed=seed)
+                for tensor in model.parameters().values():
+                    tensor.data *= rng.uniform(1.0, 20.0)
+                tokens = [f"w{i}" for i in rng.integers(0, 60, 25)] + ["zork", "w3", "zork"]
+                grouped = group_paragraphs([tokens], [0], make_schema(), vocab)
+                input_ids, inverse = np.unique(grouped.extended_ids, return_inverse=True)
+                state, context = (rng.normal(0.0, 1.0, (rows, 4)).astype(dtype) for _ in range(2))
+                dec_input = rng.normal(0.0, 1.0, (rows, 5)).astype(dtype)
+                weights = rng.dirichlet(np.ones(inverse.size), size=rows).T.astype(dtype)
+                self.split_equals_serial(monkeypatch, model, state, context, dec_input, weights,
+                                         input_ids, inverse, count=6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_row_halves_keep_the_tie_rescoring(self, monkeypatch, dtype, rows):
+        """`test_rounding_tie_at_the_cut` in the last row, on the worker's
+        half: the gate reads the state's first unit, and every other row
+        puts its words below the clamp, so only the last row is rescored."""
+        vocab = Vocabulary([f"w{i}" for i in range(36)])
+        top, low, high, count = 10, 20, 30, 6
+        step = 10 * np.finfo(dtype).eps
+        with ad.using_dtype(dtype):
+            grouped = group_paragraphs([["w30"]], [0], make_schema(), vocab)
+            input_ids, inverse = np.unique(grouped.extended_ids, return_inverse=True)
+            model = rigged_distribution_model(vocab, grouped, p_gen=1e-8, vocab_probs={})
+            model.gate_state_W.data[0, 0] = 1.0
+            state = np.zeros((rows, 4), dtype)
+            state[:-1, 0] = -80.0
+            context, dec_input = np.zeros((rows, 4), dtype), np.zeros((rows, 5), dtype)
+            weights = np.zeros((1, rows), dtype)
+            tied = 0
+            for shift in range(40):
+                logits = np.full(len(vocab), -1e9, dtype=dtype)
+                logits[top:top + count - 1] = 0.0
+                logits[high] = dtype(-3.0 + 1e-3 * shift)
+                logits[low] = logits[high] - dtype(step)
+                model.out_vocab_b.data[0] = logits
+                _, scores = self.split_equals_serial(monkeypatch, model, state, context,
+                                                     dec_input, weights, input_ids, inverse,
+                                                     count=count)
+                _, want, log_probs = full_block_candidates(model, grouped, state, context,
+                                                           dec_input, weights, count)
+                np.testing.assert_array_equal(scores, want)
+                if log_probs[-1, low] == log_probs[-1, high]:
+                    tied += 1
+                    assert scores[-1, -1] == log_probs[-1, low]
+        assert tied >= 3
+
 
 class DecodingSetup:
     def build(self, seed=0, paragraphs=None, assignments=None):
@@ -1273,6 +1350,76 @@ class TestLockstepDecoding(DecodingSetup):
     def test_no_sentences_runs_no_decoder(self):
         vocab, _, model, grouped, encoding = self.build()
         assert decode_sentences(model, [], encoding, grouped, vocab, DecodeConfig()) == []
+
+
+class TestTwoThreadSearch(DecodingSetup):
+    def test_two_user_threads_searching_at_once_get_their_own_results(self, monkeypatch):
+        """With attention and candidate selection forced onto two threads,
+        each of two threads searching at the same time keeps its own worker
+        and gets the results of a search run alone."""
+        monkeypatch.setattr(generator, "_BEAM_SPLIT_MIN", 0)
+        monkeypatch.setattr(ad, "_SCORE_SPLIT_MIN", 0)
+        monkeypatch.setattr(ad, "_SCORE_BLOCK", 1)     # one query a block
+        calls, on_two_threads = [], ad._on_two_threads
+
+        def spy(first, second, one_blas_thread=False):
+            calls.append(threading.get_ident())
+            return on_two_threads(first, second, one_blas_thread)
+
+        monkeypatch.setattr(ad, "_on_two_threads", spy)
+        config = DecodeConfig(beam_size=3, max_sentence_tokens=6)
+        searches = []
+        for seed in (0, 1):
+            _, _, model, grouped, encoding = self.build(seed=seed)
+            for tensor in model.parameters().values():
+                tensor.data *= 5.0
+            inits = [ad.Tensor(np.random.default_rng(seed + k).normal(0.0, 1.0, (1, 4)))
+                     for k in range(3)]
+            searches.append((model, inits, encoding, grouped, config))
+        alone = [_beam_search(*search) for search in searches]
+        assert alone[0] != alone[1]
+        calls.clear()
+        results, start = [[], []], threading.Barrier(2)
+
+        def user(index):
+            start.wait()
+            for _ in range(5):
+                results[index].append(_beam_search(*searches[index]))
+
+        users = [threading.Thread(target=user, args=(index,), daemon=True) for index in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # switch often, so the two searches interleave
+        try:
+            for thread in users:
+                thread.start()
+            for thread in users:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in users)
+        assert results == [[alone[0]] * 5, [alone[1]] * 5]
+        assert set(calls) == {thread.ident for thread in users}
+
+    def test_toy_size_starts_no_second_thread(self, monkeypatch):
+        """Training and beam-5 generation at the acceptance corpus's size
+        (E=48, H=64) stay below every two-thread threshold."""
+        calls, on_two_threads = [], ad._on_two_threads
+
+        def spy(first, second, one_blas_thread=False):
+            calls.append(one_blas_thread)
+            return on_two_threads(first, second, one_blas_thread)
+
+        monkeypatch.setattr(ad, "_on_two_threads", spy)
+        corpus = toy_summarization_corpus(20, 0)
+        model = GeneratorModel(len(corpus.vocab), len(corpus.schema.topics), embed_dim=48,
+                               hidden_dim=64, seed=42)
+        train_generator(model, corpus.examples[:3], corpus.assignments[:3], [], [],
+                        corpus.schema, corpus.vocab, epochs=1)
+        config = DecodeConfig(beam_size=5, max_sentences=10)
+        for example, assignments in zip(corpus.examples[:3], corpus.assignments):
+            generate_abstract(model, example.paragraph_tokens, assignments, corpus.schema,
+                              corpus.vocab, config)
+        assert calls == []
 
 
 class TestGenerateAbstract(DecodingSetup):

@@ -6,6 +6,7 @@ import pytest
 from topicsum.rouge import (
     EvalReport,
     RougeScore,
+    _lcs_length,
     dedup_sentences,
     evaluate_corpus,
     rouge_l,
@@ -85,6 +86,31 @@ class TestRougeL:
     def test_empty_sides(self):
         assert rouge_l([], ["a"]) == RougeScore(0.0, 0.0, 0.0)
         assert rouge_l(["a"], []) == RougeScore(0.0, 0.0, 0.0)
+
+    def test_bit_vector_lcs_equals_the_dynamic_program(self):
+        """`_lcs_length` against the textbook DP over seeded random pairs:
+        empty sides, one-word vocabularies, repeated tokens, and references
+        longer than a machine word."""
+        def dp_lcs(a, b):
+            previous = [0] * (len(b) + 1)
+            for token_a in a:
+                current = [0]
+                for j, token_b in enumerate(b, start=1):
+                    current.append(previous[j - 1] + 1 if token_a == token_b
+                                   else max(previous[j], current[j - 1]))
+                previous = current
+            return previous[-1]
+
+        rng = np.random.default_rng(26)
+        cases = [([], []), ([], ["a"]), (["a"], []), (["a"] * 5, ["a"] * 3),
+                 (["a", "b"] * 40, ["b", "a"] * 50)]
+        for _ in range(600):
+            words = [f"w{i}" for i in range(int(rng.choice([1, 2, 3, 10, 500])))]
+            a, b = ([str(w) for w in rng.choice(words, size=int(rng.integers(0, 90)))]
+                    for _ in range(2))
+            cases.append((a, b))
+        for a, b in cases:
+            assert _lcs_length(a, b) == dp_lcs(a, b), (a, b)
 
     def test_matches_brute_force_on_random_pairs(self):
         # oracle: recursive LCS with memoization, written independently
