@@ -38,9 +38,10 @@ norm, each over two halves of the parameters' chunks, and the generator's
 beam-step candidate selection over two halves of its rows.  Each half does
 the arithmetic it would do alone, and the products whose bits depend on
 BLAS's thread count run on the calling thread at BLAS's own count, so every
-value is bitwise the serial one.  A beam search holds one worker thread for
-all its steps (`_worker_scope`); any other call starts one of its own.
-Toy-size models stay serial.
+value is bitwise the serial one.  Every call shares the process's one
+worker thread (`_worker`), started on first use; a call that finds it busy
+runs its two halves in turn on the calling thread, and a forked child
+starts a worker of its own.  Toy-size models stay serial.
 
 Gradient contract: every adjoint lives in its tensor's `.grad`.  On leaves,
 the tensors that no record on the tape produced (parameters and inputs
@@ -64,6 +65,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -303,69 +305,62 @@ def _blas_threads():
     return None
 
 
-_WORKER = threading.local()   # .pool: the worker of this thread's `_worker_scope`, if any
+@functools.cache
+def _worker() -> ThreadPoolExecutor:
+    """The process's one worker thread, started on first use."""
+    return ThreadPoolExecutor(max_workers=1)
 
 
-@contextlib.contextmanager
-def _worker_scope():
-    """Keep one worker thread for every `_on_two_threads` call this thread
-    makes inside the block, instead of a new one per call; it is joined on
-    leaving, so no thread outlives the block.  An inner scope uses the outer
-    one's worker."""
-    if getattr(_WORKER, "pool", None) is not None:
-        yield
-        return
-    pool = _WORKER.pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        yield
-    finally:
-        _WORKER.pool = None
-        pool.shutdown(wait=True)
+_BUSY = threading.Lock()   # held by the `_on_two_threads` call that has the worker
+
+
+def _reset_worker_in_child() -> None:
+    """A forked child has no copy of the parent's worker thread, and the
+    lock may have been held by a thread it does not have either."""
+    global _BUSY
+    _worker.cache_clear()
+    _BUSY = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_worker_in_child)
 
 
 def _on_two_threads(first: Callable, second: Callable, one_blas_thread: bool = False):
-    """(first(), second()), with second() on a worker thread while first()
-    runs on this one.  Both have finished when this returns or raises, and
-    an exception of either side is raised here, first()'s before the
-    worker's.
+    """(first(), second()), with second() on the process's worker thread
+    while first() runs on this one.  Both have finished when this returns
+    or raises, and an exception of either side is raised here, first()'s
+    before the worker's.
 
-    The worker is this thread's `_worker_scope` one when it is idle, else a
-    new thread for this call: a call from another thread, the worker
-    included, or from inside first() never waits on a busy worker.
+    When the worker is busy (a call from inside first(), from the worker
+    itself, or from a second thread while another call has it), first()
+    and then second() run here in turn, so no call waits on the worker.
 
-    With `one_blas_thread`, OpenBLAS runs one thread for the call's length,
-    so that the two sides' matrix products do not compete for the cores:
-    the count is set once on this thread before the worker starts and put
-    back after the join.  Without a way to set it, both run here in turn.
+    With `one_blas_thread`, OpenBLAS runs one thread while this call has
+    the worker, so that the two sides' matrix products do not compete for
+    the cores: the count is set on this thread before the worker starts and
+    put back after the join.  A call that runs in turn leaves the count
+    alone, and without a way to set it both sides run here in turn.
     """
+    blas = _blas_threads() if one_blas_thread else None
+    if (one_blas_thread and blas is None) or not _BUSY.acquire(blocking=False):
+        return first(), second()
     restore = None
-    if one_blas_thread:
-        blas = _blas_threads()
-        if blas is None:
-            return first(), second()
-        get, set_ = blas
-        restore = get()
-        set_(1)
-    pool = getattr(_WORKER, "pool", None)
-    fresh = pool is None
-    if fresh:
-        pool = ThreadPoolExecutor(max_workers=1)
-    else:
-        _WORKER.pool = None   # busy: a call from inside first() takes a new thread
     try:
-        later = pool.submit(second)
+        if blas is not None:
+            get, set_ = blas
+            restore = get()
+            set_(1)
+        later = _worker().submit(second)
         try:
             result = first()
         finally:
             wait([later])
         return result, later.result()
     finally:
-        if fresh:
-            pool.shutdown(wait=True)
-        else:
-            _WORKER.pool = pool
         if restore is not None:
             set_(restore)
+        _BUSY.release()
 
 
 # ---------------------------------------------------------------------------

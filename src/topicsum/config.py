@@ -25,8 +25,13 @@ _MINIMUM = {
 # the greatest legal value of each bounded count.  A beam step holds one
 # [beam_size x max_sentences, V] float32 block: at most 1,024 x 50,000
 # (205 MB) at the paper's V, inside a 256 MiB budget.  max_sentence_tokens
-# caps the steps of one search.
-_MAXIMUM = {"beam_size": 32, "max_sentences": 32, "max_sentence_tokens": 200}
+# caps the steps of one search.  A generator holds V(E + H + 1) + 9EH + 23H^2
+# float32 weights: at most 136 M (544 MB) at the paper's V, inside a 1 GiB
+# budget per copy; training keeps four copies (weights, gradients, Adam's
+# two moments).  The detector's [V, E] table is smaller.
+_MAXIMUM = {"beam_size": 32, "max_sentences": 32, "max_sentence_tokens": 200,
+            **dict.fromkeys(("embed_size", "hidden_size", "detector_embed_size",
+                             "detector_hidden_size"), 1024)}
 _POSITIVE = frozenset({"detector_lr", "generator_lr_first", "generator_lr_rest"})
 
 
@@ -104,10 +109,11 @@ def load_config(path) -> RunConfig:
     """Parse "key = value" lines; '#' starts a comment, blank lines skipped.
 
     Unknown keys, malformed values and values `_problem` refuses (non-finite
-    floats, counts, sizes and caps below 1, a beam_size or max_sentences
-    above 32 or a max_sentence_tokens above 200, n_t, stop_loss_weight or
-    seed below 0, learning rates of 0 or less, a topic_mode other than soft or
-    hard, a stop_threshold outside (0, 1)) raise with the offending line.
+    floats, counts, sizes and caps below 1, a model size above 1024, a
+    beam_size or max_sentences above 32 or a max_sentence_tokens above 200,
+    n_t, stop_loss_weight or seed below 0, learning rates of 0 or less, a
+    topic_mode other than soft or hard, a stop_threshold outside (0, 1))
+    raise with the offending line.
     Relative path values are resolved against the config file's directory.
     """
     path = Path(path)

@@ -344,20 +344,17 @@ def attention_keys(model: GeneratorModel, token_states: ad.Tensor) -> ad.Tensor:
 
 
 def attention_step(model: GeneratorModel, state: ad.Tensor,
-                   token_states: ad.Tensor, keys: ad.Tensor | None = None):
+                   token_states: ad.Tensor, keys: ad.Tensor):
     """Additive attention of each of R decoder states [R, H] over all n
     token states.
 
-    `keys` are `attention_keys(model, token_states)`, computed here when not
-    given.  The states' query terms are one affine over the block; the
-    scores are one `ad.additive_scores` record, normalized over the n
-    positions.  Returns (weights [n, R], one column per state, contexts
-    [R, H]).
+    `keys` are `attention_keys(model, token_states)`.  The states' query
+    terms are one affine over the block; the scores are one
+    `ad.additive_scores` record, normalized over the n positions.  Returns
+    (weights [n, R], one column per state, contexts [R, H]).
     """
     if token_states.data.shape[0] == 0:
         raise ValueError("attention requires at least one encoded input token")
-    if keys is None:
-        keys = attention_keys(model, token_states)
     queries = ad.affine(state, model.attn_state_W, model.attn_b)
     weights = ad.softmax(ad.additive_scores(keys, queries, model.attn_v), axis=0)
     context = ad.matmul(ad.transpose(weights), token_states)     # [R, H]
@@ -565,42 +562,40 @@ def _beam_search(model: GeneratorModel, decoder_inits: Sequence[ad.Tensor],
     states = np.concatenate([init.data for init in decoder_inits])
     parents = list(range(len(decoder_inits)))
     prev_ids = [BOS_ID] * len(decoder_inits)
-    # one worker thread for every step's two-thread work
-    with ad._worker_scope():
-        while parents:
-            # extended ids (copied OOV tokens) feed back as UNK
-            x = ad.embedding_lookup(model.embed, [i if i < model.vocab_size else UNK_ID
-                                                  for i in prev_ids])
-            block = model.dec_cell.step(x, ad.Tensor(states[parents]))
-            weights, context = attention_step(model, block, encoding.token_states,
-                                              encoding.attention_keys)
-            best, log_probs = (part.tolist() for part in beam_candidates(
-                model, block.data, context.data, x.data, weights.data, input_ids, inverse,
-                beam + 1))
-            states, parents, prev_ids, row = block.data, [], [], 0
-            for sentence, hyps in enumerate(live):
-                candidates: list[tuple[float, int, _Hypothesis, int]] = []
-                for hyp in hyps:
-                    for token_id, log_prob in zip(best[row], log_probs[row]):
-                        candidates.append((hyp.log_prob + log_prob, token_id, hyp, row))
-                    row += 1
-                # deterministic order: higher score first, lower token id on ties
-                candidates.sort(key=lambda c: (-c[0], c[1]))
-                next_live: list[_Hypothesis] = []
-                for score, token_id, hyp, parent in candidates[:beam]:
-                    # finished hypotheses consume beam slots, so beam 1 is greedy
-                    emitted = len(hyp.tokens) + 1
-                    if token_id == EOS_ID:
-                        finished[sentence].append((score / emitted, hyp.tokens))
-                        continue
-                    tokens = hyp.tokens + [token_id]
-                    if len(tokens) >= config.max_sentence_tokens:
-                        finished[sentence].append((score / emitted, tokens))
-                        continue
-                    next_live.append(_Hypothesis(tokens=tokens, log_prob=score))
-                    parents.append(parent)
-                    prev_ids.append(token_id)
-                live[sentence] = next_live
+    while parents:
+        # extended ids (copied OOV tokens) feed back as UNK
+        x = ad.embedding_lookup(model.embed, [i if i < model.vocab_size else UNK_ID
+                                              for i in prev_ids])
+        block = model.dec_cell.step(x, ad.Tensor(states[parents]))
+        weights, context = attention_step(model, block, encoding.token_states,
+                                          encoding.attention_keys)
+        best, log_probs = (part.tolist() for part in beam_candidates(
+            model, block.data, context.data, x.data, weights.data, input_ids, inverse,
+            beam + 1))
+        states, parents, prev_ids, row = block.data, [], [], 0
+        for sentence, hyps in enumerate(live):
+            candidates: list[tuple[float, int, _Hypothesis, int]] = []
+            for hyp in hyps:
+                for token_id, log_prob in zip(best[row], log_probs[row]):
+                    candidates.append((hyp.log_prob + log_prob, token_id, hyp, row))
+                row += 1
+            # deterministic order: higher score first, lower token id on ties
+            candidates.sort(key=lambda c: (-c[0], c[1]))
+            next_live: list[_Hypothesis] = []
+            for score, token_id, hyp, parent in candidates[:beam]:
+                # finished hypotheses consume beam slots, so beam 1 is greedy
+                emitted = len(hyp.tokens) + 1
+                if token_id == EOS_ID:
+                    finished[sentence].append((score / emitted, hyp.tokens))
+                    continue
+                tokens = hyp.tokens + [token_id]
+                if len(tokens) >= config.max_sentence_tokens:
+                    finished[sentence].append((score / emitted, tokens))
+                    continue
+                next_live.append(_Hypothesis(tokens=tokens, log_prob=score))
+                parents.append(parent)
+                prev_ids.append(token_id)
+            live[sentence] = next_live
     return [max(done, key=lambda item: item[0]) for done in finished]
 
 

@@ -30,7 +30,7 @@ from topicsum.corpus import (SummarizationExample, Topic, TopicSchema,
                              article_token_sequences, build_detector_dataset,
                              label_frequency_stats)
 from topicsum.detector import DetectorModel, MeanEmbeddingEncoder, evaluate_detector, train_detector
-from topicsum.generator import (DecodeConfig, GeneratorModel, attention_step,
+from topicsum.generator import (DecodeConfig, GeneratorModel, attention_keys, attention_step,
                                 compute_losses, encode_topics, example_loss,
                                 generate_abstract, group_paragraphs,
                                 predict_topic_step, token_distribution,
@@ -188,8 +188,9 @@ def test_02_distribution_normalization():
         mode = "soft" if index % 2 == 0 else "hard"
         step = predict_topic_step(model, state, context, encoding.topic_vectors, mode)
         assert abs(float(step.topic_probs.data.sum()) - 1.0) <= SUM_TOL
-        weights, attn_context = attention_step(model, step.decoder_init,
-                                               encoding.token_states)
+        weights, attn_context = attention_step(
+            model, step.decoder_init, encoding.token_states,
+            attention_keys(model, encoding.token_states))
         assert abs(float(weights.data.sum()) - 1.0) <= SUM_TOL
         x = ad.embedding_lookup(model.embed, [int(rng.integers(0, len(vocab)))])
         mixture = token_distribution(model, step.decoder_init, attn_context,
@@ -212,7 +213,8 @@ def test_03_copy_only_mass_stays_on_input():
             tensor.data[...] = 0.0
         model.gate_b.data[...] = -1e9  # sigmoid saturates at exactly 0
         state = ad.Tensor(rng.normal(size=(1, model.hidden_dim)) * 0.5)
-        weights, context = attention_step(model, state, encoding.token_states)
+        weights, context = attention_step(model, state, encoding.token_states,
+                                          attention_keys(model, encoding.token_states))
         x = ad.embedding_lookup(model.embed, [int(rng.integers(0, len(vocab)))])
         mixture = token_distribution(model, state, context, x, weights, grouped)
         off_input = np.ones(grouped.extended_size, dtype=bool)
@@ -259,7 +261,8 @@ def test_04_hand_worked_oracles():
         model.attn_v.data[...] = [[2.0], [0.0]]
         second = float(np.arctanh(np.log(3.0) / 2.0))  # 2 tanh(second) = ln 3
         token_states = ad.Tensor([[0.0, 7.0], [second, -3.0]])
-        weights, context = attention_step(model, ad.zeros((1, 2)), token_states)
+        weights, context = attention_step(model, ad.zeros((1, 2)), token_states,
+                                          attention_keys(model, token_states))
         np.testing.assert_allclose(weights.data, [[0.25], [0.75]], atol=ORACLE_TOL)
         np.testing.assert_allclose(context.data,
                                    [[0.75 * second, 0.25 * 7.0 - 0.75 * 3.0]],

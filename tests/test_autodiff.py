@@ -4,9 +4,13 @@ Derived gradient values are checked against central finite differences
 (step 1e-3) computed here, independently of the backward implementations.
 """
 
-import contextlib
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +72,9 @@ class TestParameterInit:
                 assert got_rng.uniform() == want_rng.uniform()
 
     def test_worker_failure_is_raised_and_no_thread_outlives_the_call(self, monkeypatch):
+        """No thread but the process's one worker outlives a call.  A first
+        call starts the worker, so the counts do not depend on test order."""
+        worker = ad._on_two_threads(lambda: None, threading.get_ident)[1]
         threads = threading.active_count()
         ad.parameter(np.random.default_rng(0), (ad._SPLIT_MIN,))
         assert threading.active_count() == threads
@@ -92,6 +99,7 @@ class TestParameterInit:
             with pytest.raises(MemoryError, match="worker failed"):
                 ad._on_two_threads(lambda: here.append(1), failing, one_blas_thread)
             assert here == [1] and threading.active_count() == threads
+        assert ad._on_two_threads(lambda: None, threading.get_ident)[1] == worker
 
     def test_blas_thread_count_is_one_inside_and_restored_after_a_worker_raises(self):
         blas = ad._blas_threads()
@@ -113,6 +121,43 @@ class TestParameterInit:
             assert get() == 2
             assert ad._on_two_threads(get, get, one_blas_thread=True) == (1, 1)
             assert get() == 2
+            # a raise from first(), and from a call that finds the worker busy
+            with pytest.raises(MemoryError, match="worker failed"):
+                ad._on_two_threads(failing, get, one_blas_thread=True)
+            assert get() == 2
+            with pytest.raises(MemoryError, match="worker failed"):
+                ad._on_two_threads(
+                    lambda: ad._on_two_threads(get, failing, one_blas_thread=True), get)
+            assert get() == 2
+        finally:
+            set_(original)
+
+    def test_a_call_that_runs_in_turn_leaves_the_blas_count_alone(self):
+        """A second thread's call that finds the worker busy and ends after
+        the holder has put the count back does not put back its own reading
+        of 1."""
+        blas = ad._blas_threads()
+        if blas is None:
+            pytest.skip("no thread-count setter found in numpy's OpenBLAS")
+        get, set_ = blas
+        original = get()
+        in_turn, holder_done = threading.Event(), threading.Event()
+        results = []
+
+        def in_turn_first():
+            in_turn.set()
+            assert holder_done.wait(timeout=30)
+            return get()
+
+        other = threading.Thread(target=lambda: results.append(
+            ad._on_two_threads(in_turn_first, get, one_blas_thread=True)), daemon=True)
+        set_(2)
+        try:
+            ad._on_two_threads(lambda: (other.start(), in_turn.wait(timeout=30)), lambda: None,
+                               one_blas_thread=True)
+            holder_done.set()
+            other.join(timeout=30)
+            assert results == [(2, 2)] and get() == 2
         finally:
             set_(original)
 
@@ -132,22 +177,25 @@ class TestParameterInit:
         # without the BLAS switch the worker runs regardless
         assert ad._on_two_threads(side("first"), side("second"))[1] != threading.get_ident()
 
-    def test_one_worker_per_scope_joined_on_exit_and_on_a_raise(self):
+    def test_every_call_shares_one_worker(self):
         threads = threading.active_count()
-        with ad._worker_scope():
-            workers = {ad._on_two_threads(lambda: None, threading.get_ident)[1] for _ in range(3)}
-            assert len(workers) == 1 and threading.get_ident() not in workers
-            assert threading.active_count() == threads + 1
-        assert threading.active_count() == threads
-        with pytest.raises(MemoryError, match="inside the scope"):
-            with ad._worker_scope():
-                ad._on_two_threads(lambda: None, lambda: None)
-                raise MemoryError("inside the scope")
-        assert threading.active_count() == threads
+        workers = {ad._on_two_threads(lambda: None, threading.get_ident)[1] for _ in range(5)}
+        assert len(workers) == 1 and threading.get_ident() not in workers
+        assert threading.active_count() <= threads + 1
+        # a call from another thread uses the same worker when it is idle
+        other = []
+        runner = threading.Thread(
+            target=lambda: other.append(ad._on_two_threads(lambda: None, threading.get_ident)[1]))
+        runner.start()
+        runner.join(timeout=30)
+        assert other == list(workers)
 
-    @pytest.mark.parametrize("scoped", [False, True])
+    @pytest.mark.parametrize("one_blas_thread", [False, True])
     @pytest.mark.parametrize("failing_first", [False, True])
-    def test_a_raise_on_either_side_comes_out_after_both_finish(self, scoped, failing_first):
+    def test_a_raise_on_either_side_comes_out_after_both_finish(self, one_blas_thread,
+                                                                failing_first):
+        if one_blas_thread and ad._blas_threads() is None:
+            pytest.skip("no thread-count setter found in numpy's OpenBLAS")
         finished = []
 
         def slow():
@@ -157,61 +205,101 @@ class TestParameterInit:
         def failing():
             raise MemoryError("side failed")
 
-        with ad._worker_scope() if scoped else contextlib.nullcontext():
-            with pytest.raises(MemoryError, match="side failed"):
-                ad._on_two_threads(*((failing, slow) if failing_first else (slow, failing)))
-            assert len(finished) == 1
-            # the worker is free again
-            assert ad._on_two_threads(lambda: 1, lambda: 2) == (1, 2)
-
-    def test_blas_thread_count_is_restored_inside_a_scope(self):
-        blas = ad._blas_threads()
-        if blas is None:
-            pytest.skip("no thread-count setter found in numpy's OpenBLAS")
-        get, set_ = blas
-        original = get()
-
-        def failing():
-            raise MemoryError("worker failed")
-
-        set_(2)
-        try:
-            with ad._worker_scope():
-                assert ad._on_two_threads(get, get, one_blas_thread=True) == (1, 1)
-                assert get() == 2
-                with pytest.raises(MemoryError, match="worker failed"):
-                    ad._on_two_threads(get, failing, one_blas_thread=True)
-                assert get() == 2
-        finally:
-            set_(original)
+        with pytest.raises(MemoryError, match="side failed"):
+            ad._on_two_threads(*((failing, slow) if failing_first else (slow, failing)),
+                               one_blas_thread)
+        assert len(finished) == 1
+        # the worker is free again: the next call's second side runs on it
+        assert ad._on_two_threads(lambda: 1, threading.get_ident)[1] != threading.get_ident()
 
     def test_nested_calls_from_either_side_finish(self):
-        """A two-thread call from inside first(), from the worker, or from a
-        scope opened on either side takes a new thread and does not wait on
-        the busy worker."""
+        """A two-thread call from inside first() or from the worker finds the
+        worker busy and runs first() and then second() on its own thread."""
         def nested():
-            return ad._on_two_threads(lambda: "a", lambda: "b")
+            order = []
 
-        def scoped_nested():
-            with ad._worker_scope():
-                return nested(), nested()
+            def side(name):
+                def run():
+                    order.append(name)
+                    return threading.get_ident()
+                return run
+
+            return order, ad._on_two_threads(side("a"), side("b")), threading.get_ident()
 
         results = []
-
-        def search():
-            with ad._worker_scope():
-                results.append(ad._on_two_threads(nested, nested))
-                results.append(ad._on_two_threads(scoped_nested, scoped_nested))
-                results.append(ad._on_two_threads(lambda: 1, lambda: 2))
-
-        threads = threading.active_count()
-        runner = threading.Thread(target=search, daemon=True)
+        runner = threading.Thread(target=lambda: results.append(ad._on_two_threads(nested, nested)),
+                                  daemon=True)
         runner.start()
         runner.join(timeout=30)
         assert not runner.is_alive(), "a nested two-thread call did not finish"
-        pair = ("a", "b")
-        assert results == [(pair, pair), ((pair, pair), (pair, pair)), (1, 2)]
-        assert threading.active_count() == threads
+        (inner_first, inner_second), = results
+        for order, idents, caller in (inner_first, inner_second):
+            assert order == ["a", "b"] and idents == (caller, caller)
+        assert inner_first[2] == runner.ident and inner_second[2] != runner.ident
+
+    def test_a_second_user_thread_runs_in_turn_while_the_worker_is_busy(self):
+        """While one thread's call has the worker, another thread's call runs
+        both its sides in turn on that thread instead of waiting."""
+        has_worker, other_done = threading.Event(), threading.Event()
+        results = {}
+
+        def holder():
+            def first():
+                has_worker.set()
+                assert other_done.wait(timeout=30)
+            results["holder"] = ad._on_two_threads(first, threading.get_ident)
+
+        def other():
+            assert has_worker.wait(timeout=30)
+            order = []
+            results["other"] = ad._on_two_threads(lambda: order.append("a") or threading.get_ident(),
+                                                  lambda: order.append("b") or threading.get_ident())
+            results["order"] = order
+            other_done.set()
+
+        users = [threading.Thread(target=target, daemon=True) for target in (holder, other)]
+        for thread in users:
+            thread.start()
+        for thread in users:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in users), "a two-thread call did not finish"
+        assert results["order"] == ["a", "b"]
+        assert results["other"] == (users[1].ident, users[1].ident)
+        assert results["holder"][1] not in (users[0].ident, users[1].ident)
+
+    def test_a_forked_child_starts_a_worker_of_its_own(self):
+        """A child forked after the parent started the worker, from an idle
+        worker or while another thread's call holds it, finishes a
+        two-thread call on a worker of its own.  The forks happen in a
+        separate interpreter, so the test runner never forks; each child
+        dies from an alarm if its call hangs."""
+        script = textwrap.dedent("""
+            import os, signal, sys, threading
+            import topicsum.autodiff as ad
+
+            def child_call():
+                pid = os.fork()
+                if pid == 0:
+                    signal.alarm(20)
+                    first, second = ad._on_two_threads(threading.get_ident, threading.get_ident)
+                    os._exit(0 if first != second else 3)
+                return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+            ad._on_two_threads(lambda: None, lambda: None)
+            codes = [child_call()]
+            # fork from another thread while this thread's call holds the worker
+            forked = threading.Event()
+            forker = threading.Thread(target=lambda: (codes.append(child_call()), forked.set()))
+            ad._on_two_threads(lambda: (forker.start(), forked.wait(30)), lambda: None)
+            forker.join()
+            print(codes)
+            sys.exit(0 if codes == [0, 0] else 1)
+        """)
+        package_root = str(Path(ad.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=90, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                  [package_root, os.environ.get("PYTHONPATH", "")])})
+        assert done.returncode == 0, (done.stdout, done.stderr)
 
     def test_parameters_of_reads_trainable_attributes_in_assignment_order(self):
         class Inner:

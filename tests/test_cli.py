@@ -427,34 +427,55 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {empty}: empty training set\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["beam_size", "max_sentences", "max_sentence_tokens"])
-    def test_huge_decoding_count_returns_two_naming_path_and_line(self, workspace, tmp_path,
-                                                                  key):
-        """`generate` with a count of 99999999999, in a child process under a
-        2 GiB address-space limit and a timeout, so that a count the config
-        lets through fails this test rather than the test runner."""
-        root, paths, _ = workspace
+    @staticmethod
+    def run_with_huge(root, key, argv):
+        """`argv` with the config's `key` at 99999999999, in a child process
+        under a 2 GiB address-space limit and a timeout, so that a value the
+        config lets through fails the test rather than the test runner.
+        Returns the finished child, the config and the key's line."""
         lines = CONFIG_TEMPLATE.splitlines()
         lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} ="))
         lines[lineno - 1] = f"{key} = 99999999999"
         config = root / f"huge_{key}.cfg"
         config.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        out = tmp_path / "g.txt"
         child = ("import resource, sys; "
                  "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
                  "from topicsum.cli import main; sys.exit(main(sys.argv[1:]))")
         package_root = str(Path(cli.__file__).resolve().parents[1])
         done = subprocess.run(
-            [sys.executable, "-c", child, "generate", "--config", str(config),
-             "--detector-ckpt", str(root / "detector.bin"),
-             "--generator-ckpt", str(root / "generator.bin"),
-             "--input", str(paths["summ_valid"]), "--out", str(out)],
+            [sys.executable, "-c", child, *argv, "--config", str(config)],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(
                 [package_root, os.environ.get("PYTHONPATH", "")])})
+        return done, config, lineno
+
+    @pytest.mark.parametrize("key", ["beam_size", "max_sentences", "max_sentence_tokens"])
+    def test_huge_decoding_count_returns_two_naming_path_and_line(self, workspace, tmp_path,
+                                                                  key):
+        root, paths, _ = workspace
+        out = tmp_path / "g.txt"
+        done, config, lineno = self.run_with_huge(root, key, [
+            "generate", "--detector-ckpt", str(root / "detector.bin"),
+            "--generator-ckpt", str(root / "generator.bin"),
+            "--input", str(paths["summ_valid"]), "--out", str(out)])
         assert done.returncode == 2, done.stderr
         bound = {"max_sentence_tokens": 200}.get(key, 32)
         assert done.stderr == (f"error: {config}:{lineno}: '{key}' must be at most {bound}, "
+                               f"got 99999999999\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, stage", [("embed_size", "generator"),
+                                            ("hidden_size", "generator"),
+                                            ("detector_embed_size", "detector"),
+                                            ("detector_hidden_size", "detector")])
+    def test_huge_model_size_returns_two_naming_path_and_line(self, workspace, tmp_path, key,
+                                                              stage):
+        root, _, _ = workspace
+        out = tmp_path / "model.bin"
+        done, config, lineno = self.run_with_huge(
+            root, key, ["train", "--stage", stage, "--out", str(out)])
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == (f"error: {config}:{lineno}: '{key}' must be at most 1024, "
                                f"got 99999999999\n")
         assert not out.exists()
 

@@ -10,6 +10,7 @@ from topicsum.config import DecodeConfig, RunConfig, format_config, load_config
 
 KINDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 DECODING_KEYS = [f.name for f in dataclasses.fields(DecodeConfig)]
+MODEL_SIZES = ("embed_size", "hidden_size", "detector_embed_size", "detector_hidden_size")
 
 # every rule a setting has, as (key, value in the file, message)
 ILLEGAL = [
@@ -30,6 +31,7 @@ ILLEGAL = [
     ("beam_size", "33", "must be at most 32, got 33"),
     ("max_sentences", "33", "must be at most 32, got 33"),
     ("max_sentence_tokens", "201", "must be at most 200, got 201"),
+    *((key, "1025", "must be at most 1024, got 1025") for key in MODEL_SIZES),
 ]
 
 # the least legal value of every bounded setting
@@ -37,7 +39,8 @@ EDGES = [("n_t", "0"), ("seed", "0"), ("stop_loss_weight", "0"), ("detector_lr",
          ("beam_size", "1"), ("ttg_cap", "1"), ("stop_threshold", "1e-9")]
 
 # the greatest legal value of every setting bounded from above
-GREATEST = [("beam_size", "32"), ("max_sentences", "32"), ("max_sentence_tokens", "200")]
+GREATEST = [("beam_size", "32"), ("max_sentences", "32"), ("max_sentence_tokens", "200"),
+            *((key, "1024") for key in MODEL_SIZES)]
 
 
 def parse(key, text):
@@ -70,7 +73,9 @@ class TestRules:
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = {text}\n", encoding="utf-8")
         assert getattr(load_config(path), key) == parse(key, text)
-        assert getattr(DecodeConfig(**{key: parse(key, text)}), key) == parse(key, text)
+        assert getattr(RunConfig(**{key: parse(key, text)}), key) == parse(key, text)
+        if key in DECODING_KEYS:
+            assert getattr(DecodeConfig(**{key: parse(key, text)}), key) == parse(key, text)
 
     def test_replace_is_checked(self):
         with pytest.raises(ValueError, match="^'beam_size' must be at least 1, got 0$"):

@@ -740,7 +740,8 @@ class TestAttention:
         model.attn_v.data[...] = [[2.0], [0.0]]
         second = float(np.arctanh(np.log(3.0) / 2.0))  # 2*tanh(second) = ln 3
         token_states = ad.Tensor([[0.0, 7.0], [second, -3.0]])
-        weights, context = attention_step(model, ad.zeros((1, 2)), token_states)
+        weights, context = attention_step(model, ad.zeros((1, 2)), token_states,
+                                          attention_keys(model, token_states))
         np.testing.assert_allclose(weights.data, [[0.25], [0.75]], atol=2e-6)
         np.testing.assert_allclose(context.data, [[0.75 * second, 0.25 * 7.0 - 2.25]],
                                    atol=2e-6)
@@ -752,7 +753,8 @@ class TestAttention:
         for n in (1, 2, 9):
             token_states = ad.Tensor(rng.uniform(-2, 2, (n, 4)))
             state = ad.Tensor(rng.uniform(-2, 2, (1, 4)))
-            weights, context = attention_step(model, state, token_states)
+            weights, context = attention_step(model, state, token_states,
+                                              attention_keys(model, token_states))
             assert weights.data.shape == (n, 1)
             np.testing.assert_allclose(weights.data.sum(), 1.0, atol=1e-6)
             np.testing.assert_allclose(
@@ -762,7 +764,8 @@ class TestAttention:
         vocab = make_vocab()
         model = make_model(vocab, hidden_dim=4)
         with pytest.raises(ValueError, match="at least one encoded input token"):
-            attention_step(model, ad.zeros((1, 4)), ad.zeros((0, 4)))
+            attention_step(model, ad.zeros((1, 4)), ad.zeros((0, 4)),
+                           attention_keys(model, ad.zeros((0, 4))))
 
     @pytest.mark.parametrize("per_block", [1, 2, None])
     @pytest.mark.parametrize("count", [1, 3, 48])
@@ -1162,7 +1165,8 @@ class TestDecodeSentence(DecodingSetup):
             feed = prev if prev < len(vocab) else UNK_ID
             x = ad.embedding_lookup(model.embed, [feed])
             state = model.dec_cell.step(x, state)
-            weights, context = attention_step(model, state, encoding.token_states)
+            weights, context = attention_step(model, state, encoding.token_states,
+                                              attention_keys(model, encoding.token_states))
             dist = token_distribution(model, state, context, x, weights, grouped)
             token_id = int(np.argmax(dist.data[0]))
             if token_id == EOS_ID:
@@ -1223,7 +1227,8 @@ class TestDecodeSentence(DecodingSetup):
                 feed = prev if prev < len(vocab) else UNK_ID
                 x = ad.embedding_lookup(model.embed, [feed])
                 state = model.dec_cell.step(x, state)
-                weights, context = attention_step(model, state, encoding.token_states)
+                weights, context = attention_step(model, state, encoding.token_states,
+                                                  attention_keys(model, encoding.token_states))
                 dist = token_distribution(model, state, context, x, weights, grouped)
                 total += float(np.log(max(dist.data[0, target], 1e-12)))
                 prev = target
@@ -1355,8 +1360,8 @@ class TestLockstepDecoding(DecodingSetup):
 class TestTwoThreadSearch(DecodingSetup):
     def test_two_user_threads_searching_at_once_get_their_own_results(self, monkeypatch):
         """With attention and candidate selection forced onto two threads,
-        each of two threads searching at the same time keeps its own worker
-        and gets the results of a search run alone."""
+        each of two threads searching at the same time gets the results of a
+        search run alone, whichever of them has the worker at each step."""
         monkeypatch.setattr(generator, "_BEAM_SPLIT_MIN", 0)
         monkeypatch.setattr(ad, "_SCORE_SPLIT_MIN", 0)
         monkeypatch.setattr(ad, "_SCORE_BLOCK", 1)     # one query a block
@@ -1399,6 +1404,40 @@ class TestTwoThreadSearch(DecodingSetup):
         assert not any(thread.is_alive() for thread in users)
         assert results == [[alone[0]] * 5, [alone[1]] * 5]
         assert set(calls) == {thread.ident for thread in users}
+
+    def test_draw_training_and_search_share_one_worker(self, monkeypatch):
+        """With every two-thread threshold at 0, a weight draw, a training
+        step and a beam search run every second half on the worker that a
+        bare call uses, and start no thread but that one."""
+        for module, name in ((ad, "_SPLIT_MIN"), (ad, "_PAIR_SPLIT_MIN"), (ad, "_SCORE_SPLIT_MIN"),
+                             (ad, "_PASS_SPLIT_MIN"), (generator, "_BEAM_SPLIT_MIN")):
+            monkeypatch.setattr(module, name, 0)
+        monkeypatch.setattr(ad, "_SCORE_BLOCK", 1)     # one query a block
+        threads = threading.active_count()
+        seen, on_two_threads = [], ad._on_two_threads
+
+        def spy(first, second, one_blas_thread=False):
+            def recorded():
+                seen.append(threading.get_ident())
+                return second()
+            return on_two_threads(first, recorded, one_blas_thread)
+
+        monkeypatch.setattr(ad, "_on_two_threads", spy)
+        corpus = toy_summarization_corpus(4, 0)
+        model = GeneratorModel(len(corpus.vocab), len(corpus.schema.topics), embed_dim=8,
+                               hidden_dim=8, seed=1)
+        counts = [len(seen)]
+        train_generator(model, corpus.examples[:1], corpus.assignments[:1], [], [],
+                        corpus.schema, corpus.vocab, epochs=1)
+        counts.append(len(seen))
+        generate_abstract(model, corpus.examples[0].paragraph_tokens, corpus.assignments[0],
+                          corpus.schema, corpus.vocab,
+                          DecodeConfig(beam_size=3, max_sentences=2, max_sentence_tokens=4))
+        counts.append(len(seen))
+        assert 0 < counts[0] < counts[1] < counts[2]
+        worker = ad._on_two_threads(lambda: None, threading.get_ident)[1]
+        assert set(seen) == {worker} and worker != threading.get_ident()
+        assert threading.active_count() <= threads + 1
 
     def test_toy_size_starts_no_second_thread(self, monkeypatch):
         """Training and beam-5 generation at the acceptance corpus's size
@@ -1549,7 +1588,9 @@ class TestBlockTeacherForcing:
             for input_id, target in zip(inputs, targets):
                 x = ad.embedding_lookup(model.embed, [input_id])
                 dec_state = model.dec_cell.step(x, dec_state)
-                weights, attn_context = attention_step(model, dec_state, encoding.token_states)
+                weights, attn_context = attention_step(
+                    model, dec_state, encoding.token_states,
+                    attention_keys(model, encoding.token_states))
                 dist = token_distribution(model, dec_state, attn_context, x, weights, grouped)
                 dists.append(dist)
                 terms.append(ad.mul(ad.log(ad.pick(dist, 0, target), floor=1e-12), -1.0))
