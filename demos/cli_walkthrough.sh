@@ -56,7 +56,8 @@ python3 -m topicsum.cli train --stage generator --config run.cfg --out generator
 
 echo
 echo "== generate abstracts for the held-out records (beam 3, soft mixing) =="
-python3 -m topicsum.cli generate --config run.cfg --detector-ckpt detector.bin \
+# the topics come from the config's detector_checkpoint, as in training
+python3 -m topicsum.cli generate --config run.cfg \
     --generator-ckpt generator.bin --input summ_valid.tsv --out generated.txt
 cat generated.txt
 

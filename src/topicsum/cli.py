@@ -64,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(func=cmd_train)
 
     generate = commands.add_parser("generate", help="generate abstracts for input articles")
-    generate.add_argument("--config", required=True)
-    generate.add_argument("--detector-ckpt", required=True)
+    generate.add_argument("--config", required=True, help="its detector_checkpoint assigns topics")
     generate.add_argument("--generator-ckpt", required=True)
     generate.add_argument("--input", required=True, help="summarization-format records")
     generate.add_argument("--out", required=True, help="one abstract per line")
@@ -102,12 +101,10 @@ def main(argv=None) -> int:
 # build-corpus
 
 def cmd_build_corpus(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Every input is read and checked before the first output is written."""
     articles = load_articles(args.articles)
     schema = load_topic_schema(args.schema, n_t=args.n_t)
     stats = label_frequency_stats(articles)
-    write_label_stats(out_dir / "label_stats.tsv", stats)
 
     sequences = list(article_token_sequences(articles))
     summarization = None
@@ -119,9 +116,12 @@ def cmd_build_corpus(args) -> int:
             sequences.extend(example.paragraph_tokens)
             sequences.extend(example.abstract_tokens)
     vocab = Vocabulary.build(sequences, cap=args.vocab_cap)
-    vocab.save(out_dir / "vocab.txt")
-
     splits = build_detector_dataset(articles, schema, vocab, seed=args.seed)
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    vocab.save(out_dir / "vocab.txt")
+    write_label_stats(out_dir / "label_stats.tsv", stats)
     write_detector_dataset(out_dir / "detector_train.tsv", splits.train)
     write_detector_dataset(out_dir / "detector_valid.tsv", splits.valid)
     write_detector_dataset(out_dir / "detector_test.tsv", splits.test)
@@ -179,10 +179,12 @@ def _build_detector_model(config: RunConfig, vocab: Vocabulary, n_classes: int) 
     return DetectorModel(encoder, n_classes, rng)
 
 
-def _load_detector(config: RunConfig, vocab: Vocabulary, n_classes: int, path) -> DetectorModel:
+def _detected_topics(config: RunConfig, vocab: Vocabulary, n_classes: int, *datasets) -> list:
+    """Per-example topic assignments of each dataset by the config's `detector_checkpoint`,
+    the one detector that both trains a generator's topics and generates with them."""
     detector = _build_detector_model(config, vocab, n_classes)
-    checkpoint.load_into(detector.parameters(), path)
-    return detector
+    checkpoint.load_into(detector.parameters(), config.detector_checkpoint)
+    return [[detect_topics(ex.paragraph_ids, detector) for ex in data] for data in datasets]
 
 
 def _build_generator_model(config: RunConfig, vocab: Vocabulary, n_topics: int) -> GeneratorModel:
@@ -203,7 +205,7 @@ def cmd_train(args) -> int:
     log_path = args.log or f"{args.out}.log"
     _require(args.config, config, "vocab_path", "schema_path")
     vocab = Vocabulary.load(config.vocab_path)
-    schema = load_topic_schema(config.schema_path, n_t=config.n_t)
+    schema = load_topic_schema(config.schema_path)
 
     if args.stage == "detector":
         _require(args.config, config, "detector_train_path", "detector_valid_path")
@@ -221,9 +223,7 @@ def cmd_train(args) -> int:
                  "detector_checkpoint")
         train = load_summarization_dataset(config.summarization_train_path, vocab)
         valid = load_summarization_dataset(config.summarization_valid_path, vocab)
-        detector = _load_detector(config, vocab, schema.n_classes, config.detector_checkpoint)
-        train_topics = [detect_topics(ex.paragraph_ids, detector) for ex in train]
-        valid_topics = [detect_topics(ex.paragraph_ids, detector) for ex in valid]
+        train_topics, valid_topics = _detected_topics(config, vocab, schema.n_classes, train, valid)
         model = _build_generator_model(config, vocab, len(schema.topics))
         if config.embeddings_path:
             init_embeddings(model.embed.data, vocab, config.embeddings_path,
@@ -254,17 +254,16 @@ def cmd_generate(args) -> int:
     config = load_config(args.config)
     config = dataclasses.replace(config, topic_mode=args.mode or config.topic_mode,
                                  beam_size=config.beam_size if args.beam is None else args.beam)
-    _require(args.config, config, "vocab_path", "schema_path")
+    _require(args.config, config, "vocab_path", "schema_path", "detector_checkpoint")
     vocab = Vocabulary.load(config.vocab_path)
-    schema = load_topic_schema(config.schema_path, n_t=config.n_t)
-    detector = _load_detector(config, vocab, schema.n_classes, args.detector_ckpt)
+    schema = load_topic_schema(config.schema_path)
     model = _build_generator_model(config, vocab, len(schema.topics))
     checkpoint.load_into(model.parameters(), args.generator_ckpt)
     examples = load_summarization_dataset(args.input, vocab, require_abstract=False)
+    topics, = _detected_topics(config, vocab, schema.n_classes, examples)
     written = 0
     with atomic_write(args.out) as handle:
-        for example in examples:
-            assignments = detect_topics(example.paragraph_ids, detector)
+        for example, assignments in zip(examples, topics):
             try:
                 sentences = generate_abstract(model, example.paragraph_tokens,
                                               assignments, schema, vocab, config)

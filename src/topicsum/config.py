@@ -11,14 +11,12 @@ from .fileio import read_lines
 
 __all__ = ["DecodeConfig", "RunConfig", "load_config", "format_config"]
 
-# the least legal value of each bounded number; n_t = 0 is legal, it keeps
-# the unmarked labels, stop_loss_weight = 0 trains without the stop loss,
-# and numpy's generators take no negative seed
+# the least legal value of each bounded number; stop_loss_weight = 0 trains
+# without the stop loss, and numpy's generators take no negative seed
 _MINIMUM = {
     **dict.fromkeys(("detector_epochs", "generator_epochs", "embed_size", "hidden_size",
                      "detector_embed_size", "detector_hidden_size", "ttg_cap", "beam_size",
                      "max_sentences", "max_sentence_tokens"), 1),
-    "n_t": 0,
     "stop_loss_weight": 0,
     "seed": 0,
 }
@@ -83,8 +81,6 @@ class RunConfig(DecodeConfig):
     summarization_valid_path: str = ""
     embeddings_path: str = ""
     detector_checkpoint: str = ""
-    # corpus
-    n_t: int = 20
     # detector
     detector_embed_size: int = 128
     detector_hidden_size: int = 128
@@ -111,7 +107,7 @@ def load_config(path) -> RunConfig:
     Unknown keys, malformed values and values `_problem` refuses (non-finite
     floats, counts, sizes and caps below 1, a model size above 1024, a
     beam_size or max_sentences above 32 or a max_sentence_tokens above 200,
-    n_t, stop_loss_weight or seed below 0, learning rates of 0 or less, a
+    stop_loss_weight or seed below 0, learning rates of 0 or less, a
     topic_mode other than soft or hard, a stop_threshold outside (0, 1))
     raise with the offending line.
     Relative path values are resolved against the config file's directory.

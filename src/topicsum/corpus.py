@@ -156,10 +156,13 @@ def load_topic_schema(path, n_t: int = 20) -> TopicSchema:
 
     One topic per line: "Name: label, other label@20, ...".  A label's
     optional "@tier" suffix names the label-frequency tier it belongs to;
-    the label is kept iff tier <= n_t (unmarked labels are always kept).
+    the label is kept iff tier <= n_t, which must be at least 0 (unmarked
+    labels are always kept); the topics are the same at every tier.
     A "noise:" line lists /regex/ patterns; absent, the default noise
     indicators apply.  An optional "domain:" line names the domain.
     """
+    if n_t < 0:
+        raise ValueError(f"'n_t' must be at least 0, got {n_t}")
     path = Path(path)
     domain = path.stem
     topics: list[Topic] = []

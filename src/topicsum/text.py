@@ -127,10 +127,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        """A file `save` wrote; a repeated token raises naming its line."""
+        """A file `save` wrote; a wrong reserved or a repeated token raises naming its line."""
         lines = [line.rstrip("\n") for line in read_lines(path)]
-        if tuple(lines[:4]) != RESERVED_TOKENS:
-            raise ValueError(f"{path}: not a vocabulary file (reserved tokens missing)")
+        for lineno, reserved in enumerate(RESERVED_TOKENS, start=1):
+            if lines[lineno - 1:lineno] != [reserved]:
+                raise ValueError(f"{path}:{lineno}: not a vocabulary file (expected '{reserved}')")
         seen: set[str] = set()
         for lineno, token in enumerate(lines, start=1):
             if token in seen:

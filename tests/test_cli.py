@@ -72,7 +72,6 @@ def workspace(tmp_path_factory):
 
     rc = main(["generate",
                "--config", str(config),
-               "--detector-ckpt", str(root / "detector.bin"),
                "--generator-ckpt", str(root / "generator.bin"),
                "--input", str(paths["summ_valid"]),
                "--out", str(root / "generated.txt")])
@@ -89,6 +88,22 @@ def workspace(tmp_path_factory):
                "--out", str(root / "eval.tsv")])
     assert rc == 0
     return root, paths, config
+
+
+def all_noise_detector_config(root, tmp_path):
+    """A config in the workspace whose `detector_checkpoint` is a detector
+    rigged to put every paragraph in NOISE (the last class)."""
+    vocab = Vocabulary.load(root / "corpus" / "vocab.txt")
+    rng = np.random.default_rng(0)
+    rigged = DetectorModel(MeanEmbeddingEncoder(len(vocab), 16, 16, rng), 4, rng)
+    rigged.cls_W.data[...] = 0.0
+    rigged.cls_b.data[...] = [[0.0, 0.0, 0.0, 100.0]]
+    checkpoint.save_tensors(tmp_path / "noise_detector.bin", rigged.parameters())
+    config = root / "noise_detector.cfg"
+    config.write_text(CONFIG_TEMPLATE.replace(
+        "detector_checkpoint = detector.bin",
+        f"detector_checkpoint = {tmp_path / 'noise_detector.bin'}"), encoding="utf-8")
+    return config
 
 
 class TestBuildCorpus:
@@ -245,7 +260,6 @@ class TestGenerate:
         outputs = []
         for name in ("g1.txt", "g2.txt"):
             rc = main(["generate", "--config", str(config),
-                       "--detector-ckpt", str(root / "detector.bin"),
                        "--generator-ckpt", str(root / "generator.bin"),
                        "--input", str(paths["summ_valid"]),
                        "--out", str(tmp_path / name), "--beam", "1"])
@@ -257,7 +271,6 @@ class TestGenerate:
         root, paths, config = workspace
         out = tmp_path / "g.txt"
         rc = main(["generate", "--config", str(config),
-                   "--detector-ckpt", str(root / "detector.bin"),
                    "--generator-ckpt", str(root / "generator.bin"),
                    "--input", str(paths["summ_valid"]),
                    "--out", str(out), "--beam", "0"])
@@ -266,17 +279,8 @@ class TestGenerate:
         assert not out.exists()
 
     def test_all_noise_detector_writes_empty_lines(self, workspace, tmp_path, capsys):
-        root, paths, config = workspace
-        # a detector rigged to put every paragraph in NOISE (the last class)
-        vocab = Vocabulary.load(root / "corpus" / "vocab.txt")
-        rng = np.random.default_rng(0)
-        encoder = MeanEmbeddingEncoder(len(vocab), 16, 16, rng)
-        rigged = DetectorModel(encoder, 4, rng)
-        rigged.cls_W.data[...] = 0.0
-        rigged.cls_b.data[...] = [[0.0, 0.0, 0.0, 100.0]]
-        checkpoint.save_tensors(tmp_path / "noise_detector.bin", rigged.parameters())
-        rc = main(["generate", "--config", str(config),
-                   "--detector-ckpt", str(tmp_path / "noise_detector.bin"),
+        root, paths, _ = workspace
+        rc = main(["generate", "--config", str(all_noise_detector_config(root, tmp_path)),
                    "--generator-ckpt", str(root / "generator.bin"),
                    "--input", str(paths["summ_valid"]),
                    "--out", str(tmp_path / "empty.txt")])
@@ -293,7 +297,6 @@ class TestGenerate:
         truncated = tmp_path / "generator.bin"
         truncated.write_bytes((root / "generator.bin").read_bytes()[:-5])
         rc = main(["generate", "--config", str(config),
-                   "--detector-ckpt", str(root / "detector.bin"),
                    "--generator-ckpt", str(truncated),
                    "--input", str(paths["summ_valid"]),
                    "--out", str(tmp_path / "out.txt")])
@@ -304,7 +307,6 @@ class TestGenerate:
     def test_mode_flag_accepted(self, workspace, tmp_path):
         root, paths, config = workspace
         rc = main(["generate", "--config", str(config),
-                   "--detector-ckpt", str(root / "detector.bin"),
                    "--generator-ckpt", str(root / "generator.bin"),
                    "--input", str(paths["summ_valid"]),
                    "--out", str(tmp_path / "hard.txt"), "--mode", "hard"])
@@ -326,7 +328,6 @@ class TestGenerate:
 
         monkeypatch.setattr(cli, "generate_abstract", failing_second_time)
         rc = main(["generate", "--config", str(config),
-                   "--detector-ckpt", str(root / "detector.bin"),
                    "--generator-ckpt", str(root / "generator.bin"),
                    "--input", str(paths["summ_valid"]), "--out", str(out)])
         assert rc == 1 and "generation failed" in capsys.readouterr().err
@@ -412,6 +413,45 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {config}: config is missing required keys: vocab_path, schema_path\n")
 
+    def test_generate_without_a_detector_checkpoint_returns_two_naming_the_config(
+            self, workspace, tmp_path, capsys):
+        root, paths, _ = workspace
+        config = root / "no_detector.cfg"
+        config.write_text(CONFIG_TEMPLATE.replace("detector_checkpoint = detector.bin\n", ""),
+                          encoding="utf-8")
+        out = tmp_path / "g.txt"
+        rc = main(["generate", "--config", str(config),
+                   "--generator-ckpt", str(root / "generator.bin"),
+                   "--input", str(paths["summ_valid"]), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}: config is missing required keys: detector_checkpoint\n")
+        assert not out.exists()
+
+    def test_label_tier_in_the_config_is_an_unknown_key(self, workspace, tmp_path, capsys):
+        # the tier is build-corpus's --n-t; train and generate read no label sets
+        root, paths, _ = workspace
+        config = root / "tiered.cfg"
+        config.write_text(CONFIG_TEMPLATE + "n_t = 20\n", encoding="utf-8")
+        out = tmp_path / "g.txt"
+        rc = main(["generate", "--config", str(config),
+                   "--generator-ckpt", str(root / "generator.bin"),
+                   "--input", str(paths["summ_valid"]), "--out", str(out)])
+        assert rc == 2
+        lineno = len(CONFIG_TEMPLATE.splitlines()) + 1
+        assert capsys.readouterr().err == f"error: {config}:{lineno}: unknown config key 'n_t'\n"
+        assert not out.exists()
+
+    def test_negative_label_tier_returns_two_and_writes_nothing(self, workspace, tmp_path,
+                                                                capsys):
+        _, paths, _ = workspace
+        out = tmp_path / "corpus"
+        rc = main(["build-corpus", "--articles", str(paths["articles"]),
+                   "--schema", str(paths["schema"]), "--out", str(out), "--n-t", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: 'n_t' must be at least 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("stage, key", [("detector", "detector_train_path"),
                                             ("generator", "summarization_train_path")])
     def test_empty_training_set_names_the_dataset(self, workspace, tmp_path, capsys, stage,
@@ -455,8 +495,7 @@ class TestExitCodes:
         root, paths, _ = workspace
         out = tmp_path / "g.txt"
         done, config, lineno = self.run_with_huge(root, key, [
-            "generate", "--detector-ckpt", str(root / "detector.bin"),
-            "--generator-ckpt", str(root / "generator.bin"),
+            "generate", "--generator-ckpt", str(root / "generator.bin"),
             "--input", str(paths["summ_valid"]), "--out", str(out)])
         assert done.returncode == 2, done.stderr
         bound = {"max_sentence_tokens": 200}.get(key, 32)
@@ -625,17 +664,7 @@ class TestExitCodes:
 
     def test_all_noise_detector_stops_generator_training(self, workspace, tmp_path, capsys):
         root, _, _ = workspace
-        # the rigged detector of TestGenerate: every paragraph goes to NOISE
-        vocab = Vocabulary.load(root / "corpus" / "vocab.txt")
-        rng = np.random.default_rng(0)
-        rigged = DetectorModel(MeanEmbeddingEncoder(len(vocab), 16, 16, rng), 4, rng)
-        rigged.cls_W.data[...] = 0.0
-        rigged.cls_b.data[...] = [[0.0, 0.0, 0.0, 100.0]]
-        checkpoint.save_tensors(tmp_path / "noise_detector.bin", rigged.parameters())
-        config = root / "noise_detector.cfg"
-        config.write_text(CONFIG_TEMPLATE.replace(
-            "detector_checkpoint = detector.bin",
-            f"detector_checkpoint = {tmp_path / 'noise_detector.bin'}"), encoding="utf-8")
+        config = all_noise_detector_config(root, tmp_path)
         out = tmp_path / "generator.bin"
         rc = main(["train", "--stage", "generator", "--config", str(config), "--out", str(out)])
         err = capsys.readouterr().err
@@ -666,6 +695,16 @@ class TestExitCodes:
     def test_argparse_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_generate_takes_its_detector_only_from_the_config(self, capsys):
+        with pytest.raises(SystemExit) as usage:
+            build_parser().parse_args(["generate", "--config", "c", "--detector-ckpt", "x",
+                                       "--generator-ckpt", "g", "--input", "i", "--out", "o"])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --detector-ckpt x" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["generate", "--help"])
+        assert "--detector-ckpt" not in capsys.readouterr().out
 
     def test_argparse_rejects_bad_stage(self):
         with pytest.raises(SystemExit):

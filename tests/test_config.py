@@ -19,7 +19,6 @@ ILLEGAL = [
       for key in ("detector_epochs", "generator_epochs", "embed_size", "hidden_size",
                   "detector_embed_size", "detector_hidden_size", "ttg_cap", "beam_size",
                   "max_sentences", "max_sentence_tokens")),
-    ("n_t", "-3", "must be at least 0, got -3"),
     ("seed", "-3", "must be at least 0, got -3"),
     ("stop_loss_weight", "-2", "must be at least 0, got -2.0"),
     *((key, value, f"must be positive, got {float(value)}")
@@ -35,7 +34,7 @@ ILLEGAL = [
 ]
 
 # the least legal value of every bounded setting
-EDGES = [("n_t", "0"), ("seed", "0"), ("stop_loss_weight", "0"), ("detector_lr", "1e-30"),
+EDGES = [("seed", "0"), ("stop_loss_weight", "0"), ("detector_lr", "1e-30"),
          ("beam_size", "1"), ("ttg_cap", "1"), ("stop_threshold", "1e-9")]
 
 # the greatest legal value of every setting bounded from above
@@ -181,12 +180,6 @@ class TestLoadConfig:
         path.write_text(f"seed = 1\n{key} = {value}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f":2: '{key}' {message}"):
             load_config(path)
-
-    def test_zero_label_tier_is_legal(self, tmp_path):
-        # n_t = 0 keeps the unmarked labels
-        path = tmp_path / "run.cfg"
-        path.write_text("n_t = 0\n", encoding="utf-8")
-        assert load_config(path).n_t == 0
 
     @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
                                      if f.type == "float"])

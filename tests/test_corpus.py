@@ -148,6 +148,16 @@ class TestSchemaFiles:
         assert load_topic_schema(path, n_t=30).topics[0].labels == frozenset(
             {"one", "two", "three"})
 
+    def test_n_t_of_zero_keeps_the_unmarked_labels_and_below_zero_is_refused(self, tmp_path):
+        path = tmp_path / "demo.txt"
+        path.write_text("Alpha: one@10, two\nBeta: three@30\n", encoding="utf-8")
+        narrow = load_topic_schema(path, n_t=0)
+        assert [topic.labels for topic in narrow.topics] == [frozenset({"two"}), frozenset()]
+        # the topics, which train and generate read, are the same at every tier
+        assert narrow.topic_names() == load_topic_schema(path, n_t=30).topic_names()
+        with pytest.raises(ValueError, match=r"^'n_t' must be at least 0, got -1$"):
+            load_topic_schema(path, n_t=-1)
+
     def test_domain_defaults_to_stem(self, tmp_path):
         path = tmp_path / "birds.txt"
         path.write_text("Alpha: one\n", encoding="utf-8")
