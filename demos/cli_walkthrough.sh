@@ -61,12 +61,11 @@ python3 -m topicsum.cli generate --config run.cfg \
     --generator-ckpt generator.bin --input summ_valid.tsv --out generated.txt
 cat generated.txt
 
-# gold abstracts: third tab field of the records, sentence markers removed
+# gold abstracts: third tab field of the records, sentence markers kept
 python3 - <<'PY'
 lines = []
 for line in open("summ_valid.tsv", encoding="utf-8"):
-    abstract = line.rstrip("\n").split("\t")[2]
-    lines.append(abstract.replace(" ⟨s⟩ ", " "))
+    lines.append(line.rstrip("\n").split("\t")[2])
 with open("gold.txt", "w", encoding="utf-8") as handle:
     handle.write("\n".join(lines) + "\n")
 PY

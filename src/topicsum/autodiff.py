@@ -372,18 +372,19 @@ def zeros(shape) -> Tensor:
 
 _INIT_CHUNK = 1 << 16   # elements drawn at a time by `parameter`
 _SPLIT_MIN = 4 * _INIT_CHUNK   # smallest tensor whose draw `parameter` splits
+_INIT_SCALE = 0.1   # `parameter` draws from [-_INIT_SCALE, _INIT_SCALE]
 
 
-def _fill_uniform(rng: np.random.Generator, flat: np.ndarray, scale: float) -> None:
+def _fill_uniform(rng: np.random.Generator, flat: np.ndarray) -> None:
     for start in range(0, flat.size, _INIT_CHUNK):
         stop = min(start + _INIT_CHUNK, flat.size)
-        flat[start:stop] = rng.uniform(-scale, scale, size=stop - start)
+        flat[start:stop] = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=stop - start)
 
 
-def parameter(rng: np.random.Generator, shape, scale: float = 0.1) -> Tensor:
-    """Trainable tensor, uniform in [-scale, scale].
+def parameter(rng: np.random.Generator, shape) -> Tensor:
+    """Trainable tensor, uniform in [-0.1, 0.1] (`_INIT_SCALE`).
 
-    The values are `rng.uniform(-scale, scale, size=shape)` cast to the
+    The values are `rng.uniform(-0.1, 0.1, size=shape)` cast to the
     working dtype, drawn in chunks of `_INIT_CHUNK` so that no float64 copy
     of a large weight is made; the generator's stream, and so every later
     draw, is the same as one whole draw's.  From `_SPLIT_MIN` elements on,
@@ -398,7 +399,7 @@ def parameter(rng: np.random.Generator, shape, scale: float = 0.1) -> Tensor:
     bits = rng.bit_generator
     # PCG64's `advance(n)` skips n 64-bit outputs, one per float64 uniform
     if flat.size < _SPLIT_MIN or type(bits) is not np.random.PCG64:
-        _fill_uniform(rng, flat, scale)
+        _fill_uniform(rng, flat)
         return Tensor(data, requires_grad=True)
     split = (flat.size // _INIT_CHUNK + 1) // 2 * _INIT_CHUNK
     state = bits.state
@@ -408,8 +409,8 @@ def parameter(rng: np.random.Generator, shape, scale: float = 0.1) -> Tensor:
     # `advance` drops the buffered 32-bit value, which a uniform draw keeps
     tail.state = {**tail.state, "has_uint32": state["has_uint32"],
                   "uinteger": state["uinteger"]}
-    _on_two_threads(lambda: _fill_uniform(rng, flat[:split], scale),
-                    lambda: _fill_uniform(np.random.Generator(tail), flat[split:], scale))
+    _on_two_threads(lambda: _fill_uniform(rng, flat[:split]),
+                    lambda: _fill_uniform(np.random.Generator(tail), flat[split:]))
     bits.state = tail.state
     return Tensor(data, requires_grad=True)
 
@@ -949,6 +950,9 @@ def _by_halves(work: Callable[[list, int], object], chunks: list, sizes: Sequenc
 class Adam:
     """Adam with in-place updates; the caller zeroes gradients between steps.
 
+    Only the learning rate is set; the moment decay rates and the
+    denominator's floor are the class constants `BETA1`, `BETA2` and `EPS`.
+
     Each step evaluates the textbook expressions in their usual order, but
     over one flat chunk of `CHUNK` elements of a parameter at a time,
     through two scratch buffers of one chunk.  A chunk's gradient, moments,
@@ -961,14 +965,11 @@ class Adam:
     """
 
     CHUNK = 1 << 16   # elements; of 16K to 128K, the fastest on a 2 MiB L2 core
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Mapping[str, Tensor], lr: float):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         # C order, so that a flat view walks them in step with the parameter
         self._m = {name: np.zeros(p.data.shape, p.data.dtype) for name, p in self.params.items()}
@@ -1002,18 +1003,18 @@ class Adam:
         t = self.step_count
         for g, m, v, d in chunks:
             a, b = (buffer[:g.size] for buffer in scratch)
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=a)
+            m *= self.BETA1
+            np.multiply(g, 1.0 - self.BETA1, out=a)
             m += a
-            v *= self.beta2
+            v *= self.BETA2
             np.multiply(g, g, out=a)
-            a *= 1.0 - self.beta2
+            a *= 1.0 - self.BETA2
             v += a
-            np.divide(m, 1.0 - self.beta1 ** t, out=a)   # m_hat
-            np.divide(v, 1.0 - self.beta2 ** t, out=b)   # v_hat
+            np.divide(m, 1.0 - self.BETA1 ** t, out=a)   # m_hat
+            np.divide(v, 1.0 - self.BETA2 ** t, out=b)   # v_hat
             a *= self.lr
             np.sqrt(b, out=b)
-            b += self.eps
+            b += self.EPS
             a /= b
             d -= a
 

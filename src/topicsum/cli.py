@@ -19,8 +19,8 @@ import numpy as np
 from . import checkpoint
 from .autodiff import EmptyTrainingSet
 from .config import RunConfig, format_config, load_config
-from .corpus import (article_token_sequences, build_detector_dataset,
-                     label_frequency_stats, load_articles,
+from .corpus import (abstract_sentences, article_token_sequences,
+                     build_detector_dataset, label_frequency_stats, load_articles,
                      load_detector_dataset, load_summarization_dataset,
                      load_topic_schema, write_detector_dataset,
                      write_label_stats)
@@ -30,7 +30,7 @@ from .fileio import atomic_write, read_lines
 from .generator import (GeneratorModel, generate_abstract, init_embeddings,
                         train_generator)
 from .rouge import dedup_sentences, evaluate_corpus, write_eval_report
-from .text import Vocabulary, split_sentences, tokenize
+from .text import Vocabulary
 
 __all__ = ["main", "build_parser"]
 
@@ -282,12 +282,7 @@ def cmd_generate(args) -> int:
 # evaluate
 
 def _read_abstract_lines(path) -> list[list[list[str]]]:
-    abstracts: list[list[list[str]]] = []
-    for line in read_lines(path):
-        text = line.rstrip("\n")
-        sentences = [tokenize(s) for s in split_sentences(text)]
-        abstracts.append([s for s in sentences if s])
-    return abstracts
+    return [abstract_sentences(line.rstrip("\n")) for line in read_lines(path)]
 
 
 def cmd_evaluate(args) -> int:

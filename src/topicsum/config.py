@@ -109,13 +109,14 @@ def load_config(path) -> RunConfig:
     beam_size or max_sentences above 32 or a max_sentence_tokens above 200,
     stop_loss_weight or seed below 0, learning rates of 0 or less, a
     topic_mode other than soft or hard, a stop_threshold outside (0, 1))
-    raise with the offending line.
+    raise with the offending line, as does a key set on an earlier line.
     Relative path values are resolved against the config file's directory.
     """
     path = Path(path)
     base = path.parent
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values: dict[str, object] = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,6 +127,9 @@ def load_config(path) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key not in fields:
             raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in set_on:
+            raise ValueError(f"{path}:{lineno}: '{key}' is already set on line {set_on[key]}")
+        set_on[key] = lineno
         kind = fields[key].type
         try:
             if kind == "int":

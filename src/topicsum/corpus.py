@@ -41,6 +41,7 @@ __all__ = [
     "SummarizationExample",
     "PARAGRAPH_SEPARATOR",
     "SENTENCE_SEPARATOR",
+    "abstract_sentences",
     "load_summarization_dataset",
     "write_summarization_dataset",
     "article_token_sequences",
@@ -369,6 +370,17 @@ PARAGRAPH_SEPARATOR = "⟨p⟩"
 SENTENCE_SEPARATOR = "⟨s⟩"
 
 
+def abstract_sentences(text: str) -> list[list[str]]:
+    """Token lists of an abstract's sentences: split on the sentence marker
+    when `text` holds one, otherwise by `split_sentences`; empty sentences
+    are dropped."""
+    if SENTENCE_SEPARATOR in text:
+        sentence_texts = text.split(SENTENCE_SEPARATOR)
+    else:
+        sentence_texts = split_sentences(text)
+    return [tokens for tokens in map(tokenize, sentence_texts) if tokens]
+
+
 @dataclass
 class SummarizationExample:
     """One article: input paragraphs plus the gold abstract, kept both as
@@ -404,12 +416,7 @@ def load_summarization_dataset(path, vocab: Vocabulary,
         if not paragraph_tokens:
             logger.warning("%s:%d: no input paragraphs, record skipped", path, lineno)
             continue
-        if SENTENCE_SEPARATOR in abstract_field:
-            sentence_texts = abstract_field.split(SENTENCE_SEPARATOR)
-        else:
-            sentence_texts = split_sentences(abstract_field)
-        abstract_tokens = [tokenize(s) for s in sentence_texts]
-        abstract_tokens = [toks for toks in abstract_tokens if toks]
+        abstract_tokens = abstract_sentences(abstract_field)
         if not abstract_tokens and require_abstract:
             logger.warning("%s:%d: empty abstract, record skipped", path, lineno)
             continue

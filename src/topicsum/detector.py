@@ -15,7 +15,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import TopicParagraphExample
-from .fileio import atomic_write
 
 __all__ = [
     "MeanEmbeddingEncoder",
@@ -24,8 +23,6 @@ __all__ = [
     "train_detector",
     "evaluate_detector",
     "DetectorMetrics",
-    "TopicMetrics",
-    "write_detector_report",
 ]
 
 logger = logging.getLogger(__name__)
@@ -110,47 +107,16 @@ def train_detector(model: DetectorModel, train: Sequence[TopicParagraphExample],
 
 
 @dataclass
-class TopicMetrics:
-    topic_index: int
-    precision: float
-    recall: float
-    support: int
-
-
-@dataclass
 class DetectorMetrics:
     accuracy: float
-    per_topic: list[TopicMetrics]
     n_examples: int
 
 
 def evaluate_detector(model: DetectorModel,
                       examples: Sequence[TopicParagraphExample]) -> DetectorMetrics:
-    """Accuracy plus one-vs-rest precision/recall per topic."""
+    """Share of `examples` whose `detect_topics` prediction is the gold topic."""
     if not examples:
         raise ValueError("empty evaluation set")
-    n = model.n_classes
-    confusion = np.zeros((n, n), dtype=np.int64)  # [true, predicted]
     predicted = detect_topics([example.token_ids for example in examples], model)
-    np.add.at(confusion, ([example.topic_index for example in examples], predicted), 1)
-    accuracy = float(np.trace(confusion)) / len(examples)
-    per_topic = []
-    for topic in range(n):
-        true_positive = int(confusion[topic, topic])
-        predicted_count = int(confusion[:, topic].sum())
-        support = int(confusion[topic, :].sum())
-        precision = true_positive / predicted_count if predicted_count else 0.0
-        recall = true_positive / support if support else 0.0
-        per_topic.append(TopicMetrics(topic, precision, recall, support))
-    return DetectorMetrics(accuracy=accuracy, per_topic=per_topic, n_examples=len(examples))
-
-
-def write_detector_report(path, metrics: DetectorMetrics, topic_names: Sequence[str]) -> None:
-    """Tab-separated per-topic rows plus an aggregate line."""
-    if len(topic_names) != len(metrics.per_topic):
-        raise ValueError(f"{len(topic_names)} topic names for {len(metrics.per_topic)} topics")
-    with atomic_write(path) as handle:
-        handle.write("topic\tprecision\trecall\tsupport\n")
-        for name, row in zip(topic_names, metrics.per_topic):
-            handle.write(f"{name}\t{row.precision:.6f}\t{row.recall:.6f}\t{row.support}\n")
-        handle.write(f"ALL\taccuracy={metrics.accuracy:.6f}\t\t{metrics.n_examples}\n")
+    correct = sum(guess == example.topic_index for guess, example in zip(predicted, examples))
+    return DetectorMetrics(accuracy=correct / len(examples), n_examples=len(examples))

@@ -796,21 +796,22 @@ def train_generator(model: GeneratorModel, train: Sequence[SummarizationExample]
 # pretrained embeddings
 
 def init_embeddings(table: np.ndarray, vocab: Vocabulary, path,
-                    corpus: Sequence[Sequence[str]] | None = None) -> None:
+                    corpus: Sequence[Sequence[str]]) -> None:
     """Write pretrained vectors over rows of the [len(vocab), dim] `table`,
     in place (a model's `embed.data`).
 
     The file holds "word v1 .. vdim" per line, dim = `table.shape[1]`.
     In-file words take their vectors; any other word takes the mean vector
     of up to 10 in-file tokens around its first `corpus` occurrence (5 each
-    side); every other row keeps its value.  The whole file is checked
-    before any row is written, so after an error the table is as it was;
-    only the vectors a row can take, of vocabulary words and `corpus`
-    tokens, are kept.
+    side); every other row keeps its value.  `corpus` is a list of token
+    sequences, the training paragraphs in `topicsum train`; with `[]` only
+    in-file words change.  The whole file is checked before any row is
+    written, so after an error the table is as it was; only the vectors a
+    row can take, of vocabulary words and `corpus` tokens, are kept.
     """
     dim = table.shape[1]
     wanted = {vocab.id_to_token(token_id) for token_id in range(len(vocab))}
-    wanted.update(token for sequence in corpus or () for token in sequence)
+    wanted.update(token for sequence in corpus for token in sequence)
     pretrained: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         parts = line.rstrip("\n").split(" ")
@@ -832,7 +833,7 @@ def init_embeddings(table: np.ndarray, vocab: Vocabulary, path,
             table[token_id] = pretrained[token]
         else:
             unresolved.add(token)
-    for sequence in corpus or ():
+    for sequence in corpus:
         if not unresolved:
             break
         for position, token in enumerate(sequence):

@@ -14,6 +14,7 @@ __all__ = [
     "RougeScore",
     "rouge_n",
     "rouge_l",
+    "DEDUP_RATIO",
     "dedup_sentences",
     "EvalReport",
     "evaluate_corpus",
@@ -81,15 +82,16 @@ def _overlap_ratio(a: Sequence[str], b: Sequence[str]) -> float:
     return shared / shorter
 
 
-def dedup_sentences(sentences: Sequence[Sequence[str]], threshold: float = 0.5) -> list[list[str]]:
+DEDUP_RATIO = 0.5   # shared-token ratio above which a later sentence is a repeat
+
+
+def dedup_sentences(sentences: Sequence[Sequence[str]]) -> list[list[str]]:
     """Drop any sentence whose shared-token ratio against an earlier kept
-    sentence exceeds `threshold` (ratio is relative to the shorter one).
-    Idempotent: survivors are pairwise within the threshold."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
+    sentence exceeds `DEDUP_RATIO` (ratio is relative to the shorter one).
+    Idempotent: survivors are pairwise within the ratio."""
     kept: list[list[str]] = []
     for sentence in sentences:
-        if any(_overlap_ratio(sentence, earlier) > threshold for earlier in kept):
+        if any(_overlap_ratio(sentence, earlier) > DEDUP_RATIO for earlier in kept):
             continue
         kept.append(list(sentence))
     return kept
@@ -124,19 +126,18 @@ class EvalReport:
 
 
 def evaluate_corpus(generated: Sequence[Sequence[Sequence[str]]],
-                    gold: Sequence[Sequence[Sequence[str]]],
-                    dedup_threshold: float = 0.5) -> EvalReport:
+                    gold: Sequence[Sequence[Sequence[str]]]) -> EvalReport:
     """Score aligned abstracts (lists of token-list sentences).
 
-    Generated abstracts are deduplicated first; both sides are flattened
-    for ROUGE-1/2 and for summary-level LCS.
+    Generated abstracts are deduplicated first, at `DEDUP_RATIO`; both
+    sides are flattened for ROUGE-1/2 and for summary-level LCS.
     """
     if len(generated) != len(gold):
         raise ValueError(f"aligned lists required: {len(generated)} generated "
                          f"vs {len(gold)} gold abstracts")
     rows: list[ExampleScores] = []
     for candidate_sentences, reference_sentences in zip(generated, gold):
-        deduped = dedup_sentences(candidate_sentences, dedup_threshold)
+        deduped = dedup_sentences(candidate_sentences)
         candidate = [tok for sentence in deduped for tok in sentence]
         reference = [tok for sentence in reference_sentences for tok in sentence]
         rows.append(ExampleScores(

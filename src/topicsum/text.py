@@ -40,9 +40,10 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def split_sentences(text: str, abbreviations: frozenset[str] | set[str] = DEFAULT_ABBREVIATIONS) -> list[str]:
+def split_sentences(text: str) -> list[str]:
     """Split on terminal punctuation followed by whitespace and an
-    upper-case/digit sentence opener, guarding known abbreviations.
+    upper-case/digit sentence opener, guarding the words in
+    `DEFAULT_ABBREVIATIONS`.
 
     The concatenation of the returned sentences equals the input up to the
     inter-sentence whitespace; no text is dropped.
@@ -55,7 +56,7 @@ def split_sentences(text: str, abbreviations: frozenset[str] | set[str] = DEFAUL
             continue  # boundary inside an already-consumed span
         if text[match.start()] == ".":
             before = _WORD_BEFORE_RE.search(text, 0, match.start())
-            if before is not None and before.group(1).lower() in abbreviations:
+            if before is not None and before.group(1).lower() in DEFAULT_ABBREVIATIONS:
                 continue
         sentences.append(text[start:end].strip())
         start = end

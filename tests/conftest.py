@@ -8,6 +8,11 @@ ones production uses in float32.
 
 import re
 
+# before numpy: OpenBLAS reads the `OPENBLAS_THREAD_TIMEOUT` default that
+# `topicsum` sets only when numpy loads it, so the suite runs the program's
+# BLAS setting
+import topicsum  # noqa: F401
+
 import numpy as np
 import pytest
 

@@ -352,6 +352,21 @@ class TestEvaluate:
         assert "rouge1_f1: 1.0000" in out
         assert "rougeL_f1: 1.0000" in out
 
+    def test_sentence_markers_in_gold_score_as_boundaries(self, tmp_path):
+        generated = tmp_path / "generated.txt"
+        generated.write_text("alpha beta gamma . delta epsilon .\n", encoding="utf-8")
+        reports = []
+        for name, line in (("marked", "alpha beta gamma . ⟨s⟩ delta epsilon ."),
+                           ("plain", "alpha beta gamma . delta epsilon .")):
+            gold = tmp_path / f"{name}.txt"
+            gold.write_text(line + "\n", encoding="utf-8")
+            out = tmp_path / f"{name}.tsv"
+            assert main(["evaluate", "--generated", str(generated), "--gold", str(gold),
+                         "--out", str(out)]) == 0
+            reports.append(out.read_text("utf-8"))
+        assert reports[0] == reports[1]
+        assert reports[0].splitlines()[-1] == "MEAN\t1.000000\t1.000000\t1.000000"
+
 
 class TestExitCodes:
     def test_missing_input_file_returns_two(self, tmp_path, capsys):
@@ -394,6 +409,16 @@ class TestExitCodes:
                    "--out", str(tmp_path / "d.bin")])
         assert rc == 2
         assert "unknown_knob" in capsys.readouterr().err
+
+    def test_config_key_set_twice_returns_two_naming_both_lines(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("beam_size = 2\nbeam_size = 7\n", encoding="utf-8")
+        rc = main(["train", "--stage", "detector", "--config", str(config),
+                   "--out", str(tmp_path / "d.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}:2: 'beam_size' is already set on line 1\n")
+        assert not (tmp_path / "d.bin").exists()
 
     def test_missing_required_config_keys_return_two(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -460,7 +485,8 @@ class TestExitCodes:
         empty = tmp_path / "empty.tsv"
         empty.write_text("", encoding="utf-8")
         config = root / f"empty_{stage}.cfg"
-        config.write_text(CONFIG_TEMPLATE + f"{key} = {empty}\n", encoding="utf-8")
+        line = next(line for line in CONFIG_TEMPLATE.splitlines() if line.startswith(key))
+        config.write_text(CONFIG_TEMPLATE.replace(line, f"{key} = {empty}"), encoding="utf-8")
         out = tmp_path / "model.bin"
         rc = main(["train", "--stage", stage, "--config", str(config), "--out", str(out)])
         assert rc == 2

@@ -51,7 +51,7 @@ class TestRules:
                              ids=[f"{key}={text}" for key, text, _ in ILLEGAL])
     def test_refused_from_a_file_and_when_built(self, tmp_path, key, text, message):
         path = tmp_path / "run.cfg"
-        path.write_text(f"seed = 1\n{key} = {text}\n", encoding="utf-8")
+        path.write_text(f"vocab_path = vocab.txt\n{key} = {text}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: '{key}' {message}$"):
             load_config(path)
         with pytest.raises(ValueError, match=f"^'{key}' {message}$"):
@@ -141,6 +141,13 @@ class TestLoadConfig:
         path = tmp_path / "run.cfg"
         path.write_text("seed = 1\nbogus_key = 2\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":2.*bogus_key"):
+            load_config(path)
+
+    def test_key_set_twice_names_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("beam_size = 2\nseed = 1\n# again\nbeam_size = 7\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: 'beam_size' "
+                                             r"is already set on line 1$"):
             load_config(path)
 
     def test_bad_value_names_key(self, tmp_path):

@@ -12,7 +12,6 @@ from topicsum.detector import (
     detect_topics,
     evaluate_detector,
     train_detector,
-    write_detector_report,
 )
 
 
@@ -192,10 +191,8 @@ class TestEvaluation:
         metrics = evaluate_detector(model, examples[80:])
         assert metrics.n_examples == len(examples) - 80
         assert 0.9 <= metrics.accuracy <= 1.0
-        assert len(metrics.per_topic) == 3
-        assert sum(m.support for m in metrics.per_topic) == metrics.n_examples
 
-    def test_precision_recall_by_hand(self):
+    def test_accuracy_by_hand(self):
         # classifier that always predicts topic 0
         model = make_model(n_classes=2)
         model.cls_W.data[...] = 0.0
@@ -205,27 +202,8 @@ class TestEvaluation:
                     TopicParagraphExample(1, (6,))]
         metrics = evaluate_detector(model, examples)
         assert metrics.accuracy == pytest.approx(2 / 3)
-        topic0, topic1 = metrics.per_topic
-        assert topic0.precision == pytest.approx(2 / 3)  # 2 right of 3 predicted
-        assert topic0.recall == pytest.approx(1.0)
-        assert topic1.precision == 0.0  # never predicted
-        assert topic1.recall == 0.0
-        assert (topic0.support, topic1.support) == (2, 1)
+        assert metrics.n_examples == 3
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             evaluate_detector(make_model(), [])
-
-    def test_report_file(self, tmp_path):
-        model = make_model(n_classes=2)
-        examples = [TopicParagraphExample(0, (4,)), TopicParagraphExample(1, (5,))]
-        metrics = evaluate_detector(model, examples)
-        path = tmp_path / "report.tsv"
-        write_detector_report(path, metrics, ["History", "NOISE"])
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "topic\tprecision\trecall\tsupport"
-        assert lines[1].startswith("History\t")
-        assert lines[2].startswith("NOISE\t")
-        assert lines[3].startswith("ALL\taccuracy=")
-        with pytest.raises(ValueError):
-            write_detector_report(path, metrics, ["only-one-name"])

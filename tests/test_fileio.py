@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from topicsum import checkpoint, cli, corpus, detector, fileio, rouge
+from topicsum import checkpoint, cli, corpus, fileio, rouge
 from topicsum.config import RunConfig, load_config
 from topicsum.generator import init_embeddings
 from topicsum.text import Vocabulary
@@ -48,10 +48,6 @@ WRITERS = {
         path, [corpus.SummarizationExample(title="t", paragraph_tokens=[["a"]],
                                            paragraph_ids=[[4]], abstract_tokens=[["a"]],
                                            abstract_ids=[[4]])]),
-    "write_detector_report": lambda path: detector.write_detector_report(
-        path, detector.DetectorMetrics(accuracy=0.5, n_examples=2, per_topic=[
-            detector.TopicMetrics(topic_index=0, precision=0.5, recall=1.0, support=1)]),
-        ["History"]),
     "write_eval_report": lambda path: rouge.write_eval_report(path, rouge.EvalReport(rows=[
         rouge.ExampleScores(rouge_1=_score(0.5), rouge_2=_score(0.25), rouge_l=_score(0.5))])),
     "Vocabulary.save": lambda path: Vocabulary(["alpha", "beta"]).save(path),
@@ -120,7 +116,7 @@ READERS = {
         path, Vocabulary(["a"])),
     "evaluate abstracts": cli._read_abstract_lines,
     "init_embeddings": lambda path: init_embeddings(np.zeros((5, 2), np.float32),
-                                                    Vocabulary(["a"]), path),
+                                                    Vocabulary(["a"]), path, []),
 }
 
 

@@ -2187,7 +2187,7 @@ class TestInitEmbeddings:
         path.write_text("alpha 1.0 2.0 3.0\nbeta -1.0 0.0 0.5\n", encoding="utf-8")
         table = self.model().embed.data
         drawn = table.copy()
-        init_embeddings(table, vocab, path)
+        init_embeddings(table, vocab, path, [])
         np.testing.assert_array_equal(table[vocab.token_to_id("alpha")], [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(table[vocab.token_to_id("beta")], [-1.0, 0.0, 0.5])
         # a word with no pretrained vector and no corpus keeps its drawn row
@@ -2211,10 +2211,10 @@ class TestInitEmbeddings:
         drawn = table.copy()
         path.write_text("alpha 1.0 2.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":1"):
-            init_embeddings(table, vocab, path)
+            init_embeddings(table, vocab, path, [])
         path.write_text("alpha 1.0 2.0 oops\n", encoding="utf-8")
         with pytest.raises(ValueError, match="non-numeric"):
-            init_embeddings(table, vocab, path)
+            init_embeddings(table, vocab, path, [])
         # the good first line is not written before the bad second is read
         path.write_text("beta 1.0 2.0 3.0\nalpha nan inf 1\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":2: non-finite"):

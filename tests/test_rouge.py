@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from topicsum.rouge import (
+    DEDUP_RATIO,
     EvalReport,
     RougeScore,
     _lcs_length,
@@ -145,7 +146,7 @@ class TestDedup:
         first = ["the", "fox", "ran", "fast"]
         duplicate = ["the", "fox", "ran", "away"]  # 3 of 4 shared: ratio 0.75
         distinct = ["owls", "hunt", "at", "night"]
-        kept = dedup_sentences([first, duplicate, distinct], threshold=0.5)
+        kept = dedup_sentences([first, duplicate, distinct])
         assert kept == [first, distinct]
 
     def test_ratio_uses_shorter_sentence(self):
@@ -156,7 +157,8 @@ class TestDedup:
     def test_exact_threshold_is_kept(self):
         first = ["a", "b", "c", "d"]
         second = ["a", "b", "x", "y"]  # 2 of 4 shared: ratio exactly 0.5
-        kept = dedup_sentences([first, second], threshold=0.5)
+        assert DEDUP_RATIO == 0.5
+        kept = dedup_sentences([first, second])
         assert kept == [first, second]
 
     def test_idempotent(self):
@@ -167,12 +169,8 @@ class TestDedup:
         twice = dedup_sentences(once)
         assert once == twice
 
-    def test_empty_input_and_bad_threshold(self):
+    def test_empty_input(self):
         assert dedup_sentences([]) == []
-        with pytest.raises(ValueError):
-            dedup_sentences([["a"]], threshold=0.0)
-        with pytest.raises(ValueError):
-            dedup_sentences([["a"]], threshold=1.5)
 
 
 class TestEvaluateCorpus:

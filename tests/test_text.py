@@ -7,6 +7,7 @@ import pytest
 
 from topicsum.text import (
     BOS_ID,
+    DEFAULT_ABBREVIATIONS,
     EOS_ID,
     PAD_ID,
     RESERVED_TOKENS,
@@ -68,12 +69,12 @@ class TestSplitSentences:
         assert split_sentences("") == []
         assert split_sentences("   ") == []
 
-    def test_custom_abbreviations(self):
-        text = "It ran on steam. The turbines spun."
-        default = split_sentences(text)
-        guarded = split_sentences(text, abbreviations=frozenset({"steam"}))
-        assert default == ["It ran on steam.", "The turbines spun."]
-        assert guarded == ["It ran on steam. The turbines spun."]
+    def test_guard_is_the_default_abbreviations(self):
+        assert "corp" in DEFAULT_ABBREVIATIONS and "steam" not in DEFAULT_ABBREVIATIONS
+        assert split_sentences("It ran on steam. The turbines spun.") == [
+            "It ran on steam.", "The turbines spun."]
+        assert split_sentences("It ran for Acme Corp. The turbines spun.") == [
+            "It ran for Acme Corp. The turbines spun."]
 
     def test_question_and_exclamation_ignore_abbreviation_guard(self):
         # the guard applies to periods only
