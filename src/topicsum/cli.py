@@ -199,7 +199,10 @@ def cmd_train(args) -> int:
     `embeddings_path`, pretrained vectors overwrite rows of the generator's
     seed-drawn embedding table before training (`init_embeddings`); a bad
     vectors file stops the run with nothing written."""
-    config = load_config(args.config)
+    reads = (("detector_train_path", "detector_valid_path") if args.stage == "detector" else
+             ("summarization_train_path", "summarization_valid_path", "detector_checkpoint",
+              "embeddings_path"))
+    config = load_config(args.config, reads=("vocab_path", "schema_path", *reads))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     log_path = args.log or f"{args.out}.log"
@@ -209,7 +212,8 @@ def cmd_train(args) -> int:
 
     if args.stage == "detector":
         _require(args.config, config, "detector_train_path", "detector_valid_path")
-        train, valid = (load_detector_dataset(path, schema.n_classes, len(vocab))
+        train, valid = (load_detector_dataset(path, schema.n_classes, len(vocab),
+                                              config.vocab_path)
                         for path in (config.detector_train_path, config.detector_valid_path))
         model = _build_detector_model(config, vocab, schema.n_classes)
         with _training_on(config.detector_train_path):
@@ -251,7 +255,7 @@ def cmd_train(args) -> int:
 # generate
 
 def cmd_generate(args) -> int:
-    config = load_config(args.config)
+    config = load_config(args.config, reads=("vocab_path", "schema_path", "detector_checkpoint"))
     config = dataclasses.replace(config, topic_mode=args.mode or config.topic_mode,
                                  beam_size=config.beam_size if args.beam is None else args.beam)
     _require(args.config, config, "vocab_path", "schema_path", "detector_checkpoint")

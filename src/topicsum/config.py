@@ -6,6 +6,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Collection
 
 from .fileio import read_lines
 
@@ -101,7 +102,7 @@ _PATH_KEYS = frozenset(
 )
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, reads: Collection[str] = ()) -> RunConfig:
     """Parse "key = value" lines; '#' starts a comment, blank lines skipped.
 
     Unknown keys, malformed values and values `_problem` refuses (non-finite
@@ -111,6 +112,9 @@ def load_config(path) -> RunConfig:
     topic_mode other than soft or hard, a stop_threshold outside (0, 1))
     raise with the offending line, as does a key set on an earlier line.
     Relative path values are resolved against the config file's directory.
+    A key of `reads`, the path keys whose files the caller opens, that
+    names no existing file raises with its line too; unset keys are the
+    caller's to refuse.
     """
     path = Path(path)
     base = path.parent
@@ -147,6 +151,8 @@ def load_config(path) -> RunConfig:
             candidate = Path(str(parsed))
             if not candidate.is_absolute():
                 parsed = str(base / candidate)
+            if key in reads and not Path(parsed).exists():
+                raise ValueError(f"{path}:{lineno}: '{key}' names a missing file: {parsed}")
         values[key] = parsed
     return RunConfig(**values)
 

@@ -329,9 +329,11 @@ def write_detector_dataset(path, examples: Sequence[TopicParagraphExample]) -> N
             handle.write(f"{example.topic_index}\t{ids}\n")
 
 
-def load_detector_dataset(path, n_classes: int, vocab_size: int) -> list[TopicParagraphExample]:
+def load_detector_dataset(path, n_classes: int, vocab_size: int,
+                          vocab_path=None) -> list[TopicParagraphExample]:
     """Read 'topic<TAB>ids' lines; a topic outside [0, n_classes) or a token
-    id outside [0, vocab_size) is an error naming its line."""
+    id outside [0, vocab_size) is an error naming its line, and for a token
+    id also `vocab_path`, the vocabulary file that sets the size, if given."""
     examples: list[TopicParagraphExample] = []
     for lineno, line in enumerate(read_lines(path), start=1):
         line = line.rstrip("\n")
@@ -349,7 +351,8 @@ def load_detector_dataset(path, n_classes: int, vocab_size: int) -> list[TopicPa
             raise ValueError(f"{path}:{lineno}: topic {topic} outside [0, {n_classes})")
         bad = [i for i in ids if not 0 <= i < vocab_size]
         if bad:
-            raise ValueError(f"{path}:{lineno}: token id {bad[0]} outside [0, {vocab_size})")
+            of = f" of the vocabulary {vocab_path}" if vocab_path else ""
+            raise ValueError(f"{path}:{lineno}: token id {bad[0]} outside [0, {vocab_size}){of}")
         examples.append(TopicParagraphExample(topic_index=topic, token_ids=ids))
     return examples
 

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 import topicsum.autodiff as ad
+from topicsum import checkpoint
+from topicsum.generator import GeneratorModel
 from conftest import assert_grads_match, check_gradients, numeric_grad
 
 
@@ -1161,16 +1163,20 @@ class TestAdam:
 
     def test_step_is_bitwise_the_textbook_formula(self):
         rng = np.random.default_rng(8)
-        # "long" and "slab" span chunk boundaries; the last chunk is partial
+        # "long" and "slab" span chunk boundaries; the last chunk is partial.
+        # The small ones, "fortran" among them, share three arena windows.
         shapes = {"w": (3, 4), "b": (1, 4), "v": (7,), "cube": (2, 3, 2), "s": (1, 1),
                   "long": (2 * ad.Adam.CHUNK + 17,), "slab": (3, 5, ad.Adam.CHUNK // 15 + 1),
-                  "fortran": (5, 3)}
+                  "fortran": (5, 3), "edge": (ad.Adam.CHUNK - 1,),
+                  **{f"odd{k}": (2 + k % 4, 97 + 13 * k, 3 + k % 5)[k % 3:] for k in range(36)}}
         params = {name: ad.Tensor(rng.normal(size=shape), requires_grad=True)
                   for name, shape in shapes.items()}
         params["fortran"].data = np.asfortranarray(params["fortran"].data)   # no flat view
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         assert (ad.Adam.BETA1, ad.Adam.BETA2, ad.Adam.EPS) == (b1, b2, eps)
         opt = ad.Adam(params, lr=lr)
+        assert len(opt._windows) >= 3 and len(opt._views) == len(shapes) - 2
+        assert params["fortran"].data.flags.c_contiguous
         data = {name: p.data.copy() for name, p in params.items()}
         m = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
         v = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
@@ -1187,13 +1193,25 @@ class TestAdam:
                 v_hat = v[name] / (1.0 - b2 ** t)
                 data[name] = data[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
                 assert np.array_equal(params[name].data, data[name]), (name, t)
+                assert np.array_equal(opt._m[name], m[name]), (name, t)
+                assert np.array_equal(opt._v[name], v[name]), (name, t)
 
     def test_two_thread_step_equals_the_serial_one_bitwise(self, monkeypatch):
-        """Odd sizes, and a non-C-contiguous parameter whose chunks fall on
-        both sides of the cut between the threads' halves."""
+        """Odd sizes, a large non-C-contiguous parameter, and small ones whose
+        arena windows fall on both sides of the cut between the threads'
+        halves."""
         rng = np.random.default_rng(9)
         shapes = {"odd": (3, 7), "long": (3 * ad.Adam.CHUNK + 5,), "s": (1, 1),
-                  "fortran": (ad.Adam.CHUNK // 100 + 3, 301)}
+                  "fortran": (ad.Adam.CHUNK // 100 + 3, 301),
+                  **{f"small{k}": (97 + k, 113) for k in range(40)}}
+        arena_windows_per_side, update = [], ad.Adam._update
+
+        def spy_update(self, chunks, scratch):
+            arena = self._windows[0][3].base
+            arena_windows_per_side.append(sum(chunk[3].base is arena for chunk in chunks))
+            update(self, chunks, scratch)
+
+        monkeypatch.setattr(ad.Adam, "_update", spy_update)
 
         def run(split_min):
             monkeypatch.setattr(ad, "_PASS_SPLIT_MIN", split_min)
@@ -1218,14 +1236,64 @@ class TestAdam:
         monkeypatch.setattr(ad, "_on_two_threads", spy)
         serial = run(ad._PASS_SPLIT_MIN)
         assert calls == []
+        arena_windows_per_side.clear()
         split = run(1)
         assert calls == [False] * 3
+        assert len(arena_windows_per_side) == 6 and min(arena_windows_per_side) > 0
         assert ad._by_halves(lambda part, side: (part, side), list(range(8)), [3] * 8) == (
             ([0, 1, 2, 3], 0), ([4, 5, 6, 7], 1))
         for name in shapes:
             assert split.params[name].data.tobytes() == serial.params[name].data.tobytes(), name
             assert split._m[name].tobytes() == serial._m[name].tobytes(), name
             assert split._v[name].tobytes() == serial._v[name].tobytes(), name
+
+    @pytest.mark.parametrize("taken_by, named", [("a second Adam", "w"), ("rebinding", "b")])
+    def test_a_small_parameter_taken_from_the_arena_stops_the_step(self, taken_by, named):
+        rng = np.random.default_rng(10)
+        params = {name: ad.Tensor(rng.normal(size=shape), requires_grad=True)
+                  for name, shape in (("w", (3, 4)), ("big", (ad.Adam.CHUNK,)), ("b", (1, 4)))}
+        opt = ad.Adam(params, lr=0.1)
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        before = {name: (p.data.copy(), opt._m[name].copy(), opt._v[name].copy())
+                  for name, p in params.items()}
+        if taken_by == "rebinding":
+            params["b"].data = params["b"].data.copy()
+        else:
+            ad.Adam(params, lr=0.1)
+        with pytest.raises(ValueError, match=f"parameter '{named}'"):
+            opt.step()
+        assert opt.step_count == 1
+        for name, (data, m, v) in before.items():
+            assert np.array_equal(params[name].data, data), name
+            assert np.array_equal(opt._m[name], m), name
+            assert np.array_equal(opt._v[name], v), name
+
+    def test_a_checkpoint_loaded_after_adam_is_built_steps_like_one_loaded_before(
+            self, tmp_path):
+        def model(seed):
+            return GeneratorModel(40, 3, embed_dim=8, hidden_dim=12, seed=seed)
+
+        path = tmp_path / "g.bin"
+        checkpoint.save_tensors(path, model(5).parameters())
+        early, late = model(1), model(2)
+        checkpoint.load_into(early.parameters(), path)
+        optimizers = [ad.Adam(early.parameters(), lr=0.01), ad.Adam(late.parameters(), lr=0.01)]
+        checkpoint.load_into(late.parameters(), path)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            grads = {name: rng.normal(size=p.shape).astype(np.float32)
+                     for name, p in early.parameters().items()}
+            for opt in optimizers:
+                for name, p in opt.params.items():
+                    p.grad = grads[name].copy()
+                opt.step()
+        (first, second) = optimizers
+        for name, p in first.params.items():
+            assert p.data.tobytes() == second.params[name].data.tobytes(), name
+            assert first._m[name].tobytes() == second._m[name].tobytes(), name
+            assert first._v[name].tobytes() == second._v[name].tobytes(), name
 
 
 class TestFit:

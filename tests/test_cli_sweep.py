@@ -107,18 +107,6 @@ def case_id(case):
 # until the ROADMAP item that owns its fix lands
 KNOWN_FAILURES = {
     **dict.fromkeys(
-        [f"{command}-run.cfg-{kind}@{lineno}" for command, kind, lineno in (
-            *(("train-detector", "add_field", n) for n in (2, 3, 4, 5)),
-            ("train-detector", "cut", 3), ("train-detector", "cut", 5),
-            *(("train-generator", "add_field", n) for n in (2, 3, 6, 7, 8)),
-            ("train-generator", "cut", 3),
-            *(("generate", "add_field", n) for n in (2, 3, 8)))],
-        "ROADMAP item 3: a path key whose file is missing is refused naming only that "
-        "file, not the config's path and line"),
-    "train-detector-vocab.txt-cut": (
-        "ROADMAP item 3: a vocabulary shorter than the detector splits' token ids is "
-        "refused naming the split, not the vocabulary"),
-    **dict.fromkeys(
         ["train-generator-vocab.txt-cut", "train-generator-schema.txt-cut",
          "generate-vocab.txt-cut",
          *(f"{command}-run.cfg-empty_line@{n}" for command in ("train-generator", "generate")

@@ -137,6 +137,17 @@ class TestLoadConfig:
         assert config.detector_checkpoint == str(nested / "det.bin")
         assert config.schema_path == str(tmp_path / "abs.txt")  # absolute kept
 
+    def test_a_read_path_key_naming_a_missing_file_names_its_line(self, tmp_path):
+        (tmp_path / "vocab.txt").write_text("a\n", encoding="utf-8")
+        path = tmp_path / "run.cfg"
+        path.write_text("vocab_path = vocab.txt\nschema_path = gone.txt\n"
+                        "detector_checkpoint = later.bin\n", encoding="utf-8")
+        # a key the caller does not read may name a file that is yet to be written
+        assert load_config(path, reads=("vocab_path",)).schema_path == str(tmp_path / "gone.txt")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: 'schema_path' names "
+                                             rf"a missing file: {re.escape(str(tmp_path))}"):
+            load_config(path, reads=("vocab_path", "schema_path", "embeddings_path"))
+
     def test_unknown_key_names_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed = 1\nbogus_key = 2\n", encoding="utf-8")

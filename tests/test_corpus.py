@@ -319,6 +319,13 @@ class TestDetectorDataset:
         with pytest.raises(ValueError, match=f"bad.tsv:2: {message}"):
             load_detector_dataset(path, n_classes=3, vocab_size=10)
 
+    def test_an_id_outside_the_vocabulary_names_the_vocabulary_file(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("0\t1 10 2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"bad.tsv:1: token id 10 outside \[0, 10\) "
+                                             r"of the vocabulary cut/vocab.txt$"):
+            load_detector_dataset(path, 3, 10, "cut/vocab.txt")
+
 
 class TestSummarizationDataset:
     def write_record(self, path, title="Topic A", paragraphs="the fox ran ⟨p⟩ it slept",
