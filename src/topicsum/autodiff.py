@@ -25,13 +25,10 @@ is the pointer-generator NLL's last layer: from the logits, copy gate and
 attention weights of T rows it gives each row's gold log-probability
 without the [T, V'] mixture, in one full-width pass each way.
 
-`Adam` owns the storage of every parameter smaller than one of its
-chunks: it moves their values into one flat arena, next to their moments,
-and rebinds each one's `.data` to its view there, so that a step updates
-them all in a few chunk-sized windows.  Write such a parameter in place
-(`p.data[...] = ...`, as `checkpoint.load_into` does); rebinding its
-`.data`, or building a second Adam over it, leaves the first Adam's next
-step refusing it.
+`Adam` keeps the moments of every parameter smaller than one of its
+chunks in two flat arenas, and at each step gathers those parameters'
+values and gradients next to them, so that one step updates them all in
+a few chunk-sized windows and copies the values back in place.
 
 float32 is the working dtype; `using_dtype` exists so that numerical test
 suites can run the identical op implementations in float64, where central
@@ -968,17 +965,11 @@ class Adam:
     where a paper-size weight would stream from memory on every pass.
 
     Parameters smaller than one chunk, in the dtype the step computes in,
-    would each pay those passes for a few hundred values, so Adam owns their
-    storage: the constructor copies their values, in C order one after
-    another, into one flat arena and rebinds each one's `.data` to its view
-    of it, and their moments live in two arenas laid out alike.  A step
-    gathers their gradients into one buffer and updates the arenas a
-    chunk-sized window at a time, next to the larger parameters' own chunks,
-    whose values are never copied.  Writing through `.data` in place
-    (`checkpoint.load_into`, `p.data[...] = ...`) keeps a parameter in the
-    arena; rebinding `.data`, or building a second Adam over the same
-    parameter, takes it out, and this Adam's next step then raises naming
-    it, changing nothing.
+    would each pay those passes for a few hundred values.  Their moments
+    live, in C order one after another, in two flat arenas; a step gathers
+    their values and gradients into two buffers laid out alike, updates
+    them a chunk-sized window at a time, next to the larger parameters' own
+    chunks, and writes each one's values back into its `.data` in place.
 
     From `_PASS_SPLIT_MIN` elements on, the chunks are cut into two halves
     of about equal size, one per thread, each with its own scratch.  Every
@@ -994,46 +985,40 @@ class Adam:
         self.step_count = 0
         arrays = [p.data for p in self.params.values()]
         dtype = np.result_type(*arrays) if arrays else default_dtype()
-        small = {name for name, p in self.params.items()
-                 if p.data.size < self.CHUNK and p.data.dtype == dtype}
-        self._large = {name: p for name, p in self.params.items() if name not in small}
-        size = sum(self.params[name].data.size for name in small)
-        values, m, v = np.empty(size, dtype), np.zeros(size, dtype), np.zeros(size, dtype)
-        self._grads = np.empty(size, dtype)
-        # a small parameter's name -> the arena view its .data must still be
-        self._views, self._m, self._v, start = {}, {}, {}, 0
+        self._small = {name: p for name, p in self.params.items()
+                       if p.data.size < self.CHUNK and p.data.dtype == dtype}
+        self._large = {name: p for name, p in self.params.items() if name not in self._small}
+        size = sum(p.data.size for p in self._small.values())
+        self._grads, self._values = np.empty(size, dtype), np.empty(size, dtype)
+        m, v = np.zeros(size, dtype), np.zeros(size, dtype)
+        # a small parameter's moments, and its values during a step, are C-order
+        # slices of the arenas
+        self._m, self._v, self._slices, start = {}, {}, [], 0
         for name, p in self.params.items():
-            if name in small:
+            if name in self._small:
                 stop = start + p.data.size
-                view = values[start:stop].reshape(p.data.shape)
-                view[...] = p.data
-                p.data = self._views[name] = view
-                self._m[name] = m[start:stop].reshape(view.shape)
-                self._v[name] = v[start:stop].reshape(view.shape)
+                self._m[name] = m[start:stop].reshape(p.data.shape)
+                self._v[name] = v[start:stop].reshape(p.data.shape)
+                self._slices.append(self._values[start:stop].reshape(p.data.shape))
                 start = stop
             else:
                 # C order, so that a flat view walks them in step with the parameter
                 self._m[name] = np.zeros(p.data.shape, p.data.dtype)
                 self._v[name] = np.zeros(p.data.shape, p.data.dtype)
-        self._windows = [tuple(x[start:start + self.CHUNK] for x in (self._grads, m, v, values))
+        self._windows = [tuple(x[start:start + self.CHUNK] for x in (self._grads, m, v, self._values))
                          for start in range(0, size, self.CHUNK)]
         width = min(self.CHUNK, max([size, *(p.data.size for p in self._large.values())]))
         self._scratch = [(np.empty(width, dtype), np.empty(width, dtype)) for _ in range(2)]
 
     def step(self) -> None:
         """One update of every parameter; raises ValueError, changing
-        nothing, when any parameter has no gradient or a small parameter's
-        `.data` is no longer its view of the arena."""
+        nothing, when any parameter has no gradient."""
         for name, p in self.params.items():
             if p.grad is None:
                 raise ValueError(f"parameter '{name}' has no gradient; run backward first")
-        for name, view in self._views.items():
-            if self.params[name].data is not view:
-                raise ValueError(f"parameter '{name}' no longer holds this Adam's storage: "
-                                 f"its .data was rebound, or another Adam took it over")
         if self._windows:
-            np.concatenate([self.params[name].grad for name in self._views], axis=None,
-                           out=self._grads)
+            np.concatenate([p.grad for p in self._small.values()], axis=None, out=self._grads)
+            np.concatenate([p.data for p in self._small.values()], axis=None, out=self._values)
         self.step_count += 1
         # flat views; reshape copies a parameter that is not C-ordered, and
         # the copy is written back below
@@ -1043,6 +1028,8 @@ class Adam:
                                   for flat in flats for start in range(0, flat[3].size, self.CHUNK)]
         _by_halves(lambda part, side: self._update(part, self._scratch[side]), chunks,
                    [chunk[3].size for chunk in chunks])
+        for p, values in zip(self._small.values(), self._slices):
+            p.data[...] = values
         for p, (_, _, _, values) in zip(self._large.values(), flats):
             if not p.data.flags.c_contiguous:
                 p.data[...] = values.reshape(p.data.shape)

@@ -140,6 +140,10 @@ def cmd_build_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
+# the config keys every training stage and generation read first
+_VOCABULARY_KEYS = ("vocab_path", "schema_path")
+
+
 def _require(path, config: RunConfig, *keys: str) -> None:
     """Refuse, naming the config file at `path`, a config that leaves any of `keys` unset."""
     missing = [key for key in keys if not getattr(config, key)]
@@ -199,19 +203,18 @@ def cmd_train(args) -> int:
     `embeddings_path`, pretrained vectors overwrite rows of the generator's
     seed-drawn embedding table before training (`init_embeddings`); a bad
     vectors file stops the run with nothing written."""
-    reads = (("detector_train_path", "detector_valid_path") if args.stage == "detector" else
-             ("summarization_train_path", "summarization_valid_path", "detector_checkpoint",
-              "embeddings_path"))
-    config = load_config(args.config, reads=("vocab_path", "schema_path", *reads))
+    stage_keys = (("detector_train_path", "detector_valid_path") if args.stage == "detector" else
+                  ("summarization_train_path", "summarization_valid_path", "detector_checkpoint"))
+    config = load_config(args.config, reads=(*_VOCABULARY_KEYS, *stage_keys, "embeddings_path"))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     log_path = args.log or f"{args.out}.log"
-    _require(args.config, config, "vocab_path", "schema_path")
+    _require(args.config, config, *_VOCABULARY_KEYS)
+    _require(args.config, config, *stage_keys)
     vocab = Vocabulary.load(config.vocab_path)
     schema = load_topic_schema(config.schema_path)
 
     if args.stage == "detector":
-        _require(args.config, config, "detector_train_path", "detector_valid_path")
         train, valid = (load_detector_dataset(path, schema.n_classes, len(vocab),
                                               config.vocab_path)
                         for path in (config.detector_train_path, config.detector_valid_path))
@@ -223,8 +226,6 @@ def cmd_train(args) -> int:
                    f"{config.detector_epochs} epochs\n"
                    f"final valid accuracy: {history[-1]['valid_accuracy']:.4f}")
     else:
-        _require(args.config, config, "summarization_train_path", "summarization_valid_path",
-                 "detector_checkpoint")
         train = load_summarization_dataset(config.summarization_train_path, vocab)
         valid = load_summarization_dataset(config.summarization_valid_path, vocab)
         train_topics, valid_topics = _detected_topics(config, vocab, schema.n_classes, train, valid)
@@ -255,10 +256,11 @@ def cmd_train(args) -> int:
 # generate
 
 def cmd_generate(args) -> int:
-    config = load_config(args.config, reads=("vocab_path", "schema_path", "detector_checkpoint"))
+    needed = (*_VOCABULARY_KEYS, "detector_checkpoint")
+    config = load_config(args.config, reads=needed)
     config = dataclasses.replace(config, topic_mode=args.mode or config.topic_mode,
                                  beam_size=config.beam_size if args.beam is None else args.beam)
-    _require(args.config, config, "vocab_path", "schema_path", "detector_checkpoint")
+    _require(args.config, config, *needed)
     vocab = Vocabulary.load(config.vocab_path)
     schema = load_topic_schema(config.schema_path)
     model = _build_generator_model(config, vocab, len(schema.topics))

@@ -330,10 +330,10 @@ def write_detector_dataset(path, examples: Sequence[TopicParagraphExample]) -> N
 
 
 def load_detector_dataset(path, n_classes: int, vocab_size: int,
-                          vocab_path=None) -> list[TopicParagraphExample]:
+                          vocab_path) -> list[TopicParagraphExample]:
     """Read 'topic<TAB>ids' lines; a topic outside [0, n_classes) or a token
     id outside [0, vocab_size) is an error naming its line, and for a token
-    id also `vocab_path`, the vocabulary file that sets the size, if given."""
+    id also `vocab_path`, the vocabulary file that sets the size."""
     examples: list[TopicParagraphExample] = []
     for lineno, line in enumerate(read_lines(path), start=1):
         line = line.rstrip("\n")
@@ -351,8 +351,8 @@ def load_detector_dataset(path, n_classes: int, vocab_size: int,
             raise ValueError(f"{path}:{lineno}: topic {topic} outside [0, {n_classes})")
         bad = [i for i in ids if not 0 <= i < vocab_size]
         if bad:
-            of = f" of the vocabulary {vocab_path}" if vocab_path else ""
-            raise ValueError(f"{path}:{lineno}: token id {bad[0]} outside [0, {vocab_size}){of}")
+            raise ValueError(f"{path}:{lineno}: token id {bad[0]} outside [0, {vocab_size}) "
+                             f"of the vocabulary {vocab_path}")
         examples.append(TopicParagraphExample(topic_index=topic, token_ids=ids))
     return examples
 

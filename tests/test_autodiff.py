@@ -1175,8 +1175,7 @@ class TestAdam:
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
         assert (ad.Adam.BETA1, ad.Adam.BETA2, ad.Adam.EPS) == (b1, b2, eps)
         opt = ad.Adam(params, lr=lr)
-        assert len(opt._windows) >= 3 and len(opt._views) == len(shapes) - 2
-        assert params["fortran"].data.flags.c_contiguous
+        assert len(opt._windows) >= 3 and len(opt._small) == len(shapes) - 2
         data = {name: p.data.copy() for name, p in params.items()}
         m = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
         v = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
@@ -1247,31 +1246,9 @@ class TestAdam:
             assert split._m[name].tobytes() == serial._m[name].tobytes(), name
             assert split._v[name].tobytes() == serial._v[name].tobytes(), name
 
-    @pytest.mark.parametrize("taken_by, named", [("a second Adam", "w"), ("rebinding", "b")])
-    def test_a_small_parameter_taken_from_the_arena_stops_the_step(self, taken_by, named):
-        rng = np.random.default_rng(10)
-        params = {name: ad.Tensor(rng.normal(size=shape), requires_grad=True)
-                  for name, shape in (("w", (3, 4)), ("big", (ad.Adam.CHUNK,)), ("b", (1, 4)))}
-        opt = ad.Adam(params, lr=0.1)
-        for p in params.values():
-            p.grad = np.ones_like(p.data)
-        opt.step()
-        before = {name: (p.data.copy(), opt._m[name].copy(), opt._v[name].copy())
-                  for name, p in params.items()}
-        if taken_by == "rebinding":
-            params["b"].data = params["b"].data.copy()
-        else:
-            ad.Adam(params, lr=0.1)
-        with pytest.raises(ValueError, match=f"parameter '{named}'"):
-            opt.step()
-        assert opt.step_count == 1
-        for name, (data, m, v) in before.items():
-            assert np.array_equal(params[name].data, data), name
-            assert np.array_equal(opt._m[name], m), name
-            assert np.array_equal(opt._v[name], v), name
-
+    @pytest.mark.parametrize("filled_by", ["load_into", "rebinding .data"])
     def test_a_checkpoint_loaded_after_adam_is_built_steps_like_one_loaded_before(
-            self, tmp_path):
+            self, tmp_path, filled_by):
         def model(seed):
             return GeneratorModel(40, 3, embed_dim=8, hidden_dim=12, seed=seed)
 
@@ -1280,7 +1257,11 @@ class TestAdam:
         early, late = model(1), model(2)
         checkpoint.load_into(early.parameters(), path)
         optimizers = [ad.Adam(early.parameters(), lr=0.01), ad.Adam(late.parameters(), lr=0.01)]
-        checkpoint.load_into(late.parameters(), path)
+        if filled_by == "load_into":
+            checkpoint.load_into(late.parameters(), path)
+        else:
+            for name, p in late.parameters().items():
+                p.data = early.parameters()[name].data.copy(order="F")
         rng = np.random.default_rng(11)
         for _ in range(3):
             grads = {name: rng.normal(size=p.shape).astype(np.float32)

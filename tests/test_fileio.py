@@ -111,7 +111,7 @@ READERS = {
     "Vocabulary.load": Vocabulary.load,
     "load_topic_schema": corpus.load_topic_schema,
     "load_articles": corpus.load_articles,
-    "load_detector_dataset": lambda path: corpus.load_detector_dataset(path, 2, 10),
+    "load_detector_dataset": lambda path: corpus.load_detector_dataset(path, 2, 10, "v.txt"),
     "load_summarization_dataset": lambda path: corpus.load_summarization_dataset(
         path, Vocabulary(["a"])),
     "evaluate abstracts": cli._read_abstract_lines,
@@ -137,7 +137,7 @@ def test_bad_byte_past_the_first_decoded_chunk(tmp_path):
     path.write_bytes(b"0\t4 5\n" * 3000 + b"1\t\xe2\x82\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3001: not UTF-8 at offset 18002 "
                                          r"\(invalid continuation byte\)$"):
-        corpus.load_detector_dataset(path, 2, 10)
+        corpus.load_detector_dataset(path, 2, 10, "v.txt")
 
 
 def test_read_lines_splits_as_open_does(tmp_path):
