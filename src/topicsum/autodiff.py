@@ -35,7 +35,7 @@ suites can run the identical op implementations in float64, where central
 finite differences are meaningful.
 
 Work with two independent halves runs them on two threads once it is large
-enough to pay for the thread (`_on_two_threads`): a large weight draw in
+enough to pay for the thread (`on_two_threads`): a large weight draw in
 `parameter`, `bigru_sequence`'s two directions, forward and back through
 time, and the forward of `additive_scores` over two halves of its query
 blocks, with BLAS at one thread each, `Adam.step` and `fit`'s gradient
@@ -111,6 +111,7 @@ __all__ = [
     "Adam",
     "EmptyTrainingSet",
     "fit",
+    "on_two_threads",
 ]
 
 _DTYPE_STACK = [np.float32]
@@ -316,7 +317,7 @@ def _worker() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=1)
 
 
-_BUSY = threading.Lock()   # held by the `_on_two_threads` call that has the worker
+_BUSY = threading.Lock()   # held by the `on_two_threads` call that has the worker
 
 
 def _reset_worker_in_child() -> None:
@@ -331,7 +332,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_worker_in_child)
 
 
-def _on_two_threads(first: Callable, second: Callable, one_blas_thread: bool = False):
+def on_two_threads(first: Callable, second: Callable, one_blas_thread: bool = False):
     """(first(), second()), with second() on the process's worker thread
     while first() runs on this one.  Both have finished when this returns
     or raises, and an exception of either side is raised here, first()'s
@@ -414,8 +415,8 @@ def parameter(rng: np.random.Generator, shape) -> Tensor:
     # `advance` drops the buffered 32-bit value, which a uniform draw keeps
     tail.state = {**tail.state, "has_uint32": state["has_uint32"],
                   "uinteger": state["uinteger"]}
-    _on_two_threads(lambda: _fill_uniform(rng, flat[:split]),
-                    lambda: _fill_uniform(np.random.Generator(tail), flat[split:]))
+    on_two_threads(lambda: _fill_uniform(rng, flat[:split]),
+                   lambda: _fill_uniform(np.random.Generator(tail), flat[split:]))
     bits.state = tail.state
     return Tensor(data, requires_grad=True)
 
@@ -490,7 +491,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """x @ weight + bias, with bias a [1, n] row added to every row of x."""
+    """x @ weight + bias, with bias a [1, n] row added to every row of x in
+    place into the product: bitwise `x @ weight + bias`, one block fewer."""
     if x.data.ndim != 2 or weight.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
         raise ValueError(f"affine shape mismatch: {x.data.shape} x {weight.data.shape}")
     if bias.data.shape != (1, weight.data.shape[1]):
@@ -500,7 +502,9 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     def vjp(g):
         return g @ w_data.T, x_data.T @ g, g.sum(axis=0, keepdims=True)
 
-    return _push(x_data @ w_data + bias.data, (x, weight, bias), vjp)
+    out = x_data @ w_data
+    out += bias.data
+    return _push(out, (x, weight, bias), vjp)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -561,10 +565,9 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ValueError("concat needs at least one tensor")
     data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, sizes, axis=axis))
+        return tuple(np.split(g, np.cumsum([p.data.shape[axis] for p in parts])[:-1], axis=axis))
 
     return _push(data, tuple(parts), vjp)
 
@@ -683,8 +686,8 @@ def additive_scores(keys: Tensor, queries: Tensor, v: Tensor) -> Tensor:
 
     if len(blocks) > 1 and count * n * hidden >= _SCORE_SPLIT_MIN:
         half = (len(blocks) + 1) // 2
-        _on_two_threads(lambda: score(blocks[:half], mixed),
-                        lambda: score(blocks[half:], np.empty_like(mixed)), one_blas_thread=True)
+        on_two_threads(lambda: score(blocks[:half], mixed),
+                       lambda: score(blocks[half:], np.empty_like(mixed)), one_blas_thread=True)
     else:
         score(blocks, mixed)
 
@@ -815,7 +818,7 @@ def bigru_sequence(xs: Tensor, h0: Tensor, forward_weights: Sequence[Tensor],
 
     def both(first, second):
         if split:
-            return _on_two_threads(first, second, one_blas_thread=True)
+            return on_two_threads(first, second, one_blas_thread=True)
         return first(), second()
 
     states = np.concatenate(both(runs[0].forward, runs[1].forward), axis=1)
@@ -949,7 +952,7 @@ def _by_halves(work: Callable[[list, int], object], chunks: list, sizes: Sequenc
         return (work(chunks, 0),)
     ends = np.cumsum(sizes)
     cut = int(np.searchsorted(ends, ends[-1] / 2)) + 1
-    return _on_two_threads(lambda: work(chunks[:cut], 0), lambda: work(chunks[cut:], 1))
+    return on_two_threads(lambda: work(chunks[:cut], 0), lambda: work(chunks[cut:], 1))
 
 
 class Adam:

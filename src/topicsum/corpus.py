@@ -402,8 +402,9 @@ def load_summarization_dataset(path, vocab: Vocabulary,
 
     Paragraphs are separated by the paragraph marker; the abstract may carry
     explicit sentence markers, otherwise the rule-based splitter applies.
-    With `require_abstract`, records with an empty abstract are skipped with
-    a warning (generation-only inputs pass `require_abstract=False`).
+    With `require_abstract`, records with no input paragraph or an empty
+    abstract are skipped with a warning; generation-only inputs pass
+    `require_abstract=False` and keep every record, one output line each.
     """
     examples: list[SummarizationExample] = []
     for lineno, line in enumerate(read_lines(path), start=1):
@@ -416,7 +417,7 @@ def load_summarization_dataset(path, vocab: Vocabulary,
         title, paragraph_field, abstract_field = parts
         paragraph_tokens = [tokenize(block) for block in paragraph_field.split(PARAGRAPH_SEPARATOR)]
         paragraph_tokens = [toks for toks in paragraph_tokens if toks]
-        if not paragraph_tokens:
+        if not paragraph_tokens and require_abstract:
             logger.warning("%s:%d: no input paragraphs, record skipped", path, lineno)
             continue
         abstract_tokens = abstract_sentences(abstract_field)

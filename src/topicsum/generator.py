@@ -18,16 +18,20 @@ and in teacher forcing all gold sentences as one `GRUCell.sequence`, from
 the decoder inits that the predictor computes first.  Attention, over
 keys computed once per example, the output projection, the copy gate and
 the NLL then run once over the example's [ΣT, H] block: every sentence's
-states, one row per gold token, in sentence order.  The NLL reads only
-each row's gold probability, in one `ad.gold_log_probs` record, so
-training builds no [ΣT, V'] mixture; `token_distribution` builds it, as the
-reference that `teacher_forced_outputs` and `compute_losses` use.
+states, one row per gold token, in sentence order.
+
+The output layer, vocabulary logits and copy gate p_gen, is written once,
+in `_output_layer`, and its three readers take its outputs.  Training's
+NLL reads each row's gold probability in one `ad.gold_log_probs` record,
+building no [ΣT, V'] mixture; `token_distribution` builds it, as the
+reference of `teacher_forced_outputs` and `compute_losses`; beam search
+reads each row's best few with `beam_candidates`, overwriting the logits.
 
 The predictor never reads decoded tokens, so generation runs it first and
 then beam-searches all sentences in lockstep: every live hypothesis of every
 unfinished sentence is one row of an [R, H] block, and each search step runs
-the embedding lookup, the decoder GRU step, attention and the output
-distribution once over that block.  Each sentence keeps its own beam.
+the embedding lookup, the decoder GRU step, attention and the output layer
+once over that block, tape-free.  Each sentence keeps its own beam.
 """
 
 from __future__ import annotations
@@ -412,19 +416,21 @@ _TIE_MARGIN_EPS = 512
 _BEAM_SPLIT_MIN = 1 << 19   # least R x V whose candidates `beam_candidates` selects on two threads
 
 
-def beam_candidates(model: GeneratorModel, state: np.ndarray, context: np.ndarray,
-                    dec_input: np.ndarray, weights: np.ndarray, input_ids: np.ndarray,
-                    inverse: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+def beam_candidates(logits: np.ndarray, p_gen: np.ndarray, weights: np.ndarray,
+                    input_ids: np.ndarray, inverse: np.ndarray,
+                    count: int) -> tuple[np.ndarray, np.ndarray]:
     """The `count` best extended ids of every row of a beam step, with their
     log-probabilities, without building the [R, V'] mixture.
 
-    The arguments are `token_distribution`'s as arrays (state and context
-    [R, H], dec_input [R, E], weights [n, R]), with the input's distinct
-    extended ids, sorted, and each input position's index in them:
-    `np.unique(extended_ids, return_inverse=True)`.  Returns (ids, scores),
-    both [R, min(count, V')], each row by score descending and lower id
-    first on ties: bitwise what `token_distribution`, a log clamped at
-    `ad.LOG_FLOOR` and a stable descending sort keep.
+    The arguments are `_output_layer`'s values, logits [R, V] and p_gen
+    [R, 1], the attention weights [n, R], and the input's distinct extended
+    ids, sorted, with each input position's index in them:
+    `np.unique(extended_ids, return_inverse=True)`.  `logits` is
+    overwritten: it is the step's one [R, V] scratch block, which holds the
+    exps and the masks.  Returns (ids, scores), both [R, min(count, V')],
+    each row by score descending and lower id first on ties: bitwise what
+    `token_distribution`, a log clamped at `ad.LOG_FLOOR` and a stable
+    descending sort keep.
 
     Every input id is a candidate.  Any other word's probability is
     p_gen · softmax, which never falls as its logit grows, so a row's other
@@ -432,35 +438,23 @@ def beam_candidates(model: GeneratorModel, state: np.ndarray, context: np.ndarra
     clamp, and the row's `count` best logits of the rest.  A row
     where the best word left out comes within rounding of the last one
     picked, above the clamp, scores every word.  Runs on arrays and records
-    nothing on a tape.
-
-    The matrix products run here, at BLAS's own thread count, into one
-    fresh [R, V] block that then holds the logits, their exps and the
-    masks.  From `_BEAM_SPLIT_MIN` R x V on, the rest runs per row on two
-    threads, the first half of the rows here and the second on a worker,
-    bitwise the serial values.
+    nothing on a tape.  From `_BEAM_SPLIT_MIN` R x V on, it runs per row on
+    two threads, the first half of the rows here and the second on a
+    worker, bitwise the serial values.
     """
-    features = np.concatenate([state, context], axis=1)
-    hidden = features @ model.out_hidden_W.data + model.out_hidden_b.data
-    block = hidden @ model.out_vocab_W.data     # the logits less their bias, then exps
-    # `ad.sigmoid`'s values, with no tape record
-    gates = ad._sigmoid_values(context @ model.gate_context_W.data
-                               + state @ model.gate_state_W.data
-                               + dec_input @ model.gate_input_W.data
-                               + model.gate_b.data)                 # [R, 1]
-    n_vocab = np.searchsorted(input_ids, model.vocab_size)          # input ids in the vocabulary
+    vocab_size = logits.shape[1]
+    n_vocab = np.searchsorted(input_ids, vocab_size)                # input ids in the vocabulary
     # the other words: the `count` lowest ids, which are the ones kept among
     # words tied at the clamp, then the rest's `count` best by repeated
     # argmax; a word taken is masked below every exp
-    free = np.ones(min(model.vocab_size, count + n_vocab), dtype=bool)
+    free = np.ones(min(vocab_size, count + n_vocab), dtype=bool)
     free[input_ids[:np.searchsorted(input_ids, free.size)]] = False
     known = np.concatenate([input_ids[:n_vocab], np.flatnonzero(free)[:count]])
-    n_words = known.size + min(count, model.vocab_size - known.size)
+    n_words = known.size + min(count, vocab_size - known.size)
 
     def select(part: slice) -> tuple[np.ndarray, np.ndarray]:
         """The (ids, scores) of the rows `part`."""
-        ex, p_gen = block[part], gates[part]
-        ex += model.out_vocab_b.data
+        ex, gate = logits[part], p_gen[part]
         ex -= ex.max(axis=1, keepdims=True)
         np.exp(ex, out=ex)
         total = ex.sum(axis=1, keepdims=True)
@@ -469,7 +463,7 @@ def beam_candidates(model: GeneratorModel, state: np.ndarray, context: np.ndarra
         # `ad.scatter_sum` adds it
         copy = np.zeros((input_ids.size, rows.size), dtype=ex.dtype)
         np.add.at(copy, inverse, weights[:, part])
-        copied = copy.T * (1.0 - p_gen)                             # [r, U]
+        copied = copy.T * (1.0 - gate)                              # [r, U]
         # candidate columns: the known vocabulary ids, the picks, the OOV input ids
         ids = np.empty((rows.size, n_words + input_ids.size - n_vocab), dtype=np.int64)
         ids[:, :known.size] = known
@@ -484,13 +478,13 @@ def beam_candidates(model: GeneratorModel, state: np.ndarray, context: np.ndarra
             taken[:, j] = flat[at]
             flat[at] = -1.0
         values = np.empty(ids.shape, dtype=ex.dtype)
-        values[:, :n_words] = taken / total * p_gen
+        values[:, :n_words] = taken / total * gate
         values[:, :n_vocab] += copied[:, :n_vocab]
         values[:, n_words:] = copied[:, n_vocab:]
         scores = np.log(np.maximum(values, ad.LOG_FLOOR))
         order = np.lexsort((ids, -scores), axis=1)[:, :count]
         best_ids, best_scores = ids[rows[:, None], order], scores[rows[:, None], order]
-        if n_words == model.vocab_size:
+        if n_words == vocab_size:
             return best_ids, best_scores
         # a word left out can tie a pick only if the best word left out
         # comes within the margin of the last pick; at the clamp, the
@@ -498,22 +492,21 @@ def beam_candidates(model: GeneratorModel, state: np.ndarray, context: np.ndarra
         runner_up = ex.max(axis=1)
         near = runner_up >= taken[:, -1] * (1 - _TIE_MARGIN_EPS * np.finfo(ex.dtype).eps)
         for row in np.flatnonzero(near):
-            if runner_up[row] / total[row, 0] * p_gen[row, 0] <= ad.LOG_FLOOR:
+            if runner_up[row] / total[row, 0] * gate[row, 0] <= ad.LOG_FLOOR:
                 continue
-            full = np.zeros(max(model.vocab_size, int(input_ids[-1]) + 1), dtype=ex.dtype)
-            full[:model.vocab_size] = np.log(np.maximum(ex[row] / total[row] * p_gen[row],
-                                                        ad.LOG_FLOOR))
+            full = np.zeros(max(vocab_size, int(input_ids[-1]) + 1), dtype=ex.dtype)
+            full[:vocab_size] = np.log(np.maximum(ex[row] / total[row] * gate[row], ad.LOG_FLOOR))
             full[ids[row]] = scores[row]             # the candidates, masked in `ex`
             top = np.flatnonzero(full >= np.partition(full, full.size - count)[full.size - count])
             best_ids[row] = top[np.lexsort((top, -full[top]))[:count]]
             best_scores[row] = full[best_ids[row]]
         return best_ids, best_scores
 
-    n_rows = block.shape[0]
-    if n_rows < 2 or block.size < _BEAM_SPLIT_MIN:
+    n_rows = logits.shape[0]
+    if n_rows < 2 or logits.size < _BEAM_SPLIT_MIN:
         return select(slice(None))
     half = (n_rows + 1) // 2
-    halves = ad._on_two_threads(lambda: select(slice(0, half)), lambda: select(slice(half, None)))
+    halves = ad.on_two_threads(lambda: select(slice(0, half)), lambda: select(slice(half, None)))
     return tuple(np.concatenate(parts) for parts in zip(*halves))
 
 
@@ -549,9 +542,9 @@ def _beam_search(model: GeneratorModel, decoder_inits: Sequence[ad.Tensor],
     """decode_sentences before the surfaces: each sentence's best
     length-normalized log-probability and its extended ids.
 
-    Each step scores only what a hypothesis can keep: `beam_candidates`
-    gives every row its `beam_size + 1` best tokens and their
-    log-probabilities, with no [R, V'] distribution built."""
+    Each step scores only what a hypothesis can keep: from the tape-free
+    `_output_layer`, `beam_candidates` gives every row its `beam_size + 1`
+    best tokens and their log-probabilities, with no [R, V'] mixture."""
     if not decoder_inits:
         return []
     beam = config.beam_size
@@ -569,9 +562,9 @@ def _beam_search(model: GeneratorModel, decoder_inits: Sequence[ad.Tensor],
         block = model.dec_cell.step(x, ad.Tensor(states[parents]))
         weights, context = attention_step(model, block, encoding.token_states,
                                           encoding.attention_keys)
+        logits, p_gen = _output_layer(model, block, context, x)
         best, log_probs = (part.tolist() for part in beam_candidates(
-            model, block.data, context.data, x.data, weights.data, input_ids, inverse,
-            beam + 1))
+            logits.data, p_gen.data, weights.data, input_ids, inverse, beam + 1))
         states, parents, prev_ids, row = block.data, [], [], 0
         for sentence, hyps in enumerate(live):
             candidates: list[tuple[float, int, _Hypothesis, int]] = []

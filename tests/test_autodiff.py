@@ -76,7 +76,7 @@ class TestParameterInit:
     def test_worker_failure_is_raised_and_no_thread_outlives_the_call(self, monkeypatch):
         """No thread but the process's one worker outlives a call.  A first
         call starts the worker, so the counts do not depend on test order."""
-        worker = ad._on_two_threads(lambda: None, threading.get_ident)[1]
+        worker = ad.on_two_threads(lambda: None, threading.get_ident)[1]
         threads = threading.active_count()
         ad.parameter(np.random.default_rng(0), (ad._SPLIT_MIN,))
         assert threading.active_count() == threads
@@ -99,9 +99,9 @@ class TestParameterInit:
         for one_blas_thread in (False, True):
             here = []
             with pytest.raises(MemoryError, match="worker failed"):
-                ad._on_two_threads(lambda: here.append(1), failing, one_blas_thread)
+                ad.on_two_threads(lambda: here.append(1), failing, one_blas_thread)
             assert here == [1] and threading.active_count() == threads
-        assert ad._on_two_threads(lambda: None, threading.get_ident)[1] == worker
+        assert ad.on_two_threads(lambda: None, threading.get_ident)[1] == worker
 
     def test_blas_thread_count_is_one_inside_and_restored_after_a_worker_raises(self):
         blas = ad._blas_threads()
@@ -118,18 +118,18 @@ class TestParameterInit:
         set_(2)
         try:
             with pytest.raises(MemoryError, match="worker failed"):
-                ad._on_two_threads(lambda: seen.append(get()), failing, one_blas_thread=True)
+                ad.on_two_threads(lambda: seen.append(get()), failing, one_blas_thread=True)
             assert seen == [1, 1]
             assert get() == 2
-            assert ad._on_two_threads(get, get, one_blas_thread=True) == (1, 1)
+            assert ad.on_two_threads(get, get, one_blas_thread=True) == (1, 1)
             assert get() == 2
             # a raise from first(), and from a call that finds the worker busy
             with pytest.raises(MemoryError, match="worker failed"):
-                ad._on_two_threads(failing, get, one_blas_thread=True)
+                ad.on_two_threads(failing, get, one_blas_thread=True)
             assert get() == 2
             with pytest.raises(MemoryError, match="worker failed"):
-                ad._on_two_threads(
-                    lambda: ad._on_two_threads(get, failing, one_blas_thread=True), get)
+                ad.on_two_threads(
+                    lambda: ad.on_two_threads(get, failing, one_blas_thread=True), get)
             assert get() == 2
         finally:
             set_(original)
@@ -152,11 +152,11 @@ class TestParameterInit:
             return get()
 
         other = threading.Thread(target=lambda: results.append(
-            ad._on_two_threads(in_turn_first, get, one_blas_thread=True)), daemon=True)
+            ad.on_two_threads(in_turn_first, get, one_blas_thread=True)), daemon=True)
         set_(2)
         try:
-            ad._on_two_threads(lambda: (other.start(), in_turn.wait(timeout=30)), lambda: None,
-                               one_blas_thread=True)
+            ad.on_two_threads(lambda: (other.start(), in_turn.wait(timeout=30)), lambda: None,
+                              one_blas_thread=True)
             holder_done.set()
             other.join(timeout=30)
             assert results == [(2, 2)] and get() == 2
@@ -173,21 +173,21 @@ class TestParameterInit:
                 return threading.get_ident()
             return run
 
-        assert ad._on_two_threads(side("first"), side("second"), one_blas_thread=True) == (
+        assert ad.on_two_threads(side("first"), side("second"), one_blas_thread=True) == (
             threading.get_ident(), threading.get_ident())
         assert order == ["first", "second"]
         # without the BLAS switch the worker runs regardless
-        assert ad._on_two_threads(side("first"), side("second"))[1] != threading.get_ident()
+        assert ad.on_two_threads(side("first"), side("second"))[1] != threading.get_ident()
 
     def test_every_call_shares_one_worker(self):
         threads = threading.active_count()
-        workers = {ad._on_two_threads(lambda: None, threading.get_ident)[1] for _ in range(5)}
+        workers = {ad.on_two_threads(lambda: None, threading.get_ident)[1] for _ in range(5)}
         assert len(workers) == 1 and threading.get_ident() not in workers
         assert threading.active_count() <= threads + 1
         # a call from another thread uses the same worker when it is idle
         other = []
         runner = threading.Thread(
-            target=lambda: other.append(ad._on_two_threads(lambda: None, threading.get_ident)[1]))
+            target=lambda: other.append(ad.on_two_threads(lambda: None, threading.get_ident)[1]))
         runner.start()
         runner.join(timeout=30)
         assert other == list(workers)
@@ -208,11 +208,11 @@ class TestParameterInit:
             raise MemoryError("side failed")
 
         with pytest.raises(MemoryError, match="side failed"):
-            ad._on_two_threads(*((failing, slow) if failing_first else (slow, failing)),
-                               one_blas_thread)
+            ad.on_two_threads(*((failing, slow) if failing_first else (slow, failing)),
+                              one_blas_thread)
         assert len(finished) == 1
         # the worker is free again: the next call's second side runs on it
-        assert ad._on_two_threads(lambda: 1, threading.get_ident)[1] != threading.get_ident()
+        assert ad.on_two_threads(lambda: 1, threading.get_ident)[1] != threading.get_ident()
 
     def test_nested_calls_from_either_side_finish(self):
         """A two-thread call from inside first() or from the worker finds the
@@ -226,10 +226,10 @@ class TestParameterInit:
                     return threading.get_ident()
                 return run
 
-            return order, ad._on_two_threads(side("a"), side("b")), threading.get_ident()
+            return order, ad.on_two_threads(side("a"), side("b")), threading.get_ident()
 
         results = []
-        runner = threading.Thread(target=lambda: results.append(ad._on_two_threads(nested, nested)),
+        runner = threading.Thread(target=lambda: results.append(ad.on_two_threads(nested, nested)),
                                   daemon=True)
         runner.start()
         runner.join(timeout=30)
@@ -249,13 +249,13 @@ class TestParameterInit:
             def first():
                 has_worker.set()
                 assert other_done.wait(timeout=30)
-            results["holder"] = ad._on_two_threads(first, threading.get_ident)
+            results["holder"] = ad.on_two_threads(first, threading.get_ident)
 
         def other():
             assert has_worker.wait(timeout=30)
             order = []
-            results["other"] = ad._on_two_threads(lambda: order.append("a") or threading.get_ident(),
-                                                  lambda: order.append("b") or threading.get_ident())
+            results["other"] = ad.on_two_threads(lambda: order.append("a") or threading.get_ident(),
+                                                 lambda: order.append("b") or threading.get_ident())
             results["order"] = order
             other_done.set()
 
@@ -283,16 +283,16 @@ class TestParameterInit:
                 pid = os.fork()
                 if pid == 0:
                     signal.alarm(20)
-                    first, second = ad._on_two_threads(threading.get_ident, threading.get_ident)
+                    first, second = ad.on_two_threads(threading.get_ident, threading.get_ident)
                     os._exit(0 if first != second else 3)
                 return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
-            ad._on_two_threads(lambda: None, lambda: None)
+            ad.on_two_threads(lambda: None, lambda: None)
             codes = [child_call()]
             # fork from another thread while this thread's call holds the worker
             forked = threading.Event()
             forker = threading.Thread(target=lambda: (codes.append(child_call()), forked.set()))
-            ad._on_two_threads(lambda: (forker.start(), forked.wait(30)), lambda: None)
+            ad.on_two_threads(lambda: (forker.start(), forked.wait(30)), lambda: None)
             forker.join()
             print(codes)
             sys.exit(0 if codes == [0, 0] else 1)
@@ -338,6 +338,17 @@ class TestForwardValues:
     def test_matmul_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(1, 2\).*\(3, 1\)"):
             ad.matmul(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[1.0], [2.0], [3.0]]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_rows", [1, 37])
+    def test_affine_is_bitwise_product_plus_bias(self, dtype, n_rows):
+        rng = np.random.default_rng(n_rows)
+        x, w, b = (rng.normal(0.0, 3.0, shape).astype(dtype)
+                   for shape in ((n_rows, 50), (50, 70), (1, 70)))
+        with ad.using_dtype(dtype):
+            out = ad.affine(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)).data
+        want = x @ w + b
+        assert out.dtype == want.dtype == dtype and out.tobytes() == want.tobytes()
 
     def test_tanh_and_sigmoid_at_zero(self):
         assert ad.tanh(ad.Tensor([[0.0]])).item() == 0.0
@@ -486,13 +497,13 @@ class TestForwardValues:
         rng = np.random.default_rng(count)
         arrays = [rng.uniform(-1, 1, shape) for shape in ((n, hidden), (count, hidden),
                                                           (hidden, 1), (n, count))]
-        calls, on_two_threads = [], ad._on_two_threads
+        calls, on_two_threads = [], ad.on_two_threads
 
         def spy(first, second, one_blas_thread=False):
             calls.append(one_blas_thread)
             return on_two_threads(first, second, one_blas_thread)
 
-        monkeypatch.setattr(ad, "_on_two_threads", spy)
+        monkeypatch.setattr(ad, "on_two_threads", spy)
 
         def run(split_min):
             monkeypatch.setattr(ad, "_SCORE_SPLIT_MIN", split_min)
@@ -1226,13 +1237,13 @@ class TestAdam:
 
         steps = [{name: rng.normal(size=shape).astype(np.float32)
                   for name, shape in shapes.items()} for _ in range(3)]
-        calls, on_two_threads = [], ad._on_two_threads
+        calls, on_two_threads = [], ad.on_two_threads
 
         def spy(first, second, one_blas_thread=False):
             calls.append(one_blas_thread)
             return on_two_threads(first, second, one_blas_thread)
 
-        monkeypatch.setattr(ad, "_on_two_threads", spy)
+        monkeypatch.setattr(ad, "on_two_threads", spy)
         serial = run(ad._PASS_SPLIT_MIN)
         assert calls == []
         arena_windows_per_side.clear()

@@ -292,6 +292,25 @@ class TestGenerate:
         n_records = len(paths["summ_valid"].read_text("utf-8").splitlines())
         assert len(lines) == n_records  # alignment preserved
 
+    def test_record_without_paragraphs_keeps_its_empty_line(self, workspace, tmp_path, capsys):
+        root, paths, config = workspace
+        first, last = paths["summ_valid"].read_text("utf-8").splitlines()[:2]
+        title, _, abstract = first.split("\t")
+        records = [first, f"{title} again\t ⟨p⟩ \t{abstract}", last]
+        source = tmp_path / "input.tsv"
+        source.write_text("\n".join(records) + "\n", encoding="utf-8")
+        out = tmp_path / "generated.txt"
+        rc = main(["generate", "--config", str(config),
+                   "--generator-ckpt", str(root / "generator.bin"),
+                   "--input", str(source), "--out", str(out)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == (f"skipping '{title} again': no usable input: every paragraph "
+                                "was assigned to NOISE or empty\n")
+        assert f"abstracts: 2 of 3 records -> {out}" in captured.out
+        lines = out.read_text("utf-8").split("\n")[:-1]
+        assert len(lines) == 3 and lines[1] == "" and lines[0] and lines[2]
+
     def test_truncated_generator_checkpoint_returns_two(self, workspace, tmp_path, capsys):
         root, paths, config = workspace
         truncated = tmp_path / "generator.bin"

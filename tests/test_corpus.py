@@ -368,8 +368,14 @@ class TestSummarizationDataset:
         for require_abstract in (True, False):
             caplog.clear()
             with caplog.at_level(logging.WARNING):
-                assert load_summarization_dataset(path, vocab, require_abstract) == []
-            assert caplog.messages == [f"{path}:1: no input paragraphs, record skipped"]
+                loaded = load_summarization_dataset(path, vocab, require_abstract)
+            if require_abstract:
+                assert loaded == []
+                assert caplog.messages == [f"{path}:1: no input paragraphs, record skipped"]
+            else:
+                # kept for generation, where it gets an empty output line
+                assert [ex.paragraph_tokens for ex in loaded] == [[]]
+                assert caplog.messages == []
 
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "data.tsv"

@@ -433,13 +433,13 @@ class TestBiGRUSequence:
         """Every pair runs on two threads; returns the list of the calls'
         `one_blas_thread` flags."""
         monkeypatch.setattr(ad, "_PAIR_SPLIT_MIN", 0)
-        flags, on_two_threads = [], ad._on_two_threads
+        flags, on_two_threads = [], ad.on_two_threads
 
         def spy(first, second, one_blas_thread=False):
             flags.append(one_blas_thread)
             return on_two_threads(first, second, one_blas_thread)
 
-        monkeypatch.setattr(ad, "_on_two_threads", spy)
+        monkeypatch.setattr(ad, "on_two_threads", spy)
         return flags
 
     @staticmethod
@@ -958,6 +958,14 @@ def full_block_candidates(model, grouped, state, context, dec_input, weights, co
     return ids, np.take_along_axis(log_probs, ids, axis=1), log_probs
 
 
+def output_layer_values(model, state, context, dec_input):
+    """`_output_layer`'s logits [R, V] and p_gen [R, 1] as arrays, run
+    tape-free, as beam search runs it."""
+    logits, p_gen = generator._output_layer(model, ad.Tensor(state), ad.Tensor(context),
+                                            ad.Tensor(dec_input))
+    return logits.data, p_gen.data
+
+
 class TestBeamCandidates:
     """`beam_candidates` keeps bitwise the (id, score) pairs of the full
     block, without building it."""
@@ -972,9 +980,10 @@ class TestBeamCandidates:
         want_ids, want_scores, log_probs = full_block_candidates(
             model, grouped, state, context, dec_input, weights, count)
         input_ids, inverse = np.unique(grouped.extended_ids, return_inverse=True)
+        logits, p_gen = output_layer_values(model, state, context, dec_input)
         with ad.tape() as recording:
-            got_ids, got_scores = beam_candidates(model, state, context, dec_input, weights,
-                                                  input_ids, inverse, count)
+            got_ids, got_scores = beam_candidates(logits, p_gen, weights, input_ids, inverse,
+                                                  count)
         assert len(recording) == 0
         np.testing.assert_array_equal(got_ids, want_ids)
         assert got_scores.dtype == want_scores.dtype == dtype
@@ -1066,22 +1075,28 @@ class TestBeamCandidates:
                     assert scores[0, -1] == log_probs[0, low]
         assert tied >= 3
 
-    def split_equals_serial(self, monkeypatch, model, *arrays, count):
+    def split_equals_serial(self, monkeypatch, model, state, context, dec_input, *arrays,
+                            count):
         """beam_candidates with the row halves forced onto two threads,
-        asserted bitwise equal to the one-pass result and returned."""
-        calls, on_two_threads = [], ad._on_two_threads
+        asserted bitwise equal to the one-pass result and returned.  Each
+        call gets fresh logits, since it overwrites them."""
+        calls, on_two_threads = [], ad.on_two_threads
 
         def spy(first, second, one_blas_thread=False):
             calls.append(one_blas_thread)
             return on_two_threads(first, second, one_blas_thread)
 
+        def candidates():
+            return beam_candidates(*output_layer_values(model, state, context, dec_input),
+                                   *arrays, count)
+
         with monkeypatch.context() as patch:
-            patch.setattr(ad, "_on_two_threads", spy)
-            serial = beam_candidates(model, *arrays, count)
+            patch.setattr(ad, "on_two_threads", spy)
+            serial = candidates()
             assert calls == []
             patch.setattr(generator, "_BEAM_SPLIT_MIN", 0)
-            split = beam_candidates(model, *arrays, count)
-        assert calls == ([False] if arrays[0].shape[0] > 1 else [])
+            split = candidates()
+        assert calls == ([False] if state.shape[0] > 1 else [])
         for got, want in zip(split, serial):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         return split
@@ -1314,9 +1329,9 @@ class TestLockstepDecoding(DecodingSetup):
         block_rows = []
         candidates = generator.beam_candidates
 
-        def recording(model, state, *args, **kwargs):
-            block_rows.append(state.shape[0])
-            return candidates(model, state, *args, **kwargs)
+        def recording(logits, *args, **kwargs):
+            block_rows.append(logits.shape[0])
+            return candidates(logits, *args, **kwargs)
 
         lengths, shrank = set(), False
         config = DecodeConfig(beam_size=beam, max_sentence_tokens=8)
@@ -1365,13 +1380,13 @@ class TestTwoThreadSearch(DecodingSetup):
         monkeypatch.setattr(generator, "_BEAM_SPLIT_MIN", 0)
         monkeypatch.setattr(ad, "_SCORE_SPLIT_MIN", 0)
         monkeypatch.setattr(ad, "_SCORE_BLOCK", 1)     # one query a block
-        calls, on_two_threads = [], ad._on_two_threads
+        calls, on_two_threads = [], ad.on_two_threads
 
         def spy(first, second, one_blas_thread=False):
             calls.append(threading.get_ident())
             return on_two_threads(first, second, one_blas_thread)
 
-        monkeypatch.setattr(ad, "_on_two_threads", spy)
+        monkeypatch.setattr(ad, "on_two_threads", spy)
         config = DecodeConfig(beam_size=3, max_sentence_tokens=6)
         searches = []
         for seed in (0, 1):
@@ -1414,7 +1429,7 @@ class TestTwoThreadSearch(DecodingSetup):
             monkeypatch.setattr(module, name, 0)
         monkeypatch.setattr(ad, "_SCORE_BLOCK", 1)     # one query a block
         threads = threading.active_count()
-        seen, on_two_threads = [], ad._on_two_threads
+        seen, on_two_threads = [], ad.on_two_threads
 
         def spy(first, second, one_blas_thread=False):
             def recorded():
@@ -1422,7 +1437,7 @@ class TestTwoThreadSearch(DecodingSetup):
                 return second()
             return on_two_threads(first, recorded, one_blas_thread)
 
-        monkeypatch.setattr(ad, "_on_two_threads", spy)
+        monkeypatch.setattr(ad, "on_two_threads", spy)
         corpus = toy_summarization_corpus(4, 0)
         model = GeneratorModel(len(corpus.vocab), len(corpus.schema.topics), embed_dim=8,
                                hidden_dim=8, seed=1)
@@ -1435,20 +1450,20 @@ class TestTwoThreadSearch(DecodingSetup):
                           DecodeConfig(beam_size=3, max_sentences=2, max_sentence_tokens=4))
         counts.append(len(seen))
         assert 0 < counts[0] < counts[1] < counts[2]
-        worker = ad._on_two_threads(lambda: None, threading.get_ident)[1]
+        worker = ad.on_two_threads(lambda: None, threading.get_ident)[1]
         assert set(seen) == {worker} and worker != threading.get_ident()
         assert threading.active_count() <= threads + 1
 
     def test_toy_size_starts_no_second_thread(self, monkeypatch):
         """Training and beam-5 generation at the acceptance corpus's size
         (E=48, H=64) stay below every two-thread threshold."""
-        calls, on_two_threads = [], ad._on_two_threads
+        calls, on_two_threads = [], ad.on_two_threads
 
         def spy(first, second, one_blas_thread=False):
             calls.append(one_blas_thread)
             return on_two_threads(first, second, one_blas_thread)
 
-        monkeypatch.setattr(ad, "_on_two_threads", spy)
+        monkeypatch.setattr(ad, "on_two_threads", spy)
         corpus = toy_summarization_corpus(20, 0)
         model = GeneratorModel(len(corpus.vocab), len(corpus.schema.topics), embed_dim=48,
                                hidden_dim=64, seed=42)
