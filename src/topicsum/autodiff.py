@@ -14,16 +14,20 @@ each step runs the prefix of sequences still going.  Its forward
 multiplies all inputs by each gate's input weights in one matrix product
 and loops only over the recurrent `h @ U` products; its backward loops
 back through time over those prefix blocks and then forms every weight
-gradient as one matrix product over the whole run.  `bigru_sequence` is
-both directions of a bidirectional GRU over the same inputs as one record,
-the backward one reading each sequence from its last input to its first;
-it is the only reverse run.  `additive_scores`
-scores R attention queries against n keys a cache-sized block of queries
-at a time through one reused buffer, and its backward recomputes each
-block's tanh there rather than keep an [n, R, H] block.  `gold_log_probs`
-is the pointer-generator NLL's last layer: from the logits, copy gate and
-attention weights of T rows it gives each row's gold log-probability
-without the [T, V'] mixture, in one full-width pass each way.
+gradient as one matrix product over the whole run.  One step of B rows
+(every beam and predictor step) and one sequence are packed already and
+skip the packing's index arrays, and a one-row run forms its weight
+gradients as outer products, bitwise what BLAS's K=1 products give,
+without the calls.  `bigru_sequence` is both directions of a
+bidirectional GRU over the same inputs as one record, the backward one
+reading each sequence from its last input to its first; it is the only
+reverse run.  `additive_scores` scores R attention queries against n
+keys a cache-sized block of queries at a time through one reused buffer,
+and its backward recomputes each block's tanh there rather than keep an
+[n, R, H] block.  `gold_log_probs` is the pointer-generator NLL's last
+layer: from the logits, copy gate and attention weights of T rows it
+gives each row's gold log-probability without the [T, V'] mixture, in
+one full-width pass each way.
 
 `Adam` keeps the moments of every parameter smaller than one of its
 chunks in two flat arenas, and at each step gathers those parameters'
@@ -139,7 +143,11 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=default_dtype())
+        dtype = _DTYPE_STACK[-1]
+        # an array already in the working dtype is kept, as asarray would
+        if type(data) is not np.ndarray or data.dtype != dtype:
+            data = np.asarray(data, dtype=dtype)
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
 
@@ -517,9 +525,11 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    # exp of -|x| never overflows; each side's form saturates to exact 0/1
+    # exp of -|x| never overflows; the numerator exp(min(x, 0)) is exactly 1
+    # for x >= 0 and e below 0, so this is 1 / (1 + e) and e / (1 + e), each
+    # side saturating to exact 0/1, without a mask; NaN stays NaN
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
+    return np.exp(np.minimum(x, 0)) / (1 + e)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -854,12 +864,16 @@ class _GRURun:
                              f"do not fit inputs {xs.shape} and state {h0.shape}")
         # inside, the run is packed: sequences longest first, step t's rows
         # after step t-1's, so that step t runs the prefix still going.  One
-        # sequence, or one step of B, is packed already.
-        self.order, self.packed, self.unpacked = (
-            (slice(None),) * 3 if N == B or B == 1 else _packing(lengths))
-        active = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
-        starts = np.cumsum(active) - active
-        self.steps = [(slice(s, s + k), k) for s, k in zip(starts.tolist(), active.tolist())]
+        # step of B, or one sequence, is packed already.
+        if N == B or B == 1:
+            self.order = self.packed = self.unpacked = slice(None)
+            self.steps = ([(slice(0, N), N)] if N == B
+                          else [(slice(t, t + 1), 1) for t in range(N)])
+        else:
+            self.order, self.packed, self.unpacked = _packing(lengths)
+            active = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
+            starts = np.cumsum(active) - active
+            self.steps = [(slice(s, s + k), k) for s, k in zip(starts.tolist(), active.tolist())]
         if reverse:
             self.steps.reverse()
         self.x, self.h0, self.weights = xs[self.packed], h0, weights
@@ -915,11 +929,22 @@ class _GRURun:
         dx = d_z @ W_z.T + d_r @ W_r.T + d_h @ W_h.T
         d_h0 = np.empty_like(carry)
         d_h0[self.order] = carry
-        x_t = x.T
+        reset = self.r * prev
         return (dx[self.unpacked], d_h0,
-                x_t @ d_z, prev.T @ d_z, d_z.sum(axis=0, keepdims=True),
-                x_t @ d_r, prev.T @ d_r, d_r.sum(axis=0, keepdims=True),
-                x_t @ d_h, (self.r * prev).T @ d_h, d_h.sum(axis=0, keepdims=True))
+                _t_times(x, d_z), _t_times(prev, d_z), d_z.sum(axis=0, keepdims=True),
+                _t_times(x, d_r), _t_times(prev, d_r), d_r.sum(axis=0, keepdims=True),
+                _t_times(x, d_h), _t_times(reset, d_h), d_h.sum(axis=0, keepdims=True))
+
+
+def _t_times(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """a.T @ d.  For one row, the outer product that BLAS's K=1 product
+    forms, bitwise, without the call: its sum starts from +0, which turns a
+    -0 product into +0, as `+= 0.0` does."""
+    if a.shape[0] != 1:
+        return a.T @ d
+    out = a.T * d
+    out += 0.0
+    return out
 
 
 def _packing(lengths: np.ndarray):

@@ -405,13 +405,15 @@ def load_summarization_dataset(path, vocab: Vocabulary,
     With `require_abstract`, records with no input paragraph or an empty
     abstract are skipped with a warning; generation-only inputs pass
     `require_abstract=False` and keep every record, one output line each.
+    A blank line is skipped, unless it splits into three (blank) fields:
+    that is a record.
     """
     examples: list[SummarizationExample] = []
     for lineno, line in enumerate(read_lines(path), start=1):
         line = line.rstrip("\n")
-        if not line.strip():
-            continue
         parts = line.split("\t")
+        if not line.strip() and len(parts) != 3:
+            continue
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
         title, paragraph_field, abstract_field = parts

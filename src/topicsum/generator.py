@@ -159,7 +159,7 @@ def group_paragraphs(paragraphs: Sequence[Sequence[str]], assignments: Sequence[
 class GRUCell:
     """GRU cell over [B, hidden] blocks of row states; its update is written
     once, in the fused `ad.gru_sequence`, which takes the nine weights in
-    the order `parameters()` lists them."""
+    the order `parameters()` lists them, kept as the tuple `weights`."""
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.W_z = ad.parameter(rng, (input_dim, hidden_dim))
@@ -171,6 +171,7 @@ class GRUCell:
         self.W_h = ad.parameter(rng, (input_dim, hidden_dim))
         self.U_h = ad.parameter(rng, (hidden_dim, hidden_dim))
         self.b_h = ad.zero_parameter((1, hidden_dim))
+        self.weights = tuple(self.parameters().values())
 
     def step(self, x: ad.Tensor, h: ad.Tensor) -> ad.Tensor:
         """The [B, H] states after one step of B independent sequences, from
@@ -182,7 +183,7 @@ class GRUCell:
         another, of `lengths` in any order, each run from its own row of
         h0 [B, H]: `ad.gru_sequence`.  The states come back in the inputs'
         layout."""
-        return ad.gru_sequence(xs, h0, self.parameters().values(), lengths)
+        return ad.gru_sequence(xs, h0, self.weights, lengths)
 
     parameters = ad.parameters_of
 
@@ -262,8 +263,8 @@ def bigru_states(model: GeneratorModel, token_ids: Sequence[int], lengths: Seque
     """
     vectors = ad.embedding_lookup(model.embed, token_ids)
     start = ad.zeros((len(lengths), model.hidden_dim))
-    states = ad.bigru_sequence(vectors, start, list(model.enc_fwd.parameters().values()),
-                               list(model.enc_bwd.parameters().values()), lengths)
+    states = ad.bigru_sequence(vectors, start, model.enc_fwd.weights, model.enc_bwd.weights,
+                               lengths)
     ends = np.cumsum(lengths)
     # row of each final's columns: the last token forward, the first backward
     final_rows = np.repeat(np.stack([ends - 1, ends - lengths], axis=1), model.hidden_dim, axis=1)
@@ -567,15 +568,18 @@ def _beam_search(model: GeneratorModel, decoder_inits: Sequence[ad.Tensor],
             logits.data, p_gen.data, weights.data, input_ids, inverse, beam + 1))
         states, parents, prev_ids, row = block.data, [], [], 0
         for sentence, hyps in enumerate(live):
-            candidates: list[tuple[float, int, _Hypothesis, int]] = []
+            # (-score, token id, arrival, hypothesis, row): sorted as tuples,
+            # higher score first, lower token id on ties, then arrival order
+            candidates: list[tuple[float, int, int, _Hypothesis, int]] = []
             for hyp in hyps:
                 for token_id, log_prob in zip(best[row], log_probs[row]):
-                    candidates.append((hyp.log_prob + log_prob, token_id, hyp, row))
+                    candidates.append((-(hyp.log_prob + log_prob), token_id, len(candidates),
+                                       hyp, row))
                 row += 1
-            # deterministic order: higher score first, lower token id on ties
-            candidates.sort(key=lambda c: (-c[0], c[1]))
+            candidates.sort()
             next_live: list[_Hypothesis] = []
-            for score, token_id, hyp, parent in candidates[:beam]:
+            for negated, token_id, _, hyp, parent in candidates[:beam]:
+                score = -negated
                 # finished hypotheses consume beam slots, so beam 1 is greedy
                 emitted = len(hyp.tokens) + 1
                 if token_id == EOS_ID:

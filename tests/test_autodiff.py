@@ -360,7 +360,9 @@ class TestForwardValues:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_bitwise_equals_masked_form(self, dtype):
-        """The branch-free sigmoid against the masked form it replaced."""
+        """The mask-free sigmoid against the two masked forms before it, on
+        edge values, a spread of values and 2^20 random bit patterns; NaN in
+        gives NaN out."""
 
         def masked(x):
             out = np.empty_like(x)
@@ -370,17 +372,29 @@ class TestForwardValues:
             out[~positive] = ex / (1.0 + ex)
             return out
 
+        def where(x):
+            e = np.exp(-np.abs(x))
+            return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
+
         info = np.finfo(dtype)
         rng = np.random.default_rng(11)
         edges = [0.0, -0.0, np.inf, -np.inf, 1e3, -1e3, 88.7, -88.7, 745.0, -745.0,
                  info.tiny, -info.tiny, info.smallest_subnormal, -info.smallest_subnormal,
                  info.max, -info.max, info.eps, -info.eps]
-        x = np.concatenate([rng.uniform(-1e3, 1e3, 4000), rng.normal(0.0, 8.0, 4000),
-                            edges]).astype(dtype).reshape(1, -1)
-        with ad.using_dtype(dtype):
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        patterns = rng.integers(0, np.iinfo(bits).max, 1 << 20, dtype=bits, endpoint=True)
+        x = np.concatenate([np.concatenate([rng.uniform(-1e3, 1e3, 4000), rng.normal(0.0, 8.0, 4000),
+                                            edges]).astype(dtype),
+                            patterns.view(dtype)]).reshape(1, -1)
+        nan = np.isnan(x)
+        # exp of a signalling NaN pattern raises the invalid flag, in every form
+        with ad.using_dtype(dtype), np.errstate(invalid="ignore"):
             got = ad.sigmoid(ad.Tensor(x)).data
+            wants = [(reference.__name__, reference(x)) for reference in (masked, where)]
         assert got.dtype == dtype
-        assert got.tobytes() == masked(x).tobytes()
+        assert nan.any() and np.isnan(got[nan]).all()
+        for name, want in wants:
+            assert got[~nan].tobytes() == want[~nan].tobytes(), name
 
     def test_softmax_equal_logits_is_uniform(self):
         out = ad.softmax(ad.Tensor([[2.0, 2.0, 2.0, 2.0]]), axis=1)
@@ -1001,6 +1015,66 @@ class TestTapeSemantics:
         for name, p in [("x", x), ("table", table), ("w", w)]:
             np.testing.assert_allclose(p.grad, 2.0 * first[name], rtol=1e-12, atol=0,
                                        err_msg=name)
+
+
+class TestGRURunShortcuts:
+    """The parts of `_GRURun` that skip work for one row, one step or one
+    sequence, against the general forms they skip, bitwise."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_row_weight_gradients_equal_blas_products(self, dtype):
+        """A one-row run's six weight gradients against BLAS's K=1 products
+        a.T @ d from the same `through_time` output, at sizes from 1 to 600,
+        with signed zeros and subnormals in the inputs, the start state and
+        the states' adjoint, so that some products are -0."""
+        rng = np.random.default_rng(5)
+        subnormal = np.finfo(dtype).smallest_subnormal * dtype(1 << 20)
+
+        def draw(*shape):
+            values = rng.normal(0.0, 1.0, shape).astype(dtype)
+            spots = rng.random(shape)
+            values[spots < 0.1] = 0.0
+            values[(spots >= 0.1) & (spots < 0.2)] = -0.0
+            values[spots >= 0.8] *= subnormal
+            return values
+
+        sizes = [(1, 1), (1, 600), (600, 1), (600, 600)]
+        sizes += [tuple(rng.integers(1, 601, 2).tolist()) for _ in range(16)]
+        for inputs, hidden in sizes:
+            x, h0, g = draw(1, inputs), draw(1, hidden), draw(1, hidden)
+            weights = [draw(*shape) for _ in range(3)
+                       for shape in ((inputs, hidden), (hidden, hidden), (1, hidden))]
+            run = ad._GRURun(x, h0, weights, False, [1])
+            run.forward()
+            d_z, d_r, d_h, carry = run.through_time(g)
+            _, _, gw_z, gu_z, _, gw_r, gu_r, _, gw_h, gu_h, _ = run.adjoints(d_z, d_r, d_h, carry)
+            want = (x.T @ d_z, h0.T @ d_z, x.T @ d_r, h0.T @ d_r, x.T @ d_h, (run.r * h0).T @ d_h)
+            got = (gw_z, gu_z, gw_r, gu_r, gw_h, gu_h)
+            assert any(np.signbit(product).any() for product in (x.T * d_z, h0.T * d_r))
+            for name, a, b in zip(("W_z", "U_z", "W_r", "U_r", "W_h", "U_h"), got, want):
+                assert a.dtype == dtype and a.tobytes() == b.tobytes(), (name, inputs, hidden)
+
+    @pytest.mark.parametrize("lengths", [[1], [1, 1, 1], [2], [5]])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_one_step_and_one_sequence_are_packed_already(self, lengths, reverse):
+        """One step of B rows and one sequence build their steps directly;
+        they equal what a packed run's active/cumsum construction gives,
+        and the packing they skip is the identity."""
+        lengths = np.array(lengths)
+        active = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
+        starts = np.cumsum(active) - active
+        want = [(slice(s, s + k), k) for s, k in zip(starts.tolist(), active.tolist())]
+        if reverse:
+            want.reverse()
+        n, b, hidden = int(lengths.sum()), len(lengths), 4
+        weights = [np.zeros(shape, np.float32) for _ in range(3)
+                   for shape in ((3, hidden), (hidden, hidden), (1, hidden))]
+        run = ad._GRURun(np.zeros((n, 3), np.float32), np.zeros((b, hidden), np.float32),
+                         weights, reverse, lengths.tolist())
+        assert run.steps == want
+        order, packed, unpacked = ad._packing(lengths)
+        assert order.tolist() == list(range(b))
+        assert packed.tolist() == unpacked.tolist() == list(range(n))
 
 
 def _gru(leaf, lengths):

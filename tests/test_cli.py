@@ -292,11 +292,16 @@ class TestGenerate:
         n_records = len(paths["summ_valid"].read_text("utf-8").splitlines())
         assert len(lines) == n_records  # alignment preserved
 
-    def test_record_without_paragraphs_keeps_its_empty_line(self, workspace, tmp_path, capsys):
+    # the second record's three fields are all blank: one record, not a blank line
+    @pytest.mark.parametrize("fields", [("{title} again", " ⟨p⟩ ", "{abstract}"), ("", " ", "")],
+                             ids=["no-paragraphs", "all-blank"])
+    def test_record_without_paragraphs_keeps_its_empty_line(self, workspace, tmp_path, capsys,
+                                                             fields):
         root, paths, config = workspace
         first, last = paths["summ_valid"].read_text("utf-8").splitlines()[:2]
         title, _, abstract = first.split("\t")
-        records = [first, f"{title} again\t ⟨p⟩ \t{abstract}", last]
+        fields = [field.format(title=title, abstract=abstract) for field in fields]
+        records = [first, "\t".join(fields), last]
         source = tmp_path / "input.tsv"
         source.write_text("\n".join(records) + "\n", encoding="utf-8")
         out = tmp_path / "generated.txt"
@@ -305,7 +310,7 @@ class TestGenerate:
                    "--input", str(source), "--out", str(out)])
         assert rc == 0
         captured = capsys.readouterr()
-        assert captured.err == (f"skipping '{title} again': no usable input: every paragraph "
+        assert captured.err == (f"skipping '{fields[0]}': no usable input: every paragraph "
                                 "was assigned to NOISE or empty\n")
         assert f"abstracts: 2 of 3 records -> {out}" in captured.out
         lines = out.read_text("utf-8").split("\n")[:-1]

@@ -361,9 +361,13 @@ class TestSummarizationDataset:
         kept = load_summarization_dataset(path, vocab, require_abstract=False)
         assert len(kept) == 1 and kept[0].abstract_tokens == []
 
-    def test_record_without_paragraphs_skipped_with_a_warning(self, tmp_path, caplog):
+    # a record whose three fields are all blank is a record too, not a blank line
+    @pytest.mark.parametrize("fields", [{"paragraphs": " ⟨p⟩ "},
+                                        {"title": "", "paragraphs": " ", "abstract": ""}],
+                             ids=["no-paragraphs", "all-blank"])
+    def test_record_without_paragraphs_skipped_with_a_warning(self, tmp_path, caplog, fields):
         path = tmp_path / "data.tsv"
-        self.write_record(path, paragraphs=" ⟨p⟩ ")
+        self.write_record(path, **fields)
         vocab = Vocabulary(["the"])
         for require_abstract in (True, False):
             caplog.clear()

@@ -188,6 +188,13 @@ class TestGRUCell:
         got = cell.step(ad.Tensor(x), ad.Tensor(h)).data
         np.testing.assert_allclose(got, np_gru_step(cell, x, h), atol=1e-6)
 
+    def test_weights_are_the_parameters_in_gru_sequence_order(self):
+        cell = GRUCell(3, 4, np.random.default_rng(0))
+        assert list(cell.parameters()) == ["W_z", "U_z", "b_z", "W_r", "U_r", "b_r",
+                                           "W_h", "U_h", "b_h"]
+        assert len(cell.weights) == 9
+        assert all(w is p for w, p in zip(cell.weights, cell.parameters().values()))
+
     def test_zero_input_zero_state_stays_zero(self):
         # with zero biases the update is (1-z)*tanh(0) + z*0 = 0
         cell = GRUCell(3, 4, np.random.default_rng(0))
@@ -1256,11 +1263,11 @@ class TestDecodeSentence(DecodingSetup):
         assert normalized_score(wide) >= normalized_score(narrow) - 1e-6
 
 
-    @pytest.mark.parametrize("beam", [1, 3])
-    def test_exact_ties_go_to_the_lowest_token_id(self, beam):
-        """Every word has the same probability (no copy mass, zero logits,
-        the reserved ids ruled out), so each step's best token is the lowest
-        word id, w0, however many ids tie at the beam's cut."""
+    @staticmethod
+    def equally_likely_words():
+        """A model under which every word has the same probability (no copy
+        mass, zero logits, the reserved ids ruled out): vocab, model,
+        grouped input and its encoding."""
         vocab = Vocabulary([f"w{i}" for i in range(996)])
         model = make_model(vocab)
         for tensor in (model.out_hidden_W, model.out_vocab_W, model.out_vocab_b):
@@ -1268,12 +1275,31 @@ class TestDecodeSentence(DecodingSetup):
         model.out_vocab_b.data[0, :4] = -1e9
         model.gate_b.data[...] = 1e9
         grouped = group_paragraphs([["w5", "w9", "w7"]], [0], make_schema(), vocab)
-        encoding = encode_topics(model, grouped)
+        return vocab, model, grouped, encode_topics(model, grouped)
+
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_exact_ties_go_to_the_lowest_token_id(self, beam):
+        """Every word has the same probability, so each step's best token is
+        the lowest word id, w0, however many ids tie at the beam's cut."""
+        vocab, model, grouped, encoding = self.equally_likely_words()
         config = DecodeConfig(beam_size=beam, max_sentence_tokens=3)
         init = ad.Tensor(np.full((1, 4), 0.3))
         assert decode_sentence(model, init, encoding, grouped, vocab, config) == ["w0"] * 3
         _, ids = reference_beam_search(model, init, encoding, grouped, config)
         assert ids == [vocab.token_to_id("w0")] * 3
+
+    def test_equal_candidates_of_two_hypotheses_keep_their_arrival_order(self):
+        """Every word equally likely, beam 2 and a two-token cap: the
+        hypotheses [w0] and [w1] both offer w0 at the same score, so their
+        finished sentences tie, and the first to arrive, [w0, w0], wins."""
+        vocab, model, grouped, encoding = self.equally_likely_words()
+        config = DecodeConfig(beam_size=2, max_sentence_tokens=2)
+        inits = [ad.Tensor(np.full((1, 4), 0.3)), ad.Tensor(np.full((1, 4), -0.2))]
+        w0 = vocab.token_to_id("w0")
+        for score, ids in _beam_search(model, inits, encoding, grouped, config):
+            assert ids == [w0, w0]
+            assert score == reference_beam_search(model, inits[0], encoding, grouped, config)[0]
+        assert reference_beam_search(model, inits[1], encoding, grouped, config)[1] == [w0, w0]
 
 
 def reference_beam_search(model, decoder_init, encoding, grouped, config):
