@@ -855,10 +855,17 @@ class _GRURun:
             raise ValueError(f"gru_sequence needs [N, D] inputs (N > 0) and a [B, H] "
                              f"state, got {xs.shape} and {h0.shape}")
         (B, H), (N, D) = h0.shape, xs.shape
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.shape != (B,) or lengths.min() < 1 or lengths.sum() != N:
+        # checked on the caller's sequence; an integer sum also refuses a
+        # float length, which packing would truncate
+        try:
+            fits = (getattr(lengths, "ndim", 1) == 1 and len(lengths) == B
+                    and isinstance(total := sum(lengths), (int, np.integer)) and total == N
+                    and min(lengths) >= 1)
+        except TypeError:
+            fits = False
+        if not fits:
             raise ValueError(f"gru_sequence needs {B} lengths of at least 1 summing to {N}, "
-                             f"got {lengths.tolist()}")
+                             f"got {np.asarray(lengths).tolist()}")
         if weights[0].shape != (D, H) or weights[1].shape != (H, H):
             raise ValueError(f"gru_sequence weights {weights[0].shape} and {weights[1].shape} "
                              f"do not fit inputs {xs.shape} and state {h0.shape}")
@@ -870,6 +877,7 @@ class _GRURun:
             self.steps = ([(slice(0, N), N)] if N == B
                           else [(slice(t, t + 1), 1) for t in range(N)])
         else:
+            lengths = np.asarray(lengths, dtype=np.int64)
             self.order, self.packed, self.unpacked = _packing(lengths)
             active = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
             starts = np.cumsum(active) - active

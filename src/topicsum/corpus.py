@@ -56,6 +56,9 @@ VALID_BUCKET = 8
 # ---------------------------------------------------------------------------
 # articles
 
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+
+
 @dataclass(frozen=True)
 class RawArticle:
     title: str
@@ -85,6 +88,16 @@ def load_articles(path) -> list[RawArticle]:
                     or not isinstance(entry[1], str)):
                 raise ValueError(f"{path}:{lineno}: each section must be a [label, text] pair")
             sections.append((entry[0], entry[1]))
+        # a decoded line holds no surrogate; only a JSON escape makes one
+        if "\\u" in line:
+            fields = [("'title'", title)]
+            for label, text in sections:
+                fields += [("a section label", label), ("a section text", text)]
+            for name, value in fields:
+                lone = _SURROGATE_RE.search(value)
+                if lone:
+                    raise ValueError(f"{path}:{lineno}: {name} holds a lone surrogate "
+                                     f"{lone.group()!r}, which UTF-8 cannot encode")
         articles.append(RawArticle(title=title, sections=tuple(sections)))
     return articles
 
@@ -139,7 +152,10 @@ class TopicSchema:
         return self._label_map.get(label.strip().lower())
 
     def is_noise_text(self, text: str) -> bool:
-        return any(p.search(text) for p in self.noise_patterns)
+        for pattern in self.noise_patterns:
+            if pattern.search(text):
+                return True
+        return False
 
     def topic_names(self, include_noise: bool = False) -> list[str]:
         names = [t.name for t in self.topics]
@@ -252,6 +268,10 @@ _PARAGRAPH_SPLIT_RE = re.compile(r"\n\s*\n")
 
 
 def strip_markup(text: str) -> str:
+    # a tag needs '<' and a URL 'http' or 'www.' (case-sensitive), so a
+    # block with none of the three is returned as it is
+    if "<" not in text and "http" not in text and "www." not in text:
+        return text
     return _TAG_RE.sub(" ", _URL_RE.sub(" ", text))
 
 
@@ -267,17 +287,31 @@ def iter_paragraphs(article: RawArticle):
             index += 1
 
 
-def _fnv1a64(data: bytes, seed: int = 0) -> int:
-    mask = 0xFFFFFFFFFFFFFFFF
-    value = (14695981039346656037 ^ (seed & mask)) & mask
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _fnv1a64(data: bytes, value: int) -> int:
+    """64-bit FNV-1a from hash state `value` over `data`.  It reads the
+    bytes in order, so hashing a prefix once and then each suffix from its
+    state equals hashing each whole string."""
     for byte in data:
-        value ^= byte
-        value = (value * 1099511628211) & mask
+        value = ((value ^ byte) * 1099511628211) & _MASK64
     return value
 
 
+def _title_state(title: str, seed: int) -> int:
+    """FNV-1a state after `title#`, from the offset basis XORed with the
+    seed's low 64 bits."""
+    return _fnv1a64(f"{title}#".encode("utf-8"), 14695981039346656037 ^ (seed & _MASK64))
+
+
+def _bucket(title_state: int, paragraph_index: int) -> int:
+    return _fnv1a64(str(paragraph_index).encode("ascii"), title_state) % 10
+
+
 def split_bucket(title: str, paragraph_index: int, seed: int) -> int:
-    return _fnv1a64(f"{title}#{paragraph_index}".encode("utf-8"), seed) % 10
+    """Split bucket (0-9) of a paragraph: seeded FNV-1a of `title#index`."""
+    return _bucket(_title_state(title, seed), paragraph_index)
 
 
 @dataclass(frozen=True)
@@ -299,6 +333,7 @@ def build_detector_dataset(articles: Sequence[RawArticle], schema: TopicSchema,
     section label) and split 8:1:1 by seeded hash of (title, paragraph index)."""
     splits = DatasetSplits(train=[], valid=[], test=[])
     for article in articles:
+        title_state = _title_state(article.title, seed)
         for index, label, text in iter_paragraphs(article):
             if schema.is_noise_text(text):
                 topic = schema.noise_index
@@ -312,7 +347,7 @@ def build_detector_dataset(articles: Sequence[RawArticle], schema: TopicSchema,
                 continue
             example = TopicParagraphExample(topic_index=topic,
                                             token_ids=tuple(vocab.encode(tokens)))
-            bucket = split_bucket(article.title, index, seed)
+            bucket = _bucket(title_state, index)
             if bucket in TRAIN_BUCKETS:
                 splits.train.append(example)
             elif bucket == VALID_BUCKET:

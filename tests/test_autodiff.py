@@ -5,6 +5,7 @@ Derived gradient values are checked against central finite differences
 """
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -1075,6 +1076,60 @@ class TestGRURunShortcuts:
         order, packed, unpacked = ad._packing(lengths)
         assert order.tolist() == list(range(b))
         assert packed.tolist() == unpacked.tolist() == list(range(n))
+
+
+class TestGRULengths:
+    """The forms of `lengths` a GRU run takes, on each of its three paths
+    (one step of B rows, one sequence, packed), and the ones it refuses,
+    message and all."""
+
+    @staticmethod
+    def run(lengths, n, b):
+        rng = np.random.default_rng(3)
+        weights = [rng.normal(size=shape).astype(np.float32) for _ in range(3)
+                   for shape in ((3, 4), (4, 4), (1, 4))]
+        xs = rng.normal(size=(n, 3)).astype(np.float32)
+        h0 = rng.normal(size=(b, 4)).astype(np.float32)
+        return ad._GRURun(xs, h0, weights, False, lengths)
+
+    @pytest.mark.parametrize("lengths", [[1, 1, 1], [5], [2, 1, 3]],
+                             ids=["one_step", "one_sequence", "packed"])
+    @pytest.mark.parametrize("form", [tuple, np.array, lambda ls: np.array(ls, np.int32)],
+                             ids=["tuple", "int64_array", "int32_array"])
+    def test_sequences_and_int_arrays_equal_the_list(self, lengths, form):
+        n, b = sum(lengths), len(lengths)
+        want = self.run(list(lengths), n, b)
+        got = self.run(form(lengths), n, b)
+        assert got.steps == want.steps
+        assert got.forward().tobytes() == want.forward().tobytes()
+
+    @pytest.mark.parametrize("lengths, n, b, shown", [
+        (np.array([[2, 1, 3]]), 6, 3, "[[2, 1, 3]]"),
+        (np.array([[2], [1], [3]]), 6, 3, "[[2], [1], [3]]"),
+        (np.array([[1], [1], [1]]), 3, 3, "[[1], [1], [1]]"),
+        (np.array(6), 6, 1, "6"),
+        ([3, 0, 3], 6, 3, "[3, 0, 3]"),
+        ([0, 0, 3], 3, 3, "[0, 0, 3]"),
+        ([4, -1, 3], 6, 3, "[4, -1, 3]"),
+        ((7, -1), 6, 2, "[7, -1]"),
+        ([3, 3], 6, 3, "[3, 3]"),
+        ([], 1, 1, "[]"),
+        ([2, 1, 2], 6, 3, "[2, 1, 2]"),
+        (np.array([2, 1, 4]), 6, 3, "[2, 1, 4]"),
+        ([1, 1, 1, 1], 3, 3, "[1, 1, 1, 1]"),
+        ([4], 5, 1, "[4]"),
+        ([2.0, 1.0, 3.0], 6, 3, "[2.0, 1.0, 3.0]"),
+        ([1.5, 1.5], 3, 2, "[1.5, 1.5]"),
+        (np.array([1.0, 1.0]), 2, 2, "[1.0, 1.0]"),
+        ([2, 1.0, 3], 6, 3, "[2.0, 1.0, 3.0]"),
+    ], ids=["2d_row", "2d_column", "2d_column_one_step", "0d", "zero", "zeros_one_step",
+            "negative", "negative_tuple", "too_few", "none", "wrong_sum", "wrong_sum_array",
+            "too_many", "one_sequence_short", "float", "float_fraction", "float_array",
+            "one_float"])
+    def test_bad_lengths_refused_with_their_message(self, lengths, n, b, shown):
+        message = f"gru_sequence needs {b} lengths of at least 1 summing to {n}, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.run(lengths, n, b)
 
 
 def _gru(leaf, lengths):

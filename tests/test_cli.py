@@ -5,6 +5,7 @@ generation, and evaluation once; the tests then assert on the artifacts
 and on the exit-code contract.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -140,6 +141,23 @@ class TestBuildCorpus:
             first = (root / "corpus" / name).read_bytes()
             second = (tmp_path / "corpus2" / name).read_bytes()
             assert first == second, name
+
+    def test_outputs_equal_their_golden_digests(self, workspace):
+        """SHA-256 of each file the workspace's build-corpus wrote.  Corpus
+        building involves no BLAS or floating point, so the bytes are the
+        same on every host; a change to tokenizing, labelling, splitting or
+        writing shows here."""
+        root, _, _ = workspace
+        golden = {
+            "vocab.txt": "704d83b794add93a64c0c24e80e8a0009b7a2dad99dee6e158613bfecf548543",
+            "label_stats.tsv": "8b3b8e5c1042fef478c2d6ea9380f06bd98062ab76866b04e2cab7a9ec0a099d",
+            "detector_train.tsv": "d81f97628ae3976403f4d74eef7a852cbccf3d66b84219ce09cd57673163ac8e",
+            "detector_valid.tsv": "362e29baaa57b3383c9b54dfe29ddd15647f97d487a5b2944e914d462a9a5cf5",
+            "detector_test.tsv": "30822e1e7909c5bb47aa7283c2cc65218721fc75db94c32f5f0b22edad1e20bb",
+        }
+        digests = {name: hashlib.sha256((root / "corpus" / name).read_bytes()).hexdigest()
+                   for name in golden}
+        assert digests == golden
 
     def test_summary_lines_printed(self, workspace, tmp_path, capsys):
         _, paths, _ = workspace
@@ -652,6 +670,25 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err == (f"error: {articles}:1: 'sections' must be a list "
                                            "of [label, text] pairs\n")
+
+    @pytest.mark.parametrize("record, field", [
+        (r'{"title": "entity3\ud800", "sections": [["diet", "x"]]}', "'title'"),
+        (r'{"title": "A", "sections": [["diet", "x"], ["habitat", "a \udc80 b"]]}',
+         "a section text"),
+    ], ids=["title", "text"])
+    def test_lone_surrogate_returns_two_before_any_output(self, workspace, tmp_path, capsys,
+                                                          record, field):
+        _, paths, _ = workspace
+        articles = tmp_path / "articles.jsonl"
+        articles.write_text('{"title": "B", "sections": [["diet", "y"]]}\n' + record + "\n",
+                            encoding="utf-8")
+        out = tmp_path / "corpus"
+        rc = main(["build-corpus", "--articles", str(articles), "--schema", str(paths["schema"]),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {articles}:2: {field} holds a lone "
+                                                  "surrogate")
+        assert not out.exists()
 
     @pytest.mark.parametrize("stage, key", [("detector", "detector_epochs = 2"),
                                             ("generator", "generator_epochs = 1")],

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from topicsum.corpus import (
+    _TAG_RE,
+    _URL_RE,
     DatasetSplits,
     RawArticle,
     SummarizationExample,
     Topic,
+    TopicParagraphExample,
     TopicSchema,
     article_token_sequences,
     build_detector_dataset,
@@ -28,7 +31,13 @@ from topicsum.corpus import (
     write_label_stats,
     write_summarization_dataset,
 )
+from topicsum.synthetic import toy_detector_articles, toy_schema
 from topicsum.text import UNK_ID, Vocabulary, tokenize
+
+# titles whose UTF-8 runs one to four bytes a character, one holding the
+# '#' that joins title and index, and one long enough to span many words
+HAND_TITLES = ("a#b", "Zürich", "東京", "🦊 fox", ("Große Röhre #7 " * 14)[:200])
+SPLIT_SEEDS = (0, 42, -1, 2**64 + 5)
 
 
 def make_article(title="Acme Corp", noise=False):
@@ -79,6 +88,30 @@ class TestArticlesIO:
         path.write_text('{"title": "A", "sections": [["only-label"]]}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="label, text"):
             load_articles(path)
+
+    @pytest.mark.parametrize("record, message", [
+        (r'{"title": "entity3\ud800", "sections": []}',
+         r"'title' holds a lone surrogate '\\ud800', which UTF-8 cannot encode"),
+        (r'{"title": "A", "sections": [["hab\udfffitat", "x"]]}',
+         r"a section label holds a lone surrogate '\\udfff', which UTF-8 cannot encode"),
+        (r'{"title": "A", "sections": [["diet", "ok"], ["habitat", "a \udc80 b"]]}',
+         r"a section text holds a lone surrogate '\\udc80', which UTF-8 cannot encode"),
+        (r'{"title": "A", "sections": [["diet", "\ud83e\ud83e\udd8a"]]}',
+         r"a section text holds a lone surrogate '\\ud83e', which UTF-8 cannot encode"),
+    ], ids=["title", "label", "text", "high_before_a_pair"])
+    def test_lone_surrogate_refused_naming_its_line(self, tmp_path, record, message):
+        """JSON can escape half of a surrogate pair, which no UTF-8 writer
+        takes; it is refused where it is read, not when an output is written."""
+        path = tmp_path / "articles.jsonl"
+        path.write_text('{"title": "A", "sections": []}\n' + record + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {message}$"):
+            load_articles(path)
+
+    def test_escaped_surrogate_pair_loads_as_its_character(self, tmp_path):
+        path = tmp_path / "articles.jsonl"
+        path.write_text(r'{"title": "\ud83e\udd8a fox", "sections": [["diet", "\uD83E\uDD8A"]]}'
+                        "\n", encoding="utf-8")
+        assert load_articles(path) == [RawArticle("🦊 fox", (("diet", "🦊"),))]
 
     @pytest.mark.parametrize("record, message", [
         ('{"title": "", "sections": []}', "'title' must be a non-empty string"),
@@ -241,6 +274,22 @@ class TestParagraphExtraction:
         assert len(triples) == 1
         assert triples[0] == (0, "A", "real text")
 
+    def test_strip_markup_equals_both_substitutions_on_fuzzed_blocks(self):
+        """Blocks built from markup fragments, near misses (`htt`, `ww`,
+        `WWW.`) and plain text: with or without anything to strip, the
+        result is that of the URL substitution and then the tag one."""
+        pieces = ["<", ">", "http://", "https://", "HTTP://", "www.", "WWW.", "htt", "ww",
+                  "/", "a", "b", "Z", "é", " ", "\n"]
+        rng = np.random.default_rng(34)
+        clean = 0
+        for _ in range(20_000):
+            picks = rng.integers(0, len(pieces), rng.integers(0, 24))
+            block = "".join(pieces[i] for i in picks)
+            want = _TAG_RE.sub(" ", _URL_RE.sub(" ", block))
+            assert strip_markup(block) == want, block
+            clean += want == block
+        assert 2_000 < clean < 18_000    # both kinds of block are drawn often
+
 
 class TestSplitHashing:
     def test_deterministic_and_bounded(self):
@@ -255,6 +304,22 @@ class TestSplitHashing:
         buckets_a = [split_bucket(f"t{i}", 0, seed=1) for i in range(50)]
         buckets_b = [split_bucket(f"t{i}", 0, seed=2) for i in range(50)]
         assert buckets_a != buckets_b
+
+    @staticmethod
+    def fnv1a64(data: bytes, seed: int) -> int:
+        value = 0xCBF29CE484222325 ^ (seed % 2**64)
+        for byte in data:
+            value = ((value ^ byte) * 0x100000001B3) % 2**64
+        return value
+
+    @pytest.mark.parametrize("seed", SPLIT_SEEDS + (2**70,))
+    def test_bucket_is_seeded_fnv1a_of_title_and_index(self, seed):
+        """The bucket is 64-bit FNV-1a, its offset basis XORed with the
+        seed's low 64 bits, over the UTF-8 of `title#index`, modulo 10."""
+        for title in HAND_TITLES:
+            for index in [*range(151), 999, 1000, 12_345]:
+                want = self.fnv1a64(f"{title}#{index}".encode("utf-8"), seed) % 10
+                assert split_bucket(title, index, seed) == want, (title, index)
 
     def test_distribution_roughly_uniform(self):
         rng = np.random.default_rng(0)
@@ -281,6 +346,39 @@ class TestDetectorDataset:
         # the cookie paragraph sits under a History label but is NOISE
         assert noise_count == 30
         assert {ex.topic_index for ex in all_examples} == {0, 1, schema.noise_index}
+
+    @staticmethod
+    def splits_by_bucket(articles, schema, vocab, seed):
+        """The splits built paragraph by paragraph, each placed by
+        `split_bucket` of its title and index."""
+        splits = DatasetSplits(train=[], valid=[], test=[])
+        for article in articles:
+            for index, label, text in iter_paragraphs(article):
+                topic = (schema.noise_index if schema.is_noise_text(text)
+                         else schema.topic_of_label(label))
+                tokens = tokenize(text)
+                if topic is None or not tokens:
+                    continue
+                bucket = split_bucket(article.title, index, seed)
+                split = splits.train if bucket < 8 else splits.valid if bucket == 8 else splits.test
+                split.append(TopicParagraphExample(topic, tuple(vocab.encode(tokens))))
+        return splits
+
+    @pytest.mark.parametrize("seed", SPLIT_SEEDS)
+    def test_each_paragraph_lands_in_its_split_bucket(self, seed):
+        """Every paragraph of the toy articles, and of hand-made titles at
+        indexes 0-150 (each paragraph its own token, so that each example
+        is told apart), sits in the split `split_bucket` gives it."""
+        toy = toy_detector_articles(120, 0)
+        hand = [RawArticle(title, (("habitat", "\n\n".join(f"t{a}p{i}" for i in range(100))),
+                                   ("diet", "\n\n".join(f"t{a}p{i}" for i in range(100, 151)))))
+                for a, title in enumerate(HAND_TITLES)]
+        for articles in (toy, hand):
+            vocab = Vocabulary.build(article_token_sequences(articles))
+            want = self.splits_by_bucket(articles, toy_schema(), vocab, seed)
+            assert build_detector_dataset(articles, toy_schema(), vocab, seed=seed) == want
+        # every hand-made paragraph is kept, each a different example
+        assert len(set(want.train + want.valid + want.test)) == 151 * len(HAND_TITLES)
 
     def test_same_seed_reproduces_exactly(self):
         articles = [make_article(f"Art {i}") for i in range(10)]
