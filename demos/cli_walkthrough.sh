@@ -36,6 +36,14 @@ hidden_size = 64
 generator_epochs = 40
 generator_lr_first = 0.002
 generator_lr_rest = 0.002
+CFG
+
+# generation reads its models' sizes from their checkpoints, so its config
+# holds only the files it reads and the decoding settings
+cat > generate.cfg <<'CFG'
+vocab_path = corpus/vocab.txt
+schema_path = schema.txt
+detector_checkpoint = detector.bin
 beam_size = 3
 max_sentences = 6
 max_sentence_tokens = 10
@@ -57,7 +65,7 @@ python3 -m topicsum.cli train --stage generator --config run.cfg --out generator
 echo
 echo "== generate abstracts for the held-out records (beam 3, soft mixing) =="
 # the topics come from the config's detector_checkpoint, as in training
-python3 -m topicsum.cli generate --config run.cfg \
+python3 -m topicsum.cli generate --config generate.cfg \
     --generator-ckpt generator.bin --input summ_valid.tsv --out generated.txt
 cat generated.txt
 

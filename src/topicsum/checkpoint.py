@@ -4,9 +4,9 @@ Layout: the magic bytes, then per tensor a little-endian u32 name length,
 the UTF-8 name, a u32 rank, one u32 per dimension, and the float32
 little-endian values in row-major order.  Round-trips are bit-exact.
 
-Both loaders first walk every header, seeking past the values, and check
-the whole archive against the file's size before they read any value, so
-a bad archive raises ValueError naming the path and changes nothing.
+Each reader first walks every header, seeking past the values, and checks
+the whole archive against the file's size before it reads any value, so a
+bad archive raises ValueError naming the path and changes nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .fileio import atomic_write
 
-__all__ = ["MAGIC", "save_tensors", "load_tensors", "load_into"]
+__all__ = ["MAGIC", "save_tensors", "tensor_shapes", "load_tensors", "load_into"]
 
 MAGIC = b"TWAGCKPT1"
 
@@ -107,6 +107,12 @@ def _read_values(handle: BinaryIO, path, entry: _Entry, out: np.ndarray) -> None
     handle.seek(entry.offset)
     if handle.readinto(memoryview(out.reshape(-1)).cast("B")) != out.nbytes:
         raise ValueError(f"{path}: truncated archive at byte {entry.offset}")
+
+
+def tensor_shapes(path) -> dict[str, tuple[int, ...]]:
+    """Each tensor's shape by name, read from the headers alone."""
+    with open(path, "rb") as handle:
+        return {entry.name: entry.shape for entry in _walk(handle, path)}
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:

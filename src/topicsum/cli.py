@@ -18,12 +18,11 @@ import numpy as np
 
 from . import checkpoint
 from .autodiff import EmptyTrainingSet
-from .config import RunConfig, format_config, load_config
-from .corpus import (abstract_sentences, article_token_sequences,
+from .config import MAX_MODEL_SIZE, RunConfig, format_config, load_config
+from .corpus import (TopicSchema, abstract_sentences, article_token_sequences,
                      build_detector_dataset, label_frequency_stats, load_articles,
                      load_detector_dataset, load_summarization_dataset,
-                     load_topic_schema, write_detector_dataset,
-                     write_label_stats)
+                     load_topic_schema, write_detector_dataset, write_label_stats)
 from .detector import (DetectorModel, MeanEmbeddingEncoder, detect_topics,
                        train_detector)
 from .fileio import atomic_write, read_lines
@@ -176,24 +175,39 @@ def _write_log(path, config: RunConfig, rows: list[dict]) -> None:
             handle.write("\t".join(cells) + "\n")
 
 
-def _build_detector_model(config: RunConfig, vocab: Vocabulary, n_classes: int) -> DetectorModel:
-    rng = np.random.default_rng(config.seed)
-    encoder = MeanEmbeddingEncoder(len(vocab), config.detector_embed_size,
-                                   config.detector_hidden_size, rng)
-    return DetectorModel(encoder, n_classes, rng)
+def _build_detector_model(seed: int, n_classes: int, *sizes: int) -> DetectorModel:
+    rng = np.random.default_rng(seed)
+    return DetectorModel(MeanEmbeddingEncoder(*sizes, rng), n_classes, rng)
 
 
-def _detected_topics(config: RunConfig, vocab: Vocabulary, n_classes: int, *datasets) -> list:
+def _trained_sizes(ckpt, config: RunConfig, vocab: Vocabulary, schema: TopicSchema,
+                   embed: str, head: str, noise: int = 0) -> tuple[int, int]:
+    """(E, H) of the model in the archive at `ckpt`, from the headers of its
+    tensors `embed` [V, E] and `head` [H, topics + `noise`].  A vocabulary or
+    schema of another count is refused naming its file.  A tensor missing, not
+    2-D or of a width no config allows gives width 1, which `load_into` refuses."""
+    shapes = checkpoint.tensor_shapes(ckpt)
+    (n_tokens, embed_dim), (hidden_dim, n_classes) = (
+        found if len(found) == 2 and 0 < found[axis] <= MAX_MODEL_SIZE else placeholder
+        for found, axis, placeholder in (
+            (shapes.get(embed, ()), 1, (len(vocab), 1)),
+            (shapes.get(head, ()), 0, (1, len(schema.topics) + noise))))
+    for path, count, trained, noun in (
+            (config.vocab_path, len(vocab), n_tokens, "tokens"),
+            (config.schema_path, len(schema.topics), n_classes - noise, "topics")):
+        if count != trained:
+            raise ValueError(f"{path}: {count} {noun}, but {ckpt} was trained with {trained}")
+    return embed_dim, hidden_dim
+
+
+def _detected_topics(config: RunConfig, vocab: Vocabulary, schema: TopicSchema, *datasets) -> list:
     """Per-example topic assignments of each dataset by the config's `detector_checkpoint`,
     the one detector that both trains a generator's topics and generates with them."""
-    detector = _build_detector_model(config, vocab, n_classes)
+    sizes = _trained_sizes(config.detector_checkpoint, config, vocab, schema,
+                           "encoder.embed", "cls_W", noise=1)
+    detector = _build_detector_model(config.seed, schema.n_classes, len(vocab), *sizes)
     checkpoint.load_into(detector.parameters(), config.detector_checkpoint)
     return [[detect_topics(ex.paragraph_ids, detector) for ex in data] for data in datasets]
-
-
-def _build_generator_model(config: RunConfig, vocab: Vocabulary, n_topics: int) -> GeneratorModel:
-    return GeneratorModel(len(vocab), n_topics, embed_dim=config.embed_size,
-                          hidden_dim=config.hidden_size, seed=config.seed)
 
 
 def cmd_train(args) -> int:
@@ -218,7 +232,8 @@ def cmd_train(args) -> int:
         train, valid = (load_detector_dataset(path, schema.n_classes, len(vocab),
                                               config.vocab_path)
                         for path in (config.detector_train_path, config.detector_valid_path))
-        model = _build_detector_model(config, vocab, schema.n_classes)
+        model = _build_detector_model(config.seed, schema.n_classes, len(vocab),
+                                      config.detector_embed_size, config.detector_hidden_size)
         with _training_on(config.detector_train_path):
             history = train_detector(model, train, valid, epochs=config.detector_epochs,
                                      lr=config.detector_lr, seed=config.seed)
@@ -228,8 +243,9 @@ def cmd_train(args) -> int:
     else:
         train = load_summarization_dataset(config.summarization_train_path, vocab)
         valid = load_summarization_dataset(config.summarization_valid_path, vocab)
-        train_topics, valid_topics = _detected_topics(config, vocab, schema.n_classes, train, valid)
-        model = _build_generator_model(config, vocab, len(schema.topics))
+        train_topics, valid_topics = _detected_topics(config, vocab, schema, train, valid)
+        model = GeneratorModel(len(vocab), len(schema.topics), embed_dim=config.embed_size,
+                               hidden_dim=config.hidden_size, seed=config.seed)
         if config.embeddings_path:
             init_embeddings(model.embed.data, vocab, config.embeddings_path,
                             [tokens for ex in train for tokens in ex.paragraph_tokens])
@@ -263,10 +279,11 @@ def cmd_generate(args) -> int:
     _require(args.config, config, *needed)
     vocab = Vocabulary.load(config.vocab_path)
     schema = load_topic_schema(config.schema_path)
-    model = _build_generator_model(config, vocab, len(schema.topics))
+    sizes = _trained_sizes(args.generator_ckpt, config, vocab, schema, "embed", "topic_W")
+    model = GeneratorModel(len(vocab), len(schema.topics), *sizes, seed=config.seed)
     checkpoint.load_into(model.parameters(), args.generator_ckpt)
     examples = load_summarization_dataset(args.input, vocab, require_abstract=False)
-    topics, = _detected_topics(config, vocab, schema.n_classes, examples)
+    topics, = _detected_topics(config, vocab, schema, examples)
     written = 0
     with atomic_write(args.out) as handle:
         for example, assignments in zip(examples, topics):

@@ -10,7 +10,7 @@ from typing import Collection
 
 from .fileio import read_lines
 
-__all__ = ["DecodeConfig", "RunConfig", "load_config", "format_config"]
+__all__ = ["DecodeConfig", "RunConfig", "MAX_MODEL_SIZE", "load_config", "format_config"]
 
 # the least legal value of each bounded number; stop_loss_weight = 0 trains
 # without the stop loss, and numpy's generators take no negative seed
@@ -28,9 +28,10 @@ _MINIMUM = {
 # float32 weights: at most 136 M (544 MB) at the paper's V, inside a 1 GiB
 # budget per copy; training keeps four copies (weights, gradients, Adam's
 # two moments).  The detector's [V, E] table is smaller.
+MAX_MODEL_SIZE = 1024
 _MAXIMUM = {"beam_size": 32, "max_sentences": 32, "max_sentence_tokens": 200,
             **dict.fromkeys(("embed_size", "hidden_size", "detector_embed_size",
-                             "detector_hidden_size"), 1024)}
+                             "detector_hidden_size"), MAX_MODEL_SIZE)}
 _POSITIVE = frozenset({"detector_lr", "generator_lr_first", "generator_lr_rest"})
 
 

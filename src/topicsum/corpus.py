@@ -175,8 +175,9 @@ def load_topic_schema(path, n_t: int = 20) -> TopicSchema:
     optional "@tier" suffix names the label-frequency tier it belongs to;
     the label is kept iff tier <= n_t, which must be at least 0 (unmarked
     labels are always kept); the topics are the same at every tier.
-    A "noise:" line lists /regex/ patterns; absent, the default noise
-    indicators apply.  An optional "domain:" line names the domain.
+    A "noise:" line lists one or more /regex/ patterns split by commas;
+    absent, the default noise indicators apply.  An optional "domain:"
+    line names the domain.  Topic names are distinct, ignoring case.
     """
     if n_t < 0:
         raise ValueError(f"'n_t' must be at least 0, got {n_t}")
@@ -185,6 +186,7 @@ def load_topic_schema(path, n_t: int = 20) -> TopicSchema:
     topics: list[Topic] = []
     noise_patterns: list[re.Pattern] = []
     seen_labels: dict[str, str] = {}
+    named_on: dict[str, int] = {}
     for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -199,12 +201,21 @@ def load_topic_schema(path, n_t: int = 20) -> TopicSchema:
             domain = payload.strip()
             continue
         if name.lower() == "noise":
-            for pattern_src in _NOISE_ENTRY_RE.findall(payload):
+            sources = _NOISE_ENTRY_RE.findall(payload)
+            gaps = _NOISE_ENTRY_RE.sub("", payload).split(",")
+            if len(gaps) != len(sources) or any(gap.strip() for gap in gaps):
+                raise ValueError(f"{path}:{lineno}: a noise line lists /regex/ entries split "
+                                 f"by commas, got '{payload.strip()}'")
+            for pattern_src in sources:
                 try:
                     noise_patterns.append(re.compile(pattern_src, re.IGNORECASE))
                 except re.error as exc:
                     raise ValueError(f"{path}:{lineno}: bad noise pattern /{pattern_src}/ ({exc})") from exc
             continue
+        if name.lower() in named_on:
+            raise ValueError(f"{path}:{lineno}: topic '{name}' is already named on line "
+                             f"{named_on[name.lower()]}")
+        named_on[name.lower()] = lineno
         kept: list[str] = []
         for chunk in payload.split(","):
             entry = chunk.strip()

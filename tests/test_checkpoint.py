@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import topicsum.autodiff as ad
-from topicsum.checkpoint import MAGIC, load_into, load_tensors, save_tensors
+from topicsum.checkpoint import MAGIC, load_into, load_tensors, save_tensors, tensor_shapes
 from topicsum.detector import DetectorModel, MeanEmbeddingEncoder
 from topicsum.generator import GeneratorModel
 from topicsum.synthetic import toy_summarization_corpus
@@ -163,7 +163,7 @@ class TestCorruptArchiveSweep:
                 corrupt[i] = value
                 yield f"byte {i} = {value:#04x}", bytes(corrupt)
 
-    def test_both_loaders_refuse_and_change_nothing(self, blob, tmp_path):
+    def test_every_reader_refuses_and_changes_nothing(self, blob, tmp_path):
         _, ends = self.layout()
         path = tmp_path / "corrupt.bin"
         n_cases = 0
@@ -182,10 +182,18 @@ class TestCorruptArchiveSweep:
                 # which knows the names to expect, refuses it
                 kept = ends.index(len(corrupt))
                 assert list(load_tensors(path)) == list(self.TENSORS)[:kept], label
+                assert list(tensor_shapes(path)) == list(self.TENSORS)[:kept], label
                 continue
-            with pytest.raises(ValueError, match=str(path)):
-                load_tensors(path)
+            for reader in (load_tensors, tensor_shapes):
+                with pytest.raises(ValueError, match=str(path)):
+                    reader(path)
         assert n_cases > len(blob) + 2 * len(self.layout()[0])
+
+    def test_tensor_shapes_equal_the_loaded_shapes(self, blob, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(blob)
+        assert tensor_shapes(path) == {n: a.shape for n, a in load_tensors(path).items()}
+        assert tensor_shapes(path) == {"enc.W": (2, 3), "bias": (4,), "scale": ()}
 
 
 def _gru_layout(prefix, input_dim, hidden):

@@ -377,6 +377,139 @@ class TestGenerate:
         assert [p.name for p in tmp_path.iterdir()] == ["abstracts.txt"]
 
 
+# the four model-size lines of CONFIG_TEMPLATE, detector first
+SIZE_LINES = ("detector_embed_size = 16\n", "detector_hidden_size = 16\n",
+              "embed_size = 12\n", "hidden_size = 12\n")
+
+
+def config_without(root, name, lines, extra=""):
+    """A config in the workspace: the template without `lines`, plus `extra`."""
+    text = CONFIG_TEMPLATE
+    for line in lines:
+        text = text.replace(line, "")
+    config = root / name
+    config.write_text(text + extra, encoding="utf-8")
+    return config
+
+
+class TestLoadedModelSizes:
+    """A loaded model takes its sizes from its checkpoint's tensor headers;
+    the config's size keys are read only by the stage that trains a model."""
+
+    def generate(self, workspace, config, out, ckpt="generator.bin"):
+        root, paths, _ = workspace
+        return main(["generate", "--config", str(config),
+                     "--generator-ckpt", str(root / ckpt),
+                     "--input", str(paths["summ_valid"]), "--out", str(out)])
+
+    @pytest.mark.parametrize("extra", [
+        "", "detector_embed_size = 5\ndetector_hidden_size = 3\nembed_size = 7\nhidden_size = 9\n",
+    ], ids=["no_size_keys", "wrong_sizes"])
+    def test_generate_writes_the_same_abstracts_whatever_the_size_keys(self, workspace,
+                                                                        tmp_path, extra):
+        root, _, _ = workspace
+        config = config_without(root, f"sizes_{len(extra)}.cfg", SIZE_LINES, extra)
+        out = tmp_path / "generated.txt"
+        assert self.generate(workspace, config, out) == 0
+        assert out.read_bytes() == (root / "generated.txt").read_bytes()
+
+    def test_train_generator_writes_the_same_checkpoint_without_detector_sizes(
+            self, workspace, tmp_path):
+        root, _, _ = workspace
+        config = config_without(root, "no_detector_sizes.cfg", SIZE_LINES[:2])
+        out = tmp_path / "generator.bin"
+        assert main(["train", "--stage", "generator", "--config", str(config),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (root / "generator.bin").read_bytes()
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    @pytest.mark.parametrize("damaged", ["vocab", "schema"])
+    def test_count_other_than_the_checkpoints_returns_two_naming_the_file(
+            self, workspace, tmp_path, capsys, command, damaged):
+        root, paths, _ = workspace
+        if damaged == "vocab":
+            line, source = "vocab_path = corpus/vocab.txt", root / "corpus" / "vocab.txt"
+            count, noun = len(Vocabulary.load(source)), "tokens"
+            text = "".join(source.read_text("utf-8").splitlines(keepends=True)[:-1])
+        else:
+            line, source = "schema_path = schema.txt", paths["schema"]
+            count, noun = 3, "topics"
+            text = source.read_text("utf-8").replace("appearance: appearance\n", "")
+        cut = tmp_path / source.name
+        cut.write_text(text, encoding="utf-8")
+        config = root / f"cut_{damaged}_{command}.cfg"
+        config.write_text(CONFIG_TEMPLATE.replace(line, f"{line.split(' = ')[0]} = {cut}"),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        if command == "generate":
+            rc, ckpt = self.generate(workspace, config, out), root / "generator.bin"
+        else:
+            rc = main(["train", "--stage", "generator", "--config", str(config),
+                       "--out", str(out)])
+            ckpt = root / "detector.bin"
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: {cut}: {count - 1} {noun}, "
+                                           f"but {ckpt} was trained with {count}\n")
+        assert [p.name for p in tmp_path.iterdir()] == [cut.name]
+
+    def test_detector_as_generator_checkpoint_returns_two_naming_it(self, workspace,
+                                                                     tmp_path, capsys):
+        root, _, config = workspace
+        out = tmp_path / "out.txt"
+        assert self.generate(workspace, config, out, ckpt="detector.bin") == 2
+        assert capsys.readouterr().err == (
+            f"error: {root / 'detector.bin'}: unknown tensor names in archive: "
+            "cls_W, cls_b, encoder.embed, encoder.proj_W, encoder.proj_b\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_generator_as_detector_checkpoint_returns_two_naming_it(self, workspace,
+                                                                     tmp_path, capsys, command):
+        root, _, _ = workspace
+        config = root / f"generator_as_detector_{command}.cfg"
+        config.write_text(CONFIG_TEMPLATE.replace("detector_checkpoint = detector.bin",
+                                                  "detector_checkpoint = generator.bin"),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        rc = (self.generate(workspace, config, out) if command == "generate" else
+              main(["train", "--stage", "generator", "--config", str(config),
+                    "--out", str(out)]))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {root / 'generator.bin'}: unknown tensor names in "
+                              "archive: attn_b, ") and err.count("\n") == 1, err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("tensor, change", [
+        ("embed", lambda value: value.reshape(-1)),
+        ("topic_W", lambda value: np.zeros((2000, value.shape[1]), np.float32)),
+        ("topic_W", None),
+    ], ids=["embed_1d", "topic_W_too_wide", "topic_W_missing"])
+    def test_malformed_generator_archive_returns_two_naming_it(self, workspace, tmp_path,
+                                                               capsys, monkeypatch, tensor,
+                                                               change):
+        """A size the headers cannot give is left to `load_into`, which
+        refuses the archive; no model is built at a width no config allows."""
+        root, _, config = workspace
+        tensors = checkpoint.load_tensors(root / "generator.bin")
+        if change is None:
+            del tensors[tensor]
+        else:
+            tensors[tensor] = change(tensors[tensor])
+        bad = tmp_path / "bad.bin"
+        checkpoint.save_tensors(bad, tensors)
+        built = []
+        monkeypatch.setattr(cli, "GeneratorModel",
+                            lambda *args, **kwargs: built.append(args[2:4])
+                            or GeneratorModel(*args, **kwargs))
+        out = tmp_path / "out.txt"
+        assert self.generate(workspace, config, out, ckpt=bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+        assert not out.exists()
+        assert len(built) == 1 and max(built[0]) <= 1024
+
+
 class TestEvaluate:
     def test_report_written_with_mean_row(self, workspace):
         root, _, _ = workspace

@@ -103,22 +103,6 @@ def case_id(case):
     return f"{command}-{name}-{kind}" + (f"@{lineno}" if lineno else "")
 
 
-# cases whose refusal names another file than the damaged one, each kept
-# until the ROADMAP item that owns its fix lands
-KNOWN_FAILURES = {
-    **dict.fromkeys(
-        ["train-generator-vocab.txt-cut", "train-generator-schema.txt-cut",
-         "generate-vocab.txt-cut",
-         *(f"{command}-run.cfg-empty_line@{n}" for command in ("train-generator", "generate")
-           for n in (9, 10)),
-         "generate-run.cfg-empty_line@13", "generate-run.cfg-empty_line@14"],
-        "ROADMAP item 6: a vocabulary, schema or model size other than the checkpoint's "
-        "is refused naming the checkpoint, not the file that differs"),
-}
-
-assert set(KNOWN_FAILURES) <= {case_id(case) for case in CASES}
-
-
 def mutate(text, case):
     """The damaged text, and the 1-based line whose content it changed
     (None when the damage is to the whole file, the line count or a line
@@ -257,10 +241,7 @@ def sweep(tmp_path_factory):
     return json.loads(done.stdout)
 
 
-@pytest.mark.parametrize("case", [
-    pytest.param(case, id=case_id(case), marks=[pytest.mark.xfail(
-        strict=True, reason=KNOWN_FAILURES[case_id(case)])] if case_id(case) in KNOWN_FAILURES
-        else []) for case in CASES])
+@pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_exits_zero_or_two_naming_the_damaged_file(sweep, case):
     result = sweep[case_id(case)]
     err = result["stderr"]

@@ -211,6 +211,34 @@ class TestSchemaFiles:
         with pytest.raises(ValueError, match="bad.txt:2: empty topic name$"):
             load_topic_schema(path)
 
+    @pytest.mark.parametrize("payload", ["/tracking/, banner", "cookie, href", "", "/a/ /b/",
+                                         "/a/,", ", /a/"],
+                             ids=["bare_entry", "no_regex", "empty", "no_comma",
+                                  "trailing_comma", "leading_comma"])
+    def test_noise_line_of_anything_but_regex_entries_refused(self, tmp_path, payload):
+        """A noise line's entries all load, or the line is refused: none is
+        dropped, and an empty line does not stand for the defaults."""
+        path = tmp_path / "noise.txt"
+        path.write_text(f"Alpha: one\nnoise: {payload}\n", encoding="utf-8")
+        message = (f"{path}:2: a noise line lists /regex/ entries split by commas, "
+                   f"got '{payload}'")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_topic_schema(path)
+
+    def test_noise_entry_may_hold_a_comma_and_an_escaped_slash(self, tmp_path):
+        path = tmp_path / "noise.txt"
+        path.write_text("noise: /a,b/ , /c\\/d/\nAlpha: one\n", encoding="utf-8")
+        schema = load_topic_schema(path)
+        assert [p.pattern for p in schema.noise_patterns] == ["a,b", r"c\/d"]
+        assert schema.is_noise_text("A,B") and schema.is_noise_text("c/d")
+
+    def test_topic_named_twice_refused_ignoring_case(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("Alpha: one\nBeta: two\nalpha: three\n", encoding="utf-8")
+        message = f"{path}:3: topic 'alpha' is already named on line 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_topic_schema(path)
+
     def test_duplicate_label_across_topics_rejected(self, tmp_path):
         path = tmp_path / "dup.txt"
         path.write_text("Alpha: one\nBeta: one\n", encoding="utf-8")
