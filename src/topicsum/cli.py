@@ -2,15 +2,15 @@
 
 Exit codes: 0 success, 2 usage or validation errors, 1 unexpected runtime
 failures.  Every command is deterministic given its seed (generation and
-evaluation consume no randomness at all); training logs start with the
-fully resolved configuration.
+evaluation consume no randomness).  The flags of `train` and `generate` name
+files and the stage; every setting comes from `--config`, which heads a log.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
+import itertools
 import sys
 from pathlib import Path
 
@@ -58,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--config", required=True, help="key = value run configuration")
     train.add_argument("--out", required=True, help="checkpoint output path")
     train.add_argument("--log", default=None, help="training log path (default: <out>.log)")
-    train.add_argument("--seed", type=int, default=None,
-                       help="overrides the config seed (default 42)")
     train.set_defaults(func=cmd_train)
 
     generate = commands.add_parser("generate", help="generate abstracts for input articles")
@@ -67,10 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--generator-ckpt", required=True)
     generate.add_argument("--input", required=True, help="summarization-format records")
     generate.add_argument("--out", required=True, help="one abstract per line")
-    generate.add_argument("--mode", choices=("soft", "hard"), default=None,
-                          help="topic mixing mode (default: config)")
-    generate.add_argument("--beam", type=int, default=None,
-                          help="beam size, 1 = greedy (default: config)")
     generate.set_defaults(func=cmd_generate)
 
     evaluate = commands.add_parser("evaluate", help="score generated abstracts against gold")
@@ -105,16 +99,15 @@ def cmd_build_corpus(args) -> int:
     schema = load_topic_schema(args.schema, n_t=args.n_t)
     stats = label_frequency_stats(articles)
 
-    sequences = list(article_token_sequences(articles))
     summarization = None
     if args.summarization:
         # fold the generation corpus into the shared vocabulary; which
         # records are kept does not depend on the vocabulary
         summarization = load_summarization_dataset(args.summarization, Vocabulary([]))
-        for example in summarization:
-            sequences.extend(example.paragraph_tokens)
-            sequences.extend(example.abstract_tokens)
-    vocab = Vocabulary.build(sequences, cap=args.vocab_cap)
+    # counted as tokenized, so no paragraph's token list outlives its count
+    vocab = Vocabulary.build(itertools.chain(article_token_sequences(articles), *(
+        (*ex.paragraph_tokens, *ex.abstract_tokens) for ex in summarization or ())),
+        cap=args.vocab_cap)
     splits = build_detector_dataset(articles, schema, vocab, seed=args.seed)
 
     out_dir = Path(args.out)
@@ -141,6 +134,13 @@ def cmd_build_corpus(args) -> int:
 
 # the config keys every training stage and generation read first
 _VOCABULARY_KEYS = ("vocab_path", "schema_path")
+
+
+def _refuse_missing_directories(*outputs) -> None:
+    """Refuse, before any input is read, an output path whose directory does not exist."""
+    for path in outputs:
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"{path}: no such directory: {Path(path).parent}")
 
 
 def _require(path, config: RunConfig, *keys: str) -> None:
@@ -213,16 +213,14 @@ def _detected_topics(config: RunConfig, vocab: Vocabulary, schema: TopicSchema, 
 def cmd_train(args) -> int:
     """Train one stage, then write its checkpoint and log.
 
-    `--seed` replaces the config seed under the config's rule.  With
-    `embeddings_path`, pretrained vectors overwrite rows of the generator's
-    seed-drawn embedding table before training (`init_embeddings`); a bad
-    vectors file stops the run with nothing written."""
+    With `embeddings_path`, pretrained vectors overwrite rows of the
+    generator's seed-drawn embedding table before training
+    (`init_embeddings`); a bad vectors file stops the run with nothing written."""
+    log_path = args.log or f"{args.out}.log"
+    _refuse_missing_directories(args.out, log_path)
     stage_keys = (("detector_train_path", "detector_valid_path") if args.stage == "detector" else
                   ("summarization_train_path", "summarization_valid_path", "detector_checkpoint"))
     config = load_config(args.config, reads=(*_VOCABULARY_KEYS, *stage_keys, "embeddings_path"))
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    log_path = args.log or f"{args.out}.log"
     _require(args.config, config, *_VOCABULARY_KEYS)
     _require(args.config, config, *stage_keys)
     vocab = Vocabulary.load(config.vocab_path)
@@ -272,10 +270,9 @@ def cmd_train(args) -> int:
 # generate
 
 def cmd_generate(args) -> int:
+    _refuse_missing_directories(args.out)
     needed = (*_VOCABULARY_KEYS, "detector_checkpoint")
     config = load_config(args.config, reads=needed)
-    config = dataclasses.replace(config, topic_mode=args.mode or config.topic_mode,
-                                 beam_size=config.beam_size if args.beam is None else args.beam)
     _require(args.config, config, *needed)
     vocab = Vocabulary.load(config.vocab_path)
     schema = load_topic_schema(config.schema_path)
@@ -309,6 +306,7 @@ def _read_abstract_lines(path) -> list[list[list[str]]]:
 
 
 def cmd_evaluate(args) -> int:
+    _refuse_missing_directories(args.out)
     generated = _read_abstract_lines(args.generated)
     gold = _read_abstract_lines(args.gold)
     if len(generated) != len(gold):

@@ -72,7 +72,7 @@ def load_articles(path) -> list[RawArticle]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
             raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
         if not isinstance(obj, dict) or "title" not in obj or "sections" not in obj:
             raise ValueError(f"{path}:{lineno}: expected an object with 'title' and 'sections'")
@@ -87,6 +87,9 @@ def load_articles(path) -> list[RawArticle]:
                     or not isinstance(entry[0], str) or not entry[0]
                     or not isinstance(entry[1], str)):
                 raise ValueError(f"{path}:{lineno}: each section must be a [label, text] pair")
+            if "\t" in entry[0] or "\n" in entry[0] or "\r" in entry[0]:  # label_stats.tsv rows
+                raise ValueError(f"{path}:{lineno}: section label {entry[0]!r} "
+                                 "holds a tab or line break")
             sections.append((entry[0], entry[1]))
         # a decoded line holds no surrogate; only a JSON escape makes one
         if "\\u" in line:

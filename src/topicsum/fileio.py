@@ -34,12 +34,16 @@ def atomic_write(path, mode: str = "w"):
 
     `path` holds its old contents or the whole new file, never part of
     one.  If the block or the rename raises, the temporary file is removed
-    and `path` is left as it was.  The file gets the permissions `open`
+    and `path` is left as it was; a temporary file that cannot be made
+    raises OSError naming `path`.  The file gets the permissions `open`
     would give a new file.
     """
     directory, base = os.path.split(os.fspath(path))
     temporary = os.path.join(directory, f".{base}.{secrets.token_hex(4)}.tmp")
-    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with open(fd, mode, encoding=None if "b" in mode else "utf-8") as handle:
             yield handle

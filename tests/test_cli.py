@@ -6,6 +6,7 @@ and on the exit-code contract.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -159,6 +160,25 @@ class TestBuildCorpus:
                    for name in golden}
         assert digests == golden
 
+    def test_vocabulary_counts_a_stream_not_a_held_list(self, workspace, tmp_path,
+                                                         monkeypatch):
+        root, paths, _ = workspace
+        build, handed = Vocabulary.build, []
+
+        def recording_build(corpus, cap):
+            handed.append(corpus)
+            return build(corpus, cap=cap)
+
+        monkeypatch.setattr(Vocabulary, "build", recording_build)
+        rc = main(["build-corpus", "--articles", str(paths["articles"]),
+                   "--schema", str(paths["schema"]), "--out", str(tmp_path / "corpus"),
+                   "--summarization", str(paths["summ_train"]), "--vocab-cap", "500"])
+        assert rc == 0
+        (corpus,) = handed
+        assert iter(corpus) is corpus  # an iterator: each token list is dropped once counted
+        assert ((tmp_path / "corpus" / "vocab.txt").read_bytes()
+                == (root / "corpus" / "vocab.txt").read_bytes())
+
     def test_summary_lines_printed(self, workspace, tmp_path, capsys):
         _, paths, _ = workspace
         main(["build-corpus", "--articles", str(paths["articles"]),
@@ -216,13 +236,16 @@ class TestTrainArtifacts:
         assert train_loss == pytest.approx(train_nll + train_stop, rel=1e-4)
         assert 0.0 < grad_norm < float("inf")
 
-    def test_seed_flag_overrides_config(self, workspace, tmp_path):
-        root, _, config = workspace
+    def test_seed_comes_from_the_config(self, workspace, tmp_path):
+        root, _, _ = workspace
+        config = root / "seed_seven.cfg"
+        config.write_text(CONFIG_TEMPLATE.replace("seed = 42", "seed = 7"), encoding="utf-8")
         rc = main(["train", "--stage", "detector", "--config", str(config),
-                   "--out", str(tmp_path / "d.bin"), "--seed", "7"])
+                   "--out", str(tmp_path / "d.bin")])
         assert rc == 0
         header = (tmp_path / "d.bin.log").read_text("utf-8")
         assert "# seed = 7" in header
+        assert (tmp_path / "d.bin").read_bytes() != (root / "detector.bin").read_bytes()
 
     def test_pretrained_vectors_overwrite_rows_of_the_drawn_model(self, workspace, tmp_path,
                                                                    monkeypatch):
@@ -273,27 +296,35 @@ class TestGenerate:
         generated = (root / "generated.txt").read_text("utf-8").splitlines()
         assert len(generated) == n_records
 
-    def test_beam_flag_accepted_and_deterministic(self, workspace, tmp_path):
-        root, paths, config = workspace
+    def test_greedy_beam_size_is_deterministic(self, workspace, tmp_path):
+        root, paths, _ = workspace
+        config = root / "greedy.cfg"
+        config.write_text(CONFIG_TEMPLATE.replace("beam_size = 2", "beam_size = 1"),
+                          encoding="utf-8")
         outputs = []
         for name in ("g1.txt", "g2.txt"):
             rc = main(["generate", "--config", str(config),
                        "--generator-ckpt", str(root / "generator.bin"),
                        "--input", str(paths["summ_valid"]),
-                       "--out", str(tmp_path / name), "--beam", "1"])
+                       "--out", str(tmp_path / name)])
             assert rc == 0
             outputs.append((tmp_path / name).read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_zero_beam_flag_returns_two_naming_the_key(self, workspace, tmp_path, capsys):
-        root, paths, config = workspace
+    def test_zero_beam_size_returns_two_naming_the_config_line(self, workspace, tmp_path,
+                                                               capsys):
+        root, paths, _ = workspace
+        config = root / "zero_beam.cfg"
+        config.write_text(CONFIG_TEMPLATE.replace("beam_size = 2", "beam_size = 0"),
+                          encoding="utf-8")
+        line = CONFIG_TEMPLATE.splitlines().index("beam_size = 2") + 1
         out = tmp_path / "g.txt"
         rc = main(["generate", "--config", str(config),
                    "--generator-ckpt", str(root / "generator.bin"),
-                   "--input", str(paths["summ_valid"]),
-                   "--out", str(out), "--beam", "0"])
+                   "--input", str(paths["summ_valid"]), "--out", str(out)])
         assert rc == 2
-        assert "'beam_size' must be at least 1, got 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {config}:{line}: 'beam_size' must be at least 1, got 0\n")
         assert not out.exists()
 
     def test_all_noise_detector_writes_empty_lines(self, workspace, tmp_path, capsys):
@@ -346,13 +377,17 @@ class TestGenerate:
         assert capsys.readouterr().err.startswith(f"error: {truncated}: truncated archive")
         assert not (tmp_path / "out.txt").exists()
 
-    def test_mode_flag_accepted(self, workspace, tmp_path):
-        root, paths, config = workspace
+    def test_hard_topic_mode_from_the_config_generates(self, workspace, tmp_path):
+        root, paths, _ = workspace
+        config = root / "hard_generate.cfg"
+        config.write_text(CONFIG_TEMPLATE + "topic_mode = hard\n", encoding="utf-8")
         rc = main(["generate", "--config", str(config),
                    "--generator-ckpt", str(root / "generator.bin"),
                    "--input", str(paths["summ_valid"]),
-                   "--out", str(tmp_path / "hard.txt"), "--mode", "hard"])
+                   "--out", str(tmp_path / "hard.txt")])
         assert rc == 0
+        n_records = len(paths["summ_valid"].read_text("utf-8").splitlines())
+        assert len((tmp_path / "hard.txt").read_text("utf-8").splitlines()) == n_records
 
     def test_failure_midway_keeps_the_old_output(self, workspace, tmp_path, capsys,
                                                  monkeypatch):
@@ -756,21 +791,13 @@ class TestExitCodes:
         assert rc == 2
         assert f"{data}:1: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("where", ["config", "flag"])
-    def test_negative_seed_returns_two_naming_the_key(self, workspace, tmp_path, capsys,
-                                                      where):
-        root, _, config = workspace
-        argv = ["train", "--stage", "detector", "--out", str(tmp_path / "d.bin")]
-        if where == "config":
-            config = root / "negative_seed.cfg"
-            config.write_text(CONFIG_TEMPLATE.replace("seed = 42", "seed = -3"),
-                              encoding="utf-8")
-            expected = f"error: {config}:1: 'seed' must be at least 0, got -3\n"
-        else:
-            argv += ["--seed", "-2"]
-            expected = "error: 'seed' must be at least 0, got -2\n"
-        assert main(argv + ["--config", str(config)]) == 2
-        assert capsys.readouterr().err == expected
+    def test_negative_seed_returns_two_naming_the_key(self, workspace, tmp_path, capsys):
+        root, _, _ = workspace
+        config = root / "negative_seed.cfg"
+        config.write_text(CONFIG_TEMPLATE.replace("seed = 42", "seed = -3"), encoding="utf-8")
+        assert main(["train", "--stage", "detector", "--out", str(tmp_path / "d.bin"),
+                     "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {config}:1: 'seed' must be at least 0, got -3\n"
         assert not (tmp_path / "d.bin").exists()
         assert not (tmp_path / "d.bin.log").exists()
 
@@ -822,6 +849,91 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {articles}:2: {field} holds a lone "
                                                   "surrogate")
         assert not out.exists()
+
+    def test_json_nested_too_deep_returns_two_before_any_output(self, workspace, tmp_path,
+                                                                capsys):
+        _, paths, _ = workspace
+        articles = tmp_path / "articles.jsonl"
+        depth = 100_000
+        articles.write_text('{"title": "B", "sections": [["diet", "y"]]}\n'
+                            '{"title": "x", "sections": ' + "[" * depth + "]" * depth + "}\n",
+                            encoding="utf-8")
+        out = tmp_path / "corpus"
+        rc = main(["build-corpus", "--articles", str(articles), "--schema", str(paths["schema"]),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {articles}:2: invalid JSON (maximum recursion depth")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["habitat\tdiet", "line\nbreak", "carriage\rreturn"],
+                             ids=["tab", "newline", "carriage-return"])
+    def test_label_holding_a_tab_or_line_break_returns_two_before_any_output(
+            self, workspace, tmp_path, capsys, label):
+        _, paths, _ = workspace
+        articles = tmp_path / "articles.jsonl"
+        record = json.dumps({"title": "A", "sections": [["diet", "x"], [label, "y"]]})
+        articles.write_text('{"title": "B", "sections": [["diet", "y"]]}\n' + record + "\n",
+                            encoding="utf-8")
+        out = tmp_path / "corpus"
+        rc = main(["build-corpus", "--articles", str(articles), "--schema", str(paths["schema"]),
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: {articles}:2: section label {label!r} "
+                                           "holds a tab or line break\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    def test_train_output_in_a_missing_directory_returns_two_before_training(
+            self, workspace, tmp_path, capsys, monkeypatch, flag):
+        _, _, config = workspace
+        trained = []
+        monkeypatch.setattr(cli, "train_detector", lambda *args, **kwargs: trained.append(1))
+        outputs = {"--out": tmp_path / "d.bin", "--log": tmp_path / "d.log"}
+        outputs[flag] = tmp_path / "nodir" / outputs[flag].name
+        rc = main(["train", "--stage", "detector", "--config", str(config),
+                   "--out", str(outputs["--out"]), "--log", str(outputs["--log"])])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: {outputs[flag]}: no such directory: "
+                                           f"{tmp_path / 'nodir'}\n")
+        assert trained == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["generate", "evaluate"])
+    def test_output_in_a_missing_directory_is_named_as_given(self, workspace, tmp_path, capsys,
+                                                             monkeypatch, command):
+        root, paths, config = workspace
+        monkeypatch.chdir(tmp_path)
+        if command == "generate":
+            argv = ["generate", "--config", str(config),
+                    "--generator-ckpt", str(root / "generator.bin"),
+                    "--input", str(paths["summ_valid"]), "--out", "nodir/generated.txt"]
+        else:
+            argv = ["evaluate", "--generated", str(root / "gold.txt"),
+                    "--gold", str(root / "gold.txt"), "--out", "nodir/report.tsv"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {argv[-1]}: no such directory: nodir\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--config", "{config}", "--generator-ckpt", "{root}/generator.bin",
+         "--input", "{summ_valid}", "--out", "{tmp}/g.txt", "--beam", "1"],
+        ["generate", "--config", "{config}", "--generator-ckpt", "{root}/generator.bin",
+         "--input", "{summ_valid}", "--out", "{tmp}/g.txt", "--mode", "hard"],
+        ["train", "--stage", "detector", "--config", "{config}", "--out", "{tmp}/d.bin",
+         "--seed", "7"],
+    ], ids=["generate-beam", "generate-mode", "train-seed"])
+    def test_settings_are_not_flags(self, workspace, tmp_path, capsys, argv):
+        # train and generate take every setting from the config, which names its line
+        root, paths, config = workspace
+        argv = [arg.format(config=config, root=root, summ_valid=paths["summ_valid"],
+                           tmp=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as usage:
+            main(argv)
+        assert usage.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("stage, key", [("detector", "detector_epochs = 2"),
                                             ("generator", "generator_epochs = 1")],

@@ -90,6 +90,15 @@ def test_failed_first_write_creates_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_temporary_file_that_cannot_be_made_is_named_as_the_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError) as missing:
+        with fileio.atomic_write("nodir/out.txt"):
+            pass
+    assert str(missing.value) == "[Errno 2] No such file or directory: 'nodir/out.txt'"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_text_is_utf8(tmp_path):
     path = tmp_path / "out.txt"
     with fileio.atomic_write(path) as handle:
