@@ -34,23 +34,31 @@ chunks in two flat arenas, and at each step gathers those parameters'
 values and gradients next to them, so that one step updates them all in
 a few chunk-sized windows and copies the values back in place.
 
+A seeded weight of more than one draw chunk waits for its values
+(`parameter`): it is built with an empty buffer and a copy of the bit
+generator at its first value, the generator moves on past it at once, and
+the first read of `.data` draws it, serially and once.  A model loaded from
+a checkpoint overwrites every such buffer before reading it
+(`checkpoint.load_into` fills `buffer(t)` and marks it `written`), so it
+draws nothing.  Every other tensor's `.data` is a plain slot read.
+
 float32 is the working dtype; `using_dtype` exists so that numerical test
 suites can run the identical op implementations in float64, where central
 finite differences are meaningful.
 
 Work with two independent halves runs them on two threads once it is large
-enough to pay for the thread (`on_two_threads`): a large weight draw in
-`parameter`, `bigru_sequence`'s two directions, forward and back through
-time, and the forward of `additive_scores` over two halves of its query
-blocks, with BLAS at one thread each, `Adam.step` and `fit`'s gradient
-norm, each over two halves of the parameters' chunks, and the generator's
-beam-step candidate selection over two halves of its rows.  Each half does
-the arithmetic it would do alone, and the products whose bits depend on
-BLAS's thread count run on the calling thread at BLAS's own count, so every
-value is bitwise the serial one.  Every call shares the process's one
-worker thread (`_worker`), started on first use; a call that finds it busy
-runs its two halves in turn on the calling thread, and a forked child
-starts a worker of its own.  Toy-size models stay serial.
+enough to pay for the thread (`on_two_threads`): `bigru_sequence`'s two
+directions, forward and back through time, and the forward of
+`additive_scores` over two halves of its query blocks, with BLAS at one
+thread each, `Adam.step` and `fit`'s gradient norm, each over two halves of
+the parameters' chunks, and the generator's beam-step candidate selection
+over two halves of its rows.  Each half does the arithmetic it would do
+alone, and the products whose bits depend on BLAS's thread count run on the
+calling thread at BLAS's own count, so every value is bitwise the serial
+one.  Every call shares the process's one worker thread (`_worker`),
+started on first use; a call that finds it busy runs its two halves in
+turn on the calling thread, and a forked child starts a worker of its own.
+Toy-size models stay serial.
 
 Gradient contract: every adjoint lives in its tensor's `.grad`.  On leaves,
 the tensors that no record on the tape produced (parameters and inputs
@@ -90,6 +98,8 @@ __all__ = [
     "using_dtype",
     "default_dtype",
     "parameter",
+    "buffer",
+    "written",
     "zero_parameter",
     "parameters_of",
     "LOG_FLOOR",
@@ -330,10 +340,12 @@ _BUSY = threading.Lock()   # held by the `on_two_threads` call that has the work
 
 def _reset_worker_in_child() -> None:
     """A forked child has no copy of the parent's worker thread, and the
-    lock may have been held by a thread it does not have either."""
-    global _BUSY
+    locks (this one and `_DRAW_LOCK`) may have been held by a thread it does
+    not have either."""
+    global _BUSY, _DRAW_LOCK
     _worker.cache_clear()
     _BUSY = threading.Lock()
+    _DRAW_LOCK = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -385,8 +397,10 @@ def zeros(shape) -> Tensor:
 
 
 _INIT_CHUNK = 1 << 16   # elements drawn at a time by `parameter`
-_SPLIT_MIN = 4 * _INIT_CHUNK   # smallest tensor whose draw `parameter` splits
+_DEFER_MIN = _INIT_CHUNK + 1   # smallest tensor whose draw `parameter` defers
 _INIT_SCALE = 0.1   # `parameter` draws from [-_INIT_SCALE, _INIT_SCALE]
+_SLOT = Tensor.data   # the `data` slot, read and written past `_Pending.data`
+_DRAW_LOCK = threading.Lock()   # held while a pending parameter is drawn or settled
 
 
 def _fill_uniform(rng: np.random.Generator, flat: np.ndarray) -> None:
@@ -395,38 +409,82 @@ def _fill_uniform(rng: np.random.Generator, flat: np.ndarray) -> None:
         flat[start:stop] = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=stop - start)
 
 
+class _Pending(Tensor):
+    """A parameter whose seeded values are not drawn yet.
+
+    Its slot holds (buffer, bit generator at the first value) until the
+    first read of `data` draws the buffer, once, and makes the tensor a
+    plain `Tensor` again, whose `data` is the slot read.  Assigning `data`,
+    or `written` after a caller fills `buffer(tensor)`, skips the draw."""
+
+    __slots__ = ()
+
+    @property
+    def data(self) -> np.ndarray:
+        with _DRAW_LOCK:
+            if type(self) is _Pending:   # not drawn by a thread that held the lock first
+                data, bits = _SLOT.__get__(self)
+                _fill_uniform(np.random.Generator(bits), data.reshape(-1))
+                _settle(self, data)
+        return _SLOT.__get__(self)
+
+    @data.setter
+    def data(self, value) -> None:
+        with _DRAW_LOCK:
+            _settle(self, value)
+
+
+def _settle(tensor: Tensor, data) -> None:
+    _SLOT.__set__(tensor, data)
+    tensor.__class__ = Tensor
+
+
+def buffer(tensor: Tensor) -> np.ndarray:
+    """The array `tensor.data` reads, without drawing a pending parameter:
+    its shape and dtype are final, its values not yet set."""
+    with _DRAW_LOCK:
+        value = _SLOT.__get__(tensor)
+        return value[0] if type(tensor) is _Pending else value
+
+
+def written(tensor: Tensor) -> None:
+    """Mark `tensor`'s whole `buffer` as written by the caller, so that a
+    pending parameter keeps those values and is never drawn."""
+    with _DRAW_LOCK:
+        if type(tensor) is _Pending:
+            _settle(tensor, _SLOT.__get__(tensor)[0])
+
+
 def parameter(rng: np.random.Generator, shape) -> Tensor:
     """Trainable tensor, uniform in [-0.1, 0.1] (`_INIT_SCALE`).
 
     The values are `rng.uniform(-0.1, 0.1, size=shape)` cast to the
     working dtype, drawn in chunks of `_INIT_CHUNK` so that no float64 copy
     of a large weight is made; the generator's stream, and so every later
-    draw, is the same as one whole draw's.  From `_SPLIT_MIN` elements on,
-    a PCG64 stream is drawn on two threads: this one draws the first half
-    of the chunks while a worker draws the second from a copy of the bit
-    generator advanced past the first, and `rng` then takes the worker's
-    end state.  Values and the generator's whole state, buffered 32-bit
-    value included, equal the serial draw's.
+    draw, is the same as one whole draw's.  From `_DEFER_MIN` elements on,
+    a PCG64 draw waits for the first read of `data` (a `_Pending` tensor):
+    the tensor keeps a copy of the bit generator, and `rng` is advanced
+    past its values at once, so that its whole state, buffered 32-bit value
+    included, is the drawn one's.  A tensor that is overwritten whole
+    before it is read, as `checkpoint.load_into` does, is never drawn.
     """
     data = np.empty(shape, dtype=default_dtype())
-    flat = data.reshape(-1)
     bits = rng.bit_generator
-    # PCG64's `advance(n)` skips n 64-bit outputs, one per float64 uniform
-    if flat.size < _SPLIT_MIN or type(bits) is not np.random.PCG64:
-        _fill_uniform(rng, flat)
+    if data.size < _DEFER_MIN or type(bits) is not np.random.PCG64:
+        _fill_uniform(rng, data.reshape(-1))
         return Tensor(data, requires_grad=True)
-    split = (flat.size // _INIT_CHUNK + 1) // 2 * _INIT_CHUNK
     state = bits.state
-    tail = np.random.PCG64()
-    tail.state = state
-    tail.advance(split)
-    # `advance` drops the buffered 32-bit value, which a uniform draw keeps
-    tail.state = {**tail.state, "has_uint32": state["has_uint32"],
+    first = np.random.PCG64()
+    first.state = state
+    # PCG64's `advance(n)` skips n 64-bit outputs, one per float64 uniform;
+    # it drops the buffered 32-bit value, which a uniform draw keeps
+    bits.advance(data.size)
+    bits.state = {**bits.state, "has_uint32": state["has_uint32"],
                   "uinteger": state["uinteger"]}
-    on_two_threads(lambda: _fill_uniform(rng, flat[:split]),
-                   lambda: _fill_uniform(np.random.Generator(tail), flat[split:]))
-    bits.state = tail.state
-    return Tensor(data, requires_grad=True)
+    tensor = Tensor(data, requires_grad=True)
+    tensor.__class__ = _Pending
+    _SLOT.__set__(tensor, (data, first))
+    return tensor
 
 
 def zero_parameter(shape) -> Tensor:

@@ -17,6 +17,7 @@ from typing import BinaryIO, Mapping, NamedTuple
 
 import numpy as np
 
+from . import autodiff as ad
 from .fileio import atomic_write
 
 __all__ = ["MAGIC", "save_tensors", "tensor_shapes", "load_tensors", "load_into"]
@@ -26,6 +27,11 @@ MAGIC = b"TWAGCKPT1"
 
 def _as_array(value) -> np.ndarray:
     return np.asarray(getattr(value, "data", value))
+
+
+def _buffer(value):
+    """The array that `value.data` reads, without drawing a pending parameter."""
+    return ad.buffer(value) if isinstance(value, ad.Tensor) else getattr(value, "data", None)
 
 
 def save_tensors(path, tensors: Mapping[str, object]) -> None:
@@ -135,7 +141,10 @@ def load_into(params: Mapping[str, object], path) -> None:
     whole archive is checked before any parameter is written, so after an
     error every parameter holds what it held before.  Values go from the
     file straight into each parameter's buffer, through a temporary only
-    when that buffer is not C-contiguous `<f4`.
+    when that buffer is not C-contiguous `<f4`.  A parameter whose seeded
+    draw is pending (`autodiff.parameter`) is never drawn: its shape is
+    checked on its buffer, and only once its values are read is it marked
+    `written`, so after an error it is still pending.
     """
     with open(path, "rb") as handle:
         entries = _walk(handle, path)
@@ -146,17 +155,18 @@ def load_into(params: Mapping[str, object], path) -> None:
         if missing:
             raise ValueError(f"{path}: archive is missing tensors: {', '.join(missing)}")
         for entry in entries:
-            data = getattr(params[entry.name], "data", None)
+            data = _buffer(params[entry.name])
             if not isinstance(data, np.ndarray):
                 raise ValueError(f"parameter '{entry.name}' has no array data to fill")
             if entry.shape != data.shape:
                 raise ValueError(f"{path}: tensor '{entry.name}' has shape {entry.shape}, "
                                  f"model expects {data.shape}")
         for entry in entries:
-            data = params[entry.name].data
+            data = _buffer(params[entry.name])
             if data.dtype == np.dtype("<f4") and data.flags.c_contiguous:
                 _read_values(handle, path, entry, data)
             else:
                 values = np.empty(entry.shape, dtype="<f4")
                 _read_values(handle, path, entry, values)
                 data[...] = values
+            ad.written(params[entry.name])

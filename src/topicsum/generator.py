@@ -191,7 +191,9 @@ class GRUCell:
 class GeneratorModel:
     """All trainable tensors of the abstract generator, every weight drawn
     from `seed` (uniform in [-0.1, 0.1], the embedding table first; biases
-    zero).  `init_embeddings` then writes pretrained vectors over its rows."""
+    zero).  `init_embeddings` then writes pretrained vectors over its rows.
+    Weights past one draw chunk are drawn when first read (`ad.parameter`),
+    so a model that `checkpoint.load_into` fills draws none of them."""
 
     def __init__(self, vocab_size: int, n_topics: int, embed_dim: int = 300,
                  hidden_dim: int = 512, seed: int = 0):

@@ -4,6 +4,7 @@ Derived gradient values are checked against central finite differences
 (step 1e-3) computed here, independently of the backward implementations.
 """
 
+import hashlib
 import os
 import re
 import subprocess
@@ -18,6 +19,7 @@ import pytest
 
 import topicsum.autodiff as ad
 from topicsum import checkpoint
+from topicsum.detector import DetectorModel, MeanEmbeddingEncoder
 from topicsum.generator import GeneratorModel
 from conftest import assert_grads_match, check_gradients, numeric_grad
 
@@ -47,15 +49,25 @@ class TestTensorBasics:
 
 
 class TestParameterInit:
+    # every size class: past one chunk with a partial last chunk, empty,
+    # exactly one chunk, and small
+    SHAPES = [(2 * ad._INIT_CHUNK + 17,), (3, 5, ad._INIT_CHUNK // 15 + 1), (0, 4),
+              (ad._INIT_CHUNK,), (7, 3)]
+
+    @pytest.fixture(params=["default", "every_draw_deferred"])
+    def defer_min(self, request, monkeypatch):
+        if request.param == "every_draw_deferred":
+            monkeypatch.setattr(ad, "_DEFER_MIN", 0)
+        return ad._DEFER_MIN
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(2 * ad._INIT_CHUNK + 17,),
-                                       (3, 5, ad._INIT_CHUNK // 15 + 1), (0, 4),
-                                       (ad._SPLIT_MIN // 3 + 1, 3), (5, ad._SPLIT_MIN // 5 + 1)])
-    def test_equals_one_whole_draw(self, dtype, shape):
-        """Chunked (and, from `_SPLIT_MIN` elements, two-thread) draws give
-        the values, and leave the generator's whole state where, one whole
-        float64 draw cast to the dtype would; a 32-bit value buffered by an
-        earlier draw survives."""
+    @pytest.mark.parametrize("order", ["construction", "reverse"])
+    def test_equals_one_whole_draw(self, dtype, order, defer_min):
+        """Chunked draws, deferred or not, give the values one whole float64
+        draw cast to the dtype would, whatever order the tensors are read
+        in.  Right after construction the generator's whole state is the
+        eager draws' too, a 32-bit value buffered by an earlier draw
+        included; only PCG64 draws past `_DEFER_MIN` elements wait."""
         for bits in (np.random.PCG64, np.random.MT19937):
             for buffered in (False, True):
                 got_rng, want_rng = np.random.Generator(bits(3)), np.random.Generator(bits(3))
@@ -63,36 +75,92 @@ class TestParameterInit:
                     for rng in (got_rng, want_rng):
                         rng.integers(0, 2**32, dtype=np.uint32)
                 with ad.using_dtype(dtype):
-                    param = ad.parameter(got_rng, shape)
-                want = want_rng.uniform(-0.1, 0.1, size=shape).astype(dtype)
-                assert param.requires_grad and param.data.dtype == dtype
-                assert param.data.shape == want.shape
-                assert np.array_equal(param.data, want)
+                    params = [ad.parameter(got_rng, shape) for shape in self.SHAPES]
+                wants = [want_rng.uniform(-0.1, 0.1, size=shape).astype(dtype)
+                         for shape in self.SHAPES]
                 np.testing.assert_equal(got_rng.bit_generator.state,
                                         want_rng.bit_generator.state)
+                deferred = [type(p) is ad._Pending for p in params]
+                assert deferred == [bits is np.random.PCG64 and int(np.prod(shape)) >= defer_min
+                                    for shape in self.SHAPES]
+                assert any(deferred) == (bits is np.random.PCG64)
+                indices = range(len(params)) if order == "construction" else \
+                    reversed(range(len(params)))
+                for k in indices:
+                    param = params[k]
+                    assert param.requires_grad and param.data.dtype == dtype
+                    assert param.data.shape == wants[k].shape
+                    assert np.array_equal(param.data, wants[k])
+                    assert type(param) is ad.Tensor
                 assert (got_rng.integers(0, 2**32, dtype=np.uint32)
                         == want_rng.integers(0, 2**32, dtype=np.uint32))
                 assert got_rng.uniform() == want_rng.uniform()
 
-    def test_worker_failure_is_raised_and_no_thread_outlives_the_call(self, monkeypatch):
+    def test_seeded_paper_size_models_are_drawn_as_before(self):
+        """SHA-256 over every parameter's name and values of the paper-size
+        generator (V=50,000, E=300, H=512, seed 1) and of a 50,000 x 128
+        detector, equal to the digests taken when every weight was drawn at
+        construction, and the detector's rng draws on as it did then."""
+        def digest(params):
+            h = hashlib.sha256()
+            for name, p in params.items():
+                h.update(name.encode())
+                h.update(np.ascontiguousarray(p.data))
+            return h.hexdigest()
+
+        model = GeneratorModel(50_000, 3, 300, 512, seed=1)
+        assert digest(model.parameters()) == \
+            "6fe82f3adc6f3d01037c6abb5ffb55b7515229d088e2ffe3b63592a7d177e962"
+        del model
+        rng = np.random.default_rng(7)
+        detector = DetectorModel(MeanEmbeddingEncoder(50_000, 128, 128, rng), 4, rng)
+        assert rng.integers(0, 2**63) == 2414549624390952858
+        assert digest(detector.parameters()) == \
+            "5163d6265d366be5aeb06ec436e35ec579c47c6866b7f4f0b7a4f2b7edc54f9f"
+
+    def test_two_threads_reading_one_pending_parameter_draw_it_once(self, monkeypatch):
+        shape = (3, ad._INIT_CHUNK)
+        param = ad.parameter(np.random.default_rng(4), shape)
+        want = np.random.default_rng(4).uniform(-0.1, 0.1, size=shape).astype(np.float32)
+        assert type(param) is ad._Pending
+        draws, fill, start = [], ad._fill_uniform, threading.Barrier(2)
+
+        def slow_fill(rng, flat):
+            draws.append(flat.size)
+            time.sleep(0.05)    # the other reader arrives while this one draws
+            fill(rng, flat)
+
+        monkeypatch.setattr(ad, "_fill_uniform", slow_fill)
+        seen = [None, None]
+
+        def reader(index):
+            start.wait()
+            seen[index] = param.data
+
+        readers = [threading.Thread(target=reader, args=(index,)) for index in (0, 1)]
+        for thread in readers:
+            thread.start()
+        for thread in readers:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in readers)
+        assert draws == [want.size]
+        assert seen[0] is seen[1] and np.array_equal(seen[0], want)
+        assert type(param) is ad.Tensor
+
+    def test_assigning_data_skips_the_draw(self, monkeypatch):
+        monkeypatch.setattr(ad, "_DEFER_MIN", 0)
+        draws = []
+        monkeypatch.setattr(ad, "_fill_uniform", lambda rng, flat: draws.append(flat.size))
+        param = ad.parameter(np.random.default_rng(0), (2, 3))
+        assert ad.buffer(param).shape == (2, 3) and type(param) is ad._Pending
+        param.data = np.ones((2, 3), np.float32)
+        assert type(param) is ad.Tensor and np.all(param.data == 1.0) and draws == []
+
+    def test_worker_failure_is_raised_and_no_thread_outlives_the_call(self):
         """No thread but the process's one worker outlives a call.  A first
         call starts the worker, so the counts do not depend on test order."""
         worker = ad.on_two_threads(lambda: None, threading.get_ident)[1]
         threads = threading.active_count()
-        ad.parameter(np.random.default_rng(0), (ad._SPLIT_MIN,))
-        assert threading.active_count() == threads
-        rng = np.random.default_rng(0)
-        fill = ad._fill_uniform
-
-        def failing_in_worker(draw_rng, flat):
-            if draw_rng is not rng:
-                raise MemoryError("worker failed")
-            fill(draw_rng, flat)
-
-        monkeypatch.setattr(ad, "_fill_uniform", failing_in_worker)
-        with pytest.raises(MemoryError, match="worker failed"):
-            ad.parameter(rng, (ad._SPLIT_MIN,))
-        assert threading.active_count() == threads
 
         def failing():
             raise MemoryError("worker failed")

@@ -309,3 +309,60 @@ class TestLoadInto:
         with pytest.raises(ValueError):
             load_into(params, path)
         assert all(np.all(p.data == 0.0) for p in params.values())
+
+
+class TestLoadIntoPendingParameters:
+    """With every seeded draw deferred (`ad._DEFER_MIN` at 0), loading a
+    fresh model draws no weight, and a refused load leaves each pending
+    parameter pending, to be drawn with its seeded values when read."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        monkeypatch.setattr(ad, "_DEFER_MIN", 0)
+        sizes, fill = [], ad._fill_uniform
+
+        def spy(rng, flat):
+            sizes.append(flat.size)
+            fill(rng, flat)
+
+        monkeypatch.setattr(ad, "_fill_uniform", spy)
+        return sizes
+
+    @staticmethod
+    def model(seed):
+        return GeneratorModel(40, 3, embed_dim=8, hidden_dim=12, seed=seed)
+
+    def test_loading_a_fresh_model_draws_nothing(self, tmp_path, draws):
+        path = tmp_path / "g.bin"
+        save_tensors(path, self.model(5).parameters())
+        draws.clear()
+        params = self.model(1).parameters()
+        assert sum(type(p) is ad._Pending for p in params.values()) == 37   # all but biases
+        load_into(params, path)
+        assert draws == []
+        assert all(type(p) is ad.Tensor for p in params.values())
+        saved = load_tensors(path)
+        assert all(p.data.tobytes() == saved[name].tobytes() for name, p in params.items())
+
+    @pytest.mark.parametrize("damage", ["last_shape", "unknown_name"])
+    def test_refused_load_leaves_pending_parameters_pending(self, tmp_path, monkeypatch,
+                                                            draws, damage):
+        archive = {name: np.zeros(ad.buffer(p).shape, np.float32)
+                   for name, p in self.model(5).parameters().items()}
+        last = list(archive)[-1]
+        if damage == "last_shape":
+            archive[last] = np.zeros((2, *archive[last].shape[1:]), np.float32)
+        else:
+            archive["extra"] = np.zeros(1, np.float32)
+        path = tmp_path / "bad.bin"
+        save_tensors(path, archive)
+        params = self.model(1).parameters()
+        pending = {name for name, p in params.items() if type(p) is ad._Pending}
+        with pytest.raises(ValueError, match=str(path)):
+            load_into(params, path)
+        assert draws == []
+        assert {name for name, p in params.items() if type(p) is ad._Pending} == pending
+        monkeypatch.setattr(ad, "_DEFER_MIN", 1 << 62)
+        eager = self.model(1).parameters()
+        assert not any(type(p) is ad._Pending for p in eager.values())
+        assert all(p.data.tobytes() == eager[name].data.tobytes() for name, p in params.items())

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topicsum import checkpoint, cli
+from topicsum import autodiff as ad, checkpoint, cli
 from topicsum.cli import build_parser, main
 from topicsum.detector import DetectorModel, MeanEmbeddingEncoder
 from topicsum.generator import GeneratorModel, train_generator
@@ -543,6 +543,65 @@ class TestLoadedModelSizes:
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
         assert not out.exists()
         assert len(built) == 1 and max(built[0]) <= 1024
+
+
+class TestDeferredDraws:
+    """With every seeded weight draw deferred (`ad._DEFER_MIN` at 0), a
+    model the CLI loads from a checkpoint draws no weight, and the outputs
+    are byte for byte those of the workspace's eager draws."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        """(the sizes `ad._fill_uniform` draws, the parameters of each
+        `load_into` call, how many of them were pending at the call)"""
+        monkeypatch.setattr(ad, "_DEFER_MIN", 0)
+        draws, loaded, pending = [], [], []
+        fill, load_into = ad._fill_uniform, checkpoint.load_into
+
+        def counting_fill(rng, flat):
+            draws.append(flat.size)
+            fill(rng, flat)
+
+        def recording_load(params, path):
+            loaded.append(params)
+            pending.append(sum(type(p) is ad._Pending for p in params.values()))
+            load_into(params, path)
+
+        monkeypatch.setattr(ad, "_fill_uniform", counting_fill)
+        monkeypatch.setattr(checkpoint, "load_into", recording_load)
+        return draws, loaded, pending
+
+    def test_generate_draws_no_weight(self, workspace, tmp_path, spied):
+        root, paths, config = workspace
+        draws, loaded, pending = spied
+        out = tmp_path / "generated.txt"
+        assert main(["generate", "--config", str(config),
+                     "--generator-ckpt", str(root / "generator.bin"),
+                     "--input", str(paths["summ_valid"]), "--out", str(out)]) == 0
+        assert draws == [] and len(loaded) == 2 and min(pending) > 0
+        assert all(type(p) is ad.Tensor for params in loaded for p in params.values())
+        assert out.read_bytes() == (root / "generated.txt").read_bytes()
+
+    def test_train_generator_draws_no_detector_weight(self, workspace, tmp_path, spied,
+                                                      monkeypatch):
+        root, _, config = workspace
+        draws, loaded, pending = spied
+        counts, detected = [], cli._detected_topics
+
+        def counting(*args):
+            counts.append(len(draws))
+            topics = detected(*args)
+            counts.append(len(draws))
+            return topics
+
+        monkeypatch.setattr(cli, "_detected_topics", counting)
+        out = tmp_path / "generator.bin"
+        assert main(["train", "--stage", "generator", "--config", str(config),
+                     "--out", str(out)]) == 0
+        # the detector is loaded and not drawn; the generator it trains is drawn
+        assert counts[0] == counts[1] < len(draws) and len(loaded) == 1 and pending[0] > 0
+        assert all(type(p) is ad.Tensor for p in loaded[0].values())
+        assert out.read_bytes() == (root / "generator.bin").read_bytes()
 
 
 class TestEvaluate:

@@ -1447,10 +1447,11 @@ class TestTwoThreadSearch(DecodingSetup):
         assert set(calls) == {thread.ident for thread in users}
 
     def test_draw_training_and_search_share_one_worker(self, monkeypatch):
-        """With every two-thread threshold at 0, a weight draw, a training
-        step and a beam search run every second half on the worker that a
-        bare call uses, and start no thread but that one."""
-        for module, name in ((ad, "_SPLIT_MIN"), (ad, "_PAIR_SPLIT_MIN"), (ad, "_SCORE_SPLIT_MIN"),
+        """With every two-thread threshold at 0, a training step and a beam
+        search run every second half on the worker that a bare call uses,
+        and start no thread but that one; building the model (weight draws)
+        runs on this thread alone."""
+        for module, name in ((ad, "_PAIR_SPLIT_MIN"), (ad, "_SCORE_SPLIT_MIN"),
                              (ad, "_PASS_SPLIT_MIN"), (generator, "_BEAM_SPLIT_MIN")):
             monkeypatch.setattr(module, name, 0)
         monkeypatch.setattr(ad, "_SCORE_BLOCK", 1)     # one query a block
@@ -1475,7 +1476,7 @@ class TestTwoThreadSearch(DecodingSetup):
                           corpus.schema, corpus.vocab,
                           DecodeConfig(beam_size=3, max_sentences=2, max_sentence_tokens=4))
         counts.append(len(seen))
-        assert 0 < counts[0] < counts[1] < counts[2]
+        assert 0 == counts[0] < counts[1] < counts[2]
         worker = ad.on_two_threads(lambda: None, threading.get_ident)[1]
         assert set(seen) == {worker} and worker != threading.get_ident()
         assert threading.active_count() <= threads + 1
