@@ -83,8 +83,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
-        raise
     except Exception as exc:  # anything else is a runtime failure
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -220,7 +218,8 @@ def cmd_train(args) -> int:
     _refuse_missing_directories(args.out, log_path)
     stage_keys = (("detector_train_path", "detector_valid_path") if args.stage == "detector" else
                   ("summarization_train_path", "summarization_valid_path", "detector_checkpoint"))
-    config = load_config(args.config, reads=(*_VOCABULARY_KEYS, *stage_keys, "embeddings_path"))
+    vectors = () if args.stage == "detector" else ("embeddings_path",)
+    config = load_config(args.config, reads=(*_VOCABULARY_KEYS, *stage_keys, *vectors))
     _require(args.config, config, *_VOCABULARY_KEYS)
     _require(args.config, config, *stage_keys)
     vocab = Vocabulary.load(config.vocab_path)
@@ -252,11 +251,10 @@ def cmd_train(args) -> int:
                                       schema, vocab, epochs=config.generator_epochs,
                                       lr_first=config.generator_lr_first,
                                       lr_rest=config.generator_lr_rest,
-                                      mode=config.topic_mode,
                                       stop_weight=config.stop_loss_weight,
                                       ttg_cap=config.ttg_cap, seed=config.seed)
         summary = (f"generator: {len(train)} train / {len(valid)} valid examples, "
-                   f"{config.generator_epochs} epochs ({config.topic_mode} mode)\n"
+                   f"{config.generator_epochs} epochs\n"
                    f"final valid loss: {history[-1]['valid_loss']:.4f}")
     checkpoint.save_tensors(args.out, model.parameters())
     _write_log(log_path, config, history)

@@ -349,18 +349,11 @@ def build_detector_dataset(articles: Sequence[RawArticle], schema: TopicSchema,
     for article in articles:
         title_state = _title_state(article.title, seed)
         for index, label, text in iter_paragraphs(article):
-            if schema.is_noise_text(text):
-                topic = schema.noise_index
-            else:
-                allocated = schema.topic_of_label(label)
-                if allocated is None:
-                    continue  # label outside the schema: paragraph unused
-                topic = allocated
-            tokens = tokenize(text)
-            if not tokens:
-                continue
+            topic = schema.noise_index if schema.is_noise_text(text) else schema.topic_of_label(label)
+            if topic is None:
+                continue  # label outside the schema: paragraph unused
             example = TopicParagraphExample(topic_index=topic,
-                                            token_ids=tuple(vocab.encode(tokens)))
+                                            token_ids=tuple(vocab.encode(tokenize(text))))
             bucket = _bucket(title_state, index)
             if bucket in TRAIN_BUCKETS:
                 splits.train.append(example)
@@ -410,9 +403,7 @@ def article_token_sequences(articles: Sequence[RawArticle]) -> Iterable[list[str
     """Tokenized non-empty paragraphs of every article, for vocabulary builds."""
     for article in articles:
         for _, _, text in iter_paragraphs(article):
-            tokens = tokenize(text)
-            if tokens:
-                yield tokens
+            yield tokenize(text)
 
 
 # ---------------------------------------------------------------------------

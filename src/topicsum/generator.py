@@ -731,9 +731,10 @@ def _weighted_losses(gold: ad.Tensor, lengths: Sequence[int], stop_probs: Sequen
 
 def example_loss(model: GeneratorModel, example: SummarizationExample,
                  assignments: Sequence[int], schema: TopicSchema, vocab: Vocabulary,
-                 mode: str = "soft", stop_weight: float = 1.0, ttg_cap: int = 400):
-    """Teacher-forced losses for one example, as `teacher_forced_outputs`
-    and `compute_losses` give them, bitwise: the output layer stops at the
+                 *, stop_weight: float = 1.0, ttg_cap: int = 400):
+    """Teacher-forced losses for one example on the soft topic mixture (hard
+    mode's argmax gives topic_W no gradient), as `teacher_forced_outputs` and
+    `compute_losses` give them, bitwise: the output layer stops at the
     logits and p_gen, and `ad.gold_log_probs` reads each row's gold
     log-probability without the [ΣT, V'] mixture."""
     grouped = group_paragraphs(example.paragraph_tokens, assignments, schema, vocab, ttg_cap)
@@ -742,7 +743,7 @@ def example_loss(model: GeneratorModel, example: SummarizationExample,
     except ValueError as exc:
         raise ValueError(f"example '{example.title}': {exc}") from None
     (states, contexts, inputs, weights), targets, stops = _teacher_forced_steps(
-        model, encoding, grouped, example.abstract_tokens, vocab, mode)
+        model, encoding, grouped, example.abstract_tokens, vocab, "soft")
     logits, p_gen = _output_layer(model, states, contexts, inputs)
     gold = ad.gold_log_probs(logits, p_gen, weights, grouped.extended_ids,
                              [target for sentence in targets for target in sentence])
@@ -755,34 +756,30 @@ def train_generator(model: GeneratorModel, train: Sequence[SummarizationExample]
                     valid_assignments: Sequence[Sequence[int]],
                     schema: TopicSchema, vocab: Vocabulary, epochs: int = 10,
                     lr_first: float = 1e-4, lr_rest: float = 1e-5,
-                    mode: str = "soft", stop_weight: float = 1.0,
-                    ttg_cap: int = 400, seed: int = 42) -> list[dict]:
-    """Teacher-forced Adam training (`autodiff.fit`, which refuses an empty
-    training set) with the two-phase learning rate (lr_first for epoch 1,
-    lr_rest afterwards); keeps the best-validation checkpoint, or the
-    lowest-loss one without a validation set.  Returns `fit`'s history rows:
-    epoch, lr, train_loss, train_nll, train_stop (per-example means of the
-    total, the sentence NLL and the stop loss), grad_norm, valid_loss and
-    wall_seconds."""
+                    stop_weight: float = 1.0, ttg_cap: int = 400, seed: int = 42) -> list[dict]:
+    """Teacher-forced Adam training of `example_loss` (`autodiff.fit`, which
+    refuses an empty training set) with the two-phase learning rate
+    (lr_first for epoch 1, lr_rest afterwards); keeps the best-validation
+    checkpoint, or the lowest-loss one without a validation set.  Returns
+    `fit`'s history rows: epoch, lr, train_loss, train_nll, train_stop
+    (per-example means of the total, the sentence NLL and the stop loss),
+    grad_norm, valid_loss and wall_seconds."""
     if len(train) != len(train_assignments):
         raise ValueError(f"{len(train)} examples but {len(train_assignments)} assignment lists")
     if len(valid) != len(valid_assignments):
         raise ValueError(f"{len(valid)} validation examples but {len(valid_assignments)} assignment lists")
-    if mode == "hard":
-        raise ValueError("topic_mode 'hard' cannot train the generator: the argmax topic choice "
-                         "gives topic_W and topic_b no gradient; train with 'soft'")
 
     def losses(index: int) -> dict[str, ad.Tensor]:
         nll, stop, total = example_loss(model, train[index], train_assignments[index], schema,
-                                        vocab, mode, stop_weight, ttg_cap)
+                                        vocab, stop_weight=stop_weight, ttg_cap=ttg_cap)
         return {"loss": total, "nll": nll, "stop": stop}
 
     def validate():
         if not valid:
             return {"valid_loss": float("nan")}, None
         loss = float(np.mean([
-            example_loss(model, example, assignment, schema, vocab, mode, stop_weight,
-                         ttg_cap)[2].item()
+            example_loss(model, example, assignment, schema, vocab, stop_weight=stop_weight,
+                         ttg_cap=ttg_cap)[2].item()
             for example, assignment in zip(valid, valid_assignments)]))
         return {"valid_loss": loss}, -loss
 

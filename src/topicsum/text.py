@@ -52,8 +52,6 @@ def split_sentences(text: str) -> list[str]:
     start = 0
     for match in _BOUNDARY_RE.finditer(text):
         end = match.end()  # position just after the punctuation mark
-        if end <= start:
-            continue  # boundary inside an already-consumed span
         if text[match.start()] == ".":
             before = _WORD_BEFORE_RE.search(text, 0, match.start())
             if before is not None and before.group(1).lower() in DEFAULT_ABBREVIATIONS:
@@ -63,7 +61,7 @@ def split_sentences(text: str) -> list[str]:
     tail = text[start:].strip()
     if tail:
         sentences.append(tail)
-    return [s for s in sentences if s]
+    return sentences
 
 
 PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3

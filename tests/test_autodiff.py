@@ -7,6 +7,7 @@ Derived gradient values are checked against central finite differences
 import hashlib
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -248,6 +249,23 @@ class TestParameterInit:
         # without the BLAS switch the worker runs regardless
         assert ad.on_two_threads(side("first"), side("second"))[1] != threading.get_ident()
 
+    def test_a_blas_library_that_does_not_load_leaves_both_sides_in_turn(self, monkeypatch):
+        def unloadable(path):
+            raise OSError(f"{path}: cannot load")
+
+        monkeypatch.setattr(ad.ctypes, "CDLL", unloadable)
+        ad._blas_threads.cache_clear()
+        try:
+            assert ad._blas_threads() is None
+            order = []
+            sides = [lambda name=name: order.append(name) or threading.get_ident()
+                     for name in ("first", "second")]
+            assert ad.on_two_threads(*sides, one_blas_thread=True) == (
+                threading.get_ident(), threading.get_ident())
+            assert order == ["first", "second"]
+        finally:
+            ad._blas_threads.cache_clear()
+
     def test_every_call_shares_one_worker(self):
         threads = threading.active_count()
         workers = {ad.on_two_threads(lambda: None, threading.get_ident)[1] for _ in range(5)}
@@ -371,6 +389,38 @@ class TestParameterInit:
                               timeout=90, env={**os.environ, "PYTHONPATH": os.pathsep.join(
                                   [package_root, os.environ.get("PYTHONPATH", "")])})
         assert done.returncode == 0, (done.stdout, done.stderr)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    # Python 3.12 warns on a fork from a process with more than one thread
+    @pytest.mark.filterwarnings(
+        "ignore:This process .* is multi-threaded, use of fork:DeprecationWarning")
+    def test_the_fork_hook_gives_a_child_its_own_worker_and_draw_lock(self, monkeypatch):
+        """After a two-thread call has started the worker, a child forked
+        while this thread holds the draw lock still finishes a two-thread
+        call of its own and draws a pending parameter.  A child that hangs
+        is killed after 10 s, so the test fails instead of hanging."""
+        monkeypatch.setattr(ad, "_DEFER_MIN", 0)
+        want = ad.parameter(np.random.default_rng(3), (4, 5)).data
+        ad.on_two_threads(lambda: None, lambda: None)
+        with ad._DRAW_LOCK:
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    first, second = ad.on_two_threads(threading.get_ident, threading.get_ident)
+                    param = ad.parameter(np.random.default_rng(3), (4, 5))
+                    drawn = type(param) is ad._Pending and np.array_equal(param.data, want)
+                    status = 0 if first != second and drawn else 2
+                finally:
+                    os._exit(status)
+        deadline = time.monotonic() + 10
+        while not (reaped := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung in a two-thread call or a draw")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(reaped[1]) == 0
 
     def test_parameters_of_reads_trainable_attributes_in_assignment_order(self):
         class Inner:
@@ -619,6 +669,40 @@ class TestForwardValues:
         np.testing.assert_allclose((x * gate).data, np.full((2, 3), 0.25))
 
 
+class TestMalformedInputs:
+    """Each op refuses a malformed input with its own exception and message."""
+
+    def test_affine_refuses_mismatched_inner_sizes(self):
+        with pytest.raises(ValueError, match=r"^affine shape mismatch: \(2, 3\) x \(4, 5\)$"):
+            ad.affine(ad.zeros((2, 3)), ad.zeros((4, 5)), ad.zeros((1, 5)))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 5), (1, 4)])
+    def test_affine_refuses_a_bias_other_than_one_row(self, shape):
+        message = f"affine bias shape {shape}, expected (1, 5)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ad.affine(ad.zeros((2, 3)), ad.zeros((3, 5)), ad.zeros(shape))
+
+    def test_concat_refuses_no_tensors(self):
+        with pytest.raises(ValueError, match="^concat needs at least one tensor$"):
+            ad.concat([])
+
+    def test_scatter_sum_refuses_a_column_count_other_than_the_index_count(self):
+        message = "scatter_sum needs x with 2 columns, got shape (4, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ad.scatter_sum(ad.zeros((4, 3)), [0, 1], 5)
+
+    @pytest.mark.parametrize("indices, bad", [([0, 5, 1], 5), ([2, -1, 7], -1)])
+    def test_scatter_sum_refuses_an_index_outside_its_size(self, indices, bad):
+        with pytest.raises(IndexError, match=rf"^scatter index {bad} outside \[0, 5\)$"):
+            ad.scatter_sum(ad.zeros((1, 3)), indices, 5)
+
+    def test_gru_sequence_refuses_no_lengths(self):
+        weights = [ad.zeros(shape) for _ in range(3) for shape in ((3, 4), (4, 4), (1, 4))]
+        message = "gru_sequence needs 2 lengths of at least 1 summing to 5, got None"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ad.gru_sequence(ad.zeros((5, 3)), ad.zeros((2, 4)), weights, None)
+
+
 class TestGradients:
     """Each op's backward against an in-test central-difference oracle."""
 
@@ -649,6 +733,17 @@ class TestGradients:
             with ad.tape() as t:
                 t.backward((x * x).sum())
             np.testing.assert_allclose(x.grad, [[6.0]], rtol=1e-12)
+
+    def test_a_row_vector_added_to_a_matrix_gets_its_rows_summed(self):
+        # a [3] tensor broadcast over [2, 3] rows: its gradient sums them
+        with ad.using_dtype(np.float64):
+            x = ad.Tensor(np.zeros((2, 3)), requires_grad=True)
+            b = ad.Tensor(np.zeros(3), requires_grad=True)
+            weights = ad.Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+            with ad.tape() as t:
+                t.backward((ad.add(x, b) * weights).sum())
+            assert b.grad.shape == (3,) and b.grad.tolist() == [5.0, 7.0, 9.0]
+            assert x.grad.tolist() == weights.data.tolist()
 
     def test_log_floor_zeroes_clamped_gradient(self):
         with ad.using_dtype(np.float64):

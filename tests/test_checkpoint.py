@@ -1,12 +1,15 @@
 """Binary tensor archive round trips and validation errors."""
 
+import os
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import topicsum.autodiff as ad
+from topicsum import checkpoint
 from topicsum.checkpoint import MAGIC, load_into, load_tensors, save_tensors, tensor_shapes
 from topicsum.detector import DetectorModel, MeanEmbeddingEncoder
 from topicsum.generator import GeneratorModel
@@ -296,6 +299,36 @@ class TestLoadInto:
         save_tensors(path, {"w": np.zeros((3, 2)), "b": np.zeros((1, 3))})
         with pytest.raises(ValueError, match="'w'"):
             load_into(self.make_params(), path)
+
+    @pytest.mark.parametrize("holder", [object(), SimpleNamespace(data=[[0.0, 0.0, 0.0]])],
+                             ids=["no_data", "list_data"])
+    def test_parameter_without_array_data_refused(self, tmp_path, holder):
+        path = tmp_path / "model.bin"
+        save_tensors(path, {"w": np.ones((2, 3)), "b": np.ones((1, 3))})
+        params = {**self.make_params(), "b": holder}
+        with pytest.raises(ValueError, match="^parameter 'b' has no array data to fill$"):
+            load_into(params, path)
+        assert np.all(params["w"].data == 0.0)
+
+    @pytest.mark.parametrize("reader", ["load_tensors", "load_into"])
+    def test_archive_cut_after_its_headers_were_read(self, tmp_path, monkeypatch, reader):
+        """A file cut between the header walk and the value reads is refused."""
+        read = load_tensors if reader == "load_tensors" else (
+            lambda path: load_into(self.make_params(), path))
+        path = tmp_path / "model.bin"
+        save_tensors(path, {"w": np.ones((2, 3)), "b": np.ones((1, 3))})
+        walk, offsets = checkpoint._walk, []
+
+        def walk_then_cut(handle, where):
+            entries = walk(handle, where)
+            offsets.append(entries[-1].offset)
+            os.truncate(path, path.stat().st_size - 4)
+            return entries
+
+        monkeypatch.setattr(checkpoint, "_walk", walk_then_cut)
+        with pytest.raises(ValueError) as refused:
+            read(path)
+        assert str(refused.value) == f"{path}: truncated archive at byte {offsets[0]}"
 
     @pytest.mark.parametrize("archive", [
         {"w": np.ones((2, 3)), "b": np.ones((3, 1))},            # second shape wrong

@@ -280,6 +280,46 @@ class TestTrainArtifacts:
             if name != "embed":
                 assert np.array_equal(data, plain[name].data), name
 
+    def test_hard_topic_mode_trains_the_soft_mixture(self, workspace, tmp_path):
+        # topic_mode chooses generation's topic context; training always
+        # runs the soft mixture, so a config shared with generate trains too
+        root, _, _ = workspace
+        config = root / "hard_mode.cfg"
+        config.write_text(CONFIG_TEMPLATE + "topic_mode = hard\n", encoding="utf-8")
+        out = tmp_path / "generator.bin"
+        rc = main(["train", "--stage", "generator", "--config", str(config), "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == (root / "generator.bin").read_bytes()
+
+        def log_lines(path):
+            # the header without its topic_mode line, the rows without wall_seconds
+            lines = path.read_text("utf-8").splitlines()
+            return ([line for line in lines if line.startswith("# ")
+                     and not line.startswith("# topic_mode = ")],
+                    [line.split("\t")[:-1] for line in lines if not line.startswith("#")])
+
+        assert "# topic_mode = hard" in (tmp_path / "generator.bin.log").read_text("utf-8")
+        assert log_lines(tmp_path / "generator.bin.log") == log_lines(root / "generator.bin.log")
+
+    def test_detector_stage_ignores_the_vectors_file(self, workspace, tmp_path, capsys):
+        # only the generator reads embeddings_path, so only it checks the file
+        root, _, _ = workspace
+        missing = tmp_path / "missing_vectors.txt"
+        config = root / "missing_vectors.cfg"
+        config.write_text(CONFIG_TEMPLATE + f"embeddings_path = {missing}\n", encoding="utf-8")
+        rc = main(["train", "--stage", "detector", "--config", str(config),
+                   "--out", str(tmp_path / "d.bin")])
+        assert rc == 0
+        assert (tmp_path / "d.bin").read_bytes() == (root / "detector.bin").read_bytes()
+        capsys.readouterr()
+        rc = main(["train", "--stage", "generator", "--config", str(config),
+                   "--out", str(tmp_path / "g.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}:{len(CONFIG_TEMPLATE.splitlines()) + 1}: 'embeddings_path' "
+            f"names a missing file: {missing}\n")
+        assert not (tmp_path / "g.bin").exists()
+
     def test_same_seed_reproduces_checkpoint(self, workspace, tmp_path):
         root, _, config = workspace
         for name in ("a.bin", "b.bin"):
@@ -1064,16 +1104,6 @@ class TestExitCodes:
         assert err.startswith("error: example 'entity") and "no usable input" in err
         assert not out.exists()
         assert not (tmp_path / "generator.bin.log").exists()
-
-    def test_hard_topic_mode_training_returns_two(self, workspace, tmp_path, capsys):
-        root, _, _ = workspace
-        config = root / "hard_mode.cfg"
-        config.write_text(CONFIG_TEMPLATE + "topic_mode = hard\n", encoding="utf-8")
-        out = tmp_path / "generator.bin"
-        rc = main(["train", "--stage", "generator", "--config", str(config), "--out", str(out)])
-        assert rc == 2
-        assert "topic_mode 'hard' cannot train the generator" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_unexpected_failure_returns_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "load_articles",

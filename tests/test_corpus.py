@@ -2,6 +2,7 @@
 
 import logging
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -190,6 +191,11 @@ class TestSchemaFiles:
         assert narrow.topic_names() == load_topic_schema(path, n_t=30).topic_names()
         with pytest.raises(ValueError, match=r"^'n_t' must be at least 0, got -1$"):
             load_topic_schema(path, n_t=-1)
+
+    def test_empty_label_entry_skipped(self, tmp_path):
+        path = tmp_path / "demo.txt"
+        path.write_text("Alpha: a, , b,\n", encoding="utf-8")
+        assert load_topic_schema(path).topics[0].labels == frozenset({"a", "b"})
 
     def test_domain_defaults_to_stem(self, tmp_path):
         path = tmp_path / "birds.txt"
@@ -427,6 +433,13 @@ class TestDetectorDataset:
         write_detector_dataset(path, splits.train)
         assert load_detector_dataset(path, schema.n_classes, len(vocab), "v.txt") == splits.train
 
+    def test_load_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "train.tsv"
+        path.write_text("0\t1 2\n\n2\t3\n", encoding="utf-8")
+        assert load_detector_dataset(path, 3, 10, "v.txt") == [
+            TopicParagraphExample(topic_index=0, token_ids=(1, 2)),
+            TopicParagraphExample(topic_index=2, token_ids=(3,))]
+
     def test_load_rejects_bad_rows(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("0\t1 2 x\n", encoding="utf-8")
@@ -507,6 +520,14 @@ class TestSummarizationDataset:
                 assert [ex.paragraph_tokens for ex in loaded] == [[]]
                 assert caplog.messages == []
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        record = "Topic A\tthe fox ran\tthe fox ran .\n"
+        path.write_text(f"\n{record} \t \n{record}", encoding="utf-8")
+        vocab = Vocabulary(["the", "fox", "ran", "."])
+        examples = load_summarization_dataset(path, vocab)
+        assert [ex.abstract_tokens for ex in examples] == [[["the", "fox", "ran", "."]]] * 2
+
     def test_wrong_field_count_rejected(self, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text("only one field\n", encoding="utf-8")
@@ -540,6 +561,13 @@ class TestSummarizationDataset:
 
 
 class TestArticleTokenSequences:
+    def test_every_character_that_strip_keeps_makes_a_token(self):
+        """`iter_paragraphs` yields stripped non-empty text, which holds a
+        character that `str.strip` keeps; that character alone tokenizes to
+        at least one token, so no paragraph's token list is empty."""
+        kept = (chr(c) for c in range(sys.maxunicode + 1) if not 0xD800 <= c <= 0xDFFF)
+        assert [c for c in kept if c.strip() and not tokenize(c)] == []
+
     def test_yields_paragraph_token_lists(self):
         sequences = list(article_token_sequences([make_article()]))
         assert len(sequences) == 4

@@ -2,6 +2,7 @@
 every text file it reads names the line of a byte that is not UTF-8."""
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -147,6 +148,16 @@ def test_bad_byte_past_the_first_decoded_chunk(tmp_path):
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3001: not UTF-8 at offset 18002 "
                                          r"\(invalid continuation byte\)$"):
         corpus.load_detector_dataset(path, 2, 10, "v.txt")
+
+
+def test_a_file_that_decodes_when_read_again_raises_the_first_error(tmp_path, monkeypatch):
+    """The locating read finds no bad byte in a file replaced since the
+    line read, so the line read's own decoding error is raised."""
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"first\n\xff\n")
+    monkeypatch.setattr(fileio, "Path", lambda where: SimpleNamespace(read_bytes=lambda: b"ok\n"))
+    with pytest.raises(UnicodeDecodeError, match="invalid start byte"):
+        list(fileio.read_lines(path))
 
 
 def test_read_lines_splits_as_open_does(tmp_path):

@@ -2019,6 +2019,11 @@ class TestComputeLosses:
         with pytest.raises(ValueError):
             compute_losses(dists, [[1, 2]], stops + stops)
 
+    def test_empty_sentence_refused(self):
+        stops = [ad.Tensor([[0.5]])] * 3
+        with pytest.raises(ValueError, match="^empty sentence in loss computation$"):
+            compute_losses([[one_hot_dist(4, 1)], []], [[1], []], stops)
+
 
 def chained_losses(sentence_dists, sentence_targets, stop_probs, stop_weight):
     """compute_losses as a chain of per-sentence and per-step terms: each
@@ -2096,7 +2101,7 @@ class TestExampleLossGradients:
 
             def loss():
                 _, _, total = example_loss(model, example, assignments, schema,
-                                           vocab, mode="soft", stop_weight=0.7)
+                                           vocab, stop_weight=0.7)
                 return total
 
             rng = np.random.default_rng(0)
@@ -2162,16 +2167,6 @@ class TestTrainGenerator(TrainingSetup):
             train_generator(model, [], [], [], [], schema, vocab)
         with pytest.raises(ValueError):
             train_generator(model, examples, assignments, examples, [], schema, vocab)
-
-    def test_hard_topic_mode_refused_before_any_forward_pass(self, monkeypatch):
-        # the argmax topic choice leaves topic_W and topic_b without a gradient
-        vocab, schema, examples, assignments = self.tiny_task()
-        model = GeneratorModel(len(vocab), 2, embed_dim=6, hidden_dim=6, seed=2)
-        monkeypatch.setattr(generator, "example_loss",
-                            lambda *args, **kwargs: pytest.fail("a forward pass ran"))
-        with pytest.raises(ValueError, match="topic_mode 'hard' cannot train"):
-            train_generator(model, examples, assignments, [], [], schema, vocab,
-                            epochs=1, mode="hard")
 
     def test_keeps_best_validation_epoch(self):
         # at lr 0.1 the validation loss falls in epoch 2 and rises in epoch 3

@@ -86,6 +86,27 @@ class TestSplitSentences:
         assert " ".join(parts) == text
 
 
+    @pytest.mark.parametrize("text, sentences", [
+        ("Dr. No left. Mr. Big stayed.  ", ["Dr. No left.", "Mr. Big stayed."]),
+        ("Wait!! Really?? Yes... Fine.", ["Wait!!", "Really??", "Yes...", "Fine."]),
+        ("A. B. C. Etc. Done.\n\t ", ["A. B. C. Etc. Done."]),
+        ("It ended.\n\n 3 more. ?! .", ["It ended.", "3 more. ?! ."]),
+        (". A", [".", "A"]),
+        ("Go! \n", ["Go!"]),
+        ("Stop.   ", ["Stop."]),
+        ("!! ?? ..", ["!! ?? .."]),
+        (" \n\t", []),
+    ], ids=["abbreviations", "repeated_marks", "initials", "blank_lines", "leading_mark",
+            "trailing_newline", "trailing_spaces", "marks_only", "whitespace_only"])
+    def test_no_sentence_is_empty(self, text, sentences):
+        """Each sentence holds its punctuation mark and the tail is kept
+        only when it is non-empty, so no sentence is empty."""
+        parts = split_sentences(text)
+        assert parts == sentences
+        assert all(part and part == part.strip() for part in parts)
+        assert " ".join(parts).split() == text.split()
+
+
 class TestVocabulary:
     def test_reserved_ids_are_fixed(self):
         vocab = Vocabulary([])

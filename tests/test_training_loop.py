@@ -110,14 +110,14 @@ def reference_train_detector(model, train, valid, epochs, lr, seed):
 
 def reference_train_generator(model, train, train_assignments, valid, valid_assignments,
                               schema, vocab, epochs, lr_first, lr_rest, seed,
-                              mode="soft", stop_weight=1.0, ttg_cap=400):
+                              stop_weight=1.0, ttg_cap=400):
     def valid_loss():
         if not valid:
             return float("nan")
         totals = []
         for example, assignment in zip(valid, valid_assignments):
             _, _, total = example_loss(model, example, assignment, schema, vocab,
-                                       mode, stop_weight, ttg_cap)
+                                       stop_weight=stop_weight, ttg_cap=ttg_cap)
             totals.append(total.item())
         return float(np.mean(totals))
 
@@ -133,7 +133,8 @@ def reference_train_generator(model, train, train_assignments, valid, valid_assi
         for index in rng.permutation(len(train)):
             with ad.tape() as recording:
                 nll, stop, total = example_loss(model, train[index], train_assignments[index],
-                                                schema, vocab, mode, stop_weight, ttg_cap)
+                                                schema, vocab, stop_weight=stop_weight,
+                                                ttg_cap=ttg_cap)
                 recording.backward(total)
             norms.append(gradient_norm(optimizer.params))
             optimizer.step()
