@@ -32,7 +32,9 @@ one full-width pass each way.
 `Adam` keeps the moments of every parameter smaller than one of its
 chunks in two flat arenas, and at each step gathers those parameters'
 values and gradients next to them, so that one step updates them all in
-a few chunk-sized windows and copies the values back in place.
+a few chunk-sized windows and copies the values back in place.  A larger
+parameter keeps moments only for the rows its gradients have reached, until
+they are more than half its rows.
 
 A seeded weight of more than one draw chunk waits for its values
 (`parameter`): it is built with an empty buffer and a copy of the bit
@@ -1046,6 +1048,54 @@ def _by_halves(work: Callable[[list, int], object], chunks: list, sizes: Sequenc
     return on_two_threads(lambda: work(chunks[:cut], 0), lambda: work(chunks[cut:], 1))
 
 
+class _RowMoments:
+    """Adam's moments of the rows of a [V, ...] parameter whose gradient has
+    not been zero, while they are at most half of the V rows.
+
+    `reached` holds those rows in the order they were reached and `m` and
+    `v` their moments in the same order, one flat row each, in arrays whose
+    capacity doubles as rows arrive; `seen` marks them.
+    """
+
+    def __init__(self, shape: tuple[int, ...], dtype):
+        self.shape, self.count = shape, 0
+        self.seen = np.zeros(shape[0], bool)
+        self.reached = np.empty(0, np.intp)
+        self.m, self.v = (np.zeros((0, math.prod(shape[1:])), dtype) for _ in "mv")
+
+    def reach(self, grad: np.ndarray) -> np.ndarray | None:
+        """Every row reached once the rows where `grad` is not zero are; None
+        when that is more than half the rows, and the moments turn dense."""
+        new = np.flatnonzero(np.any(grad, axis=tuple(range(1, grad.ndim))) & ~self.seen)
+        count = self.count + new.size
+        if 2 * count > self.seen.size:
+            return None
+        if count > self.reached.size:
+            cap = min(self.seen.size // 2, max(2 * self.reached.size, count))
+            self.reached, self.m, self.v = (
+                _grown(x, cap, self.count) for x in (self.reached, self.m, self.v))
+        self.seen[new] = True
+        self.reached[self.count:count] = new
+        self.count = count
+        return self.reached[:count]
+
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both moments at the parameter's shape, zero in unreached rows."""
+        rows, dense = self.reached[:self.count], []
+        for moment in (self.m, self.v):
+            full = np.zeros((self.seen.size, moment.shape[1]), moment.dtype)
+            full[rows] = moment[:self.count]
+            dense.append(full.reshape(self.shape))
+        return dense[0], dense[1]
+
+
+def _grown(array: np.ndarray, rows: int, kept: int) -> np.ndarray:
+    """A zero array of `rows` rows shaped like `array` after its first `kept`."""
+    grown = np.zeros((rows, *array.shape[1:]), array.dtype)
+    grown[:kept] = array[:kept]
+    return grown
+
+
 class Adam:
     """Adam with in-place updates; the caller zeroes gradients between steps.
 
@@ -1064,6 +1114,20 @@ class Adam:
     their values and gradients into two buffers laid out alike, updates
     them a chunk-sized window at a time, next to the larger parameters' own
     chunks, and writes each one's values back into its `.data` in place.
+
+    A larger parameter of one or more dimensions starts with row moments
+    (`_RowMoments`), kept for the rows where its gradient has not been zero.
+    Every other row has zero moments and a zero gradient, so the dense
+    update would leave its moments and values exactly as they are.  A step
+    gathers the gradient and values of a chunk's worth of reached rows at a
+    time, updates them next to their compact moments and scatters the
+    values back, so every value is bitwise the dense update's.  Finding the
+    rows costs a read of the whole gradient.  Once more than half the rows
+    are reached, the moments turn dense, for good: from there compact ones
+    would save less than half the memory, and the row path, with its
+    gathers, scatter and read, costs about what the dense one does
+    (`BENCH_rowmoments.json`).  An embedding table of which a step reads a
+    few hundred rows keeps two [rows, E] arrays instead of two [V, E] ones.
 
     From `_PASS_SPLIT_MIN` elements on, the chunks are cut into two halves
     of about equal size, one per thread, each with its own scratch.  Every
@@ -1086,8 +1150,8 @@ class Adam:
         self._grads, self._values = np.empty(size, dtype), np.empty(size, dtype)
         m, v = np.zeros(size, dtype), np.zeros(size, dtype)
         # a small parameter's moments, and its values during a step, are C-order
-        # slices of the arenas
-        self._m, self._v, self._slices, start = {}, {}, [], 0
+        # slices of the arenas; a large one's are rows until they turn dense
+        self._m, self._v, self._rows, self._slices, start = {}, {}, {}, [], 0
         for name, p in self.params.items():
             if name in self._small:
                 stop = start + p.data.size
@@ -1095,13 +1159,15 @@ class Adam:
                 self._v[name] = v[start:stop].reshape(p.data.shape)
                 self._slices.append(self._values[start:stop].reshape(p.data.shape))
                 start = stop
-            else:
-                # C order, so that a flat view walks them in step with the parameter
-                self._m[name] = np.zeros(p.data.shape, p.data.dtype)
-                self._v[name] = np.zeros(p.data.shape, p.data.dtype)
-        self._windows = [tuple(x[start:start + self.CHUNK] for x in (self._grads, m, v, self._values))
-                         for start in range(0, size, self.CHUNK)]
+            elif p.data.ndim:
+                self._rows[name] = _RowMoments(p.data.shape, p.data.dtype)
+            else:   # 0-d, so large only for its dtype
+                self._m[name], self._v[name] = (np.zeros((), p.data.dtype) for _ in "mv")
+        self._windows = [(*(x[start:start + self.CHUNK] for x in (self._grads, m, v, self._values)),
+                          None) for start in range(0, size, self.CHUNK)]
         width = min(self.CHUNK, max([size, *(p.data.size for p in self._large.values())]))
+        # a row table's chunk is whole rows, at least one
+        width = max([width, *(moments.m.shape[1] for moments in self._rows.values())])
         self._scratch = [(np.empty(width, dtype), np.empty(width, dtype)) for _ in range(2)]
 
     def step(self) -> None:
@@ -1114,23 +1180,54 @@ class Adam:
             np.concatenate([p.grad for p in self._small.values()], axis=None, out=self._grads)
             np.concatenate([p.data for p in self._small.values()], axis=None, out=self._values)
         self.step_count += 1
-        # flat views; reshape copies a parameter that is not C-ordered, and
-        # the copy is written back below
-        flats = [(p.grad.reshape(-1), self._m[name].reshape(-1), self._v[name].reshape(-1),
-                  p.data.reshape(-1)) for name, p in self._large.items()]
-        chunks = self._windows + [tuple(x[start:start + self.CHUNK] for x in flat)
-                                  for flat in flats for start in range(0, flat[3].size, self.CHUNK)]
+        chunks, copies = list(self._windows), []
+        for name, p in self._large.items():
+            rows = self._reached_rows(name, p)
+            if rows is None:
+                # flat views; reshape copies a parameter that is not C-ordered,
+                # and the copy is written back below
+                flat = (p.grad.reshape(-1), self._m[name].reshape(-1),
+                        self._v[name].reshape(-1), p.data.reshape(-1))
+                chunks += [(*(x[start:start + self.CHUNK] for x in flat), None)
+                           for start in range(0, flat[3].size, self.CHUNK)]
+                if not p.data.flags.c_contiguous:
+                    copies.append((p.data, flat[3]))
+            else:
+                m, v = (x[:rows.size] for x in (self._rows[name].m, self._rows[name].v))
+                per = max(1, self.CHUNK // m.shape[1])
+                chunks += [(p.grad, m[start:start + per].reshape(-1), v[start:start + per].reshape(-1),
+                            p.data, rows[start:start + per]) for start in range(0, rows.size, per)]
         _by_halves(lambda part, side: self._update(part, self._scratch[side]), chunks,
-                   [chunk[3].size for chunk in chunks])
+                   [chunk[1].size for chunk in chunks])
         for p, values in zip(self._small.values(), self._slices):
             p.data[...] = values
-        for p, (_, _, _, values) in zip(self._large.values(), flats):
-            if not p.data.flags.c_contiguous:
-                p.data[...] = values.reshape(p.data.shape)
+        for data, values in copies:
+            data[...] = values.reshape(data.shape)
+
+    def _reached_rows(self, name: str, p: Tensor) -> np.ndarray | None:
+        """The rows of `name` that a step updates, or None once its moments
+        are dense; they turn dense here when `_RowMoments.reach` says so."""
+        moments = self._rows.get(name)
+        if moments is None:
+            return None
+        rows = moments.reach(p.grad)
+        if rows is None:
+            # C order, so that a flat view walks them in step with the parameter
+            self._m[name], self._v[name] = moments.dense()
+            del self._rows[name]
+        return rows
+
+    def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of parameter `name`'s first and second moments, at its shape."""
+        if name in self._rows:
+            return self._rows[name].dense()
+        return self._m[name].copy(), self._v[name].copy()
 
     def _update(self, chunks, scratch) -> None:
         t = self.step_count
-        for g, m, v, d in chunks:
+        for g, m, v, d, rows in chunks:
+            if rows is not None:   # g and d are a row table's: update copies of those rows
+                table, g, d = d, g[rows].reshape(-1), d[rows].reshape(-1)
             a, b = (buffer[:g.size] for buffer in scratch)
             m *= self.BETA1
             np.multiply(g, 1.0 - self.BETA1, out=a)
@@ -1146,6 +1243,8 @@ class Adam:
             b += self.EPS
             a /= b
             d -= a
+            if rows is not None:
+                table[rows] = d.reshape(rows.size, *table.shape[1:])
 
     def zero_grad(self) -> None:
         for p in self.params.values():

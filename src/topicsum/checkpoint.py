@@ -5,8 +5,10 @@ the UTF-8 name, a u32 rank, one u32 per dimension, and the float32
 little-endian values in row-major order.  Round-trips are bit-exact.
 
 Each reader first walks every header, seeking past the values, and checks
-the whole archive against the file's size before it reads any value, so a
-bad archive raises ValueError naming the path and changes nothing.
+the whole archive against the file's size before it reads any value, so an
+archive that is bad when it is opened raises ValueError naming the path and
+changes nothing.  A file cut after that walk raises the same error from the
+read that falls short, after `load_into` has filled the tensors before it.
 """
 
 from __future__ import annotations
@@ -139,12 +141,18 @@ def load_into(params: Mapping[str, object], path) -> None:
     Names present in the archive but not in `params` (and vice versa) are an
     error, as is any shape mismatch; errors name the offending tensors.  The
     whole archive is checked before any parameter is written, so after an
-    error every parameter holds what it held before.  Values go from the
+    error of that check every parameter holds what it held before.  A file
+    cut after the check raises when a read falls short: the parameters
+    before that tensor in the archive hold their new values, that tensor
+    holds the values read before the cut and its old ones after them (or
+    only its old ones, when it is read through a temporary), and the rest
+    are unchanged.  Values go from the
     file straight into each parameter's buffer, through a temporary only
     when that buffer is not C-contiguous `<f4`.  A parameter whose seeded
     draw is pending (`autodiff.parameter`) is never drawn: its shape is
     checked on its buffer, and only once its values are read is it marked
-    `written`, so after an error it is still pending.
+    `written`, so after an error it is still pending, the one that was cut
+    too, and its first read draws its seeded values over the bytes read.
     """
     with open(path, "rb") as handle:
         entries = _walk(handle, path)

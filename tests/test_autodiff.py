@@ -1389,6 +1389,23 @@ class TestDeterminism:
         assert np.array_equal(grad_a, grad_b)
 
 
+def same_bytes(arrays, others) -> bool:
+    return [a.tobytes() for a in arrays] == [b.tobytes() for b in others]
+
+
+def row_sweep(table, ids, extra=None):
+    """One sweep of a loss that reads rows `ids` of `table`, each looked-up
+    entry weighted by its own factor, plus the sum of `extra(table)` when
+    given.  `extra` is recorded first, so the sweep adds its adjoint into
+    the table after the lookup's."""
+    with ad.tape() as t:
+        more = None if extra is None else extra(table).sum()
+        looked = ad.embedding_lookup(table, ids)
+        weights = np.arange(1.0, looked.data.size + 1).reshape(looked.data.shape)
+        loss = (looked * ad.Tensor(weights)).sum()
+        t.backward(loss if more is None else loss + more)
+
+
 class TestAdam:
     def test_first_step_moves_by_about_lr(self):
         # bias-corrected first step: -lr * 1/(1 + eps), about -0.1 at lr 0.1
@@ -1412,22 +1429,31 @@ class TestAdam:
         with pytest.raises(ValueError, match="weird_name"):
             opt.step()
 
-    def test_failed_step_changes_nothing(self):
+    def test_failed_step_changes_nothing(self, monkeypatch):
+        """The row table `t` comes before `b`, and its refused gradient has a
+        row it has not reached."""
+        monkeypatch.setattr(ad.Adam, "CHUNK", 37)
         a = ad.Tensor([[1.0, 2.0]], requires_grad=True)
+        t = ad.Tensor(np.arange(60.0).reshape(20, 3), requires_grad=True)
         b = ad.Tensor([[3.0]], requires_grad=True)
-        opt = ad.Adam({"a": a, "b": b}, lr=0.1)
+        named = (("a", a), ("t", t), ("b", b))
+        opt = ad.Adam(dict(named), lr=0.1)
         a.grad, b.grad = np.ones((1, 2), np.float32), np.ones((1, 1), np.float32)
+        row_sweep(t, [4, 1])
         opt.step()
-        before = [(x.data.copy(), opt._m[name].copy(), opt._v[name].copy())
-                  for name, x in (("a", a), ("b", b))]
-        a.grad, b.grad = np.full((1, 2), 5.0, np.float32), None
+        before = [(x.data.copy(), *opt.moments(name)) for name, x in named]
+        rows = opt._rows["t"].reached.copy()
+        assert rows.tolist() == [1, 4]
+        opt.zero_grad()
+        a.grad = np.full((1, 2), 5.0, np.float32)
+        row_sweep(t, [9, 4])
         with pytest.raises(ValueError, match="'b'"):
             opt.step()
         assert opt.step_count == 1
-        for (data, m, v), (name, x) in zip(before, (("a", a), ("b", b))):
+        for (data, m, v), (name, x) in zip(before, named):
             assert np.array_equal(x.data, data), name
-            assert np.array_equal(opt._m[name], m), name
-            assert np.array_equal(opt._v[name], v), name
+            assert all(map(np.array_equal, opt.moments(name), (m, v))), name
+        assert opt._rows["t"].count == 2 and np.array_equal(opt._rows["t"].reached, rows)
 
     def test_zero_grad_resets_buffers(self):
         p = ad.Tensor([[1.0]], requires_grad=True)
@@ -1495,16 +1521,32 @@ class TestAdam:
                 v_hat = v[name] / (1.0 - b2 ** t)
                 data[name] = data[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
                 assert np.array_equal(params[name].data, data[name]), (name, t)
-                assert np.array_equal(opt._m[name], m[name]), (name, t)
-                assert np.array_equal(opt._v[name], v[name]), (name, t)
+                assert all(map(np.array_equal, opt.moments(name), (m[name], v[name]))), (name, t)
+
+    def test_a_scalar_in_a_narrower_dtype_has_dense_moments(self):
+        """The arena holds the float64 parameters; a float32 scalar is large
+        for its dtype alone and has no rows to list."""
+        w, s = (ad.Tensor(np.zeros(shape), requires_grad=True) for shape in ((2, 3), ()))
+        w.data, s.data = np.ones((2, 3)), np.array(1.5, np.float32)
+        opt = ad.Adam({"w": w, "s": s}, lr=0.1)
+        assert list(opt._small) == ["w"] and not opt._rows
+        w.grad, s.grad = np.ones((2, 3)), np.array(2.0, np.float32)
+        opt.step()
+        m, v = opt.moments("s")
+        assert m.shape == v.shape == () and m.dtype == v.dtype == np.float32
+        np.testing.assert_allclose([m, v], [0.2, 0.004], rtol=1e-6)
+        np.testing.assert_allclose(s.data, 1.4, rtol=1e-6)
+        np.testing.assert_allclose(w.data, 0.9, rtol=1e-6)
 
     def test_two_thread_step_equals_the_serial_one_bitwise(self, monkeypatch):
-        """Odd sizes, a large non-C-contiguous parameter, and small ones whose
+        """Odd sizes, a large non-C-contiguous parameter, small ones whose
         arena windows fall on both sides of the cut between the threads'
-        halves."""
+        halves, and a table that reaches a fifth of its rows at each step, so
+        that its moments are rows for two steps and dense at the third."""
         rng = np.random.default_rng(9)
         shapes = {"odd": (3, 7), "long": (3 * ad.Adam.CHUNK + 5,), "s": (1, 1),
                   "fortran": (ad.Adam.CHUNK // 100 + 3, 301),
+                  "table": (ad.Adam.CHUNK // 40 + 2, 40),
                   **{f"small{k}": (97 + k, 113) for k in range(40)}}
         arena_windows_per_side, update = [], ad.Adam._update
 
@@ -1520,15 +1562,19 @@ class TestAdam:
             params = {name: ad.Tensor(np.random.default_rng(1).normal(size=shape),
                                       requires_grad=True) for name, shape in shapes.items()}
             params["fortran"].data = np.asfortranarray(params["fortran"].data)
-            opt = ad.Adam(params, lr=0.01)
+            opt, compact = ad.Adam(params, lr=0.01), []
             for grads in steps:
                 for name, p in params.items():
                     p.grad = grads[name].copy()
                 opt.step()
+                compact.append("table" in opt._rows)
+            assert compact == [True, True, False]
             return opt
 
         steps = [{name: rng.normal(size=shape).astype(np.float32)
                   for name, shape in shapes.items()} for _ in range(3)]
+        for k, grads in enumerate(steps):
+            grads["table"][np.arange(len(grads["table"])) % 5 != k] = 0.0
         calls, on_two_threads = [], ad.on_two_threads
 
         def spy(first, second, one_blas_thread=False):
@@ -1546,8 +1592,7 @@ class TestAdam:
             ([0, 1, 2, 3], 0), ([4, 5, 6, 7], 1))
         for name in shapes:
             assert split.params[name].data.tobytes() == serial.params[name].data.tobytes(), name
-            assert split._m[name].tobytes() == serial._m[name].tobytes(), name
-            assert split._v[name].tobytes() == serial._v[name].tobytes(), name
+            assert same_bytes(split.moments(name), serial.moments(name)), name
 
     @pytest.mark.parametrize("filled_by", ["load_into", "rebinding .data"])
     def test_a_checkpoint_loaded_after_adam_is_built_steps_like_one_loaded_before(
@@ -1576,8 +1621,120 @@ class TestAdam:
         (first, second) = optimizers
         for name, p in first.params.items():
             assert p.data.tobytes() == second.params[name].data.tobytes(), name
-            assert first._m[name].tobytes() == second._m[name].tobytes(), name
-            assert first._v[name].tobytes() == second._v[name].tobytes(), name
+            assert same_bytes(first.moments(name), second.moments(name)), name
+
+
+class TestRowMoments:
+    """A table keeps moments for the rows where its gradient has not been
+    zero, until they are more than half its rows.  Each case steps it next
+    to the textbook dense update, which the values and moments must equal
+    bitwise after every step."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # a 50-row table is a large parameter, with chunk boundaries inside
+        # rows of 3 and rows of 40 wider than a chunk
+        monkeypatch.setattr(ad.Adam, "CHUNK", 37)
+
+    @pytest.fixture(params=[3, 40], ids=["rows-of-3", "rows-of-40"])
+    def table(self, request):
+        return self.start((50, request.param))
+
+    def start(self, shape):
+        table = ad.Tensor(np.random.default_rng(5).uniform(-1.0, 1.0, shape), requires_grad=True)
+        self.opt = ad.Adam({"t": table}, lr=0.1)
+        self.dense = [table.data.copy(), np.zeros_like(table.data), np.zeros_like(table.data)]
+        return table
+
+    def step(self, table, reached):
+        """Step, compare with the textbook update and zero the gradient;
+        `reached` is the sorted rows with compact moments after the step, or
+        None for dense moments."""
+        data, m, v = self.dense
+        g, t, lr = table.grad, self.opt.step_count + 1, self.opt.lr
+        m[...] = ad.Adam.BETA1 * m + (1.0 - ad.Adam.BETA1) * g
+        v[...] = ad.Adam.BETA2 * v + (1.0 - ad.Adam.BETA2) * (g * g)
+        m_hat, v_hat = m / (1.0 - ad.Adam.BETA1 ** t), v / (1.0 - ad.Adam.BETA2 ** t)
+        data[...] = data - lr * m_hat / (np.sqrt(v_hat) + ad.Adam.EPS)
+        self.opt.step()
+        assert table.data.tobytes() == data.tobytes()
+        assert same_bytes(self.opt.moments("t"), (m, v))
+        rows = self.opt._rows.get("t")
+        assert (None if rows is None else sorted(rows.reached[:rows.count].tolist())) == reached
+        self.opt.zero_grad()
+        assert table.grad is None
+
+    def test_lookups_reach_the_union_of_their_rows(self, table):
+        row_sweep(table, [7, 3, 7], lambda t: ad.embedding_lookup(t, [11, 3]))
+        self.step(table, reached=[3, 7, 11])
+        row_sweep(table, [0])
+        self.step(table, reached=[0, 3, 7, 11])
+
+    def test_a_gradient_assigned_by_hand_counts_by_its_own_rows(self, table):
+        row_sweep(table, [2, 5])
+        self.step(table, reached=[2, 5])
+        row_sweep(table, [1])
+        table.grad = np.zeros_like(table.data)
+        table.grad[[0, 9]] = 1.5
+        table.grad[4] = -0.0   # a zero all the same: moments stay +0.0, values exact
+        self.step(table, reached=[0, 2, 5, 9])
+        table.grad = np.random.default_rng(6).normal(size=table.data.shape).astype(table.data.dtype)
+        self.step(table, reached=None)
+
+    def test_two_sweeps_without_zeroing_reach_both(self, table):
+        row_sweep(table, [1, 2, 2])
+        first = table.grad
+        row_sweep(table, [9, 2])
+        assert table.grad is first
+        self.step(table, reached=[1, 2, 9])
+
+    def test_tensor_zero_grad_forgets_the_sweep(self, table):
+        row_sweep(table, [4])
+        table.zero_grad()
+        assert table.grad is None
+        row_sweep(table, [5])
+        self.step(table, reached=[5])
+
+    def test_an_empty_lookup_reaches_no_row(self, table):
+        row_sweep(table, [8])
+        self.step(table, reached=[8])
+        row_sweep(table, [])
+        assert not np.any(table.grad)
+        self.step(table, reached=[8])
+
+    @pytest.mark.parametrize("gather", [
+        lambda t: ad.rows(t, 2, 5),
+        lambda t: ad.pick(t, [1, 2], [0, 2]),
+    ], ids=["rows", "pick"])
+    def test_a_slice_or_pair_gather_reaches_its_rows(self, table, gather):
+        with ad.tape() as t:
+            t.backward(gather(table).sum())
+        reached = [2, 3, 4] if table.grad[3].any() else [1, 2]
+        self.step(table, reached=reached)
+        row_sweep(table, [30], gather)
+        self.step(table, reached=sorted({*reached, 30}))
+
+    def test_a_dense_gradient_turns_the_moments_dense(self, table):
+        row_sweep(table, [3, 40])
+        self.step(table, reached=[3, 40])
+        row_sweep(table, [6], lambda t: ad.tanh(t))
+        self.step(table, reached=None)
+        row_sweep(table, [7])
+        self.step(table, reached=None)
+
+    def test_a_table_past_half_its_rows_turns_dense(self, table):
+        for ids, reached in (([0], [0]), ([1, 2], [0, 1, 2]), (range(3, 20), list(range(20))),
+                             (range(20, 25), list(range(25))), ([0, 24], list(range(25))),
+                             ([25], None), ([5], None)):
+            row_sweep(table, list(ids))
+            self.step(table, reached=reached)
+
+    def test_a_table_of_three_dimensions_has_rows_of_its_last_two(self):
+        table, rng = self.start((50, 2, 20)), np.random.default_rng(7)
+        for ids, reached in (([7, 1], [1, 7]), ([], [1, 7]), ([30], [1, 7, 30])):
+            table.grad = np.zeros_like(table.data)
+            table.grad[ids, 1, :4] = rng.normal(size=(len(ids), 4))
+            self.step(table, reached=reached)
 
 
 class TestFit:

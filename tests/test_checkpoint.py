@@ -312,9 +312,11 @@ class TestLoadInto:
 
     @pytest.mark.parametrize("reader", ["load_tensors", "load_into"])
     def test_archive_cut_after_its_headers_were_read(self, tmp_path, monkeypatch, reader):
-        """A file cut between the header walk and the value reads is refused."""
-        read = load_tensors if reader == "load_tensors" else (
-            lambda path: load_into(self.make_params(), path))
+        """A file cut between the header walk and the value reads is refused;
+        `load_into` has loaded the tensor before the cut and part-filled the
+        one it cuts."""
+        params = self.make_params()
+        read = load_tensors if reader == "load_tensors" else (lambda path: load_into(params, path))
         path = tmp_path / "model.bin"
         save_tensors(path, {"w": np.ones((2, 3)), "b": np.ones((1, 3))})
         walk, offsets = checkpoint._walk, []
@@ -329,6 +331,9 @@ class TestLoadInto:
         with pytest.raises(ValueError) as refused:
             read(path)
         assert str(refused.value) == f"{path}: truncated archive at byte {offsets[0]}"
+        if reader == "load_into":
+            assert np.array_equal(params["w"].data, np.ones((2, 3)))
+            assert np.array_equal(params["b"].data, [[1.0, 1.0, 0.0]])
 
     @pytest.mark.parametrize("archive", [
         {"w": np.ones((2, 3)), "b": np.ones((3, 1))},            # second shape wrong
@@ -376,6 +381,31 @@ class TestLoadIntoPendingParameters:
         assert all(type(p) is ad.Tensor for p in params.values())
         saved = load_tensors(path)
         assert all(p.data.tobytes() == saved[name].tobytes() for name, p in params.items())
+
+    def test_a_file_cut_while_read_leaves_the_tensor_it_cuts_pending(self, tmp_path,
+                                                                     monkeypatch, draws):
+        saved = {name: p.data for name, p in self.model(5).parameters().items()}
+        saved["embed"] = saved.pop("embed")   # the archive's last tensor, pending in `params`
+        path = tmp_path / "g.bin"
+        save_tensors(path, saved)
+        walk = checkpoint._walk
+
+        def walk_then_cut(handle, where):
+            entries = walk(handle, where)
+            os.truncate(path, path.stat().st_size - 4)
+            return entries
+
+        monkeypatch.setattr(checkpoint, "_walk", walk_then_cut)
+        draws.clear()
+        params = self.model(1).parameters()
+        with pytest.raises(ValueError, match="truncated archive"):
+            load_into(params, path)
+        assert draws == []
+        assert [name for name, p in params.items() if type(p) is ad._Pending] == ["embed"]
+        assert all(p.data.tobytes() == saved[name].tobytes()
+                   for name, p in params.items() if name != "embed")
+        monkeypatch.setattr(ad, "_DEFER_MIN", 1 << 62)
+        assert params["embed"].data.tobytes() == self.model(1).embed.data.tobytes()
 
     @pytest.mark.parametrize("damage", ["last_shape", "unknown_name"])
     def test_refused_load_leaves_pending_parameters_pending(self, tmp_path, monkeypatch,

@@ -254,5 +254,6 @@ def test_fit_steps_equal_unchunked_adam(monkeypatch, dtype, chunk):
     for name, p in model.parameters().items():
         assert p.data.dtype == dtype
         assert np.array_equal(p.data, reference.parameters()[name].data), name
-        assert np.array_equal(chunked._m[name], optimizer.m[name]), name
-        assert np.array_equal(chunked._v[name], optimizer.v[name]), name
+        m, v = chunked.moments(name)
+        assert np.array_equal(m, optimizer.m[name]), name
+        assert np.array_equal(v, optimizer.v[name]), name
