@@ -794,9 +794,14 @@ def gold_log_probs(logits: Tensor, p_gen: Tensor, weights: Tensor, extended_ids,
     of g = targets[r] (0 from V on, the input's OOV words) and c_r sums the
     weights of the positions holding g.  Value and adjoints are bitwise those
     of the full [T, V'] chain: `softmax`, `scatter_sum` of the transposed
-    weights, the mix, `pick` and `log` with the floor.  Only the exps are
-    kept for the backward, which writes the logits' adjoint in one
-    full-width pass; a clamped gold gets no gradient.
+    weights, the mix, `pick` and `log` with the floor; except that a
+    subnormal entry of the logits' adjoint becomes a zero of its sign.  Only
+    the exps are kept for the backward, which writes the logits' adjoint in
+    one full-width pass; a clamped gold gets no gradient.
+
+    The flush keeps the training step's speed: once the copy gate nears 0,
+    many of the adjoint's products underflow, and a subnormal operand makes
+    the output affine's two products many times slower.
     """
     x, gate, w = logits.data, p_gen.data, weights.data
     ids = np.asarray(extended_ids, dtype=np.int64)
@@ -837,6 +842,7 @@ def gold_log_probs(logits: Tensor, p_gen: Tensor, weights: Tensor, extended_ids,
         d_logits = np.divide(ex, total)
         d_logits *= 0.0 - inner
         d_logits[rows, in_gold] = share[rows, 0] * (a - inner)[rows, 0]
+        d_logits[np.abs(d_logits) < np.finfo(d_logits.dtype).tiny] *= 0.0
         return d_logits, dp * share - dp * copied, np.where(match, (dp * rest).T, 0.0)
 
     return _push(np.log(safe), (logits, p_gen, weights), vjp)
@@ -1108,17 +1114,18 @@ class Adam:
     stay in a core's L2 cache across the dozen passes the expressions make,
     where a paper-size weight would stream from memory on every pass.
 
-    Parameters smaller than one chunk, in the dtype the step computes in,
-    would each pay those passes for a few hundred values.  Their moments
-    live, in C order one after another, in two flat arenas; a step gathers
-    their values and gradients into two buffers laid out alike, updates
-    them a chunk-sized window at a time, next to the larger parameters' own
-    chunks, and writes each one's values back into its `.data` in place.
+    Every parameter has one dtype, which the step computes in; `__init__`
+    refuses a mix.  Parameters smaller than one chunk would each pay those
+    passes for a few hundred values.  Their moments live, in C order one
+    after another, in two flat arenas; a step gathers their values and
+    gradients into two buffers laid out alike, updates them a chunk-sized
+    window at a time, next to the larger parameters' own chunks, and
+    writes each one's values back into its `.data` in place.
 
-    A larger parameter of one or more dimensions starts with row moments
-    (`_RowMoments`), kept for the rows where its gradient has not been zero.
-    Every other row has zero moments and a zero gradient, so the dense
-    update would leave its moments and values exactly as they are.  A step
+    A larger parameter starts with row moments (`_RowMoments`), kept for
+    the rows where its gradient has not been zero.  Every other row has
+    zero moments and a zero gradient, so the dense update would leave its
+    moments and values exactly as they are.  A step
     gathers the gradient and values of a chunk's worth of reached rows at a
     time, updates them next to their compact moments and scatters the
     values back, so every value is bitwise the dense update's.  Finding the
@@ -1141,10 +1148,13 @@ class Adam:
         self.params = dict(params)
         self.lr = lr
         self.step_count = 0
-        arrays = [p.data for p in self.params.values()]
-        dtype = np.result_type(*arrays) if arrays else default_dtype()
-        self._small = {name: p for name, p in self.params.items()
-                       if p.data.size < self.CHUNK and p.data.dtype == dtype}
+        dtype = next((p.data.dtype for p in self.params.values()), np.dtype(default_dtype()))
+        for name, p in self.params.items():
+            if p.data.dtype != dtype:
+                raise ValueError(f"parameter '{name}' is {p.data.dtype}, but "
+                                 f"'{next(iter(self.params))}' is {dtype}; "
+                                 f"Adam steps parameters of one dtype")
+        self._small = {name: p for name, p in self.params.items() if p.data.size < self.CHUNK}
         self._large = {name: p for name, p in self.params.items() if name not in self._small}
         size = sum(p.data.size for p in self._small.values())
         self._grads, self._values = np.empty(size, dtype), np.empty(size, dtype)
@@ -1159,10 +1169,8 @@ class Adam:
                 self._v[name] = v[start:stop].reshape(p.data.shape)
                 self._slices.append(self._values[start:stop].reshape(p.data.shape))
                 start = stop
-            elif p.data.ndim:
-                self._rows[name] = _RowMoments(p.data.shape, p.data.dtype)
-            else:   # 0-d, so large only for its dtype
-                self._m[name], self._v[name] = (np.zeros((), p.data.dtype) for _ in "mv")
+            else:
+                self._rows[name] = _RowMoments(p.data.shape, dtype)
         self._windows = [(*(x[start:start + self.CHUNK] for x in (self._grads, m, v, self._values)),
                           None) for start in range(0, size, self.CHUNK)]
         width = min(self.CHUNK, max([size, *(p.data.size for p in self._large.values())]))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import secrets
 from pathlib import Path
 
 __all__ = ["read_lines", "atomic_write"]
@@ -39,7 +38,8 @@ def atomic_write(path, mode: str = "w"):
     would give a new file.
     """
     directory, base = os.path.split(os.fspath(path))
-    temporary = os.path.join(directory, f".{base}.{secrets.token_hex(4)}.tmp")
+    # not `secrets`, whose import loads OpenSSL through `hashlib`
+    temporary = os.path.join(directory, f".{base}.{os.urandom(4).hex()}.tmp")
     try:
         fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:

@@ -393,10 +393,10 @@ def token_distribution(model: GeneratorModel, state: ad.Tensor, context: ad.Tens
     lands on the extended id of every attended input position, so OOV input
     tokens stay reachable.
 
-    This is the full-distribution reference.  Neither training nor beam
-    search builds the [T, V'] block: `example_loss` reads each row's gold
-    entry with `ad.gold_log_probs` and beam search each row's best few with
-    `beam_candidates`, both bitwise this block's values.
+    This is the full-distribution reference.  Training never builds the
+    [T, V'] block, and beam search only at toy sizes: `example_loss` reads
+    each row's gold entry with `ad.gold_log_probs` and beam search each
+    row's best few with `beam_candidates`, both bitwise this block's values.
     """
     if weights.data.shape[0] != grouped.extended_ids.size:
         raise ValueError(f"{weights.data.shape[0]} attention weights for "
@@ -417,13 +417,14 @@ def token_distribution(model: GeneratorModel, state: ad.Tensor, context: ad.Tens
 # division, the product and numpy's log, which is within a few ulps.
 _TIE_MARGIN_EPS = 512
 _BEAM_SPLIT_MIN = 1 << 19   # least R x V whose candidates `beam_candidates` selects on two threads
+_FULL_MIXTURE_MAX = 1 << 11   # most R x V whose candidates `beam_candidates` sorts from the mixture
 
 
 def beam_candidates(logits: np.ndarray, p_gen: np.ndarray, weights: np.ndarray,
                     input_ids: np.ndarray, inverse: np.ndarray,
                     count: int) -> tuple[np.ndarray, np.ndarray]:
     """The `count` best extended ids of every row of a beam step, with their
-    log-probabilities, without building the [R, V'] mixture.
+    log-probabilities.
 
     The arguments are `_output_layer`'s values, logits [R, V] and p_gen
     [R, 1], the attention weights [n, R], and the input's distinct extended
@@ -433,18 +434,25 @@ def beam_candidates(logits: np.ndarray, p_gen: np.ndarray, weights: np.ndarray,
     exps and the masks.  Returns (ids, scores), both [R, min(count, V')],
     each row by score descending and lower id first on ties: bitwise what
     `token_distribution`, a log clamped at `ad.LOG_FLOOR` and a stable
-    descending sort keep.
+    descending sort keep.  Runs on arrays and records nothing on a tape.
 
-    Every input id is a candidate.  Any other word's probability is
-    p_gen · softmax, which never falls as its logit grows, so a row's other
-    candidates are the `count` lowest other ids, which win the ties at the
-    clamp, and the row's `count` best logits of the rest.  A row
-    where the best word left out comes within rounding of the last one
-    picked, above the clamp, scores every word.  Runs on arrays and records
-    nothing on a tape.  From `_BEAM_SPLIT_MIN` R x V on, it runs per row on
-    two threads, the first half of the rows here and the second on a
-    worker, bitwise the serial values.
+    Up to `_FULL_MIXTURE_MAX` R x V, it does just that: building the
+    [R, V'] mixture takes fewer calls than selecting without it, until the
+    sort's V' log V' per row outgrows the selection (near 2,000 elements at
+    vocabularies of 79 to 1,000 words, `BENCH_smallbeam.json`).
+
+    Above it, no [R, V'] mixture is built.  Every input id is a candidate.
+    Any other word's probability is p_gen · softmax, which never falls as
+    its logit grows, so a row's other candidates are the `count` lowest
+    other ids, which win the ties at the clamp, and the row's `count` best
+    logits of the rest.  A row where the best word left out comes within
+    rounding of the last one picked, above the clamp, scores every word.
+    From `_BEAM_SPLIT_MIN` R x V on, it runs per row on two threads, the
+    first half of the rows here and the second on a worker, bitwise the
+    serial values.
     """
+    if logits.size <= _FULL_MIXTURE_MAX:
+        return _mixture_candidates(logits, p_gen, weights, input_ids, inverse, count)
     vocab_size = logits.shape[1]
     n_vocab = np.searchsorted(input_ids, vocab_size)                # input ids in the vocabulary
     # the other words: the `count` lowest ids, which are the ones kept among
@@ -513,6 +521,29 @@ def beam_candidates(logits: np.ndarray, p_gen: np.ndarray, weights: np.ndarray,
     return tuple(np.concatenate(parts) for parts in zip(*halves))
 
 
+def _mixture_candidates(logits: np.ndarray, p_gen: np.ndarray, weights: np.ndarray,
+                        input_ids: np.ndarray, inverse: np.ndarray,
+                        count: int) -> tuple[np.ndarray, np.ndarray]:
+    """`beam_candidates` from the whole [R, V'] block: the softmax of the
+    logits times p_gen, plus each input id's copy mass, added in position
+    order as `ad.scatter_sum` adds it, times 1 - p_gen; a zero copy term
+    leaves a word's value as it is, so only the input ids' columns take
+    one.  Then the log clamped at `ad.LOG_FLOOR` and a stable descending
+    sort, each row's lower id first on ties."""
+    ex = logits
+    ex -= ex.max(axis=1, keepdims=True)
+    np.exp(ex, out=ex)
+    mixture = np.zeros((ex.shape[0], max(ex.shape[1], int(input_ids[-1]) + 1)), ex.dtype)
+    np.divide(ex, ex.sum(axis=1, keepdims=True), out=mixture[:, :ex.shape[1]])
+    mixture *= p_gen
+    copy = np.zeros((input_ids.size, ex.shape[0]), ex.dtype)
+    np.add.at(copy, inverse, weights)
+    mixture[:, input_ids] += copy.T * (1.0 - p_gen)
+    scores = np.log(np.maximum(mixture, ad.LOG_FLOOR, out=mixture), out=mixture)
+    ids = np.argsort(-scores, axis=1, kind="stable")[:, :count]
+    return ids, np.take_along_axis(scores, ids, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # sentence decoding
 
@@ -547,7 +578,8 @@ def _beam_search(model: GeneratorModel, decoder_inits: Sequence[ad.Tensor],
 
     Each step scores only what a hypothesis can keep: from the tape-free
     `_output_layer`, `beam_candidates` gives every row its `beam_size + 1`
-    best tokens and their log-probabilities, with no [R, V'] mixture."""
+    best tokens and their log-probabilities, building the [R, V'] mixture
+    only for a small block."""
     if not decoder_inits:
         return []
     beam = config.beam_size

@@ -966,6 +966,43 @@ class TestGoldLogProbs:
         for name, a, b in zip(["value", "logits", "p_gen", "weights"], got, want):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
 
+    def test_subnormal_logit_adjoints_become_zeros_of_their_sign(self):
+        """A gate near 0 and a softmax spread over 100 nats: the logits'
+        adjoint, softmax x (0 - inner), underflows in most of each row.
+        Where the chain's entry is subnormal, it is a zero of that entry's
+        sign; every other entry and every other adjoint is the chain's,
+        bitwise."""
+        count, vocab = 4, 60
+        ids, targets = [0, 2, 0, vocab], [0, 0, 2, 0]
+        logits = np.tile(np.linspace(0.0, -100.0, vocab), (count, 1))
+        logits[2] = logits[2, [2, 1, 0, *range(3, vocab)]]   # each gold on top
+        logits[3] /= 2.0                                     # no product underflows
+        gates = np.array([[1e-8], [1e-8], [3e-9], [0.5]])
+        weights = np.full((len(ids), count), 0.25)
+        coefficients = np.array([[-1.0, 1.0, -0.5, 2.0]])
+        grads = []
+        for op in (ad.gold_log_probs, gold_chain):
+            with ad.using_dtype(np.float32):
+                leaves = [ad.Tensor(a, requires_grad=True) for a in (logits, gates, weights)]
+                with ad.tape() as t:
+                    gold = op(*leaves, ids, targets)
+                    t.backward(ad.matmul(ad.Tensor(coefficients), gold))
+            grads.append([gold.data] + [leaf.grad for leaf in leaves])
+        got, want = grads
+        tiny = np.finfo(np.float32).tiny
+        subnormal = (want[1] != 0) & (np.abs(want[1]) < tiny)
+        assert subnormal[:3].sum(axis=1).min() > 5 and not subnormal[3].any()
+        assert ((want[1] != 0) & ~subnormal).sum(axis=1).min() > 5
+        assert (got[1][subnormal] == 0).all()
+        assert (np.signbit(got[1]) == np.signbit(want[1])).all()
+        kept = got[1].copy()
+        kept[subnormal] = want[1][subnormal]
+        assert kept.dtype == np.float32 and kept.tobytes() == want[1].tobytes()
+        for name, a, b in zip(["value", "p_gen", "weights"], got[:1] + got[2:],
+                              want[:1] + want[2:]):
+            assert a.dtype == b.dtype == np.float32, name
+            assert a.tobytes() == b.tobytes(), name
+
     def test_clamped_gold_gets_no_gradient(self):
         _, d_logits, d_gates, d_weights = self.run(ad.gold_log_probs, np.float64, 4)
         assert not d_logits[5].any() and d_gates[5, 0] == 0.0 and not d_weights[:, 5].any()
@@ -1523,20 +1560,21 @@ class TestAdam:
                 assert np.array_equal(params[name].data, data[name]), (name, t)
                 assert all(map(np.array_equal, opt.moments(name), (m[name], v[name]))), (name, t)
 
-    def test_a_scalar_in_a_narrower_dtype_has_dense_moments(self):
-        """The arena holds the float64 parameters; a float32 scalar is large
-        for its dtype alone and has no rows to list."""
-        w, s = (ad.Tensor(np.zeros(shape), requires_grad=True) for shape in ((2, 3), ()))
-        w.data, s.data = np.ones((2, 3)), np.array(1.5, np.float32)
-        opt = ad.Adam({"w": w, "s": s}, lr=0.1)
-        assert list(opt._small) == ["w"] and not opt._rows
-        w.grad, s.grad = np.ones((2, 3)), np.array(2.0, np.float32)
-        opt.step()
-        m, v = opt.moments("s")
-        assert m.shape == v.shape == () and m.dtype == v.dtype == np.float32
-        np.testing.assert_allclose([m, v], [0.2, 0.004], rtol=1e-6)
-        np.testing.assert_allclose(s.data, 1.4, rtol=1e-6)
-        np.testing.assert_allclose(w.data, 0.9, rtol=1e-6)
+    def test_mixed_dtypes_are_refused_naming_the_parameter(self):
+        """One update formula per dtype: a float32 parameter among float64
+        ones would be stepped through float64 temporaries."""
+        with ad.using_dtype(np.float64):
+            params = {name: ad.Tensor(np.ones(shape))
+                      for name, shape in (("w", (2, 3)), ("b", 3), ("s", ()),
+                                          ("big", ad.Adam.CHUNK))}
+        for name in ("b", "s", "big"):
+            mixed = {**params, name: ad.Tensor(params[name].data)}     # float32
+            with pytest.raises(ValueError, match=f"^parameter '{name}' is float32, but 'w' "
+                                                 f"is float64; Adam steps parameters of one dtype$"):
+                ad.Adam(mixed, lr=0.1)
+        opt = ad.Adam(params, lr=0.1)
+        assert list(opt._small) == ["w", "b", "s"] and list(opt._rows) == ["big"]
+        assert ad.Adam({}, lr=0.1)._windows == []
 
     def test_two_thread_step_equals_the_serial_one_bitwise(self, monkeypatch):
         """Odd sizes, a large non-C-contiguous parameter, small ones whose

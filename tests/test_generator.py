@@ -975,9 +975,14 @@ def output_layer_values(model, state, context, dec_input):
 
 class TestBeamCandidates:
     """`beam_candidates` keeps bitwise the (id, score) pairs of the full
-    block, without building it."""
+    block: small blocks by sorting it, larger ones without building it."""
+
+    # `_FULL_MIXTURE_MAX` values that send every block one way
+    WAYS = {"selection": 0, "mixture": 1 << 62}
 
     def compare(self, model, grouped, rng, count, rows=5, weights=None):
+        """Both ways of `beam_candidates`, each forced whatever the block's
+        size, against `full_block_candidates`."""
         dtype = model.out_vocab_W.data.dtype
         state, context = (rng.normal(0.0, 1.0, (rows, model.hidden_dim)).astype(dtype)
                           for _ in range(2))
@@ -987,14 +992,23 @@ class TestBeamCandidates:
         want_ids, want_scores, log_probs = full_block_candidates(
             model, grouped, state, context, dec_input, weights, count)
         input_ids, inverse = np.unique(grouped.extended_ids, return_inverse=True)
-        logits, p_gen = output_layer_values(model, state, context, dec_input)
-        with ad.tape() as recording:
-            got_ids, got_scores = beam_candidates(logits, p_gen, weights, input_ids, inverse,
-                                                  count)
-        assert len(recording) == 0
-        np.testing.assert_array_equal(got_ids, want_ids)
-        assert got_scores.dtype == want_scores.dtype == dtype
-        np.testing.assert_array_equal(got_scores, want_scores)
+        mixture = generator._mixture_candidates
+        for way, limit in self.WAYS.items():
+            # fresh logits, since a call overwrites them
+            logits, p_gen = output_layer_values(model, state, context, dec_input)
+            calls = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(generator, "_FULL_MIXTURE_MAX", limit)
+                patch.setattr(generator, "_mixture_candidates",
+                              lambda *args: calls.append(args) or mixture(*args))
+                with ad.tape() as recording:
+                    got_ids, got_scores = beam_candidates(logits, p_gen, weights, input_ids,
+                                                          inverse, count)
+            assert len(recording) == 0
+            assert len(calls) == (way == "mixture"), way
+            np.testing.assert_array_equal(got_ids, want_ids, err_msg=way)
+            assert got_scores.dtype == want_scores.dtype == dtype, way
+            np.testing.assert_array_equal(got_scores, want_scores, err_msg=way)
         return want_scores, log_probs
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1082,6 +1096,26 @@ class TestBeamCandidates:
                     assert scores[0, -1] == log_probs[0, low]
         assert tied >= 3
 
+    def test_blocks_up_to_the_limit_sort_the_mixture(self, monkeypatch):
+        """At the default `_FULL_MIXTURE_MAX`, a block of that many R x V
+        sorts the mixture, and one of a row more selects."""
+        calls, mixture = [], generator._mixture_candidates
+        monkeypatch.setattr(generator, "_mixture_candidates",
+                            lambda *args: calls.append(args[0].size) or mixture(*args))
+        limit = generator._FULL_MIXTURE_MAX
+        vocab = Vocabulary([f"w{i}" for i in range(limit // 4 - len(RESERVED_TOKENS))])
+        model = make_model(vocab)
+        grouped = group_paragraphs([["w1", "zork", "w9", "w1"]], [0], make_schema(), vocab)
+        input_ids, inverse = np.unique(grouped.extended_ids, return_inverse=True)
+        rng = np.random.default_rng(4)
+        for rows in (4, 5):
+            state, context = (rng.normal(0.0, 1.0, (rows, 4)) for _ in range(2))
+            dec_input = rng.normal(0.0, 1.0, (rows, 5))
+            weights = rng.dirichlet(np.ones(inverse.size), size=rows).T
+            beam_candidates(*output_layer_values(model, state, context, dec_input), weights,
+                            input_ids, inverse, 6)
+        assert calls == [limit]
+
     def split_equals_serial(self, monkeypatch, model, state, context, dec_input, *arrays,
                             count):
         """beam_candidates with the row halves forced onto two threads,
@@ -1099,6 +1133,7 @@ class TestBeamCandidates:
 
         with monkeypatch.context() as patch:
             patch.setattr(ad, "on_two_threads", spy)
+            patch.setattr(generator, "_FULL_MIXTURE_MAX", 0)     # the selection at any size
             serial = candidates()
             assert calls == []
             patch.setattr(generator, "_BEAM_SPLIT_MIN", 0)
@@ -1404,6 +1439,7 @@ class TestTwoThreadSearch(DecodingSetup):
         each of two threads searching at the same time gets the results of a
         search run alone, whichever of them has the worker at each step."""
         monkeypatch.setattr(generator, "_BEAM_SPLIT_MIN", 0)
+        monkeypatch.setattr(generator, "_FULL_MIXTURE_MAX", 0)     # the selection at any size
         monkeypatch.setattr(ad, "_SCORE_SPLIT_MIN", 0)
         monkeypatch.setattr(ad, "_SCORE_BLOCK", 1)     # one query a block
         calls, on_two_threads = [], ad.on_two_threads
@@ -1454,6 +1490,7 @@ class TestTwoThreadSearch(DecodingSetup):
         for module, name in ((ad, "_PAIR_SPLIT_MIN"), (ad, "_SCORE_SPLIT_MIN"),
                              (ad, "_PASS_SPLIT_MIN"), (generator, "_BEAM_SPLIT_MIN")):
             monkeypatch.setattr(module, name, 0)
+        monkeypatch.setattr(generator, "_FULL_MIXTURE_MAX", 0)     # the selection at any size
         monkeypatch.setattr(ad, "_SCORE_BLOCK", 1)     # one query a block
         threads = threading.active_count()
         seen, on_two_threads = [], ad.on_two_threads

@@ -28,6 +28,15 @@ def test_every_exported_name_exists(name):
     assert not missing, f"topicsum.{name}.__all__ names undefined {missing}"
 
 
+def fresh_python(code: str, env: dict[str, str]) -> list[str]:
+    """The words `code` prints in a new interpreter that imports this
+    checkout's `topicsum`."""
+    src = str(Path(topicsum.__file__).resolve().parent.parent)
+    env = {**env, "PYTHONPATH": os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60).stdout.split()
+
+
 @pytest.mark.parametrize("user_value", [None, "7"])
 def test_import_sets_the_openblas_spin_default_and_keeps_a_user_value(user_value):
     """A fresh `import topicsum` sets OPENBLAS_THREAD_TIMEOUT before numpy
@@ -36,10 +45,15 @@ def test_import_sets_the_openblas_spin_default_and_keeps_a_user_value(user_value
            if name != "OPENBLAS_THREAD_TIMEOUT"}
     if user_value is not None:
         env["OPENBLAS_THREAD_TIMEOUT"] = user_value
-    src = str(Path(topicsum.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run(
-        [sys.executable, "-c", "import os, sys, topicsum; "
-                               "print(os.environ['OPENBLAS_THREAD_TIMEOUT'], 'numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=60).stdout.split()
+    out = fresh_python("import os, sys, topicsum; "
+                       "print(os.environ['OPENBLAS_THREAD_TIMEOUT'], 'numpy' in sys.modules)", env)
     assert out == [user_value or "20", "True"]
+
+
+def test_import_loads_no_openssl():
+    """`import topicsum` and its CLI load neither `secrets` nor `hashlib`,
+    which bring OpenSSL's few megabytes into every process."""
+    out = fresh_python("import sys, topicsum, topicsum.cli; "
+                       "print(*sorted({'secrets', 'hashlib', '_hashlib'} & set(sys.modules)))",
+                       dict(os.environ))
+    assert out == []
