@@ -41,26 +41,27 @@ A seeded weight of more than one draw chunk waits for its values
 generator at its first value, the generator moves on past it at once, and
 the first read of `.data` draws it, serially and once.  A model loaded from
 a checkpoint overwrites every such buffer before reading it
-(`checkpoint.load_into` fills `buffer(t)` and marks it `written`), so it
-draws nothing.  Every other tensor's `.data` is a plain slot read.
+(`checkpoint.load_into` fills `buffer(t)` and then assigns it to `.data`),
+so it draws nothing.  Every other tensor's `.data` is a plain slot read.
 
 float32 is the working dtype; `using_dtype` exists so that numerical test
 suites can run the identical op implementations in float64, where central
 finite differences are meaningful.
 
 Work with two independent halves runs them on two threads once it is large
-enough to pay for the thread (`on_two_threads`): `bigru_sequence`'s two
-directions, forward and back through time, and the forward of
-`additive_scores` over two halves of its query blocks, with BLAS at one
-thread each, `Adam.step` and `fit`'s gradient norm, each over two halves of
-the parameters' chunks, and the generator's beam-step candidate selection
-over two halves of its rows.  Each half does the arithmetic it would do
-alone, and the products whose bits depend on BLAS's thread count run on the
-calling thread at BLAS's own count, so every value is bitwise the serial
-one.  Every call shares the process's one worker thread (`_worker`),
-started on first use; a call that finds it busy runs its two halves in
-turn on the calling thread, and a forked child starts a worker of its own.
-Toy-size models stay serial.
+enough to pay for the thread, under one rule (`on_two_threads`): OpenBLAS
+runs one thread while the halves do, and without a way to set its count
+the halves run in turn.  The halves are `bigru_sequence`'s two directions,
+forward and back through time, and, each cut by `by_halves` where the
+running size passes half, the forward of `additive_scores` over its query
+blocks, `Adam.step` and `fit`'s gradient norm over the parameters' chunks,
+and the generator's beam-step candidate selection over its rows.  Each half
+does the arithmetic it would do alone, and the products whose bits depend
+on BLAS's thread count run on the calling thread at BLAS's own count, so
+every value is bitwise the serial one.  Every call shares the process's one
+worker thread (`_worker`), started on first use; a call that finds it busy
+runs its two halves in turn on the calling thread, and a forked child
+starts a worker of its own.  Toy-size models stay serial.
 
 Gradient contract: every adjoint lives in its tensor's `.grad`.  On leaves,
 the tensors that no record on the tape produced (parameters and inputs
@@ -101,7 +102,6 @@ __all__ = [
     "default_dtype",
     "parameter",
     "buffer",
-    "written",
     "zero_parameter",
     "parameters_of",
     "LOG_FLOOR",
@@ -128,6 +128,7 @@ __all__ = [
     "EmptyTrainingSet",
     "fit",
     "on_two_threads",
+    "by_halves",
 ]
 
 _DTYPE_STACK = [np.float32]
@@ -354,31 +355,28 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_worker_in_child)
 
 
-def on_two_threads(first: Callable, second: Callable, one_blas_thread: bool = False):
+def on_two_threads(first: Callable, second: Callable):
     """(first(), second()), with second() on the process's worker thread
     while first() runs on this one.  Both have finished when this returns
     or raises, and an exception of either side is raised here, first()'s
     before the worker's.
 
-    When the worker is busy (a call from inside first(), from the worker
-    itself, or from a second thread while another call has it), first()
-    and then second() run here in turn, so no call waits on the worker.
-
-    With `one_blas_thread`, OpenBLAS runs one thread while this call has
-    the worker, so that the two sides' matrix products do not compete for
-    the cores: the count is set on this thread before the worker starts and
-    put back after the join.  A call that runs in turn leaves the count
-    alone, and without a way to set it both sides run here in turn.
+    OpenBLAS runs one thread while this call has the worker, so that the
+    two sides' matrix products do not compete for the cores: the count is
+    set on this thread before the worker starts and put back after the
+    join.  When the worker is busy (a call from inside first(), from the
+    worker itself, or from a second thread while another call has it), or
+    no way to set the count is found, first() and then second() run here
+    in turn and leave the count alone, so no call waits on the worker.
     """
-    blas = _blas_threads() if one_blas_thread else None
-    if (one_blas_thread and blas is None) or not _BUSY.acquire(blocking=False):
+    blas = _blas_threads()
+    if blas is None or not _BUSY.acquire(blocking=False):
         return first(), second()
+    get, set_ = blas
     restore = None
     try:
-        if blas is not None:
-            get, set_ = blas
-            restore = get()
-            set_(1)
+        restore = get()
+        set_(1)
         later = _worker().submit(second)
         try:
             result = first()
@@ -389,6 +387,20 @@ def on_two_threads(first: Callable, second: Callable, one_blas_thread: bool = Fa
         if restore is not None:
             set_(restore)
         _BUSY.release()
+
+
+def by_halves(work: Callable[[Sequence, int], object], parts: Sequence,
+              size: Callable[[object], int], total: int, minimum: int) -> tuple:
+    """(work(first half, 0), work(second half, 1)) by `on_two_threads`, the
+    parts cut in order where their running `size` passes half (k equal
+    parts at (k + 1) // 2); or (work(parts, 0),) when `total`, the sum of
+    their sizes, is below `minimum` or a half would be empty."""
+    if total >= minimum and len(parts) > 1:
+        ends = np.cumsum([size(part) for part in parts])
+        cut = int(np.searchsorted(ends, ends[-1] / 2)) + 1
+        if cut < len(parts):
+            return on_two_threads(lambda: work(parts[:cut], 0), lambda: work(parts[cut:], 1))
+    return (work(parts, 0),)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +429,7 @@ class _Pending(Tensor):
     Its slot holds (buffer, bit generator at the first value) until the
     first read of `data` draws the buffer, once, and makes the tensor a
     plain `Tensor` again, whose `data` is the slot read.  Assigning `data`,
-    or `written` after a caller fills `buffer(tensor)`, skips the draw."""
+    as a caller does after filling `buffer(tensor)`, skips the draw."""
 
     __slots__ = ()
 
@@ -447,14 +459,6 @@ def buffer(tensor: Tensor) -> np.ndarray:
     with _DRAW_LOCK:
         value = _SLOT.__get__(tensor)
         return value[0] if type(tensor) is _Pending else value
-
-
-def written(tensor: Tensor) -> None:
-    """Mark `tensor`'s whole `buffer` as written by the caller, so that a
-    pending parameter keeps those values and is never drawn."""
-    with _DRAW_LOCK:
-        if type(tensor) is _Pending:
-            _settle(tensor, _SLOT.__get__(tensor)[0])
 
 
 def parameter(rng: np.random.Generator, shape) -> Tensor:
@@ -722,10 +726,10 @@ def additive_scores(keys: Tensor, queries: Tensor, v: Tensor) -> Tensor:
     of at most `_SCORE_BLOCK` elements (1 MB in float32, inside a 2 MB L2),
     or one query at a time when a single [n, H] block is larger, so no
     [n, R, H] block is made.  From `_SCORE_SPLIT_MIN` R x n x H on, the
-    forward scores the first half of those blocks here and the second on a
-    worker through a second buffer, with BLAS at one thread each.  The
-    hand-written backward recomputes each block's tanh in the first buffer
-    instead of storing it.
+    forward scores the first half of those blocks (`by_halves`) here and
+    the second on the worker through a second buffer, with BLAS at one
+    thread while they run (`on_two_threads`).  The hand-written backward
+    recomputes each block's tanh in the first buffer instead of storing it.
     """
     k, q, v_col = keys.data, queries.data, v.data
     if (k.ndim != 2 or q.ndim != 2 or q.shape[1] != k.shape[1]
@@ -754,12 +758,8 @@ def additive_scores(keys: Tensor, queries: Tensor, v: Tensor) -> Tensor:
         for at, t in tanh_blocks(part, buffer):
             np.matmul(t.reshape(-1, hidden), v_vec, out=scores[at].reshape(-1))
 
-    if len(blocks) > 1 and count * n * hidden >= _SCORE_SPLIT_MIN:
-        half = (len(blocks) + 1) // 2
-        on_two_threads(lambda: score(blocks[:half], mixed),
-                       lambda: score(blocks[half:], np.empty_like(mixed)), one_blas_thread=True)
-    else:
-        score(blocks, mixed)
+    by_halves(lambda part, side: score(part, np.empty_like(mixed) if side else mixed), blocks,
+              lambda at: at.stop - at.start, count * n * hidden, _SCORE_SPLIT_MIN)
 
     def vjp(g):
         g_rows = np.ascontiguousarray(g.T)                      # [R, n]
@@ -883,9 +883,9 @@ def bigru_sequence(xs: Tensor, h0: Tensor, forward_weights: Sequence[Tensor],
     L is the state after that sequence's inputs L - 1 down to t.
 
     From `_PAIR_SPLIT_MIN` rows x H^2 on, the two directions' steps, forward
-    and back through time, run on two threads with BLAS at one thread each;
-    the weight-gradient products then run on this thread at BLAS's own count,
-    where their bits depend on it.
+    and back through time, run on two threads with BLAS at one thread while
+    they do (`on_two_threads`); the weight-gradient products then run on
+    this thread at BLAS's own count, where their bits depend on it.
     """
     runs = [_GRURun(xs.data, h0.data, [w.data for w in weights], reverse, lengths)
             for weights, reverse in ((forward_weights, False), (backward_weights, True))]
@@ -894,7 +894,7 @@ def bigru_sequence(xs: Tensor, h0: Tensor, forward_weights: Sequence[Tensor],
 
     def both(first, second):
         if split:
-            return on_two_threads(first, second, one_blas_thread=True)
+            return on_two_threads(first, second)
         return first(), second()
 
     states = np.concatenate(both(runs[0].forward, runs[1].forward), axis=1)
@@ -1043,17 +1043,6 @@ def _packing(lengths: np.ndarray):
 _PASS_SPLIT_MIN = 1 << 20   # least elements whose Adam step or gradient norm runs on two threads
 
 
-def _by_halves(work: Callable[[list, int], object], chunks: list, sizes: Sequence[int]) -> tuple:
-    """(work(chunks, 0),) below `_PASS_SPLIT_MIN` elements, else the chunks
-    cut in order into two halves of about equal size and (work(first half,
-    0), work(second half, 1)) on two threads."""
-    if sum(sizes) < _PASS_SPLIT_MIN:
-        return (work(chunks, 0),)
-    ends = np.cumsum(sizes)
-    cut = int(np.searchsorted(ends, ends[-1] / 2)) + 1
-    return on_two_threads(lambda: work(chunks[:cut], 0), lambda: work(chunks[cut:], 1))
-
-
 class _RowMoments:
     """Adam's moments of the rows of a [V, ...] parameter whose gradient has
     not been zero, while they are at most half of the V rows.
@@ -1136,9 +1125,10 @@ class Adam:
     (`BENCH_rowmoments.json`).  An embedding table of which a step reads a
     few hundred rows keeps two [rows, E] arrays instead of two [V, E] ones.
 
-    From `_PASS_SPLIT_MIN` elements on, the chunks are cut into two halves
-    of about equal size, one per thread, each with its own scratch.  Every
-    operation is elementwise, so the result is bitwise the unchunked one.
+    From `_PASS_SPLIT_MIN` elements on, `by_halves` gives each of two
+    threads half of the chunks and a scratch of its own (BLAS, which the
+    step does not call, runs one thread meanwhile).  Every operation is
+    elementwise, so the result is bitwise the unchunked one.
     """
 
     CHUNK = 1 << 16   # elements; of 16K to 128K, the fastest on a 2 MiB L2 core
@@ -1205,8 +1195,9 @@ class Adam:
                 per = max(1, self.CHUNK // m.shape[1])
                 chunks += [(p.grad, m[start:start + per].reshape(-1), v[start:start + per].reshape(-1),
                             p.data, rows[start:start + per]) for start in range(0, rows.size, per)]
-        _by_halves(lambda part, side: self._update(part, self._scratch[side]), chunks,
-                   [chunk[1].size for chunk in chunks])
+        by_halves(lambda part, side: self._update(part, self._scratch[side]), chunks,
+                  lambda chunk: chunk[1].size, sum(chunk[1].size for chunk in chunks),
+                  _PASS_SPLIT_MIN)
         for p, values in zip(self._small.values(), self._slices):
             p.data[...] = values
         for data, values in copies:
@@ -1269,8 +1260,9 @@ def _global_norm(arrays: Iterable[np.ndarray]) -> float:
 
     The pieces are widened to float64 one `Adam.CHUNK` at a time through
     one buffer of at most 512 KB per thread.  From `_PASS_SPLIT_MIN`
-    elements on, two threads take half of the chunks each, and their sums
-    are added here in the serial order.
+    elements on, `by_halves` gives each of two threads half of the chunks,
+    and their sums are added here in order; BLAS then runs one thread, and
+    a dot product of 8K elements gives the same bits at any count.
     """
     chunks = [flat[start:start + Adam.CHUNK] for flat in (array.reshape(-1) for array in arrays)
               for start in range(0, flat.size, Adam.CHUNK)]
@@ -1290,7 +1282,8 @@ def _global_norm(arrays: Iterable[np.ndarray]) -> float:
         return found
 
     total = 0.0
-    for part in _by_halves(squares, chunks, [chunk.size for chunk in chunks]):
+    for part in by_halves(squares, chunks, np.size, sum(chunk.size for chunk in chunks),
+                          _PASS_SPLIT_MIN):
         for square in part:
             total += square
     return math.sqrt(total)

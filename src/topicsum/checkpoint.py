@@ -150,9 +150,10 @@ def load_into(params: Mapping[str, object], path) -> None:
     file straight into each parameter's buffer, through a temporary only
     when that buffer is not C-contiguous `<f4`.  A parameter whose seeded
     draw is pending (`autodiff.parameter`) is never drawn: its shape is
-    checked on its buffer, and only once its values are read is it marked
-    `written`, so after an error it is still pending, the one that was cut
-    too, and its first read draws its seeded values over the bytes read.
+    checked on its buffer, and only once its values are read is that buffer
+    assigned to its `.data`, so after an error it is still pending, the one
+    that was cut too, and its first read draws its seeded values over the
+    bytes read.  For any other parameter the assignment changes nothing.
     """
     with open(path, "rb") as handle:
         entries = _walk(handle, path)
@@ -177,4 +178,4 @@ def load_into(params: Mapping[str, object], path) -> None:
                 values = np.empty(entry.shape, dtype="<f4")
                 _read_values(handle, path, entry, values)
                 data[...] = values
-            ad.written(params[entry.name])
+            params[entry.name].data = data

@@ -448,8 +448,9 @@ def beam_candidates(logits: np.ndarray, p_gen: np.ndarray, weights: np.ndarray,
     logits of the rest.  A row where the best word left out comes within
     rounding of the last one picked, above the clamp, scores every word.
     From `_BEAM_SPLIT_MIN` R x V on, it runs per row on two threads, the
-    first half of the rows here and the second on a worker, bitwise the
-    serial values.
+    first half of the rows here and the second on the worker (`ad.by_halves`),
+    with BLAS at one thread while they run (`ad.on_two_threads`); the
+    selection makes no BLAS call, and its values are bitwise the serial ones.
     """
     if logits.size <= _FULL_MIXTURE_MAX:
         return _mixture_candidates(logits, p_gen, weights, input_ids, inverse, count)
@@ -513,11 +514,10 @@ def beam_candidates(logits: np.ndarray, p_gen: np.ndarray, weights: np.ndarray,
             best_scores[row] = full[best_ids[row]]
         return best_ids, best_scores
 
-    n_rows = logits.shape[0]
-    if n_rows < 2 or logits.size < _BEAM_SPLIT_MIN:
-        return select(slice(None))
-    half = (n_rows + 1) // 2
-    halves = ad.on_two_threads(lambda: select(slice(0, half)), lambda: select(slice(half, None)))
+    halves = ad.by_halves(lambda part, side: select(slice(part.start, part.stop)),
+                          range(logits.shape[0]), lambda row: 1, logits.size, _BEAM_SPLIT_MIN)
+    if len(halves) == 1:
+        return halves[0]
     return tuple(np.concatenate(parts) for parts in zip(*halves))
 
 

@@ -24,6 +24,10 @@ from topicsum.detector import DetectorModel, MeanEmbeddingEncoder
 from topicsum.generator import GeneratorModel
 from conftest import assert_grads_match, check_gradients, numeric_grad
 
+# without OpenBLAS's thread-count setter every two-thread call runs in turn
+needs_blas_setter = pytest.mark.skipif(ad._blas_threads() is None,
+                                       reason="no thread-count setter found in numpy's OpenBLAS")
+
 
 class TestTensorBasics:
     def test_dtype_defaults_to_float32(self):
@@ -166,18 +170,15 @@ class TestParameterInit:
         def failing():
             raise MemoryError("worker failed")
 
-        for one_blas_thread in (False, True):
-            here = []
-            with pytest.raises(MemoryError, match="worker failed"):
-                ad.on_two_threads(lambda: here.append(1), failing, one_blas_thread)
-            assert here == [1] and threading.active_count() == threads
+        here = []
+        with pytest.raises(MemoryError, match="worker failed"):
+            ad.on_two_threads(lambda: here.append(1), failing)
+        assert here == [1] and threading.active_count() == threads
         assert ad.on_two_threads(lambda: None, threading.get_ident)[1] == worker
 
+    @needs_blas_setter
     def test_blas_thread_count_is_one_inside_and_restored_after_a_worker_raises(self):
-        blas = ad._blas_threads()
-        if blas is None:
-            pytest.skip("no thread-count setter found in numpy's OpenBLAS")
-        get, set_ = blas
+        get, set_ = ad._blas_threads()
         original = get()
         seen = []
 
@@ -188,30 +189,27 @@ class TestParameterInit:
         set_(2)
         try:
             with pytest.raises(MemoryError, match="worker failed"):
-                ad.on_two_threads(lambda: seen.append(get()), failing, one_blas_thread=True)
+                ad.on_two_threads(lambda: seen.append(get()), failing)
             assert seen == [1, 1]
             assert get() == 2
-            assert ad.on_two_threads(get, get, one_blas_thread=True) == (1, 1)
+            assert ad.on_two_threads(get, get) == (1, 1)
             assert get() == 2
             # a raise from first(), and from a call that finds the worker busy
             with pytest.raises(MemoryError, match="worker failed"):
-                ad.on_two_threads(failing, get, one_blas_thread=True)
+                ad.on_two_threads(failing, get)
             assert get() == 2
             with pytest.raises(MemoryError, match="worker failed"):
-                ad.on_two_threads(
-                    lambda: ad.on_two_threads(get, failing, one_blas_thread=True), get)
+                ad.on_two_threads(lambda: ad.on_two_threads(get, failing), get)
             assert get() == 2
         finally:
             set_(original)
 
+    @needs_blas_setter
     def test_a_call_that_runs_in_turn_leaves_the_blas_count_alone(self):
         """A second thread's call that finds the worker busy and ends after
         the holder has put the count back does not put back its own reading
         of 1."""
-        blas = ad._blas_threads()
-        if blas is None:
-            pytest.skip("no thread-count setter found in numpy's OpenBLAS")
-        get, set_ = blas
+        get, set_ = ad._blas_threads()
         original = get()
         in_turn, holder_done = threading.Event(), threading.Event()
         results = []
@@ -222,11 +220,10 @@ class TestParameterInit:
             return get()
 
         other = threading.Thread(target=lambda: results.append(
-            ad.on_two_threads(in_turn_first, get, one_blas_thread=True)), daemon=True)
+            ad.on_two_threads(in_turn_first, get)), daemon=True)
         set_(2)
         try:
-            ad.on_two_threads(lambda: (other.start(), in_turn.wait(timeout=30)), lambda: None,
-                              one_blas_thread=True)
+            ad.on_two_threads(lambda: (other.start(), in_turn.wait(timeout=30)), lambda: None)
             holder_done.set()
             other.join(timeout=30)
             assert results == [(2, 2)] and get() == 2
@@ -243,11 +240,9 @@ class TestParameterInit:
                 return threading.get_ident()
             return run
 
-        assert ad.on_two_threads(side("first"), side("second"), one_blas_thread=True) == (
+        assert ad.on_two_threads(side("first"), side("second")) == (
             threading.get_ident(), threading.get_ident())
         assert order == ["first", "second"]
-        # without the BLAS switch the worker runs regardless
-        assert ad.on_two_threads(side("first"), side("second"))[1] != threading.get_ident()
 
     def test_a_blas_library_that_does_not_load_leaves_both_sides_in_turn(self, monkeypatch):
         def unloadable(path):
@@ -260,12 +255,13 @@ class TestParameterInit:
             order = []
             sides = [lambda name=name: order.append(name) or threading.get_ident()
                      for name in ("first", "second")]
-            assert ad.on_two_threads(*sides, one_blas_thread=True) == (
+            assert ad.on_two_threads(*sides) == (
                 threading.get_ident(), threading.get_ident())
             assert order == ["first", "second"]
         finally:
             ad._blas_threads.cache_clear()
 
+    @needs_blas_setter
     def test_every_call_shares_one_worker(self):
         threads = threading.active_count()
         workers = {ad.on_two_threads(lambda: None, threading.get_ident)[1] for _ in range(5)}
@@ -279,12 +275,9 @@ class TestParameterInit:
         runner.join(timeout=30)
         assert other == list(workers)
 
-    @pytest.mark.parametrize("one_blas_thread", [False, True])
+    @needs_blas_setter
     @pytest.mark.parametrize("failing_first", [False, True])
-    def test_a_raise_on_either_side_comes_out_after_both_finish(self, one_blas_thread,
-                                                                failing_first):
-        if one_blas_thread and ad._blas_threads() is None:
-            pytest.skip("no thread-count setter found in numpy's OpenBLAS")
+    def test_a_raise_on_either_side_comes_out_after_both_finish(self, failing_first):
         finished = []
 
         def slow():
@@ -295,12 +288,12 @@ class TestParameterInit:
             raise MemoryError("side failed")
 
         with pytest.raises(MemoryError, match="side failed"):
-            ad.on_two_threads(*((failing, slow) if failing_first else (slow, failing)),
-                              one_blas_thread)
+            ad.on_two_threads(*((failing, slow) if failing_first else (slow, failing)))
         assert len(finished) == 1
         # the worker is free again: the next call's second side runs on it
         assert ad.on_two_threads(lambda: 1, threading.get_ident)[1] != threading.get_ident()
 
+    @needs_blas_setter
     def test_nested_calls_from_either_side_finish(self):
         """A two-thread call from inside first() or from the worker finds the
         worker busy and runs first() and then second() on its own thread."""
@@ -326,6 +319,7 @@ class TestParameterInit:
             assert order == ["a", "b"] and idents == (caller, caller)
         assert inner_first[2] == runner.ident and inner_second[2] != runner.ident
 
+    @needs_blas_setter
     def test_a_second_user_thread_runs_in_turn_while_the_worker_is_busy(self):
         """While one thread's call has the worker, another thread's call runs
         both its sides in turn on that thread instead of waiting."""
@@ -356,6 +350,7 @@ class TestParameterInit:
         assert results["other"] == (users[1].ident, users[1].ident)
         assert results["holder"][1] not in (users[0].ident, users[1].ident)
 
+    @needs_blas_setter
     def test_a_forked_child_starts_a_worker_of_its_own(self):
         """A child forked after the parent started the worker, from an idle
         worker or while another thread's call holds it, finishes a
@@ -390,6 +385,7 @@ class TestParameterInit:
                                   [package_root, os.environ.get("PYTHONPATH", "")])})
         assert done.returncode == 0, (done.stdout, done.stderr)
 
+    @needs_blas_setter
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     # Python 3.12 warns on a fork from a process with more than one thread
     @pytest.mark.filterwarnings(
@@ -441,6 +437,31 @@ class TestParameterInit:
         outer = Outer()
         assert list(ad.parameters_of(outer).items()) == [
             ("b", outer.b), ("inner.w", outer.inner.w), ("a", outer.a)]
+
+
+class TestByHalves:
+    @pytest.mark.parametrize("sizes, minimum, want", [
+        ([3] * 8, 24, [[0, 1, 2, 3], [4, 5, 6, 7]]),    # k equal parts: (k + 1) // 2
+        ([3] * 5, 0, [[0, 1, 2], [3, 4]]),
+        ([4, 4, 4, 1], 0, [[0, 1], [2, 3]]),              # equal blocks but a shorter last
+        ([10, 1, 1], 0, [[0], [1, 2]]),
+        ([3] * 8, 25, [list(range(8))]),                  # below the minimum
+        ([1, 1, 1, 10], 0, [[0, 1, 2, 3]]),               # the cut would leave no second half
+        ([5], 5, [[0]]),                                   # one part at the minimum
+    ])
+    def test_cuts_where_the_running_size_passes_half(self, monkeypatch, sizes, minimum, want):
+        calls, on_two_threads = [], ad.on_two_threads
+
+        def spy(first, second):
+            calls.append(first)
+            return on_two_threads(first, second)
+
+        monkeypatch.setattr(ad, "on_two_threads", spy)
+        runs = []
+        halves = ad.by_halves(lambda part, side: runs.append(side) or part,
+                              list(range(len(sizes))), sizes.__getitem__, sum(sizes), minimum)
+        assert list(halves) == want and sorted(runs) == list(range(len(want)))
+        assert len(calls) == len(want) - 1
 
 
 class TestForwardValues:
@@ -632,9 +653,9 @@ class TestForwardValues:
                                                           (hidden, 1), (n, count))]
         calls, on_two_threads = [], ad.on_two_threads
 
-        def spy(first, second, one_blas_thread=False):
-            calls.append(one_blas_thread)
-            return on_two_threads(first, second, one_blas_thread)
+        def spy(first, second):
+            calls.append(first)
+            return on_two_threads(first, second)
 
         monkeypatch.setattr(ad, "on_two_threads", spy)
 
@@ -650,7 +671,7 @@ class TestForwardValues:
         serial = run(count * n * hidden + 1)
         assert calls == []
         split = run(count * n * hidden)
-        assert calls == [True]
+        assert len(calls) == 1
         for got, want in zip(split, serial):
             assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
@@ -1615,19 +1636,17 @@ class TestAdam:
             grads["table"][np.arange(len(grads["table"])) % 5 != k] = 0.0
         calls, on_two_threads = [], ad.on_two_threads
 
-        def spy(first, second, one_blas_thread=False):
-            calls.append(one_blas_thread)
-            return on_two_threads(first, second, one_blas_thread)
+        def spy(first, second):
+            calls.append(first)
+            return on_two_threads(first, second)
 
         monkeypatch.setattr(ad, "on_two_threads", spy)
         serial = run(ad._PASS_SPLIT_MIN)
         assert calls == []
         arena_windows_per_side.clear()
         split = run(1)
-        assert calls == [False] * 3
+        assert len(calls) == 3
         assert len(arena_windows_per_side) == 6 and min(arena_windows_per_side) > 0
-        assert ad._by_halves(lambda part, side: (part, side), list(range(8)), [3] * 8) == (
-            ([0, 1, 2, 3], 0), ([4, 5, 6, 7], 1))
         for name in shapes:
             assert split.params[name].data.tobytes() == serial.params[name].data.tobytes(), name
             assert same_bytes(split.moments(name), serial.moments(name)), name

@@ -437,17 +437,17 @@ class TestBiGRUSequence:
 
     @pytest.fixture
     def threaded(self, monkeypatch):
-        """Every pair runs on two threads; returns the list of the calls'
-        `one_blas_thread` flags."""
+        """Every pair runs on two threads; returns the list of the
+        two-thread calls' first sides."""
         monkeypatch.setattr(ad, "_PAIR_SPLIT_MIN", 0)
-        flags, on_two_threads = [], ad.on_two_threads
+        calls, on_two_threads = [], ad.on_two_threads
 
-        def spy(first, second, one_blas_thread=False):
-            flags.append(one_blas_thread)
-            return on_two_threads(first, second, one_blas_thread)
+        def spy(first, second):
+            calls.append(first)
+            return on_two_threads(first, second)
 
         monkeypatch.setattr(ad, "on_two_threads", spy)
-        return flags
+        return calls
 
     @staticmethod
     def sweep(build, leaves, mixer):
@@ -463,10 +463,10 @@ class TestBiGRUSequence:
     def test_threaded_equals_serial_and_forward_half_bitwise(self, threaded, monkeypatch):
         cells, leaves, mixer = self.leaves(np.random.default_rng(43))
         got, got_grads = self.sweep(lambda: self.pair(cells, leaves), leaves, mixer)
-        assert threaded == [True, True]             # forward, then back through time
+        assert len(threaded) == 2                   # forward, then back through time
         monkeypatch.setattr(ad, "_PAIR_SPLIT_MIN", 1 << 62)
         want, want_grads = self.sweep(lambda: self.pair(cells, leaves), leaves, mixer)
-        assert threaded == [True, True]             # the serial run adds no two-thread call
+        assert len(threaded) == 2                   # the serial run adds no two-thread call
         assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
         assert set(got_grads) == set(want_grads)
         for name, grad in want_grads.items():
@@ -510,7 +510,7 @@ class TestBiGRUSequence:
         with ad.using_dtype(np.float64):
             cells, leaves, mixer = self.leaves(np.random.default_rng(44))
             check_gradients(lambda: (self.pair(cells, leaves) * mixer).sum(), leaves)
-        assert threaded and all(threaded)
+        assert threaded
 
 
 def split_directions(states, finals):
@@ -1123,9 +1123,9 @@ class TestBeamCandidates:
         call gets fresh logits, since it overwrites them."""
         calls, on_two_threads = [], ad.on_two_threads
 
-        def spy(first, second, one_blas_thread=False):
-            calls.append(one_blas_thread)
-            return on_two_threads(first, second, one_blas_thread)
+        def spy(first, second):
+            calls.append(first)
+            return on_two_threads(first, second)
 
         def candidates():
             return beam_candidates(*output_layer_values(model, state, context, dec_input),
@@ -1138,7 +1138,7 @@ class TestBeamCandidates:
             assert calls == []
             patch.setattr(generator, "_BEAM_SPLIT_MIN", 0)
             split = candidates()
-        assert calls == ([False] if state.shape[0] > 1 else [])
+        assert len(calls) == (state.shape[0] > 1)
         for got, want in zip(split, serial):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         return split
@@ -1433,6 +1433,46 @@ class TestLockstepDecoding(DecodingSetup):
         assert decode_sentences(model, [], encoding, grouped, vocab, DecodeConfig()) == []
 
 
+def forced_two_thread_sites(monkeypatch) -> dict:
+    """Each two-thread site by name, as a call that splits: every
+    `*_SPLIT_MIN` at 0, and inputs of at least two parts."""
+    for module, name in ((ad, "_PAIR_SPLIT_MIN"), (ad, "_SCORE_SPLIT_MIN"),
+                         (ad, "_PASS_SPLIT_MIN"), (generator, "_BEAM_SPLIT_MIN")):
+        monkeypatch.setattr(module, name, 0)
+    monkeypatch.setattr(generator, "_FULL_MIXTURE_MAX", 0)     # the selection at any size
+    monkeypatch.setattr(ad, "_SCORE_BLOCK", 1)     # one query a block
+    rng = np.random.default_rng(5)
+    vocab = make_vocab()
+    model = make_model(vocab)
+    grouped = group_paragraphs([["alpha", "zork", "gamma", "alpha"]], [0], make_schema(), vocab)
+    input_ids, inverse = np.unique(grouped.extended_ids, return_inverse=True)
+    rows = 3
+    state, context = (rng.normal(0.0, 1.0, (rows, 4)).astype(np.float32) for _ in range(2))
+    dec_input = rng.normal(0.0, 1.0, (rows, 5)).astype(np.float32)
+    weights = rng.dirichlet(np.ones(inverse.size), size=rows).T.astype(np.float32)
+    two_chunks = np.ones(2 * ad.Adam.CHUNK, np.float32)
+
+    def encoder():
+        with ad.tape() as recording:
+            states, _ = bigru_states(model, [4, 5, 6, 4], [4])
+            recording.backward(states.sum())
+
+    def adam_step():
+        p = ad.Tensor(two_chunks.copy(), requires_grad=True)
+        p.grad = two_chunks.copy()
+        ad.Adam({"p": p}, lr=0.1).step()
+
+    return {
+        "bigru_sequence": encoder,
+        "additive_scores": lambda: ad.additive_scores(*(ad.Tensor(rng.normal(0.0, 1.0, shape))
+                                                        for shape in ((5, 4), (3, 4), (4, 1)))),
+        "Adam.step": adam_step,
+        "_global_norm": lambda: ad._global_norm([two_chunks]),
+        "beam_candidates": lambda: beam_candidates(
+            *output_layer_values(model, state, context, dec_input), weights, input_ids, inverse, 3),
+    }
+
+
 class TestTwoThreadSearch(DecodingSetup):
     def test_two_user_threads_searching_at_once_get_their_own_results(self, monkeypatch):
         """With attention and candidate selection forced onto two threads,
@@ -1444,9 +1484,9 @@ class TestTwoThreadSearch(DecodingSetup):
         monkeypatch.setattr(ad, "_SCORE_BLOCK", 1)     # one query a block
         calls, on_two_threads = [], ad.on_two_threads
 
-        def spy(first, second, one_blas_thread=False):
+        def spy(first, second):
             calls.append(threading.get_ident())
-            return on_two_threads(first, second, one_blas_thread)
+            return on_two_threads(first, second)
 
         monkeypatch.setattr(ad, "on_two_threads", spy)
         config = DecodeConfig(beam_size=3, max_sentence_tokens=6)
@@ -1482,6 +1522,8 @@ class TestTwoThreadSearch(DecodingSetup):
         assert results == [[alone[0]] * 5, [alone[1]] * 5]
         assert set(calls) == {thread.ident for thread in users}
 
+    @pytest.mark.skipif(ad._blas_threads() is None,
+                        reason="no thread-count setter found in numpy's OpenBLAS")
     def test_draw_training_and_search_share_one_worker(self, monkeypatch):
         """With every two-thread threshold at 0, a training step and a beam
         search run every second half on the worker that a bare call uses,
@@ -1495,11 +1537,11 @@ class TestTwoThreadSearch(DecodingSetup):
         threads = threading.active_count()
         seen, on_two_threads = [], ad.on_two_threads
 
-        def spy(first, second, one_blas_thread=False):
+        def spy(first, second):
             def recorded():
                 seen.append(threading.get_ident())
                 return second()
-            return on_two_threads(first, recorded, one_blas_thread)
+            return on_two_threads(first, recorded)
 
         monkeypatch.setattr(ad, "on_two_threads", spy)
         corpus = toy_summarization_corpus(4, 0)
@@ -1518,14 +1560,56 @@ class TestTwoThreadSearch(DecodingSetup):
         assert set(seen) == {worker} and worker != threading.get_ident()
         assert threading.active_count() <= threads + 1
 
+    @pytest.mark.skipif(ad._blas_threads() is None,
+                        reason="no thread-count setter found in numpy's OpenBLAS")
+    def test_every_site_splits_with_blas_at_one_thread_and_restores_the_count(self, monkeypatch):
+        get, set_ = ad._blas_threads()
+        seen, on_two_threads = [], ad.on_two_threads
+
+        def spy(first, second):
+            def reading(side):
+                return lambda: seen.append((threading.get_ident(), get())) or side()
+            return on_two_threads(reading(first), reading(second))
+
+        monkeypatch.setattr(ad, "on_two_threads", spy)
+        sites = forced_two_thread_sites(monkeypatch)
+        original = get()
+        set_(2)
+        try:
+            for name, run in sites.items():
+                seen.clear()
+                run()
+                assert seen and {count for _, count in seen} == {1}, (name, seen)
+                assert len({thread for thread, _ in seen}) == 2, name     # both halves ran
+                assert get() == 2, name
+        finally:
+            set_(original)
+
+    def test_without_a_blas_setter_every_site_runs_in_turn(self, monkeypatch):
+        monkeypatch.setattr(ad, "_blas_threads", lambda: None)
+        seen, on_two_threads = [], ad.on_two_threads
+
+        def spy(first, second):
+            def recorded(name, side):
+                return lambda: seen.append((name, threading.get_ident())) or side()
+            return on_two_threads(recorded("first", first), recorded("second", second))
+
+        monkeypatch.setattr(ad, "on_two_threads", spy)
+        for name, run in forced_two_thread_sites(monkeypatch).items():
+            seen.clear()
+            run()
+            calls = len(seen) // 2
+            assert calls and seen == [("first", threading.get_ident()),
+                                      ("second", threading.get_ident())] * calls, name
+
     def test_toy_size_starts_no_second_thread(self, monkeypatch):
         """Training and beam-5 generation at the acceptance corpus's size
         (E=48, H=64) stay below every two-thread threshold."""
         calls, on_two_threads = [], ad.on_two_threads
 
-        def spy(first, second, one_blas_thread=False):
-            calls.append(one_blas_thread)
-            return on_two_threads(first, second, one_blas_thread)
+        def spy(first, second):
+            calls.append(first)
+            return on_two_threads(first, second)
 
         monkeypatch.setattr(ad, "on_two_threads", spy)
         corpus = toy_summarization_corpus(20, 0)
