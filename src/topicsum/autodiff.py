@@ -55,7 +55,7 @@ the halves run in turn.  The halves are `bigru_sequence`'s two directions,
 forward and back through time, and, each cut by `by_halves` where the
 running size passes half, the forward of `additive_scores` over its query
 blocks, `Adam.step` and `fit`'s gradient norm over the parameters' chunks,
-and the generator's beam-step candidate selection over its rows.  Each half
+and the generator's beam-step candidates over its rows.  Each half
 does the arithmetic it would do alone, and the products whose bits depend
 on BLAS's thread count run on the calling thread at BLAS's own count, so
 every value is bitwise the serial one.  Every call shares the process's one

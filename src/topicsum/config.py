@@ -21,13 +21,14 @@ _MINIMUM = {
     "stop_loss_weight": 0,
     "seed": 0,
 }
-# the greatest legal value of each bounded count.  A beam step holds one
-# [beam_size x max_sentences, V] float32 block: at most 1,024 x 50,000
-# (205 MB) at the paper's V, inside a 256 MiB budget.  max_sentence_tokens
-# caps the steps of one search.  A generator holds V(E + H + 1) + 9EH + 23H^2
-# float32 weights: at most 136 M (544 MB) at the paper's V, inside a 1 GiB
-# budget per copy; training keeps four copies (weights, gradients, Adam's
-# two moments).  The detector's [V, E] table is smaller.
+# the greatest legal value of each bounded count.  A beam step holds two
+# [beam_size x max_sentences, V] float32 blocks, the logits and their
+# log-mixture: at most 2 x 1,024 x 50,000 (410 MB) at the paper's V, inside
+# a 512 MiB budget.  max_sentence_tokens caps the steps of one search.  A
+# generator holds V(E + H + 1) + 9EH + 23H^2 float32 weights: at most 136 M
+# (544 MB) at the paper's V, inside a 1 GiB budget per copy; training keeps
+# four copies (weights, gradients, Adam's two moments).  The detector's
+# [V, E] table is smaller.
 MAX_MODEL_SIZE = 1024
 _MAXIMUM = {"beam_size": 32, "max_sentences": 32, "max_sentence_tokens": 200,
             **dict.fromkeys(("embed_size", "hidden_size", "detector_embed_size",

@@ -25,7 +25,8 @@ in `_output_layer`, and its three readers take its outputs.  Training's
 NLL reads each row's gold probability in one `ad.gold_log_probs` record,
 building no [ΣT, V'] mixture; `token_distribution` builds it, as the
 reference of `teacher_forced_outputs` and `compute_losses`; beam search
-reads each row's best few with `beam_candidates`, overwriting the logits.
+builds the same mixture's log from plain arrays in `beam_candidates` and
+keeps each row's best few.
 
 The predictor never reads decoded tokens, so generation runs it first and
 then beam-searches all sentences in lockstep: every live hypothesis of every
@@ -394,9 +395,9 @@ def token_distribution(model: GeneratorModel, state: ad.Tensor, context: ad.Tens
     tokens stay reachable.
 
     This is the full-distribution reference.  Training never builds the
-    [T, V'] block, and beam search only at toy sizes: `example_loss` reads
-    each row's gold entry with `ad.gold_log_probs` and beam search each
-    row's best few with `beam_candidates`, both bitwise this block's values.
+    [T, V'] block: `example_loss` reads each row's gold entry with
+    `ad.gold_log_probs`.  Beam search builds it from plain arrays, off the
+    tape, in `beam_candidates`.  Both are bitwise this block's values.
     """
     if weights.data.shape[0] != grouped.extended_ids.size:
         raise ValueError(f"{weights.data.shape[0]} attention weights for "
@@ -410,14 +411,8 @@ def token_distribution(model: GeneratorModel, state: ad.Tensor, context: ad.Tens
     return vocab_probs * p_gen + copy_probs * (1.0 - p_gen)
 
 
-# A word whose exp falls short of another's by a relative gap below this
-# many eps may still get the same log-probability.  Above the 1e-12 clamp
-# (`ad.LOG_FLOOR`) |log p| < 32, where a log-probability's ulp is at most
-# 16 eps, so the margin spans 32 of its ulps: room for the rounding of the
-# division, the product and numpy's log, which is within a few ulps.
-_TIE_MARGIN_EPS = 512
-_BEAM_SPLIT_MIN = 1 << 19   # least R x V whose candidates `beam_candidates` selects on two threads
-_FULL_MIXTURE_MAX = 1 << 11   # most R x V whose candidates `beam_candidates` sorts from the mixture
+_SORT_MAX = 1 << 10   # most R x V whose candidates `beam_candidates` sorts
+_BEAM_SPLIT_MIN = 1 << 18   # least R x V whose candidates `beam_candidates` takes on two threads
 
 
 def beam_candidates(logits: np.ndarray, p_gen: np.ndarray, weights: np.ndarray,
@@ -429,107 +424,56 @@ def beam_candidates(logits: np.ndarray, p_gen: np.ndarray, weights: np.ndarray,
     The arguments are `_output_layer`'s values, logits [R, V] and p_gen
     [R, 1], the attention weights [n, R], and the input's distinct extended
     ids, sorted, with each input position's index in them:
-    `np.unique(extended_ids, return_inverse=True)`.  `logits` is
-    overwritten: it is the step's one [R, V] scratch block, which holds the
-    exps and the masks.  Returns (ids, scores), both [R, min(count, V')],
-    each row by score descending and lower id first on ties: bitwise what
-    `token_distribution`, a log clamped at `ad.LOG_FLOOR` and a stable
-    descending sort keep.  Runs on arrays and records nothing on a tape.
+    `np.unique(extended_ids, return_inverse=True)`.  The ids may skip OOV
+    ids; a skipped id scores as any word without mass, at the clamp.
+    `logits` is overwritten.  Returns (ids, scores), both [R, min(count,
+    V')], V' = max(V, the last input id + 1), each row by score descending
+    and lower id first on ties: bitwise what the [R, V'] mixture p_gen ·
+    softmax + (1 - p_gen) · copy of `token_distribution`, a log clamped at
+    `ad.LOG_FLOOR` and a stable descending sort keep.  Runs on arrays and
+    records nothing on a tape.
 
-    Up to `_FULL_MIXTURE_MAX` R x V, it does just that: building the
-    [R, V'] mixture takes fewer calls than selecting without it, until the
-    sort's V' log V' per row outgrows the selection (near 2,000 elements at
-    vocabularies of 79 to 1,000 words, `BENCH_smallbeam.json`).
-
-    Above it, no [R, V'] mixture is built.  Every input id is a candidate.
-    Any other word's probability is p_gen · softmax, which never falls as
-    its logit grows, so a row's other candidates are the `count` lowest
-    other ids, which win the ties at the clamp, and the row's `count` best
-    logits of the rest.  A row where the best word left out comes within
-    rounding of the last one picked, above the clamp, scores every word.
-    From `_BEAM_SPLIT_MIN` R x V on, it runs per row on two threads, the
-    first half of the rows here and the second on the worker (`ad.by_halves`),
-    with BLAS at one thread while they run (`ad.on_two_threads`); the
-    selection makes no BLAS call, and its values are bitwise the serial ones.
+    It builds that block of logs (`_log_mixture`).  Up to `_SORT_MAX`
+    R x V it sorts it; above, each of `count` passes of `argmax`, which
+    returns the lowest id among equal maxima, takes every row's next entry
+    of that sort and masks it to -inf: the sort's V' log V' per row soon
+    costs more than the passes (the measured limit, `BENCH_onebeam.json`).
+    From `_BEAM_SPLIT_MIN` R x V on, the first half of the rows runs here
+    and the second on the worker (`ad.by_halves`), each half building its
+    own block, with BLAS at one thread while they run (`ad.on_two_threads`).
     """
-    if logits.size <= _FULL_MIXTURE_MAX:
-        return _mixture_candidates(logits, p_gen, weights, input_ids, inverse, count)
-    vocab_size = logits.shape[1]
-    n_vocab = np.searchsorted(input_ids, vocab_size)                # input ids in the vocabulary
-    # the other words: the `count` lowest ids, which are the ones kept among
-    # words tied at the clamp, then the rest's `count` best by repeated
-    # argmax; a word taken is masked below every exp
-    free = np.ones(min(vocab_size, count + n_vocab), dtype=bool)
-    free[input_ids[:np.searchsorted(input_ids, free.size)]] = False
-    known = np.concatenate([input_ids[:n_vocab], np.flatnonzero(free)[:count]])
-    n_words = known.size + min(count, vocab_size - known.size)
+    if logits.size <= _SORT_MAX:
+        scores = _log_mixture(logits, p_gen, weights, input_ids, inverse)
+        ids = np.argsort(-scores, axis=1, kind="stable")[:, :count]
+        return ids, np.take_along_axis(scores, ids, axis=1)
 
-    def select(part: slice) -> tuple[np.ndarray, np.ndarray]:
-        """The (ids, scores) of the rows `part`."""
-        ex, gate = logits[part], p_gen[part]
-        ex -= ex.max(axis=1, keepdims=True)
-        np.exp(ex, out=ex)
-        total = ex.sum(axis=1, keepdims=True)
-        rows = np.arange(ex.shape[0])
-        # copy mass per distinct input id, added in position order as
-        # `ad.scatter_sum` adds it
-        copy = np.zeros((input_ids.size, rows.size), dtype=ex.dtype)
-        np.add.at(copy, inverse, weights[:, part])
-        copied = copy.T * (1.0 - gate)                              # [r, U]
-        # candidate columns: the known vocabulary ids, the picks, the OOV input ids
-        ids = np.empty((rows.size, n_words + input_ids.size - n_vocab), dtype=np.int64)
-        ids[:, :known.size] = known
-        ids[:, n_words:] = input_ids[n_vocab:]
-        taken = np.empty((rows.size, n_words), dtype=ex.dtype)      # the words' exps
-        taken[:, :known.size] = ex[:, known]
-        ex[:, known] = -1.0
-        flat, offsets = ex.reshape(-1), rows * ex.shape[1]
-        for j in range(known.size, n_words):
-            ids[:, j] = best = ex.argmax(axis=1)
-            at = best + offsets
-            taken[:, j] = flat[at]
-            flat[at] = -1.0
-        values = np.empty(ids.shape, dtype=ex.dtype)
-        values[:, :n_words] = taken / total * gate
-        values[:, :n_vocab] += copied[:, :n_vocab]
-        values[:, n_words:] = copied[:, n_vocab:]
-        scores = np.log(np.maximum(values, ad.LOG_FLOOR))
-        order = np.lexsort((ids, -scores), axis=1)[:, :count]
-        best_ids, best_scores = ids[rows[:, None], order], scores[rows[:, None], order]
-        if n_words == vocab_size:
-            return best_ids, best_scores
-        # a word left out can tie a pick only if the best word left out
-        # comes within the margin of the last pick; at the clamp, the
-        # lowest ids taken above win the ties
-        runner_up = ex.max(axis=1)
-        near = runner_up >= taken[:, -1] * (1 - _TIE_MARGIN_EPS * np.finfo(ex.dtype).eps)
-        for row in np.flatnonzero(near):
-            if runner_up[row] / total[row, 0] * gate[row, 0] <= ad.LOG_FLOOR:
-                continue
-            full = np.zeros(max(vocab_size, int(input_ids[-1]) + 1), dtype=ex.dtype)
-            full[:vocab_size] = np.log(np.maximum(ex[row] / total[row] * gate[row], ad.LOG_FLOOR))
-            full[ids[row]] = scores[row]             # the candidates, masked in `ex`
-            top = np.flatnonzero(full >= np.partition(full, full.size - count)[full.size - count])
-            best_ids[row] = top[np.lexsort((top, -full[top]))[:count]]
-            best_scores[row] = full[best_ids[row]]
-        return best_ids, best_scores
+    def top(part: range, side: int) -> tuple[np.ndarray, np.ndarray]:
+        rows = slice(part.start, part.stop)
+        scores = _log_mixture(logits[rows], p_gen[rows], weights[:, rows], input_ids, inverse)
+        ids = np.empty((len(part), min(count, scores.shape[1])), np.int64)
+        best = np.empty(ids.shape, scores.dtype)
+        flat, offsets = scores.reshape(-1), np.arange(len(part)) * scores.shape[1]
+        for j in range(ids.shape[1]):
+            ids[:, j] = scores.argmax(axis=1)
+            at = ids[:, j] + offsets
+            best[:, j] = flat[at]
+            flat[at] = -np.inf
+        return ids, best
 
-    halves = ad.by_halves(lambda part, side: select(slice(part.start, part.stop)),
-                          range(logits.shape[0]), lambda row: 1, logits.size, _BEAM_SPLIT_MIN)
+    halves = ad.by_halves(top, range(logits.shape[0]), lambda row: 1, logits.size,
+                          _BEAM_SPLIT_MIN)
     if len(halves) == 1:
         return halves[0]
     return tuple(np.concatenate(parts) for parts in zip(*halves))
 
 
-def _mixture_candidates(logits: np.ndarray, p_gen: np.ndarray, weights: np.ndarray,
-                        input_ids: np.ndarray, inverse: np.ndarray,
-                        count: int) -> tuple[np.ndarray, np.ndarray]:
-    """`beam_candidates` from the whole [R, V'] block: the softmax of the
-    logits times p_gen, plus each input id's copy mass, added in position
-    order as `ad.scatter_sum` adds it, times 1 - p_gen; a zero copy term
-    leaves a word's value as it is, so only the input ids' columns take
-    one.  Then the log clamped at `ad.LOG_FLOOR` and a stable descending
-    sort, each row's lower id first on ties."""
+def _log_mixture(logits: np.ndarray, p_gen: np.ndarray, weights: np.ndarray,
+                 input_ids: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """`beam_candidates`' fresh [r, V'] block, overwriting `logits` with
+    its exps: the softmax times p_gen, plus each input id's copy mass,
+    added in position order as `ad.scatter_sum` adds it, times 1 - p_gen
+    (a zero copy term leaves a word's value as it is, so only the input
+    ids' columns take one), then the log clamped at `ad.LOG_FLOOR`."""
     ex = logits
     ex -= ex.max(axis=1, keepdims=True)
     np.exp(ex, out=ex)
@@ -539,9 +483,7 @@ def _mixture_candidates(logits: np.ndarray, p_gen: np.ndarray, weights: np.ndarr
     copy = np.zeros((input_ids.size, ex.shape[0]), ex.dtype)
     np.add.at(copy, inverse, weights)
     mixture[:, input_ids] += copy.T * (1.0 - p_gen)
-    scores = np.log(np.maximum(mixture, ad.LOG_FLOOR, out=mixture), out=mixture)
-    ids = np.argsort(-scores, axis=1, kind="stable")[:, :count]
-    return ids, np.take_along_axis(scores, ids, axis=1)
+    return np.log(np.maximum(mixture, ad.LOG_FLOOR, out=mixture), out=mixture)
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +518,9 @@ def _beam_search(model: GeneratorModel, decoder_inits: Sequence[ad.Tensor],
     """decode_sentences before the surfaces: each sentence's best
     length-normalized log-probability and its extended ids.
 
-    Each step scores only what a hypothesis can keep: from the tape-free
+    Each step keeps only what a hypothesis can use: from the tape-free
     `_output_layer`, `beam_candidates` gives every row its `beam_size + 1`
-    best tokens and their log-probabilities, building the [R, V'] mixture
-    only for a small block."""
+    best tokens and their log-probabilities."""
     if not decoder_inits:
         return []
     beam = config.beam_size

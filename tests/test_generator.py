@@ -975,10 +975,10 @@ def output_layer_values(model, state, context, dec_input):
 
 class TestBeamCandidates:
     """`beam_candidates` keeps bitwise the (id, score) pairs of the full
-    block: small blocks by sorting it, larger ones without building it."""
+    block: small blocks by sorting it, larger ones by passes of argmax."""
 
-    # `_FULL_MIXTURE_MAX` values that send every block one way
-    WAYS = {"selection": 0, "mixture": 1 << 62}
+    # `_SORT_MAX` values that send every block one way
+    WAYS = {"argmax": 0, "sort": 1 << 62}
 
     def compare(self, model, grouped, rng, count, rows=5, weights=None):
         """Both ways of `beam_candidates`, each forced whatever the block's
@@ -992,20 +992,21 @@ class TestBeamCandidates:
         want_ids, want_scores, log_probs = full_block_candidates(
             model, grouped, state, context, dec_input, weights, count)
         input_ids, inverse = np.unique(grouped.extended_ids, return_inverse=True)
-        mixture = generator._mixture_candidates
+        by_halves = ad.by_halves
         for way, limit in self.WAYS.items():
             # fresh logits, since a call overwrites them
             logits, p_gen = output_layer_values(model, state, context, dec_input)
             calls = []
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(generator, "_FULL_MIXTURE_MAX", limit)
-                patch.setattr(generator, "_mixture_candidates",
-                              lambda *args: calls.append(args) or mixture(*args))
+                patch.setattr(generator, "_SORT_MAX", limit)
+                # the argmax passes run through `by_halves`, the sort does not
+                patch.setattr(ad, "by_halves",
+                              lambda *args: calls.append(args) or by_halves(*args))
                 with ad.tape() as recording:
                     got_ids, got_scores = beam_candidates(logits, p_gen, weights, input_ids,
                                                           inverse, count)
             assert len(recording) == 0
-            assert len(calls) == (way == "mixture"), way
+            assert len(calls) == (way == "argmax"), way
             np.testing.assert_array_equal(got_ids, want_ids, err_msg=way)
             assert got_scores.dtype == want_scores.dtype == dtype, way
             np.testing.assert_array_equal(got_scores, want_scores, err_msg=way)
@@ -1097,12 +1098,13 @@ class TestBeamCandidates:
         assert tied >= 3
 
     def test_blocks_up_to_the_limit_sort_the_mixture(self, monkeypatch):
-        """At the default `_FULL_MIXTURE_MAX`, a block of that many R x V
-        sorts the mixture, and one of a row more selects."""
-        calls, mixture = [], generator._mixture_candidates
-        monkeypatch.setattr(generator, "_mixture_candidates",
-                            lambda *args: calls.append(args[0].size) or mixture(*args))
-        limit = generator._FULL_MIXTURE_MAX
+        """At the default `_SORT_MAX`, a block of that many R x V sorts the
+        mixture, and one of a row more takes the argmax passes, which run
+        through `by_halves`."""
+        calls, by_halves = [], ad.by_halves
+        monkeypatch.setattr(ad, "by_halves",
+                            lambda *args: calls.append(args[3]) or by_halves(*args))
+        limit = generator._SORT_MAX
         vocab = Vocabulary([f"w{i}" for i in range(limit // 4 - len(RESERVED_TOKENS))])
         model = make_model(vocab)
         grouped = group_paragraphs([["w1", "zork", "w9", "w1"]], [0], make_schema(), vocab)
@@ -1114,7 +1116,33 @@ class TestBeamCandidates:
             weights = rng.dirichlet(np.ones(inverse.size), size=rows).T
             beam_candidates(*output_layer_values(model, state, context, dec_input), weights,
                             input_ids, inverse, 6)
-        assert calls == [limit]
+        assert calls == [limit + limit // 4]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("way", list(WAYS))
+    def test_input_ids_that_skip_an_oov_id(self, monkeypatch, dtype, way):
+        """Input ids [5, 3000, 3002] over 3,000 tied words: the skipped OOV
+        id 3001 gets no mass, so it scores at the clamp like any word
+        without mass, and the three input ids are the best three."""
+        monkeypatch.setattr(generator, "_SORT_MAX", self.WAYS[way])
+        vocab_size, count = 3000, 3
+        extended_ids = np.array([5, 3000, 3002])
+        with ad.using_dtype(dtype):
+            logits = np.zeros((1, vocab_size), dtype)
+            p_gen = np.full((1, 1), 0.5, dtype)
+            weights = np.full((3, 1), 1 / 3, dtype)
+            probs = ad.concat([ad.softmax(ad.Tensor(logits), axis=1), ad.zeros((1, 3))], axis=1)
+            copy = ad.scatter_sum(ad.transpose(ad.Tensor(weights)), extended_ids, vocab_size + 3)
+            gate = ad.Tensor(p_gen)
+            mixture = (probs * gate + copy * (1.0 - gate)).data
+        log_probs = np.log(np.maximum(mixture, 1e-12))
+        want_ids = np.argsort(-log_probs, axis=1, kind="stable")[:, :count]
+        input_ids, inverse = np.unique(extended_ids, return_inverse=True)
+        ids, scores = beam_candidates(logits, p_gen, weights, input_ids, inverse, count)
+        np.testing.assert_array_equal(want_ids, [[5, 3000, 3002]])
+        np.testing.assert_array_equal(ids, want_ids)
+        assert scores.dtype == dtype
+        np.testing.assert_array_equal(scores, np.take_along_axis(log_probs, want_ids, axis=1))
 
     def split_equals_serial(self, monkeypatch, model, state, context, dec_input, *arrays,
                             count):
@@ -1133,7 +1161,7 @@ class TestBeamCandidates:
 
         with monkeypatch.context() as patch:
             patch.setattr(ad, "on_two_threads", spy)
-            patch.setattr(generator, "_FULL_MIXTURE_MAX", 0)     # the selection at any size
+            patch.setattr(generator, "_SORT_MAX", 0)     # the argmax passes at any size
             serial = candidates()
             assert calls == []
             patch.setattr(generator, "_BEAM_SPLIT_MIN", 0)
@@ -1167,7 +1195,7 @@ class TestBeamCandidates:
     def test_row_halves_keep_the_tie_rescoring(self, monkeypatch, dtype, rows):
         """`test_rounding_tie_at_the_cut` in the last row, on the worker's
         half: the gate reads the state's first unit, and every other row
-        puts its words below the clamp, so only the last row is rescored."""
+        puts its words below the clamp, so only the last row has the tie."""
         vocab = Vocabulary([f"w{i}" for i in range(36)])
         top, low, high, count = 10, 20, 30, 6
         step = 10 * np.finfo(dtype).eps
@@ -1439,7 +1467,7 @@ def forced_two_thread_sites(monkeypatch) -> dict:
     for module, name in ((ad, "_PAIR_SPLIT_MIN"), (ad, "_SCORE_SPLIT_MIN"),
                          (ad, "_PASS_SPLIT_MIN"), (generator, "_BEAM_SPLIT_MIN")):
         monkeypatch.setattr(module, name, 0)
-    monkeypatch.setattr(generator, "_FULL_MIXTURE_MAX", 0)     # the selection at any size
+    monkeypatch.setattr(generator, "_SORT_MAX", 0)     # the argmax passes at any size
     monkeypatch.setattr(ad, "_SCORE_BLOCK", 1)     # one query a block
     rng = np.random.default_rng(5)
     vocab = make_vocab()
@@ -1475,11 +1503,11 @@ def forced_two_thread_sites(monkeypatch) -> dict:
 
 class TestTwoThreadSearch(DecodingSetup):
     def test_two_user_threads_searching_at_once_get_their_own_results(self, monkeypatch):
-        """With attention and candidate selection forced onto two threads,
+        """With attention and the beam step's candidates forced onto two threads,
         each of two threads searching at the same time gets the results of a
         search run alone, whichever of them has the worker at each step."""
         monkeypatch.setattr(generator, "_BEAM_SPLIT_MIN", 0)
-        monkeypatch.setattr(generator, "_FULL_MIXTURE_MAX", 0)     # the selection at any size
+        monkeypatch.setattr(generator, "_SORT_MAX", 0)     # the argmax passes at any size
         monkeypatch.setattr(ad, "_SCORE_SPLIT_MIN", 0)
         monkeypatch.setattr(ad, "_SCORE_BLOCK", 1)     # one query a block
         calls, on_two_threads = [], ad.on_two_threads
@@ -1532,7 +1560,7 @@ class TestTwoThreadSearch(DecodingSetup):
         for module, name in ((ad, "_PAIR_SPLIT_MIN"), (ad, "_SCORE_SPLIT_MIN"),
                              (ad, "_PASS_SPLIT_MIN"), (generator, "_BEAM_SPLIT_MIN")):
             monkeypatch.setattr(module, name, 0)
-        monkeypatch.setattr(generator, "_FULL_MIXTURE_MAX", 0)     # the selection at any size
+        monkeypatch.setattr(generator, "_SORT_MAX", 0)     # the argmax passes at any size
         monkeypatch.setattr(ad, "_SCORE_BLOCK", 1)     # one query a block
         threads = threading.active_count()
         seen, on_two_threads = [], ad.on_two_threads
